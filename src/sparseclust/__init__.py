@@ -19,7 +19,7 @@ from .clusters import (
     eval_log_q0,
     gibbs_reassign,
     gibbs_update_cluster_mean,
-    likelihood_log_f,
+    loglik_matrix,
     mh_birth_move,
     mh_death_move,
     sample_prior_mean,
@@ -36,7 +36,7 @@ from .io import load_csv, preprocess_expression, standardize_columns
 from .model import DataMatrix, DegenerateDataError, Hyperparams, ModelState, default_hyperparams
 from .partition import SPIKE, Partition, crp_log_prob
 from .simulate import SimTruth, gen_example1, gen_example2, gen_example3, gen_example4
-from .sparsity import update_eta_sq, update_pi, update_rho
+from .sparsity import update_eta_sq
 from .summarize import (
     coclustering,
     fitted_mean_posterior,
@@ -75,11 +75,11 @@ __all__ = [
     "gibbs_update_cluster_mean",
     "init_state",
     "k_posterior",
-    "likelihood_log_f",
     "load_csv",
     "log_beta_pdf",
     "log_inv_gamma_pdf",
     "log_normal_pdf",
+    "loglik_matrix",
     "merge_traces",
     "mh_birth_move",
     "mh_death_move",
@@ -95,6 +95,4 @@ __all__ = [
     "update_concentration",
     "update_eta_sq",
     "update_gamma_multi",
-    "update_pi",
-    "update_rho",
 ]

@@ -66,10 +66,8 @@ def _mean_assignment_logits(state, hp, ctx, j):
     return cids, logw
 
 
-def update_baseline_mean_assignment(state, data, hp, j, rng, ctx=None):
+def update_baseline_mean_assignment(state, data, hp, j, rng, ctx):
     """Resample the baseline-mean cluster of attribute j; returns the new id."""
-    if ctx is None:
-        ctx = _MeanStepCtx(state, data)
     part = state.mean_part
     old = part.detach(j)
     if old in part.clusters:
@@ -98,9 +96,12 @@ def update_baseline_mean_assignment(state, data, hp, j, rng, ctx=None):
     return cid
 
 
-def resample_baseline_mean_values(state, data, hp, rng):
-    """Redraw every baseline-mean cluster value from its normal posterior."""
-    ctx = _MeanStepCtx(state, data)
+def resample_baseline_mean_values(state, hp, rng, ctx):
+    """Redraw every baseline-mean cluster value from its normal posterior.
+
+    Reads only the per-attribute ``ctx.q`` and ``ctx.w``, which the
+    assignment pass leaves unchanged.
+    """
     for cid, mem in state.mean_part.members().items():
         v = 1.0 / hp.base_var
         s = hp.base_mean / hp.base_var
@@ -115,7 +116,7 @@ def step_baseline_means(state, data, hp, rng):
     ctx = _MeanStepCtx(state, data)
     for j in range(data.p):
         update_baseline_mean_assignment(state, data, hp, j, rng, ctx)
-    resample_baseline_mean_values(state, data, hp, rng)
+    resample_baseline_mean_values(state, hp, rng, ctx)
 
 
 def _residual_sq_colsums(state, data):
@@ -166,10 +167,8 @@ def _var_assignment_logits(state, hp, ctx, j):
     return cids, logw
 
 
-def update_baseline_var_assignment(state, data, hp, j, rng, ctx=None):
+def update_baseline_var_assignment(state, data, hp, j, rng, ctx):
     """Resample the baseline-variance cluster of attribute j."""
-    if ctx is None:
-        ctx = _VarStepCtx(state, data)
     part = state.var_part
     old = part.detach(j)
     if old in part.clusters:
@@ -193,10 +192,10 @@ def update_baseline_var_assignment(state, data, hp, j, rng, ctx=None):
     return cid
 
 
-def resample_baseline_var_values(state, data, hp, rng):
+def resample_baseline_var_values(state, hp, rng, ctx):
     """Redraw every baseline-variance cluster value from its inverse-gamma
-    posterior."""
-    ctx = _VarStepCtx(state, data)
+    posterior. Reads only ``ctx.n`` and the per-attribute ``ctx.ssq``, which
+    the assignment pass leaves unchanged."""
     for cid, mem in state.var_part.members().items():
         shape = hp.var_shape + len(mem) * ctx.n / 2.0
         rate = hp.var_rate
@@ -209,4 +208,4 @@ def step_baseline_vars(state, data, hp, rng):
     ctx = _VarStepCtx(state, data)
     for j in range(data.p):
         update_baseline_var_assignment(state, data, hp, j, rng, ctx)
-    resample_baseline_var_values(state, data, hp, rng)
+    resample_baseline_var_values(state, hp, rng, ctx)

@@ -26,17 +26,17 @@ class ChainConfig:
     seed: int = 0
     init_mode: str = ALL_ONE_CLUSTER
     record: frozenset = field(default_factory=lambda: RECORD_FIELDS)
-    # Fixing a concentration turns the corresponding DP into (approximately)
-    # its parametric limit; the fixed value is never resampled.
-    fix_conc_mean: float | None = None
-    fix_conc_inner: float | None = None
-    validate_every_sweep: bool = False
 
     def __post_init__(self):
         if self.iterations <= 0 or self.thin <= 0 or self.burn_in < 0:
             raise ValueError("iterations and thin must be positive, burn_in nonnegative")
         if self.burn_in >= self.iterations:
             raise ValueError("burn_in must be smaller than iterations")
+        if self.thin > self.iterations - self.burn_in:
+            raise ValueError(
+                f"thin={self.thin} records nothing in {self.iterations - self.burn_in} "
+                "post-burn-in sweeps"
+            )
         if self.init_mode not in (ALL_ONE_CLUSTER, ALL_SINGLETONS):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         unknown = set(self.record) - RECORD_FIELDS
@@ -72,7 +72,7 @@ class ChainTrace:
         labels, order = state.samples.canonical()
         self.ks.append(state.samples.n_clusters())
         if "assignments" in rec or "mu_matrix" in rec:
-            self.assignments.append(labels.astype(np.int16))
+            self.assignments.append(labels)
         if "rho" in rec:
             self.rhos.append(state.attr_prob.copy())
         if "pi" in rec:
@@ -128,11 +128,9 @@ def init_state(data, hp, cfg, rng):
         attr_prob=attr_prob,
         slab_var=1.0,
         conc_samples=hp.conc_shape / hp.conc_rate,
-        conc_mean=cfg.fix_conc_mean if cfg.fix_conc_mean is not None
-        else hp.conc_shape / hp.conc_rate,
+        conc_mean=hp.conc_shape / hp.conc_rate,
         conc_var=hp.conc_shape / hp.conc_rate,
-        conc_inner=cfg.fix_conc_inner if cfg.fix_conc_inner is not None
-        else hp.conc_shape / hp.conc_rate,
+        conc_inner=hp.conc_shape / hp.conc_rate,
     )
 
     if cfg.init_mode == ALL_ONE_CLUSTER:
@@ -152,32 +150,30 @@ def init_state(data, hp, cfg, rng):
     return state
 
 
-def step_concentrations(state, data, hp, rng, fix_conc_mean=None, fix_conc_inner=None):
+def step_concentrations(state, data, hp, rng):
     """Step 7: each DP's concentration sees exactly the partition it generated."""
     state.conc_samples = update_concentration(
         state.conc_samples, state.samples.n_clusters(), data.n,
         hp.conc_shape, hp.conc_rate, rng,
     )
-    if fix_conc_mean is None:
-        state.conc_mean = update_concentration(
-            state.conc_mean, state.mean_part.n_clusters(), data.p,
-            hp.conc_shape, hp.conc_rate, rng,
-        )
+    state.conc_mean = update_concentration(
+        state.conc_mean, state.mean_part.n_clusters(), data.p,
+        hp.conc_shape, hp.conc_rate, rng,
+    )
     state.conc_var = update_concentration(
         state.conc_var, state.var_part.n_clusters(), data.p,
         hp.conc_shape, hp.conc_rate, rng,
     )
-    if fix_conc_inner is None:
-        per_cluster = [
-            (m.inner_cluster_count(), m.nonzero_count())
-            for m in state.cluster_means.values()
-        ]
-        state.conc_inner = update_gamma_multi(
-            state.conc_inner, per_cluster, hp.conc_shape, hp.conc_rate, rng,
-        )
+    per_cluster = [
+        (m.inner_cluster_count(), m.nonzero_count())
+        for m in state.cluster_means.values()
+    ]
+    state.conc_inner = update_gamma_multi(
+        state.conc_inner, per_cluster, hp.conc_shape, hp.conc_rate, rng,
+    )
 
 
-def sweep(state, data, hp, rng, fix_conc_mean=None, fix_conc_inner=None):
+def sweep(state, data, hp, rng):
     """One full update cycle over all unknowns."""
     step_baseline_means(state, data, hp, rng)
     step_baseline_vars(state, data, hp, rng)
@@ -185,7 +181,7 @@ def sweep(state, data, hp, rng, fix_conc_mean=None, fix_conc_inner=None):
     step_rho(state, hp, rng)
     step_clusters(state, data, hp, rng)
     update_eta_sq(state, hp, rng)
-    step_concentrations(state, data, hp, rng, fix_conc_mean, fix_conc_inner)
+    step_concentrations(state, data, hp, rng)
 
 
 def run_chain(data, hp, cfg):
@@ -195,11 +191,9 @@ def run_chain(data, hp, cfg):
     trace = ChainTrace(data.n, data.p, cfg)
     for it in range(cfg.iterations):
         try:
-            sweep(state, data, hp, rng, cfg.fix_conc_mean, cfg.fix_conc_inner)
+            sweep(state, data, hp, rng)
         except SamplerAbort as exc:
             raise SamplerAbort(f"iteration {it}: {exc}") from exc
-        if cfg.validate_every_sweep:
-            state.validate(data)
         offset = it - cfg.burn_in
         if offset >= 0 and offset % cfg.thin == cfg.thin - 1:
             trace.record(state)

@@ -182,6 +182,13 @@ def main(argv=None):
 
     file_cfg = parse_config_file(args.config) if args.config else {}
     chain_kwargs, hp_overrides = _resolve(args, file_cfg)
+    base_seed = chain_kwargs["seed"]
+    try:
+        configs = [
+            ChainConfig(**{**chain_kwargs, "seed": base_seed + c}) for c in range(args.chains)
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     data, source = _load_data(args, parser)
     if args.preprocess:
@@ -194,11 +201,6 @@ def main(argv=None):
         base = {k: getattr(hp, k) for k in _HP_KEYS}
         base.update(hp_overrides)
         hp = Hyperparams(**base)
-
-    base_seed = chain_kwargs["seed"]
-    configs = [
-        ChainConfig(**{**chain_kwargs, "seed": base_seed + c}) for c in range(args.chains)
-    ]
 
     try:
         if args.chains == 1:

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import LOG_2PI, SamplerAbort
-from .partition import SPIKE, Partition
+from .partition import SPIKE, Partition, crp_seat
 from .sparsity import draw_pi_entry, draw_pi_row
-
-# Weighting of the aggregated statistic x_k (a mean of n_c observations) in
-# inner-value posteriors: True uses precision n_c/sigma_k^2 per member
-# attribute, which is the reading validated by the joint-distribution test.
-# False uses the literal per-attribute precision 1/sigma_k^2 instead.
-AGGREGATED_INNER_PRECISION = True
 
 _NEG_INF = float("-inf")
 
@@ -112,12 +106,6 @@ class SequentialProposal:
     log_q0: float
 
 
-def _member_precision(n_count, sigma_sq_j):
-    if AGGREGATED_INNER_PRECISION:
-        return n_count / sigma_sq_j
-    return 1.0 / sigma_sq_j
-
-
 def _scan_fixed_terms(x_arr, v_obs_arr, attr_prob, slab_coef, slab_var, conc_inner):
     """Per-component weight terms that do not depend on the scan state:
     the spike option, and the new-cluster option up to its CRP denominator."""
@@ -141,6 +129,10 @@ def _sequential_scan(x, n_count, sigma_sq, attr_prob, slab_coef, slab_var, conc_
     With ``rng`` set, samples a fresh mean and returns (mean, log_q). With
     ``given`` set, deterministically replays the recursion scoring the given
     mean's inner partition and values.
+
+    ``x[k]`` averages n_count observations, so member attribute k carries
+    precision n_count / sigma_sq[k] in the inner-value posteriors (the
+    per-observation 1 / sigma_sq[k] fails the joint-distribution test).
     """
     sampling = rng is not None
     p = len(x)
@@ -197,7 +189,7 @@ def _sequential_scan(x, n_count, sigma_sq, attr_prob, slab_coef, slab_var, conc_
                 choice = 1 + len(counts)
         log_q += logw[choice] - lse
 
-        prec_j = _member_precision(n_count, sigs[j])
+        prec_j = n_count / sigs[j]
         stat_j = prec_j * xs[j]
         if choice == 0:
             if sampling:
@@ -238,24 +230,22 @@ def _slab_coef(hp):
     return hp.slab_a / (hp.slab_a + hp.slab_b)
 
 
-def sequential_sample_mean(x, n_count, state, hp, rng):
+def sequential_sample_mean(x, n_count, sigma_sq, state, hp, rng):
     """Propose a new cluster mean via sequential sampling.
 
     ``x`` holds the per-attribute averaged residuals of the proposed member
-    set (y minus the baseline mean, averaged over the n_count members).
+    set (y minus the baseline mean, averaged over the n_count members);
+    ``sigma_sq`` is the dense vector of baseline variances.
     """
-    sigma_sq = state.var_part.values_vector()
     mean, log_q = _sequential_scan(
         x, n_count, sigma_sq, state.attr_prob, _slab_coef(hp),
         state.slab_var, state.conc_inner, rng=rng,
     )
-    log_q0 = eval_log_q0(mean, state, hp)
-    return SequentialProposal(mean, log_q, log_q0)
+    return SequentialProposal(mean, log_q, eval_log_q0(mean, state, hp))
 
 
-def eval_log_q(mean, x, n_count, state, hp):
+def eval_log_q(mean, x, n_count, sigma_sq, state, hp):
     """Density of ``mean`` under the sequential proposal (deterministic replay)."""
-    sigma_sq = state.var_part.values_vector()
     _, log_q = _sequential_scan(
         x, n_count, sigma_sq, state.attr_prob, _slab_coef(hp),
         state.slab_var, state.conc_inner, given=mean,
@@ -296,42 +286,36 @@ def eval_log_q0(mean, state, hp):
     return out
 
 
-def sample_prior_mean(p, state, hp, rng):
-    """Draw a mean vector from the prior (the unassisted proposal)."""
-    slab_coef = _slab_coef(hp)
+def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
+    """Draw a mean vector from its prior.
+
+    ``slab_prob(j)`` is the probability that component j is nonzero. It is
+    called once per component, in order and before that component's own
+    draws, and may itself draw from ``rng``. Nonzero components share
+    N(0, slab_var) values through a CRP with concentration ``conc_inner``.
+    """
     mean = ClusterMeanVector(p)
-    cids = []
-    counts = []
-    m_total = 0
+    inner = mean.inner
     for j in range(p):
-        sj = slab_coef * float(state.attr_prob[j])
-        if rng.random() >= sj:
-            mean.inner.attach_spike(j)
+        s = slab_prob(j)
+        if rng.random() >= s:
+            inner.attach_spike(j)
             continue
-        u = rng.random() * (state.conc_inner + m_total)
-        acc = 0.0
-        joined = False
-        for t, c in enumerate(counts):
-            acc += c
-            if u <= acc:
-                mean.inner.attach(j, cids[t])
-                counts[t] += 1
-                joined = True
-                break
-        if not joined:
-            val = math.sqrt(state.slab_var) * rng.standard_normal()
-            cids.append(mean.inner.attach_new(j, val))
-            counts.append(1)
-        m_total += 1
+        cid = crp_seat(inner, conc_inner, rng)
+        if cid is None:
+            inner.attach_new(j, math.sqrt(slab_var) * rng.standard_normal())
+        else:
+            inner.attach(j, cid)
     return mean
 
 
-def likelihood_log_f(y_row, mean, state):
-    """Log F(y_i; mu_c): product over attributes of normal densities with the
-    baseline mean included."""
-    mu_base = state.mean_part.values_vector()
-    sigma_sq = state.var_part.values_vector()
-    return _loglik_dense(y_row, mean.mu(), mu_base, sigma_sq)
+def sample_prior_mean(p, state, hp, rng):
+    """Draw a mean vector from the prior (the unassisted proposal)."""
+    slab_coef = _slab_coef(hp)
+    return draw_prior_mean(
+        p, lambda j: slab_coef * float(state.attr_prob[j]),
+        state.conc_inner, state.slab_var, rng,
+    )
 
 
 def _loglik_dense(y_row, mu_vec, mu_base, sigma_sq):
@@ -339,23 +323,32 @@ def _loglik_dense(y_row, mu_vec, mu_base, sigma_sq):
     return float(-0.5 * (np.log(2.0 * np.pi * sigma_sq) + d * d / sigma_sq).sum())
 
 
-def mh_birth_move(state, data, hp, i, rng, mu_base=None, sigma_sq=None):
-    """Propose moving a non-singleton sample into a fresh cluster."""
-    if mu_base is None:
-        mu_base = state.mean_part.values_vector()
-    if sigma_sq is None:
-        sigma_sq = state.var_part.values_vector()
+def loglik_matrix(state, data, cids, mu_base, sigma_sq):
+    """Log F(y_i; mu_c) for every sample i (rows) and every cluster in
+    ``cids`` (columns): normal densities with the baseline mean included."""
+    log_norm = -0.5 * np.log(2.0 * np.pi * sigma_sq).sum()
+    inv_sig = 1.0 / sigma_sq
+    resid = data.y - mu_base
+    out = np.empty((data.n, len(cids)))
+    for t, c in enumerate(cids):
+        d = resid - state.cluster_means[c].mu()
+        out[:, t] = log_norm - 0.5 * (d * d) @ inv_sig
+    return out
+
+
+def mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq):
+    """Propose moving a non-singleton sample into a fresh cluster.
+
+    ``mu_base`` and ``sigma_sq`` are the dense baseline mean and variance
+    vectors, which no move of this step changes.
+    """
     cid = state.samples.cluster_of(i)
     if state.samples.size_of(cid) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
     y_i = data.y[i]
-    x = y_i - mu_base
-    mean_new, log_q = _sequential_scan(
-        x, 1, sigma_sq, state.attr_prob, _slab_coef(hp),
-        state.slab_var, state.conc_inner, rng=rng,
-    )
-    log_q0 = eval_log_q0(mean_new, state, hp)
+    prop = sequential_sample_mean(y_i - mu_base, 1, sigma_sq, state, hp, rng)
+    mean_new, log_q, log_q0 = prop.mean, prop.log_q, prop.log_q0
 
     log_f_new = _loglik_dense(y_i, mean_new.mu(), mu_base, sigma_sq)
     log_f_old = _loglik_dense(y_i, state.cluster_means[cid].mu(), mu_base, sigma_sq)
@@ -379,12 +372,8 @@ def mh_birth_move(state, data, hp, i, rng, mu_base=None, sigma_sq=None):
     return accepted, info
 
 
-def mh_death_move(state, data, hp, i, rng, mu_base=None, sigma_sq=None):
+def mh_death_move(state, data, hp, i, rng, mu_base, sigma_sq):
     """Propose absorbing a singleton sample into an existing cluster."""
-    if mu_base is None:
-        mu_base = state.mean_part.values_vector()
-    if sigma_sq is None:
-        sigma_sq = state.var_part.values_vector()
     cid = state.samples.cluster_of(i)
     if state.samples.size_of(cid) != 1:
         raise RuntimeError(f"sample {i} is not a singleton; death move not applicable")
@@ -400,12 +389,8 @@ def mh_death_move(state, data, hp, i, rng, mu_base=None, sigma_sq=None):
             break
 
     y_i = data.y[i]
-    x = y_i - mu_base
     mean_own = state.cluster_means[cid]
-    log_q = _sequential_scan(
-        x, 1, sigma_sq, state.attr_prob, _slab_coef(hp),
-        state.slab_var, state.conc_inner, given=mean_own,
-    )[1]
+    log_q = eval_log_q(mean_own, y_i - mu_base, 1, sigma_sq, state, hp)
     log_q0 = eval_log_q0(mean_own, state, hp)
 
     log_f_new = _loglik_dense(y_i, state.cluster_means[target].mu(), mu_base, sigma_sq)
@@ -430,44 +415,22 @@ def mh_death_move(state, data, hp, i, rng, mu_base=None, sigma_sq=None):
     return accepted, info
 
 
-def reassign_logits(state, data, hp, i):
-    """Unnormalized log weights (count excluding i times likelihood) over the
-    live clusters for sample i, without mutating the state."""
-    cid = state.samples.cluster_of(i)
-    if state.samples.size_of(cid) <= 1:
-        raise RuntimeError(f"sample {i} is a singleton; Gibbs reassignment skipped")
-    mu_base = state.mean_part.values_vector()
-    sigma_sq = state.var_part.values_vector()
-    col_order = list(state.samples.clusters.keys())
-    logw = np.array([
-        math.log(state.samples.size_of(c) - (c == cid))
-        + _loglik_dense(data.y[i], state.cluster_means[c].mu(), mu_base, sigma_sq)
-        for c in col_order
-    ])
-    return col_order, logw
+def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
+    """Resample a non-singleton sample's cluster among existing clusters.
 
-
-def gibbs_reassign(state, data, hp, i, rng, loglik_row=None, col_order=None):
-    """Resample a non-singleton sample's cluster among existing clusters."""
+    ``loglik_row[t]`` is sample i's log likelihood under cluster
+    ``col_order[t]``, i.e. row i of ``loglik_matrix``.
+    """
     cid = state.samples.cluster_of(i)
     if state.samples.size_of(cid) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; Gibbs reassignment skipped")
     state.samples.detach(i)
 
-    if col_order is None:
-        col_order = list(state.samples.clusters.keys())
-    if loglik_row is None:
-        mu_base = state.mean_part.values_vector()
-        sigma_sq = state.var_part.values_vector()
-        loglik_row = np.array([
-            _loglik_dense(data.y[i], state.cluster_means[c].mu(), mu_base, sigma_sq)
-            for c in col_order
-        ])
-    logw = np.array([
+    logw = [
         math.log(state.samples.size_of(c)) + loglik_row[t]
         for t, c in enumerate(col_order)
-    ])
-    choice, _lse = _pick_with_lse(list(logw), rng)
+    ]
+    choice, _lse = _pick_with_lse(logw, rng)
     new_cid = col_order[choice]
     state.samples.attach(i, new_cid)
     if new_cid != cid:
@@ -477,7 +440,7 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row=None, col_order=None):
     return new_cid
 
 
-def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base=None, sigma_sq=None):
+def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq):
     """Partially collapsed Gibbs pass over one cluster's mean components.
 
     Component memberships are resampled with the inner values integrated out,
@@ -485,10 +448,6 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base=None, sigma_sq=
     probabilities are refreshed for components whose zero status flipped, so
     the mu/incl_prob coupling invariant holds at exit.
     """
-    if mu_base is None:
-        mu_base = state.mean_part.values_vector()
-    if sigma_sq is None:
-        sigma_sq = state.var_part.values_vector()
     n_count = state.samples.size_of(cid)
     x = state.cluster_data_sum[cid] / n_count - mu_base
     slab_coef = _slab_coef(hp)
@@ -511,7 +470,7 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base=None, sigma_sq=
     for j, a in enumerate(inner.assignments):
         if a == SPIKE:
             continue
-        prec_j = _member_precision(n_count, sigs[j])
+        prec_j = n_count / sigs[j]
         st = stats.get(a)
         if st is None:
             stats[a] = [prec_j, prec_j * xs[j]]
@@ -522,7 +481,7 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base=None, sigma_sq=
 
     flipped = []
     for j in range(inner.n_items):
-        prec_j = _member_precision(n_count, sigs[j])
+        prec_j = n_count / sigs[j]
         stat_j = prec_j * xs[j]
         old = inner.detach(j)
         if old != SPIKE:
@@ -576,7 +535,7 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base=None, sigma_sq=
         v_post = 1.0 / slab_var
         s_stat = 0.0
         for j in mem:
-            prec_j = _member_precision(n_count, sigs[j])
+            prec_j = n_count / sigs[j]
             v_post += prec_j
             s_stat += prec_j * xs[j]
         u_post = s_stat / v_post
@@ -604,13 +563,7 @@ def step_clusters(state, data, hp, rng):
     # The cluster set is fixed during the reassignment pass, so the
     # per-cluster log likelihood matrix can be computed once.
     col_order = list(state.samples.clusters.keys())
-    log_norm = -0.5 * np.log(2.0 * np.pi * sigma_sq).sum()
-    inv_sig = 1.0 / sigma_sq
-    resid = data.y - mu_base
-    loglik = np.empty((data.n, len(col_order)))
-    for t, c in enumerate(col_order):
-        d = resid - state.cluster_means[c].mu()
-        loglik[:, t] = log_norm - 0.5 * (d * d) @ inv_sig
+    loglik = loglik_matrix(state, data, col_order, mu_base, sigma_sq)
     for i in range(data.n):
         cid = state.samples.cluster_of(i)
         if state.samples.size_of(cid) > 1:

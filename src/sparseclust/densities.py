@@ -43,14 +43,6 @@ def log_beta_pdf(x, a, b):
     return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b)
 
 
-def log_sum_exp(logw):
-    """log(sum(exp(logw))) for a 1-d array, stable against underflow."""
-    m = np.max(logw)
-    if not np.isfinite(m):
-        return m
-    return m + math.log(np.sum(np.exp(logw - m)))
-
-
 def sample_log_categorical(logw, rng, where="categorical"):
     """Sample an index from unnormalized log weights.
 
@@ -72,8 +64,3 @@ def sample_log_categorical(logw, rng, where="categorical"):
 def draw_inv_gamma(shape, rate, rng):
     """One draw from Inv-Gamma(shape, rate)."""
     return rate / rng.gamma(shape)
-
-
-def draw_normal(mean, variance, rng):
-    """One draw from N(mean, variance)."""
-    return mean + math.sqrt(variance) * rng.standard_normal()

@@ -6,19 +6,13 @@ import math
 import numpy as np
 
 from .chain import sweep
-from .clusters import (
-    _loglik_dense,
-    _sequential_scan,
-    _slab_coef,
-    eval_log_q0,
-    sample_prior_mean,
-)
+from .clusters import _loglik_dense, sample_prior_mean, sequential_sample_mean
 from .forward import attach_data_sums, draw_data, draw_state_from_prior
 from .model import DataMatrix
 
 STATISTIC_NAMES = (
-    "n_sample_clusters",
-    "n_mean_clusters",
+    "sample_clusters",
+    "mean_clusters",
     "mean_attr_prob",
     "slab_var",
     "conc_samples",
@@ -114,11 +108,9 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
         y_i = data.y[i]
         x = y_i - mu_base
         if proposal == "sequential":
-            mean_new, log_q = _sequential_scan(
-                x, 1, sigma_sq, state.attr_prob, _slab_coef(hp),
-                state.slab_var, state.conc_inner, rng=rng,
-            )
-            log_correction = eval_log_q0(mean_new, state, hp) - log_q
+            prop = sequential_sample_mean(x, 1, sigma_sq, state, hp, rng)
+            mean_new = prop.mean
+            log_correction = prop.log_q0 - prop.log_q
         elif proposal == "prior":
             mean_new = sample_prior_mean(data.p, state, hp, rng)
             log_correction = 0.0

@@ -1,66 +1,40 @@
 """Forward simulation of the full joint: state from the prior, data given
 the state. Together with the transition kernel this supports
-joint-distribution (marginal-conditional vs successive-conditional) testing.
+joint-distribution (marginal-conditional vs successive-conditional) testing;
+``tests/test_diagnostics.py::test_joint_distribution_gate`` runs that test on
+the full sweep.
 """
 
 import math
 
 import numpy as np
 
-from .clusters import ClusterMeanVector
+from .clusters import draw_prior_mean
 from .model import ModelState
-from .partition import Partition
+from .partition import Partition, crp_seat
 
 
 def _crp_partition(n_items, conc, rng, values):
     """Sequential CRP draw; ``values`` supplies a payload per new cluster."""
     part = Partition(n_items)
     for i in range(n_items):
-        u = rng.random() * (conc + i)
-        acc = 0.0
-        placed = False
-        for cid, cl in part.clusters.items():
-            acc += cl[0]
-            if u <= acc:
-                part.attach(i, cid)
-                placed = True
-                break
-        if not placed:
+        cid = crp_seat(part, conc, rng)
+        if cid is None:
             part.attach_new(i, values())
+        else:
+            part.attach(i, cid)
     return part
 
 
 def draw_cluster_mean_from_prior(p, attr_prob, hp, slab_var, conc_inner, rng):
     """Joint prior draw of one cluster's inclusion row and mean vector."""
     pi_row = np.empty(p)
-    mean = ClusterMeanVector(p)
-    counts = []
-    cids = []
-    m_total = 0
-    for j in range(p):
-        if rng.random() < attr_prob[j]:
-            pi_row[j] = rng.beta(hp.slab_a, hp.slab_b)
-        else:
-            pi_row[j] = 0.0
-        if rng.random() >= pi_row[j]:
-            mean.inner.attach_spike(j)
-            continue
-        u = rng.random() * (conc_inner + m_total)
-        acc = 0.0
-        joined = False
-        for t, c in enumerate(counts):
-            acc += c
-            if u <= acc:
-                mean.inner.attach(j, cids[t])
-                counts[t] += 1
-                joined = True
-                break
-        if not joined:
-            val = math.sqrt(slab_var) * rng.standard_normal()
-            cids.append(mean.inner.attach_new(j, val))
-            counts.append(1)
-        m_total += 1
-    return pi_row, mean
+
+    def draw_pi(j):
+        pi_row[j] = rng.beta(hp.slab_a, hp.slab_b) if rng.random() < attr_prob[j] else 0.0
+        return pi_row[j]
+
+    return pi_row, draw_prior_mean(p, draw_pi, conc_inner, slab_var, rng)
 
 
 def draw_state_from_prior(n, p, hp, rng):

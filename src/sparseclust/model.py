@@ -125,9 +125,6 @@ class ModelState:
     def p(self):
         return self.mean_part.n_items
 
-    def n_sample_clusters(self):
-        return self.samples.n_clusters()
-
     def validate(self, data=None):
         """Structural invariants; raises AssertionError on the first failure."""
         self.mean_part.validate()

@@ -159,6 +159,23 @@ class Partition:
         return out
 
 
+def crp_seat(part, conc, rng):
+    """Seat one new item by the Chinese-restaurant rule.
+
+    Returns the live cid to join (probability proportional to its count) or
+    None for a new table (proportional to ``conc``). Draws exactly one
+    uniform and visits clusters in creation order, so a fixed stream gives a
+    fixed partition.
+    """
+    u = rng.random() * (conc + sum(cl[0] for cl in part.clusters.values()))
+    acc = 0.0
+    for cid, cl in part.clusters.items():
+        acc += cl[0]
+        if u <= acc:
+            return cid
+    return None
+
+
 def crp_log_prob(sizes, conc):
     """Log probability of a labeled set partition under a CRP.
 

@@ -32,14 +32,6 @@ def draw_pi_entry(mu_is_zero, rho_j, hp, rng):
     return rng.beta(hp.slab_a, hp.slab_b + 1.0)
 
 
-def update_pi(state, hp, cid, j, rng):
-    """Resample incl_prob[cid][j] from its conditional; returns the new value."""
-    mu_is_zero = state.cluster_means[cid].inner.cluster_of(j) == SPIKE
-    value = draw_pi_entry(mu_is_zero, float(state.attr_prob[j]), hp, rng)
-    state.incl_prob[cid][j] = value
-    return value
-
-
 def draw_pi_row(mean, attr_prob, hp, rng):
     """Vectorized draw of a whole inclusion-probability row for one cluster."""
     p = mean.inner.n_items
@@ -65,16 +57,8 @@ def step_pi(state, hp, rng):
         state.incl_prob[cid] = draw_pi_row(state.cluster_means[cid], state.attr_prob, hp, rng)
 
 
-def update_rho(state, hp, j, rng):
-    """Resample attr_prob[j] given column j of the inclusion matrix."""
-    k_live = state.samples.n_clusters()
-    n_active = sum(1 for cid in state.samples.clusters if state.incl_prob[cid][j] > 0.0)
-    value = rng.beta(hp.rho_a + n_active, hp.rho_b + k_live - n_active)
-    state.attr_prob[j] = value
-    return value
-
-
 def step_rho(state, hp, rng):
+    """Resample every attr_prob[j] given column j of the inclusion matrix."""
     k_live = state.samples.n_clusters()
     p = state.attr_prob.shape[0]
     n_active = np.zeros(p)

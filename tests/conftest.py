@@ -7,6 +7,13 @@ from sparseclust.model import DataMatrix, Hyperparams, ModelState
 from sparseclust.partition import Partition
 
 
+def informative_hp():
+    """Hyperparameters with informative sparsity, so that slab components
+    actually occur in tests."""
+    return Hyperparams(base_mean=0.0, base_var=1.0, rho_a=2.0, rho_b=2.0,
+                       eta_shape=2.0, eta_rate=2.0)
+
+
 def make_state(n=4, p=3, seed=0, hp=None, require_multi=False):
     """A consistent (state, data, hp) triple drawn from the prior.
 
@@ -14,9 +21,7 @@ def make_state(n=4, p=3, seed=0, hp=None, require_multi=False):
     with a non-singleton present (so every move type is applicable).
     """
     if hp is None:
-        # Informative sparsity so slab components actually occur in tests.
-        hp = Hyperparams(base_mean=0.0, base_var=1.0, rho_a=2.0, rho_b=2.0,
-                         eta_shape=2.0, eta_rate=2.0)
+        hp = informative_hp()
     rng = np.random.default_rng(seed)
     while True:
         state = draw_state_from_prior(n, p, hp, rng)

@@ -38,9 +38,9 @@ def test_single_attribute_always_own_cluster():
     y = np.array([[0.4], [1.2], [-0.3]])
     state, data, hp = manual_state(y, sigma_sq=[0.5])
     rng = np.random.default_rng(0)
-    update_baseline_mean_assignment(state, data, hp, 0, rng)
+    update_baseline_mean_assignment(state, data, hp, 0, rng, _MeanStepCtx(state, data))
     assert state.mean_part.n_clusters() == 1
-    update_baseline_var_assignment(state, data, hp, 0, rng)
+    update_baseline_var_assignment(state, data, hp, 0, rng, _VarStepCtx(state, data))
     assert state.var_part.n_clusters() == 1
 
 
@@ -110,9 +110,10 @@ def test_mean_value_resample_moments():
     u = (hp.base_mean / hp.base_var + y[:, 0].sum() / sig[0]) / v
 
     rng = np.random.default_rng(3)
+    ctx = _MeanStepCtx(state, data)
     draws = np.empty(100_000)
     for t in range(len(draws)):
-        resample_baseline_mean_values(state, data, hp, rng)
+        resample_baseline_mean_values(state, hp, rng, ctx)
         draws[t] = state.mean_part.value_of(state.mean_part.cluster_of(0))
     se_mean = draws.std() / math.sqrt(len(draws))
     assert abs(draws.mean() - u) < 4 * se_mean
@@ -196,9 +197,10 @@ def test_var_value_resample_trivial_params_and_moments():
     rate = hp.var_rate + 6 / 2.0  # 3.5
 
     rng = np.random.default_rng(9)
+    ctx = _VarStepCtx(state, data)
     draws = np.empty(100_000)
     for t in range(len(draws)):
-        resample_baseline_var_values(state, data, hp, rng)
+        resample_baseline_var_values(state, hp, rng, ctx)
         draws[t] = state.var_part.value_of(state.var_part.cluster_of(0))
     want_mean = rate / (shape - 1.0)
     se = draws.std() / math.sqrt(len(draws))

@@ -5,11 +5,14 @@ from sparseclust.chain import (
     ALL_ONE_CLUSTER,
     ALL_SINGLETONS,
     ChainConfig,
+    ChainTrace,
     init_state,
     merge_traces,
     run_chain,
+    sweep,
 )
 from sparseclust.model import default_hyperparams
+from sparseclust.partition import Partition
 from sparseclust.simulate import gen_example3
 
 
@@ -28,6 +31,9 @@ def test_config_validation():
         ChainConfig(init_mode="nope")
     with pytest.raises(ValueError):
         ChainConfig(record=frozenset({"bogus"}))
+    with pytest.raises(ValueError):  # would record no sweep at all
+        ChainConfig(iterations=10, burn_in=5, thin=6)
+    ChainConfig(iterations=10, burn_in=5, thin=5)
 
 
 def test_single_iteration_trace(ex3):
@@ -76,10 +82,11 @@ def test_init_modes(ex3):
 
 def test_every_sweep_state_valid(ex3):
     data, hp = ex3
-    cfg = ChainConfig(iterations=12, burn_in=0, seed=3, validate_every_sweep=True,
-                      init_mode=ALL_SINGLETONS)
-    tr = run_chain(data, hp, cfg)  # validator raises on any violation
-    assert len(tr) == 12
+    rng = np.random.default_rng(3)
+    state = init_state(data, hp, ChainConfig(init_mode=ALL_SINGLETONS), rng)
+    for _ in range(12):
+        sweep(state, data, hp, rng)
+        state.validate(data)  # raises on any violation
 
 
 def test_fitted_mean_shape(ex3):
@@ -107,3 +114,21 @@ def test_record_subset(ex3):
     tr = run_chain(data, hp, cfg)
     assert len(tr.ks) == 5 and len(tr.rhos) == 5
     assert tr.pis == [] and tr.means == [] and tr.assignments == []
+
+
+class _SamplesOnly:
+    """The one attribute of a state that recording K and labels reads."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+
+def test_record_labels_beyond_int16():
+    n = 33_000
+    samples = Partition(n)
+    for i in range(n):
+        samples.attach_new(i, None)
+    tr = ChainTrace(n, 1, ChainConfig(record=frozenset({"K", "assignments"})))
+    tr.record(_SamplesOnly(samples))
+    assert tr.ks == [n]
+    np.testing.assert_array_equal(tr.assignments[0], np.arange(n))

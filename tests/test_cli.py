@@ -38,6 +38,15 @@ def test_neither_data_nor_simulate(tmp_path):
     assert e.value.code == 2
 
 
+def test_thin_recording_nothing_is_usage_error(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        _run(["--simulate", "ex3", "--iters", "10", "--burn-in", "5", "--thin", "10",
+              "--out", str(out)])
+    assert e.value.code == 2
+    assert not out.exists()
+
+
 def test_short_run_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"

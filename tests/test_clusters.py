@@ -13,11 +13,10 @@ from sparseclust.clusters import (
     eval_log_q0,
     gibbs_reassign,
     gibbs_update_cluster_mean,
-    likelihood_log_f,
     log_q0_discrete,
+    loglik_matrix,
     mh_birth_move,
     mh_death_move,
-    reassign_logits,
     sample_prior_mean,
     sequential_sample_mean,
 )
@@ -50,39 +49,54 @@ def _mk_mean(p, groups, values):
     return mean
 
 
+def _baselines(state):
+    return state.mean_part.values_vector(), state.var_part.values_vector()
+
+
 # -- likelihood ---------------------------------------------------------------
+
+
+def _both_log_f(state, data, i, cid):
+    """Sample i's log likelihood under cluster cid, from the row form the
+    birth/death moves use and from the matrix the reassignment pass uses."""
+    mu_base, sig = _baselines(state)
+    row = _loglik_dense(data.y[i], state.cluster_means[cid].mu(), mu_base, sig)
+    matrix = loglik_matrix(state, data, [cid], mu_base, sig)[i, 0]
+    return row, matrix
 
 
 def test_likelihood_at_mode_single_attribute():
     state, data, hp = manual_state(np.array([[0.7], [0.7]]), sigma_sq=[0.25],
                                    mean_values=[0.2])
-    mean = _mk_mean(1, [[0]], [0.5])  # y = mu_j + mu_cj exactly
+    cid = next(iter(state.samples.clusters))
+    state.cluster_means[cid] = _mk_mean(1, [[0]], [0.5])  # y = mu_j + mu_cj exactly
     want = -0.5 * math.log(2 * math.pi * 0.25)
-    assert likelihood_log_f(data.y[0], mean, state) == pytest.approx(want, abs=1e-12)
+    for got in _both_log_f(state, data, 0, cid):
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_likelihood_spike_case_reduces_to_baseline():
     state, data, hp = make_state(n=3, p=4, seed=2)
-    spike = ClusterMeanVector.all_spike(4)
-    mu_base = state.mean_part.values_vector()
-    sig = state.var_part.values_vector()
+    cid = next(iter(state.samples.clusters))
+    state.cluster_means[cid] = ClusterMeanVector.all_spike(4)
+    mu_base, sig = _baselines(state)
     want = sum(
         log_normal_pdf(data.y[0][j], mu_base[j], sig[j]) for j in range(4)
     )
-    assert likelihood_log_f(data.y[0], spike, state) == pytest.approx(want, rel=1e-12)
+    for got in _both_log_f(state, data, 0, cid):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_likelihood_recomposition_oracle():
     state, data, hp = make_state(n=3, p=5, seed=3)
     cid = next(iter(state.samples.clusters))
-    mean = state.cluster_means[cid]
-    mu_base = state.mean_part.values_vector()
-    sig = state.var_part.values_vector()
-    mu_vec = mean.mu()
+    mu_base, sig = _baselines(state)
+    mu_vec = state.cluster_means[cid].mu()
     want = sum(
         log_normal_pdf(data.y[1][j], mu_base[j] + mu_vec[j], sig[j]) for j in range(5)
     )
-    assert likelihood_log_f(data.y[1], mean, state) == pytest.approx(want, rel=1e-12)
+    for got in _both_log_f(state, data, 1, cid):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- sequential proposal ------------------------------------------------------
@@ -109,7 +123,7 @@ def test_sequential_p1_hand_enumeration():
     trials = 40_000
     rng = np.random.default_rng(0)
     for _ in range(trials):
-        prop = sequential_sample_mean(x, 1, state, hp, rng)
+        prop = sequential_sample_mean(x, 1, state.var_part.values_vector(), state, hp, rng)
         nz = prop.mean.nonzero_count()
         if nz:
             hits += 1
@@ -130,7 +144,7 @@ def test_sequential_all_spike_when_rho_zero():
     y = np.array([[0.5, -0.2], [0.1, 0.3]])
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], attr_prob=0.0)
     rng = np.random.default_rng(1)
-    prop = sequential_sample_mean(np.array([0.5, -0.2]), 1, state, hp, rng)
+    prop = sequential_sample_mean(np.array([0.5, -0.2]), 1, [1.0, 1.0], state, hp, rng)
     assert prop.mean.nonzero_count() == 0
     assert prop.log_q == 0.0
     assert prop.log_q0 == 0.0
@@ -142,8 +156,8 @@ def test_sequential_replay_identity_exact():
     rng = np.random.default_rng(2)
     x = data.y[0] - state.mean_part.values_vector()
     for _ in range(300):
-        prop = sequential_sample_mean(x, 1, state, hp, rng)
-        replay = eval_log_q(prop.mean, x, 1, state, hp)
+        prop = sequential_sample_mean(x, 1, state.var_part.values_vector(), state, hp, rng)
+        replay = eval_log_q(prop.mean, x, 1, state.var_part.values_vector(), state, hp)
         assert replay == prop.log_q  # bitwise
 
 
@@ -324,7 +338,7 @@ def test_eval_log_q_matches_mpmath_scorer():
     rng = np.random.default_rng(4)
     x = data.y[2] - state.mean_part.values_vector()
     for _ in range(25):
-        prop = sequential_sample_mean(x, 1, state, hp, rng)
+        prop = sequential_sample_mean(x, 1, state.var_part.values_vector(), state, hp, rng)
         want = _mp_score_sequential(
             prop.mean, x, 1, state.var_part.values_vector(), state.attr_prob,
             _slab_coef(hp), state.slab_var, state.conc_inner,
@@ -343,7 +357,7 @@ def test_birth_ratio_recomputation_oracle(tiny_state):
         if state.samples.size_of(state.samples.cluster_of(i)) > 1
     )
     st = state.copy()
-    accepted, info = mh_birth_move(st, data, hp, non_singleton, rng)
+    accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, *_baselines(st))
     want = (
         mpmath.log(mpmath.mpf(state.conc_samples)) - mpmath.log(data.n - 1)
         + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])
@@ -361,7 +375,7 @@ def test_q_equal_q0_reduces_to_plain_ratio(tiny_state):
         if state.samples.size_of(state.samples.cluster_of(i)) > 1
     )
     st = state.copy()
-    _, info = mh_birth_move(st, data, hp, non_singleton, rng)
+    _, info = mh_birth_move(st, data, hp, non_singleton, rng, *_baselines(st))
     plain = (
         math.log(state.conc_samples) - math.log(data.n - 1)
         + info["log_f_new"] - info["log_f_old"]
@@ -383,7 +397,7 @@ def test_birth_death_pair_ratios_cancel():
             if st.samples.size_of(st.samples.cluster_of(k)) > 1
         )
         origin = st.samples.cluster_of(i)
-        accepted, binfo = mh_birth_move(st, data, hp, i, rng)
+        accepted, binfo = mh_birth_move(st, data, hp, i, rng, *_baselines(st))
         if not accepted:
             continue
         # the reversing death targets the origin cluster
@@ -391,7 +405,7 @@ def test_birth_death_pair_ratios_cancel():
         sigma_sq = st.var_part.values_vector()
         x = data.y[i] - mu_base
         own = st.cluster_means[st.samples.cluster_of(i)]
-        log_q = eval_log_q(own, x, 1, st, hp)
+        log_q = eval_log_q(own, x, 1, sigma_sq, st, hp)
         log_q0 = eval_log_q0(own, st, hp)
         log_f_origin = _loglik_dense(data.y[i], st.cluster_means[origin].mu(), mu_base, sigma_sq)
         log_f_own = _loglik_dense(data.y[i], own.mu(), mu_base, sigma_sq)
@@ -412,7 +426,7 @@ def test_death_move_single_target():
         state, data, hp = make_state(n=2, p=2, seed=state.conc_samples.__hash__() % 97)
     rng = np.random.default_rng(8)
     other = [c for c in state.samples.clusters if c != state.samples.cluster_of(0)][0]
-    _, info = mh_death_move(state.copy(), data, hp, 0, rng)
+    _, info = mh_death_move(state.copy(), data, hp, 0, rng, *_baselines(state))
     assert info["target"] == other
 
 
@@ -436,7 +450,7 @@ def test_death_ratio_recomputation_oracle():
         state.cluster_data_sum[cid] = data.y[i].copy()
         singleton = i
     rng = np.random.default_rng(9)
-    _, info = mh_death_move(state.copy(), data, hp, singleton, rng)
+    _, info = mh_death_move(state.copy(), data, hp, singleton, rng, *_baselines(state))
     want = (
         mpmath.log(data.n - 1) - mpmath.log(mpmath.mpf(state.conc_samples))
         + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])
@@ -448,29 +462,35 @@ def test_death_ratio_recomputation_oracle():
 # -- Gibbs reassignment -------------------------------------------------------
 
 
+def _reassign_inputs(state, data):
+    """The log-likelihood matrix and column order the reassignment pass uses."""
+    col_order = list(state.samples.clusters)
+    return loglik_matrix(state, data, col_order, *_baselines(state)), col_order
+
+
+def _scipy_log_f(state, data, i, c):
+    from scipy.stats import norm
+
+    mu_base, sig = _baselines(state)
+    return norm.logpdf(data.y[i], mu_base + state.cluster_means[c].mu(), np.sqrt(sig)).sum()
+
+
 def test_reassign_single_cluster_certain():
     state, data, hp = manual_state(np.array([[0.1, 0.2], [0.3, 0.4], [0.0, 0.1]]),
                                    sigma_sq=[1.0, 1.0])
     rng = np.random.default_rng(10)
     cid = state.samples.cluster_of(1)
-    assert gibbs_reassign(state, data, hp, 1, rng) == cid
+    loglik, col_order = _reassign_inputs(state, data)
+    assert gibbs_reassign(state, data, hp, 1, rng, loglik[1], col_order) == cid
 
 
 def test_reassign_logits_match_scipy_oracle():
-    from scipy.stats import norm
-
     state, data, hp = make_state(n=6, p=3, seed=13, require_multi=True)
-    i = next(
-        k for k in range(data.n)
-        if state.samples.size_of(state.samples.cluster_of(k)) > 1
-    )
-    col_order, logw = reassign_logits(state, data, hp, i)
-    mu_base = state.mean_part.values_vector()
-    sd = np.sqrt(state.var_part.values_vector())
-    for t, c in enumerate(col_order):
-        n_exc = state.samples.size_of(c) - (c == state.samples.cluster_of(i))
-        lik = norm.logpdf(data.y[i], mu_base + state.cluster_means[c].mu(), sd).sum()
-        assert logw[t] == pytest.approx(math.log(n_exc) + lik, rel=1e-12)
+    loglik, col_order = _reassign_inputs(state, data)
+    assert loglik.shape == (data.n, len(col_order))
+    for i in range(data.n):
+        for t, c in enumerate(col_order):
+            assert loglik[i, t] == pytest.approx(_scipy_log_f(state, data, i, c), rel=1e-12)
 
 
 def test_reassign_frequencies_follow_logits():
@@ -479,15 +499,19 @@ def test_reassign_frequencies_follow_logits():
         k for k in range(data.n)
         if state.samples.size_of(state.samples.cluster_of(k)) > 1
     )
-    col_order, logw = reassign_logits(state, data, hp, i)
+    loglik, col_order = _reassign_inputs(state, data)
+    orig = state.samples.cluster_of(i)
+    logw = np.array([
+        math.log(state.samples.size_of(c) - (c == orig)) + _scipy_log_f(state, data, i, c)
+        for c in col_order
+    ])
     probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     rng = np.random.default_rng(11)
     counts = {c: 0 for c in col_order}
     trials = 40_000
-    orig = state.samples.cluster_of(i)
     for _ in range(trials):
-        got = gibbs_reassign(state, data, hp, i, rng)
+        got = gibbs_reassign(state, data, hp, i, rng, loglik[i], col_order)
         counts[got] += 1
         if got != orig:  # put the sample back for the next trial
             state.samples.detach(i)
@@ -507,7 +531,7 @@ def test_inner_gibbs_rho_zero_forces_spike():
     state, data, hp = manual_state(y, sigma_sq=[0.5, 0.5], attr_prob=0.0)
     cid = next(iter(state.samples.clusters))
     rng = np.random.default_rng(12)
-    gibbs_update_cluster_mean(state, data, hp, cid, rng)
+    gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
     assert state.cluster_means[cid].nonzero_count() == 0
 
 
@@ -527,7 +551,7 @@ def test_inner_gibbs_p1_two_way_frequencies():
     saved_mean = state.cluster_means[cid].copy()
     saved_row = state.incl_prob[cid].copy()
     for _ in range(trials):
-        gibbs_update_cluster_mean(state, data, hp, cid, rng)
+        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
         hits += state.cluster_means[cid].nonzero_count() > 0
         state.cluster_means[cid] = saved_mean.copy()
         state.incl_prob[cid] = saved_row.copy()
@@ -549,7 +573,7 @@ def test_inner_gibbs_value_redraw_moments():
     saved_mean = state.cluster_means[cid].copy()
     saved_row = state.incl_prob[cid].copy()
     for _ in range(60_000):
-        gibbs_update_cluster_mean(state, data, hp, cid, rng)
+        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
         if state.cluster_means[cid].nonzero_count():
             vals.append(state.cluster_means[cid].mu()[0])
         state.cluster_means[cid] = saved_mean.copy()
@@ -566,5 +590,5 @@ def test_inner_gibbs_keeps_pi_coupling(tiny_state):
     state, data, hp = tiny_state
     rng = np.random.default_rng(15)
     for cid in list(state.samples.clusters):
-        gibbs_update_cluster_mean(state, data, hp, cid, rng)
+        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
     state.validate(data)

@@ -9,7 +9,6 @@ from sparseclust.densities import (
     log_beta_pdf,
     log_inv_gamma_pdf,
     log_normal_pdf,
-    log_sum_exp,
     sample_log_categorical,
 )
 
@@ -92,12 +91,6 @@ def test_log_beta_normalizes_sparse_prior():
         [mpmath.mpf("1e-10"), 0.1, 0.5, (1 - mpmath.mpf("1e-12")) ** mpmath.mpf("0.2")],
     )
     assert float(total) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_log_sum_exp_matches_direct():
-    rng = np.random.default_rng(0)
-    w = rng.normal(size=20) * 100
-    assert log_sum_exp(w) == pytest.approx(math.log(np.exp(w - w.max()).sum()) + w.max())
 
 
 def test_sample_log_categorical_frequencies():

@@ -8,10 +8,10 @@ from sparseclust.model import Hyperparams
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import (
     draw_pi_entry,
+    draw_pi_row,
     spike_zero_weight,
+    step_rho,
     update_eta_sq,
-    update_pi,
-    update_rho,
 )
 
 from conftest import make_state, manual_state
@@ -72,11 +72,23 @@ def test_update_pi_respects_mu_coupling(tiny_state):
     rng = np.random.default_rng(3)
     for cid in state.samples.clusters:
         mean = state.cluster_means[cid]
+        row = draw_pi_row(mean, state.attr_prob, hp, rng)
         for j in range(data.p):
-            v = update_pi(state, hp, cid, j, rng)
-            if mean.inner.assignments[j] != SPIKE:
-                assert v > 0.0
+            is_zero = mean.inner.assignments[j] == SPIKE
+            v = draw_pi_entry(is_zero, float(state.attr_prob[j]), hp, rng)
+            if not is_zero:
+                assert v > 0.0 and row[j] > 0.0
+        state.incl_prob[cid] = row
     state.validate(data)
+
+
+def _rho_draws(state, hp, rng, count):
+    """Repeated step_rho draws of the whole attr_prob vector."""
+    out = np.empty((count, state.p))
+    for t in range(count):
+        step_rho(state, hp, rng)
+        out[t] = state.attr_prob
+    return out
 
 
 def test_update_rho_posterior_params():
@@ -86,7 +98,7 @@ def test_update_rho_posterior_params():
     k_live = state.samples.n_clusters()
     active = sum(1 for cid in state.samples.clusters if state.incl_prob[cid][j] > 0)
     rng = np.random.default_rng(0)
-    draws = np.array([update_rho(state, hp, j, rng) for _ in range(100_000)])
+    draws = _rho_draws(state, hp, rng, 100_000)[:, j]
     want_mean = (hp.rho_a + active) / (hp.rho_a + hp.rho_b + k_live)
     se = draws.std() / math.sqrt(len(draws))
     assert abs(draws.mean() - want_mean) < 4 * se
@@ -106,7 +118,7 @@ def test_update_rho_extreme_counts():
     for fill, want_a, want_b in [(0.0, 0.2, 203.8), (0.7, 4.2, 199.8)]:
         for cid in state.samples.clusters:
             state.incl_prob[cid][0] = fill
-        draws = np.array([update_rho(state, hp, 0, rng) for _ in range(100_000)])
+        draws = _rho_draws(state, hp, rng, 100_000)[:, 0]
         want_mean = want_a / (want_a + want_b)
         se = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - want_mean) < 4 * se
