@@ -16,7 +16,6 @@ from .clusters import (
     ClusterMeanVector,
     SequentialProposal,
     eval_log_q,
-    eval_log_q0,
     gibbs_reassign,
     gibbs_update_cluster_mean,
     loglik_matrix,
@@ -65,7 +64,6 @@ __all__ = [
     "crp_log_prob",
     "default_hyperparams",
     "eval_log_q",
-    "eval_log_q0",
     "fitted_mean_posterior",
     "gen_example1",
     "gen_example2",

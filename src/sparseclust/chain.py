@@ -1,6 +1,6 @@
 """Chain orchestration: initialization, one full sweep, and trace recording."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +15,6 @@ from .sparsity import draw_pi_row, step_pi, step_rho, update_eta_sq
 ALL_ONE_CLUSTER = "one"
 ALL_SINGLETONS = "singletons"
 
-RECORD_FIELDS = frozenset({"K", "rho", "pi", "mu_matrix", "assignments"})
-
-
 @dataclass
 class ChainConfig:
     iterations: int = 50_000
@@ -25,7 +22,6 @@ class ChainConfig:
     thin: int = 1
     seed: int = 0
     init_mode: str = ALL_ONE_CLUSTER
-    record: frozenset = field(default_factory=lambda: RECORD_FIELDS)
 
     def __post_init__(self):
         if self.iterations <= 0 or self.thin <= 0 or self.burn_in < 0:
@@ -39,9 +35,6 @@ class ChainConfig:
             )
         if self.init_mode not in (ALL_ONE_CLUSTER, ALL_SINGLETONS):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        unknown = set(self.record) - RECORD_FIELDS
-        if unknown:
-            raise ValueError(f"unknown record fields {sorted(unknown)}")
 
 
 class ChainTrace:
@@ -53,10 +46,9 @@ class ChainTrace:
     the assignments.
     """
 
-    def __init__(self, n, p, config):
+    def __init__(self, n, p):
         self.n = n
         self.p = p
-        self.config = config
         self.ks = []
         self.assignments = []
         self.rhos = []
@@ -68,18 +60,13 @@ class ChainTrace:
         return len(self.ks)
 
     def record(self, state):
-        rec = self.config.record
         labels, order = state.samples.canonical()
         self.ks.append(state.samples.n_clusters())
-        if "assignments" in rec or "mu_matrix" in rec:
-            self.assignments.append(labels)
-        if "rho" in rec:
-            self.rhos.append(state.attr_prob.copy())
-        if "pi" in rec:
-            self.pis.append(np.stack([state.incl_prob[cid] for cid in order]))
-        if "mu_matrix" in rec:
-            self.means.append(np.stack([state.cluster_means[cid].mu() for cid in order]))
-            self.baselines.append(state.mean_part.values_vector())
+        self.assignments.append(labels)
+        self.rhos.append(state.attr_prob.copy())
+        self.pis.append(np.stack([state.incl_prob[cid] for cid in order]))
+        self.means.append(np.stack([state.cluster_means[cid].mu() for cid in order]))
+        self.baselines.append(state.mean_part.values_vector())
 
     def fitted_mean(self, t):
         """The n x p matrix mu_j + mu_{c_i j} at recorded iteration t."""
@@ -90,7 +77,7 @@ def merge_traces(traces):
     """Pool recorded iterations of several chains (e.g. one per seed)."""
     if not traces:
         raise ValueError("no traces to merge")
-    out = ChainTrace(traces[0].n, traces[0].p, traces[0].config)
+    out = ChainTrace(traces[0].n, traces[0].p)
     for tr in traces:
         out.ks.extend(tr.ks)
         out.assignments.extend(tr.assignments)
@@ -188,7 +175,7 @@ def run_chain(data, hp, cfg):
     """Run one chain; identical (data, hp, cfg) give a bit-identical trace."""
     rng = np.random.default_rng(cfg.seed)
     state = init_state(data, hp, cfg, rng)
-    trace = ChainTrace(data.n, data.p, cfg)
+    trace = ChainTrace(data.n, data.p)
     for it in range(cfg.iterations):
         try:
             sweep(state, data, hp, rng)

@@ -69,13 +69,25 @@ def build_parser():
 
 
 def _resolve(args, file_cfg):
-    """Precedence: command line > config file > defaults."""
+    """Precedence: command line > config file > defaults. Raises ValueError
+    naming the key for an unknown key or a value that does not parse."""
+    unknown = sorted(set(file_cfg) - {*_HP_KEYS, *_CFG_INT_KEYS, "init_mode"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+
+    def parse(key, cast):
+        try:
+            return cast(file_cfg[key])
+        except ValueError:
+            raise ValueError(
+                f"config key {key}: {file_cfg[key]!r} is not a valid {cast.__name__}"
+            ) from None
 
     def pick(cli_value, key, cast, default):
         if cli_value is not None:
             return cli_value
         if key in file_cfg:
-            return cast(file_cfg[key])
+            return parse(key, cast)
         return default
 
     chain_kwargs = {
@@ -85,7 +97,7 @@ def _resolve(args, file_cfg):
         "seed": pick(args.seed, "seed", int, 0),
         "init_mode": pick(args.init, "init_mode", str, ALL_ONE_CLUSTER),
     }
-    hp_overrides = {k: float(file_cfg[k]) for k in _HP_KEYS if k in file_cfg}
+    hp_overrides = {k: parse(k, float) for k in _HP_KEYS if k in file_cfg}
     return chain_kwargs, hp_overrides
 
 
@@ -180,14 +192,19 @@ def main(argv=None):
     if args.chains < 1:
         parser.error("--chains must be at least 1")
 
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    chain_kwargs, hp_overrides = _resolve(args, file_cfg)
-    base_seed = chain_kwargs["seed"]
+    # Every setting is checked before data loads, so bad input is a usage
+    # error that leaves no output directory behind.
     try:
+        file_cfg = parse_config_file(args.config) if args.config else {}
+        chain_kwargs, hp_overrides = _resolve(args, file_cfg)
         configs = [
-            ChainConfig(**{**chain_kwargs, "seed": base_seed + c}) for c in range(args.chains)
+            ChainConfig(**{**chain_kwargs, "seed": chain_kwargs["seed"] + c})
+            for c in range(args.chains)
         ]
-    except ValueError as exc:
+        # The data-centred base measure is not known yet; stand-ins let
+        # Hyperparams check the overrides.
+        Hyperparams(**{"base_mean": 0.0, "base_var": 1.0, **hp_overrides})
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
     data, source = _load_data(args, parser)

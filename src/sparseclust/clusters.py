@@ -1,12 +1,14 @@
 """Sample-cluster moves: MH birth/death with a sequential proposal, Gibbs
 reassignment, and the inner Gibbs update of cluster mean vectors.
 
-The sequential proposal builds a candidate mean vector component by
-component, conditioning each choice on the data and on the components
-already drawn; its density Q enters the acceptance ratio against the prior
-density Q0. Scoring a given vector replays exactly the same arithmetic in
-the same order, so replayed log densities are bitwise identical to the ones
-recorded at generation time.
+One component walk (``_scan_components``) serves every move on a cluster's
+mean vector. It seats each component in turn (SPIKE, a live inner cluster
+or a new one) from the collapsed spike/CRP conditional, then draws the inner
+values from their conjugate posteriors, and sums both the proposal density Q
+of those draws and their prior density Q0. From an empty partition it is the
+sequential proposal of a birth move; from a live one it is the inner Gibbs
+pass; without a generator it replays a given vector, bitwise equal to the
+proposal's own Q and Q0, which is how a death move scores the reverse birth.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import LOG_2PI, SamplerAbort
-from .partition import SPIKE, Partition, crp_seat
+from .partition import DETACHED, SPIKE, Partition, crp_seat
 from .sparsity import draw_pi_entry, draw_pi_row
 
 _NEG_INF = float("-inf")
@@ -24,10 +26,6 @@ _NEG_INF = float("-inf")
 def _ln_norm(x, mean, var):
     d = x - mean
     return -0.5 * (LOG_2PI + math.log(var) + d * d / var)
-
-
-def _safe_log(x):
-    return math.log(x) if x > 0.0 else _NEG_INF
 
 
 def _lse_list(logw):
@@ -106,124 +104,154 @@ class SequentialProposal:
     log_q0: float
 
 
-def _scan_fixed_terms(x_arr, v_obs_arr, attr_prob, slab_coef, slab_var, conc_inner):
-    """Per-component weight terms that do not depend on the scan state:
-    the spike option, and the new-cluster option up to its CRP denominator."""
-    s_vec = slab_coef * np.asarray(attr_prob, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_s_arr = np.log(s_vec)
-        pre_spike = np.log1p(-s_vec) - 0.5 * (
-            LOG_2PI + np.log(v_obs_arr) + x_arr * x_arr / v_obs_arr
-        )
-        new_var = slab_var + v_obs_arr
-        pre_new = log_s_arr + math.log(conc_inner) - 0.5 * (
-            LOG_2PI + np.log(new_var) + x_arr * x_arr / new_var
-        )
-    return pre_spike.tolist(), pre_new.tolist(), log_s_arr.tolist()
+def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
+    """Walk a mean vector's components in order; returns (log_q, log_q0).
 
+    Each component j leaves its seat (if it has one), then SPIKE, every live
+    inner cluster and a new cluster are weighed with the inner values
+    integrated out, and j is seated. After the walk every inner value is
+    drawn from its conjugate posterior. ``log_q`` sums the log probabilities
+    of these seat and value draws, ``log_q0`` the prior (spike/CRP and
+    N(0, slab_var)) log densities of the same seats and values, both on
+    counting measure for partitions and Lebesgue measure for unique values.
 
-def _sequential_scan(x, n_count, sigma_sq, attr_prob, slab_coef, slab_var, conc_inner,
-                     rng=None, given=None):
-    """Run the sequential component-by-component recursion.
+    With ``rng`` the seats and values are drawn into ``inner``: from an
+    all-detached partition this is the sequential proposal, from a live one
+    the inner Gibbs pass (whose caller ignores the two sums: there the later
+    components are still seated, so they are not densities of the result).
+    Without ``rng`` the walk starts empty and replays the seats and values
+    ``inner`` holds, leaving it untouched; the replay repeats the proposal's
+    arithmetic, so its log densities are bitwise equal.
 
-    With ``rng`` set, samples a fresh mean and returns (mean, log_q). With
-    ``given`` set, deterministically replays the recursion scoring the given
-    mean's inner partition and values.
-
-    ``x[k]`` averages n_count observations, so member attribute k carries
-    precision n_count / sigma_sq[k] in the inner-value posteriors (the
-    per-observation 1 / sigma_sq[k] fails the joint-distribution test).
+    ``x[j]`` averages n_count observations, so member j carries precision
+    n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
+    1 / sigma_sq[j] fails the joint-distribution test).
     """
-    sampling = rng is not None
-    p = len(x)
+    replay = rng is None
     x_arr = np.asarray(x, dtype=float)
     sig_arr = np.asarray(sigma_sq, dtype=float)
     v_obs_arr = sig_arr / n_count
-    pre_spike, pre_new, log_s = _scan_fixed_terms(
-        x_arr, v_obs_arr, attr_prob, slab_coef, slab_var, conc_inner
-    )
+    prec_arr = n_count / sig_arr
+    s_vec = _slab_coef(hp) * np.asarray(state.attr_prob, dtype=float)
+    slab_var = state.slab_var
+    conc_inner = state.conc_inner
+    log_conc = math.log(conc_inner)
+    with np.errstate(divide="ignore"):
+        log_s_arr = np.log(s_vec)
+        log_spike_arr = np.log1p(-s_vec)
+        new_var = slab_var + v_obs_arr
+        pre_spike = (log_spike_arr - 0.5 * (
+            LOG_2PI + np.log(v_obs_arr) + x_arr * x_arr / v_obs_arr)).tolist()
+        pre_new = (log_s_arr + log_conc - 0.5 * (
+            LOG_2PI + np.log(new_var) + x_arr * x_arr / new_var)).tolist()
+    log_s = log_s_arr.tolist()
+    log_spike = log_spike_arr.tolist()
     xs = x_arr.tolist()
-    sigs = sig_arr.tolist()
     v_obs_list = v_obs_arr.tolist()
+    precs = prec_arr.tolist()
+    stats = (prec_arr * x_arr).tolist()
     inv_slab_var = 1.0 / slab_var
+    assignments = inner.assignments
 
-    counts = []
-    sprec = []  # summed member precisions per scan cluster
-    smean = []  # summed precision-weighted member statistics
-    scan_cids = []  # sampling: inner cid per scan cluster
-    given_cids = []  # scoring: source cid per scan cluster
-    cid_to_scan = {}
-
-    if sampling:
-        mean = ClusterMeanVector(p)
-    else:
-        mean = given
+    # Parallel slot lists, one slot per live inner cluster in creation order:
+    # its cid, member count, summed member precision and summed statistic.
+    cids = [] if replay else list(inner.clusters)
+    slot_of = {c: t for t, c in enumerate(cids)}
+    counts = [inner.size_of(c) for c in cids]
+    sprec = [0.0] * len(cids)
+    sstat = [0.0] * len(cids)
+    if cids:
+        for j, a in enumerate(assignments):
+            if a >= 0:
+                t = slot_of[a]
+                sprec[t] += precs[j]
+                sstat[t] += stats[j]
+    m_total = sum(counts)
 
     log_q = 0.0
-    m_total = 0
-    for j in range(p):
+    log_q0 = 0.0
+    for j in range(len(xs)):
+        a = assignments[j]
+        if not replay and a != DETACHED:
+            inner.detach(j)
+            if a != SPIKE:
+                t = slot_of[a]
+                m_total -= 1
+                if counts[t] == 1:
+                    for lst in (cids, counts, sprec, sstat):
+                        del lst[t]
+                    slot_of = {c: s for s, c in enumerate(cids)}
+                else:
+                    counts[t] -= 1
+                    sprec[t] -= precs[j]
+                    sstat[t] -= stats[j]
+
         xj = xs[j]
         v_obs = v_obs_list[j]
+        lsj = log_s[j]
         log_denom = math.log(conc_inner + m_total)
         logw = [pre_spike[j]]
-        lsj = log_s[j]
         for t in range(len(counts)):
             v_post = inv_slab_var + sprec[t]
-            u_post = smean[t] / v_post
             logw.append(
                 lsj + math.log(counts[t]) - log_denom
-                + _ln_norm(xj, u_post, 1.0 / v_post + v_obs)
+                + _ln_norm(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
             )
         logw.append(pre_new[j] - log_denom)
 
-        if sampling:
-            choice, lse = _pick_with_lse(logw, rng)
-        else:
+        k = len(counts)
+        if replay:
             lse = _lse_list(logw)
-            a = given.inner.assignments[j]
-            if a == SPIKE:
-                choice = 0
-            elif a in cid_to_scan:
-                choice = 1 + cid_to_scan[a]
-            else:
-                choice = 1 + len(counts)
+            choice = 0 if a == SPIKE else 1 + slot_of.get(a, k)
+        else:
+            choice, lse = _pick_with_lse(logw, rng)
         log_q += logw[choice] - lse
 
-        prec_j = n_count / sigs[j]
-        stat_j = prec_j * xs[j]
         if choice == 0:
-            if sampling:
-                mean.inner.attach_spike(j)
-        elif choice <= len(counts):
+            log_q0 += log_spike[j]
+            if not replay:
+                inner.attach_spike(j)
+            continue
+        m_total += 1
+        if choice <= k:
             t = choice - 1
+            log_q0 += lsj + math.log(counts[t]) - log_denom
             counts[t] += 1
-            sprec[t] += prec_j
-            smean[t] += stat_j
-            m_total += 1
-            if sampling:
-                mean.inner.attach(j, scan_cids[t])
+            sprec[t] += precs[j]
+            sstat[t] += stats[j]
+            if not replay:
+                inner.attach(j, cids[t])
         else:
-            if sampling:
-                scan_cids.append(mean.inner.attach_new(j, 0.0))
-            else:
-                cid_to_scan[a] = len(counts)
-                given_cids.append(a)
+            log_q0 += lsj + log_conc - log_denom
+            if not replay:
+                a = inner.attach_new(j, 0.0)
+            slot_of[a] = k
+            cids.append(a)
             counts.append(1)
-            sprec.append(prec_j)
-            smean.append(stat_j)
-            m_total += 1
+            sprec.append(precs[j])
+            sstat.append(stats[j])
 
-    for t in range(len(counts)):
-        v_post = 1.0 / slab_var + sprec[t]
-        u_post = smean[t] / v_post
-        if sampling:
-            val = u_post + math.sqrt(1.0 / v_post) * rng.standard_normal()
-            mean.inner.set_value(scan_cids[t], val)
-        else:
-            val = given.inner.value_of(given_cids[t])
-        log_q += _ln_norm(val, u_post, 1.0 / v_post)
-
-    return mean, log_q
+    if cids:
+        # Posterior of each inner value, recomputed from scratch over its
+        # members in component order to avoid accumulated float drift.
+        post_prec = [inv_slab_var] * len(cids)
+        post_stat = [0.0] * len(cids)
+        for j, a in enumerate(assignments):
+            if a >= 0:
+                t = slot_of[a]
+                post_prec[t] += precs[j]
+                post_stat[t] += stats[j]
+        for t, c in enumerate(cids):
+            var = 1.0 / post_prec[t]
+            u_post = post_stat[t] / post_prec[t]
+            if replay:
+                val = inner.value_of(c)
+            else:
+                val = u_post + math.sqrt(var) * rng.standard_normal()
+                inner.set_value(c, val)
+            log_q += _ln_norm(val, u_post, var)
+            log_q0 += _ln_norm(val, 0.0, slab_var)
+    return log_q, log_q0
 
 
 def _slab_coef(hp):
@@ -237,53 +265,15 @@ def sequential_sample_mean(x, n_count, sigma_sq, state, hp, rng):
     set (y minus the baseline mean, averaged over the n_count members);
     ``sigma_sq`` is the dense vector of baseline variances.
     """
-    mean, log_q = _sequential_scan(
-        x, n_count, sigma_sq, state.attr_prob, _slab_coef(hp),
-        state.slab_var, state.conc_inner, rng=rng,
-    )
-    return SequentialProposal(mean, log_q, eval_log_q0(mean, state, hp))
+    mean = ClusterMeanVector(len(x))
+    log_q, log_q0 = _scan_components(mean.inner, x, n_count, sigma_sq, state, hp, rng)
+    return SequentialProposal(mean, log_q, log_q0)
 
 
 def eval_log_q(mean, x, n_count, sigma_sq, state, hp):
-    """Density of ``mean`` under the sequential proposal (deterministic replay)."""
-    _, log_q = _sequential_scan(
-        x, n_count, sigma_sq, state.attr_prob, _slab_coef(hp),
-        state.slab_var, state.conc_inner, given=mean,
-    )
-    return log_q
-
-
-def log_q0_discrete(mean, attr_prob, slab_coef, conc_inner):
-    """Prior probability of the spike pattern and inner partition alone."""
-    out = 0.0
-    m_total = 0
-    seen = {}
-    for j, a in enumerate(mean.inner.assignments):
-        sj = slab_coef * float(attr_prob[j])
-        if a == SPIKE:
-            out += _safe_log(1.0 - sj)
-            continue
-        out += _safe_log(sj)
-        if a in seen:
-            out += math.log(seen[a]) - math.log(conc_inner + m_total)
-            seen[a] += 1
-        else:
-            out += math.log(conc_inner) - math.log(conc_inner + m_total)
-            seen[a] = 1
-        m_total += 1
-    return out
-
-
-def eval_log_q0(mean, state, hp):
-    """Prior density of (inner partition, unique values) for a mean vector.
-
-    Uses the same dominating measure as eval_log_q (counting on partitions,
-    Lebesgue on unique values), so Q0/Q ratios are well defined.
-    """
-    out = log_q0_discrete(mean, state.attr_prob, _slab_coef(hp), state.conc_inner)
-    for cl in mean.inner.clusters.values():
-        out += _ln_norm(cl[1], 0.0, state.slab_var)
-    return out
+    """(log Q, log Q0) of ``mean``: its density under the sequential
+    proposal (a deterministic replay) and under the prior."""
+    return _scan_components(mean.inner, x, n_count, sigma_sq, state, hp)
 
 
 def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
@@ -390,8 +380,7 @@ def mh_death_move(state, data, hp, i, rng, mu_base, sigma_sq):
 
     y_i = data.y[i]
     mean_own = state.cluster_means[cid]
-    log_q = eval_log_q(mean_own, y_i - mu_base, 1, sigma_sq, state, hp)
-    log_q0 = eval_log_q0(mean_own, state, hp)
+    log_q, log_q0 = eval_log_q(mean_own, y_i - mu_base, 1, sigma_sq, state, hp)
 
     log_f_new = _loglik_dense(y_i, state.cluster_means[target].mu(), mu_base, sigma_sq)
     log_f_old = _loglik_dense(y_i, mean_own.mu(), mu_base, sigma_sq)
@@ -450,100 +439,14 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq):
     """
     n_count = state.samples.size_of(cid)
     x = state.cluster_data_sum[cid] / n_count - mu_base
-    slab_coef = _slab_coef(hp)
-    slab_var = state.slab_var
-    conc_inner = state.conc_inner
-    sig_arr = np.asarray(sigma_sq, dtype=float)
-    v_obs_arr = sig_arr / n_count
-    pre_spike, pre_new, log_s = _scan_fixed_terms(
-        x, v_obs_arr, state.attr_prob, slab_coef, slab_var, conc_inner
-    )
-    xs = x.tolist()
-    sigs = sig_arr.tolist()
-    v_obs_list = v_obs_arr.tolist()
-    rhos = state.attr_prob.tolist()
-    inv_slab_var = 1.0 / slab_var
-
     inner = state.cluster_means[cid].inner
-    stats = {}  # inner cid -> [sum_prec, sum_stat]
-    m_total = 0
-    for j, a in enumerate(inner.assignments):
-        if a == SPIKE:
-            continue
-        prec_j = n_count / sigs[j]
-        st = stats.get(a)
-        if st is None:
-            stats[a] = [prec_j, prec_j * xs[j]]
-        else:
-            st[0] += prec_j
-            st[1] += prec_j * xs[j]
-        m_total += 1
-
-    flipped = []
-    for j in range(inner.n_items):
-        prec_j = n_count / sigs[j]
-        stat_j = prec_j * xs[j]
-        old = inner.detach(j)
-        if old != SPIKE:
-            m_total -= 1
-            if old in inner.clusters:
-                st = stats[old]
-                st[0] -= prec_j
-                st[1] -= stat_j
-            else:
-                del stats[old]
-
-        xj = xs[j]
-        v_obs = v_obs_list[j]
-        log_denom = math.log(conc_inner + m_total)
-        logw = [pre_spike[j]]
-        lsj = log_s[j]
-        cands = list(inner.clusters.keys())
-        for c in cands:
-            st = stats[c]
-            v_post = inv_slab_var + st[0]
-            u_post = st[1] / v_post
-            logw.append(
-                lsj + math.log(inner.clusters[c][0]) - log_denom
-                + _ln_norm(xj, u_post, 1.0 / v_post + v_obs)
-            )
-        logw.append(pre_new[j] - log_denom)
-        choice, _lse = _pick_with_lse(logw, rng)
-
-        if choice == 0:
-            inner.attach_spike(j)
-            if old != SPIKE:
-                flipped.append(j)
-        else:
-            if choice <= len(cands):
-                c = cands[choice - 1]
-                inner.attach(j, c)
-                st = stats[c]
-                st[0] += prec_j
-                st[1] += stat_j
-            else:
-                c = inner.attach_new(j, 0.0)
-                stats[c] = [prec_j, stat_j]
-            m_total += 1
-            if old == SPIKE:
-                flipped.append(j)
-
-    # Conjugate redraw of every unique value, recomputed from scratch over
-    # all members to avoid accumulated float drift.
-    buckets = inner.members()
-    for c, mem in buckets.items():
-        v_post = 1.0 / slab_var
-        s_stat = 0.0
-        for j in mem:
-            prec_j = n_count / sigs[j]
-            v_post += prec_j
-            s_stat += prec_j * xs[j]
-        u_post = s_stat / v_post
-        inner.set_value(c, u_post + math.sqrt(1.0 / v_post) * rng.standard_normal())
+    was_spike = [a == SPIKE for a in inner.assignments]
+    _scan_components(inner, x, n_count, sigma_sq, state, hp, rng)
 
     row = state.incl_prob[cid]
-    for j in flipped:
-        row[j] = draw_pi_entry(inner.assignments[j] == SPIKE, rhos[j], hp, rng)
+    for j, a in enumerate(inner.assignments):
+        if (a == SPIKE) != was_spike[j]:
+            row[j] = draw_pi_entry(a == SPIKE, float(state.attr_prob[j]), hp, rng)
     return state.cluster_means[cid]
 
 

@@ -66,6 +66,8 @@ class Hyperparams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            if not np.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
             if f.name != "base_mean" and v <= 0.0:
                 raise ValueError(f"{f.name} must be strictly positive, got {v}")
 

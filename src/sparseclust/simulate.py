@@ -27,10 +27,11 @@ def _finish(mu, sigma, labels, seed):
     return DataMatrix(y), truth
 
 
-def gen_example1(seed):
-    """Four groups of five samples, p=200; attributes 1-5 separate all four
-    groups, 6-10 only the first group, 11-15 only the fourth."""
-    n, p = 20, 200
+def _example1_design(seed, p):
+    """Four groups of five samples; attributes 1-5 separate all four groups,
+    6-10 only the first group, 11-15 only the fourth; the other p-15 are
+    noise."""
+    n = 20
     mu = np.zeros((n, p))
     mu[0:5, 0:5] = 0.25
     mu[5:10, 0:5] = 0.1
@@ -42,22 +43,16 @@ def gen_example1(seed):
     sigma[0:15] = 0.1
     labels = np.repeat(np.arange(4), 5)
     return _finish(mu, sigma, labels, seed)
+
+
+def gen_example1(seed):
+    """Example 1's design with p=200."""
+    return _example1_design(seed, 200)
 
 
 def gen_example2(seed):
-    """Example 1 with the noise attributes increased to p=1000."""
-    n, p = 20, 1000
-    mu = np.zeros((n, p))
-    mu[0:5, 0:5] = 0.25
-    mu[5:10, 0:5] = 0.1
-    mu[10:15, 0:5] = -0.1
-    mu[15:20, 0:5] = -0.25
-    mu[0:5, 5:10] = 0.2
-    mu[15:20, 10:15] = -0.15
-    sigma = np.full(p, 0.05)
-    sigma[0:15] = 0.1
-    labels = np.repeat(np.arange(4), 5)
-    return _finish(mu, sigma, labels, seed)
+    """Example 1's design with the noise attributes increased to p=1000."""
+    return _example1_design(seed, 1000)
 
 
 def gen_example3(seed):

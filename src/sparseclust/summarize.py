@@ -27,8 +27,6 @@ def relabel_conditional_on_K(trace, k):
     used = [t for t, kt in enumerate(trace.ks) if kt == k]
     if not used:
         raise ValueError(f"no recorded iterations with K={k}")
-    if not trace.means or not trace.pis:
-        raise ValueError("trace was recorded without pi/mu_matrix fields")
 
     p = trace.p
     mu = np.empty((len(used), k, p))
@@ -90,8 +88,6 @@ def coclustering(trace):
     """n x n posterior probability that two samples share a cluster."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    if not trace.assignments:
-        raise ValueError("trace has no recorded assignments")
     n = trace.n
     out = np.zeros((n, n))
     for a in trace.assignments:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparseclust import chain, clusters
 from sparseclust.chain import (
     ALL_ONE_CLUSTER,
     ALL_SINGLETONS,
@@ -11,9 +12,12 @@ from sparseclust.chain import (
     run_chain,
     sweep,
 )
-from sparseclust.model import default_hyperparams
+from sparseclust.clusters import ClusterMeanVector
+from sparseclust.model import ModelState, default_hyperparams
 from sparseclust.partition import Partition
 from sparseclust.simulate import gen_example3
+
+from conftest import make_state
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +33,6 @@ def test_config_validation():
         ChainConfig(thin=0)
     with pytest.raises(ValueError):
         ChainConfig(init_mode="nope")
-    with pytest.raises(ValueError):
-        ChainConfig(record=frozenset({"bogus"}))
     with pytest.raises(ValueError):  # would record no sweep at all
         ChainConfig(iterations=10, burn_in=5, thin=6)
     ChainConfig(iterations=10, burn_in=5, thin=5)
@@ -108,27 +110,64 @@ def test_merge_traces(ex3):
     assert m.ks == a.ks + b.ks
 
 
-def test_record_subset(ex3):
-    data, hp = ex3
-    cfg = ChainConfig(iterations=5, burn_in=0, seed=4, record=frozenset({"K", "rho"}))
-    tr = run_chain(data, hp, cfg)
-    assert len(tr.ks) == 5 and len(tr.rhos) == 5
-    assert tr.pis == [] and tr.means == [] and tr.assignments == []
-
-
-class _SamplesOnly:
-    """The one attribute of a state that recording K and labels reads."""
-
-    def __init__(self, samples):
-        self.samples = samples
-
-
 def test_record_labels_beyond_int16():
     n = 33_000
     samples = Partition(n)
     for i in range(n):
         samples.attach_new(i, None)
-    tr = ChainTrace(n, 1, ChainConfig(record=frozenset({"K", "assignments"})))
-    tr.record(_SamplesOnly(samples))
+    mean_part = Partition(1)
+    mean_part.attach_new(0, 0.0)
+    var_part = Partition(1)
+    var_part.attach_new(0, 1.0)
+    state = ModelState(
+        mean_part=mean_part, var_part=var_part, samples=samples,
+        cluster_means={cid: ClusterMeanVector.all_spike(1) for cid in samples.clusters},
+        incl_prob={cid: np.zeros(1) for cid in samples.clusters},
+        cluster_data_sum={}, attr_prob=np.full(1, 0.5), slab_var=1.0,
+        conc_samples=1.0, conc_mean=1.0, conc_var=1.0, conc_inner=1.0,
+    )
+    tr = ChainTrace(n, 1)
+    tr.record(state)
     assert tr.ks == [n]
     np.testing.assert_array_equal(tr.assignments[0], np.arange(n))
+    assert tr.pis[0].shape == tr.means[0].shape == (n, 1)
+
+
+CHAIN_STEPS = (
+    "step_baseline_means", "step_baseline_vars", "step_pi", "step_rho",
+    "step_clusters", "update_eta_sq", "step_concentrations",
+)
+CLUSTER_MOVES = ("mh_birth_move", "mh_death_move", "gibbs_reassign",
+                 "gibbs_update_cluster_mean")
+
+
+def test_sweep_reaches_steps_and_moves_through_module_attributes(monkeypatch):
+    """Per-step timing swaps these module attributes for wrappers, so a sweep
+    must look every one of them up there: a step that is inlined or bound
+    locally would escape its wrapper and silently read zero time."""
+    calls = dict.fromkeys(("sweep", "record", *CHAIN_STEPS, *CLUSTER_MOVES), 0)
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("sweep", *CHAIN_STEPS):
+        count(chain, name)
+    for name in CLUSTER_MOVES:
+        count(clusters, name)
+    count(chain.ChainTrace, "record")
+
+    state, data, hp = make_state(n=6, p=3, seed=0, require_multi=True)
+    sizes = state.samples.sizes()
+    assert min(sizes) == 1 and max(sizes) > 1  # both birth and death apply
+    chain.sweep(state, data, hp, np.random.default_rng(0))
+    assert all(calls[name] >= 1 for name in ("sweep", *CHAIN_STEPS, *CLUSTER_MOVES)), calls
+
+    calls.update(dict.fromkeys(calls, 0))
+    chain.run_chain(data, hp, ChainConfig(iterations=2, burn_in=0))
+    assert calls["sweep"] == 2 and calls["record"] == 2, calls

@@ -47,6 +47,31 @@ def test_thin_recording_nothing_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def _bad_config_usage_error(tmp_path, capsys, line, key):
+    """A --config file holding ``line`` exits 2 before data loads, names
+    ``key`` on stderr and creates no output directory."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"iterations=10\nburn_in=5\n{line}\n")
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        _run(["--simulate", "ex3", "--config", str(cfg), "--out", str(out)])
+    assert e.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
+    _bad_config_usage_error(tmp_path, capsys, "slab_A=8.0", "slab_A")
+
+
+def test_config_unparsable_value_is_usage_error(tmp_path, capsys):
+    _bad_config_usage_error(tmp_path, capsys, "thin=abc", "thin")
+
+
+def test_config_invalid_hyperparameter_is_usage_error(tmp_path, capsys):
+    _bad_config_usage_error(tmp_path, capsys, "slab_a=-1", "slab_a")
+
+
 def test_short_run_outputs_and_determinism(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"

@@ -7,13 +7,10 @@ import pytest
 from sparseclust.clusters import (
     ClusterMeanVector,
     _loglik_dense,
-    _sequential_scan,
     _slab_coef,
     eval_log_q,
-    eval_log_q0,
     gibbs_reassign,
     gibbs_update_cluster_mean,
-    log_q0_discrete,
     loglik_matrix,
     mh_birth_move,
     mh_death_move,
@@ -102,14 +99,6 @@ def test_likelihood_recomposition_oracle():
 # -- sequential proposal ------------------------------------------------------
 
 
-def _scan_args(state, x, n_count, hp):
-    return dict(
-        x=x, n_count=n_count, sigma_sq=state.var_part.values_vector(),
-        attr_prob=state.attr_prob, slab_coef=_slab_coef(hp),
-        slab_var=state.slab_var, conc_inner=state.conc_inner,
-    )
-
-
 def test_sequential_p1_hand_enumeration():
     y = np.array([[0.6], [0.1]])
     state, data, hp = manual_state(y, sigma_sq=[0.2], attr_prob=0.4, slab_var=1.5)
@@ -158,7 +147,7 @@ def test_sequential_replay_identity_exact():
     for _ in range(300):
         prop = sequential_sample_mean(x, 1, state.var_part.values_vector(), state, hp, rng)
         replay = eval_log_q(prop.mean, x, 1, state.var_part.values_vector(), state, hp)
-        assert replay == prop.log_q  # bitwise
+        assert replay == (prop.log_q, prop.log_q0)  # bitwise
 
 
 def test_sequential_p2_total_mass_one():
@@ -167,10 +156,9 @@ def test_sequential_p2_total_mass_one():
     y = np.array([[0.4, -0.6], [0.2, 0.0]])
     state, data, hp = manual_state(y, sigma_sq=[0.5, 0.8], attr_prob=0.45, slab_var=1.2)
     x = np.array([0.4, -0.6])
-    args = _scan_args(state, x, 1, hp)
 
     def q_of(mean):
-        return _sequential_scan(given=mean, **args)[1]
+        return eval_log_q(mean, x, 1, state.var_part.values_vector(), state, hp)[0]
 
     nodes, weights = np.polynomial.legendre.leggauss(160)
     lo, hi = -14.0, 14.0
@@ -194,12 +182,25 @@ def test_sequential_p2_total_mass_one():
 # -- prior density q0 ---------------------------------------------------------
 
 
+def _log_q0(mean, state, hp):
+    """log Q0 of ``mean``; it does not depend on the data, so any x will do."""
+    p = mean.inner.n_items
+    return eval_log_q(mean, np.full(p, 0.3), 1, np.ones(p), state, hp)[1]
+
+
+def _log_q0_discrete(mean, state, hp):
+    """log Q0 of the spike pattern and inner partition alone: every unique
+    value is 0.0, so each contributes log N(0; 0, slab_var)."""
+    return _log_q0(mean, state, hp) - mean.inner_cluster_count() * log_normal_pdf(
+        0.0, 0.0, state.slab_var)
+
+
 def test_q0_all_zero_mean():
     state, data, hp = manual_state(np.zeros((2, 3)) + [[0.0], [1.0]],
                                    sigma_sq=[1.0] * 3, attr_prob=0.3)
     mean = _mk_mean(3, [], [])
     s = _slab_coef(hp) * 0.3
-    assert eval_log_q0(mean, state, hp) == pytest.approx(3 * math.log(1 - s), rel=1e-12)
+    assert _log_q0(mean, state, hp) == pytest.approx(3 * math.log(1 - s), rel=1e-12)
 
 
 def test_q0_single_slab_component():
@@ -208,7 +209,7 @@ def test_q0_single_slab_component():
     mean = _mk_mean(3, [[1]], [0.7])
     s = _slab_coef(hp) * 0.3
     want = math.log(s) + 2 * math.log(1 - s) + log_normal_pdf(0.7, 0.0, 2.0)
-    assert eval_log_q0(mean, state, hp) == pytest.approx(want, rel=1e-12)
+    assert _log_q0(mean, state, hp) == pytest.approx(want, rel=1e-12)
 
 
 def _spike_patterns_and_partitions(p):
@@ -232,13 +233,14 @@ def _spike_patterns_and_partitions(p):
 
 
 def test_q0_discrete_part_sums_to_one_p3():
-    attr_prob = np.array([0.2, 0.5, 0.8])
-    slab_coef = 0.9
-    conc_inner = 1.7
+    state, data, hp = manual_state(np.zeros((2, 3)) + [[0.0], [1.0]],
+                                   sigma_sq=[1.0] * 3, slab_var=1.3)
+    state.attr_prob = np.array([0.2, 0.5, 0.8])
+    state.conc_inner = 1.7
     total = 0.0
     for groups in _spike_patterns_and_partitions(3):
-        mean = _mk_mean(3, groups, [1.0] * len(groups))
-        total += math.exp(log_q0_discrete(mean, attr_prob, slab_coef, conc_inner))
+        mean = _mk_mean(3, groups, [0.0] * len(groups))
+        total += math.exp(_log_q0_discrete(mean, state, hp))
     assert total == pytest.approx(1.0, rel=1e-12)
 
 
@@ -265,8 +267,8 @@ def test_prior_sampler_matches_q0_frequencies():
         for j, g in enumerate(key):
             if g >= 0:
                 groups.setdefault(g, []).append(j)
-        mean = _mk_mean(2, list(groups.values()), [1.0] * len(groups))
-        want = math.exp(log_q0_discrete(mean, state.attr_prob, _slab_coef(hp), 0.6))
+        mean = _mk_mean(2, list(groups.values()), [0.0] * len(groups))
+        want = math.exp(_log_q0_discrete(mean, state, hp))
         se = math.sqrt(want * (1 - want) / trials)
         assert abs(cnt / trials - want) < 4 * se + 1e-9
 
@@ -405,8 +407,7 @@ def test_birth_death_pair_ratios_cancel():
         sigma_sq = st.var_part.values_vector()
         x = data.y[i] - mu_base
         own = st.cluster_means[st.samples.cluster_of(i)]
-        log_q = eval_log_q(own, x, 1, sigma_sq, st, hp)
-        log_q0 = eval_log_q0(own, st, hp)
+        log_q, log_q0 = eval_log_q(own, x, 1, sigma_sq, st, hp)
         log_f_origin = _loglik_dense(data.y[i], st.cluster_means[origin].mu(), mu_base, sigma_sq)
         log_f_own = _loglik_dense(data.y[i], own.mu(), mu_base, sigma_sq)
         death_ratio = (
@@ -557,6 +558,58 @@ def test_inner_gibbs_p1_two_way_frequencies():
         state.incl_prob[cid] = saved_row.copy()
     se = math.sqrt(p_slab * (1 - p_slab) / trials)
     assert abs(hits / trials - p_slab) < 4 * se
+
+
+def test_inner_gibbs_p2_pattern_frequencies_match_posterior():
+    """Repeated in-place passes at p=2 visit the five spike/partition
+    patterns with their exact posterior probabilities: the spike/CRP prior
+    times the Gaussian marginal of x, whose covariance is
+    slab_var * 11^T (restricted to the slab components, split by inner
+    cluster) plus diag(sigma^2 / n). The chain is autocorrelated, so the
+    standard errors come from batch means. Seed, pass count and the 4-SE
+    bound were fixed before the first run."""
+    from scipy.stats import multivariate_normal
+
+    from sparseclust.diagnostics import batch_means_se
+
+    y = np.array([[0.55, 0.35], [0.75, 0.25]])
+    state, data, hp = manual_state(y, sigma_sq=[0.3, 0.5], attr_prob=0.5, slab_var=0.5)
+    state.conc_inner = 0.8
+    cid = next(iter(state.samples.clusters))
+    x = y.mean(axis=0)  # baseline mean is zero
+    noise = np.diag([0.3, 0.5]) / 2
+    s = _slab_coef(hp) * 0.5
+    a = state.conc_inner
+    slab = {"SS": [], "1S": [0], "S1": [1], "11": [0, 1], "12": [0, 1]}
+    prior = {"SS": (1 - s) ** 2, "1S": s * (1 - s), "S1": (1 - s) * s,
+             "11": s * s / (a + 1), "12": s * s * a / (a + 1)}
+    weights = {}
+    for key, comps in slab.items():
+        cov = noise.copy()
+        for j in comps:
+            for k in comps:
+                if key != "12" or j == k:
+                    cov[j, k] += state.slab_var
+        weights[key] = prior[key] * multivariate_normal(mean=[0.0, 0.0], cov=cov).pdf(x)
+    total = sum(weights.values())
+
+    def pattern(inner):
+        a0, a1 = inner.assignments
+        if a0 == SPIKE or a1 == SPIKE:
+            return ("S" if a0 == SPIKE else "1") + ("S" if a1 == SPIKE else "1")
+        return "11" if a0 == a1 else "12"
+
+    rng = np.random.default_rng(21)
+    passes = 40_000
+    seen = []
+    for _ in range(passes):
+        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
+        seen.append(pattern(state.cluster_means[cid].inner))
+    state.validate(data)
+    for key, w in weights.items():
+        hits = np.array([got == key for got in seen], dtype=float)
+        want = w / total
+        assert abs(hits.mean() - want) < 4 * batch_means_se(hits), (key, hits.mean(), want)
 
 
 def test_inner_gibbs_value_redraw_moments():

@@ -33,6 +33,10 @@ def test_hyperparams_defaults():
     assert (hp.rho_a, hp.rho_b) == (0.2, 199.8)
     with pytest.raises(ValueError):
         Hyperparams(base_mean=0.0, base_var=0.0)
+    with pytest.raises(ValueError):
+        Hyperparams(base_mean=float("nan"), base_var=1.0)
+    with pytest.raises(ValueError):
+        Hyperparams(base_mean=0.0, base_var=1.0, slab_a=float("inf"))
 
 
 def test_default_hyperparams_degenerate():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparseclust.chain import ChainConfig, ChainTrace
+from sparseclust.chain import ChainTrace
 from sparseclust.simulate import SimTruth
 from sparseclust.summarize import (
     coclustering,
@@ -15,7 +15,7 @@ from sparseclust.summarize import (
 
 def _trace_from(entries, n, p):
     """Build a ChainTrace from (assignments, means, pi, rho, baseline) tuples."""
-    tr = ChainTrace(n, p, ChainConfig(iterations=2, burn_in=0))
+    tr = ChainTrace(n, p)
     for assid, means, pis, rho, base in entries:
         tr.ks.append(means.shape[0])
         tr.assignments.append(np.asarray(assid, dtype=np.int16))
@@ -67,7 +67,7 @@ def test_k_posterior_tie_breaks_low():
 
 
 def test_k_posterior_empty_trace_errors():
-    tr = ChainTrace(3, 2, ChainConfig(iterations=2, burn_in=0))
+    tr = ChainTrace(3, 2)
     with pytest.raises(ValueError):
         k_posterior(tr)
 
