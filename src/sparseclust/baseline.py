@@ -4,6 +4,19 @@ Both updates follow the same shape: per attribute, resample the cluster
 assignment from a collapsed predictive (conditioning on the other members
 of each cluster), then redraw every cluster's unique value from its
 conjugate posterior.
+
+A step works on one creation-ordered slot view of its partition
+(``Partition.slots``): slot t is the t-th live cluster, with its member
+count and its members' sufficient statistics summed in attribute order, and
+each attribute holds its slot label. A cluster emptied by a detach gives up
+its slot and later slots move down one, so slot order stays creation order;
+a new cluster takes the next slot. An attribute's log weights are one vector
+expression over the live slots plus a new-cluster weight precomputed for all
+attributes; log c and the variance step's gammaln terms of a c-member cluster
+come from count-indexed tables built once per step. All values are then
+redrawn in one vector draw and the partition is written back once. Draws,
+their order and their arithmetic match a walk over the clusters dict, one
+attribute at a time, so a seed gives the same chain.
 """
 
 import math
@@ -14,6 +27,54 @@ from scipy.special import gammaln
 from .densities import LOG_2PI, sample_log_categorical
 
 
+def _log_count_table(p):
+    """log c for member counts c = 0..p (entry 0 unused, set to 0)."""
+    return np.log(np.maximum(np.arange(p + 1.0), 1.0))
+
+
+def _run_step(part, step, rng, where):
+    """Reseat every attribute of ``part`` in order, then redraw every value
+    and write the partition back.
+
+    ``step.items[j]`` is attribute j's sufficient statistic (one number),
+    ``step.logits(j, counts, stats)`` its log weights of joining the live
+    slots, ``step.new_logw[j]`` its log weight of a new cluster and
+    ``step.values(labels, counts, rng)`` draws the values of the final slots.
+    """
+    cids, labels = part.slots()
+    items = step.items.tolist()
+    p = len(labels)
+    k = len(cids)
+    cnt = np.bincount(labels, minlength=p)
+    stat = np.zeros(p, dtype=step.items.dtype)
+    np.add.at(stat, labels, step.items)
+    logw = np.empty(p + 1)
+    for j in range(p):
+        s = labels[j]
+        if cnt[s] == 1:
+            cnt[s:k - 1] = cnt[s + 1:k]
+            stat[s:k - 1] = stat[s + 1:k]
+            labels[labels > s] -= 1
+            del cids[s]
+            k -= 1
+        else:
+            cnt[s] -= 1
+            stat[s] -= items[j]
+        logw[:k] = step.logits(j, cnt[:k], stat[:k])
+        logw[k] = step.new_logw[j]
+        t = sample_log_categorical(logw[:k + 1], rng, where=f"{where} j={j}")
+        if t == k:
+            cids.append(None)
+            cnt[t] = 1
+            stat[t] = items[j]
+            k += 1
+        else:
+            cnt[t] += 1
+            stat[t] += items[j]
+        labels[j] = t
+    part.set_slots(cids, cnt[:k], labels, step.values(labels, cnt[:k], rng))
+
+
 def _residual_col_means(state, data):
     """Per-attribute mean of y - mu_ij over samples (the step-1 statistic)."""
     total = data.y.sum(axis=0)
@@ -22,101 +83,47 @@ def _residual_col_means(state, data):
     return total / data.n
 
 
-class _MeanStepCtx:
-    """Shared per-sweep quantities for the baseline-mean assignment update."""
+class _MeanStep:
+    """The baseline-mean step's terms. Attribute j contributes precision
+    w_j = n / sigma_j^2 and statistic q_j = w_j * rbar_j to its cluster,
+    carried as the one number q_j + i w_j: complex sums add the two parts
+    separately, each exactly as a float sum would."""
 
-    __slots__ = ("rbar", "q", "w", "stat_q", "stat_w", "n")
-
-    def __init__(self, state, data):
+    def __init__(self, state, data, hp):
         sigma_sq = state.var_part.values_vector()
-        self.n = data.n
-        self.rbar = _residual_col_means(state, data)
-        self.q = data.n * self.rbar / sigma_sq
-        self.w = data.n / sigma_sq
-        self.stat_q = {}
-        self.stat_w = {}
-        for j, cid in enumerate(state.mean_part.assignments):
-            self.stat_q[cid] = self.stat_q.get(cid, 0.0) + self.q[j]
-            self.stat_w[cid] = self.stat_w.get(cid, 0.0) + self.w[j]
+        rbar = _residual_col_means(state, data)
+        w = data.n / sigma_sq
+        self.items = data.n * rbar / sigma_sq + 1j * w
+        self.prior_prec = 1.0 / hp.base_var
+        self.prior_stat = hp.base_mean / hp.base_var
+        self.log_count = _log_count_table(data.p)
+        obs_var = 1.0 / w  # sigma_j^2 / n
+        self.obs_var = obs_var.tolist()
+        self.rbar = rbar.tolist()
+        log_conc = math.log(state.conc_mean)
+        self.new_logw = [
+            log_conc - 0.5 * (LOG_2PI + math.log(pv) + d * d / pv)
+            for pv, d in zip((hp.base_var + obs_var).tolist(), (rbar - hp.base_mean).tolist())
+        ]
 
+    def logits(self, j, counts, stats):
+        v = self.prior_prec + stats.imag
+        u = (self.prior_stat + stats.real) / v
+        pv = 1.0 / v + self.obs_var[j]
+        d = self.rbar[j] - u
+        return self.log_count.take(counts) - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
 
-def _mean_assignment_logits(state, hp, ctx, j):
-    """Unnormalized log weights over (live clusters..., new cluster) for a
-    detached attribute j."""
-    part = state.mean_part
-    obs_var = 1.0 / ctx.w[j]  # sigma_j^2 / n
-    rb = ctx.rbar[j]
-    cids = list(part.clusters.keys())
-    k = len(cids)
-    counts = np.fromiter((part.clusters[c][0] for c in cids), dtype=float, count=k)
-    sw = np.fromiter((ctx.stat_w[c] for c in cids), dtype=float, count=k)
-    sq = np.fromiter((ctx.stat_q[c] for c in cids), dtype=float, count=k)
-
-    logw = np.empty(k + 1)
-    v = 1.0 / hp.base_var + sw
-    u = (hp.base_mean / hp.base_var + sq) / v
-    pv = 1.0 / v + obs_var
-    d = rb - u
-    logw[:k] = np.log(counts) - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
-    pv_new = hp.base_var + obs_var
-    d_new = rb - hp.base_mean
-    logw[k] = math.log(state.conc_mean) - 0.5 * (
-        LOG_2PI + math.log(pv_new) + d_new * d_new / pv_new
-    )
-    return cids, logw
-
-
-def update_baseline_mean_assignment(state, data, hp, j, rng, ctx):
-    """Resample the baseline-mean cluster of attribute j; returns the new id."""
-    part = state.mean_part
-    old = part.detach(j)
-    if old in part.clusters:
-        ctx.stat_q[old] -= ctx.q[j]
-        ctx.stat_w[old] -= ctx.w[j]
-    else:
-        ctx.stat_q.pop(old, None)
-        ctx.stat_w.pop(old, None)
-
-    cids, logw = _mean_assignment_logits(state, hp, ctx, j)
-    k = len(cids)
-    choice = sample_log_categorical(logw, rng, where=f"baseline-mean assignment j={j}")
-    if choice < k:
-        cid = cids[choice]
-        part.attach(j, cid)
-        ctx.stat_q[cid] += ctx.q[j]
-        ctx.stat_w[cid] += ctx.w[j]
-    else:
-        # Placeholder payload: the singleton posterior mean. All values are
-        # redrawn in the value pass before anything reads them.
-        v = 1.0 / hp.base_var + ctx.w[j]
-        u = (hp.base_mean / hp.base_var + ctx.q[j]) / v
-        cid = part.attach_new(j, u)
-        ctx.stat_q[cid] = ctx.q[j]
-        ctx.stat_w[cid] = ctx.w[j]
-    return cid
-
-
-def resample_baseline_mean_values(state, hp, rng, ctx):
-    """Redraw every baseline-mean cluster value from its normal posterior.
-
-    Reads only the per-attribute ``ctx.q`` and ``ctx.w``, which the
-    assignment pass leaves unchanged.
-    """
-    for cid, mem in state.mean_part.members().items():
-        v = 1.0 / hp.base_var
-        s = hp.base_mean / hp.base_var
-        for j in mem:
-            v += ctx.w[j]
-            s += ctx.q[j]
-        u = s / v
-        state.mean_part.set_value(cid, u + math.sqrt(1.0 / v) * rng.standard_normal())
+    def values(self, labels, counts, rng):
+        """One draw of every cluster value from its normal posterior."""
+        prec = np.full(len(counts), self.prior_prec)
+        np.add.at(prec, labels, self.items.imag)
+        stat = np.full(len(counts), self.prior_stat)
+        np.add.at(stat, labels, self.items.real)
+        return stat / prec + np.sqrt(1.0 / prec) * rng.standard_normal(len(counts))
 
 
 def step_baseline_means(state, data, hp, rng):
-    ctx = _MeanStepCtx(state, data)
-    for j in range(data.p):
-        update_baseline_mean_assignment(state, data, hp, j, rng, ctx)
-    resample_baseline_mean_values(state, hp, rng, ctx)
+    _run_step(state.mean_part, _MeanStep(state, data, hp), rng, "baseline-mean assignment")
 
 
 def _residual_sq_colsums(state, data):
@@ -129,83 +136,42 @@ def _residual_sq_colsums(state, data):
     return out
 
 
-class _VarStepCtx:
-    __slots__ = ("ssq", "stat", "n")
+class _VarStep:
+    """The baseline-variance step's terms. Attribute j contributes half its
+    residual sum of squares over the n samples, ssq_j / 2, to its cluster."""
 
-    def __init__(self, state, data):
+    def __init__(self, state, data, hp):
+        self.items = 0.5 * _residual_sq_colsums(state, data)
+        self.hp = hp
         self.n = data.n
-        self.ssq = _residual_sq_colsums(state, data)
-        self.stat = {}
-        for j, cid in enumerate(state.var_part.assignments):
-            self.stat[cid] = self.stat.get(cid, 0.0) + self.ssq[j]
+        half_n = 0.5 * data.n
+        # Count-indexed terms of a cluster of c members: log c, its posterior
+        # shape u, gammaln(u), gammaln(u + n/2) and u + n/2.
+        shape = hp.var_shape + np.arange(data.p + 1.0) * half_n
+        self.tables = np.stack((
+            _log_count_table(data.p), shape, gammaln(shape), gammaln(shape + half_n),
+            shape + half_n,
+        ))
+        shape1 = hp.var_shape + half_n
+        base = (
+            math.log(state.conc_var)
+            + hp.var_shape * math.log(hp.var_rate) - gammaln(hp.var_shape)
+            + gammaln(shape1)
+        )
+        self.half_ssq = self.items.tolist()
+        self.new_logw = [base - shape1 * math.log(hp.var_rate + hs) for hs in self.half_ssq]
 
+    def logits(self, j, counts, stats):
+        log_c, u, gl_u, gl_u1, u1 = self.tables.take(counts, axis=1)
+        v = self.hp.var_rate + stats
+        return log_c + u * np.log(v) - gl_u + gl_u1 - u1 * np.log(v + self.half_ssq[j])
 
-def _var_assignment_logits(state, hp, ctx, j):
-    """Unnormalized log weights over (live clusters..., new cluster) for a
-    detached attribute j."""
-    part = state.var_part
-    half_n = 0.5 * ctx.n
-    half_sj = 0.5 * ctx.ssq[j]
-    cids = list(part.clusters.keys())
-    k = len(cids)
-    counts = np.fromiter((part.clusters[c][0] for c in cids), dtype=float, count=k)
-    stat = np.fromiter((ctx.stat[c] for c in cids), dtype=float, count=k)
-
-    logw = np.empty(k + 1)
-    u = hp.var_shape + counts * half_n
-    v = hp.var_rate + 0.5 * stat
-    logw[:k] = (
-        np.log(counts) + u * np.log(v) - gammaln(u)
-        + gammaln(u + half_n) - (u + half_n) * np.log(v + half_sj)
-    )
-    logw[k] = (
-        math.log(state.conc_var)
-        + hp.var_shape * math.log(hp.var_rate) - gammaln(hp.var_shape)
-        + gammaln(hp.var_shape + half_n)
-        - (hp.var_shape + half_n) * math.log(hp.var_rate + half_sj)
-    )
-    return cids, logw
-
-
-def update_baseline_var_assignment(state, data, hp, j, rng, ctx):
-    """Resample the baseline-variance cluster of attribute j."""
-    part = state.var_part
-    old = part.detach(j)
-    if old in part.clusters:
-        ctx.stat[old] -= ctx.ssq[j]
-    else:
-        ctx.stat.pop(old, None)
-
-    cids, logw = _var_assignment_logits(state, hp, ctx, j)
-    k = len(cids)
-    half_n = 0.5 * ctx.n
-    half_sj = 0.5 * ctx.ssq[j]
-    choice = sample_log_categorical(logw, rng, where=f"baseline-var assignment j={j}")
-    if choice < k:
-        cid = cids[choice]
-        part.attach(j, cid)
-        ctx.stat[cid] += ctx.ssq[j]
-    else:
-        # Placeholder: posterior mode; redrawn in the value pass.
-        cid = part.attach_new(j, (hp.var_rate + half_sj) / (hp.var_shape + half_n + 1.0))
-        ctx.stat[cid] = ctx.ssq[j]
-    return cid
-
-
-def resample_baseline_var_values(state, hp, rng, ctx):
-    """Redraw every baseline-variance cluster value from its inverse-gamma
-    posterior. Reads only ``ctx.n`` and the per-attribute ``ctx.ssq``, which
-    the assignment pass leaves unchanged."""
-    for cid, mem in state.var_part.members().items():
-        shape = hp.var_shape + len(mem) * ctx.n / 2.0
-        rate = hp.var_rate
-        for j in mem:
-            rate += 0.5 * ctx.ssq[j]
-        state.var_part.set_value(cid, rate / rng.gamma(shape))
+    def values(self, labels, counts, rng):
+        """One draw of every cluster value from its inverse-gamma posterior."""
+        rate = np.full(len(counts), self.hp.var_rate)
+        np.add.at(rate, labels, self.items)
+        return rate / rng.gamma(self.hp.var_shape + counts * self.n / 2.0)
 
 
 def step_baseline_vars(state, data, hp, rng):
-    ctx = _VarStepCtx(state, data)
-    for j in range(data.p):
-        update_baseline_var_assignment(state, data, hp, j, rng, ctx)
-    resample_baseline_var_values(state, hp, rng, ctx)
+    _run_step(state.var_part, _VarStep(state, data, hp), rng, "baseline-var assignment")

@@ -125,17 +125,22 @@ def _attr_names(data):
     return data.names or [f"x{j + 1}" for j in range(data.p)]
 
 
-def _write_outputs(outdir, trace, data, threshold, cfg):
+def _write_outputs(outdir, trace, data, threshold, cfg, chains=1):
+    """Write the summaries of ``trace``, which pools ``chains`` equal-length
+    chains; if several, k_trace.csv numbers them from 0 in its own column."""
     os.makedirs(outdir, exist_ok=True)
     names = _attr_names(data)
     hist, mode = k_posterior(trace)
 
     with open(os.path.join(outdir, "k_trace.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["iteration", "K"])
+        w.writerow(["iteration", "K"] if chains == 1 else ["chain", "iteration", "K"])
         start = cfg.burn_in + cfg.thin - 1
+        per_chain = len(trace.ks) // chains
         for t, k in enumerate(trace.ks):
-            w.writerow([start + t * cfg.thin, k])
+            chain, r = divmod(t, per_chain)
+            row = [start + r * cfg.thin, k]
+            w.writerow(row if chains == 1 else [chain, *row])
 
     with open(os.path.join(outdir, "k_posterior.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -204,6 +209,8 @@ def main(argv=None):
         # The data-centred base measure is not known yet; stand-ins let
         # Hyperparams check the overrides.
         Hyperparams(**{"base_mean": 0.0, "base_var": 1.0, **hp_overrides})
+        if not 0.0 < args.threshold < 1.0:
+            raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -237,7 +244,8 @@ def main(argv=None):
         for c, tr in enumerate(traces):
             _write_outputs(os.path.join(args.out, f"chain_{c:02d}"), tr, data,
                            args.threshold, configs[c])
-        _write_outputs(args.out, merge_traces(traces), data, args.threshold, configs[0])
+        _write_outputs(args.out, merge_traces(traces), data, args.threshold, configs[0],
+                       chains=args.chains)
 
     manifest = {
         "version": f"sparseclust-{__version__}",

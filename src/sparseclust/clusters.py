@@ -9,6 +9,14 @@ of those draws and their prior density Q0. From an empty partition it is the
 sequential proposal of a birth move; from a live one it is the inner Gibbs
 pass; without a generator it replays a given vector, bitwise equal to the
 proposal's own Q and Q0, which is how a death move scores the reverse birth.
+
+While no inner cluster is live, a component weighs only SPIKE against a new
+cluster, with weights that no earlier seat changes, so the walk seats a run
+of components up to the first non-spike seat as one block, from one vector
+draw of uniforms; the generator is then repositioned after exactly the
+uniforms the run used. The replay walks the same blocks. A block starts
+only at a component that favours SPIKE, so dense vectors take the scalar
+path.
 """
 
 import math
@@ -28,21 +36,10 @@ def _ln_norm(x, mean, var):
     return -0.5 * (LOG_2PI + math.log(var) + d * d / var)
 
 
-def _lse_list(logw):
-    m = max(logw)
-    if m != m or m == math.inf:
-        raise SamplerAbort(f"non-finite log weights {logw}")
-    if m == _NEG_INF:
-        raise SamplerAbort("all log weights are -inf")
-    t = 0.0
-    for w in logw:
-        t += math.exp(w - m)
-    return m + math.log(t)
-
-
 def _pick_with_lse(logw, rng):
-    """Single-pass categorical draw; the returned normalizer is computed by
-    the same summation order as _lse_list so replays stay bitwise equal."""
+    """Single-pass categorical draw, returned with the log normalizer; with
+    ``rng`` None only the normalizer, by the same summation, so replays stay
+    bitwise equal."""
     m = max(logw)
     if m != m or m == math.inf:
         raise SamplerAbort(f"non-finite log weights {logw}")
@@ -54,6 +51,8 @@ def _pick_with_lse(logw, rng):
         e = math.exp(w - m)
         exps.append(e)
         t += e
+    if rng is None:
+        return None, m + math.log(t)
     u = rng.random() * t
     acc = 0.0
     choice = len(logw) - 1
@@ -121,7 +120,8 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
     components are still seated, so they are not densities of the result).
     Without ``rng`` the walk starts empty and replays the seats and values
     ``inner`` holds, leaving it untouched; the replay repeats the proposal's
-    arithmetic, so its log densities are bitwise equal.
+    arithmetic, spike-run blocks included, so its log densities are bitwise
+    equal.
 
     ``x[j]`` averages n_count observations, so member j carries precision
     n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
@@ -140,10 +140,12 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
         log_s_arr = np.log(s_vec)
         log_spike_arr = np.log1p(-s_vec)
         new_var = slab_var + v_obs_arr
-        pre_spike = (log_spike_arr - 0.5 * (
-            LOG_2PI + np.log(v_obs_arr) + x_arr * x_arr / v_obs_arr)).tolist()
-        pre_new = (log_s_arr + log_conc - 0.5 * (
-            LOG_2PI + np.log(new_var) + x_arr * x_arr / new_var)).tolist()
+        spike_arr = log_spike_arr - 0.5 * (
+            LOG_2PI + np.log(v_obs_arr) + x_arr * x_arr / v_obs_arr)
+        new_arr = log_s_arr + log_conc - 0.5 * (
+            LOG_2PI + np.log(new_var) + x_arr * x_arr / new_var)
+    pre_spike = spike_arr.tolist()
+    pre_new = new_arr.tolist()
     log_s = log_s_arr.tolist()
     log_spike = log_spike_arr.tolist()
     xs = x_arr.tolist()
@@ -152,6 +154,8 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
     stats = (prec_arr * x_arr).tolist()
     inv_slab_var = 1.0 / slab_var
     assignments = inner.assignments
+    p = len(xs)
+    run = None  # per-component terms of a spike run, built on first use
 
     # Parallel slot lists, one slot per live inner cluster in creation order:
     # its cid, member count, summed member precision and summed statistic.
@@ -170,7 +174,8 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
 
     log_q = 0.0
     log_q0 = 0.0
-    for j in range(len(xs)):
+    j = 0
+    while j < p:
         a = assignments[j]
         if not replay and a != DETACHED:
             inner.detach(j)
@@ -186,32 +191,48 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
                     sprec[t] -= precs[j]
                     sstat[t] -= stats[j]
 
-        xj = xs[j]
-        v_obs = v_obs_list[j]
-        lsj = log_s[j]
         log_denom = math.log(conc_inner + m_total)
-        logw = [pre_spike[j]]
-        for t in range(len(counts)):
-            v_post = inv_slab_var + sprec[t]
-            logw.append(
-                lsj + math.log(counts[t]) - log_denom
-                + _ln_norm(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
-            )
-        logw.append(pre_new[j] - log_denom)
-
         k = len(counts)
-        if replay:
-            lse = _lse_list(logw)
-            choice = 0 if a == SPIKE else 1 + slot_of.get(a, k)
+        if not k and pre_spike[j] >= pre_new[j] - log_denom:
+            # A spike run: see the module docstring.
+            if run is None:
+                run = _spike_run_terms(spike_arr, new_arr - log_denom)
+            stop = _spike_run_stop(j, run, assignments, rng)
+            log_q += float(np.add.reduce(run[2][j:stop]))
+            log_q0 += float(np.add.reduce(log_spike_arr[j:stop]))
+            if not replay:
+                # Moving items between DETACHED and SPIKE changes no cluster.
+                assignments[j:stop + 1] = [SPIKE] * (stop - j) + [DETACHED] * (stop < p)
+            if stop == p:
+                break
+            j = stop
+            a = assignments[j]
+            choice = 1
+            log_q += run[3][j]
         else:
+            xj = xs[j]
+            v_obs = v_obs_list[j]
+            lsj = log_s[j]
+            logw = [pre_spike[j]]
+            for t in range(k):
+                v_post = inv_slab_var + sprec[t]
+                logw.append(
+                    lsj + math.log(counts[t]) - log_denom
+                    + _ln_norm(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
+                )
+            logw.append(pre_new[j] - log_denom)
             choice, lse = _pick_with_lse(logw, rng)
-        log_q += logw[choice] - lse
+            if replay:
+                choice = 0 if a == SPIKE else 1 + slot_of.get(a, k)
+            log_q += logw[choice] - lse
 
         if choice == 0:
             log_q0 += log_spike[j]
             if not replay:
                 inner.attach_spike(j)
+            j += 1
             continue
+        lsj = log_s[j]
         m_total += 1
         if choice <= k:
             t = choice - 1
@@ -230,6 +251,7 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
             counts.append(1)
             sprec.append(precs[j])
             sstat.append(stats[j])
+        j += 1
 
     if cids:
         # Posterior of each inner value, recomputed from scratch over its
@@ -252,6 +274,37 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
             log_q += _ln_norm(val, u_post, var)
             log_q0 += _ln_norm(val, 0.0, slab_var)
     return log_q, log_q0
+
+
+def _spike_run_terms(w_spike, w_new):
+    """(SPIKE weight, total weight, log P(SPIKE), log P(new)) of every
+    component's two-way choice, scaled as ``_pick_with_lse`` scales them."""
+    m = np.maximum(w_spike, w_new)
+    if not np.isfinite(m).all():
+        raise SamplerAbort("non-finite log weights in a spike run")
+    e_spike = np.exp(w_spike - m)
+    tot = e_spike + np.exp(w_new - m)
+    lse = m + np.log(tot)
+    return e_spike, tot, w_spike - lse, w_new - lse
+
+
+def _spike_run_stop(j, run, assignments, rng):
+    """The first component at or after j seated off SPIKE (len(assignments)
+    if none). Drawing, it seats component i on SPIKE when ``u_i * total_i <=
+    spike_i``, the scalar draw's rule, then restores the generator and draws
+    again just the uniforms the run used: that leaves any bit generator
+    where one uniform per component would."""
+    p = len(assignments)
+    if rng is None:
+        off = np.asarray(assignments[j:]) != SPIKE
+    else:
+        saved = rng.bit_generator.state
+        off = rng.random(p - j) * run[1][j:] > run[0][j:]
+    stop = j + int(off.argmax()) if off.any() else p
+    if rng is not None:
+        rng.bit_generator.state = saved
+        rng.random(min(stop + 1, p) - j)
+    return stop
 
 
 def _slab_coef(hp):

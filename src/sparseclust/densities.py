@@ -47,18 +47,18 @@ def sample_log_categorical(logw, rng, where="categorical"):
     """Sample an index from unnormalized log weights.
 
     Aborts (rather than clamping) on non-finite input so that sampler bugs
-    surface immediately; NaN, +inf, and all--inf inputs all poison the
-    normalizer, so one scalar check suffices.
+    surface immediately. NaN, +inf and all--inf inputs all make the maximum
+    non-finite, so one scalar check suffices: below a finite maximum every
+    weight lies in [0, 1] and the largest is 1, so the normalizer is finite
+    and at least 1.
     """
     logw = np.asarray(logw, dtype=float)
-    m = logw.max()
-    with np.errstate(invalid="ignore", over="ignore"):
-        p = np.exp(logw - m)
-        tot = p.sum()
-    if not (np.isfinite(m) and np.isfinite(tot) and tot > 0.0):
+    m = np.maximum.reduce(logw)
+    if not math.isfinite(m):
         raise SamplerAbort(f"{where}: non-finite log weights {logw}")
-    u = rng.random() * tot
-    return min(int(np.searchsorted(np.cumsum(p), u)), len(p) - 1)
+    p = np.exp(logw - m)
+    u = rng.random() * np.add.reduce(p)
+    return min(int(np.add.accumulate(p).searchsorted(u)), len(p) - 1)
 
 
 def draw_inv_gamma(shape, rate, rng):

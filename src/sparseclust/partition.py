@@ -109,6 +109,27 @@ class Partition:
             0.0 if cid == SPIKE else clusters[cid][1] for cid in self.assignments
         ])
 
+    def slots(self):
+        """Creation-ordered slot view of a partition with every item in a
+        cluster: (cids, labels), where slot t is the t-th live cluster,
+        cids[t] its id and labels[item] the item's slot."""
+        cids = list(self.clusters)
+        slot_of = {cid: t for t, cid in enumerate(cids)}
+        return cids, np.array([slot_of[cid] for cid in self.assignments], dtype=np.intp)
+
+    def set_slots(self, cids, counts, labels, values):
+        """Replace the whole partition by a slot view with one value per
+        slot; None cids (new clusters) get the next ids in slot order."""
+        cids = list(cids)
+        for t, cid in enumerate(cids):
+            if cid is None:
+                cids[t] = self._next_id
+                self._next_id += 1
+        self.assignments = [cids[t] for t in labels.tolist()]
+        self.clusters = {
+            cid: [n, v] for cid, n, v in zip(cids, counts.tolist(), values.tolist())
+        }
+
     def canonical(self):
         """Contiguous labels in order of first appearance.
 

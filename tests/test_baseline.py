@@ -4,17 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sparseclust.baseline import (
-    _MeanStepCtx,
-    _VarStepCtx,
-    _mean_assignment_logits,
-    _var_assignment_logits,
-    resample_baseline_mean_values,
-    resample_baseline_var_values,
-    step_baseline_means,
-    update_baseline_mean_assignment,
-    update_baseline_var_assignment,
-)
+from sparseclust.baseline import _MeanStep, _VarStep, step_baseline_means, step_baseline_vars
 from sparseclust.model import Hyperparams
 
 from conftest import manual_state
@@ -22,31 +12,44 @@ from conftest import manual_state
 mpmath.mp.dps = 40
 
 
+def _logits_after_detach(step, part, j):
+    """Attribute j's log weights (live clusters in creation order, then a new
+    cluster) with j detached, from the step's own logit function."""
+    cids, labels = part.slots()
+    others = np.arange(len(labels)) != j
+    counts = np.bincount(labels[others], minlength=len(cids))
+    stats = np.zeros(len(cids), dtype=step.items.dtype)
+    np.add.at(stats, labels[others], step.items[others])
+    live = counts > 0
+    return np.append(step.logits(j, counts[live], stats[live]), step.new_logw[j])
+
+
 def _mean_logits_after_detach(state, data, hp, j):
-    ctx = _MeanStepCtx(state, data)
-    old = state.mean_part.detach(j)
-    if old in state.mean_part.clusters:
-        ctx.stat_q[old] -= ctx.q[j]
-        ctx.stat_w[old] -= ctx.w[j]
-    else:
-        ctx.stat_q.pop(old, None)
-        ctx.stat_w.pop(old, None)
-    return _mean_assignment_logits(state, hp, ctx, j)
+    return _logits_after_detach(_MeanStep(state, data, hp), state.mean_part, j)
+
+
+def _var_logits_after_detach(state, data, hp, j):
+    return _logits_after_detach(_VarStep(state, data, hp), state.var_part, j)
+
+
+def _slot_view_values(step, part, rng):
+    _cids, labels = part.slots()
+    return step.values(labels, np.bincount(labels), rng)
 
 
 def test_single_attribute_always_own_cluster():
     y = np.array([[0.4], [1.2], [-0.3]])
     state, data, hp = manual_state(y, sigma_sq=[0.5])
     rng = np.random.default_rng(0)
-    update_baseline_mean_assignment(state, data, hp, 0, rng, _MeanStepCtx(state, data))
+    step_baseline_means(state, data, hp, rng)
     assert state.mean_part.n_clusters() == 1
-    update_baseline_var_assignment(state, data, hp, 0, rng, _VarStepCtx(state, data))
+    step_baseline_vars(state, data, hp, rng)
     assert state.var_part.n_clusters() == 1
 
 
 def test_mean_assignment_weights_normalize(tiny_state):
     state, data, hp = tiny_state
-    _, logw = _mean_logits_after_detach(state, data, hp, 1)
+    logw = _mean_logits_after_detach(state, data, hp, 1)
     probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -63,8 +66,8 @@ def test_mean_assignment_matches_quadrature_posterior():
     state, data, hp = manual_state(y, sigma_sq=sig, hp=hp)
     state.conc_mean = 0.8
 
-    cids, logw = _mean_logits_after_detach(state, data, hp, 1)
-    assert len(cids) == 1  # attribute 0's cluster is the only survivor
+    logw = _mean_logits_after_detach(state, data, hp, 1)
+    assert len(logw) == 2  # attribute 0's cluster is the only survivor
     my_log_odds = logw[0] - logw[1]
 
     def col_lik(col, mu, s2):
@@ -95,7 +98,7 @@ def test_identical_columns_cocluster_above_prior():
     y = np.tile(np.array([[0.5], [0.9], [0.2]]), (1, 2))
     state, data, hp = manual_state(y, sigma_sq=[2.0, 2.0])
     state.conc_mean = 1.0
-    _, logw = _mean_logits_after_detach(state, data, hp, 1)
+    logw = _mean_logits_after_detach(state, data, hp, 1)
     p_join = 1.0 / (1.0 + math.exp(logw[1] - logw[0]))
     assert p_join > 1.0 / (1.0 + state.conc_mean)
 
@@ -110,26 +113,15 @@ def test_mean_value_resample_moments():
     u = (hp.base_mean / hp.base_var + y[:, 0].sum() / sig[0]) / v
 
     rng = np.random.default_rng(3)
-    ctx = _MeanStepCtx(state, data)
+    step = _MeanStep(state, data, hp)
     draws = np.empty(100_000)
     for t in range(len(draws)):
-        resample_baseline_mean_values(state, hp, rng, ctx)
-        draws[t] = state.mean_part.value_of(state.mean_part.cluster_of(0))
+        (draws[t],) = _slot_view_values(step, state.mean_part, rng)
     se_mean = draws.std() / math.sqrt(len(draws))
     assert abs(draws.mean() - u) < 4 * se_mean
     # variance check: SE(var) ~ var * sqrt(2/(n-1))
     se_var = draws.var() * math.sqrt(2.0 / (len(draws) - 1))
     assert abs(draws.var() - 1.0 / v) < 4 * se_var
-
-
-def _var_logits_after_detach(state, data, hp, j):
-    ctx = _VarStepCtx(state, data)
-    old = state.var_part.detach(j)
-    if old in state.var_part.clusters:
-        ctx.stat[old] -= ctx.ssq[j]
-    else:
-        ctx.stat.pop(old, None)
-    return _var_assignment_logits(state, hp, ctx, j)
 
 
 def test_var_assignment_matches_quadrature_posterior():
@@ -140,8 +132,8 @@ def test_var_assignment_matches_quadrature_posterior():
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], hp=hp)
     state.conc_var = 1.4
 
-    cids, logw = _var_logits_after_detach(state, data, hp, 1)
-    assert len(cids) == 1
+    logw = _var_logits_after_detach(state, data, hp, 1)
+    assert len(logw) == 2
     my_log_odds = logw[0] - logw[1]
 
     # z equals y here (baseline means are zero, shifts are zero)
@@ -170,7 +162,7 @@ def test_var_assignment_scaling_consistency():
     y = rng.normal(0.0, 1.0, size=(4, 2))
     for scale in (1.0, 3.0):
         state, data, hp = manual_state(y * scale, sigma_sq=[1.0, 1.0])
-        _, logw = _var_logits_after_detach(state, data, hp, 1)
+        logw = _var_logits_after_detach(state, data, hp, 1)
         ssq = ((y * scale) ** 2).sum(axis=0)
         n = 4
         u = hp.var_shape + n / 2.0
@@ -197,11 +189,10 @@ def test_var_value_resample_trivial_params_and_moments():
     rate = hp.var_rate + 6 / 2.0  # 3.5
 
     rng = np.random.default_rng(9)
-    ctx = _VarStepCtx(state, data)
+    step = _VarStep(state, data, hp)
     draws = np.empty(100_000)
     for t in range(len(draws)):
-        resample_baseline_var_values(state, hp, rng, ctx)
-        draws[t] = state.var_part.value_of(state.var_part.cluster_of(0))
+        (draws[t],) = _slot_view_values(step, state.var_part, rng)
     want_mean = rate / (shape - 1.0)
     se = draws.std() / math.sqrt(len(draws))
     assert abs(draws.mean() - want_mean) < 4 * se
@@ -218,9 +209,7 @@ def test_uninformative_likelihood_reduces_to_crp_prior():
 
     ks = []
     for _ in range(3000):
-        ctx = _MeanStepCtx(state, data)
-        for j in range(p):
-            update_baseline_mean_assignment(state, data, hp, j, rng, ctx)
+        step_baseline_means(state, data, hp, rng)
         ks.append(state.mean_part.n_clusters())
     expect = sum(conc / (conc + i) for i in range(p))
     got = np.mean(ks[100:])

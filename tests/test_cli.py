@@ -47,6 +47,17 @@ def test_thin_recording_nothing_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_threshold_outside_unit_interval_is_usage_error(tmp_path, capsys):
+    for value in ("1.5", "0", "1", "-0.2", "nan"):
+        out = tmp_path / f"o{value}"
+        with pytest.raises(SystemExit) as e:
+            _run(["--simulate", "ex3", "--iters", "6", "--burn-in", "2",
+                  "--threshold", value, "--out", str(out)])
+        assert e.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _bad_config_usage_error(tmp_path, capsys, line, key):
     """A --config file holding ``line`` exits 2 before data loads, names
     ``key`` on stderr and creates no output directory."""
@@ -135,3 +146,17 @@ def test_multichain_writes_subdirs_and_merged(tmp_path):
     # merged k_trace holds both chains' records
     merged = load_csv(out / "k_trace.csv")
     assert merged.n == 2 * 20
+
+
+def test_merged_k_trace_numbers_iterations_per_chain(tmp_path):
+    out = tmp_path / "r"
+    assert _run(["--simulate", "ex3", "--iters", "6", "--burn-in", "2",
+                 "--seed", "1", "--chains", "2", "--out", str(out)]) == 0
+    merged = load_csv(out / "k_trace.csv")
+    assert merged.names == ["chain", "iteration", "K"]
+    assert merged.y[:, 0].tolist() == [0] * 4 + [1] * 4
+    assert merged.y[:, 1].tolist() == [2, 3, 4, 5] * 2
+    for c in (0, 1):
+        own = load_csv(out / f"chain_{c:02d}" / "k_trace.csv")
+        assert own.names == ["iteration", "K"]
+        np.testing.assert_array_equal(merged.y[4 * c:4 * (c + 1), 1:], own.y)
