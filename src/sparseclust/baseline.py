@@ -5,10 +5,10 @@ assignment from a collapsed predictive (conditioning on the other members
 of each cluster), then redraw every cluster's unique value from its
 conjugate posterior.
 
-A step works on one creation-ordered slot view of its partition
-(``Partition.slots``): slot t is the t-th live cluster, with its member
-count and its members' sufficient statistics summed in attribute order, and
-each attribute holds its slot label. A cluster emptied by a detach gives up
+A step works on the slot arrays of its partition (see ``partition.py``):
+slot t is the t-th live cluster in creation order, with its member count
+and its members' sufficient statistics summed in attribute order, and each
+attribute holds its slot label. A cluster emptied by a detach gives up
 its slot and later slots move down one, so slot order stays creation order;
 a new cluster takes the next slot. An attribute's log weights are one vector
 expression over the live slots plus a new-cluster weight precomputed for all
@@ -41,10 +41,11 @@ def _run_step(part, step, rng, where):
     slots, ``step.new_logw[j]`` its log weight of a new cluster and
     ``step.values(labels, counts, rng)`` draws the values of the final slots.
     """
-    cids, labels = part.slots()
+    ids = part.cluster_ids()
+    labels = part.labels.copy()
     items = step.items.tolist()
     p = len(labels)
-    k = len(cids)
+    k = len(ids)
     cnt = np.bincount(labels, minlength=p)
     stat = np.zeros(p, dtype=step.items.dtype)
     np.add.at(stat, labels, step.items)
@@ -55,7 +56,7 @@ def _run_step(part, step, rng, where):
             cnt[s:k - 1] = cnt[s + 1:k]
             stat[s:k - 1] = stat[s + 1:k]
             labels[labels > s] -= 1
-            del cids[s]
+            del ids[s]
             k -= 1
         else:
             cnt[s] -= 1
@@ -64,7 +65,7 @@ def _run_step(part, step, rng, where):
         logw[k] = step.new_logw[j]
         t = sample_log_categorical(logw[:k + 1], rng, where=f"{where} j={j}")
         if t == k:
-            cids.append(None)
+            ids.append(None)
             cnt[t] = 1
             stat[t] = items[j]
             k += 1
@@ -72,14 +73,15 @@ def _run_step(part, step, rng, where):
             cnt[t] += 1
             stat[t] += items[j]
         labels[j] = t
-    part.set_slots(cids, cnt[:k], labels, step.values(labels, cnt[:k], rng))
+    part.set_slots(ids, labels, cnt[:k], step.values(labels, cnt[:k], rng))
 
 
 def _residual_col_means(state, data):
     """Per-attribute mean of y - mu_ij over samples (the step-1 statistic)."""
     total = data.y.sum(axis=0)
-    for cid, cl in state.samples.clusters.items():
-        total = total - cl[0] * state.cluster_means[cid].mu()
+    # Summed one cluster at a time: a numpy reduction would change the stream.
+    for cid, count in zip(state.samples.cluster_ids(), state.samples.sizes()):
+        total = total - count * state.cluster_means[cid].mu()
     return total / data.n
 
 

@@ -33,6 +33,8 @@ class ChainConfig:
                 f"thin={self.thin} records nothing in {self.iterations - self.burn_in} "
                 "post-burn-in sweeps"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.init_mode not in (ALL_ONE_CLUSTER, ALL_SINGLETONS):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
@@ -97,10 +99,9 @@ def init_state(data, hp, cfg, rng):
     col_var = np.maximum(col_var, 1e-12)  # constant columns would break positivity
 
     mean_part = Partition(p)
+    mean_part.set_slots([None] * p, np.arange(p), np.ones(p), col_mean)
     var_part = Partition(p)
-    for j in range(p):
-        mean_part.attach_new(j, float(col_mean[j]))
-        var_part.attach_new(j, float(col_var[j]))
+    var_part.set_slots([None] * p, np.arange(p), np.ones(p), col_var)
 
     samples = Partition(n)
     rho0 = hp.rho_a / (hp.rho_a + hp.rho_b)
@@ -121,12 +122,12 @@ def init_state(data, hp, cfg, rng):
     )
 
     if cfg.init_mode == ALL_ONE_CLUSTER:
-        cid = samples.attach_new(0, None)
+        cid = samples.attach_new(0)
         for i in range(1, n):
             samples.attach(i, cid)
         cids = [cid]
     else:
-        cids = [samples.attach_new(i, None) for i in range(n)]
+        cids = [samples.attach_new(i) for i in range(n)]
 
     for cid in cids:
         mean = ClusterMeanVector.all_spike(p)

@@ -197,8 +197,8 @@ def main(argv=None):
     if args.chains < 1:
         parser.error("--chains must be at least 1")
 
-    # Every setting is checked before data loads, so bad input is a usage
-    # error that leaves no output directory behind.
+    # Settings are checked before data loads and data before any sweep, so
+    # bad input is a usage error that leaves no output directory behind.
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}
         chain_kwargs, hp_overrides = _resolve(args, file_cfg)
@@ -211,20 +211,17 @@ def main(argv=None):
         Hyperparams(**{"base_mean": 0.0, "base_var": 1.0, **hp_overrides})
         if not 0.0 < args.threshold < 1.0:
             raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
+        data, source = _load_data(args, parser)
+        if args.preprocess:
+            data = preprocess_expression(data)
+        if args.standardize:
+            data = standardize_columns(data)
+        hp = default_hyperparams(data)
+        if hp_overrides:
+            base = {k: getattr(hp, k) for k in _HP_KEYS}
+            hp = Hyperparams(**{**base, **hp_overrides})
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-
-    data, source = _load_data(args, parser)
-    if args.preprocess:
-        data = preprocess_expression(data)
-    if args.standardize:
-        data = standardize_columns(data)
-
-    hp = default_hyperparams(data)
-    if hp_overrides:
-        base = {k: getattr(hp, k) for k in _HP_KEYS}
-        base.update(hp_overrides)
-        hp = Hyperparams(**base)
 
     try:
         if args.chains == 1:

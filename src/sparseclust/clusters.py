@@ -9,6 +9,8 @@ of those draws and their prior density Q0. From an empty partition it is the
 sequential proposal of a birth move; from a live one it is the inner Gibbs
 pass; without a generator it replays a given vector, bitwise equal to the
 proposal's own Q and Q0, which is how a death move scores the reverse birth.
+The walk seats components in slot lists of its own and writes the partition
+back once, at the end.
 
 While no inner cluster is live, a component weighs only SPIKE against a new
 cluster, with weights that no earlier seat changes, so the walk seats a run
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import LOG_2PI, SamplerAbort
-from .partition import DETACHED, SPIKE, Partition, crp_seat
+from .partition import SPIKE, Partition, crp_seat
 from .sparsity import draw_pi_entry, draw_pi_row
 
 _NEG_INF = float("-inf")
@@ -76,8 +78,7 @@ class ClusterMeanVector:
     @classmethod
     def all_spike(cls, p):
         out = cls(p)
-        for j in range(p):
-            out.inner.attach_spike(j)
+        out.inner.set_slots([], np.full(p, SPIKE), [], [])
         return out
 
     def mu(self):
@@ -85,15 +86,10 @@ class ClusterMeanVector:
         return self.inner.values_vector()
 
     def nonzero_count(self):
-        return sum(cl[0] for cl in self.inner.clusters.values())
+        return sum(self.inner.sizes())
 
     def inner_cluster_count(self):
         return self.inner.n_clusters()
-
-    def copy(self):
-        out = ClusterMeanVector.__new__(ClusterMeanVector)
-        out.inner = self.inner.copy()
-        return out
 
 
 @dataclass
@@ -114,10 +110,11 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
     N(0, slab_var)) log densities of the same seats and values, both on
     counting measure for partitions and Lebesgue measure for unique values.
 
-    With ``rng`` the seats and values are drawn into ``inner``: from an
-    all-detached partition this is the sequential proposal, from a live one
-    the inner Gibbs pass (whose caller ignores the two sums: there the later
-    components are still seated, so they are not densities of the result).
+    With ``rng`` the seats and values are drawn, then written into ``inner``
+    in one ``set_slots`` call: from an all-detached partition this is the
+    sequential proposal, from a live one the inner Gibbs pass (whose caller
+    ignores the two sums: there the later components are still seated, so
+    they are not densities of the result).
     Without ``rng`` the walk starts empty and replays the seats and values
     ``inner`` holds, leaving it untouched; the replay repeats the proposal's
     arithmetic, spike-run blocks included, so its log densities are bitwise
@@ -153,43 +150,49 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
     precs = prec_arr.tolist()
     stats = (prec_arr * x_arr).tolist()
     inv_slab_var = 1.0 / slab_var
-    assignments = inner.assignments
     p = len(xs)
+    start = inner.labels.tolist()  # the seats the walk starts from or replays
+    seats = None if replay else inner.labels  # drawing: the drawn seats, as tags
+    if not replay:
+        seats.fill(SPIKE)  # the seat of every component not drawn off SPIKE
     run = None  # per-component terms of a spike run, built on first use
 
     # Parallel slot lists, one slot per live inner cluster in creation order:
-    # its cid, member count, summed member precision and summed statistic.
-    cids = [] if replay else list(inner.clusters)
-    slot_of = {c: t for t, c in enumerate(cids)}
-    counts = [inner.size_of(c) for c in cids]
-    sprec = [0.0] * len(cids)
-    sstat = [0.0] * len(cids)
-    if cids:
-        for j, a in enumerate(assignments):
+    # its tag, member count, summed member precision and summed statistic.
+    # A cluster's tag is its slot in ``inner`` (drawing, for the clusters
+    # live at the start; replaying, for every cluster) or, for a cluster the
+    # drawing walk opens, the next number after those.
+    k_start = 0 if replay else inner.n_clusters()
+    tags = list(range(k_start))
+    slot_of = {t: t for t in tags}
+    counts = inner.sizes() if k_start else []
+    sprec = [0.0] * k_start
+    sstat = [0.0] * k_start
+    if k_start:
+        # Sequential sums in component order keep the stream.
+        for j, a in enumerate(start):
             if a >= 0:
-                t = slot_of[a]
-                sprec[t] += precs[j]
-                sstat[t] += stats[j]
+                sprec[a] += precs[j]
+                sstat[a] += stats[j]
     m_total = sum(counts)
+    next_tag = k_start
 
     log_q = 0.0
     log_q0 = 0.0
     j = 0
     while j < p:
-        a = assignments[j]
-        if not replay and a != DETACHED:
-            inner.detach(j)
-            if a != SPIKE:
-                t = slot_of[a]
-                m_total -= 1
-                if counts[t] == 1:
-                    for lst in (cids, counts, sprec, sstat):
-                        del lst[t]
-                    slot_of = {c: s for s, c in enumerate(cids)}
-                else:
-                    counts[t] -= 1
-                    sprec[t] -= precs[j]
-                    sstat[t] -= stats[j]
+        a = start[j]
+        if not replay and a >= 0:
+            t = slot_of[a]
+            m_total -= 1
+            if counts[t] == 1:
+                for lst in (tags, counts, sprec, sstat):
+                    del lst[t]
+                slot_of = {c: s for s, c in enumerate(tags)}
+            else:
+                counts[t] -= 1
+                sprec[t] -= precs[j]
+                sstat[t] -= stats[j]
 
         log_denom = math.log(conc_inner + m_total)
         k = len(counts)
@@ -197,16 +200,13 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
             # A spike run: see the module docstring.
             if run is None:
                 run = _spike_run_terms(spike_arr, new_arr - log_denom)
-            stop = _spike_run_stop(j, run, assignments, rng)
+            stop = _spike_run_stop(j, run, inner.labels, rng)
             log_q += float(np.add.reduce(run[2][j:stop]))
             log_q0 += float(np.add.reduce(log_spike_arr[j:stop]))
-            if not replay:
-                # Moving items between DETACHED and SPIKE changes no cluster.
-                assignments[j:stop + 1] = [SPIKE] * (stop - j) + [DETACHED] * (stop < p)
             if stop == p:
                 break
             j = stop
-            a = assignments[j]
+            a = start[j]
             choice = 1
             log_q += run[3][j]
         else:
@@ -228,8 +228,6 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
 
         if choice == 0:
             log_q0 += log_spike[j]
-            if not replay:
-                inner.attach_spike(j)
             j += 1
             continue
         lsj = log_s[j]
@@ -241,38 +239,49 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
             sprec[t] += precs[j]
             sstat[t] += stats[j]
             if not replay:
-                inner.attach(j, cids[t])
+                seats[j] = tags[t]
         else:
             log_q0 += lsj + log_conc - log_denom
             if not replay:
-                a = inner.attach_new(j, 0.0)
+                a = seats[j] = next_tag
+                next_tag += 1
             slot_of[a] = k
-            cids.append(a)
+            tags.append(a)
             counts.append(1)
             sprec.append(precs[j])
             sstat.append(stats[j])
         j += 1
 
-    if cids:
+    values = []
+    if tags:
         # Posterior of each inner value, recomputed from scratch over its
         # members in component order to avoid accumulated float drift.
-        post_prec = [inv_slab_var] * len(cids)
-        post_stat = [0.0] * len(cids)
-        for j, a in enumerate(assignments):
+        post_prec = [inv_slab_var] * len(tags)
+        post_stat = [0.0] * len(tags)
+        for j, a in enumerate(start if replay else seats.tolist()):
             if a >= 0:
                 t = slot_of[a]
                 post_prec[t] += precs[j]
                 post_stat[t] += stats[j]
-        for t, c in enumerate(cids):
+        for t, c in enumerate(tags):
             var = 1.0 / post_prec[t]
             u_post = post_stat[t] / post_prec[t]
             if replay:
-                val = inner.value_of(c)
+                val = float(inner.values[c])
             else:
                 val = u_post + math.sqrt(var) * rng.standard_normal()
-                inner.set_value(c, val)
+            values.append(val)
             log_q += _ln_norm(val, u_post, var)
             log_q0 += _ln_norm(val, 0.0, slab_var)
+    if not replay:
+        if tags and tags[-1] != len(tags) - 1:
+            # A cluster emptied during the walk (tags increase, so only then
+            # do they skip a number): tags to slots.
+            slot = np.zeros(tags[-1] + 1, dtype=np.intp)
+            slot[tags] = np.arange(len(tags))
+            seats = np.where(seats >= 0, slot[seats], SPIKE)
+        ids = inner.cluster_ids()
+        inner.set_slots([ids[c] if c < k_start else None for c in tags], seats, counts, values)
     return log_q, log_q0
 
 
@@ -288,15 +297,16 @@ def _spike_run_terms(w_spike, w_new):
     return e_spike, tot, w_spike - lse, w_new - lse
 
 
-def _spike_run_stop(j, run, assignments, rng):
-    """The first component at or after j seated off SPIKE (len(assignments)
-    if none). Drawing, it seats component i on SPIKE when ``u_i * total_i <=
-    spike_i``, the scalar draw's rule, then restores the generator and draws
-    again just the uniforms the run used: that leaves any bit generator
-    where one uniform per component would."""
-    p = len(assignments)
+def _spike_run_stop(j, run, labels, rng):
+    """The first component at or after j seated off SPIKE (len(labels) if
+    none); replaying, the seats are ``labels``. Drawing, it seats component
+    i on SPIKE when ``u_i * total_i <= spike_i``, the scalar draw's rule,
+    then restores the generator and draws again just the uniforms the run
+    used: that leaves any bit generator where one uniform per component
+    would."""
+    p = len(labels)
     if rng is None:
-        off = np.asarray(assignments[j:]) != SPIKE
+        off = labels[j:] != SPIKE
     else:
         saved = rng.bit_generator.state
         off = rng.random(p - j) * run[1][j:] > run[0][j:]
@@ -386,7 +396,7 @@ def mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq):
     vectors, which no move of this step changes.
     """
     cid = state.samples.cluster_of(i)
-    if state.samples.size_of(cid) <= 1:
+    if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
     y_i = data.y[i]
@@ -403,7 +413,7 @@ def mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq):
     accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if accepted:
         state.samples.detach(i)
-        new_cid = state.samples.attach_new(i, None)
+        new_cid = state.samples.attach_new(i)
         state.cluster_means[new_cid] = mean_new
         state.incl_prob[new_cid] = draw_pi_row(mean_new, state.attr_prob, hp, rng)
         state.cluster_data_sum[cid] = state.cluster_data_sum[cid] - y_i
@@ -418,10 +428,13 @@ def mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq):
 def mh_death_move(state, data, hp, i, rng, mu_base, sigma_sq):
     """Propose absorbing a singleton sample into an existing cluster."""
     cid = state.samples.cluster_of(i)
-    if state.samples.size_of(cid) != 1:
+    if state.samples.cluster_size(i) != 1:
         raise RuntimeError(f"sample {i} is not a singleton; death move not applicable")
 
-    others = [(c, cl[0]) for c, cl in state.samples.clusters.items() if c != cid]
+    others = [
+        (c, cnt) for c, cnt in zip(state.samples.cluster_ids(), state.samples.sizes())
+        if c != cid
+    ]
     u = rng.random() * (data.n - 1)
     acc = 0.0
     target = others[-1][0]
@@ -464,14 +477,12 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
     ``col_order[t]``, i.e. row i of ``loglik_matrix``.
     """
     cid = state.samples.cluster_of(i)
-    if state.samples.size_of(cid) <= 1:
+    if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; Gibbs reassignment skipped")
     state.samples.detach(i)
 
-    logw = [
-        math.log(state.samples.size_of(c)) + loglik_row[t]
-        for t, c in enumerate(col_order)
-    ]
+    size = dict(zip(state.samples.cluster_ids(), state.samples.sizes()))
+    logw = [math.log(size[c]) + loglik_row[t] for t, c in enumerate(col_order)]
     choice, _lse = _pick_with_lse(logw, rng)
     new_cid = col_order[choice]
     state.samples.attach(i, new_cid)
@@ -493,13 +504,13 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq):
     n_count = state.samples.size_of(cid)
     x = state.cluster_data_sum[cid] / n_count - mu_base
     inner = state.cluster_means[cid].inner
-    was_spike = [a == SPIKE for a in inner.assignments]
+    was_spike = inner.spike_mask()
     _scan_components(inner, x, n_count, sigma_sq, state, hp, rng)
 
     row = state.incl_prob[cid]
-    for j, a in enumerate(inner.assignments):
-        if (a == SPIKE) != was_spike[j]:
-            row[j] = draw_pi_entry(a == SPIKE, float(state.attr_prob[j]), hp, rng)
+    is_spike = inner.spike_mask()
+    for j in np.flatnonzero(is_spike != was_spike).tolist():
+        row[j] = draw_pi_entry(bool(is_spike[j]), float(state.attr_prob[j]), hp, rng)
     return state.cluster_means[cid]
 
 
@@ -510,20 +521,18 @@ def step_clusters(state, data, hp, rng):
     sigma_sq = state.var_part.values_vector()
 
     for i in range(data.n):
-        cid = state.samples.cluster_of(i)
-        if state.samples.size_of(cid) > 1:
+        if state.samples.cluster_size(i) > 1:
             mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq)
         else:
             mh_death_move(state, data, hp, i, rng, mu_base, sigma_sq)
 
     # The cluster set is fixed during the reassignment pass, so the
     # per-cluster log likelihood matrix can be computed once.
-    col_order = list(state.samples.clusters.keys())
+    col_order = state.samples.cluster_ids()
     loglik = loglik_matrix(state, data, col_order, mu_base, sigma_sq)
     for i in range(data.n):
-        cid = state.samples.cluster_of(i)
-        if state.samples.size_of(cid) > 1:
+        if state.samples.cluster_size(i) > 1:
             gibbs_reassign(state, data, hp, i, rng, loglik[i], col_order)
 
-    for cid in list(state.samples.clusters.keys()):
+    for cid in state.samples.cluster_ids():
         gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq)

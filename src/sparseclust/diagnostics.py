@@ -26,8 +26,9 @@ def state_statistics(state):
     k = state.samples.n_clusters()
     ssq = 0.0
     for mean in state.cluster_means.values():
-        for cl in mean.inner.clusters.values():
-            ssq += cl[0] * cl[1] * cl[1]
+        # Summed in order, one value at a time; a numpy reduction rounds differently.
+        for count, v in zip(mean.inner.sizes(), mean.inner.values.tolist()):
+            ssq += count * v * v
     return (
         float(k),
         float(state.mean_part.n_clusters()),
@@ -96,7 +97,7 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     sigma_sq = state.var_part.values_vector()
     eligible = [
         i for i in range(data.n)
-        if state.samples.size_of(state.samples.cluster_of(i)) > 1
+        if state.samples.cluster_size(i) > 1
     ]
     if not eligible:
         raise ValueError("no non-singleton samples to attempt births from")

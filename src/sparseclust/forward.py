@@ -53,11 +53,11 @@ def draw_state_from_prior(n, p, hp, rng):
     var_part = _crp_partition(
         p, conc_var, rng, lambda: hp.var_rate / rng.gamma(hp.var_shape),
     )
-    samples = _crp_partition(n, conc_samples, rng, lambda: None)
+    samples = _crp_partition(n, conc_samples, rng, lambda: 0.0)
 
     cluster_means = {}
     incl_prob = {}
-    for cid in samples.clusters:
+    for cid in samples.cluster_ids():
         pi_row, mean = draw_cluster_mean_from_prior(
             p, attr_prob, hp, slab_var, conc_inner, rng
         )

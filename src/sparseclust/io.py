@@ -5,6 +5,7 @@ files round-trip float64 values exactly.
 """
 
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -40,11 +41,13 @@ def load_csv(path):
             vals = []
             for c, cell in enumerate(rec, start=1):
                 try:
-                    vals.append(float(cell))
+                    v = float(cell)
                 except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric cell {cell!r} at row {r}, column {c}"
-                    ) from None
+                    v = None
+                if v is None or not math.isfinite(v):
+                    kind = "non-numeric" if v is None else "non-finite"
+                    raise CsvFormatError(f"{path}: {kind} cell {cell!r} at row {r}, column {c}")
+                vals.append(v)
             rows.append(vals)
     if len(rows) < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows, found {len(rows)}")

@@ -1,11 +1,12 @@
 """Domain types: data matrix, hyperparameters, and the full latent state."""
 
+import copy
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .clusters import ClusterMeanVector
-from .partition import SPIKE, Partition
+from .partition import Partition
 
 
 class DegenerateDataError(ValueError):
@@ -25,7 +26,7 @@ class DataMatrix:
             raise ValueError(f"need at least 2 samples and 1 attribute, got {y.shape}")
         if not np.all(np.isfinite(y)):
             bad = np.argwhere(~np.isfinite(y))[0]
-            raise ValueError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
+            raise ValueError(f"non-finite entry y[{bad[0]}, {bad[1]}] (0-based)")
         if names is not None and len(names) != y.shape[1]:
             raise ValueError("names length does not match attribute count")
         self.y = y
@@ -88,36 +89,32 @@ def default_hyperparams(data):
     return Hyperparams(base_mean=grand, base_var=spread)
 
 
+_PARTITIONS = ("mean_part", "var_part", "samples")
+_SCALARS = ("slab_var", "conc_samples", "conc_mean", "conc_var", "conc_inner")
+
+
+@dataclass(eq=False, slots=True)
 class ModelState:
     """Complete latent state of one chain.
 
     mean_part / var_part partition the attributes and carry the baseline
-    means / variances as cluster payloads. ``samples`` partitions the
+    means / variances as cluster values. ``samples`` partitions the
     samples; per live sample-cluster id there is a ClusterMeanVector, an
     inclusion-probability row, and a cached column sum of the member rows.
     """
 
-    __slots__ = (
-        "mean_part", "var_part", "samples", "cluster_means", "incl_prob",
-        "cluster_data_sum", "attr_prob", "slab_var",
-        "conc_samples", "conc_mean", "conc_var", "conc_inner",
-    )
-
-    def __init__(self, mean_part, var_part, samples, cluster_means, incl_prob,
-                 cluster_data_sum, attr_prob, slab_var,
-                 conc_samples, conc_mean, conc_var, conc_inner):
-        self.mean_part = mean_part
-        self.var_part = var_part
-        self.samples = samples
-        self.cluster_means = cluster_means
-        self.incl_prob = incl_prob
-        self.cluster_data_sum = cluster_data_sum
-        self.attr_prob = attr_prob
-        self.slab_var = slab_var
-        self.conc_samples = conc_samples
-        self.conc_mean = conc_mean
-        self.conc_var = conc_var
-        self.conc_inner = conc_inner
+    mean_part: Partition
+    var_part: Partition
+    samples: Partition
+    cluster_means: dict
+    incl_prob: dict
+    cluster_data_sum: dict
+    attr_prob: np.ndarray
+    slab_var: float
+    conc_samples: float
+    conc_mean: float
+    conc_var: float
+    conc_inner: float
 
     @property
     def n(self):
@@ -132,13 +129,11 @@ class ModelState:
         self.mean_part.validate()
         self.var_part.validate()
         self.samples.validate()
-        for part in (self.mean_part, self.var_part):
-            if any(a == SPIKE for a in part.assignments):
-                raise AssertionError("baseline partitions must not contain spikes")
-        for cl in self.var_part.clusters.values():
-            if cl[1] <= 0.0:
-                raise AssertionError(f"non-positive baseline variance {cl[1]}")
-        live = set(self.samples.clusters)
+        if self.mean_part.allow_spike or self.var_part.allow_spike:
+            raise AssertionError("baseline partitions must not admit spikes")
+        if (self.var_part.values <= 0.0).any():
+            raise AssertionError(f"non-positive baseline variance in {self.var_part.values}")
+        live = set(self.samples.cluster_ids())
         if set(self.cluster_means) != live or set(self.incl_prob) != live \
                 or set(self.cluster_data_sum) != live:
             raise AssertionError("per-cluster payload keys out of sync with live clusters")
@@ -150,14 +145,14 @@ class ModelState:
                 raise AssertionError("inclusion row has wrong shape")
             if np.any(row < 0.0) or np.any(row > 1.0):
                 raise AssertionError("inclusion probabilities outside [0,1]")
-            for j, a in enumerate(mean.inner.assignments):
-                if a != SPIKE and row[j] <= 0.0:
-                    raise AssertionError(
-                        f"nonzero mean component ({cid},{j}) with zero inclusion probability"
-                    )
+            bad = np.flatnonzero(~mean.inner.spike_mask() & (row <= 0.0))
+            if bad.size:
+                raise AssertionError(
+                    f"nonzero mean component ({cid},{bad[0]}) with zero inclusion probability"
+                )
         if np.any(self.attr_prob <= 0.0) or np.any(self.attr_prob >= 1.0):
             raise AssertionError("attribute propensities must lie strictly inside (0,1)")
-        for name in ("slab_var", "conc_samples", "conc_mean", "conc_var", "conc_inner"):
+        for name in _SCALARS:
             v = getattr(self, name)
             if not (v > 0.0 and np.isfinite(v)):
                 raise AssertionError(f"{name} must be positive and finite, got {v}")
@@ -170,58 +165,31 @@ class ModelState:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self):
-        def part(p):
-            return {
-                "n_items": p.n_items,
-                "allow_spike": p.allow_spike,
-                "assignments": list(p.assignments),
-                "clusters": [[cid, cl[0], cl[1]] for cid, cl in p.clusters.items()],
-                "next_id": p._next_id,
-            }
-
+        """The state as plain lists, dicts and numbers (JSON-serializable)."""
         return {
-            "mean_part": part(self.mean_part),
-            "var_part": part(self.var_part),
-            "samples": part(self.samples),
-            "cluster_means": {str(cid): part(m.inner) for cid, m in self.cluster_means.items()},
-            "incl_prob": {str(cid): row.tolist() for cid, row in self.incl_prob.items()},
-            "cluster_data_sum": {str(cid): v.tolist() for cid, v in self.cluster_data_sum.items()},
+            **{name: getattr(self, name).to_dict() for name in _PARTITIONS},
+            "cluster_means": {str(c): m.inner.to_dict() for c, m in self.cluster_means.items()},
+            "incl_prob": {str(c): row.tolist() for c, row in self.incl_prob.items()},
+            "cluster_data_sum": {str(c): v.tolist() for c, v in self.cluster_data_sum.items()},
             "attr_prob": self.attr_prob.tolist(),
-            "slab_var": self.slab_var,
-            "conc_samples": self.conc_samples,
-            "conc_mean": self.conc_mean,
-            "conc_var": self.conc_var,
-            "conc_inner": self.conc_inner,
+            **{name: getattr(self, name) for name in _SCALARS},
         }
 
     @classmethod
     def from_dict(cls, d):
-        def part(pd):
-            p = Partition(pd["n_items"], pd["allow_spike"])
-            p.assignments = list(pd["assignments"])
-            p.clusters = {cid: [cnt, val] for cid, cnt, val in pd["clusters"]}
-            p._next_id = pd["next_id"]
-            return p
-
         means = {}
         for cid, pd in d["cluster_means"].items():
             m = ClusterMeanVector.__new__(ClusterMeanVector)
-            m.inner = part(pd)
+            m.inner = Partition.from_dict(pd)
             means[int(cid)] = m
         return cls(
-            mean_part=part(d["mean_part"]),
-            var_part=part(d["var_part"]),
-            samples=part(d["samples"]),
+            **{name: Partition.from_dict(d[name]) for name in _PARTITIONS},
             cluster_means=means,
             incl_prob={int(c): np.array(v) for c, v in d["incl_prob"].items()},
             cluster_data_sum={int(c): np.array(v) for c, v in d["cluster_data_sum"].items()},
             attr_prob=np.array(d["attr_prob"]),
-            slab_var=d["slab_var"],
-            conc_samples=d["conc_samples"],
-            conc_mean=d["conc_mean"],
-            conc_var=d["conc_var"],
-            conc_inner=d["conc_inner"],
+            **{name: d[name] for name in _SCALARS},
         )
 
     def copy(self):
-        return ModelState.from_dict(self.to_dict())
+        return copy.deepcopy(self)

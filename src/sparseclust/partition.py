@@ -4,131 +4,151 @@ One structure serves four roles: sample clusters, baseline-mean clusters,
 baseline-variance clusters, and the inner partition of each cluster mean
 vector (which additionally admits a SPIKE state meaning "exactly zero").
 
-Cluster ids are stable handles, not contiguous integers; contiguous labels
-are produced only when a trace is recorded (see ``canonical``).
+The stored form is a set of slot arrays. The live clusters occupy slots
+0..K-1 in creation order; per slot, ``counts`` holds its member count,
+``values`` its value (0.0 where a role has none) and ``ids`` its stable id.
+Ids grow with creation, so slot order is id order. Per item, ``labels``
+holds its slot, SPIKE (-1) or DETACHED (-2, between a detach and an
+attach). When a cluster empties, its slot goes and later slots move down
+one. The rest of the state keys per-cluster payloads by id; contiguous
+labels are produced only when a trace is recorded (see ``canonical``).
 """
 
+import bisect
 import math
 
 import numpy as np
 
-# Sentinels stored in ``assignments``. SPIKE marks a zero component in an
-# inner mean partition; DETACHED marks an item between detach and attach.
+# Labels that are not slots. SPIKE marks a zero component in an inner mean
+# partition; DETACHED marks an item between detach and attach.
 SPIKE = -1
 DETACHED = -2
 
 
 class Partition:
-    __slots__ = ("n_items", "allow_spike", "assignments", "clusters", "_next_id")
+    __slots__ = ("n_items", "allow_spike", "labels", "counts", "values", "ids", "_next_id")
 
     def __init__(self, n_items, allow_spike=False):
         self.n_items = n_items
         self.allow_spike = allow_spike
-        self.assignments = [DETACHED] * n_items
-        self.clusters = {}  # cid -> [count, value]
+        self.labels = np.empty(n_items, dtype=np.intp)
+        self.labels.fill(DETACHED)
+        self.counts = np.empty(0, dtype=np.intp)
+        self.values = np.empty(0)
+        self.ids = np.empty(0, dtype=np.int64)
         self._next_id = 0
+
+    # Per-item methods read single entries with ``item``, which returns a
+    # Python number without building a numpy scalar.
+
+    def _slot(self, cid):
+        s = bisect.bisect_left(self.ids, cid)  # ids increase with slot
+        if s == len(self.ids) or self.ids.item(s) != cid:
+            raise RuntimeError(f"cluster {cid} is not live")
+        return s
+
+    def _seat(self, item, s):
+        if self.labels.item(item) != DETACHED:
+            raise RuntimeError(f"item {item} is already assigned")
+        self.labels[item] = s
 
     # -- mutation ---------------------------------------------------------
 
     def detach(self, item):
         """Remove an item from its cluster, deleting the cluster if emptied.
 
-        Returns the previous assignment (cid or SPIKE). The partition itself
-        is the view of the remaining counts and payloads.
+        Returns the previous assignment (cid or SPIKE).
         """
-        cid = self.assignments[item]
-        if cid == DETACHED:
+        s = self.labels.item(item)
+        if s == DETACHED:
             raise RuntimeError(f"item {item} is not assigned")
-        if cid != SPIKE:
-            cl = self.clusters[cid]
-            cl[0] -= 1
-            if cl[0] == 0:
-                del self.clusters[cid]
-        self.assignments[item] = DETACHED
+        self.labels[item] = DETACHED
+        if s == SPIKE:
+            return SPIKE
+        cid = self.ids.item(s)
+        count = self.counts.item(s) - 1
+        self.counts[s] = count
+        if count == 0:
+            self.counts = np.delete(self.counts, s)
+            self.values = np.delete(self.values, s)
+            self.ids = np.delete(self.ids, s)
+            self.labels[self.labels > s] -= 1
         return cid
 
     def attach(self, item, cid):
         """Attach a detached item to a live cluster."""
-        if self.assignments[item] != DETACHED:
-            raise RuntimeError(f"item {item} is already assigned")
-        cl = self.clusters.get(cid)
-        if cl is None:
-            raise RuntimeError(f"cluster {cid} is not live")
-        cl[0] += 1
-        self.assignments[item] = cid
+        s = self._slot(cid)
+        self._seat(item, s)
+        self.counts[s] = self.counts.item(s) + 1
 
-    def attach_new(self, item, value):
-        """Attach a detached item to a fresh singleton cluster with payload."""
-        if self.assignments[item] != DETACHED:
-            raise RuntimeError(f"item {item} is already assigned")
+    def attach_new(self, item, value=0.0):
+        """Attach a detached item to a fresh singleton cluster with a value."""
+        self._seat(item, len(self.counts))
         cid = self._next_id
         self._next_id += 1
-        self.clusters[cid] = [1, value]
-        self.assignments[item] = cid
+        self.counts = np.append(self.counts, 1)
+        self.values = np.append(self.values, value)
+        self.ids = np.append(self.ids, cid)
         return cid
 
     def attach_spike(self, item):
         if not self.allow_spike:
             raise RuntimeError("partition does not admit SPIKE assignments")
-        if self.assignments[item] != DETACHED:
-            raise RuntimeError(f"item {item} is already assigned")
-        self.assignments[item] = SPIKE
+        self._seat(item, SPIKE)
+
+    def set_slots(self, ids, labels, counts, values):
+        """Replace the whole partition by slot arrays, slots in creation
+        order; a None id marks a new cluster, which takes the next id. An
+        array argument of the stored dtype is kept, not copied."""
+        ids = list(ids)
+        for t, cid in enumerate(ids):
+            if cid is None:
+                ids[t] = self._next_id
+                self._next_id += 1
+        self.ids = np.array(ids, dtype=np.int64)
+        self.labels = np.asarray(labels, dtype=np.intp)
+        self.counts = np.asarray(counts, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
 
     # -- queries ----------------------------------------------------------
 
     def cluster_of(self, item):
-        return self.assignments[item]
+        """The id of the item's cluster, or SPIKE / DETACHED."""
+        s = self.labels.item(item)
+        return self.ids.item(s) if s >= 0 else s
 
     def size_of(self, cid):
-        return self.clusters[cid][0]
+        return self.counts.item(self._slot(cid))
 
-    def value_of(self, cid):
-        return self.clusters[cid][1]
-
-    def set_value(self, cid, value):
-        self.clusters[cid][1] = value
+    def cluster_size(self, item):
+        """Member count of the item's cluster."""
+        return self.counts.item(self.labels.item(item))
 
     def n_clusters(self):
-        return len(self.clusters)
+        return len(self.counts)
+
+    def cluster_ids(self):
+        """Live cluster ids in creation order."""
+        return self.ids.tolist()
 
     def sizes(self):
-        return [cl[0] for cl in self.clusters.values()]
+        """Member counts in creation order."""
+        return self.counts.tolist()
+
+    def spike_mask(self):
+        return self.labels == SPIKE
 
     def members(self):
-        """Bucket items by cluster id (spike/detached items are skipped)."""
-        out = {cid: [] for cid in self.clusters}
-        for item, cid in enumerate(self.assignments):
-            if cid >= 0:
-                out[cid].append(item)
-        return out
+        """Items of each live cluster, by id in creation order (SPIKE and
+        DETACHED items are skipped). Items are in ascending order, the order
+        data rows are summed in; another order would change the stream."""
+        order = np.argsort(self.labels, kind="stable")
+        seated = order[self.n_items - int(self.counts.sum()):]  # other labels sort first
+        return dict(zip(self.cluster_ids(), np.split(seated, np.cumsum(self.counts)[:-1])))
 
     def values_vector(self):
-        """Per-item payload value; SPIKE items contribute exactly 0.0."""
-        clusters = self.clusters
-        return np.array([
-            0.0 if cid == SPIKE else clusters[cid][1] for cid in self.assignments
-        ])
-
-    def slots(self):
-        """Creation-ordered slot view of a partition with every item in a
-        cluster: (cids, labels), where slot t is the t-th live cluster,
-        cids[t] its id and labels[item] the item's slot."""
-        cids = list(self.clusters)
-        slot_of = {cid: t for t, cid in enumerate(cids)}
-        return cids, np.array([slot_of[cid] for cid in self.assignments], dtype=np.intp)
-
-    def set_slots(self, cids, counts, labels, values):
-        """Replace the whole partition by a slot view with one value per
-        slot; None cids (new clusters) get the next ids in slot order."""
-        cids = list(cids)
-        for t, cid in enumerate(cids):
-            if cid is None:
-                cids[t] = self._next_id
-                self._next_id += 1
-        self.assignments = [cids[t] for t in labels.tolist()]
-        self.clusters = {
-            cid: [n, v] for cid, n, v in zip(cids, counts.tolist(), values.tolist())
-        }
+        """Per-item value; SPIKE items contribute exactly 0.0."""
+        return np.concatenate((self.values, (0.0,)))[self.labels]  # SPIKE reads the 0.0
 
     def canonical(self):
         """Contiguous labels in order of first appearance.
@@ -136,47 +156,47 @@ class Partition:
         Returns (labels, cid_order) where labels[i] is the 0-based label of
         item i (SPIKE stays -1) and cid_order lists the cid for each label.
         """
-        labels = np.empty(self.n_items, dtype=np.int64)
-        order = []
-        seen = {}
-        for item, cid in enumerate(self.assignments):
-            if cid == SPIKE:
-                labels[item] = -1
-                continue
-            if cid not in seen:
-                seen[cid] = len(order)
-                order.append(cid)
-            labels[item] = seen[cid]
-        return labels, order
+        seated = self.labels >= 0
+        slots, first = np.unique(self.labels[seated], return_index=True)
+        order = slots[np.argsort(first)]
+        rank = np.empty(len(self.counts), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        labels = np.full(self.n_items, -1, dtype=np.int64)
+        labels[seated] = rank[self.labels[seated]]
+        return labels, self.ids[order].tolist()
 
     def validate(self):
         """Check the structural invariants; raises AssertionError on failure."""
-        tally = {}
-        for item, cid in enumerate(self.assignments):
-            if cid == DETACHED:
-                raise AssertionError(f"item {item} left detached")
-            if cid == SPIKE:
-                if not self.allow_spike:
-                    raise AssertionError(f"item {item} marked SPIKE in a no-spike partition")
-                continue
-            if cid not in self.clusters:
-                raise AssertionError(f"item {item} references dead cluster {cid}")
-            tally[cid] = tally.get(cid, 0) + 1
-        for cid, cl in self.clusters.items():
-            if cl[0] <= 0:
-                raise AssertionError(f"cluster {cid} persists with count {cl[0]}")
-            if tally.get(cid, 0) != cl[0]:
-                raise AssertionError(
-                    f"cluster {cid} count {cl[0]} != membership {tally.get(cid, 0)}"
-                )
-            if cl[1] is not None and not np.all(np.isfinite(cl[1])):
-                raise AssertionError(f"cluster {cid} has non-finite payload")
+        labels, k = self.labels, len(self.counts)
+        if labels.shape != (self.n_items,) or len(self.values) != k or len(self.ids) != k:
+            raise AssertionError("slot arrays out of shape")
+        lowest = SPIKE if self.allow_spike else 0
+        bad = np.flatnonzero((labels < lowest) | (labels >= k))
+        if bad.size:
+            raise AssertionError(f"item {bad[0]} has label {labels[bad[0]]} with {k} slots")
+        tally = np.bincount(labels[labels >= 0], minlength=k)
+        if (self.counts <= 0).any() or (tally != self.counts).any():
+            raise AssertionError(f"counts {self.counts} != memberships {tally}")
+        if not np.isfinite(self.values).all():
+            raise AssertionError("non-finite cluster value")
+        if k and not (0 <= self.ids[0] and (np.diff(self.ids) > 0).all()
+                      and self.ids[-1] < self._next_id):
+            raise AssertionError(f"ids {self.ids} not increasing below {self._next_id}")
 
-    def copy(self):
-        out = Partition(self.n_items, self.allow_spike)
-        out.assignments = list(self.assignments)
-        out.clusters = {cid: [cl[0], cl[1]] for cid, cl in self.clusters.items()}
-        out._next_id = self._next_id
+    # -- serialization ----------------------------------------------------
+
+    def to_dict(self):
+        arrays = ("labels", "counts", "values", "ids")
+        return {
+            "n_items": self.n_items, "allow_spike": self.allow_spike, "next_id": self._next_id,
+            **{name: getattr(self, name).tolist() for name in arrays},
+        }
+
+    @classmethod
+    def from_dict(cls, d):
+        out = cls(d["n_items"], d["allow_spike"])
+        out.set_slots(d["ids"], d["labels"], d["counts"], d["values"])
+        out._next_id = d["next_id"]
         return out
 
 
@@ -188,13 +208,10 @@ def crp_seat(part, conc, rng):
     uniform and visits clusters in creation order, so a fixed stream gives a
     fixed partition.
     """
-    u = rng.random() * (conc + sum(cl[0] for cl in part.clusters.values()))
-    acc = 0.0
-    for cid, cl in part.clusters.items():
-        acc += cl[0]
-        if u <= acc:
-            return cid
-    return None
+    cum = np.cumsum(part.counts)
+    u = rng.random() * (conc + (int(cum[-1]) if len(cum) else 0))
+    t = int(cum.searchsorted(u))  # the first slot whose cumulative count reaches u
+    return int(part.ids[t]) if t < len(cum) else None
 
 
 def crp_log_prob(sizes, conc):

@@ -8,7 +8,6 @@ variance (``slab_var``).
 import numpy as np
 
 from .densities import draw_inv_gamma
-from .partition import SPIKE
 
 
 def spike_zero_weight(rho, slab_a, slab_b):
@@ -35,9 +34,7 @@ def draw_pi_entry(mu_is_zero, rho_j, hp, rng):
 def draw_pi_row(mean, attr_prob, hp, rng):
     """Vectorized draw of a whole inclusion-probability row for one cluster."""
     p = mean.inner.n_items
-    zero = np.fromiter(
-        (mean.inner.assignments[j] == SPIKE for j in range(p)), dtype=bool, count=p
-    )
+    zero = mean.inner.spike_mask()
     row = np.empty(p)
     n_nonzero = int(p - zero.sum())
     if n_nonzero:
@@ -53,7 +50,7 @@ def draw_pi_row(mean, attr_prob, hp, rng):
 
 def step_pi(state, hp, rng):
     """Refresh the full inclusion-probability matrix (one sweep of step 3)."""
-    for cid in state.samples.clusters:
+    for cid in state.samples.cluster_ids():
         state.incl_prob[cid] = draw_pi_row(state.cluster_means[cid], state.attr_prob, hp, rng)
 
 
@@ -62,7 +59,7 @@ def step_rho(state, hp, rng):
     k_live = state.samples.n_clusters()
     p = state.attr_prob.shape[0]
     n_active = np.zeros(p)
-    for cid in state.samples.clusters:
+    for cid in state.samples.cluster_ids():
         n_active += state.incl_prob[cid] > 0.0
     state.attr_prob = rng.beta(hp.rho_a + n_active, hp.rho_b + k_live - n_active)
 
@@ -75,9 +72,10 @@ def update_eta_sq(state, hp, rng):
     """
     n_unique = 0
     ssq = 0.0
-    for cid in state.samples.clusters:
-        for cl in state.cluster_means[cid].inner.clusters.values():
+    for cid in state.samples.cluster_ids():
+        # A sequential sum keeps the stream; a numpy reduction rounds differently.
+        for v in state.cluster_means[cid].inner.values.tolist():
             n_unique += 1
-            ssq += cl[1] * cl[1]
+            ssq += v * v
     state.slab_var = draw_inv_gamma(hp.eta_shape + 0.5 * n_unique, hp.eta_rate + 0.5 * ssq, rng)
     return state.slab_var

@@ -63,7 +63,7 @@ def manual_state(y, sigma_sq, mean_values=None, mean_groups=None, hp=None,
         var_part.attach_new(j, float(sigma_sq[j]))
 
     samples = Partition(n)
-    cid = samples.attach_new(0, None)
+    cid = samples.attach_new(0)
     for i in range(1, n):
         samples.attach(i, cid)
 

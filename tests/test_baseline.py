@@ -15,10 +15,10 @@ mpmath.mp.dps = 40
 def _logits_after_detach(step, part, j):
     """Attribute j's log weights (live clusters in creation order, then a new
     cluster) with j detached, from the step's own logit function."""
-    cids, labels = part.slots()
+    labels, k = part.labels, part.n_clusters()
     others = np.arange(len(labels)) != j
-    counts = np.bincount(labels[others], minlength=len(cids))
-    stats = np.zeros(len(cids), dtype=step.items.dtype)
+    counts = np.bincount(labels[others], minlength=k)
+    stats = np.zeros(k, dtype=step.items.dtype)
     np.add.at(stats, labels[others], step.items[others])
     live = counts > 0
     return np.append(step.logits(j, counts[live], stats[live]), step.new_logw[j])
@@ -33,8 +33,7 @@ def _var_logits_after_detach(state, data, hp, j):
 
 
 def _slot_view_values(step, part, rng):
-    _cids, labels = part.slots()
-    return step.values(labels, np.bincount(labels), rng)
+    return step.values(part.labels, part.counts, rng)
 
 
 def test_single_attribute_always_own_cluster():

@@ -35,6 +35,9 @@ def test_config_validation():
         ChainConfig(init_mode="nope")
     with pytest.raises(ValueError):  # would record no sweep at all
         ChainConfig(iterations=10, burn_in=5, thin=6)
+    with pytest.raises(ValueError, match="seed"):  # numpy rejects negative seeds
+        ChainConfig(seed=-1)
+    ChainConfig(seed=0)
     ChainConfig(iterations=10, burn_in=5, thin=5)
 
 
@@ -114,15 +117,15 @@ def test_record_labels_beyond_int16():
     n = 33_000
     samples = Partition(n)
     for i in range(n):
-        samples.attach_new(i, None)
+        samples.attach_new(i)
     mean_part = Partition(1)
     mean_part.attach_new(0, 0.0)
     var_part = Partition(1)
     var_part.attach_new(0, 1.0)
     state = ModelState(
         mean_part=mean_part, var_part=var_part, samples=samples,
-        cluster_means={cid: ClusterMeanVector.all_spike(1) for cid in samples.clusters},
-        incl_prob={cid: np.zeros(1) for cid in samples.clusters},
+        cluster_means={cid: ClusterMeanVector.all_spike(1) for cid in samples.cluster_ids()},
+        incl_prob={cid: np.zeros(1) for cid in samples.cluster_ids()},
         cluster_data_sum={}, attr_prob=np.full(1, 0.5), slab_var=1.0,
         conc_samples=1.0, conc_mean=1.0, conc_var=1.0, conc_inner=1.0,
     )

@@ -58,6 +58,46 @@ def test_threshold_outside_unit_interval_is_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+# name -> (CSV text or None for a missing file, extra flags, text on stderr)
+BAD_DATA = {
+    "missing_file": (None, [], "No such file"),
+    "non_numeric_cell": ("a,b\n1,2\n3,x\n", [], "non-numeric cell 'x' at row 3, column 2"),
+    "nan_cell": ("a,b\n1,2\n3,nan\n", [], "non-finite cell 'nan' at row 3, column 2"),
+    "inf_cell": ("a,b\ninf,2\n3,4\n", [], "non-finite cell 'inf' at row 2, column 1"),
+    "equal_attribute_means": ("a,b\n0,1\n1,0\n", [], "attribute means are all identical"),
+    "preprocess_drops_all": ("a,b\n1,2\n3,4\n", ["--preprocess"], "no attributes survive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATA))
+def test_bad_data_is_usage_error(tmp_path, capsys, case):
+    text, flags, message = BAD_DATA[case]
+    src = tmp_path / "in.csv"
+    if text is not None:
+        src.write_text(text)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        _run(["--data", str(src), "--iters", "6", "--burn-in", "2", *flags, "--out", str(out)])
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config", "flag_two_chains"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, where):
+    """Rejected with the settings, before data loads or a worker starts."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed=-1\n")
+    args = {"flag": ["--seed", "-1"], "config": ["--config", str(cfg)],
+            "flag_two_chains": ["--seed", "-1", "--chains", "2"]}[where]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as e:
+        _run(["--simulate", "ex3", "--iters", "6", "--burn-in", "2", *args, "--out", str(out)])
+    assert e.value.code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _bad_config_usage_error(tmp_path, capsys, line, key):
     """A --config file holding ``line`` exits 2 before data loads, names
     ``key`` on stderr and creates no output directory."""

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import mpmath
@@ -65,7 +66,7 @@ def _both_log_f(state, data, i, cid):
 def test_likelihood_at_mode_single_attribute():
     state, data, hp = manual_state(np.array([[0.7], [0.7]]), sigma_sq=[0.25],
                                    mean_values=[0.2])
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     state.cluster_means[cid] = _mk_mean(1, [[0]], [0.5])  # y = mu_j + mu_cj exactly
     want = -0.5 * math.log(2 * math.pi * 0.25)
     for got in _both_log_f(state, data, 0, cid):
@@ -74,7 +75,7 @@ def test_likelihood_at_mode_single_attribute():
 
 def test_likelihood_spike_case_reduces_to_baseline():
     state, data, hp = make_state(n=3, p=4, seed=2)
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     state.cluster_means[cid] = ClusterMeanVector.all_spike(4)
     mu_base, sig = _baselines(state)
     want = sum(
@@ -86,7 +87,7 @@ def test_likelihood_spike_case_reduces_to_baseline():
 
 def test_likelihood_recomposition_oracle():
     state, data, hp = make_state(n=3, p=5, seed=3)
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     mu_base, sig = _baselines(state)
     mu_vec = state.cluster_means[cid].mu()
     want = sum(
@@ -119,7 +120,7 @@ def test_sequential_p1_hand_enumeration():
             # hand-check log_q: categorical choice + conjugate value density
             v_post = 1.0 / 1.5 + 1.0 / 0.2
             u_post = (0.6 / 0.2) / v_post
-            val = prop.mean.inner.clusters[next(iter(prop.mean.inner.clusters))][1]
+            val = prop.mean.inner.values[0]
             want = math.log(p_slab) + log_normal_pdf(val, u_post, 1.0 / v_post)
             assert prop.log_q == pytest.approx(want, rel=1e-12)
         else:
@@ -256,7 +257,7 @@ def test_prior_sampler_matches_q0_frequencies():
         mean = sample_prior_mean(2, state, hp, rng)
         key = []
         seen = {}
-        for j, a in enumerate(mean.inner.assignments):
+        for j, a in enumerate(mean.inner.labels.tolist()):
             if a == SPIKE:
                 key.append(-1)
             else:
@@ -301,7 +302,7 @@ def _mp_score_sequential(mean, x, n_count, sigma_sq, attr_prob, slab_coef,
         w.append(sj * conc_inner / denom
                  * mpmath.e ** _mp_norm_logpdf(float(x[j]), 0, mpmath.mpf(slab_var) + v_obs))
 
-        a = mean.inner.assignments[j]
+        a = int(mean.inner.labels[j])
         if a == SPIKE:
             choice = 0
         elif a in cid_to_t:
@@ -329,7 +330,7 @@ def _mp_score_sequential(mean, x, n_count, sigma_sq, attr_prob, slab_coef,
     for t in range(len(counts)):
         v_post = 1 / mpmath.mpf(slab_var) + sprec[t]
         u_post = smean[t] / v_post
-        val = mean.inner.value_of(cids[t])
+        val = mean.inner.values[cids[t]]
         logq += _mp_norm_logpdf(val, u_post, 1 / v_post)
     return logq
 
@@ -426,7 +427,7 @@ def test_death_move_single_target():
     while state.samples.n_clusters() != 2:
         state, data, hp = make_state(n=2, p=2, seed=state.conc_samples.__hash__() % 97)
     rng = np.random.default_rng(8)
-    other = [c for c in state.samples.clusters if c != state.samples.cluster_of(0)][0]
+    other = [c for c in state.samples.cluster_ids() if c != state.samples.cluster_of(0)][0]
     _, info = mh_death_move(state.copy(), data, hp, 0, rng, *_baselines(state))
     assert info["target"] == other
 
@@ -440,11 +441,11 @@ def test_death_ratio_recomputation_oracle():
     )
     if singleton is None:
         # force one: move a sample out of a big cluster
-        big = max(state.samples.clusters, key=state.samples.size_of)
+        big = max(state.samples.cluster_ids(), key=state.samples.size_of)
         mem = [i for i in range(data.n) if state.samples.cluster_of(i) == big]
         i = mem[0]
         state.samples.detach(i)
-        cid = state.samples.attach_new(i, None)
+        cid = state.samples.attach_new(i)
         state.cluster_means[cid] = ClusterMeanVector.all_spike(data.p)
         state.incl_prob[cid] = np.full(data.p, 0.5)
         state.cluster_data_sum[big] = state.cluster_data_sum[big] - data.y[i]
@@ -465,7 +466,7 @@ def test_death_ratio_recomputation_oracle():
 
 def _reassign_inputs(state, data):
     """The log-likelihood matrix and column order the reassignment pass uses."""
-    col_order = list(state.samples.clusters)
+    col_order = state.samples.cluster_ids()
     return loglik_matrix(state, data, col_order, *_baselines(state)), col_order
 
 
@@ -530,7 +531,7 @@ def test_reassign_frequencies_follow_logits():
 def test_inner_gibbs_rho_zero_forces_spike():
     y = np.array([[0.5, -0.1], [0.2, 0.3], [0.4, 0.0]])
     state, data, hp = manual_state(y, sigma_sq=[0.5, 0.5], attr_prob=0.0)
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     rng = np.random.default_rng(12)
     gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
     assert state.cluster_means[cid].nonzero_count() == 0
@@ -539,7 +540,7 @@ def test_inner_gibbs_rho_zero_forces_spike():
 def test_inner_gibbs_p1_two_way_frequencies():
     y = np.array([[0.45], [0.55]])
     state, data, hp = manual_state(y, sigma_sq=[0.3], attr_prob=0.5, slab_var=2.0)
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     n_c = 2
     x = float(y.mean())  # baseline mean is zero
     s = _slab_coef(hp) * 0.5
@@ -549,12 +550,12 @@ def test_inner_gibbs_p1_two_way_frequencies():
     rng = np.random.default_rng(13)
     hits = 0
     trials = 40_000
-    saved_mean = state.cluster_means[cid].copy()
+    saved_mean = copy.deepcopy(state.cluster_means[cid])
     saved_row = state.incl_prob[cid].copy()
     for _ in range(trials):
         gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
         hits += state.cluster_means[cid].nonzero_count() > 0
-        state.cluster_means[cid] = saved_mean.copy()
+        state.cluster_means[cid] = copy.deepcopy(saved_mean)
         state.incl_prob[cid] = saved_row.copy()
     se = math.sqrt(p_slab * (1 - p_slab) / trials)
     assert abs(hits / trials - p_slab) < 4 * se
@@ -575,7 +576,7 @@ def test_inner_gibbs_p2_pattern_frequencies_match_posterior():
     y = np.array([[0.55, 0.35], [0.75, 0.25]])
     state, data, hp = manual_state(y, sigma_sq=[0.3, 0.5], attr_prob=0.5, slab_var=0.5)
     state.conc_inner = 0.8
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     x = y.mean(axis=0)  # baseline mean is zero
     noise = np.diag([0.3, 0.5]) / 2
     s = _slab_coef(hp) * 0.5
@@ -594,7 +595,7 @@ def test_inner_gibbs_p2_pattern_frequencies_match_posterior():
     total = sum(weights.values())
 
     def pattern(inner):
-        a0, a1 = inner.assignments
+        a0, a1 = inner.labels.tolist()
         if a0 == SPIKE or a1 == SPIKE:
             return ("S" if a0 == SPIKE else "1") + ("S" if a1 == SPIKE else "1")
         return "11" if a0 == a1 else "12"
@@ -616,20 +617,20 @@ def test_inner_gibbs_value_redraw_moments():
     """The unique-value redraw matches the aggregated-precision posterior."""
     y = np.array([[0.45], [0.55]])
     state, data, hp = manual_state(y, sigma_sq=[0.3], attr_prob=0.999, slab_var=2.0)
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     n_c = 2
     x = float(y.mean())
     v_post = 1.0 / 2.0 + n_c / 0.3
     u_post = (n_c * x / 0.3) / v_post
     rng = np.random.default_rng(14)
     vals = []
-    saved_mean = state.cluster_means[cid].copy()
+    saved_mean = copy.deepcopy(state.cluster_means[cid])
     saved_row = state.incl_prob[cid].copy()
     for _ in range(60_000):
         gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
         if state.cluster_means[cid].nonzero_count():
             vals.append(state.cluster_means[cid].mu()[0])
-        state.cluster_means[cid] = saved_mean.copy()
+        state.cluster_means[cid] = copy.deepcopy(saved_mean)
         state.incl_prob[cid] = saved_row.copy()
     vals = np.array(vals)
     se = vals.std() / math.sqrt(len(vals))
@@ -642,6 +643,6 @@ def test_inner_gibbs_value_redraw_moments():
 def test_inner_gibbs_keeps_pi_coupling(tiny_state):
     state, data, hp = tiny_state
     rng = np.random.default_rng(15)
-    for cid in list(state.samples.clusters):
+    for cid in state.samples.cluster_ids():
         gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
     state.validate(data)

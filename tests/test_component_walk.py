@@ -44,19 +44,19 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, rng=None):
     precs = [n_count / float(s) for s in sigma_sq]
     s_vec = [_slab_coef(hp) * float(a) for a in state.attr_prob]
     slab_var, conc = state.slab_var, state.conc_inner
-    assignments = inner.assignments
-    cids = [] if replay else list(inner.clusters)
+    cids = [] if replay else inner.cluster_ids()
     counts = [inner.size_of(c) for c in cids]
     sprec = [0.0] * len(cids)
     sstat = [0.0] * len(cids)
-    for j, a in enumerate(assignments):
+    for j in range(len(x)):
+        a = inner.cluster_of(j)
         if a >= 0 and not replay:
             t = cids.index(a)
             sprec[t] += precs[j]
             sstat[t] += precs[j] * x[j]
     log_q = log_q0 = 0.0
     for j in range(len(x)):
-        a = assignments[j]
+        a = inner.cluster_of(j)
         if not replay and a != DETACHED:
             inner.detach(j)
             if a != SPIKE:
@@ -105,16 +105,17 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, rng=None):
     for c in cids:
         prec = 1.0 / slab_var
         stat = 0.0
-        for j, a in enumerate(assignments):
-            if a == c:
+        for j in range(len(x)):
+            if inner.cluster_of(j) == c:
                 prec += precs[j]
                 stat += precs[j] * x[j]
         var = 1.0 / prec
+        slot = inner.cluster_ids().index(c)
         if replay:
-            val = inner.value_of(c)
+            val = float(inner.values[slot])
         else:
             val = stat / prec + math.sqrt(var) * rng.standard_normal()
-            inner.set_value(c, val)
+            inner.values[slot] = val
         log_q += _ln_norm(val, stat / prec, var)
         log_q0 += _ln_norm(val, 0.0, slab_var)
     return log_q, log_q0
@@ -136,7 +137,7 @@ def _case(kind, seed):
     p = {"spike": 300, "mid": 120, "dense": 40, "p1": 1}[kind]
     state, data, hp = make_state(n=3, p=p, seed=seed)
     rng = np.random.default_rng(10_000 + seed)
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     mu_base = state.mean_part.values_vector()
     if kind == "dense":
         state.attr_prob[:] = 0.9
@@ -161,7 +162,7 @@ def _case(kind, seed):
             elif j < 2:
                 start.inner.attach_new(j, float(x[j]))
             else:
-                start.inner.attach(j, start.inner.assignments[j % 3])
+                start.inner.attach(j, start.inner.cluster_of(j % 3))
     n_c = state.samples.size_of(cid)
     state.cluster_data_sum[cid] = n_c * (x + mu_base)
     state.cluster_means[cid] = start
@@ -184,8 +185,7 @@ def test_proposal_matches_reference_walk(kind):
         ref = ClusterMeanVector(len(x))
         ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp, ref_rng)
 
-        assert prop.mean.inner.assignments == ref.inner.assignments
-        assert prop.mean.inner.clusters == ref.inner.clusters
+        assert prop.mean.inner.to_dict() == ref.inner.to_dict()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert prop.log_q == pytest.approx(ref_q, rel=REL)
         assert prop.log_q0 == pytest.approx(ref_q0, rel=REL)
@@ -197,7 +197,7 @@ def test_proposal_matches_reference_walk(kind):
 
         nonzero = prop.mean.nonzero_count()
         seen_spike_only += nonzero == 0
-        seen_slab += prop.mean.inner.assignments[{"mid": MID}.get(kind, 0)] != SPIKE
+        seen_slab += prop.mean.inner.labels[{"mid": MID}.get(kind, 0)] != SPIKE
     # Each input kind exercises the path it is meant to.
     if kind == "spike":
         assert seen_spike_only >= len(SEEDS) // 2
@@ -216,12 +216,13 @@ def test_inner_gibbs_matches_reference_walk(kind):
         gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq)
 
         inner = ref_state.cluster_means[cid].inner
-        was_spike = [a == SPIKE for a in inner.assignments]
+        was_spike = [inner.cluster_of(j) == SPIKE for j in range(inner.n_items)]
         n_count = ref_state.samples.size_of(cid)
         x = ref_state.cluster_data_sum[cid] / n_count - mu_base
         _reference_walk(inner, x, n_count, sigma_sq, ref_state, hp, ref_rng)
         row = ref_state.incl_prob[cid]
-        for j, a in enumerate(inner.assignments):
+        for j in range(inner.n_items):
+            a = inner.cluster_of(j)
             if (a == SPIKE) != was_spike[j]:
                 row[j] = draw_pi_entry(a == SPIKE, float(ref_state.attr_prob[j]), hp, ref_rng)
 

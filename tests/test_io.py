@@ -27,6 +27,16 @@ def test_load_csv_names_cell_on_error(tmp_path):
         load_csv(f)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_names_non_finite_cell(tmp_path, cell):
+    """Row and column are 1-based with the header as row 1, as for any
+    other bad cell, and the file is named."""
+    f = tmp_path / "m.csv"
+    f.write_text(f"a,b\n1,2\n3,{cell}\n")
+    with pytest.raises(CsvFormatError, match=r"m\.csv: non-finite cell .* at row 3, column 2"):
+        load_csv(f)
+
+
 def test_load_csv_ragged_row(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("a,b\n1,2\n3\n")

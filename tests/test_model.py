@@ -1,8 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
+from sparseclust.chain import sweep
 from sparseclust.model import (
     DataMatrix,
     DegenerateDataError,
@@ -84,9 +86,8 @@ def test_state_serialization_roundtrip_bit_exact():
     d = state.to_dict()
     # through JSON text as well: repr round-trips every float64 exactly
     restored = ModelState.from_dict(json.loads(json.dumps(d)))
-    assert restored.samples.assignments == state.samples.assignments
-    assert restored.mean_part.clusters == state.mean_part.clusters
-    assert restored.var_part.clusters == state.var_part.clusters
+    for name in ("samples", "mean_part", "var_part"):
+        assert getattr(restored, name).to_dict() == getattr(state, name).to_dict()
     assert restored.slab_var == state.slab_var
     assert restored.conc_inner == state.conc_inner
     np.testing.assert_array_equal(restored.attr_prob, state.attr_prob)
@@ -101,6 +102,31 @@ def test_state_serialization_roundtrip_bit_exact():
     restored.validate(data)
 
 
+def _state_arrays(state):
+    parts = [state.mean_part, state.var_part, state.samples,
+             *(m.inner for m in state.cluster_means.values())]
+    return [state.attr_prob, *state.incl_prob.values(), *state.cluster_data_sum.values(),
+            *(getattr(part, name) for part in parts
+              for name in ("labels", "counts", "values", "ids"))]
+
+
+@pytest.mark.parametrize("clone", [ModelState.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_copies_are_independent(clone):
+    state, data, hp = make_state(n=6, p=5, seed=4, require_multi=True)
+    before = state.to_dict()
+    twin = clone(state)
+    for a in _state_arrays(state):
+        assert not any(np.shares_memory(a, b) for b in _state_arrays(twin))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        sweep(twin, data, hp, rng)
+    assert state.to_dict() == before
+    assert twin.to_dict() != before
+    # the form the benchmark hashes: plain lists and numbers
+    json.dumps(state.to_dict(), default=int)
+    json.dumps(twin.to_dict(), default=int)
+
+
 def test_validator_catches_broken_coupling():
     state, data, _ = make_state(n=5, p=4, seed=17)
     state.validate(data)
@@ -109,7 +135,7 @@ def test_validator_catches_broken_coupling():
 
     for cid, mean in state.cluster_means.items():
         j = 0
-        if mean.inner.assignments[j] == SPIKE:
+        if mean.inner.cluster_of(j) == SPIKE:
             mean.inner.detach(j)
             mean.inner.attach_new(j, 1.5)
         state.incl_prob[cid][j] = 0.0

@@ -22,7 +22,7 @@ def test_detach_singleton_deletes_cluster():
     part = build([[0, 1], [2]])
     part.detach(2)
     assert sorted(part.sizes()) == [2]
-    assert part.assignments[2] == DETACHED
+    assert part.cluster_of(2) == DETACHED
 
 
 def test_detach_decrements_count():
@@ -73,7 +73,7 @@ def test_random_operation_sequence_vs_set_oracle():
         oracle[old].discard(item)
         if not oracle[old]:
             del oracle[old]
-        live = list(part.clusters.keys())
+        live = part.cluster_ids()
         if live and rng.random() < 0.7:
             cid = live[int(rng.integers(len(live)))]
             part.attach(item, cid)
@@ -83,7 +83,7 @@ def test_random_operation_sequence_vs_set_oracle():
             oracle[cid] = {item}
 
         part.validate()
-        assert set(part.clusters.keys()) == set(oracle.keys())
+        assert set(part.cluster_ids()) == set(oracle.keys())
         for cid, members in oracle.items():
             assert part.size_of(cid) == len(members)
         assert sum(part.sizes()) == n

@@ -70,11 +70,11 @@ def test_pi_spike_frequency_matches_w0():
 def test_update_pi_respects_mu_coupling(tiny_state):
     state, data, hp = tiny_state
     rng = np.random.default_rng(3)
-    for cid in state.samples.clusters:
+    for cid in state.samples.cluster_ids():
         mean = state.cluster_means[cid]
         row = draw_pi_row(mean, state.attr_prob, hp, rng)
         for j in range(data.p):
-            is_zero = mean.inner.assignments[j] == SPIKE
+            is_zero = mean.inner.cluster_of(j) == SPIKE
             v = draw_pi_entry(is_zero, float(state.attr_prob[j]), hp, rng)
             if not is_zero:
                 assert v > 0.0 and row[j] > 0.0
@@ -96,7 +96,7 @@ def test_update_rho_posterior_params():
     state, data, hp = make_state(n=6, p=2, seed=29, require_multi=True)
     j = 0
     k_live = state.samples.n_clusters()
-    active = sum(1 for cid in state.samples.clusters if state.incl_prob[cid][j] > 0)
+    active = sum(1 for cid in state.samples.cluster_ids() if state.incl_prob[cid][j] > 0)
     rng = np.random.default_rng(0)
     draws = _rho_draws(state, hp, rng, 100_000)[:, j]
     want_mean = (hp.rho_a + active) / (hp.rho_a + hp.rho_b + k_live)
@@ -116,7 +116,7 @@ def test_update_rho_extreme_counts():
     hp = Hyperparams(base_mean=0.0, base_var=1.0)  # rho prior Beta(0.2, 199.8)
     rng = np.random.default_rng(1)
     for fill, want_a, want_b in [(0.0, 0.2, 203.8), (0.7, 4.2, 199.8)]:
-        for cid in state.samples.clusters:
+        for cid in state.samples.cluster_ids():
             state.incl_prob[cid][0] = fill
         draws = _rho_draws(state, hp, rng, 100_000)[:, 0]
         want_mean = want_a / (want_a + want_b)
@@ -137,7 +137,7 @@ def test_eta_sq_prior_case():
 
 def test_eta_sq_counts_unique_values_once():
     state, data, hp = manual_state(np.array([[0.0, 0.0], [1.0, 1.0]]), sigma_sq=[1.0, 1.0])
-    cid = next(iter(state.samples.clusters))
+    cid = state.samples.cluster_ids()[0]
     mean = state.cluster_means[cid]
     # two components sharing one unique value 2.0 -> Inv-Gamma(1, 2.5)
     mean.inner.detach(0)
