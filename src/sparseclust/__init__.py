@@ -13,6 +13,7 @@ from .chain import (
     sweep,
 )
 from .clusters import (
+    BirthDeathPass,
     ClusterMeanVector,
     SequentialProposal,
     eval_log_q,
@@ -48,6 +49,7 @@ from .summarize import (
 __all__ = [
     "ALL_ONE_CLUSTER",
     "ALL_SINGLETONS",
+    "BirthDeathPass",
     "ChainConfig",
     "ChainTrace",
     "ClusterMeanVector",

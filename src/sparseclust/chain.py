@@ -122,14 +122,11 @@ def init_state(data, hp, cfg, rng):
     )
 
     if cfg.init_mode == ALL_ONE_CLUSTER:
-        cid = samples.attach_new(0)
-        for i in range(1, n):
-            samples.attach(i, cid)
-        cids = [cid]
+        samples.set_slots([None], np.zeros(n), [n], [0.0])
     else:
-        cids = [samples.attach_new(i) for i in range(n)]
+        samples.set_slots([None] * n, np.arange(n), np.ones(n), np.zeros(n))
 
-    for cid in cids:
+    for cid in samples.cluster_ids():
         mean = ClusterMeanVector.all_spike(p)
         state.cluster_means[cid] = mean
         state.incl_prob[cid] = draw_pi_row(mean, attr_prob, hp, rng)

@@ -101,13 +101,14 @@ def _resolve(args, file_cfg):
     return chain_kwargs, hp_overrides
 
 
-def _load_data(args, parser):
+def _load_data(args, parser, seed):
+    """The data to fit and its source; ``--simulate`` draws it with the
+    resolved chain ``seed`` (command line, else config file, else 0)."""
     if args.data and args.simulate:
         parser.error("--data and --simulate are mutually exclusive")
     if not args.data and not args.simulate:
         parser.error("one of --data or --simulate is required")
     if args.simulate:
-        seed = args.seed if args.seed is not None else 0
         data, _truth = _SIMULATORS[args.simulate](seed)
         source = f"simulate:{args.simulate}"
     else:
@@ -211,7 +212,7 @@ def main(argv=None):
         Hyperparams(**{"base_mean": 0.0, "base_var": 1.0, **hp_overrides})
         if not 0.0 < args.threshold < 1.0:
             raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
-        data, source = _load_data(args, parser)
+        data, source = _load_data(args, parser, chain_kwargs["seed"])
         if args.preprocess:
             data = preprocess_expression(data)
         if args.standardize:

@@ -19,6 +19,19 @@ draw of uniforms; the generator is then repositioned after exactly the
 uniforms the run used. The replay walks the same blocks. A block starts
 only at a component that favours SPIKE, so dense vectors take the scalar
 path.
+
+The walk reads its per-component inputs from a ``WalkTerms`` row: the
+SPIKE and new-cluster weights, where spike runs start and the run's choice
+terms, built as arrays before the walk, and as Python lists only when the
+walk leaves the block path. None of them depends on a seat. In step 5 they
+depend only on the baselines, attr_prob, slab_var and conc_inner, and no
+birth or death move changes any of those. So ``step_clusters`` builds one
+``BirthDeathPass`` for the whole birth/death loop: the terms of every
+sample's residual y_i - mu_base as (n, p) rows, together with
+log(2 pi sigma^2) and every sample's log likelihood under a zero mean, which
+is the likelihood of nearly every proposal at the default sparsity. The
+elementwise ufuncs and the row sums give the same bits on the (n, p) arrays
+as on one row, so the random stream does not depend on which form is built.
 """
 
 import math
@@ -99,7 +112,97 @@ class SequentialProposal:
     log_q0: float
 
 
-def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
+class WalkTerms:
+    """The terms of the component walk that no seat changes, for each row of
+    ``x``, a (p,) or an (n, p) array of averaged residuals, each the mean of
+    ``n_count`` observations with variances ``sigma_sq``.
+
+    Per component j and row: the SPIKE weight ``spike`` and the new-cluster
+    weight ``new`` (the seat weights with the inner values integrated out;
+    ``new`` before the CRP denominator), whether j starts a spike run
+    (``starts_run``: j favours SPIKE while no inner cluster is live), and
+    the run's scaled choice terms ``run_spike``, ``run_tot``,
+    ``run_lp_spike`` and ``run_lp_new`` (see ``_spike_run_terms``), with
+    one finiteness flag per row in ``run_finite``. Shared by all rows:
+    log s, log(1 - s), the observation variance and precision.
+    """
+
+    def __init__(self, x, n_count, sigma_sq, state, hp):
+        self.x = np.atleast_2d(np.asarray(x, dtype=float))
+        sig = np.asarray(sigma_sq, dtype=float)
+        self.v_obs = sig / n_count
+        self.prec = n_count / sig
+        s_vec = _slab_coef(hp) * np.asarray(state.attr_prob, dtype=float)
+        self.slab_var = state.slab_var
+        self.conc_inner = state.conc_inner
+        self.log_conc = math.log(state.conc_inner)
+        x = self.x
+        with np.errstate(divide="ignore"):
+            self.log_s = np.log(s_vec)
+            self.log_spike = np.log1p(-s_vec)
+            new_var = self.slab_var + self.v_obs
+            self.spike = self.log_spike - 0.5 * (LOG_2PI + np.log(self.v_obs) + x * x / self.v_obs)
+            self.new = self.log_s + self.log_conc - 0.5 * (
+                LOG_2PI + np.log(new_var) + x * x / new_var)
+        # With no inner cluster live, m_total is 0 and the CRP denominator
+        # is conc_inner.
+        w_new = self.new - self.log_conc
+        self.starts_run = self.spike >= w_new
+        (self.run_spike, self.run_tot, self.run_lp_spike, self.run_lp_new,
+         self.run_finite) = _spike_run_terms(self.spike, w_new)
+        self._shared = None
+
+    def row_lists(self, i):
+        """Row i as Python lists for the walk's scalar path: x, precision
+        times x, the SPIKE and new-cluster weights, then the shared log s,
+        log(1 - s), observation variances and precisions."""
+        if self._shared is None:
+            self._shared = (self.log_s.tolist(), self.log_spike.tolist(),
+                            self.v_obs.tolist(), self.prec.tolist())
+        x = self.x[i]
+        return (x.tolist(), (self.prec * x).tolist(), self.spike[i].tolist(),
+                self.new[i].tolist(), *self._shared)
+
+    def propose(self, i, rng):
+        """A new cluster mean for row i, drawn by the sequential proposal."""
+        mean = ClusterMeanVector(self.x.shape[1])
+        log_q, log_q0 = _scan_components(mean.inner, self, i, rng)
+        return SequentialProposal(mean, log_q, log_q0)
+
+
+class BirthDeathPass(WalkTerms):
+    """What the birth and death moves of one step-5 pass read: the walk
+    terms of every sample's residual ``x[i] = y_i - mu_base`` (n_count 1),
+    ``log(2 pi sigma_sq)`` and every sample's log likelihood under a zero
+    mean. See the module docstring for why none of it changes in the pass."""
+
+    def __init__(self, y, mu_base, sigma_sq, state, hp):
+        sigma_sq = np.asarray(sigma_sq, dtype=float)
+        super().__init__(y - mu_base, 1, sigma_sq, state, hp)
+        self.sigma_sq = sigma_sq
+        self.log_2pi_var = np.log(2.0 * np.pi * sigma_sq)
+        self.zero_loglik = _loglik_rows(self.x, self.log_2pi_var, sigma_sq).tolist()
+
+    def loglik(self, i, mean):
+        """Log F(y_i; mu_base + mean): sample i's normal log likelihood."""
+        if not mean.inner.n_clusters():  # every component is SPIKE
+            return self.zero_loglik[i]
+        return float(_loglik_rows(self.x[i] - mean.mu(), self.log_2pi_var, self.sigma_sq))
+
+    def birth_log_ratio(self, state, i, mean_new, log_q, log_q0):
+        """(log MH ratio, log F new, log F old) of moving sample i out of its
+        cluster into a new one with mean ``mean_new``, proposed with
+        density ``log_q`` whose prior density is ``log_q0``."""
+        log_f_new = self.loglik(i, mean_new)
+        log_f_old = self.loglik(i, state.cluster_means[state.samples.cluster_of(i)])
+        log_ratio = (
+            math.log(state.conc_samples) - math.log(len(self.x) - 1)
+            + log_f_new - log_f_old + log_q0 - log_q
+        )
+        return log_ratio, log_f_new, log_f_old
+
+
+def _scan_components(inner, terms, i, rng=None):
     """Walk a mean vector's components in order; returns (log_q, log_q0).
 
     Each component j leaves its seat (if it has one), then SPIKE, every live
@@ -109,6 +212,7 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
     of these seat and value draws, ``log_q0`` the prior (spike/CRP and
     N(0, slab_var)) log densities of the same seats and values, both on
     counting measure for partitions and Lebesgue measure for unique values.
+    The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``).
 
     With ``rng`` the seats and values are drawn, then written into ``inner``
     in one ``set_slots`` call: from an all-detached partition this is the
@@ -125,44 +229,30 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
     1 / sigma_sq[j] fails the joint-distribution test).
     """
     replay = rng is None
-    x_arr = np.asarray(x, dtype=float)
-    sig_arr = np.asarray(sigma_sq, dtype=float)
-    v_obs_arr = sig_arr / n_count
-    prec_arr = n_count / sig_arr
-    s_vec = _slab_coef(hp) * np.asarray(state.attr_prob, dtype=float)
-    slab_var = state.slab_var
-    conc_inner = state.conc_inner
-    log_conc = math.log(conc_inner)
-    with np.errstate(divide="ignore"):
-        log_s_arr = np.log(s_vec)
-        log_spike_arr = np.log1p(-s_vec)
-        new_var = slab_var + v_obs_arr
-        spike_arr = log_spike_arr - 0.5 * (
-            LOG_2PI + np.log(v_obs_arr) + x_arr * x_arr / v_obs_arr)
-        new_arr = log_s_arr + log_conc - 0.5 * (
-            LOG_2PI + np.log(new_var) + x_arr * x_arr / new_var)
-    pre_spike = spike_arr.tolist()
-    pre_new = new_arr.tolist()
-    log_s = log_s_arr.tolist()
-    log_spike = log_spike_arr.tolist()
-    xs = x_arr.tolist()
-    v_obs_list = v_obs_arr.tolist()
-    precs = prec_arr.tolist()
-    stats = (prec_arr * x_arr).tolist()
+    labels = inner.labels
+    p = len(labels)
+    slab_var = terms.slab_var
+    conc_inner = terms.conc_inner
+    log_conc = terms.log_conc
     inv_slab_var = 1.0 / slab_var
-    p = len(xs)
-    start = inner.labels.tolist()  # the seats the walk starts from or replays
-    seats = None if replay else inner.labels  # drawing: the drawn seats, as tags
+    starts_run = terms.starts_run[i]
+    k_start = 0 if replay else inner.n_clusters()
+    # The seats the walk starts from (drawing) or replays; and the row as
+    # Python lists. A walk from empty needs neither on the block path, so
+    # it builds them when it leaves that path.
+    start = labels.tolist() if k_start else None
+    xs = None
+    if k_start:
+        xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
+    seats = None if replay else labels  # drawing: the drawn seats, as tags
     if not replay:
         seats.fill(SPIKE)  # the seat of every component not drawn off SPIKE
-    run = None  # per-component terms of a spike run, built on first use
 
     # Parallel slot lists, one slot per live inner cluster in creation order:
     # its tag, member count, summed member precision and summed statistic.
     # A cluster's tag is its slot in ``inner`` (drawing, for the clusters
     # live at the start; replaying, for every cluster) or, for a cluster the
     # drawing walk opens, the next number after those.
-    k_start = 0 if replay else inner.n_clusters()
     tags = list(range(k_start))
     slot_of = {t: t for t in tags}
     counts = inner.sizes() if k_start else []
@@ -181,35 +271,41 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
     log_q0 = 0.0
     j = 0
     while j < p:
-        a = start[j]
-        if not replay and a >= 0:
-            t = slot_of[a]
-            m_total -= 1
-            if counts[t] == 1:
-                for lst in (tags, counts, sprec, sstat):
-                    del lst[t]
-                slot_of = {c: s for s, c in enumerate(tags)}
-            else:
-                counts[t] -= 1
-                sprec[t] -= precs[j]
-                sstat[t] -= stats[j]
+        if k_start:
+            a = start[j]
+            if a >= 0:
+                t = slot_of[a]
+                m_total -= 1
+                if counts[t] == 1:
+                    for lst in (tags, counts, sprec, sstat):
+                        del lst[t]
+                    slot_of = {c: s for s, c in enumerate(tags)}
+                else:
+                    counts[t] -= 1
+                    sprec[t] -= precs[j]
+                    sstat[t] -= stats[j]
 
         log_denom = math.log(conc_inner + m_total)
         k = len(counts)
-        if not k and pre_spike[j] >= pre_new[j] - log_denom:
+        block = not k and starts_run.item(j)
+        if block:
             # A spike run: see the module docstring.
-            if run is None:
-                run = _spike_run_terms(spike_arr, new_arr - log_denom)
-            stop = _spike_run_stop(j, run, inner.labels, rng)
-            log_q += float(np.add.reduce(run[2][j:stop]))
-            log_q0 += float(np.add.reduce(log_spike_arr[j:stop]))
+            if not terms.run_finite[i]:
+                raise SamplerAbort("non-finite log weights in a spike run")
+            stop = _spike_run_stop(j, terms, i, labels, rng)
+            log_q += float(np.add.reduce(terms.run_lp_spike[i, j:stop]))
+            log_q0 += float(np.add.reduce(terms.log_spike[j:stop]))
             if stop == p:
                 break
             j = stop
-            a = start[j]
             choice = 1
-            log_q += run[3][j]
-        else:
+            log_q += terms.run_lp_new.item(i, j)
+        if xs is None:
+            xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = \
+                terms.row_lists(i)
+            if replay:
+                start = labels.tolist()
+        if not block:
             xj = xs[j]
             v_obs = v_obs_list[j]
             lsj = log_s[j]
@@ -223,6 +319,7 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
             logw.append(pre_new[j] - log_denom)
             choice, lse = _pick_with_lse(logw, rng)
             if replay:
+                a = start[j]
                 choice = 0 if a == SPIKE else 1 + slot_of.get(a, k)
             log_q += logw[choice] - lse
 
@@ -242,7 +339,9 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
                 seats[j] = tags[t]
         else:
             log_q0 += lsj + log_conc - log_denom
-            if not replay:
+            if replay:
+                a = start[j]
+            else:
                 a = seats[j] = next_tag
                 next_tag += 1
             slot_of[a] = k
@@ -287,29 +386,31 @@ def _scan_components(inner, x, n_count, sigma_sq, state, hp, rng=None):
 
 def _spike_run_terms(w_spike, w_new):
     """(SPIKE weight, total weight, log P(SPIKE), log P(new)) of every
-    component's two-way choice, scaled as ``_pick_with_lse`` scales them."""
+    component's two-way choice, scaled as ``_pick_with_lse`` scales them,
+    and per row whether all of them are finite (a walk that takes the block
+    path on a row that is not aborts)."""
     m = np.maximum(w_spike, w_new)
-    if not np.isfinite(m).all():
-        raise SamplerAbort("non-finite log weights in a spike run")
-    e_spike = np.exp(w_spike - m)
-    tot = e_spike + np.exp(w_new - m)
-    lse = m + np.log(tot)
-    return e_spike, tot, w_spike - lse, w_new - lse
+    finite = np.isfinite(m).all(axis=-1).tolist()
+    with np.errstate(invalid="ignore"):
+        e_spike = np.exp(w_spike - m)
+        tot = e_spike + np.exp(w_new - m)
+        m += np.log(tot)  # the log normalizer, in place to spare an (n, p) array
+        return e_spike, tot, w_spike - m, w_new - m, finite
 
 
-def _spike_run_stop(j, run, labels, rng):
+def _spike_run_stop(j, terms, i, labels, rng):
     """The first component at or after j seated off SPIKE (len(labels) if
     none); replaying, the seats are ``labels``. Drawing, it seats component
-    i on SPIKE when ``u_i * total_i <= spike_i``, the scalar draw's rule,
-    then restores the generator and draws again just the uniforms the run
-    used: that leaves any bit generator where one uniform per component
-    would."""
+    c on SPIKE when ``u_c * total_c <= spike_c`` (row i of ``terms``), the
+    scalar draw's rule, then restores the generator and draws again just
+    the uniforms the run used: that leaves any bit generator where one
+    uniform per component would."""
     p = len(labels)
     if rng is None:
         off = labels[j:] != SPIKE
     else:
         saved = rng.bit_generator.state
-        off = rng.random(p - j) * run[1][j:] > run[0][j:]
+        off = rng.random(p - j) * terms.run_tot[i, j:] > terms.run_spike[i, j:]
     stop = j + int(off.argmax()) if off.any() else p
     if rng is not None:
         rng.bit_generator.state = saved
@@ -328,15 +429,13 @@ def sequential_sample_mean(x, n_count, sigma_sq, state, hp, rng):
     set (y minus the baseline mean, averaged over the n_count members);
     ``sigma_sq`` is the dense vector of baseline variances.
     """
-    mean = ClusterMeanVector(len(x))
-    log_q, log_q0 = _scan_components(mean.inner, x, n_count, sigma_sq, state, hp, rng)
-    return SequentialProposal(mean, log_q, log_q0)
+    return WalkTerms(x, n_count, sigma_sq, state, hp).propose(0, rng)
 
 
 def eval_log_q(mean, x, n_count, sigma_sq, state, hp):
     """(log Q, log Q0) of ``mean``: its density under the sequential
     proposal (a deterministic replay) and under the prior."""
-    return _scan_components(mean.inner, x, n_count, sigma_sq, state, hp)
+    return _scan_components(mean.inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0)
 
 
 def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
@@ -371,9 +470,9 @@ def sample_prior_mean(p, state, hp, rng):
     )
 
 
-def _loglik_dense(y_row, mu_vec, mu_base, sigma_sq):
-    d = y_row - mu_base - mu_vec
-    return float(-0.5 * (np.log(2.0 * np.pi * sigma_sq) + d * d / sigma_sq).sum())
+def _loglik_rows(d, log_2pi_var, sigma_sq):
+    """Per row of residuals ``d`` (mean removed), the normal log density."""
+    return (-0.5 * (log_2pi_var + d * d / sigma_sq)).sum(axis=-1)
 
 
 def loglik_matrix(state, data, cids, mu_base, sigma_sq):
@@ -389,26 +488,19 @@ def loglik_matrix(state, data, cids, mu_base, sigma_sq):
     return out
 
 
-def mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq):
+def mh_birth_move(state, data, hp, i, rng, bd):
     """Propose moving a non-singleton sample into a fresh cluster.
 
-    ``mu_base`` and ``sigma_sq`` are the dense baseline mean and variance
-    vectors, which no move of this step changes.
+    ``bd`` is the step's ``BirthDeathPass``.
     """
     cid = state.samples.cluster_of(i)
     if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
     y_i = data.y[i]
-    prop = sequential_sample_mean(y_i - mu_base, 1, sigma_sq, state, hp, rng)
+    prop = bd.propose(i, rng)
     mean_new, log_q, log_q0 = prop.mean, prop.log_q, prop.log_q0
-
-    log_f_new = _loglik_dense(y_i, mean_new.mu(), mu_base, sigma_sq)
-    log_f_old = _loglik_dense(y_i, state.cluster_means[cid].mu(), mu_base, sigma_sq)
-    log_ratio = (
-        math.log(state.conc_samples) - math.log(data.n - 1)
-        + log_f_new - log_f_old + log_q0 - log_q
-    )
+    log_ratio, log_f_new, log_f_old = bd.birth_log_ratio(state, i, mean_new, log_q, log_q0)
     u = rng.random()
     accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if accepted:
@@ -425,8 +517,11 @@ def mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq):
     return accepted, info
 
 
-def mh_death_move(state, data, hp, i, rng, mu_base, sigma_sq):
-    """Propose absorbing a singleton sample into an existing cluster."""
+def mh_death_move(state, data, hp, i, rng, bd):
+    """Propose absorbing a singleton sample into an existing cluster.
+
+    ``bd`` is the step's ``BirthDeathPass``.
+    """
     cid = state.samples.cluster_of(i)
     if state.samples.cluster_size(i) != 1:
         raise RuntimeError(f"sample {i} is not a singleton; death move not applicable")
@@ -446,10 +541,10 @@ def mh_death_move(state, data, hp, i, rng, mu_base, sigma_sq):
 
     y_i = data.y[i]
     mean_own = state.cluster_means[cid]
-    log_q, log_q0 = eval_log_q(mean_own, y_i - mu_base, 1, sigma_sq, state, hp)
+    log_q, log_q0 = _scan_components(mean_own.inner, bd, i)
 
-    log_f_new = _loglik_dense(y_i, state.cluster_means[target].mu(), mu_base, sigma_sq)
-    log_f_old = _loglik_dense(y_i, mean_own.mu(), mu_base, sigma_sq)
+    log_f_new = bd.loglik(i, state.cluster_means[target])
+    log_f_old = bd.loglik(i, mean_own)
     log_ratio = (
         math.log(data.n - 1) - math.log(state.conc_samples)
         + log_f_new - log_f_old + log_q - log_q0
@@ -481,8 +576,9 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
         raise RuntimeError(f"sample {i} is a singleton; Gibbs reassignment skipped")
     state.samples.detach(i)
 
-    size = dict(zip(state.samples.cluster_ids(), state.samples.sizes()))
-    logw = [math.log(size[c]) + loglik_row[t] for t, c in enumerate(col_order)]
+    # Sample i's cluster keeps other members, so the cluster set is the one
+    # ``col_order`` lists, and slots are in the same creation order.
+    logw = [math.log(c) + w for c, w in zip(state.samples.sizes(), loglik_row.tolist())]
     choice, _lse = _pick_with_lse(logw, rng)
     new_cid = col_order[choice]
     state.samples.attach(i, new_cid)
@@ -505,7 +601,7 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq):
     x = state.cluster_data_sum[cid] / n_count - mu_base
     inner = state.cluster_means[cid].inner
     was_spike = inner.spike_mask()
-    _scan_components(inner, x, n_count, sigma_sq, state, hp, rng)
+    _scan_components(inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0, rng)
 
     row = state.incl_prob[cid]
     is_spike = inner.spike_mask()
@@ -520,11 +616,13 @@ def step_clusters(state, data, hp, rng):
     mu_base = state.mean_part.values_vector()
     sigma_sq = state.var_part.values_vector()
 
+    bd = BirthDeathPass(data.y, mu_base, sigma_sq, state, hp)
     for i in range(data.n):
         if state.samples.cluster_size(i) > 1:
-            mh_birth_move(state, data, hp, i, rng, mu_base, sigma_sq)
+            mh_birth_move(state, data, hp, i, rng, bd)
         else:
-            mh_death_move(state, data, hp, i, rng, mu_base, sigma_sq)
+            mh_death_move(state, data, hp, i, rng, bd)
+    del bd  # (n, p) arrays the rest of the step does not read
 
     # The cluster set is fixed during the reassignment pass, so the
     # per-cluster log likelihood matrix can be computed once.

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .chain import sweep
-from .clusters import _loglik_dense, sample_prior_mean, sequential_sample_mean
+from .clusters import BirthDeathPass, sample_prior_mean
 from .forward import attach_data_sums, draw_data, draw_state_from_prior
 from .model import DataMatrix
 
@@ -91,10 +91,11 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
 
     Cycles over non-singleton samples; per attempt a candidate mean is drawn
     (sequentially or from the prior) and the move's acceptance probability
-    min(1, r) is accumulated. The state is never mutated.
+    min(1, r) is accumulated, r scored as ``mh_birth_move`` scores it. The
+    state is never mutated.
     """
-    mu_base = state.mean_part.values_vector()
-    sigma_sq = state.var_part.values_vector()
+    bd = BirthDeathPass(
+        data.y, state.mean_part.values_vector(), state.var_part.values_vector(), state, hp)
     eligible = [
         i for i in range(data.n)
         if state.samples.cluster_size(i) > 1
@@ -102,24 +103,17 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     if not eligible:
         raise ValueError("no non-singleton samples to attempt births from")
 
-    log_prior_factor = math.log(state.conc_samples) - math.log(data.n - 1)
     total = 0.0
     for t in range(attempts):
         i = eligible[t % len(eligible)]
-        y_i = data.y[i]
-        x = y_i - mu_base
         if proposal == "sequential":
-            prop = sequential_sample_mean(x, 1, sigma_sq, state, hp, rng)
-            mean_new = prop.mean
-            log_correction = prop.log_q0 - prop.log_q
+            prop = bd.propose(i, rng)
+            mean_new, log_q, log_q0 = prop.mean, prop.log_q, prop.log_q0
         elif proposal == "prior":
             mean_new = sample_prior_mean(data.p, state, hp, rng)
-            log_correction = 0.0
+            log_q = log_q0 = 0.0
         else:
             raise ValueError(f"unknown proposal kind {proposal!r}")
-        cid = state.samples.cluster_of(i)
-        log_f_new = _loglik_dense(y_i, mean_new.mu(), mu_base, sigma_sq)
-        log_f_old = _loglik_dense(y_i, state.cluster_means[cid].mu(), mu_base, sigma_sq)
-        log_r = log_prior_factor + log_f_new - log_f_old + log_correction
+        log_r = bd.birth_log_ratio(state, i, mean_new, log_q, log_q0)[0]
         total += 1.0 if log_r >= 0.0 else math.exp(log_r)
     return total / attempts

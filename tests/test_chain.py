@@ -85,6 +85,28 @@ def test_init_modes(ex3):
     np.testing.assert_allclose(one.var_part.values_vector(), data.y.var(axis=0, ddof=1))
 
 
+@pytest.mark.parametrize("mode", [ALL_ONE_CLUSTER, ALL_SINGLETONS])
+def test_init_state_seats_samples_as_per_item_construction(ex3, mode):
+    """The sample partition that init_state writes in one go equals the one
+    seated a sample at a time, and the generator ends in the same place."""
+    data, hp = ex3
+    rng = np.random.default_rng(5)
+    state = init_state(data, hp, ChainConfig(init_mode=mode), rng)
+    want = Partition(data.n)
+    if mode == ALL_ONE_CLUSTER:
+        cid = want.attach_new(0)
+        for i in range(1, data.n):
+            want.attach(i, cid)
+    else:
+        for i in range(data.n):
+            want.attach_new(i)
+    assert state.samples.to_dict() == want.to_dict()
+    ref_rng = np.random.default_rng(5)
+    for _ in want.cluster_ids():
+        chain.draw_pi_row(ClusterMeanVector.all_spike(data.p), state.attr_prob, hp, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_every_sweep_state_valid(ex3):
     data, hp = ex3
     rng = np.random.default_rng(3)

@@ -174,6 +174,19 @@ def test_config_file_and_cli_precedence(tmp_path):
     assert "hp.slab_a=8" in manifest
 
 
+def test_config_seed_seeds_simulated_data(tmp_path):
+    """A seed from --config draws the same simulated data, and so writes the
+    same files, as the same seed given with --seed."""
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed=5\n")
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    args = ["--simulate", "ex3", "--iters", "3", "--burn-in", "1"]
+    assert _run(args + ["--seed", "5", "--out", str(flag)]) == 0
+    assert _run(args + ["--config", str(cfg), "--out", str(config)]) == 0
+    for name in EXPECTED_FILES:
+        assert filecmp.cmp(flag / name, config / name, shallow=False), name
+
+
 def test_multichain_writes_subdirs_and_merged(tmp_path):
     out = tmp_path / "r"
     assert _run(["--simulate", "ex3", "--iters", "30", "--burn-in", "10",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sparseclust.clusters import (
+    BirthDeathPass,
     ClusterMeanVector,
-    _loglik_dense,
     _slab_coef,
     eval_log_q,
     gibbs_reassign,
@@ -51,15 +51,19 @@ def _baselines(state):
     return state.mean_part.values_vector(), state.var_part.values_vector()
 
 
+def _pass(state, data, hp):
+    """The birth/death pass object ``step_clusters`` builds for this state."""
+    return BirthDeathPass(data.y, *_baselines(state), state, hp)
+
+
 # -- likelihood ---------------------------------------------------------------
 
 
-def _both_log_f(state, data, i, cid):
-    """Sample i's log likelihood under cluster cid, from the row form the
+def _both_log_f(state, data, hp, i, cid):
+    """Sample i's log likelihood under cluster cid, from the pass object the
     birth/death moves use and from the matrix the reassignment pass uses."""
-    mu_base, sig = _baselines(state)
-    row = _loglik_dense(data.y[i], state.cluster_means[cid].mu(), mu_base, sig)
-    matrix = loglik_matrix(state, data, [cid], mu_base, sig)[i, 0]
+    row = _pass(state, data, hp).loglik(i, state.cluster_means[cid])
+    matrix = loglik_matrix(state, data, [cid], *_baselines(state))[i, 0]
     return row, matrix
 
 
@@ -69,7 +73,7 @@ def test_likelihood_at_mode_single_attribute():
     cid = state.samples.cluster_ids()[0]
     state.cluster_means[cid] = _mk_mean(1, [[0]], [0.5])  # y = mu_j + mu_cj exactly
     want = -0.5 * math.log(2 * math.pi * 0.25)
-    for got in _both_log_f(state, data, 0, cid):
+    for got in _both_log_f(state, data, hp, 0, cid):
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -81,7 +85,7 @@ def test_likelihood_spike_case_reduces_to_baseline():
     want = sum(
         log_normal_pdf(data.y[0][j], mu_base[j], sig[j]) for j in range(4)
     )
-    for got in _both_log_f(state, data, 0, cid):
+    for got in _both_log_f(state, data, hp, 0, cid):
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -93,7 +97,7 @@ def test_likelihood_recomposition_oracle():
     want = sum(
         log_normal_pdf(data.y[1][j], mu_base[j] + mu_vec[j], sig[j]) for j in range(5)
     )
-    for got in _both_log_f(state, data, 1, cid):
+    for got in _both_log_f(state, data, hp, 1, cid):
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -360,7 +364,7 @@ def test_birth_ratio_recomputation_oracle(tiny_state):
         if state.samples.size_of(state.samples.cluster_of(i)) > 1
     )
     st = state.copy()
-    accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, *_baselines(st))
+    accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
     want = (
         mpmath.log(mpmath.mpf(state.conc_samples)) - mpmath.log(data.n - 1)
         + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])
@@ -378,7 +382,7 @@ def test_q_equal_q0_reduces_to_plain_ratio(tiny_state):
         if state.samples.size_of(state.samples.cluster_of(i)) > 1
     )
     st = state.copy()
-    _, info = mh_birth_move(st, data, hp, non_singleton, rng, *_baselines(st))
+    _, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
     plain = (
         math.log(state.conc_samples) - math.log(data.n - 1)
         + info["log_f_new"] - info["log_f_old"]
@@ -400,17 +404,17 @@ def test_birth_death_pair_ratios_cancel():
             if st.samples.size_of(st.samples.cluster_of(k)) > 1
         )
         origin = st.samples.cluster_of(i)
-        accepted, binfo = mh_birth_move(st, data, hp, i, rng, *_baselines(st))
+        accepted, binfo = mh_birth_move(st, data, hp, i, rng, _pass(st, data, hp))
         if not accepted:
             continue
         # the reversing death targets the origin cluster
-        mu_base = st.mean_part.values_vector()
-        sigma_sq = st.var_part.values_vector()
+        mu_base, sigma_sq = _baselines(st)
         x = data.y[i] - mu_base
         own = st.cluster_means[st.samples.cluster_of(i)]
         log_q, log_q0 = eval_log_q(own, x, 1, sigma_sq, st, hp)
-        log_f_origin = _loglik_dense(data.y[i], st.cluster_means[origin].mu(), mu_base, sigma_sq)
-        log_f_own = _loglik_dense(data.y[i], own.mu(), mu_base, sigma_sq)
+        bd = _pass(st, data, hp)
+        log_f_origin = bd.loglik(i, st.cluster_means[origin])
+        log_f_own = bd.loglik(i, own)
         death_ratio = (
             math.log(data.n - 1) - math.log(st.conc_samples)
             + log_f_origin - log_f_own + log_q - log_q0
@@ -428,7 +432,7 @@ def test_death_move_single_target():
         state, data, hp = make_state(n=2, p=2, seed=state.conc_samples.__hash__() % 97)
     rng = np.random.default_rng(8)
     other = [c for c in state.samples.cluster_ids() if c != state.samples.cluster_of(0)][0]
-    _, info = mh_death_move(state.copy(), data, hp, 0, rng, *_baselines(state))
+    _, info = mh_death_move(state.copy(), data, hp, 0, rng, _pass(state, data, hp))
     assert info["target"] == other
 
 
@@ -452,7 +456,7 @@ def test_death_ratio_recomputation_oracle():
         state.cluster_data_sum[cid] = data.y[i].copy()
         singleton = i
     rng = np.random.default_rng(9)
-    _, info = mh_death_move(state.copy(), data, hp, singleton, rng, *_baselines(state))
+    _, info = mh_death_move(state.copy(), data, hp, singleton, rng, _pass(state, data, hp))
     want = (
         mpmath.log(data.n - 1) - mpmath.log(mpmath.mpf(state.conc_samples))
         + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from sparseclust.chain import ChainConfig, init_state
+from sparseclust.clusters import BirthDeathPass, mh_birth_move
 from sparseclust.diagnostics import (
     STATISTIC_NAMES,
     geweke_z_scores,
@@ -14,7 +15,7 @@ from sparseclust.diagnostics import (
 from sparseclust.model import default_hyperparams
 from sparseclust.simulate import gen_example1
 
-from conftest import informative_hp
+from conftest import informative_hp, make_state
 
 GATE_SEEDS = (0, 1, 2, 3)
 GATE_DRAWS = 4000
@@ -51,3 +52,16 @@ def test_sequential_proposal_beats_prior_proposal():
     prior = measure_birth_acceptance(state, data, hp, rng, 400, "prior")
     assert sequential > 0.0
     assert sequential >= 1000.0 * prior, (sequential, prior)
+
+
+def test_birth_acceptance_scores_the_kernel_move():
+    """One sequential attempt is the acceptance probability of the birth
+    move the kernel makes from the same generator state."""
+    state, data, hp = make_state(n=6, p=5, seed=2, require_multi=True)
+    i = next(i for i in range(data.n) if state.samples.cluster_size(i) > 1)
+    bd = BirthDeathPass(data.y, state.mean_part.values_vector(),
+                        state.var_part.values_vector(), state, hp)
+    for seed in range(20):
+        got = measure_birth_acceptance(state, data, hp, np.random.default_rng(seed), 1)
+        _, info = mh_birth_move(state.copy(), data, hp, i, np.random.default_rng(seed), bd)
+        assert got == min(1.0, math.exp(info["log_ratio"]))
