@@ -19,7 +19,6 @@ from .clusters import (
     eval_log_q,
     gibbs_reassign,
     gibbs_update_cluster_mean,
-    loglik_matrix,
     mh_birth_move,
     mh_death_move,
     sample_prior_mean,
@@ -79,7 +78,6 @@ __all__ = [
     "log_beta_pdf",
     "log_inv_gamma_pdf",
     "log_normal_pdf",
-    "loglik_matrix",
     "merge_traces",
     "mh_birth_move",
     "mh_death_move",

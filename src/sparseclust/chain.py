@@ -112,7 +112,6 @@ def init_state(data, hp, cfg, rng):
         samples=samples,
         cluster_means={},
         incl_prob={},
-        cluster_data_sum={},
         attr_prob=attr_prob,
         slab_var=1.0,
         conc_samples=hp.conc_shape / hp.conc_rate,
@@ -130,8 +129,6 @@ def init_state(data, hp, cfg, rng):
         mean = ClusterMeanVector.all_spike(p)
         state.cluster_means[cid] = mean
         state.incl_prob[cid] = draw_pi_row(mean, attr_prob, hp, rng)
-    for cid, mem in samples.members().items():
-        state.cluster_data_sum[cid] = data.y[mem].sum(axis=0)
     return state
 
 

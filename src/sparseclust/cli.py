@@ -217,10 +217,7 @@ def main(argv=None):
             data = preprocess_expression(data)
         if args.standardize:
             data = standardize_columns(data)
-        hp = default_hyperparams(data)
-        if hp_overrides:
-            base = {k: getattr(hp, k) for k in _HP_KEYS}
-            hp = Hyperparams(**{**base, **hp_overrides})
+        hp = default_hyperparams(data, **hp_overrides)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 

@@ -25,13 +25,16 @@ SPIKE and new-cluster weights, where spike runs start and the run's choice
 terms, built as arrays before the walk, and as Python lists only when the
 walk leaves the block path. None of them depends on a seat. In step 5 they
 depend only on the baselines, attr_prob, slab_var and conc_inner, and no
-birth or death move changes any of those. So ``step_clusters`` builds one
-``BirthDeathPass`` for the whole birth/death loop: the terms of every
-sample's residual y_i - mu_base as (n, p) rows, together with
-log(2 pi sigma^2) and every sample's log likelihood under a zero mean, which
-is the likelihood of nearly every proposal at the default sparsity. The
-elementwise ufuncs and the row sums give the same bits on the (n, p) arrays
-as on one row, so the random stream does not depend on which form is built.
+birth, death or reassignment move changes any of those. So
+``step_clusters`` builds one ``BirthDeathPass`` for the birth/death loop and
+the reassignment pass: the terms of every sample's residual y_i - mu_base as
+(n, p) rows, together with log(2 pi sigma^2) and every sample's log
+likelihood under a zero mean, which is the likelihood of nearly every
+proposal at the default sparsity and the reassignment column of every
+all-spike cluster. The elementwise ufuncs and the row sums give the same
+bits on the (n, p) arrays as on one row, so the random stream does not
+depend on which form is built. The inner Gibbs pass then reads each
+cluster's member rows from the data, in ascending sample order.
 """
 
 import math
@@ -171,10 +174,11 @@ class WalkTerms:
 
 
 class BirthDeathPass(WalkTerms):
-    """What the birth and death moves of one step-5 pass read: the walk
-    terms of every sample's residual ``x[i] = y_i - mu_base`` (n_count 1),
-    ``log(2 pi sigma_sq)`` and every sample's log likelihood under a zero
-    mean. See the module docstring for why none of it changes in the pass."""
+    """What the birth, death and reassignment moves of one step-5 pass read:
+    the walk terms of every sample's residual ``x[i] = y_i - mu_base``
+    (n_count 1), ``log(2 pi sigma_sq)`` and every sample's log likelihood
+    under a zero mean. See the module docstring for why none of it changes
+    in the pass."""
 
     def __init__(self, y, mu_base, sigma_sq, state, hp):
         sigma_sq = np.asarray(sigma_sq, dtype=float)
@@ -188,6 +192,12 @@ class BirthDeathPass(WalkTerms):
         if not mean.inner.n_clusters():  # every component is SPIKE
             return self.zero_loglik[i]
         return float(_loglik_rows(self.x[i] - mean.mu(), self.log_2pi_var, self.sigma_sq))
+
+    def loglik_column(self, mean):
+        """Every sample's log F(y_i; mu_base + mean), as ``loglik`` gives it."""
+        if not mean.inner.n_clusters():  # every component is SPIKE
+            return self.zero_loglik
+        return _loglik_rows(self.x - mean.mu(), self.log_2pi_var, self.sigma_sq)
 
     def birth_log_ratio(self, state, i, mean_new, log_q, log_q0):
         """(log MH ratio, log F new, log F old) of moving sample i out of its
@@ -475,29 +485,14 @@ def _loglik_rows(d, log_2pi_var, sigma_sq):
     return (-0.5 * (log_2pi_var + d * d / sigma_sq)).sum(axis=-1)
 
 
-def loglik_matrix(state, data, cids, mu_base, sigma_sq):
-    """Log F(y_i; mu_c) for every sample i (rows) and every cluster in
-    ``cids`` (columns): normal densities with the baseline mean included."""
-    log_norm = -0.5 * np.log(2.0 * np.pi * sigma_sq).sum()
-    inv_sig = 1.0 / sigma_sq
-    resid = data.y - mu_base
-    out = np.empty((data.n, len(cids)))
-    for t, c in enumerate(cids):
-        d = resid - state.cluster_means[c].mu()
-        out[:, t] = log_norm - 0.5 * (d * d) @ inv_sig
-    return out
-
-
 def mh_birth_move(state, data, hp, i, rng, bd):
     """Propose moving a non-singleton sample into a fresh cluster.
 
     ``bd`` is the step's ``BirthDeathPass``.
     """
-    cid = state.samples.cluster_of(i)
     if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
-    y_i = data.y[i]
     prop = bd.propose(i, rng)
     mean_new, log_q, log_q0 = prop.mean, prop.log_q, prop.log_q0
     log_ratio, log_f_new, log_f_old = bd.birth_log_ratio(state, i, mean_new, log_q, log_q0)
@@ -508,8 +503,6 @@ def mh_birth_move(state, data, hp, i, rng, bd):
         new_cid = state.samples.attach_new(i)
         state.cluster_means[new_cid] = mean_new
         state.incl_prob[new_cid] = draw_pi_row(mean_new, state.attr_prob, hp, rng)
-        state.cluster_data_sum[cid] = state.cluster_data_sum[cid] - y_i
-        state.cluster_data_sum[new_cid] = y_i.copy()
     info = {
         "log_ratio": log_ratio, "log_f_new": log_f_new, "log_f_old": log_f_old,
         "log_q": log_q, "log_q0": log_q0,
@@ -539,7 +532,6 @@ def mh_death_move(state, data, hp, i, rng, bd):
             target = c
             break
 
-    y_i = data.y[i]
     mean_own = state.cluster_means[cid]
     log_q, log_q0 = _scan_components(mean_own.inner, bd, i)
 
@@ -554,10 +546,8 @@ def mh_death_move(state, data, hp, i, rng, bd):
     if accepted:
         state.samples.detach(i)
         state.samples.attach(i, target)
-        state.cluster_data_sum[target] = state.cluster_data_sum[target] + y_i
         del state.cluster_means[cid]
         del state.incl_prob[cid]
-        del state.cluster_data_sum[cid]
     info = {
         "log_ratio": log_ratio, "log_f_new": log_f_new, "log_f_old": log_f_old,
         "log_q": log_q, "log_q0": log_q0, "target": target,
@@ -569,9 +559,8 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
     """Resample a non-singleton sample's cluster among existing clusters.
 
     ``loglik_row[t]`` is sample i's log likelihood under cluster
-    ``col_order[t]``, i.e. row i of ``loglik_matrix``.
+    ``col_order[t]``: entry i of that cluster's ``BirthDeathPass.loglik_column``.
     """
-    cid = state.samples.cluster_of(i)
     if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; Gibbs reassignment skipped")
     state.samples.detach(i)
@@ -582,23 +571,21 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
     choice, _lse = _pick_with_lse(logw, rng)
     new_cid = col_order[choice]
     state.samples.attach(i, new_cid)
-    if new_cid != cid:
-        y_i = data.y[i]
-        state.cluster_data_sum[cid] = state.cluster_data_sum[cid] - y_i
-        state.cluster_data_sum[new_cid] = state.cluster_data_sum[new_cid] + y_i
     return new_cid
 
 
-def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq):
+def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem):
     """Partially collapsed Gibbs pass over one cluster's mean components.
 
+    ``mem`` lists the cluster's samples in ascending order, as
+    ``Partition.members`` gives them; the pass reads their average residual.
     Component memberships are resampled with the inner values integrated out,
     then every inner value is redrawn from its conjugate posterior. Inclusion
     probabilities are refreshed for components whose zero status flipped, so
     the mu/incl_prob coupling invariant holds at exit.
     """
-    n_count = state.samples.size_of(cid)
-    x = state.cluster_data_sum[cid] / n_count - mu_base
+    n_count = len(mem)
+    x = data.y[mem].sum(axis=0) / n_count - mu_base
     inner = state.cluster_means[cid].inner
     was_spike = inner.spike_mask()
     _scan_components(inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0, rng)
@@ -622,15 +609,16 @@ def step_clusters(state, data, hp, rng):
             mh_birth_move(state, data, hp, i, rng, bd)
         else:
             mh_death_move(state, data, hp, i, rng, bd)
-    del bd  # (n, p) arrays the rest of the step does not read
 
-    # The cluster set is fixed during the reassignment pass, so the
-    # per-cluster log likelihood matrix can be computed once.
+    # The cluster set and the means are fixed during the reassignment pass,
+    # so each cluster's column of log likelihoods is computed once.
     col_order = state.samples.cluster_ids()
-    loglik = loglik_matrix(state, data, col_order, mu_base, sigma_sq)
+    loglik = np.column_stack([bd.loglik_column(state.cluster_means[c]) for c in col_order])
+    del bd  # (n, p) arrays the rest of the step does not read
     for i in range(data.n):
         if state.samples.cluster_size(i) > 1:
             gibbs_reassign(state, data, hp, i, rng, loglik[i], col_order)
 
-    for cid in state.samples.cluster_ids():
-        gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq)
+    # The inner pass moves no sample.
+    for cid, mem in state.samples.members().items():
+        gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .chain import sweep
 from .clusters import BirthDeathPass, sample_prior_mean
-from .forward import attach_data_sums, draw_data, draw_state_from_prior
+from .forward import draw_data, draw_state_from_prior
 from .model import DataMatrix
 
 STATISTIC_NAMES = (
@@ -54,13 +54,11 @@ def successive_conditional_samples(n, p, hp, draws, rng):
     then the state given the data by one full transition-kernel sweep."""
     state = draw_state_from_prior(n, p, hp, rng)
     data = DataMatrix(draw_data(state, rng))
-    attach_data_sums(state, data.y)
     out = np.empty((draws, len(STATISTIC_NAMES)))
     for t in range(draws):
         sweep(state, data, hp, rng)
         out[t] = state_statistics(state)
         data.y[...] = draw_data(state, rng)
-        attach_data_sums(state, data.y)
     return out
 
 
@@ -94,6 +92,10 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     min(1, r) is accumulated, r scored as ``mh_birth_move`` scores it. The
     state is never mutated.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
+    if proposal not in ("sequential", "prior"):
+        raise ValueError(f"unknown proposal kind {proposal!r}")
     bd = BirthDeathPass(
         data.y, state.mean_part.values_vector(), state.var_part.values_vector(), state, hp)
     eligible = [
@@ -109,11 +111,9 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
         if proposal == "sequential":
             prop = bd.propose(i, rng)
             mean_new, log_q, log_q0 = prop.mean, prop.log_q, prop.log_q0
-        elif proposal == "prior":
+        else:
             mean_new = sample_prior_mean(data.p, state, hp, rng)
             log_q = log_q0 = 0.0
-        else:
-            raise ValueError(f"unknown proposal kind {proposal!r}")
         log_r = bd.birth_log_ratio(state, i, mean_new, log_q, log_q0)[0]
         total += 1.0 if log_r >= 0.0 else math.exp(log_r)
     return total / attempts

@@ -2,7 +2,8 @@
 the state. Together with the transition kernel this supports
 joint-distribution (marginal-conditional vs successive-conditional) testing;
 ``tests/test_diagnostics.py::test_joint_distribution_gate`` runs that test on
-the full sweep.
+the full sweep. The state holds nothing derived from the data, so data
+redrawn in place needs no resync before the next sweep.
 """
 
 import math
@@ -70,7 +71,6 @@ def draw_state_from_prior(n, p, hp, rng):
         samples=samples,
         cluster_means=cluster_means,
         incl_prob=incl_prob,
-        cluster_data_sum={},
         attr_prob=attr_prob,
         slab_var=slab_var,
         conc_samples=conc_samples,
@@ -90,10 +90,3 @@ def draw_data(state, rng):
         mu_c = state.cluster_means[state.samples.cluster_of(i)].mu()
         y[i] = mu_base + mu_c + sd * rng.standard_normal(p)
     return y
-
-
-def attach_data_sums(state, y):
-    """Recompute the cached per-cluster column sums for the given data."""
-    state.cluster_data_sum = {
-        cid: y[mem].sum(axis=0) for cid, mem in state.samples.members().items()
-    }

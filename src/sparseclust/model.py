@@ -73,20 +73,29 @@ class Hyperparams:
                 raise ValueError(f"{f.name} must be strictly positive, got {v}")
 
 
-def default_hyperparams(data):
+def default_hyperparams(data, **overrides):
     """Hyperparameters with the base measure centered on the data.
 
-    The base-measure mean is the grand mean of the attribute means and the
-    base-measure variance is the spread of the attribute means around it.
+    ``overrides`` set any fields. The data supplies only the base-measure
+    keys they leave unset: base_mean is the grand mean of the attribute
+    means, base_var the spread of the attribute means around it. A spread
+    that is negligible next to the variance of the data (identical or
+    standardized attribute means) cannot identify base_var, and raises.
     """
     col_means = data.y.mean(axis=0)
     grand = float(col_means.mean())
-    spread = float(((col_means - grand) ** 2).mean())
-    if spread == 0.0:
-        raise DegenerateDataError(
-            "attribute means are all identical; base-measure variance would be zero"
-        )
-    return Hyperparams(base_mean=grand, base_var=spread)
+    base = {"base_mean": grand}
+    if "base_var" not in overrides:
+        spread = float(((col_means - grand) ** 2).mean())
+        scale = float(data.y.var())
+        if spread <= np.finfo(float).eps * scale:
+            raise DegenerateDataError(
+                f"attribute means are all identical (spread {spread:.3g} against a "
+                f"data variance of {scale:.3g}), so the base-measure variance would "
+                "be zero; set base_var (and base_mean) in the config"
+            )
+        base["base_var"] = spread
+    return Hyperparams(**{**base, **overrides})
 
 
 _PARTITIONS = ("mean_part", "var_part", "samples")
@@ -99,8 +108,10 @@ class ModelState:
 
     mean_part / var_part partition the attributes and carry the baseline
     means / variances as cluster values. ``samples`` partitions the
-    samples; per live sample-cluster id there is a ClusterMeanVector, an
-    inclusion-probability row, and a cached column sum of the member rows.
+    samples; per live sample-cluster id there is a ClusterMeanVector and an
+    inclusion-probability row. The state holds only unknowns: quantities
+    derived from the data, such as a cluster's summed member rows, are
+    computed where they are read.
     """
 
     mean_part: Partition
@@ -108,7 +119,6 @@ class ModelState:
     samples: Partition
     cluster_means: dict
     incl_prob: dict
-    cluster_data_sum: dict
     attr_prob: np.ndarray
     slab_var: float
     conc_samples: float
@@ -125,7 +135,8 @@ class ModelState:
         return self.mean_part.n_items
 
     def validate(self, data=None):
-        """Structural invariants; raises AssertionError on the first failure."""
+        """Structural invariants, and that ``data`` (if given) has the
+        state's shape; raises AssertionError on the first failure."""
         self.mean_part.validate()
         self.var_part.validate()
         self.samples.validate()
@@ -134,8 +145,7 @@ class ModelState:
         if (self.var_part.values <= 0.0).any():
             raise AssertionError(f"non-positive baseline variance in {self.var_part.values}")
         live = set(self.samples.cluster_ids())
-        if set(self.cluster_means) != live or set(self.incl_prob) != live \
-                or set(self.cluster_data_sum) != live:
+        if set(self.cluster_means) != live or set(self.incl_prob) != live:
             raise AssertionError("per-cluster payload keys out of sync with live clusters")
         for cid in live:
             mean = self.cluster_means[cid]
@@ -156,11 +166,8 @@ class ModelState:
             v = getattr(self, name)
             if not (v > 0.0 and np.isfinite(v)):
                 raise AssertionError(f"{name} must be positive and finite, got {v}")
-        if data is not None:
-            for cid, mem in self.samples.members().items():
-                expect = data.y[mem].sum(axis=0)
-                if not np.allclose(self.cluster_data_sum[cid], expect, atol=1e-8):
-                    raise AssertionError(f"stale data sums for cluster {cid}")
+        if data is not None and data.y.shape != (self.n, self.p):
+            raise AssertionError(f"data shape {data.y.shape} != state shape {(self.n, self.p)}")
 
     # -- serialization ------------------------------------------------------
 
@@ -170,7 +177,6 @@ class ModelState:
             **{name: getattr(self, name).to_dict() for name in _PARTITIONS},
             "cluster_means": {str(c): m.inner.to_dict() for c, m in self.cluster_means.items()},
             "incl_prob": {str(c): row.tolist() for c, row in self.incl_prob.items()},
-            "cluster_data_sum": {str(c): v.tolist() for c, v in self.cluster_data_sum.items()},
             "attr_prob": self.attr_prob.tolist(),
             **{name: getattr(self, name) for name in _SCALARS},
         }
@@ -186,7 +192,6 @@ class ModelState:
             **{name: Partition.from_dict(d[name]) for name in _PARTITIONS},
             cluster_means=means,
             incl_prob={int(c): np.array(v) for c, v in d["incl_prob"].items()},
-            cluster_data_sum={int(c): np.array(v) for c, v in d["cluster_data_sum"].items()},
             attr_prob=np.array(d["attr_prob"]),
             **{name: d[name] for name in _SCALARS},
         )

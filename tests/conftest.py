@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparseclust.clusters import ClusterMeanVector
-from sparseclust.forward import attach_data_sums, draw_data, draw_state_from_prior
+from sparseclust.forward import draw_data, draw_state_from_prior
 from sparseclust.model import DataMatrix, Hyperparams, ModelState
 from sparseclust.partition import Partition
 
@@ -26,7 +26,6 @@ def make_state(n=4, p=3, seed=0, hp=None, require_multi=False):
     while True:
         state = draw_state_from_prior(n, p, hp, rng)
         y = draw_data(state, rng)
-        attach_data_sums(state, y)
         if not require_multi:
             break
         sizes = state.samples.sizes()
@@ -73,7 +72,6 @@ def manual_state(y, sigma_sq, mean_values=None, mean_groups=None, hp=None,
         samples=samples,
         cluster_means={cid: ClusterMeanVector.all_spike(p)},
         incl_prob={cid: np.full(p, 0.5)},
-        cluster_data_sum={cid: y.sum(axis=0)},
         attr_prob=np.full(p, attr_prob),
         slab_var=slab_var,
         conc_samples=concs,

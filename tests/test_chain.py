@@ -148,7 +148,7 @@ def test_record_labels_beyond_int16():
         mean_part=mean_part, var_part=var_part, samples=samples,
         cluster_means={cid: ClusterMeanVector.all_spike(1) for cid in samples.cluster_ids()},
         incl_prob={cid: np.zeros(1) for cid in samples.cluster_ids()},
-        cluster_data_sum={}, attr_prob=np.full(1, 0.5), slab_var=1.0,
+        attr_prob=np.full(1, 0.5), slab_var=1.0,
         conc_samples=1.0, conc_mean=1.0, conc_var=1.0, conc_inner=1.0,
     )
     tr = ChainTrace(n, 1)

@@ -162,6 +162,36 @@ def test_csv_input_roundtrip(tmp_path):
     assert "source=" in manifest and "chain.seed=2" in manifest
 
 
+def test_config_base_measure_replaces_data_default(tmp_path):
+    """With base_mean and base_var set in the config, data whose attribute
+    means are identical fits: the data default is not consulted."""
+    src = tmp_path / "in.csv"
+    src.write_text("a,b\n0,1\n1,0\n0,1\n1,0\n")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("base_mean=0\nbase_var=1\n")
+    out = tmp_path / "r"
+    assert _run(["--data", str(src), "--config", str(cfg), "--iters", "6",
+                 "--burn-in", "2", "--out", str(out)]) == 0
+    manifest = (out / "run_manifest.txt").read_text()
+    assert "hp.base_mean=0" in manifest and "hp.base_var=1" in manifest
+
+
+def test_standardize_needs_a_configured_base_measure(tmp_path, capsys):
+    """Standardized attribute means differ only by rounding: without a
+    configured base measure that is a usage error naming the config keys."""
+    out = tmp_path / "o"
+    args = ["--simulate", "ex3", "--standardize", "--iters", "6", "--burn-in", "2"]
+    with pytest.raises(SystemExit) as e:
+        _run([*args, "--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "base_var" in err and "base_mean" in err
+    assert not out.exists()
+    cfg = tmp_path / "cfg"
+    cfg.write_text("base_mean=0\nbase_var=1\n")
+    assert _run([*args, "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_config_file_and_cli_precedence(tmp_path):
     cfg = tmp_path / "cfg"
     cfg.write_text("iterations=40\nburn_in=10\nseed=5\nslab_a=8.0\n")

@@ -12,7 +12,6 @@ from sparseclust.clusters import (
     eval_log_q,
     gibbs_reassign,
     gibbs_update_cluster_mean,
-    loglik_matrix,
     mh_birth_move,
     mh_death_move,
     sample_prior_mean,
@@ -60,11 +59,11 @@ def _pass(state, data, hp):
 
 
 def _both_log_f(state, data, hp, i, cid):
-    """Sample i's log likelihood under cluster cid, from the pass object the
-    birth/death moves use and from the matrix the reassignment pass uses."""
-    row = _pass(state, data, hp).loglik(i, state.cluster_means[cid])
-    matrix = loglik_matrix(state, data, [cid], *_baselines(state))[i, 0]
-    return row, matrix
+    """Sample i's log likelihood under cluster cid, as the birth/death moves
+    read it and from the column the reassignment pass reads."""
+    bd = _pass(state, data, hp)
+    mean = state.cluster_means[cid]
+    return bd.loglik(i, mean), bd.loglik_column(mean)[i]
 
 
 def test_likelihood_at_mode_single_attribute():
@@ -90,15 +89,19 @@ def test_likelihood_spike_case_reduces_to_baseline():
 
 
 def test_likelihood_recomposition_oracle():
+    """Both kinds of column the pass serves: an all-spike mean, which reads
+    the zero-mean likelihood, and a mean with slab components."""
     state, data, hp = make_state(n=3, p=5, seed=3)
     cid = state.samples.cluster_ids()[0]
     mu_base, sig = _baselines(state)
-    mu_vec = state.cluster_means[cid].mu()
-    want = sum(
-        log_normal_pdf(data.y[1][j], mu_base[j] + mu_vec[j], sig[j]) for j in range(5)
-    )
-    for got in _both_log_f(state, data, hp, 1, cid):
-        assert got == pytest.approx(want, rel=1e-12)
+    for mean in (ClusterMeanVector.all_spike(5), _mk_mean(5, [[0, 3], [2]], [0.7, -1.2])):
+        state.cluster_means[cid] = mean
+        mu_vec = mean.mu()
+        want = sum(
+            log_normal_pdf(data.y[1][j], mu_base[j] + mu_vec[j], sig[j]) for j in range(5)
+        )
+        for got in _both_log_f(state, data, hp, 1, cid):
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 # -- sequential proposal ------------------------------------------------------
@@ -452,8 +455,6 @@ def test_death_ratio_recomputation_oracle():
         cid = state.samples.attach_new(i)
         state.cluster_means[cid] = ClusterMeanVector.all_spike(data.p)
         state.incl_prob[cid] = np.full(data.p, 0.5)
-        state.cluster_data_sum[big] = state.cluster_data_sum[big] - data.y[i]
-        state.cluster_data_sum[cid] = data.y[i].copy()
         singleton = i
     rng = np.random.default_rng(9)
     _, info = mh_death_move(state.copy(), data, hp, singleton, rng, _pass(state, data, hp))
@@ -468,10 +469,13 @@ def test_death_ratio_recomputation_oracle():
 # -- Gibbs reassignment -------------------------------------------------------
 
 
-def _reassign_inputs(state, data):
-    """The log-likelihood matrix and column order the reassignment pass uses."""
+def _reassign_inputs(state, data, hp):
+    """The log-likelihood matrix and column order the reassignment pass uses:
+    one column per cluster from the step's birth/death pass."""
+    bd = _pass(state, data, hp)
     col_order = state.samples.cluster_ids()
-    return loglik_matrix(state, data, col_order, *_baselines(state)), col_order
+    loglik = np.column_stack([bd.loglik_column(state.cluster_means[c]) for c in col_order])
+    return loglik, col_order
 
 
 def _scipy_log_f(state, data, i, c):
@@ -486,13 +490,19 @@ def test_reassign_single_cluster_certain():
                                    sigma_sq=[1.0, 1.0])
     rng = np.random.default_rng(10)
     cid = state.samples.cluster_of(1)
-    loglik, col_order = _reassign_inputs(state, data)
+    loglik, col_order = _reassign_inputs(state, data, hp)
     assert gibbs_reassign(state, data, hp, 1, rng, loglik[1], col_order) == cid
 
 
 def test_reassign_logits_match_scipy_oracle():
+    """Columns of all-spike clusters (the pass's zero-mean likelihoods) and
+    of clusters with slab components (computed from the pass's residuals)."""
     state, data, hp = make_state(n=6, p=3, seed=13, require_multi=True)
-    loglik, col_order = _reassign_inputs(state, data)
+    first = state.samples.cluster_ids()[0]
+    state.cluster_means[first] = ClusterMeanVector.all_spike(data.p)
+    state.incl_prob[first] = np.full(data.p, 0.5)
+    assert any(state.cluster_means[c].nonzero_count() for c in state.samples.cluster_ids())
+    loglik, col_order = _reassign_inputs(state, data, hp)
     assert loglik.shape == (data.n, len(col_order))
     for i in range(data.n):
         for t, c in enumerate(col_order):
@@ -505,7 +515,7 @@ def test_reassign_frequencies_follow_logits():
         k for k in range(data.n)
         if state.samples.size_of(state.samples.cluster_of(k)) > 1
     )
-    loglik, col_order = _reassign_inputs(state, data)
+    loglik, col_order = _reassign_inputs(state, data, hp)
     orig = state.samples.cluster_of(i)
     logw = np.array([
         math.log(state.samples.size_of(c) - (c == orig)) + _scipy_log_f(state, data, i, c)
@@ -522,8 +532,6 @@ def test_reassign_frequencies_follow_logits():
         if got != orig:  # put the sample back for the next trial
             state.samples.detach(i)
             state.samples.attach(i, orig)
-            state.cluster_data_sum[got] = state.cluster_data_sum[got] - data.y[i]
-            state.cluster_data_sum[orig] = state.cluster_data_sum[orig] + data.y[i]
     for t, c in enumerate(col_order):
         se = math.sqrt(probs[t] * (1 - probs[t]) / trials)
         assert abs(counts[c] / trials - probs[t]) < 4 * se + 1e-9
@@ -532,12 +540,18 @@ def test_reassign_frequencies_follow_logits():
 # -- inner mean Gibbs ---------------------------------------------------------
 
 
+def _inner_pass(state, data, hp, cid, rng):
+    """One inner Gibbs pass over cluster cid, as ``step_clusters`` runs it."""
+    gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state),
+                              state.samples.members()[cid])
+
+
 def test_inner_gibbs_rho_zero_forces_spike():
     y = np.array([[0.5, -0.1], [0.2, 0.3], [0.4, 0.0]])
     state, data, hp = manual_state(y, sigma_sq=[0.5, 0.5], attr_prob=0.0)
     cid = state.samples.cluster_ids()[0]
     rng = np.random.default_rng(12)
-    gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
+    _inner_pass(state, data, hp, cid, rng)
     assert state.cluster_means[cid].nonzero_count() == 0
 
 
@@ -557,7 +571,7 @@ def test_inner_gibbs_p1_two_way_frequencies():
     saved_mean = copy.deepcopy(state.cluster_means[cid])
     saved_row = state.incl_prob[cid].copy()
     for _ in range(trials):
-        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
+        _inner_pass(state, data, hp, cid, rng)
         hits += state.cluster_means[cid].nonzero_count() > 0
         state.cluster_means[cid] = copy.deepcopy(saved_mean)
         state.incl_prob[cid] = saved_row.copy()
@@ -608,7 +622,7 @@ def test_inner_gibbs_p2_pattern_frequencies_match_posterior():
     passes = 40_000
     seen = []
     for _ in range(passes):
-        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
+        _inner_pass(state, data, hp, cid, rng)
         seen.append(pattern(state.cluster_means[cid].inner))
     state.validate(data)
     for key, w in weights.items():
@@ -631,7 +645,7 @@ def test_inner_gibbs_value_redraw_moments():
     saved_mean = copy.deepcopy(state.cluster_means[cid])
     saved_row = state.incl_prob[cid].copy()
     for _ in range(60_000):
-        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
+        _inner_pass(state, data, hp, cid, rng)
         if state.cluster_means[cid].nonzero_count():
             vals.append(state.cluster_means[cid].mu()[0])
         state.cluster_means[cid] = copy.deepcopy(saved_mean)
@@ -648,5 +662,5 @@ def test_inner_gibbs_keeps_pi_coupling(tiny_state):
     state, data, hp = tiny_state
     rng = np.random.default_rng(15)
     for cid in state.samples.cluster_ids():
-        gibbs_update_cluster_mean(state, data, hp, cid, rng, *_baselines(state))
+        _inner_pass(state, data, hp, cid, rng)
     state.validate(data)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseclust.chain import sweep
 from sparseclust.clusters import (
     ClusterMeanVector,
     _pick_with_lse,
@@ -21,6 +22,7 @@ from sparseclust.clusters import (
     sequential_sample_mean,
 )
 from sparseclust.densities import LOG_2PI
+from sparseclust.forward import draw_data
 from sparseclust.partition import DETACHED, SPIKE
 from sparseclust.sparsity import draw_pi_entry
 
@@ -163,8 +165,7 @@ def _case(kind, seed):
                 start.inner.attach_new(j, float(x[j]))
             else:
                 start.inner.attach(j, start.inner.cluster_of(j % 3))
-    n_c = state.samples.size_of(cid)
-    state.cluster_data_sum[cid] = n_c * (x + mu_base)
+    data.y[state.samples.members()[cid]] = x + mu_base  # the members' mean residual is x
     state.cluster_means[cid] = start
     return state, data, hp, cid, x
 
@@ -205,26 +206,44 @@ def test_proposal_matches_reference_walk(kind):
         assert seen_slab >= len(SEEDS) // 2
 
 
+def _check_inner_gibbs(state, data, hp, cid, seed):
+    """One inner Gibbs pass over cluster cid against the reference walk on
+    the average residual of the members' current rows."""
+    mu_base = state.mean_part.values_vector()
+    sigma_sq = state.var_part.values_vector()
+    ref_state = state.copy()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    mem = state.samples.members()[cid]
+    gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
+
+    inner = ref_state.cluster_means[cid].inner
+    was_spike = [inner.cluster_of(j) == SPIKE for j in range(inner.n_items)]
+    rows = [i for i in range(data.n) if ref_state.samples.cluster_of(i) == cid]
+    x = data.y[rows].sum(axis=0) / len(rows) - mu_base
+    _reference_walk(inner, x, len(rows), sigma_sq, ref_state, hp, ref_rng)
+    row = ref_state.incl_prob[cid]
+    for j in range(inner.n_items):
+        a = inner.cluster_of(j)
+        if (a == SPIKE) != was_spike[j]:
+            row[j] = draw_pi_entry(a == SPIKE, float(ref_state.attr_prob[j]), hp, ref_rng)
+
+    assert state.to_dict() == ref_state.to_dict()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_inner_gibbs_matches_reference_walk(kind):
     for seed in SEEDS:
         state, data, hp, cid, _x = _case(kind, seed)
-        mu_base = state.mean_part.values_vector()
-        sigma_sq = state.var_part.values_vector()
-        ref_state = state.copy()
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq)
+        _check_inner_gibbs(state, data, hp, cid, seed)
 
-        inner = ref_state.cluster_means[cid].inner
-        was_spike = [inner.cluster_of(j) == SPIKE for j in range(inner.n_items)]
-        n_count = ref_state.samples.size_of(cid)
-        x = ref_state.cluster_data_sum[cid] / n_count - mu_base
-        _reference_walk(inner, x, n_count, sigma_sq, ref_state, hp, ref_rng)
-        row = ref_state.incl_prob[cid]
-        for j in range(inner.n_items):
-            a = inner.cluster_of(j)
-            if (a == SPIKE) != was_spike[j]:
-                row[j] = draw_pi_entry(a == SPIKE, float(ref_state.attr_prob[j]), hp, ref_rng)
 
-        assert state.to_dict() == ref_state.to_dict()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_inner_gibbs_reads_data_written_in_place():
+    """The joint-distribution test redraws the data into the same array
+    after every sweep; the inner pass must read the members' new rows."""
+    for seed in range(10):
+        state, data, hp = make_state(n=6, p=5, seed=seed, require_multi=True)
+        sweep(state, data, hp, np.random.default_rng(seed))
+        data.y[...] = draw_data(state, np.random.default_rng(100 + seed))
+        for cid in state.samples.cluster_ids():
+            _check_inner_gibbs(state, data, hp, cid, seed)

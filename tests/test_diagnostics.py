@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from sparseclust.chain import ChainConfig, init_state
 from sparseclust.clusters import BirthDeathPass, mh_birth_move
@@ -52,6 +53,17 @@ def test_sequential_proposal_beats_prior_proposal():
     prior = measure_birth_acceptance(state, data, hp, rng, 400, "prior")
     assert sequential > 0.0
     assert sequential >= 1000.0 * prior, (sequential, prior)
+
+
+def test_birth_acceptance_rejects_bad_arguments():
+    """Rejected before any draw is made."""
+    state, data, hp = make_state(n=6, p=5, seed=2, require_multi=True)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for attempts, proposal in ((0, "sequential"), (-3, "prior"), (5, "posterior")):
+        with pytest.raises(ValueError, match="attempts|proposal"):
+            measure_birth_acceptance(state, data, hp, rng, attempts, proposal)
+    assert rng.bit_generator.state == before
 
 
 def test_birth_acceptance_scores_the_kernel_move():

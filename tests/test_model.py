@@ -46,6 +46,28 @@ def test_default_hyperparams_degenerate():
         default_hyperparams(DataMatrix([[0.0, 0.0], [0.0, 0.0]]))
 
 
+def test_default_hyperparams_standardized_is_degenerate():
+    """Standardized columns leave attribute means that differ only by
+    rounding; their spread must not become the base-measure variance."""
+    data, _ = gen_example1(0)
+    z = (data.y - data.y.mean(axis=0)) / data.y.std(axis=0)
+    with pytest.raises(DegenerateDataError, match="base_var"):
+        default_hyperparams(DataMatrix(z))
+
+
+def test_default_hyperparams_overrides_skip_the_data():
+    flat = DataMatrix([[0.0, 1.0], [1.0, 0.0]])  # equal attribute means
+    hp = default_hyperparams(flat, base_mean=0.0, base_var=2.0, rho_a=2.0)
+    assert (hp.base_mean, hp.base_var, hp.rho_a) == (0.0, 2.0, 2.0)
+    assert default_hyperparams(flat, base_var=2.0).base_mean == 0.5
+    with pytest.raises(DegenerateDataError):
+        default_hyperparams(flat, base_mean=0.0)
+    data, _ = gen_example1(0)
+    base = default_hyperparams(data)
+    assert default_hyperparams(data, slab_a=8.0) == Hyperparams(
+        **{**base.__dict__, "slab_a": 8.0})
+
+
 def test_default_hyperparams_two_by_two():
     hp = default_hyperparams(DataMatrix([[1.0, 3.0], [1.0, 3.0]]))
     assert hp.base_mean == pytest.approx(2.0, abs=1e-15)
@@ -96,16 +118,13 @@ def test_state_serialization_roundtrip_bit_exact():
         np.testing.assert_array_equal(
             restored.cluster_means[cid].mu(), state.cluster_means[cid].mu()
         )
-        np.testing.assert_array_equal(
-            restored.cluster_data_sum[cid], state.cluster_data_sum[cid]
-        )
     restored.validate(data)
 
 
 def _state_arrays(state):
     parts = [state.mean_part, state.var_part, state.samples,
              *(m.inner for m in state.cluster_means.values())]
-    return [state.attr_prob, *state.incl_prob.values(), *state.cluster_data_sum.values(),
+    return [state.attr_prob, *state.incl_prob.values(),
             *(getattr(part, name) for part in parts
               for name in ("labels", "counts", "values", "ids"))]
 
@@ -125,6 +144,13 @@ def test_copies_are_independent(clone):
     # the form the benchmark hashes: plain lists and numbers
     json.dumps(state.to_dict(), default=int)
     json.dumps(twin.to_dict(), default=int)
+
+
+def test_validator_checks_data_shape():
+    state, data, _ = make_state(n=5, p=4, seed=17)
+    state.validate(data)
+    with pytest.raises(AssertionError, match="shape"):
+        state.validate(DataMatrix(data.y[:, :3]))
 
 
 def test_validator_catches_broken_coupling():
