@@ -15,14 +15,11 @@ from .chain import (
 from .clusters import (
     BirthDeathPass,
     ClusterMeanVector,
-    SequentialProposal,
-    eval_log_q,
     gibbs_reassign,
     gibbs_update_cluster_mean,
     mh_birth_move,
     mh_death_move,
     sample_prior_mean,
-    sequential_sample_mean,
 )
 from .concentration import update_concentration, update_gamma_multi
 from .densities import (
@@ -59,12 +56,10 @@ __all__ = [
     "Partition",
     "SPIKE",
     "SamplerAbort",
-    "SequentialProposal",
     "SimTruth",
     "coclustering",
     "crp_log_prob",
     "default_hyperparams",
-    "eval_log_q",
     "fitted_mean_posterior",
     "gen_example1",
     "gen_example2",
@@ -87,7 +82,6 @@ __all__ = [
     "run_chain",
     "sample_prior_mean",
     "select_attributes",
-    "sequential_sample_mean",
     "standardize_columns",
     "sweep",
     "update_concentration",

@@ -8,9 +8,9 @@ conjugate posterior.
 A step works on the slot arrays of its partition (see ``partition.py``):
 slot t is the t-th live cluster in creation order, with its member count
 and its members' sufficient statistics summed in attribute order, and each
-attribute holds its slot label. A cluster emptied by a detach gives up
-its slot and later slots move down one, so slot order stays creation order;
-a new cluster takes the next slot. An attribute's log weights are one vector
+attribute holds its slot label. A cluster that its last attribute leaves
+gives up its slot and later slots move down one, so slot order stays
+creation order; a new cluster takes the next slot. An attribute's log weights are one vector
 expression over the live slots plus a new-cluster weight precomputed for all
 attributes; log c and the variance step's gammaln terms of a c-member cluster
 come from count-indexed tables built once per step. All values are then

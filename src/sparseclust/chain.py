@@ -98,12 +98,13 @@ def init_state(data, hp, cfg, rng):
     col_var = data.y.var(axis=0, ddof=1)
     col_var = np.maximum(col_var, 1e-12)  # constant columns would break positivity
 
-    mean_part = Partition(p)
-    mean_part.set_slots([None] * p, np.arange(p), np.ones(p), col_mean)
-    var_part = Partition(p)
-    var_part.set_slots([None] * p, np.arange(p), np.ones(p), col_var)
+    mean_part = Partition(np.arange(p), np.ones(p), col_mean)
+    var_part = Partition(np.arange(p), np.ones(p), col_var)
+    if cfg.init_mode == ALL_ONE_CLUSTER:
+        samples = Partition(np.zeros(n), [n], [0.0])
+    else:
+        samples = Partition(np.arange(n), np.ones(n), np.zeros(n))
 
-    samples = Partition(n)
     rho0 = hp.rho_a / (hp.rho_a + hp.rho_b)
     attr_prob = np.full(p, rho0)
     state = ModelState(
@@ -120,13 +121,8 @@ def init_state(data, hp, cfg, rng):
         conc_inner=hp.conc_shape / hp.conc_rate,
     )
 
-    if cfg.init_mode == ALL_ONE_CLUSTER:
-        samples.set_slots([None], np.zeros(n), [n], [0.0])
-    else:
-        samples.set_slots([None] * n, np.arange(n), np.ones(n), np.zeros(n))
-
     for cid in samples.cluster_ids():
-        mean = ClusterMeanVector.all_spike(p)
+        mean = ClusterMeanVector(p)
         state.cluster_means[cid] = mean
         state.incl_prob[cid] = draw_pi_row(mean, attr_prob, hp, rng)
     return state

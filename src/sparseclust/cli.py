@@ -212,6 +212,8 @@ def main(argv=None):
         Hyperparams(**{"base_mean": 0.0, "base_var": 1.0, **hp_overrides})
         if not 0.0 < args.threshold < 1.0:
             raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out} exists and is not a directory")
         data, source = _load_data(args, parser, chain_kwargs["seed"])
         if args.preprocess:
             data = preprocess_expression(data)

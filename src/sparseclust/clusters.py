@@ -5,12 +5,13 @@ One component walk (``_scan_components``) serves every move on a cluster's
 mean vector. It seats each component in turn (SPIKE, a live inner cluster
 or a new one) from the collapsed spike/CRP conditional, then draws the inner
 values from their conjugate posteriors, and sums both the proposal density Q
-of those draws and their prior density Q0. From an empty partition it is the
-sequential proposal of a birth move; from a live one it is the inner Gibbs
-pass; without a generator it replays a given vector, bitwise equal to the
-proposal's own Q and Q0, which is how a death move scores the reverse birth.
-The walk seats components in slot lists of its own and writes the partition
-back once, at the end.
+of those draws and their prior density Q0. From a fresh all-SPIKE mean it is
+the sequential proposal of a birth move; over a cluster's mean it is the
+inner Gibbs pass; without a generator it replays a given vector, bitwise
+equal to the proposal's own Q and Q0, which is how a death move scores the
+reverse birth. The walk seats components in slot lists of its own, writes
+the seats into the partition's labels and the slot arrays back once, at the
+end; a proposal that seats every component on SPIKE writes nothing more.
 
 While no inner cluster is live, a component weighs only SPIKE against a new
 cluster, with weights that no earlier seat changes, so the walk seats a run
@@ -38,7 +39,6 @@ cluster's member rows from the data, in ascending sample order.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,18 +84,17 @@ def _pick_with_lse(logw, rng):
 
 class ClusterMeanVector:
     """Mean vector of one sample cluster: an inner partition of its p
-    components (SPIKE meaning exactly zero) plus one value per inner cluster."""
+    components (SPIKE meaning exactly zero) plus one value per inner cluster.
+    It is all SPIKE unless ``inner`` gives the partition."""
 
     __slots__ = ("inner",)
 
-    def __init__(self, p):
-        self.inner = Partition(p, allow_spike=True)
-
-    @classmethod
-    def all_spike(cls, p):
-        out = cls(p)
-        out.inner.set_slots([], np.full(p, SPIKE), [], [])
-        return out
+    def __init__(self, p, inner=None):
+        if inner is None:
+            labels = np.empty(p, dtype=np.intp)
+            labels.fill(SPIKE)  # half the time of np.full, once per birth proposal
+            inner = Partition(labels, allow_spike=True)
+        self.inner = inner
 
     def mu(self):
         """Dense p-vector of mean components (zeros at spike positions)."""
@@ -106,13 +105,6 @@ class ClusterMeanVector:
 
     def inner_cluster_count(self):
         return self.inner.n_clusters()
-
-
-@dataclass
-class SequentialProposal:
-    mean: ClusterMeanVector
-    log_q: float
-    log_q0: float
 
 
 class WalkTerms:
@@ -167,10 +159,10 @@ class WalkTerms:
                 self.new[i].tolist(), *self._shared)
 
     def propose(self, i, rng):
-        """A new cluster mean for row i, drawn by the sequential proposal."""
+        """(mean, log Q, log Q0): a new cluster mean for row i, drawn by the
+        sequential proposal, with its proposal and prior log densities."""
         mean = ClusterMeanVector(self.x.shape[1])
-        log_q, log_q0 = _scan_components(mean.inner, self, i, rng)
-        return SequentialProposal(mean, log_q, log_q0)
+        return (mean, *_scan_components(mean.inner, self, i, rng))
 
 
 class BirthDeathPass(WalkTerms):
@@ -224,11 +216,12 @@ def _scan_components(inner, terms, i, rng=None):
     counting measure for partitions and Lebesgue measure for unique values.
     The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``).
 
-    With ``rng`` the seats and values are drawn, then written into ``inner``
-    in one ``set_slots`` call: from an all-detached partition this is the
-    sequential proposal, from a live one the inner Gibbs pass (whose caller
-    ignores the two sums: there the later components are still seated, so
-    they are not densities of the result).
+    With ``rng`` the seats and values are drawn and written into ``inner``:
+    the seats into its labels as they are drawn, the slot arrays in one
+    ``set_slots`` call at the end. From an all-SPIKE partition this is the
+    sequential proposal, over a cluster's current mean the inner Gibbs pass
+    (whose caller ignores the two sums: there the later components are still
+    seated, so they are not densities of the result).
     Without ``rng`` the walk starts empty and replays the seats and values
     ``inner`` holds, leaving it untouched; the replay repeats the proposal's
     arithmetic, spike-run blocks included, so its log densities are bitwise
@@ -255,7 +248,7 @@ def _scan_components(inner, terms, i, rng=None):
     if k_start:
         xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
     seats = None if replay else labels  # drawing: the drawn seats, as tags
-    if not replay:
+    if k_start:
         seats.fill(SPIKE)  # the seat of every component not drawn off SPIKE
 
     # Parallel slot lists, one slot per live inner cluster in creation order:
@@ -382,7 +375,7 @@ def _scan_components(inner, terms, i, rng=None):
             values.append(val)
             log_q += _ln_norm(val, u_post, var)
             log_q0 += _ln_norm(val, 0.0, slab_var)
-    if not replay:
+    if not replay and (tags or k_start):  # else every seat stayed SPIKE
         if tags and tags[-1] != len(tags) - 1:
             # A cluster emptied during the walk (tags increase, so only then
             # do they skip a number): tags to slots.
@@ -432,22 +425,6 @@ def _slab_coef(hp):
     return hp.slab_a / (hp.slab_a + hp.slab_b)
 
 
-def sequential_sample_mean(x, n_count, sigma_sq, state, hp, rng):
-    """Propose a new cluster mean via sequential sampling.
-
-    ``x`` holds the per-attribute averaged residuals of the proposed member
-    set (y minus the baseline mean, averaged over the n_count members);
-    ``sigma_sq`` is the dense vector of baseline variances.
-    """
-    return WalkTerms(x, n_count, sigma_sq, state, hp).propose(0, rng)
-
-
-def eval_log_q(mean, x, n_count, sigma_sq, state, hp):
-    """(log Q, log Q0) of ``mean``: its density under the sequential
-    proposal (a deterministic replay) and under the prior."""
-    return _scan_components(mean.inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0)
-
-
 def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
     """Draw a mean vector from its prior.
 
@@ -456,19 +433,20 @@ def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
     draws, and may itself draw from ``rng``. Nonzero components share
     N(0, slab_var) values through a CRP with concentration ``conc_inner``.
     """
-    mean = ClusterMeanVector(p)
-    inner = mean.inner
+    labels, counts, values = [], [], []
     for j in range(p):
         s = slab_prob(j)
         if rng.random() >= s:
-            inner.attach_spike(j)
+            labels.append(SPIKE)
             continue
-        cid = crp_seat(inner, conc_inner, rng)
-        if cid is None:
-            inner.attach_new(j, math.sqrt(slab_var) * rng.standard_normal())
+        t = crp_seat(counts, conc_inner, rng)
+        if t == len(counts):
+            counts.append(1)
+            values.append(math.sqrt(slab_var) * rng.standard_normal())
         else:
-            inner.attach(j, cid)
-    return mean
+            counts[t] += 1
+        labels.append(t)
+    return ClusterMeanVector(p, Partition(labels, counts, values, allow_spike=True))
 
 
 def sample_prior_mean(p, state, hp, rng):
@@ -493,14 +471,12 @@ def mh_birth_move(state, data, hp, i, rng, bd):
     if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
-    prop = bd.propose(i, rng)
-    mean_new, log_q, log_q0 = prop.mean, prop.log_q, prop.log_q0
+    mean_new, log_q, log_q0 = bd.propose(i, rng)
     log_ratio, log_f_new, log_f_old = bd.birth_log_ratio(state, i, mean_new, log_q, log_q0)
     u = rng.random()
     accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if accepted:
-        state.samples.detach(i)
-        new_cid = state.samples.attach_new(i)
+        new_cid = state.samples.move(i)
         state.cluster_means[new_cid] = mean_new
         state.incl_prob[new_cid] = draw_pi_row(mean_new, state.attr_prob, hp, rng)
     info = {
@@ -515,22 +491,18 @@ def mh_death_move(state, data, hp, i, rng, bd):
 
     ``bd`` is the step's ``BirthDeathPass``.
     """
-    cid = state.samples.cluster_of(i)
-    if state.samples.cluster_size(i) != 1:
+    samples = state.samples
+    cid = samples.cluster_of(i)
+    if samples.cluster_size(i) != 1:
         raise RuntimeError(f"sample {i} is not a singleton; death move not applicable")
 
-    others = [
-        (c, cnt) for c, cnt in zip(state.samples.cluster_ids(), state.samples.sizes())
-        if c != cid
-    ]
-    u = rng.random() * (data.n - 1)
-    acc = 0.0
-    target = others[-1][0]
-    for c, cnt in others:
-        acc += cnt
-        if u <= acc:
-            target = c
-            break
+    # The target is a sample drawn uniformly from the other n - 1 samples:
+    # a CRP seat among the other clusters with no new table.
+    s = samples.labels.item(i)
+    others = samples.sizes()
+    del others[s]
+    t = crp_seat(others, 0.0, rng)
+    target = samples.ids.item(t + (t >= s))
 
     mean_own = state.cluster_means[cid]
     log_q, log_q0 = _scan_components(mean_own.inner, bd, i)
@@ -544,8 +516,7 @@ def mh_death_move(state, data, hp, i, rng, bd):
     u = rng.random()
     accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if accepted:
-        state.samples.detach(i)
-        state.samples.attach(i, target)
+        samples.move(i, target)
         del state.cluster_means[cid]
         del state.incl_prob[cid]
     info = {
@@ -561,17 +532,18 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
     ``loglik_row[t]`` is sample i's log likelihood under cluster
     ``col_order[t]``: entry i of that cluster's ``BirthDeathPass.loglik_column``.
     """
-    if state.samples.cluster_size(i) <= 1:
+    samples = state.samples
+    if samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; Gibbs reassignment skipped")
-    state.samples.detach(i)
 
     # Sample i's cluster keeps other members, so the cluster set is the one
-    # ``col_order`` lists, and slots are in the same creation order.
-    logw = [math.log(c) + w for c, w in zip(state.samples.sizes(), loglik_row.tolist())]
+    # ``col_order`` lists, and slots are in the same creation order. Each
+    # weight counts the cluster's members other than sample i.
+    counts = samples.sizes()
+    counts[samples.labels.item(i)] -= 1
+    logw = [math.log(c) + w for c, w in zip(counts, loglik_row.tolist())]
     choice, _lse = _pick_with_lse(logw, rng)
-    new_cid = col_order[choice]
-    state.samples.attach(i, new_cid)
-    return new_cid
+    return samples.move(i, col_order[choice])
 
 
 def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem):

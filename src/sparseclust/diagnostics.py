@@ -109,8 +109,7 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     for t in range(attempts):
         i = eligible[t % len(eligible)]
         if proposal == "sequential":
-            prop = bd.propose(i, rng)
-            mean_new, log_q, log_q0 = prop.mean, prop.log_q, prop.log_q0
+            mean_new, log_q, log_q0 = bd.propose(i, rng)
         else:
             mean_new = sample_prior_mean(data.p, state, hp, rng)
             log_q = log_q0 = 0.0

@@ -15,16 +15,18 @@ from .model import ModelState
 from .partition import Partition, crp_seat
 
 
-def _crp_partition(n_items, conc, rng, values):
-    """Sequential CRP draw; ``values`` supplies a payload per new cluster."""
-    part = Partition(n_items)
-    for i in range(n_items):
-        cid = crp_seat(part, conc, rng)
-        if cid is None:
-            part.attach_new(i, values())
+def _crp_partition(n_items, conc, rng, draw_value):
+    """Sequential CRP draw; ``draw_value`` supplies a payload per new cluster."""
+    labels, counts, values = [], [], []
+    for _ in range(n_items):
+        t = crp_seat(counts, conc, rng)
+        if t == len(counts):
+            counts.append(1)
+            values.append(draw_value())
         else:
-            part.attach(i, cid)
-    return part
+            counts[t] += 1
+        labels.append(t)
+    return Partition(labels, counts, values)
 
 
 def draw_cluster_mean_from_prior(p, attr_prob, hp, slab_var, conc_inner, rng):

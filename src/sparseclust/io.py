@@ -106,8 +106,10 @@ def standardize_columns(data):
 
 
 def parse_config_file(path):
-    """Flat key=value lines; '#' starts a comment, blank lines are skipped."""
+    """Flat key=value lines; '#' starts a comment, blank lines are skipped.
+    A key may appear once."""
     out = {}
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -115,8 +117,12 @@ def parse_config_file(path):
                 continue
             if "=" not in line:
                 raise CsvFormatError(f"{path}: line {lineno} is not a key=value pair")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise CsvFormatError(
+                    f"{path}: key {key} on line {lineno} repeats line {first_line[key]}")
+            out[key] = value
+            first_line[key] = lineno
     return out
 
 

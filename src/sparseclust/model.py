@@ -183,14 +183,10 @@ class ModelState:
 
     @classmethod
     def from_dict(cls, d):
-        means = {}
-        for cid, pd in d["cluster_means"].items():
-            m = ClusterMeanVector.__new__(ClusterMeanVector)
-            m.inner = Partition.from_dict(pd)
-            means[int(cid)] = m
         return cls(
             **{name: Partition.from_dict(d[name]) for name in _PARTITIONS},
-            cluster_means=means,
+            cluster_means={int(c): ClusterMeanVector(pd["n_items"], Partition.from_dict(pd))
+                           for c, pd in d["cluster_means"].items()},
             incl_prob={int(c): np.array(v) for c, v in d["incl_prob"].items()},
             attr_prob=np.array(d["attr_prob"]),
             **{name: d[name] for name in _SCALARS},

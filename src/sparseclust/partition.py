@@ -8,10 +8,12 @@ The stored form is a set of slot arrays. The live clusters occupy slots
 0..K-1 in creation order; per slot, ``counts`` holds its member count,
 ``values`` its value (0.0 where a role has none) and ``ids`` its stable id.
 Ids grow with creation, so slot order is id order. Per item, ``labels``
-holds its slot, SPIKE (-1) or DETACHED (-2, between a detach and an
-attach). When a cluster empties, its slot goes and later slots move down
-one. The rest of the state keys per-cluster payloads by id; contiguous
-labels are produced only when a trace is recorded (see ``canonical``).
+holds its slot or SPIKE (-1); every item is always seated. A partition is
+written whole, through the constructor or ``set_slots``; the one per-item
+write, ``move``, serves the sample moves. When a cluster empties, its slot
+goes and later slots move down one. The rest of the state keys per-cluster
+payloads by id; contiguous labels are produced only when a trace is
+recorded (see ``canonical``).
 """
 
 import bisect
@@ -19,82 +21,64 @@ import math
 
 import numpy as np
 
-# Labels that are not slots. SPIKE marks a zero component in an inner mean
-# partition; DETACHED marks an item between detach and attach.
+# The label of a zero component in an inner mean partition.
 SPIKE = -1
-DETACHED = -2
 
 
 class Partition:
     __slots__ = ("n_items", "allow_spike", "labels", "counts", "values", "ids", "_next_id")
 
-    def __init__(self, n_items, allow_spike=False):
-        self.n_items = n_items
+    def __init__(self, labels, counts=(), values=(), allow_spike=False):
+        """A partition from slot arrays, as ``set_slots`` takes them; its K
+        clusters get ids 0..K-1. An array argument of the stored dtype is
+        kept, not copied."""
         self.allow_spike = allow_spike
-        self.labels = np.empty(n_items, dtype=np.intp)
-        self.labels.fill(DETACHED)
-        self.counts = np.empty(0, dtype=np.intp)
-        self.values = np.empty(0)
-        self.ids = np.empty(0, dtype=np.int64)
-        self._next_id = 0
+        self.labels = np.asarray(labels, dtype=np.intp)
+        self.n_items = len(self.labels)
+        self.counts = np.asarray(counts, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
+        self._next_id = len(self.counts)
+        self.ids = np.arange(self._next_id, dtype=np.int64)
+
+    # -- mutation ---------------------------------------------------------
 
     # Per-item methods read single entries with ``item``, which returns a
     # Python number without building a numpy scalar.
 
-    def _slot(self, cid):
-        s = bisect.bisect_left(self.ids, cid)  # ids increase with slot
-        if s == len(self.ids) or self.ids.item(s) != cid:
-            raise RuntimeError(f"cluster {cid} is not live")
-        return s
-
-    def _seat(self, item, s):
-        if self.labels.item(item) != DETACHED:
-            raise RuntimeError(f"item {item} is already assigned")
-        self.labels[item] = s
-
-    # -- mutation ---------------------------------------------------------
-
-    def detach(self, item):
-        """Remove an item from its cluster, deleting the cluster if emptied.
-
-        Returns the previous assignment (cid or SPIKE).
-        """
+    def move(self, item, cid=None, value=0.0):
+        """Move a seated item to live cluster ``cid``, or to a new singleton
+        cluster with ``value`` when ``cid`` is None; returns the item's new
+        cid. A cluster the move empties is deleted."""
         s = self.labels.item(item)
-        if s == DETACHED:
-            raise RuntimeError(f"item {item} is not assigned")
-        self.labels[item] = DETACHED
-        if s == SPIKE:
-            return SPIKE
-        cid = self.ids.item(s)
+        if s < 0:
+            raise RuntimeError(f"item {item} is not in a cluster")
+        if cid is not None:
+            t = bisect.bisect_left(self.ids, cid)  # ids increase with slot
+            if t == len(self.ids) or self.ids.item(t) != cid:
+                raise RuntimeError(f"cluster {cid} is not live")
+            if t == s:
+                return cid
         count = self.counts.item(s) - 1
-        self.counts[s] = count
-        if count == 0:
+        if count:
+            self.counts[s] = count
+        else:
             self.counts = np.delete(self.counts, s)
             self.values = np.delete(self.values, s)
             self.ids = np.delete(self.ids, s)
             self.labels[self.labels > s] -= 1
+        if cid is None:
+            t = len(self.counts)
+            cid = self._next_id
+            self._next_id += 1
+            self.counts = np.append(self.counts, 1)
+            self.values = np.append(self.values, value)
+            self.ids = np.append(self.ids, cid)
+        else:
+            if t > s and not count:
+                t -= 1  # slot s went
+            self.counts[t] = self.counts.item(t) + 1
+        self.labels[item] = t
         return cid
-
-    def attach(self, item, cid):
-        """Attach a detached item to a live cluster."""
-        s = self._slot(cid)
-        self._seat(item, s)
-        self.counts[s] = self.counts.item(s) + 1
-
-    def attach_new(self, item, value=0.0):
-        """Attach a detached item to a fresh singleton cluster with a value."""
-        self._seat(item, len(self.counts))
-        cid = self._next_id
-        self._next_id += 1
-        self.counts = np.append(self.counts, 1)
-        self.values = np.append(self.values, value)
-        self.ids = np.append(self.ids, cid)
-        return cid
-
-    def attach_spike(self, item):
-        if not self.allow_spike:
-            raise RuntimeError("partition does not admit SPIKE assignments")
-        self._seat(item, SPIKE)
 
     def set_slots(self, ids, labels, counts, values):
         """Replace the whole partition by slot arrays, slots in creation
@@ -113,12 +97,9 @@ class Partition:
     # -- queries ----------------------------------------------------------
 
     def cluster_of(self, item):
-        """The id of the item's cluster, or SPIKE / DETACHED."""
+        """The id of the item's cluster, or SPIKE."""
         s = self.labels.item(item)
         return self.ids.item(s) if s >= 0 else s
-
-    def size_of(self, cid):
-        return self.counts.item(self._slot(cid))
 
     def cluster_size(self, item):
         """Member count of the item's cluster."""
@@ -139,11 +120,11 @@ class Partition:
         return self.labels == SPIKE
 
     def members(self):
-        """Items of each live cluster, by id in creation order (SPIKE and
-        DETACHED items are skipped). Items are in ascending order, the order
-        data rows are summed in; another order would change the stream."""
+        """Items of each live cluster, by id in creation order (SPIKE items
+        are skipped). Items are in ascending order, the order data rows are
+        summed in; another order would change the stream."""
         order = np.argsort(self.labels, kind="stable")
-        seated = order[self.n_items - int(self.counts.sum()):]  # other labels sort first
+        seated = order[self.n_items - int(self.counts.sum()):]  # SPIKE sorts first
         return dict(zip(self.cluster_ids(), np.split(seated, np.cumsum(self.counts)[:-1])))
 
     def values_vector(self):
@@ -194,24 +175,28 @@ class Partition:
 
     @classmethod
     def from_dict(cls, d):
-        out = cls(d["n_items"], d["allow_spike"])
-        out.set_slots(d["ids"], d["labels"], d["counts"], d["values"])
+        out = cls(d["labels"], d["counts"], d["values"], d["allow_spike"])
+        out.ids = np.array(d["ids"], dtype=np.int64)
         out._next_id = d["next_id"]
         return out
 
 
-def crp_seat(part, conc, rng):
+def crp_seat(counts, conc, rng):
     """Seat one new item by the Chinese-restaurant rule.
 
-    Returns the live cid to join (probability proportional to its count) or
-    None for a new table (proportional to ``conc``). Draws exactly one
-    uniform and visits clusters in creation order, so a fixed stream gives a
-    fixed partition.
+    Returns the slot to join (probability proportional to its count in
+    ``counts``, a list in creation order) or ``len(counts)`` for a new table
+    (proportional to ``conc``). Draws exactly one uniform and joins the
+    first slot whose cumulative count reaches it; the sums are exact
+    integers, so a fixed stream gives a fixed partition.
     """
-    cum = np.cumsum(part.counts)
-    u = rng.random() * (conc + (int(cum[-1]) if len(cum) else 0))
-    t = int(cum.searchsorted(u))  # the first slot whose cumulative count reaches u
-    return int(part.ids[t]) if t < len(cum) else None
+    u = rng.random() * (conc + sum(counts))
+    acc = 0
+    for t, c in enumerate(counts):
+        acc += c
+        if u <= acc:
+            return t
+    return len(counts)
 
 
 def crp_log_prob(sizes, conc):

@@ -4,7 +4,21 @@ import pytest
 from sparseclust.clusters import ClusterMeanVector
 from sparseclust.forward import draw_data, draw_state_from_prior
 from sparseclust.model import DataMatrix, Hyperparams, ModelState
-from sparseclust.partition import Partition
+from sparseclust.partition import SPIKE, Partition
+
+
+def build_partition(groups, values=None, p=None):
+    """The partition whose clusters, in creation order, are ``groups`` (lists
+    of items) with ``values`` (default 0.0). With ``p`` it is the inner
+    partition of a p-component mean, every component outside ``groups``
+    SPIKE; without, ``groups`` must cover items 0..n-1."""
+    n = sum(map(len, groups))
+    labels = np.full(n if p is None else p, SPIKE)
+    for t, group in enumerate(groups):
+        labels[group] = t
+    assert np.count_nonzero(labels >= 0) == n, "overlapping groups"
+    return Partition(labels, [len(g) for g in groups],
+                     [0.0] * len(groups) if values is None else values, p is not None)
 
 
 def informative_hp():
@@ -52,26 +66,12 @@ def manual_state(y, sigma_sq, mean_values=None, mean_groups=None, hp=None,
     if mean_groups is None:
         mean_groups = [[j] for j in range(p)]
 
-    mean_part = Partition(p)
-    for g, group in enumerate(mean_groups):
-        cid = mean_part.attach_new(group[0], float(mean_values[g]))
-        for j in group[1:]:
-            mean_part.attach(j, cid)
-    var_part = Partition(p)
-    for j in range(p):
-        var_part.attach_new(j, float(sigma_sq[j]))
-
-    samples = Partition(n)
-    cid = samples.attach_new(0)
-    for i in range(1, n):
-        samples.attach(i, cid)
-
     state = ModelState(
-        mean_part=mean_part,
-        var_part=var_part,
-        samples=samples,
-        cluster_means={cid: ClusterMeanVector.all_spike(p)},
-        incl_prob={cid: np.full(p, 0.5)},
+        mean_part=build_partition(mean_groups, [float(v) for v in mean_values]),
+        var_part=build_partition([[j] for j in range(p)], [float(v) for v in sigma_sq]),
+        samples=build_partition([list(range(n))]),
+        cluster_means={0: ClusterMeanVector(p)},
+        incl_prob={0: np.full(p, 0.5)},
         attr_prob=np.full(p, attr_prob),
         slab_var=slab_var,
         conc_samples=concs,

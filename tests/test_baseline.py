@@ -12,9 +12,10 @@ from conftest import manual_state
 mpmath.mp.dps = 40
 
 
-def _logits_after_detach(step, part, j):
+def _logits_without(step, part, j):
     """Attribute j's log weights (live clusters in creation order, then a new
-    cluster) with j detached, from the step's own logit function."""
+    cluster) with j taken out of its cluster, from the step's own logit
+    function."""
     labels, k = part.labels, part.n_clusters()
     others = np.arange(len(labels)) != j
     counts = np.bincount(labels[others], minlength=k)
@@ -24,12 +25,12 @@ def _logits_after_detach(step, part, j):
     return np.append(step.logits(j, counts[live], stats[live]), step.new_logw[j])
 
 
-def _mean_logits_after_detach(state, data, hp, j):
-    return _logits_after_detach(_MeanStep(state, data, hp), state.mean_part, j)
+def _mean_logits_without(state, data, hp, j):
+    return _logits_without(_MeanStep(state, data, hp), state.mean_part, j)
 
 
-def _var_logits_after_detach(state, data, hp, j):
-    return _logits_after_detach(_VarStep(state, data, hp), state.var_part, j)
+def _var_logits_without(state, data, hp, j):
+    return _logits_without(_VarStep(state, data, hp), state.var_part, j)
 
 
 def _slot_view_values(step, part, rng):
@@ -48,7 +49,7 @@ def test_single_attribute_always_own_cluster():
 
 def test_mean_assignment_weights_normalize(tiny_state):
     state, data, hp = tiny_state
-    logw = _mean_logits_after_detach(state, data, hp, 1)
+    logw = _mean_logits_without(state, data, hp, 1)
     probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -65,7 +66,7 @@ def test_mean_assignment_matches_quadrature_posterior():
     state, data, hp = manual_state(y, sigma_sq=sig, hp=hp)
     state.conc_mean = 0.8
 
-    logw = _mean_logits_after_detach(state, data, hp, 1)
+    logw = _mean_logits_without(state, data, hp, 1)
     assert len(logw) == 2  # attribute 0's cluster is the only survivor
     my_log_odds = logw[0] - logw[1]
 
@@ -97,7 +98,7 @@ def test_identical_columns_cocluster_above_prior():
     y = np.tile(np.array([[0.5], [0.9], [0.2]]), (1, 2))
     state, data, hp = manual_state(y, sigma_sq=[2.0, 2.0])
     state.conc_mean = 1.0
-    logw = _mean_logits_after_detach(state, data, hp, 1)
+    logw = _mean_logits_without(state, data, hp, 1)
     p_join = 1.0 / (1.0 + math.exp(logw[1] - logw[0]))
     assert p_join > 1.0 / (1.0 + state.conc_mean)
 
@@ -131,7 +132,7 @@ def test_var_assignment_matches_quadrature_posterior():
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], hp=hp)
     state.conc_var = 1.4
 
-    logw = _var_logits_after_detach(state, data, hp, 1)
+    logw = _var_logits_without(state, data, hp, 1)
     assert len(logw) == 2
     my_log_odds = logw[0] - logw[1]
 
@@ -161,7 +162,7 @@ def test_var_assignment_scaling_consistency():
     y = rng.normal(0.0, 1.0, size=(4, 2))
     for scale in (1.0, 3.0):
         state, data, hp = manual_state(y * scale, sigma_sq=[1.0, 1.0])
-        logw = _var_logits_after_detach(state, data, hp, 1)
+        logw = _var_logits_without(state, data, hp, 1)
         ssq = ((y * scale) ** 2).sum(axis=0)
         n = 4
         u = hp.var_shape + n / 2.0

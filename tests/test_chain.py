@@ -14,10 +14,9 @@ from sparseclust.chain import (
 )
 from sparseclust.clusters import ClusterMeanVector
 from sparseclust.model import ModelState, default_hyperparams
-from sparseclust.partition import Partition
 from sparseclust.simulate import gen_example3
 
-from conftest import make_state
+from conftest import build_partition, make_state
 
 
 @pytest.fixture(scope="module")
@@ -88,22 +87,19 @@ def test_init_modes(ex3):
 @pytest.mark.parametrize("mode", [ALL_ONE_CLUSTER, ALL_SINGLETONS])
 def test_init_state_seats_samples_as_per_item_construction(ex3, mode):
     """The sample partition that init_state writes in one go equals the one
-    seated a sample at a time, and the generator ends in the same place."""
+    built from its member groups, and the generator ends where one inclusion
+    row per cluster, drawn in creation order, leaves it."""
     data, hp = ex3
     rng = np.random.default_rng(5)
     state = init_state(data, hp, ChainConfig(init_mode=mode), rng)
-    want = Partition(data.n)
     if mode == ALL_ONE_CLUSTER:
-        cid = want.attach_new(0)
-        for i in range(1, data.n):
-            want.attach(i, cid)
+        want = build_partition([list(range(data.n))])
     else:
-        for i in range(data.n):
-            want.attach_new(i)
+        want = build_partition([[i] for i in range(data.n)])
     assert state.samples.to_dict() == want.to_dict()
     ref_rng = np.random.default_rng(5)
     for _ in want.cluster_ids():
-        chain.draw_pi_row(ClusterMeanVector.all_spike(data.p), state.attr_prob, hp, ref_rng)
+        chain.draw_pi_row(ClusterMeanVector(data.p), state.attr_prob, hp, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -137,16 +133,11 @@ def test_merge_traces(ex3):
 
 def test_record_labels_beyond_int16():
     n = 33_000
-    samples = Partition(n)
-    for i in range(n):
-        samples.attach_new(i)
-    mean_part = Partition(1)
-    mean_part.attach_new(0, 0.0)
-    var_part = Partition(1)
-    var_part.attach_new(0, 1.0)
+    samples = build_partition([[i] for i in range(n)])
     state = ModelState(
-        mean_part=mean_part, var_part=var_part, samples=samples,
-        cluster_means={cid: ClusterMeanVector.all_spike(1) for cid in samples.cluster_ids()},
+        mean_part=build_partition([[0]]), var_part=build_partition([[0]], [1.0]),
+        samples=samples,
+        cluster_means={cid: ClusterMeanVector(1) for cid in samples.cluster_ids()},
         incl_prob={cid: np.zeros(1) for cid in samples.cluster_ids()},
         attr_prob=np.full(1, 0.5), slab_var=1.0,
         conc_samples=1.0, conc_mean=1.0, conc_var=1.0, conc_inner=1.0,

@@ -99,16 +99,19 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, where):
 
 
 def _bad_config_usage_error(tmp_path, capsys, line, key):
-    """A --config file holding ``line`` exits 2 before data loads, names
-    ``key`` on stderr and creates no output directory."""
+    """A --config file holding ``line`` (from its line 3) exits 2 before
+    data loads, names ``key`` on stderr and creates no output directory;
+    returns stderr."""
     cfg = tmp_path / "cfg"
     cfg.write_text(f"iterations=10\nburn_in=5\n{line}\n")
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as e:
         _run(["--simulate", "ex3", "--config", str(cfg), "--out", str(out)])
     assert e.value.code == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
     assert not out.exists()
+    return err
 
 
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):
@@ -121,6 +124,21 @@ def test_config_unparsable_value_is_usage_error(tmp_path, capsys):
 
 def test_config_invalid_hyperparameter_is_usage_error(tmp_path, capsys):
     _bad_config_usage_error(tmp_path, capsys, "slab_a=-1", "slab_a")
+
+
+def test_config_duplicate_key_is_usage_error(tmp_path, capsys):
+    err = _bad_config_usage_error(tmp_path, capsys, "seed=1\nseed=2", "seed")
+    assert "line 4 repeats line 3" in err
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.write_text("keep me\n")
+    with pytest.raises(SystemExit) as e:
+        _run(["--simulate", "ex3", "--iters", "20", "--burn-in", "5", "--out", str(out)])
+    assert e.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert out.read_text() == "keep me\n"
 
 
 def test_short_run_outputs_and_determinism(tmp_path):

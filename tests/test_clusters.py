@@ -8,42 +8,22 @@ import pytest
 from sparseclust.clusters import (
     BirthDeathPass,
     ClusterMeanVector,
+    WalkTerms,
+    _scan_components,
     _slab_coef,
-    eval_log_q,
     gibbs_reassign,
     gibbs_update_cluster_mean,
     mh_birth_move,
     mh_death_move,
     sample_prior_mean,
-    sequential_sample_mean,
 )
 from sparseclust.densities import log_normal_pdf
 from sparseclust.model import Hyperparams
 from sparseclust.partition import SPIKE
 
-from conftest import make_state, manual_state
+from conftest import build_partition, make_state, manual_state
 
 mpmath.mp.dps = 40
-
-
-def _mk_mean(p, groups, values):
-    """ClusterMeanVector with explicit inner structure.
-
-    groups: list of component-index lists (nonzero); everything else SPIKE.
-    """
-    mean = ClusterMeanVector(p)
-    assigned = set()
-    order = sorted(range(len(groups)), key=lambda g: min(groups[g]))
-    for g in order:
-        members = sorted(groups[g])
-        cid = mean.inner.attach_new(members[0], values[g])
-        for j in members[1:]:
-            mean.inner.attach(j, cid)
-        assigned.update(members)
-    for j in range(p):
-        if j not in assigned:
-            mean.inner.attach_spike(j)
-    return mean
 
 
 def _baselines(state):
@@ -70,7 +50,8 @@ def test_likelihood_at_mode_single_attribute():
     state, data, hp = manual_state(np.array([[0.7], [0.7]]), sigma_sq=[0.25],
                                    mean_values=[0.2])
     cid = state.samples.cluster_ids()[0]
-    state.cluster_means[cid] = _mk_mean(1, [[0]], [0.5])  # y = mu_j + mu_cj exactly
+    # y = mu_j + mu_cj exactly
+    state.cluster_means[cid] = ClusterMeanVector(1, build_partition([[0]], [0.5], 1))
     want = -0.5 * math.log(2 * math.pi * 0.25)
     for got in _both_log_f(state, data, hp, 0, cid):
         assert got == pytest.approx(want, abs=1e-12)
@@ -79,7 +60,7 @@ def test_likelihood_at_mode_single_attribute():
 def test_likelihood_spike_case_reduces_to_baseline():
     state, data, hp = make_state(n=3, p=4, seed=2)
     cid = state.samples.cluster_ids()[0]
-    state.cluster_means[cid] = ClusterMeanVector.all_spike(4)
+    state.cluster_means[cid] = ClusterMeanVector(4)
     mu_base, sig = _baselines(state)
     want = sum(
         log_normal_pdf(data.y[0][j], mu_base[j], sig[j]) for j in range(4)
@@ -94,7 +75,8 @@ def test_likelihood_recomposition_oracle():
     state, data, hp = make_state(n=3, p=5, seed=3)
     cid = state.samples.cluster_ids()[0]
     mu_base, sig = _baselines(state)
-    for mean in (ClusterMeanVector.all_spike(5), _mk_mean(5, [[0, 3], [2]], [0.7, -1.2])):
+    slab = ClusterMeanVector(5, build_partition([[0, 3], [2]], [0.7, -1.2], 5))
+    for mean in (ClusterMeanVector(5), slab):
         state.cluster_means[cid] = mean
         mu_vec = mean.mu()
         want = sum(
@@ -119,20 +101,20 @@ def test_sequential_p1_hand_enumeration():
     hits = 0
     trials = 40_000
     rng = np.random.default_rng(0)
+    terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
     for _ in range(trials):
-        prop = sequential_sample_mean(x, 1, state.var_part.values_vector(), state, hp, rng)
-        nz = prop.mean.nonzero_count()
-        if nz:
+        mean, log_q, _log_q0 = terms.propose(0, rng)
+        if mean.nonzero_count():
             hits += 1
             # hand-check log_q: categorical choice + conjugate value density
             v_post = 1.0 / 1.5 + 1.0 / 0.2
             u_post = (0.6 / 0.2) / v_post
-            val = prop.mean.inner.values[0]
+            val = mean.inner.values[0]
             want = math.log(p_slab) + log_normal_pdf(val, u_post, 1.0 / v_post)
-            assert prop.log_q == pytest.approx(want, rel=1e-12)
+            assert log_q == pytest.approx(want, rel=1e-12)
         else:
             want = math.log(1.0 - p_slab)
-            assert prop.log_q == pytest.approx(want, rel=1e-12)
+            assert log_q == pytest.approx(want, rel=1e-12)
     se = math.sqrt(p_slab * (1 - p_slab) / trials)
     assert abs(hits / trials - p_slab) < 4 * se
 
@@ -141,10 +123,11 @@ def test_sequential_all_spike_when_rho_zero():
     y = np.array([[0.5, -0.2], [0.1, 0.3]])
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], attr_prob=0.0)
     rng = np.random.default_rng(1)
-    prop = sequential_sample_mean(np.array([0.5, -0.2]), 1, [1.0, 1.0], state, hp, rng)
-    assert prop.mean.nonzero_count() == 0
-    assert prop.log_q == 0.0
-    assert prop.log_q0 == 0.0
+    terms = WalkTerms(np.array([0.5, -0.2]), 1, [1.0, 1.0], state, hp)
+    mean, log_q, log_q0 = terms.propose(0, rng)
+    assert mean.nonzero_count() == 0
+    assert log_q == 0.0
+    assert log_q0 == 0.0
 
 
 def test_sequential_replay_identity_exact():
@@ -152,10 +135,10 @@ def test_sequential_replay_identity_exact():
     state.attr_prob = np.full(6, 0.5)  # make slabs common
     rng = np.random.default_rng(2)
     x = data.y[0] - state.mean_part.values_vector()
+    terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
     for _ in range(300):
-        prop = sequential_sample_mean(x, 1, state.var_part.values_vector(), state, hp, rng)
-        replay = eval_log_q(prop.mean, x, 1, state.var_part.values_vector(), state, hp)
-        assert replay == (prop.log_q, prop.log_q0)  # bitwise
+        mean, log_q, log_q0 = terms.propose(0, rng)
+        assert _scan_components(mean.inner, terms, 0) == (log_q, log_q0)  # bitwise
 
 
 def test_sequential_p2_total_mass_one():
@@ -165,22 +148,25 @@ def test_sequential_p2_total_mass_one():
     state, data, hp = manual_state(y, sigma_sq=[0.5, 0.8], attr_prob=0.45, slab_var=1.2)
     x = np.array([0.4, -0.6])
 
+    terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
+
     def q_of(mean):
-        return eval_log_q(mean, x, 1, state.var_part.values_vector(), state, hp)[0]
+        return _scan_components(mean.inner, terms, 0)[0]
 
     nodes, weights = np.polynomial.legendre.leggauss(160)
     lo, hi = -14.0, 14.0
     vs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     ws = 0.5 * (hi - lo) * weights
 
-    total = math.exp(q_of(_mk_mean(2, [], [])))  # spike, spike
+    total = math.exp(q_of(ClusterMeanVector(2)))  # spike, spike
     for groups in ([[0]], [[1]], [[0, 1]]):
         total += sum(
-            w * math.exp(q_of(_mk_mean(2, groups, [float(v)])))
+            w * math.exp(q_of(ClusterMeanVector(2, build_partition(groups, [float(v)], 2))))
             for v, w in zip(vs, ws)
         )
     total += sum(
-        w1 * w2 * math.exp(q_of(_mk_mean(2, [[0], [1]], [float(v1), float(v2)])))
+        w1 * w2 * math.exp(q_of(
+            ClusterMeanVector(2, build_partition([[0], [1]], [float(v1), float(v2)], 2))))
         for v1, w1 in zip(vs, ws)
         for v2, w2 in zip(vs, ws)
     )
@@ -193,7 +179,7 @@ def test_sequential_p2_total_mass_one():
 def _log_q0(mean, state, hp):
     """log Q0 of ``mean``; it does not depend on the data, so any x will do."""
     p = mean.inner.n_items
-    return eval_log_q(mean, np.full(p, 0.3), 1, np.ones(p), state, hp)[1]
+    return _scan_components(mean.inner, WalkTerms(np.full(p, 0.3), 1, np.ones(p), state, hp), 0)[1]
 
 
 def _log_q0_discrete(mean, state, hp):
@@ -206,7 +192,7 @@ def _log_q0_discrete(mean, state, hp):
 def test_q0_all_zero_mean():
     state, data, hp = manual_state(np.zeros((2, 3)) + [[0.0], [1.0]],
                                    sigma_sq=[1.0] * 3, attr_prob=0.3)
-    mean = _mk_mean(3, [], [])
+    mean = ClusterMeanVector(3)
     s = _slab_coef(hp) * 0.3
     assert _log_q0(mean, state, hp) == pytest.approx(3 * math.log(1 - s), rel=1e-12)
 
@@ -214,7 +200,7 @@ def test_q0_all_zero_mean():
 def test_q0_single_slab_component():
     state, data, hp = manual_state(np.zeros((2, 3)) + [[0.0], [1.0]],
                                    sigma_sq=[1.0] * 3, attr_prob=0.3, slab_var=2.0)
-    mean = _mk_mean(3, [[1]], [0.7])
+    mean = ClusterMeanVector(3, build_partition([[1]], [0.7], 3))
     s = _slab_coef(hp) * 0.3
     want = math.log(s) + 2 * math.log(1 - s) + log_normal_pdf(0.7, 0.0, 2.0)
     assert _log_q0(mean, state, hp) == pytest.approx(want, rel=1e-12)
@@ -247,7 +233,7 @@ def test_q0_discrete_part_sums_to_one_p3():
     state.conc_inner = 1.7
     total = 0.0
     for groups in _spike_patterns_and_partitions(3):
-        mean = _mk_mean(3, groups, [0.0] * len(groups))
+        mean = ClusterMeanVector(3, build_partition(groups, p=3))
         total += math.exp(_log_q0_discrete(mean, state, hp))
     assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -275,7 +261,7 @@ def test_prior_sampler_matches_q0_frequencies():
         for j, g in enumerate(key):
             if g >= 0:
                 groups.setdefault(g, []).append(j)
-        mean = _mk_mean(2, list(groups.values()), [0.0] * len(groups))
+        mean = ClusterMeanVector(2, build_partition(list(groups.values()), p=2))
         want = math.exp(_log_q0_discrete(mean, state, hp))
         se = math.sqrt(want * (1 - want) / trials)
         assert abs(cnt / trials - want) < 4 * se + 1e-9
@@ -347,13 +333,14 @@ def test_eval_log_q_matches_mpmath_scorer():
     state.attr_prob = np.full(5, 0.6)
     rng = np.random.default_rng(4)
     x = data.y[2] - state.mean_part.values_vector()
+    terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
     for _ in range(25):
-        prop = sequential_sample_mean(x, 1, state.var_part.values_vector(), state, hp, rng)
+        mean, log_q, _log_q0 = terms.propose(0, rng)
         want = _mp_score_sequential(
-            prop.mean, x, 1, state.var_part.values_vector(), state.attr_prob,
+            mean, x, 1, state.var_part.values_vector(), state.attr_prob,
             _slab_coef(hp), state.slab_var, state.conc_inner,
         )
-        assert prop.log_q == pytest.approx(float(want), abs=1e-10)
+        assert log_q == pytest.approx(float(want), abs=1e-10)
 
 
 # -- MH moves ----------------------------------------------------------------
@@ -364,7 +351,7 @@ def test_birth_ratio_recomputation_oracle(tiny_state):
     rng = np.random.default_rng(5)
     non_singleton = next(
         i for i in range(data.n)
-        if state.samples.size_of(state.samples.cluster_of(i)) > 1
+        if state.samples.cluster_size(i) > 1
     )
     st = state.copy()
     accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
@@ -382,7 +369,7 @@ def test_q_equal_q0_reduces_to_plain_ratio(tiny_state):
     rng = np.random.default_rng(6)
     non_singleton = next(
         i for i in range(data.n)
-        if state.samples.size_of(state.samples.cluster_of(i)) > 1
+        if state.samples.cluster_size(i) > 1
     )
     st = state.copy()
     _, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
@@ -404,7 +391,7 @@ def test_birth_death_pair_ratios_cancel():
         st = state.copy()
         i = next(
             k for k in range(data.n)
-            if st.samples.size_of(st.samples.cluster_of(k)) > 1
+            if st.samples.cluster_size(k) > 1
         )
         origin = st.samples.cluster_of(i)
         accepted, binfo = mh_birth_move(st, data, hp, i, rng, _pass(st, data, hp))
@@ -414,7 +401,7 @@ def test_birth_death_pair_ratios_cancel():
         mu_base, sigma_sq = _baselines(st)
         x = data.y[i] - mu_base
         own = st.cluster_means[st.samples.cluster_of(i)]
-        log_q, log_q0 = eval_log_q(own, x, 1, sigma_sq, st, hp)
+        log_q, log_q0 = _scan_components(own.inner, WalkTerms(x, 1, sigma_sq, st, hp), 0)
         bd = _pass(st, data, hp)
         log_f_origin = bd.loglik(i, st.cluster_means[origin])
         log_f_own = bd.loglik(i, own)
@@ -443,17 +430,15 @@ def test_death_ratio_recomputation_oracle():
     state, data, hp = make_state(n=4, p=3, seed=77, require_multi=True)
     singleton = next(
         (i for i in range(data.n)
-         if state.samples.size_of(state.samples.cluster_of(i)) == 1),
+         if state.samples.cluster_size(i) == 1),
         None,
     )
     if singleton is None:
         # force one: move a sample out of a big cluster
-        big = max(state.samples.cluster_ids(), key=state.samples.size_of)
-        mem = [i for i in range(data.n) if state.samples.cluster_of(i) == big]
-        i = mem[0]
-        state.samples.detach(i)
-        cid = state.samples.attach_new(i)
-        state.cluster_means[cid] = ClusterMeanVector.all_spike(data.p)
+        sizes = dict(zip(state.samples.cluster_ids(), state.samples.sizes()))
+        i = state.samples.members()[max(sizes, key=sizes.get)][0]
+        cid = state.samples.move(i)
+        state.cluster_means[cid] = ClusterMeanVector(data.p)
         state.incl_prob[cid] = np.full(data.p, 0.5)
         singleton = i
     rng = np.random.default_rng(9)
@@ -499,7 +484,7 @@ def test_reassign_logits_match_scipy_oracle():
     of clusters with slab components (computed from the pass's residuals)."""
     state, data, hp = make_state(n=6, p=3, seed=13, require_multi=True)
     first = state.samples.cluster_ids()[0]
-    state.cluster_means[first] = ClusterMeanVector.all_spike(data.p)
+    state.cluster_means[first] = ClusterMeanVector(data.p)
     state.incl_prob[first] = np.full(data.p, 0.5)
     assert any(state.cluster_means[c].nonzero_count() for c in state.samples.cluster_ids())
     loglik, col_order = _reassign_inputs(state, data, hp)
@@ -513,13 +498,13 @@ def test_reassign_frequencies_follow_logits():
     state, data, hp = make_state(n=6, p=3, seed=13, require_multi=True)
     i = next(
         k for k in range(data.n)
-        if state.samples.size_of(state.samples.cluster_of(k)) > 1
+        if state.samples.cluster_size(k) > 1
     )
     loglik, col_order = _reassign_inputs(state, data, hp)
     orig = state.samples.cluster_of(i)
     logw = np.array([
-        math.log(state.samples.size_of(c) - (c == orig)) + _scipy_log_f(state, data, i, c)
-        for c in col_order
+        math.log(size - (c == orig)) + _scipy_log_f(state, data, i, c)
+        for c, size in zip(col_order, state.samples.sizes())
     ])
     probs = np.exp(logw - logw.max())
     probs /= probs.sum()
@@ -529,9 +514,7 @@ def test_reassign_frequencies_follow_logits():
     for _ in range(trials):
         got = gibbs_reassign(state, data, hp, i, rng, loglik[i], col_order)
         counts[got] += 1
-        if got != orig:  # put the sample back for the next trial
-            state.samples.detach(i)
-            state.samples.attach(i, orig)
+        state.samples.move(i, orig)  # put the sample back for the next trial
     for t, c in enumerate(col_order):
         se = math.sqrt(probs[t] * (1 - probs[t]) / trials)
         assert abs(counts[c] / trials - probs[t]) < 4 * se + 1e-9

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparseclust.chain import sweep
+from sparseclust.clusters import ClusterMeanVector
 from sparseclust.model import (
     DataMatrix,
     DegenerateDataError,
@@ -14,7 +15,7 @@ from sparseclust.model import (
 )
 from sparseclust.simulate import gen_example1
 
-from conftest import make_state
+from conftest import build_partition, make_state
 
 
 def test_data_matrix_validates():
@@ -157,14 +158,8 @@ def test_validator_catches_broken_coupling():
     state, data, _ = make_state(n=5, p=4, seed=17)
     state.validate(data)
     # force a nonzero mean with a zero inclusion probability
-    from sparseclust.partition import SPIKE
-
-    for cid, mean in state.cluster_means.items():
-        j = 0
-        if mean.inner.cluster_of(j) == SPIKE:
-            mean.inner.detach(j)
-            mean.inner.attach_new(j, 1.5)
-        state.incl_prob[cid][j] = 0.0
-        break
+    cid = state.samples.cluster_ids()[0]
+    state.cluster_means[cid] = ClusterMeanVector(4, build_partition([[0]], [1.5], 4))
+    state.incl_prob[cid][0] = 0.0
     with pytest.raises(AssertionError):
         state.validate(data)

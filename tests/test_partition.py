@@ -4,96 +4,84 @@ import math
 import numpy as np
 import pytest
 
-from sparseclust.partition import DETACHED, SPIKE, Partition, crp_log_prob
+from sparseclust.partition import crp_log_prob, crp_seat
+
+from conftest import build_partition
 
 
-def build(assignment_lists):
-    """Partition from explicit member lists, e.g. [[0,1],[2]]."""
-    n = sum(len(m) for m in assignment_lists)
-    part = Partition(n)
-    for members in assignment_lists:
-        cid = part.attach_new(members[0], 0.0)
-        for item in members[1:]:
-            part.attach(item, cid)
-    return part
+def test_move_from_singleton_deletes_cluster():
+    part = build_partition([[0, 1], [2]])
+    part.move(2, part.cluster_of(0))
+    assert part.sizes() == [3]
+    assert part.labels.tolist() == [0, 0, 0]
+    part.validate()
 
 
-def test_detach_singleton_deletes_cluster():
-    part = build([[0, 1], [2]])
-    part.detach(2)
-    assert sorted(part.sizes()) == [2]
-    assert part.cluster_of(2) == DETACHED
+def test_move_decrements_old_count():
+    part = build_partition([[0, 1], [2]])
+    part.move(0, part.cluster_of(2))
+    assert part.sizes() == [1, 2]
+    part.validate()
 
 
-def test_detach_decrements_count():
-    part = build([[0, 1], [2]])
-    part.detach(0)
-    assert sorted(part.sizes()) == [1, 1]
-
-
-def test_detach_unassigned_is_error():
-    part = build([[0, 1], [2]])
-    part.detach(0)
+def test_move_of_spike_item_is_error():
+    part = build_partition([[1]], [2.5], p=2)
+    before = part.to_dict()
     with pytest.raises(RuntimeError):
-        part.detach(0)
+        part.move(0)
+    assert part.to_dict() == before
 
 
-def test_attach_new_then_detach_roundtrip():
-    part = build([[0, 1], [2]])
+def test_move_to_new_and_back_roundtrip():
+    part = build_partition([[0, 1], [2]])
     before = sorted(part.sizes())
-    part.detach(1)
-    part.attach_new(1, 7.0)
-    part.detach(1)
-    cid = part.cluster_of(0)
-    part.attach(1, cid)
+    new = part.move(1, value=7.0)
+    assert part.cluster_of(1) == new and part.values[-1] == 7.0
+    part.move(1, part.cluster_of(0))
     assert sorted(part.sizes()) == before
+    part.validate()
 
 
-def test_attach_to_dead_cluster_is_error():
-    part = build([[0], [1]])
+def test_move_to_dead_cluster_is_error():
+    part = build_partition([[0], [1]])
     dead = part.cluster_of(1)
-    part.detach(1)
+    part.move(1, part.cluster_of(0))
+    before = part.to_dict()
     with pytest.raises(RuntimeError):
-        part.attach(1, dead)
+        part.move(0, dead)
+    assert part.to_dict() == before
 
 
 def test_random_operation_sequence_vs_set_oracle():
-    """1000 random detach/attach ops tracked against a list-of-sets oracle."""
+    """1000 random moves tracked against a list-of-sets oracle."""
     rng = np.random.default_rng(42)
     n = 30
-    part = Partition(n)
-    oracle = {}  # cid -> set of items
-    for i in range(n):
-        cid = part.attach_new(i, float(i))
-        oracle[cid] = {i}
+    part = build_partition([[i] for i in range(n)], [float(i) for i in range(n)])
+    oracle = {cid: {i} for i, cid in enumerate(part.cluster_ids())}  # cid -> set of items
 
     for _ in range(1000):
         item = int(rng.integers(n))
-        old = part.detach(item)
+        old = part.cluster_of(item)
+        live = part.cluster_ids()
+        if rng.random() < 0.7:
+            cid = part.move(item, live[int(rng.integers(len(live)))])
+        else:
+            cid = part.move(item, value=rng.random())
         oracle[old].discard(item)
         if not oracle[old]:
             del oracle[old]
-        live = part.cluster_ids()
-        if live and rng.random() < 0.7:
-            cid = live[int(rng.integers(len(live)))]
-            part.attach(item, cid)
-            oracle[cid].add(item)
-        else:
-            cid = part.attach_new(item, rng.random())
-            oracle[cid] = {item}
+        oracle.setdefault(cid, set()).add(item)
 
         part.validate()
-        assert set(part.cluster_ids()) == set(oracle.keys())
+        assert part.cluster_ids() == sorted(oracle)
         for cid, members in oracle.items():
-            assert part.size_of(cid) == len(members)
+            assert part.sizes()[part.cluster_ids().index(cid)] == len(members)
+            assert all(part.cluster_of(i) == cid for i in members)
         assert sum(part.sizes()) == n
 
 
 def test_spike_assignments():
-    part = Partition(3, allow_spike=True)
-    part.attach_spike(0)
-    part.attach_new(1, 2.5)
-    part.attach_spike(2)
+    part = build_partition([[1]], [2.5], p=3)
     assert part.n_clusters() == 1
     vec = part.values_vector()
     assert vec[0] == 0.0 and vec[1] == 2.5 and vec[2] == 0.0
@@ -101,15 +89,29 @@ def test_spike_assignments():
 
 
 def test_canonical_orders_by_first_appearance():
-    part = Partition(4)
-    c1 = part.attach_new(1, 0.0)
-    c0 = part.attach_new(0, 0.0)
-    part.attach(2, c1)
-    part.attach(3, c0)
+    part = build_partition([[1, 2], [0, 3]])
+    c1, c0 = part.cluster_ids()
     labels, order = part.canonical()
     # item 0 appears first, so its cluster gets label 0 regardless of cid age
     assert labels.tolist() == [0, 1, 1, 0]
     assert order == [c0, c1]
+
+
+class _FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_crp_seat_joins_first_slot_whose_cumulative_count_reaches_u():
+    # counts [2, 1] with conc 1: u * 4 against the cumulative counts 2, 3
+    for u, want in ((0.0, 0), (0.5, 0), (0.5001, 1), (0.75, 1), (0.7501, 2)):
+        assert crp_seat([2, 1], 1.0, _FixedUniform(u)) == want
+    assert crp_seat([], 0.5, _FixedUniform(0.3)) == 0
+    # with conc 0, as the death move draws its target, no table opens
+    assert crp_seat([2, 1], 0.0, _FixedUniform(np.nextafter(1.0, 0.0))) == 1
 
 
 # -- crp_log_prob oracles ---------------------------------------------------

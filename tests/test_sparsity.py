@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from sparseclust.clusters import ClusterMeanVector
 from sparseclust.model import Hyperparams
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import (
@@ -14,7 +15,7 @@ from sparseclust.sparsity import (
     update_eta_sq,
 )
 
-from conftest import make_state, manual_state
+from conftest import build_partition, make_state, manual_state
 
 mpmath.mp.dps = 30
 
@@ -138,12 +139,8 @@ def test_eta_sq_prior_case():
 def test_eta_sq_counts_unique_values_once():
     state, data, hp = manual_state(np.array([[0.0, 0.0], [1.0, 1.0]]), sigma_sq=[1.0, 1.0])
     cid = state.samples.cluster_ids()[0]
-    mean = state.cluster_means[cid]
     # two components sharing one unique value 2.0 -> Inv-Gamma(1, 2.5)
-    mean.inner.detach(0)
-    mean.inner.detach(1)
-    inner_cid = mean.inner.attach_new(0, 2.0)
-    mean.inner.attach(1, inner_cid)
+    state.cluster_means[cid] = ClusterMeanVector(2, build_partition([[0, 1]], [2.0], 2))
     rng = np.random.default_rng(6)
     draws = np.array([update_eta_sq(state, hp, rng) for _ in range(200_000)])
     inv = 1.0 / draws  # Gamma(shape 1, rate 2.5): mean 0.4

@@ -17,7 +17,7 @@ from sparseclust.clusters import (
 )
 from sparseclust.densities import SamplerAbort
 
-from conftest import make_state
+from conftest import build_partition, make_state
 
 ROW_ARRAYS = ("x", "spike", "new", "starts_run", "run_spike", "run_tot",
               "run_lp_spike", "run_lp_new")
@@ -43,11 +43,8 @@ def _pass(state, data, hp):
 
 def _dense_mean(p, rng):
     """Every component nonzero, in two inner clusters."""
-    mean = ClusterMeanVector(p)
-    labels = np.arange(p) % 2
-    mean.inner.set_slots([None, None], labels, np.bincount(labels, minlength=2),
-                         rng.normal(0.0, 1.0, size=2))
-    return mean
+    groups = [list(range(r, p, 2)) for r in (0, 1)]
+    return ClusterMeanVector(p, build_partition(groups, rng.normal(0.0, 1.0, size=2), p))
 
 
 @pytest.mark.parametrize("n, p, seed", CASES)
@@ -65,9 +62,9 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
         assert bd.row_lists(i) == one.row_lists(0)
         # The walk reads nothing else, so proposals and replays agree too.
         rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        prop, one_prop = bd.propose(i, rng), one.propose(0, one_rng)
-        assert prop.mean.inner.to_dict() == one_prop.mean.inner.to_dict()
-        assert (prop.log_q, prop.log_q0) == (one_prop.log_q, one_prop.log_q0)
+        (mean, *logs), (one_mean, *one_logs) = bd.propose(i, rng), one.propose(0, one_rng)
+        assert mean.inner.to_dict() == one_mean.inner.to_dict()
+        assert logs == one_logs
         assert rng.bit_generator.state == one_rng.bit_generator.state
 
 
@@ -76,7 +73,7 @@ def test_pass_loglik_equals_loglik_dense(n, p, seed):
     state, data, hp = make_state(n=n, p=p, seed=seed)
     bd, mu_base, sigma_sq = _pass(state, data, hp)
     rng = np.random.default_rng(seed)
-    means = [ClusterMeanVector.all_spike(p), _dense_mean(p, rng),
+    means = [ClusterMeanVector(p), _dense_mean(p, rng),
              *state.cluster_means.values()]
     for i in range(n):
         for mean in means:
@@ -103,10 +100,10 @@ def test_non_finite_row_aborts_only_its_own_block_path():
     assert bd.starts_run[1, 0] and not bd.starts_run[2, 0]
 
     rng, one_rng = np.random.default_rng(1), np.random.default_rng(1)
-    prop = bd.propose(0, rng)
-    one_prop = WalkTerms(x[0], 1, sigma_sq, state, hp).propose(0, one_rng)
-    assert prop.mean.inner.to_dict() == one_prop.mean.inner.to_dict()
-    assert (prop.log_q, prop.log_q0) == (one_prop.log_q, one_prop.log_q0)
+    mean, *logs = bd.propose(0, rng)
+    one_mean, *one_logs = WalkTerms(x[0], 1, sigma_sq, state, hp).propose(0, one_rng)
+    assert mean.inner.to_dict() == one_mean.inner.to_dict()
+    assert logs == one_logs
 
     with pytest.raises(SamplerAbort, match="spike run"):
         bd.propose(1, np.random.default_rng(1))
