@@ -21,7 +21,7 @@ from .clusters import (
     mh_death_move,
     sample_prior_mean,
 )
-from .concentration import update_concentration, update_gamma_multi
+from .concentration import update_concentration
 from .densities import (
     SamplerAbort,
     log_beta_pdf,
@@ -86,5 +86,4 @@ __all__ = [
     "sweep",
     "update_concentration",
     "update_eta_sq",
-    "update_gamma_multi",
 ]

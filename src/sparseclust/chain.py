@@ -6,7 +6,7 @@ import numpy as np
 
 from .baseline import step_baseline_means, step_baseline_vars
 from .clusters import ClusterMeanVector, step_clusters
-from .concentration import update_concentration, update_gamma_multi
+from .concentration import update_concentration
 from .densities import SamplerAbort
 from .model import ModelState
 from .partition import Partition
@@ -129,26 +129,17 @@ def init_state(data, hp, cfg, rng):
 
 
 def step_concentrations(state, data, hp, rng):
-    """Step 7: each DP's concentration sees exactly the partition it generated."""
-    state.conc_samples = update_concentration(
-        state.conc_samples, state.samples.n_clusters(), data.n,
-        hp.conc_shape, hp.conc_rate, rng,
-    )
-    state.conc_mean = update_concentration(
-        state.conc_mean, state.mean_part.n_clusters(), data.p,
-        hp.conc_shape, hp.conc_rate, rng,
-    )
-    state.conc_var = update_concentration(
-        state.conc_var, state.var_part.n_clusters(), data.p,
-        hp.conc_shape, hp.conc_rate, rng,
-    )
-    per_cluster = [
-        (m.inner_cluster_count(), m.nonzero_count())
-        for m in state.cluster_means.values()
-    ]
-    state.conc_inner = update_gamma_multi(
-        state.conc_inner, per_cluster, hp.conc_shape, hp.conc_rate, rng,
-    )
+    """Step 7: each DP's concentration sees exactly the partitions it
+    generated; the inner one sees every cluster mean's inner partition."""
+    inner = [(m.inner_cluster_count(), m.nonzero_count()) for m in state.cluster_means.values()]
+    for name, pairs in (
+        ("conc_samples", [(state.samples.n_clusters(), data.n)]),
+        ("conc_mean", [(state.mean_part.n_clusters(), data.p)]),
+        ("conc_var", [(state.var_part.n_clusters(), data.p)]),
+        ("conc_inner", inner),
+    ):
+        conc = update_concentration(getattr(state, name), pairs, hp.conc_shape, hp.conc_rate, rng)
+        setattr(state, name, conc)
 
 
 def sweep(state, data, hp, rng):

@@ -3,9 +3,9 @@ CSV summaries plus a manifest sufficient to reproduce the run."""
 
 import argparse
 import concurrent.futures
-import csv
 import os
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -13,12 +13,12 @@ from . import __version__
 from .chain import ALL_ONE_CLUSTER, ALL_SINGLETONS, ChainConfig, merge_traces, run_chain
 from .densities import SamplerAbort
 from .io import (
-    _fmt,
     load_csv,
     parse_config_file,
     preprocess_expression,
     save_matrix_csv,
     standardize_columns,
+    write_csv,
     write_manifest,
 )
 from .model import Hyperparams, default_hyperparams
@@ -38,12 +38,6 @@ _SIMULATORS = {
     "ex4": gen_example4,
 }
 
-_HP_KEYS = (
-    "base_mean", "base_var", "var_shape", "var_rate", "eta_shape", "eta_rate",
-    "conc_shape", "conc_rate", "slab_a", "slab_b", "rho_a", "rho_b",
-)
-_CFG_INT_KEYS = ("iterations", "burn_in", "thin", "seed")
-
 
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -53,12 +47,14 @@ def build_parser():
     ap.add_argument("--data", help="CSV file: header row of attribute names, one sample per row")
     ap.add_argument("--simulate", choices=sorted(_SIMULATORS), help="fit a built-in simulated example")
     ap.add_argument("--config", help="key=value file mirroring hyperparameter and chain settings")
-    ap.add_argument("--iters", type=int, help="total sweeps (default 50000)")
-    ap.add_argument("--burn-in", type=int, dest="burn_in", help="burn-in sweeps (default 10000)")
-    ap.add_argument("--thin", type=int, help="record every thin-th sweep (default 1)")
-    ap.add_argument("--seed", type=int, help="base RNG seed (default 0)")
+    ap.add_argument("--iters", type=int, help=f"total sweeps (default {ChainConfig.iterations})")
+    ap.add_argument("--burn-in", type=int, dest="burn_in",
+                    help=f"burn-in sweeps (default {ChainConfig.burn_in})")
+    ap.add_argument("--thin", type=int,
+                    help=f"record every thin-th sweep (default {ChainConfig.thin})")
+    ap.add_argument("--seed", type=int, help=f"base RNG seed (default {ChainConfig.seed})")
     ap.add_argument("--init", choices=[ALL_ONE_CLUSTER, ALL_SINGLETONS],
-                    help="starting sample partition (default one)")
+                    help=f"starting sample partition (default {ChainConfig.init_mode})")
     ap.add_argument("--chains", type=int, default=1, help="independent chains with seeds seed+0..N-1")
     ap.add_argument("--preprocess", action="store_true",
                     help="apply expression preprocessing (clamp/filter/top-variance)")
@@ -69,41 +65,36 @@ def build_parser():
 
 
 def _resolve(args, file_cfg):
-    """Precedence: command line > config file > defaults. Raises ValueError
-    naming the key for an unknown key or a value that does not parse."""
-    unknown = sorted(set(file_cfg) - {*_HP_KEYS, *_CFG_INT_KEYS, "init_mode"})
+    """The chain settings and the hyperparameter overrides. Precedence:
+    command line > config file > ChainConfig defaults. Every config value
+    is parsed, also one a flag overrides; raises ValueError naming the key
+    for an unknown key or a value that does not parse."""
+    chain_fields, hp_fields = fields(ChainConfig), fields(Hyperparams)
+    types = {f.name: f.type for f in (*chain_fields, *hp_fields)}
+    unknown = sorted(set(file_cfg) - set(types))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-
-    def parse(key, cast):
+    parsed = {}
+    for key, text in file_cfg.items():
         try:
-            return cast(file_cfg[key])
+            parsed[key] = types[key](text)
         except ValueError:
             raise ValueError(
-                f"config key {key}: {file_cfg[key]!r} is not a valid {cast.__name__}"
+                f"config key {key}: {text!r} is not a valid {types[key].__name__}"
             ) from None
 
-    def pick(cli_value, key, cast, default):
-        if cli_value is not None:
-            return cli_value
-        if key in file_cfg:
-            return parse(key, cast)
-        return default
-
-    chain_kwargs = {
-        "iterations": pick(args.iters, "iterations", int, 50_000),
-        "burn_in": pick(args.burn_in, "burn_in", int, 10_000),
-        "thin": pick(args.thin, "thin", int, 1),
-        "seed": pick(args.seed, "seed", int, 0),
-        "init_mode": pick(args.init, "init_mode", str, ALL_ONE_CLUSTER),
-    }
-    hp_overrides = {k: parse(k, float) for k in _HP_KEYS if k in file_cfg}
-    return chain_kwargs, hp_overrides
+    flags = {"iterations": args.iters, "burn_in": args.burn_in, "thin": args.thin,
+             "seed": args.seed, "init_mode": args.init}
+    chain = {f.name: parsed[f.name] for f in chain_fields if f.name in parsed}
+    chain.update((k, v) for k, v in flags.items() if v is not None)
+    hp_overrides = {f.name: parsed[f.name] for f in hp_fields if f.name in parsed}
+    return ChainConfig(**chain), hp_overrides
 
 
 def _load_data(args, parser, seed):
     """The data to fit and its source; ``--simulate`` draws it with the
-    resolved chain ``seed`` (command line, else config file, else 0)."""
+    resolved chain ``seed`` (command line, else config file, else the
+    ChainConfig default)."""
     if args.data and args.simulate:
         parser.error("--data and --simulate are mutually exclusive")
     if not args.data and not args.simulate:
@@ -133,30 +124,22 @@ def _write_outputs(outdir, trace, data, threshold, cfg, chains=1):
     names = _attr_names(data)
     hist, mode = k_posterior(trace)
 
-    with open(os.path.join(outdir, "k_trace.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "K"] if chains == 1 else ["chain", "iteration", "K"])
-        start = cfg.burn_in + cfg.thin - 1
-        per_chain = len(trace.ks) // chains
-        for t, k in enumerate(trace.ks):
-            chain, r = divmod(t, per_chain)
-            row = [start + r * cfg.thin, k]
-            w.writerow(row if chains == 1 else [chain, *row])
-
-    with open(os.path.join(outdir, "k_posterior.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "probability"])
-        for k in sorted(hist):
-            w.writerow([k, _fmt(hist[k])])
+    start = cfg.burn_in + cfg.thin - 1
+    per_chain = len(trace.ks) // chains
+    first = 1 if chains == 1 else 0  # one chain gets no chain column
+    write_csv(
+        os.path.join(outdir, "k_trace.csv"), ["chain", "iteration", "K"][first:],
+        ([t // per_chain, start + t % per_chain * cfg.thin, k][first:]
+         for t, k in enumerate(trace.ks)),
+    )
+    write_csv(os.path.join(outdir, "k_posterior.csv"), ["K", "probability"],
+              ([k, hist[k]] for k in sorted(hist)))
 
     # Every emitted cell is numeric; attribute names appear only as column
     # headers so each file stays loadable by load_csv conventions.
     rho_mean = np.mean(np.stack(trace.rhos), axis=0)
-    with open(os.path.join(outdir, "rho_mean.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["attribute", "rho_mean"])
-        for j in range(data.p):
-            w.writerow([j + 1, _fmt(rho_mean[j])])
+    write_csv(os.path.join(outdir, "rho_mean.csv"), ["attribute", "rho_mean"],
+              enumerate(rho_mean.tolist(), start=1))
 
     _mu_al, pi_al, membership, _used = relabel_conditional_on_K(trace, mode)
     pi_mean = pi_al.mean(axis=0)
@@ -177,19 +160,13 @@ def _write_outputs(outdir, trace, data, threshold, cfg, chains=1):
         index_name="sample", index=range(1, data.n + 1),
     )
 
-    with open(os.path.join(outdir, "assignments.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample", "map_cluster", *(f"p_c{c + 1}" for c in range(mode))])
-        for i in range(data.n):
-            w.writerow([i + 1, int(np.argmax(membership[i])) + 1,
-                        *(_fmt(v) for v in membership[i])])
-
-    selected = sorted(select_attributes(pi_mean, threshold))
-    with open(os.path.join(outdir, "selected_attributes.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["attribute"])
-        for j in selected:
-            w.writerow([j])
+    write_csv(
+        os.path.join(outdir, "assignments.csv"),
+        ["sample", "map_cluster", *(f"p_c{c + 1}" for c in range(mode))],
+        ([i, int(np.argmax(row)) + 1, *row] for i, row in enumerate(membership, start=1)),
+    )
+    write_csv(os.path.join(outdir, "selected_attributes.csv"), ["attribute"],
+              ([j] for j in sorted(select_attributes(pi_mean, threshold))))
 
 
 def main(argv=None):
@@ -202,11 +179,8 @@ def main(argv=None):
     # bad input is a usage error that leaves no output directory behind.
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}
-        chain_kwargs, hp_overrides = _resolve(args, file_cfg)
-        configs = [
-            ChainConfig(**{**chain_kwargs, "seed": chain_kwargs["seed"] + c})
-            for c in range(args.chains)
-        ]
+        cfg, hp_overrides = _resolve(args, file_cfg)
+        configs = [replace(cfg, seed=cfg.seed + c) for c in range(args.chains)]
         # The data-centred base measure is not known yet; stand-ins let
         # Hyperparams check the overrides.
         Hyperparams(**{"base_mean": 0.0, "base_var": 1.0, **hp_overrides})
@@ -214,7 +188,7 @@ def main(argv=None):
             raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise ValueError(f"--out {args.out} exists and is not a directory")
-        data, source = _load_data(args, parser, chain_kwargs["seed"])
+        data, source = _load_data(args, parser, cfg.seed)
         if args.preprocess:
             data = preprocess_expression(data)
         if args.standardize:
@@ -253,8 +227,8 @@ def main(argv=None):
         "chains": args.chains,
         "n": data.n,
         "p": data.p,
-        **{f"chain.{k}": v for k, v in chain_kwargs.items()},
-        **{f"hp.{k}": getattr(hp, k) for k in _HP_KEYS},
+        **{f"chain.{k}": v for k, v in asdict(configs[0]).items()},
+        **{f"hp.{k}": v for k, v in asdict(hp).items()},
     }
     write_manifest(os.path.join(args.out, "run_manifest.txt"), manifest)
     return 0

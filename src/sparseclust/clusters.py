@@ -42,16 +42,11 @@ import math
 
 import numpy as np
 
-from .densities import LOG_2PI, SamplerAbort
+from .densities import LOG_2PI, SamplerAbort, log_normal_pdf
 from .partition import SPIKE, Partition, crp_seat
 from .sparsity import draw_pi_entry, draw_pi_row
 
 _NEG_INF = float("-inf")
-
-
-def _ln_norm(x, mean, var):
-    d = x - mean
-    return -0.5 * (LOG_2PI + math.log(var) + d * d / var)
 
 
 def _pick_with_lse(logw, rng):
@@ -317,7 +312,7 @@ def _scan_components(inner, terms, i, rng=None):
                 v_post = inv_slab_var + sprec[t]
                 logw.append(
                     lsj + math.log(counts[t]) - log_denom
-                    + _ln_norm(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
+                    + log_normal_pdf(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
                 )
             logw.append(pre_new[j] - log_denom)
             choice, lse = _pick_with_lse(logw, rng)
@@ -373,8 +368,8 @@ def _scan_components(inner, terms, i, rng=None):
             else:
                 val = u_post + math.sqrt(var) * rng.standard_normal()
             values.append(val)
-            log_q += _ln_norm(val, u_post, var)
-            log_q0 += _ln_norm(val, 0.0, slab_var)
+            log_q += log_normal_pdf(val, u_post, var)
+            log_q0 += log_normal_pdf(val, 0.0, slab_var)
     if not replay and (tags or k_start):  # else every seat stayed SPIKE
         if tags and tags[-1] != len(tags) - 1:
             # A cluster emptied during the walk (tags increase, so only then

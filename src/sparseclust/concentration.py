@@ -1,4 +1,10 @@
-"""Gamma-prior concentration updates via beta auxiliary variables."""
+"""Gamma-prior concentration update via beta auxiliary variables.
+
+Every Dirichlet process of the model (sample clusters, baseline means,
+baseline variances and the inner partitions of the cluster means) updates
+its concentration with ``update_concentration`` (Escobar & West, JASA 1995,
+extended to several CRPs that share one concentration).
+"""
 
 import math
 
@@ -8,28 +14,13 @@ from scipy.special import gammaln
 from .densities import sample_log_categorical
 
 
-def update_concentration(conc, k, n, prior_shape, prior_rate, rng):
-    """One auxiliary-variable update for a single CRP's concentration.
+def update_concentration(conc, pairs, prior_shape, prior_rate, rng):
+    """One draw of a concentration shared by several CRPs.
 
-    Draws x ~ Beta(conc+1, n), then returns a draw from the two-component
-    gamma mixture with shapes prior_shape+k and prior_shape+k-1 and common
-    rate prior_rate - log x.
-    """
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    x = rng.beta(conc + 1.0, n)
-    rate = prior_rate - math.log(x)
-    w = (prior_shape + k - 1.0) / ((prior_shape + k - 1.0) + n * rate)
-    shape = prior_shape + k if rng.random() < w else prior_shape + k - 1.0
-    return rng.gamma(shape, 1.0 / rate)
-
-
-def update_gamma_multi(conc, per_cluster, prior_shape, prior_rate, rng):
-    """Concentration update for several CRPs sharing one parameter.
-
-    ``per_cluster`` holds one (k_c, m_c) pair per CRP: k_c clusters among m_c
-    items. Pairs with m_c = 0 carry no information and are skipped; with no
-    informative pair at all the conditional is the prior.
+    ``pairs`` holds one (k_c, m_c) pair per CRP: k_c clusters among m_c
+    items. A pair (0, 0) carries no information and is skipped; with no
+    informative pair at all the conditional is the prior. A pair with
+    clusters but no items, or items but no clusters, raises ValueError.
 
     Scheme: the c-th CRP likelihood gamma(conc)/gamma(conc+m_c) is augmented
     with x_c ~ Beta(conc+1, m_c) and a binary indicator s_c, giving
@@ -42,10 +33,13 @@ def update_gamma_multi(conc, per_cluster, prior_shape, prior_rate, rng):
     P(total = t) proportional to ESP_t(w) * gamma(shape0 - t), where the
     weights are w_c = m_c * (prior_rate - sum log x_c) and ESP_t is the t-th
     elementary symmetric polynomial (evaluated in log space). With a single
-    CRP this reproduces update_concentration's marginalized two-component
-    mixture exactly.
+    CRP this is the two-component gamma mixture with shapes prior_shape+k
+    and prior_shape+k-1.
     """
-    pairs = [(k, m) for k, m in per_cluster if m >= 1]
+    for k, m in pairs:
+        if (k < 1) != (m < 1):
+            raise ValueError(f"need k >= 1 and m >= 1 or neither, got k={k}, m={m}")
+    pairs = [(k, m) for k, m in pairs if m >= 1]
     if not pairs:
         return rng.gamma(prior_shape, 1.0 / prior_rate)
 
@@ -67,5 +61,5 @@ def update_gamma_multi(conc, per_cluster, prior_shape, prior_rate, rng):
             esp[c][t] = np.logaddexp(esp[c + 1][t], logw[c] + esp[c + 1][t - 1])
 
     log_count = np.array([esp[0][t] + gammaln(shape0 - t) for t in range(c_count + 1)])
-    u_total = sample_log_categorical(log_count, rng, where="gamma-multi indicator count")
+    u_total = sample_log_categorical(log_count, rng, where="concentration indicator count")
     return rng.gamma(shape0 - u_total, 1.0 / rate)

@@ -59,8 +59,3 @@ def sample_log_categorical(logw, rng, where="categorical"):
     p = np.exp(logw - m)
     u = rng.random() * np.add.reduce(p)
     return min(int(np.add.accumulate(p).searchsorted(u)), len(p) - 1)
-
-
-def draw_inv_gamma(shape, rate, rng):
-    """One draw from Inv-Gamma(shape, rate)."""
-    return rate / rng.gamma(shape)

@@ -54,21 +54,25 @@ def load_csv(path):
     return DataMatrix(np.array(rows), names=header)
 
 
-def save_matrix_csv(path, matrix, names=None, index_name=None, index=None):
-    """Write a 2-d array as CSV; optional leading index column."""
-    matrix = np.asarray(matrix)
-    if names is None:
-        names = [f"x{j + 1}" for j in range(matrix.shape[1])]
+def write_csv(path, header, rows):
+    """Write a header row, then ``rows``; float cells get 17 significant
+    digits, other cells their ``str``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if index is None:
-            writer.writerow(names)
-            for row in matrix:
-                writer.writerow([_fmt(v) for v in row])
-        else:
-            writer.writerow([index_name, *names])
-            for label, row in zip(index, matrix):
-                writer.writerow([label, *(_fmt(v) for v in row)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+
+
+def save_matrix_csv(path, matrix, names=None, index_name=None, index=None):
+    """Write a 2-d array as CSV; optional leading index column."""
+    matrix = np.asarray(matrix, dtype=float)  # a float64 entry is a float
+    if names is None:
+        names = [f"x{j + 1}" for j in range(matrix.shape[1])]
+    if index is None:
+        write_csv(path, names, matrix)
+    else:
+        write_csv(path, [index_name, *names], ([label, *row] for label, row in zip(index, matrix)))
 
 
 def preprocess_expression(data, floor=1.0, ceil=16000.0, ratio=5.0, spread=500.0, top=2000):

@@ -1,6 +1,5 @@
 """Domain types: data matrix, hyperparameters, and the full latent state."""
 
-import copy
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -191,6 +190,3 @@ class ModelState:
             attr_prob=np.array(d["attr_prob"]),
             **{name: d[name] for name in _SCALARS},
         )
-
-    def copy(self):
-        return copy.deepcopy(self)

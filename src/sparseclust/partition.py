@@ -45,9 +45,9 @@ class Partition:
     # Per-item methods read single entries with ``item``, which returns a
     # Python number without building a numpy scalar.
 
-    def move(self, item, cid=None, value=0.0):
+    def move(self, item, cid=None):
         """Move a seated item to live cluster ``cid``, or to a new singleton
-        cluster with ``value`` when ``cid`` is None; returns the item's new
+        cluster with value 0.0 when ``cid`` is None; returns the item's new
         cid. A cluster the move empties is deleted."""
         s = self.labels.item(item)
         if s < 0:
@@ -71,7 +71,7 @@ class Partition:
             cid = self._next_id
             self._next_id += 1
             self.counts = np.append(self.counts, 1)
-            self.values = np.append(self.values, value)
+            self.values = np.append(self.values, 0.0)
             self.ids = np.append(self.ids, cid)
         else:
             if t > s and not count:

@@ -7,8 +7,6 @@ variance (``slab_var``).
 
 import numpy as np
 
-from .densities import draw_inv_gamma
-
 
 def spike_zero_weight(rho, slab_a, slab_b):
     """Posterior probability that incl_prob is exactly zero given a zero mean.
@@ -77,5 +75,5 @@ def update_eta_sq(state, hp, rng):
         for v in state.cluster_means[cid].inner.values.tolist():
             n_unique += 1
             ssq += v * v
-    state.slab_var = draw_inv_gamma(hp.eta_shape + 0.5 * n_unique, hp.eta_rate + 0.5 * ssq, rng)
+    state.slab_var = (hp.eta_rate + 0.5 * ssq) / rng.gamma(hp.eta_shape + 0.5 * n_unique)
     return state.slab_var

@@ -1,11 +1,14 @@
 import filecmp
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from sparseclust.chain import ChainConfig
 from sparseclust.cli import main
 from sparseclust.io import load_csv
+from sparseclust.model import Hyperparams
 
 EXPECTED_FILES = [
     "k_trace.csv", "k_posterior.csv", "rho_mean.csv", "pi_mean.csv",
@@ -98,15 +101,15 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, where):
     assert not out.exists()
 
 
-def _bad_config_usage_error(tmp_path, capsys, line, key):
-    """A --config file holding ``line`` (from its line 3) exits 2 before
-    data loads, names ``key`` on stderr and creates no output directory;
-    returns stderr."""
+def _bad_config_usage_error(tmp_path, capsys, line, key, flags=()):
+    """A --config file holding ``line`` (from its line 3), run with
+    ``flags``, exits 2 before data loads, names ``key`` on stderr and
+    creates no output directory; returns stderr."""
     cfg = tmp_path / "cfg"
     cfg.write_text(f"iterations=10\nburn_in=5\n{line}\n")
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as e:
-        _run(["--simulate", "ex3", "--config", str(cfg), "--out", str(out)])
+        _run(["--simulate", "ex3", "--config", str(cfg), *flags, "--out", str(out)])
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert key in err
@@ -120,6 +123,10 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
 
 def test_config_unparsable_value_is_usage_error(tmp_path, capsys):
     _bad_config_usage_error(tmp_path, capsys, "thin=abc", "thin")
+
+
+def test_config_value_a_flag_overrides_is_parsed(tmp_path, capsys):
+    _bad_config_usage_error(tmp_path, capsys, "thin=abc", "thin", ["--thin", "1"])
 
 
 def test_config_invalid_hyperparameter_is_usage_error(tmp_path, capsys):
@@ -220,6 +227,25 @@ def test_config_file_and_cli_precedence(tmp_path):
     assert "chain.iterations=30" in manifest  # CLI wins
     assert "chain.burn_in=10" in manifest  # config applies
     assert "hp.slab_a=8" in manifest
+
+
+def test_manifest_reproduces_the_run(tmp_path):
+    """The manifest has one line per ChainConfig and Hyperparams field, in
+    field order, and a config built from those lines repeats the run."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    args = ["--simulate", "ex3", "--iters", "6", "--burn-in", "2", "--seed", "4"]
+    assert _run([*args, "--out", str(first)]) == 0
+    lines = (first / "run_manifest.txt").read_text().splitlines()
+    settings = [line for line in lines if line.startswith(("chain.", "hp."))]
+    assert [line.split("=", 1)[0] for line in settings] == [
+        *(f"chain.{f.name}" for f in fields(ChainConfig)),
+        *(f"hp.{f.name}" for f in fields(Hyperparams)),
+    ]
+    cfg = tmp_path / "cfg"
+    cfg.write_text("".join(line.split(".", 1)[1] + "\n" for line in settings))
+    assert _run(["--simulate", "ex3", "--config", str(cfg), "--out", str(again)]) == 0
+    for name in EXPECTED_FILES:
+        assert filecmp.cmp(first / name, again / name, shallow=False), name
 
 
 def test_config_seed_seeds_simulated_data(tmp_path):

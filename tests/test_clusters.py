@@ -353,7 +353,7 @@ def test_birth_ratio_recomputation_oracle(tiny_state):
         i for i in range(data.n)
         if state.samples.cluster_size(i) > 1
     )
-    st = state.copy()
+    st = copy.deepcopy(state)
     accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
     want = (
         mpmath.log(mpmath.mpf(state.conc_samples)) - mpmath.log(data.n - 1)
@@ -371,7 +371,7 @@ def test_q_equal_q0_reduces_to_plain_ratio(tiny_state):
         i for i in range(data.n)
         if state.samples.cluster_size(i) > 1
     )
-    st = state.copy()
+    st = copy.deepcopy(state)
     _, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
     plain = (
         math.log(state.conc_samples) - math.log(data.n - 1)
@@ -388,7 +388,7 @@ def test_birth_death_pair_ratios_cancel():
     state.attr_prob = np.full(3, 0.5)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        st = state.copy()
+        st = copy.deepcopy(state)
         i = next(
             k for k in range(data.n)
             if st.samples.cluster_size(k) > 1
@@ -422,7 +422,7 @@ def test_death_move_single_target():
         state, data, hp = make_state(n=2, p=2, seed=state.conc_samples.__hash__() % 97)
     rng = np.random.default_rng(8)
     other = [c for c in state.samples.cluster_ids() if c != state.samples.cluster_of(0)][0]
-    _, info = mh_death_move(state.copy(), data, hp, 0, rng, _pass(state, data, hp))
+    _, info = mh_death_move(copy.deepcopy(state), data, hp, 0, rng, _pass(state, data, hp))
     assert info["target"] == other
 
 
@@ -442,7 +442,7 @@ def test_death_ratio_recomputation_oracle():
         state.incl_prob[cid] = np.full(data.p, 0.5)
         singleton = i
     rng = np.random.default_rng(9)
-    _, info = mh_death_move(state.copy(), data, hp, singleton, rng, _pass(state, data, hp))
+    _, info = mh_death_move(copy.deepcopy(state), data, hp, singleton, rng, _pass(state, data, hp))
     want = (
         mpmath.log(data.n - 1) - mpmath.log(mpmath.mpf(state.conc_samples))
         + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])

@@ -9,6 +9,7 @@ run, which must work for every bit generator numpy ships, so the proposal
 is checked on each.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -226,7 +227,7 @@ def _check_inner_gibbs(state, data, hp, cid, seed):
     the average residual of the members' current rows."""
     mu_base = state.mean_part.values_vector()
     sigma_sq = state.var_part.values_vector()
-    ref_state = state.copy()
+    ref_state = copy.deepcopy(state)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     mem = state.samples.members()[cid]
     gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -75,5 +76,5 @@ def test_birth_acceptance_scores_the_kernel_move():
                         state.var_part.values_vector(), state, hp)
     for seed in range(20):
         got = measure_birth_acceptance(state, data, hp, np.random.default_rng(seed), 1)
-        _, info = mh_birth_move(state.copy(), data, hp, i, np.random.default_rng(seed), bd)
+        _, info = mh_birth_move(copy.deepcopy(state), data, hp, i, np.random.default_rng(seed), bd)
         assert got == min(1.0, math.exp(info["log_ratio"]))

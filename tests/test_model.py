@@ -130,11 +130,10 @@ def _state_arrays(state):
               for name in ("labels", "counts", "values", "ids"))]
 
 
-@pytest.mark.parametrize("clone", [ModelState.copy, copy.deepcopy], ids=["copy", "deepcopy"])
-def test_copies_are_independent(clone):
+def test_copies_are_independent():
     state, data, hp = make_state(n=6, p=5, seed=4, require_multi=True)
     before = state.to_dict()
-    twin = clone(state)
+    twin = copy.deepcopy(state)
     for a in _state_arrays(state):
         assert not any(np.shares_memory(a, b) for b in _state_arrays(twin))
     rng = np.random.default_rng(0)

@@ -33,10 +33,10 @@ def test_move_of_spike_item_is_error():
 
 
 def test_move_to_new_and_back_roundtrip():
-    part = build_partition([[0, 1], [2]])
+    part = build_partition([[0, 1], [2]], [1.5, 2.5])
     before = sorted(part.sizes())
-    new = part.move(1, value=7.0)
-    assert part.cluster_of(1) == new and part.values[-1] == 7.0
+    new = part.move(1)
+    assert part.cluster_of(1) == new and part.values.tolist() == [1.5, 2.5, 0.0]
     part.move(1, part.cluster_of(0))
     assert sorted(part.sizes()) == before
     part.validate()
@@ -53,11 +53,13 @@ def test_move_to_dead_cluster_is_error():
 
 
 def test_random_operation_sequence_vs_set_oracle():
-    """1000 random moves tracked against a list-of-sets oracle."""
+    """1000 random moves tracked against an oracle of member sets and
+    cluster values; a new cluster holds 0.0, every start value differs."""
     rng = np.random.default_rng(42)
     n = 30
-    part = build_partition([[i] for i in range(n)], [float(i) for i in range(n)])
+    part = build_partition([[i] for i in range(n)], [i + 1.0 for i in range(n)])
     oracle = {cid: {i} for i, cid in enumerate(part.cluster_ids())}  # cid -> set of items
+    values = {cid: i + 1.0 for i, cid in enumerate(part.cluster_ids())}
 
     for _ in range(1000):
         item = int(rng.integers(n))
@@ -66,11 +68,12 @@ def test_random_operation_sequence_vs_set_oracle():
         if rng.random() < 0.7:
             cid = part.move(item, live[int(rng.integers(len(live)))])
         else:
-            cid = part.move(item, value=rng.random())
+            cid = part.move(item)
+            values[cid] = 0.0
         oracle[old].discard(item)
-        if not oracle[old]:
-            del oracle[old]
         oracle.setdefault(cid, set()).add(item)
+        if not oracle[old]:
+            del oracle[old], values[old]
 
         part.validate()
         assert part.cluster_ids() == sorted(oracle)
@@ -78,6 +81,7 @@ def test_random_operation_sequence_vs_set_oracle():
             assert part.sizes()[part.cluster_ids().index(cid)] == len(members)
             assert all(part.cluster_of(i) == cid for i in members)
         assert sum(part.sizes()) == n
+        assert dict(zip(part.cluster_ids(), part.values.tolist())) == values
 
 
 def test_spike_assignments():
