@@ -1,4 +1,4 @@
-"""Pins of the random stream: integer fingerprints of three short chains.
+"""Pins of the random stream: integer fingerprints of four short chains.
 
 Each chain runs ``init_state`` and then ``sweep`` on a simulated design
 with a fixed seed. A fingerprint holds, per sweep, K, the numbers of
@@ -17,13 +17,14 @@ import pytest
 
 from sparseclust.chain import ALL_ONE_CLUSTER, ALL_SINGLETONS, ChainConfig, init_state, sweep
 from sparseclust.model import Hyperparams, default_hyperparams
-from sparseclust.simulate import gen_example1, gen_example3, gen_example4
+from sparseclust.simulate import gen_example1, gen_example2, gen_example3, gen_example4
 
 SWEEPS = 20
 
 # name -> (design, data seed, chain seed, init mode, rho prior or None)
 CHAINS = {
     "ex1_default_one": (gen_example1, 0, 1, ALL_ONE_CLUSTER, None),
+    "ex2_default_one": (gen_example2, 0, 4, ALL_ONE_CLUSTER, None),
     "ex3_beta22_singletons": (gen_example3, 0, 2, ALL_SINGLETONS, (2.0, 2.0)),
     "ex4_default_one": (gen_example4, 0, 3, ALL_ONE_CLUSTER, None),
 }
@@ -63,6 +64,15 @@ PINS = {'ex1_default_one': {'labels': [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0,
                                           (3, 13, 2, 0), (3, 13, 2, 0), (3, 14, 2, 0),
                                           (4, 13, 2, 0), (3, 13, 2, 0)],
                             'rng_state': 256663742941771922795008659864794796788},
+        'ex2_default_one': {'labels': [0, 1, 2, 1, 3, 0, 1, 0, 1, 1, 2, 1, 0, 2, 0, 0, 0, 0, 0, 0],
+                            'per_sweep': [(2, 351, 14, 1), (2, 233, 5, 1), (2, 196, 2, 1),
+                                          (2, 193, 2, 1), (2, 181, 2, 2), (2, 156, 2, 1),
+                                          (2, 143, 2, 1), (3, 133, 2, 3), (4, 106, 2, 2),
+                                          (4, 96, 2, 2), (6, 84, 2, 3), (7, 78, 2, 3),
+                                          (6, 87, 2, 3), (4, 94, 2, 3), (4, 91, 2, 2),
+                                          (5, 89, 2, 4), (5, 85, 2, 3), (5, 81, 2, 4),
+                                          (4, 77, 2, 3), (4, 87, 2, 3)],
+                            'rng_state': 226403712607237447900620735563516533616},
         'ex3_beta22_singletons': {'labels': [0, 0, 0, 1, 2, 1, 3, 3, 3, 3, 3, 4, 3, 5, 5, 5, 5, 5,
                                              5, 5],
                                   'per_sweep': [(6, 18, 8, 27), (5, 9, 3, 45), (5, 7, 2, 65),
