@@ -28,17 +28,21 @@ SPIKE = -1
 class Partition:
     __slots__ = ("n_items", "allow_spike", "labels", "counts", "values", "ids", "_next_id")
 
-    def __init__(self, labels, counts=(), values=(), allow_spike=False):
+    def __init__(self, labels, counts=None, values=None, allow_spike=False):
         """A partition from slot arrays, as ``set_slots`` takes them; its K
-        clusters get ids 0..K-1. An array argument of the stored dtype is
-        kept, not copied."""
+        clusters get ids 0..K-1. Without ``counts`` and ``values`` it has no
+        clusters. An array argument of the stored dtype is kept, not copied."""
         self.allow_spike = allow_spike
         self.labels = np.asarray(labels, dtype=np.intp)
         self.n_items = len(self.labels)
-        self.counts = np.asarray(counts, dtype=np.intp)
-        self.values = np.asarray(values, dtype=float)
+        if counts is None:  # built once per birth proposal: skip the conversions
+            self.counts, self.values = np.empty(0, np.intp), np.empty(0)
+            self.ids = np.empty(0, np.int64)
+        else:
+            self.counts = np.asarray(counts, dtype=np.intp)
+            self.values = np.asarray(values, dtype=float)
+            self.ids = np.arange(len(self.counts), dtype=np.int64)
         self._next_id = len(self.counts)
-        self.ids = np.arange(self._next_id, dtype=np.int64)
 
     # -- mutation ---------------------------------------------------------
 

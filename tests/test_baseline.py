@@ -1,28 +1,153 @@
+"""The baseline DP steps: their log weights against quadrature oracles, their
+value draws against closed-form moments, and the block pass against a
+per-attribute reference.
+
+``_reference_run_step`` reseats one attribute at a time with a uniform of its
+own, the sequential collapsed Gibbs pass the block pass must reproduce bit for
+bit: same labels, counts, values and ids, and the generator left at the same
+position, for every bit generator numpy ships.
+"""
+
+import copy
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from sparseclust.baseline import _MeanStep, _VarStep, step_baseline_means, step_baseline_vars
-from sparseclust.model import Hyperparams
+from sparseclust import baseline
+from sparseclust.baseline import (
+    _MeanStep,
+    _run_step,
+    _VarStep,
+    step_baseline_means,
+    step_baseline_vars,
+)
+from sparseclust.clusters import ClusterMeanVector
+from sparseclust.densities import SamplerAbort, sample_log_categorical
+from sparseclust.model import DataMatrix, Hyperparams, ModelState
 
-from conftest import manual_state
+from conftest import build_partition, manual_state
 
 mpmath.mp.dps = 40
+
+SEEDS = range(30)
+# default_rng's PCG64 first.
+BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
+STEPS = {"mean": (_MeanStep, "mean_part"), "var": (_VarStep, "var_part")}
+
+
+def _slot_terms(step, counts, stats):
+    """The (terms, slots) array of slots with these counts and statistics."""
+    return np.array(step.slot_terms(counts, stats), dtype=float)
 
 
 def _logits_without(step, part, j):
     """Attribute j's log weights (live clusters in creation order, then a new
     cluster) with j taken out of its cluster, from the step's own logit
-    function."""
+    function in its row form."""
     labels, k = part.labels, part.n_clusters()
     others = np.arange(len(labels)) != j
     counts = np.bincount(labels[others], minlength=k)
     stats = np.zeros(k, dtype=step.items.dtype)
     np.add.at(stats, labels[others], step.items[others])
     live = counts > 0
-    return np.append(step.logits(j, counts[live], stats[live]), step.new_logw[j])
+    terms = _slot_terms(step, counts[live], stats[live])
+    (row,) = step.logits(slice(j, j + 1), terms[:, None])
+    return np.append(row, step.new_logw[j])
+
+
+def _reference_run_step(part, step, rng, where):
+    """One attribute at a time: it leaves its slot (a slot it was the last
+    member of goes), every live slot and a new cluster are weighed, and its
+    seat is drawn with one uniform; then every value is drawn. Returns, per
+    attribute, (its slot went, it moved, it opened a new cluster)."""
+    ids = part.cluster_ids()
+    labels = part.labels.copy()
+    items = step.items.tolist()
+    p = len(labels)
+    k = len(ids)
+    cnt = np.bincount(labels, minlength=p)
+    stat = np.zeros(p, dtype=step.items.dtype)
+    np.add.at(stat, labels, step.items)
+    logw = np.empty(p + 1)
+    events = []
+    for j in range(p):
+        s = labels[j]
+        single = cnt[s] == 1
+        if single:
+            cnt[s:k - 1] = cnt[s + 1:k]
+            stat[s:k - 1] = stat[s + 1:k]
+            labels[labels > s] -= 1
+            del ids[s]
+            k -= 1
+        else:
+            cnt[s] -= 1
+            stat[s] -= items[j]
+        logw[:k] = step.logits(j, _slot_terms(step, cnt[:k], stat[:k]))
+        logw[k] = step.new_logw[j]
+        t = sample_log_categorical(logw[:k + 1], rng, where=f"{where} j={j}")
+        events.append((bool(single), bool(single or t != s), t == k))
+        if t == k:
+            ids.append(None)
+            cnt[t] = 1
+            stat[t] = items[j]
+            k += 1
+        else:
+            cnt[t] += 1
+            stat[t] += items[j]
+        labels[j] = t
+    part.set_slots(ids, labels, cnt[:k], step.values(labels, cnt[:k], rng))
+    return events
+
+
+def _record_blocks(step):
+    """Make ``step`` log each block it scores as (first row, rows, slots)."""
+    blocks = []
+    logits = step.logits
+
+    def recording(rows, terms):
+        first, n = (rows, 1) if isinstance(rows, int) else (rows.start, rows.stop - rows.start)
+        blocks.append((first, n, terms.shape[-1]))
+        return logits(rows, terms)
+
+    step.logits = recording
+    return blocks
+
+
+def _mixed_state(seed):
+    """A state whose baseline partitions mix attributes that stay, attributes
+    that move, outliers that open clusters and singletons."""
+    rng = np.random.default_rng(seed)
+    n, p = 5, 40
+    level = rng.integers(0, 3, size=p)
+    loc, scale = level * 0.7, np.array([0.3, 0.6, 1.2])[level]
+    outlier = rng.random(p) < 0.06
+    loc[outlier] += 6.0
+    scale[outlier] *= 8.0
+    y = rng.normal(loc, scale, size=(n, p))
+
+    def groups(k):
+        labels = rng.integers(0, k, size=p)
+        labels[rng.random(p) < 0.1] = k  # singletons
+        return ([list(np.flatnonzero(labels == g)) for g in range(k) if (labels == g).any()]
+                + [[j] for j in np.flatnonzero(labels == k)])
+
+    mean_groups, var_groups = groups(3), groups(2)
+    state = ModelState(
+        mean_part=build_partition(mean_groups, rng.normal(0.0, 1.0, len(mean_groups)).tolist()),
+        var_part=build_partition(var_groups, rng.uniform(0.3, 2.0, len(var_groups)).tolist()),
+        samples=build_partition([list(range(n))]),
+        cluster_means={0: ClusterMeanVector(p)},
+        incl_prob={0: np.full(p, 0.5)},
+        attr_prob=np.full(p, 0.5),
+        slab_var=1.0,
+        conc_samples=1.0,
+        conc_mean=rng.uniform(0.3, 3.0),
+        conc_var=rng.uniform(0.3, 3.0),
+        conc_inner=1.0,
+    )
+    return state, DataMatrix(y), Hyperparams(base_mean=0.0, base_var=1.0)
 
 
 def _mean_logits_without(state, data, hp, j):
@@ -214,3 +339,78 @@ def test_uninformative_likelihood_reduces_to_crp_prior():
     expect = sum(conc / (conc + i) for i in range(p))
     got = np.mean(ks[100:])
     assert abs(got - expect) / expect < 0.05
+
+
+# (block cells, rows that stay before a block spans several) per seed: the
+# default, a cap that short blocks reach, and blocks that start early.
+BLOCK_SETTINGS = ((baseline._BLOCK_CELLS, baseline._MIN_RUN), (24, 1), (4096, 2))
+
+
+@pytest.mark.parametrize("which", sorted(STEPS))
+def test_block_pass_matches_reference(which, monkeypatch):
+    """The block pass reproduces the per-attribute pass bitwise, on each bit
+    generator, through the cases where a block's assumption breaks."""
+    cls, attr = STEPS[which]
+    seen = dict.fromkeys(
+        ("singleton mid-pass", "move on first row", "move on last row",
+         "new cluster inside a block", "block at the cap"), 0)
+    for bit_generator in BIT_GENERATORS:
+        for seed in SEEDS:
+            cells, min_run = BLOCK_SETTINGS[seed % len(BLOCK_SETTINGS)]
+            monkeypatch.setattr(baseline, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(baseline, "_MIN_RUN", min_run)
+            state, data, hp = _mixed_state(seed)
+            part, ref = (copy.deepcopy(getattr(state, attr)) for _ in range(2))
+            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                            for _ in range(2))
+            step = cls(state, data, hp)
+            blocks = _record_blocks(step)
+            _run_step(part, step, rng, which)
+            events = _reference_run_step(ref, cls(state, data, hp), ref_rng, which)
+
+            assert part.to_dict() == ref.to_dict(), (bit_generator, seed)
+            # Equal next draws: the two generators stand at the same position.
+            assert rng.random(4).tolist() == ref_rng.random(4).tolist(), (bit_generator, seed)
+
+            seen["singleton mid-pass"] += any(single for single, _, _ in events[1:])
+            for first, n, k in blocks:
+                if n == 1:
+                    continue
+                moved = [m for _, m, _ in events[first:first + n]]
+                r = moved.index(True) if any(moved) else None  # the row committed last
+                seen["move on first row"] += r == 0
+                seen["move on last row"] += r == n - 1
+                seen["new cluster inside a block"] += bool(r) and events[first + r][2]
+                seen["block at the cap"] += n == cells // (k + 1)
+    assert all(seen.values()), seen
+
+
+def test_abort_names_the_attribute_inside_a_block():
+    """A non-finite statistic inside a block aborts the pass at its attribute,
+    with the message of the per-attribute pass, after all p uniforms."""
+    bad = 10
+    rng = np.random.default_rng(5)
+    column = rng.normal(0.0, 0.1, size=6)
+    y = np.tile(column[:, None], (1, 20))
+    # Attribute ``bad`` shares its cluster, so its slot stays when it leaves.
+    others = [j for j in range(20) if j not in (bad, bad + 1)]
+    state, data, hp = manual_state(y, sigma_sq=[0.01] * 20, mean_groups=[others, [bad, bad + 1]])
+    data.y[0, bad] = np.inf  # past DataMatrix's check
+    step = _MeanStep(state, data, hp)
+    blocks = _record_blocks(step)
+    gen, ref_gen = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(SamplerAbort) as block_abort:
+        _run_step(copy.deepcopy(state.mean_part), step, gen, "baseline-mean assignment")
+    # The per-attribute pass subtracts numpy scalars, which warn on inf - inf.
+    with np.errstate(invalid="ignore"), pytest.raises(SamplerAbort) as reference_abort:
+        _reference_run_step(copy.deepcopy(state.mean_part), _MeanStep(state, data, hp),
+                            ref_gen, "baseline-mean assignment")
+
+    message = str(block_abort.value)
+    assert message.startswith(f"baseline-mean assignment j={bad}: non-finite log weights")
+    assert message == str(reference_abort.value)
+    first, n, _ = blocks[-1]
+    assert first < bad < first + n - 1, blocks
+    fresh = np.random.default_rng(3)
+    fresh.random(20)
+    assert gen.random(4).tolist() == fresh.random(4).tolist()
