@@ -1,10 +1,12 @@
-"""Pins of the random stream: integer fingerprints of four short chains.
+"""Pins of the random stream: integer fingerprints of five short chains.
 
 Each chain runs ``init_state`` and then ``sweep`` on a simulated design
 with a fixed seed. A fingerprint holds, per sweep, K, the numbers of
 baseline-mean and baseline-variance clusters and the number of nonzero mean
 components; after the last sweep, the canonical sample labels and the
-generator's 128-bit state. Any change to the draws, their order or the
+generator's 128-bit state. The four paper designs have n = 20; the tall
+chain (n = 200) has birth/death passes long enough for long runs of
+rejected births. Any change to the draws, their order or the
 arithmetic that feeds them changes these numbers.
 
 A change that alters the stream on purpose regenerates the pins (run this
@@ -16,10 +18,23 @@ import numpy as np
 import pytest
 
 from sparseclust.chain import ALL_ONE_CLUSTER, ALL_SINGLETONS, ChainConfig, init_state, sweep
-from sparseclust.model import Hyperparams, default_hyperparams
+from sparseclust.model import DataMatrix, Hyperparams, default_hyperparams
 from sparseclust.simulate import gen_example1, gen_example2, gen_example3, gen_example4
 
 SWEEPS = 20
+
+
+def gen_tall(seed):
+    """Example 3's means at n = 200, p = 50: groups of 30/30/70/70 samples
+    with mean c/4 for group c = 1..4 on attributes 1-10, zero elsewhere,
+    noise sd 0.1."""
+    n, p = 200, 50
+    labels = np.repeat(np.arange(4), [30, 30, 70, 70])
+    mu = np.zeros((n, p))
+    mu[:, 0:10] = ((labels + 1) / 4.0)[:, None]
+    y = mu + 0.1 * np.random.default_rng(seed).standard_normal(mu.shape)
+    return DataMatrix(y), None
+
 
 # name -> (design, data seed, chain seed, init mode, rho prior or None)
 CHAINS = {
@@ -27,6 +42,7 @@ CHAINS = {
     "ex2_default_one": (gen_example2, 0, 4, ALL_ONE_CLUSTER, None),
     "ex3_beta22_singletons": (gen_example3, 0, 2, ALL_SINGLETONS, (2.0, 2.0)),
     "ex4_default_one": (gen_example4, 0, 3, ALL_ONE_CLUSTER, None),
+    "tall_default_one": (gen_tall, 0, 5, ALL_ONE_CLUSTER, None),
 }
 
 
@@ -90,7 +106,27 @@ PINS = {'ex1_default_one': {'labels': [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0,
                                           (2, 7, 4, 0), (2, 6, 4, 0), (4, 5, 4, 0), (3, 5, 4, 0),
                                           (3, 5, 4, 0), (3, 4, 4, 1), (3, 3, 4, 0), (4, 3, 5, 0),
                                           (4, 4, 4, 1)],
-                            'rng_state': 45076883225530987410968944315343048774}}
+                            'rng_state': 45076883225530987410968944315343048774},
+        'tall_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                             'per_sweep': [(2, 22, 8, 0), (1, 12, 4, 0), (1, 6, 3, 0),
+                                           (1, 5, 2, 0), (1, 5, 2, 0), (1, 4, 2, 0),
+                                           (1, 4, 2, 0), (1, 4, 2, 0), (1, 4, 2, 0),
+                                           (1, 4, 2, 0), (1, 4, 2, 0), (1, 4, 2, 0),
+                                           (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                           (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                           (1, 2, 2, 0), (1, 2, 2, 0)],
+                             'rng_state': 211430084409540762834577666095589033611}}
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
