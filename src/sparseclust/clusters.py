@@ -29,13 +29,33 @@ depend only on the baselines, attr_prob, slab_var and conc_inner, and no
 birth, death or reassignment move changes any of those. So
 ``step_clusters`` builds one ``BirthDeathPass`` for the birth/death loop and
 the reassignment pass: the terms of every sample's residual y_i - mu_base as
-(n, p) rows, together with log(2 pi sigma^2) and every sample's log
-likelihood under a zero mean, which is the likelihood of nearly every
-proposal at the default sparsity and the reassignment column of every
-all-spike cluster. The elementwise ufuncs and the row sums give the same
-bits on the (n, p) arrays as on one row, so the random stream does not
-depend on which form is built. The inner Gibbs pass then reads each
-cluster's member rows from the data, in ascending sample order.
+(n, p) rows, together with log(2 pi sigma^2), every sample's log likelihood
+under a zero mean, which is the likelihood of nearly every proposal at the
+default sparsity, and each live cluster's column of log likelihoods,
+computed once when a block or the reassignment pass first reads it. The
+elementwise ufuncs and the row sums give the same bits on the (n, p) arrays
+as on one row, so the random stream does not depend on which form is built.
+The inner Gibbs pass then reads each cluster's member rows from the data, in
+ascending sample order.
+
+The birth/death loop walks the samples in blocks. At the default sparsity
+nearly every birth proposal seats every component on SPIKE and is rejected.
+Such a sample changes nothing and draws exactly p + 1 uniforms: p for its
+spike run from component 0, then one for the MH test. A block runs from a
+sample up to the first one that is a singleton, does not start a spike run
+at component 0 or has non-finite run terms; it assumes every row is such a
+sample. It draws its uniforms as one (rows, p + 1) matrix, finds the rows
+whose proposal leaves SPIKE by ``_spike_run_stop``'s rule, and scores each
+row's MH ratio with ``birth_log_ratio`` from the pass's spike-run sums, the
+same operations in the same order, with the accept test in ``math.exp``. The
+rows before the first one that leaves SPIKE or is accepted are committed as
+they are. If such a row exists, the generator is restored and moved past
+just the committed rows' uniforms, and that row takes the per-sample move,
+as does every row that cannot join a block. So ``_spike_run_stop`` and its
+save and restore of the generator run only for the rows that take the
+per-sample move. A deviating row costs the uniforms its block drew in vain,
+at most (n - i)(p + 1) for a block from sample i, and the redraw of the
+committed rows' uniforms.
 """
 
 import math
@@ -163,40 +183,64 @@ class WalkTerms:
 class BirthDeathPass(WalkTerms):
     """What the birth, death and reassignment moves of one step-5 pass read:
     the walk terms of every sample's residual ``x[i] = y_i - mu_base``
-    (n_count 1), ``log(2 pi sigma_sq)`` and every sample's log likelihood
-    under a zero mean. See the module docstring for why none of it changes
-    in the pass."""
+    (n_count 1), ``log(2 pi sigma_sq)``, every sample's log likelihood
+    under a zero mean, the log Q and log Q0 of a proposal that seats every
+    component on SPIKE, and which samples' terms let them take part in a
+    block (``block_rows``: their walk starts a finite spike run at component
+    0). Each live cluster's column of log likelihoods is computed when first
+    read. See the module docstring for why none of it changes in the pass."""
 
     def __init__(self, y, mu_base, sigma_sq, state, hp):
         sigma_sq = np.asarray(sigma_sq, dtype=float)
         super().__init__(y - mu_base, 1, sigma_sq, state, hp)
         self.sigma_sq = sigma_sq
         self.log_2pi_var = np.log(2.0 * np.pi * sigma_sq)
-        self.zero_loglik = _loglik_rows(self.x, self.log_2pi_var, sigma_sq).tolist()
+        self.zero_loglik = _loglik_rows(self.x, self.log_2pi_var, sigma_sq)
+        # The sums the walk forms for a spike run over all p components.
+        self.spike_log_q = 0.0 + np.add.reduce(self.run_lp_spike, axis=-1)
+        self.spike_log_q0 = 0.0 + float(np.add.reduce(self.log_spike))
+        self.block_rows = self.starts_run[:, 0] & np.array(self.run_finite)
+        self._columns = {}
 
     def loglik(self, i, mean):
         """Log F(y_i; mu_base + mean): sample i's normal log likelihood."""
         if not mean.inner.n_clusters():  # every component is SPIKE
-            return self.zero_loglik[i]
+            return self.zero_loglik.item(i)
         return float(_loglik_rows(self.x[i] - mean.mu(), self.log_2pi_var, self.sigma_sq))
 
-    def loglik_column(self, mean):
-        """Every sample's log F(y_i; mu_base + mean), as ``loglik`` gives it."""
-        if not mean.inner.n_clusters():  # every component is SPIKE
-            return self.zero_loglik
-        return _loglik_rows(self.x - mean.mu(), self.log_2pi_var, self.sigma_sq)
+    def loglik_column(self, state, cid):
+        """Every sample's log F(y_i; mu_base + mean of cluster cid), entry i
+        bitwise ``loglik(i, mean)``. Computed once per pass: no move changes
+        a live cluster's mean, and ids are never reused."""
+        col = self._columns.get(cid)
+        if col is None:
+            mean = state.cluster_means[cid]
+            if not mean.inner.n_clusters():  # every component is SPIKE
+                col = self.zero_loglik
+            else:
+                col = _loglik_rows(self.x - mean.mu(), self.log_2pi_var, self.sigma_sq)
+            self._columns[cid] = col
+        return col
 
-    def birth_log_ratio(self, state, i, mean_new, log_q, log_q0):
-        """(log MH ratio, log F new, log F old) of moving sample i out of its
-        cluster into a new one with mean ``mean_new``, proposed with
-        density ``log_q`` whose prior density is ``log_q0``."""
-        log_f_new = self.loglik(i, mean_new)
-        log_f_old = self.loglik(i, state.cluster_means[state.samples.cluster_of(i)])
+    def birth_log_ratio(self, state, rows, log_f_new, log_q, log_q0):
+        """(log MH ratio, log F old) of moving each sample of ``rows`` out of
+        its cluster into a new one, under whose mean its log likelihood is
+        ``log_f_new``, proposed with density ``log_q`` whose prior density
+        is ``log_q0``. ``rows`` is one sample, with floats, or an index
+        array, with a float or an array over the rows for each term."""
+        samples = state.samples
+        if np.ndim(rows):
+            slots = samples.labels[rows]
+            live = np.unique(slots)  # the rows' clusters, by slot
+            cols = np.array([self.loglik_column(state, c) for c in samples.ids[live].tolist()])
+            log_f_old = cols[np.searchsorted(live, slots), rows]
+        else:
+            log_f_old = self.loglik_column(state, samples.cluster_of(rows)).item(rows)
         log_ratio = (
             math.log(state.conc_samples) - math.log(len(self.x) - 1)
             + log_f_new - log_f_old + log_q0 - log_q
         )
-        return log_ratio, log_f_new, log_f_old
+        return log_ratio, log_f_old
 
 
 def _scan_components(inner, terms, i, rng=None):
@@ -466,8 +510,12 @@ def mh_birth_move(state, data, hp, i, rng, bd):
     if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
-    mean_new, log_q, log_q0 = bd.propose(i, rng)
-    log_ratio, log_f_new, log_f_old = bd.birth_log_ratio(state, i, mean_new, log_q, log_q0)
+    try:
+        mean_new, log_q, log_q0 = bd.propose(i, rng)
+    except SamplerAbort as exc:
+        raise SamplerAbort(f"birth proposal i={i}: {exc}") from exc
+    log_f_new = bd.loglik(i, mean_new)
+    log_ratio, log_f_old = bd.birth_log_ratio(state, i, log_f_new, log_q, log_q0)
     u = rng.random()
     accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if accepted:
@@ -500,7 +548,10 @@ def mh_death_move(state, data, hp, i, rng, bd):
     target = samples.ids.item(t + (t >= s))
 
     mean_own = state.cluster_means[cid]
-    log_q, log_q0 = _scan_components(mean_own.inner, bd, i)
+    try:
+        log_q, log_q0 = _scan_components(mean_own.inner, bd, i)
+    except SamplerAbort as exc:
+        raise SamplerAbort(f"death proposal i={i}: {exc}") from exc
 
     log_f_new = bd.loglik(i, state.cluster_means[target])
     log_f_old = bd.loglik(i, mean_own)
@@ -537,7 +588,10 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
     counts = samples.sizes()
     counts[samples.labels.item(i)] -= 1
     logw = [math.log(c) + w for c, w in zip(counts, loglik_row.tolist())]
-    choice, _lse = _pick_with_lse(logw, rng)
+    try:
+        choice, _lse = _pick_with_lse(logw, rng)
+    except SamplerAbort as exc:
+        raise SamplerAbort(f"reassignment i={i}: {exc}") from exc
     return samples.move(i, col_order[choice])
 
 
@@ -555,13 +609,62 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
     x = data.y[mem].sum(axis=0) / n_count - mu_base
     inner = state.cluster_means[cid].inner
     was_spike = inner.spike_mask()
-    _scan_components(inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0, rng)
+    try:
+        _scan_components(inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0, rng)
+    except SamplerAbort as exc:
+        raise SamplerAbort(f"inner mean update cid={cid}: {exc}") from exc
 
     row = state.incl_prob[cid]
     is_spike = inner.spike_mask()
     for j in np.flatnonzero(is_spike != was_spike).tolist():
         row[j] = draw_pi_entry(bool(is_spike[j]), float(state.attr_prob[j]), hp, rng)
     return state.cluster_means[cid]
+
+
+def _spike_birth_block(state, bd, i, rng):
+    """Commit, as one block, the samples from i on whose birth proposal
+    seats every component on SPIKE and is rejected; returns the first sample
+    not committed (n if none is left). See the module docstring."""
+    samples = state.samples
+    if not bd.block_rows.item(i) or samples.cluster_size(i) == 1:
+        return i  # the common case on dense data, without the array test below
+    n, p = bd.x.shape
+    eligible = bd.block_rows[i:] & (samples.counts[samples.labels[i:]] > 1)
+    b = n - i if eligible.all() else int(eligible.argmin())
+    saved = rng.bit_generator.state
+    u = rng.random((b, p + 1))
+    # Component c of a spike run leaves SPIKE when u_c * total_c > spike_c,
+    # the rule of ``_spike_run_stop``; the last uniform is the MH test's.
+    leaves = (u[:, :p] * bd.run_tot[i:i + b] > bd.run_spike[i:i + b]).any(axis=1)
+    r = int(leaves.argmax()) if leaves.any() else b
+    if r:
+        rows = np.arange(i, i + r)
+        log_ratio = bd.birth_log_ratio(
+            state, rows, bd.zero_loglik[rows], bd.spike_log_q[rows], bd.spike_log_q0)[0]
+        for t, (log_r, v) in enumerate(zip(log_ratio.tolist(), u[:r, p].tolist())):
+            if log_r >= 0.0 or v < math.exp(log_r):  # math.exp, as mh_birth_move
+                r = t
+                break
+    if r < b:  # sample i + r deviates: leave the generator after the rows before it
+        rng.bit_generator.state = saved
+        rng.random(r * (p + 1))
+    return i + r
+
+
+def _births_and_deaths(state, data, hp, rng, bd):
+    """The MH birth/death pass: a birth move per non-singleton and a death
+    move per singleton, in sample order, runs of rejected all-SPIKE births
+    committed as blocks."""
+    i = 0
+    while i < data.n:
+        i = _spike_birth_block(state, bd, i, rng)
+        if i == data.n:
+            return
+        if state.samples.cluster_size(i) > 1:
+            mh_birth_move(state, data, hp, i, rng, bd)
+        else:
+            mh_death_move(state, data, hp, i, rng, bd)
+        i += 1
 
 
 def step_clusters(state, data, hp, rng):
@@ -571,16 +674,12 @@ def step_clusters(state, data, hp, rng):
     sigma_sq = state.var_part.values_vector()
 
     bd = BirthDeathPass(data.y, mu_base, sigma_sq, state, hp)
-    for i in range(data.n):
-        if state.samples.cluster_size(i) > 1:
-            mh_birth_move(state, data, hp, i, rng, bd)
-        else:
-            mh_death_move(state, data, hp, i, rng, bd)
+    _births_and_deaths(state, data, hp, rng, bd)
 
     # The cluster set and the means are fixed during the reassignment pass,
-    # so each cluster's column of log likelihoods is computed once.
+    # so it reads the pass's columns.
     col_order = state.samples.cluster_ids()
-    loglik = np.column_stack([bd.loglik_column(state.cluster_means[c]) for c in col_order])
+    loglik = np.column_stack([bd.loglik_column(state, c) for c in col_order])
     del bd  # (n, p) arrays the rest of the step does not read
     for i in range(data.n):
         if state.samples.cluster_size(i) > 1:

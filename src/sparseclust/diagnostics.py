@@ -113,6 +113,6 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
         else:
             mean_new = sample_prior_mean(data.p, state, hp, rng)
             log_q = log_q0 = 0.0
-        log_r = bd.birth_log_ratio(state, i, mean_new, log_q, log_q0)[0]
+        log_r = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)[0]
         total += 1.0 if log_r >= 0.0 else math.exp(log_r)
     return total / attempts

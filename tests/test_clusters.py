@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from sparseclust import clusters
 from sparseclust.clusters import (
     BirthDeathPass,
     ClusterMeanVector,
@@ -17,7 +18,7 @@ from sparseclust.clusters import (
     mh_death_move,
     sample_prior_mean,
 )
-from sparseclust.densities import log_normal_pdf
+from sparseclust.densities import SamplerAbort, log_normal_pdf
 from sparseclust.model import Hyperparams
 from sparseclust.partition import SPIKE
 
@@ -43,7 +44,7 @@ def _both_log_f(state, data, hp, i, cid):
     read it and from the column the reassignment pass reads."""
     bd = _pass(state, data, hp)
     mean = state.cluster_means[cid]
-    return bd.loglik(i, mean), bd.loglik_column(mean)[i]
+    return bd.loglik(i, mean), bd.loglik_column(state, cid)[i]
 
 
 def test_likelihood_at_mode_single_attribute():
@@ -459,7 +460,7 @@ def _reassign_inputs(state, data, hp):
     one column per cluster from the step's birth/death pass."""
     bd = _pass(state, data, hp)
     col_order = state.samples.cluster_ids()
-    loglik = np.column_stack([bd.loglik_column(state.cluster_means[c]) for c in col_order])
+    loglik = np.column_stack([bd.loglik_column(state, c) for c in col_order])
     return loglik, col_order
 
 
@@ -647,3 +648,154 @@ def test_inner_gibbs_keeps_pi_coupling(tiny_state):
     for cid in state.samples.cluster_ids():
         _inner_pass(state, data, hp, cid, rng)
     state.validate(data)
+
+
+# -- birth/death blocks --------------------------------------------------------
+
+BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
+
+
+def _reference_births_and_deaths(state, data, hp, rng, bd):
+    """The per-sample pass the blocks must reproduce bit for bit: a birth
+    move per non-singleton and a death move per singleton, in sample order,
+    each drawing its own uniforms. Returns per sample (move, whether its
+    proposal seated a component off SPIKE, accepted)."""
+    propose = bd.propose
+    left_spike = []
+
+    def recording(i, rng):
+        mean, log_q, log_q0 = propose(i, rng)
+        left_spike.append(mean.inner.n_clusters() > 0)
+        return mean, log_q, log_q0
+
+    bd.propose = recording
+    events = []
+    for i in range(data.n):
+        if state.samples.cluster_size(i) > 1:
+            accepted, _info = mh_birth_move(state, data, hp, i, rng, bd)
+            events.append(("birth", left_spike[-1], accepted))
+        else:
+            accepted, _info = mh_death_move(state, data, hp, i, rng, bd)
+            events.append(("death", False, accepted))
+    return events
+
+
+def _record_blocks(monkeypatch):
+    """Record each block the pass tries as (first sample, first sample not
+    committed)."""
+    blocks = []
+    block = clusters._spike_birth_block
+
+    def recording(state, bd, i, rng):
+        stop = block(state, bd, i, rng)
+        blocks.append((i, stop))
+        return stop
+
+    monkeypatch.setattr(clusters, "_spike_birth_block", recording)
+    return blocks
+
+
+def _block_state(seed):
+    """A prior draw of 24 samples in several clusters, most components
+    favouring SPIKE (so most rows start spike runs, and some proposals leave
+    SPIKE), and a concentration that makes births rare or common."""
+    state, data, hp = make_state(n=24, p=5, seed=seed, require_multi=True)
+    rng = np.random.default_rng(seed + 1000)
+    state.attr_prob = rng.choice([1e-3, 0.02, 0.3], size=data.p, p=[0.5, 0.3, 0.2])
+    state.conc_samples = float(rng.choice([0.5, 3.0, 20.0]))
+    return state, data, hp
+
+
+def test_birth_blocks_match_per_sample_moves(monkeypatch):
+    """The birth/death pass in blocks leaves the state and the generator
+    where the per-sample moves leave them, on each bit generator, through
+    the cases where a block ends or cannot start."""
+    seen = dict.fromkeys(
+        ("block ended by an accepted birth", "block ended by a proposal off SPIKE",
+         "singleton between two blocks", "row with starts_run[i, 0] false",
+         "block reaches sample n - 1"), 0)
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(30):
+            state, data, hp = _block_state(seed)
+            ref = copy.deepcopy(state)
+            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                            for _ in range(2))
+            blocks = _record_blocks(monkeypatch)
+            bd = _pass(state, data, hp)
+            clusters._births_and_deaths(state, data, hp, rng, bd)
+            events = _reference_births_and_deaths(ref, data, hp, ref_rng, _pass(ref, data, hp))
+
+            got, want = state.to_dict(), ref.to_dict()
+            assert got["samples"] == want["samples"], (bit_generator, seed)
+            assert got["cluster_means"] == want["cluster_means"], (bit_generator, seed)
+            assert got["incl_prob"] == want["incl_prob"], (bit_generator, seed)
+            assert got == want, (bit_generator, seed)
+            # Equal next draws: the two generators stand at the same position.
+            assert rng.random(4).tolist() == ref_rng.random(4).tolist(), (bit_generator, seed)
+
+            n = data.n
+            for k, (first, stop) in enumerate(blocks):
+                if stop == n:
+                    seen["block reaches sample n - 1"] += stop > first
+                    continue
+                move, left_spike, accepted = events[stop]
+                if stop > first and move == "birth" and bd.block_rows[stop]:
+                    # An eligible row ends a block only by deviating.
+                    assert left_spike or accepted, (bit_generator, seed, stop)
+                    seen["block ended by a proposal off SPIKE"] += left_spike
+                    seen["block ended by an accepted birth"] += accepted and not left_spike
+                seen["singleton between two blocks"] += (
+                    move == "death" and stop > first and k + 1 < len(blocks)
+                    and blocks[k + 1][1] > stop + 1)
+                seen["row with starts_run[i, 0] false"] += not bd.starts_run[stop, 0]
+            monkeypatch.undo()
+    assert all(seen.values()), seen
+
+
+def test_abort_names_the_sample_after_a_block(monkeypatch):
+    """A non-finite row inside a run of rows that could form a block ends the
+    block before it; its own birth move then aborts, with the message of the
+    per-sample pass naming the move and the sample, and the generator where
+    the per-sample pass leaves it."""
+    bad, p = 6, 5
+    y = np.random.default_rng(2).normal(0.0, 0.1, size=(10, p))
+    state, data, hp = manual_state(y, sigma_sq=[0.01] * p, attr_prob=1e-3)
+    data.y[bad, 3] = np.inf  # past DataMatrix's check
+    ref = copy.deepcopy(state)
+    blocks = _record_blocks(monkeypatch)
+    bd = _pass(state, data, hp)
+    assert bd.starts_run[bad, 0] and not bd.run_finite[bad]
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(SamplerAbort) as block_abort:
+        clusters._births_and_deaths(state, data, hp, rng, bd)
+    with pytest.raises(SamplerAbort) as reference_abort:
+        _reference_births_and_deaths(ref, data, hp, ref_rng, _pass(ref, data, hp))
+
+    message = str(block_abort.value)
+    assert message == f"birth proposal i={bad}: non-finite log weights in a spike run"
+    assert message == str(reference_abort.value)
+    first, stop = blocks[-1]
+    assert stop == bad and first < bad - 1, blocks
+    assert state.to_dict() == ref.to_dict()
+    assert rng.random(4).tolist() == ref_rng.random(4).tolist()
+
+
+def test_step5_aborts_name_the_move():
+    """Death, reassignment and inner-mean aborts name their move and the
+    sample (or cluster) they were at."""
+    p = 4
+    y = np.random.default_rng(4).normal(0.0, 0.1, size=(5, p))
+    state, data, hp = manual_state(y, sigma_sq=[0.01] * p, attr_prob=1e-3)
+    cid = state.samples.move(3)  # sample 3 becomes a singleton
+    state.cluster_means[cid] = ClusterMeanVector(p)
+    state.incl_prob[cid] = np.full(p, 0.5)
+    data.y[3, 2] = np.inf  # past DataMatrix's check
+    rng = np.random.default_rng(0)
+
+    with pytest.raises(SamplerAbort, match=r"^death proposal i=3: non-finite log weights in a spike run$"):
+        mh_death_move(state, data, hp, 3, rng, _pass(state, data, hp))
+    with pytest.raises(SamplerAbort, match=r"^reassignment i=1: non-finite log weights \[nan"):
+        gibbs_reassign(state, data, hp, 1, rng, np.array([np.nan, 0.0]),
+                       state.samples.cluster_ids())
+    with pytest.raises(SamplerAbort, match=rf"^inner mean update cid={cid}: non-finite"):
+        _inner_pass(state, data, hp, cid, rng)

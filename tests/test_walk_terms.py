@@ -3,8 +3,8 @@
 ``step_clusters`` builds one ``BirthDeathPass`` for all samples; the inner
 Gibbs pass and the public proposal functions build one-row ``WalkTerms``.
 Row i of the pass must be bitwise the one-row terms of y_i - mu_base, and
-its log likelihood bitwise the row expression ``_loglik_dense``, or the
-random stream moves.
+its log likelihood, read per sample or from a cluster's column, bitwise the
+row expression ``_loglik_dense``, or the random stream moves.
 """
 
 import numpy as np
@@ -66,6 +66,9 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
         assert mean.inner.to_dict() == one_mean.inner.to_dict()
         assert logs == one_logs
         assert rng.bit_generator.state == one_rng.bit_generator.state
+        if bd.block_rows[i] and not mean.inner.n_clusters():
+            # A block scores this proposal from the pass's sums.
+            assert logs == [bd.spike_log_q[i], bd.spike_log_q0]
 
 
 @pytest.mark.parametrize("n, p, seed", CASES)
@@ -79,6 +82,12 @@ def test_pass_loglik_equals_loglik_dense(n, p, seed):
         for mean in means:
             want = _loglik_dense(data.y[i], mean.mu(), mu_base, sigma_sq)
             assert bd.loglik(i, mean) == want
+    # Blocks and the reassignment pass read cluster columns, which must give
+    # the same bits.
+    for cid, mean in state.cluster_means.items():
+        column = bd.loglik_column(state, cid)
+        assert column.tolist() == [bd.loglik(i, mean) for i in range(n)]
+        assert bd.loglik_column(state, cid) is column  # once per pass
 
 
 def test_non_finite_row_aborts_only_its_own_block_path():
