@@ -184,11 +184,9 @@ def _run_step(part, step, rng, where):
 
 def _residual_col_means(state, data):
     """Per-attribute mean of y - mu_ij over samples (the step-1 statistic)."""
-    total = data.y.sum(axis=0)
-    # Summed one cluster at a time: a numpy reduction would change the stream.
-    for cid, count in zip(state.samples.cluster_ids(), state.samples.sizes()):
-        total = total - count * state.cluster_means[cid].mu()
-    return total / data.n
+    samples = state.samples
+    means = np.array([state.cluster_means[cid].mu() for cid in samples.cluster_ids()])
+    return (data.y.sum(axis=0) - samples.counts @ means) / data.n
 
 
 class _MeanStep:
@@ -207,11 +205,8 @@ class _MeanStep:
         self.log_count = _log_count_table(data.p)
         obs_var = 1.0 / w  # sigma_j^2 / n
         self.obs = np.stack((obs_var, rbar))  # each attribute's own terms
-        log_conc = math.log(state.conc_mean)
-        self.new_logw = np.array([
-            log_conc - 0.5 * (LOG_2PI + math.log(pv) + d * d / pv)
-            for pv, d in zip((hp.base_var + obs_var).tolist(), (rbar - hp.base_mean).tolist())
-        ])
+        pv, d = hp.base_var + obs_var, rbar - hp.base_mean
+        self.new_logw = math.log(state.conc_mean) - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
 
     def slot_terms(self, count, stat):
         """log c, then the slot's posterior variance and negated mean."""
@@ -269,8 +264,7 @@ class _VarStep:
             + hp.var_shape * math.log(hp.var_rate) - gammaln(hp.var_shape)
             + gammaln(shape1)
         )
-        self.new_logw = np.array(
-            [base - shape1 * math.log(hp.var_rate + hs) for hs in self.items.tolist()])
+        self.new_logw = base - shape1 * np.log(hp.var_rate + self.items)
 
     def slot_terms(self, count, stat):
         """A slot's member count and posterior rate."""

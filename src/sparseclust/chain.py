@@ -124,7 +124,7 @@ def init_state(data, hp, cfg, rng):
     for cid in samples.cluster_ids():
         mean = ClusterMeanVector(p)
         state.cluster_means[cid] = mean
-        state.incl_prob[cid] = draw_pi_row(mean, attr_prob, hp, rng)
+        state.incl_prob[cid] = draw_pi_row(mean.inner.spike_mask(), attr_prob, hp, rng)
     return state
 
 

@@ -7,19 +7,18 @@ or a new one) from the collapsed spike/CRP conditional, then draws the inner
 values from their conjugate posteriors, and sums both the proposal density Q
 of those draws and their prior density Q0. From a fresh all-SPIKE mean it is
 the sequential proposal of a birth move; over a cluster's mean it is the
-inner Gibbs pass; without a generator it replays a given vector, bitwise
-equal to the proposal's own Q and Q0, which is how a death move scores the
-reverse birth. The walk seats components in slot lists of its own, writes
-the seats into the partition's labels and the slot arrays back once, at the
-end; a proposal that seats every component on SPIKE writes nothing more.
+inner Gibbs pass; without uniforms it replays a given vector, bitwise equal
+to the proposal's own Q and Q0, which is how a death move scores the reverse
+birth. The walk seats components in slot lists of its own, writes the seats
+into the partition's labels and the slot arrays back once, at the end; a
+proposal that seats every component on SPIKE writes nothing more.
 
 While no inner cluster is live, a component weighs only SPIKE against a new
 cluster, with weights that no earlier seat changes, so the walk seats a run
-of components up to the first non-spike seat as one block, from one vector
-draw of uniforms; the generator is then repositioned after exactly the
-uniforms the run used. The replay walks the same blocks. A block starts
-only at a component that favours SPIKE, so dense vectors take the scalar
-path.
+of components up to the first non-spike seat as one block, by one array
+comparison of the run's uniforms against its SPIKE weights. The replay
+walks the same blocks. A block starts only at a component that favours
+SPIKE, so dense vectors take the scalar path.
 
 The walk reads its per-component inputs from a ``WalkTerms`` row: the
 SPIKE and new-cluster weights, where spike runs start and the run's choice
@@ -32,69 +31,39 @@ the reassignment pass: the terms of every sample's residual y_i - mu_base as
 (n, p) rows, together with log(2 pi sigma^2), every sample's log likelihood
 under a zero mean, which is the likelihood of nearly every proposal at the
 default sparsity, and each live cluster's column of log likelihoods,
-computed once when a block or the reassignment pass first reads it. The
-elementwise ufuncs and the row sums give the same bits on the (n, p) arrays
-as on one row, so the random stream does not depend on which form is built.
-The inner Gibbs pass then reads each cluster's member rows from the data, in
-ascending sample order.
+computed once when first read. The elementwise ufuncs and the row sums give
+the same bits on the (n, p) arrays as on one row, so a row of the pass walks
+as its one-row terms do. The inner Gibbs pass then reads each cluster's
+member rows from the data, in ascending sample order.
 
-The birth/death loop walks the samples in blocks. At the default sparsity
-nearly every birth proposal seats every component on SPIKE and is rejected.
-Such a sample changes nothing and draws exactly p + 1 uniforms: p for its
-spike run from component 0, then one for the MH test. A block runs from a
-sample up to the first one that is a singleton, does not start a spike run
-at component 0 or has non-finite run terms; it assumes every row is such a
-sample. It draws its uniforms as one (rows, p + 1) matrix, finds the rows
-whose proposal leaves SPIKE by ``_spike_run_stop``'s rule, and scores each
-row's MH ratio with ``birth_log_ratio`` from the pass's spike-run sums, the
-same operations in the same order, with the accept test in ``math.exp``. The
-rows before the first one that leaves SPIKE or is accepted are committed as
-they are. If such a row exists, the generator is restored and moved past
-just the committed rows' uniforms, and that row takes the per-sample move,
-as does every row that cannot join a block. So ``_spike_run_stop`` and its
-save and restore of the generator run only for the rows that take the
-per-sample move. A deviating row costs the uniforms its block drew in vain,
-at most (n - i)(p + 1) for a block from sample i, and the redraw of the
-committed rows' uniforms.
+A drawing walk is handed its uniforms, one per component: component j is
+seated by u[j], on either path. The birth/death pass draws one (n, p + 1)
+uniform matrix when it starts, and the move of sample i reads only row i. A
+birth walk reads column j to seat component j and column p for its MH test;
+a death reads column 0 for its target (a uniform pick among the other
+n - 1 samples) and column p for its test. The inner Gibbs pass draws one
+p-vector per cluster. Normal and beta draws come from the generator. This
+is valid: each uniform is read by one draw only, and it is drawn before, and
+independently of, the state it is used in.
+
+At the default sparsity nearly every birth proposal seats every component
+on SPIKE and is rejected. Such a row changes nothing and draws nothing.
+Whether a row is one depends on its uniforms, the pass's terms and the
+sample's log likelihood under its own cluster, and no earlier move of the
+pass changes the last: a move relocates only its own sample and changes no
+mean. So the pass marks these rows up front with one array comparison
+(``BirthDeathPass.rejected_spike_births``) and skips a marked row that is
+still not a singleton when it is reached; the skip is exactly the birth move
+on that row.
 """
 
 import math
 
 import numpy as np
 
-from .densities import LOG_2PI, SamplerAbort, log_normal_pdf
-from .partition import SPIKE, Partition, crp_seat
-from .sparsity import draw_pi_entry, draw_pi_row
-
-_NEG_INF = float("-inf")
-
-
-def _pick_with_lse(logw, rng):
-    """Single-pass categorical draw, returned with the log normalizer; with
-    ``rng`` None only the normalizer, by the same summation, so replays stay
-    bitwise equal."""
-    m = max(logw)
-    if m != m or m == math.inf:
-        raise SamplerAbort(f"non-finite log weights {logw}")
-    if m == _NEG_INF:
-        raise SamplerAbort("all log weights are -inf")
-    exps = []
-    t = 0.0
-    for w in logw:
-        e = math.exp(w - m)
-        exps.append(e)
-        t += e
-    if rng is None:
-        return None, m + math.log(t)
-    u = rng.random() * t
-    acc = 0.0
-    choice = len(logw) - 1
-    for idx, e in enumerate(exps):
-        acc += e
-        if u <= acc:
-            choice = idx
-            break
-    return choice, m + math.log(t)
+from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
+from .partition import SPIKE, Partition
+from .sparsity import draw_pi_row
 
 
 class ClusterMeanVector:
@@ -173,22 +142,22 @@ class WalkTerms:
         return (x.tolist(), (self.prec * x).tolist(), self.spike[i].tolist(),
                 self.new[i].tolist(), *self._shared)
 
-    def propose(self, i, rng):
+    def propose(self, i, u, rng):
         """(mean, log Q, log Q0): a new cluster mean for row i, drawn by the
-        sequential proposal, with its proposal and prior log densities."""
+        sequential proposal from the uniforms ``u`` (one per component) and
+        ``rng``, with its proposal and prior log densities."""
         mean = ClusterMeanVector(self.x.shape[1])
-        return (mean, *_scan_components(mean.inner, self, i, rng))
+        return (mean, *_scan_components(mean.inner, self, i, u, rng))
 
 
 class BirthDeathPass(WalkTerms):
     """What the birth, death and reassignment moves of one step-5 pass read:
     the walk terms of every sample's residual ``x[i] = y_i - mu_base``
     (n_count 1), ``log(2 pi sigma_sq)``, every sample's log likelihood
-    under a zero mean, the log Q and log Q0 of a proposal that seats every
-    component on SPIKE, and which samples' terms let them take part in a
-    block (``block_rows``: their walk starts a finite spike run at component
-    0). Each live cluster's column of log likelihoods is computed when first
-    read. See the module docstring for why none of it changes in the pass."""
+    under a zero mean, and the log Q and log Q0 of a proposal that seats
+    every component on SPIKE. Each live cluster's column of log likelihoods
+    is computed when first read. See the module docstring for why none of it
+    changes in the pass."""
 
     def __init__(self, y, mu_base, sigma_sq, state, hp):
         sigma_sq = np.asarray(sigma_sq, dtype=float)
@@ -199,7 +168,6 @@ class BirthDeathPass(WalkTerms):
         # The sums the walk forms for a spike run over all p components.
         self.spike_log_q = 0.0 + np.add.reduce(self.run_lp_spike, axis=-1)
         self.spike_log_q0 = 0.0 + float(np.add.reduce(self.log_spike))
-        self.block_rows = self.starts_run[:, 0] & np.array(self.run_finite)
         self._columns = {}
 
     def loglik(self, i, mean):
@@ -242,8 +210,29 @@ class BirthDeathPass(WalkTerms):
         )
         return log_ratio, log_f_old
 
+    def rejected_spike_births(self, state, u):
+        """Per row of the uniforms ``u``, whether the birth move of that
+        sample, reading that row, proposes an all-SPIKE mean and rejects it.
+        Only samples that are not singletons in ``state`` and whose walk
+        starts a finite spike run at component 0 are marked: their proposal
+        is then one spike run, scored from the pass's sums."""
+        samples = state.samples
+        p = self.x.shape[1]
+        rows = np.flatnonzero(
+            self.starts_run[:, 0] & np.array(self.run_finite)
+            & (samples.counts[samples.labels] > 1)
+            & ~(u[:, :p] * self.run_tot > self.run_spike).any(axis=1))
+        skip = np.zeros(len(u), dtype=bool)
+        if rows.size:
+            log_ratio = self.birth_log_ratio(
+                state, rows, self.zero_loglik[rows], self.spike_log_q[rows], self.spike_log_q0)[0]
+            # The MH test of ``mh_birth_move``, in ``math.exp``.
+            skip[rows] = [r < 0.0 and v >= math.exp(r)
+                          for r, v in zip(log_ratio.tolist(), u[rows, p].tolist())]
+        return skip
 
-def _scan_components(inner, terms, i, rng=None):
+
+def _scan_components(inner, terms, i, u=None, rng=None):
     """Walk a mean vector's components in order; returns (log_q, log_q0).
 
     Each component j leaves its seat (if it has one), then SPIKE, every live
@@ -255,13 +244,14 @@ def _scan_components(inner, terms, i, rng=None):
     counting measure for partitions and Lebesgue measure for unique values.
     The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``).
 
-    With ``rng`` the seats and values are drawn and written into ``inner``:
+    With uniforms ``u`` (component j's seat reads u[j]) and ``rng`` (for
+    the values) the seats and values are drawn and written into ``inner``:
     the seats into its labels as they are drawn, the slot arrays in one
     ``set_slots`` call at the end. From an all-SPIKE partition this is the
     sequential proposal, over a cluster's current mean the inner Gibbs pass
     (whose caller ignores the two sums: there the later components are still
     seated, so they are not densities of the result).
-    Without ``rng`` the walk starts empty and replays the seats and values
+    Without ``u`` the walk starts empty and replays the seats and values
     ``inner`` holds, leaving it untouched; the replay repeats the proposal's
     arithmetic, spike-run blocks included, so its log densities are bitwise
     equal.
@@ -270,7 +260,7 @@ def _scan_components(inner, terms, i, rng=None):
     n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
     1 / sigma_sq[j] fails the joint-distribution test).
     """
-    replay = rng is None
+    replay = u is None
     labels = inner.labels
     p = len(labels)
     slab_var = terms.slab_var
@@ -279,16 +269,7 @@ def _scan_components(inner, terms, i, rng=None):
     inv_slab_var = 1.0 / slab_var
     starts_run = terms.starts_run[i]
     k_start = 0 if replay else inner.n_clusters()
-    # The seats the walk starts from (drawing) or replays; and the row as
-    # Python lists. A walk from empty needs neither on the block path, so
-    # it builds them when it leaves that path.
-    start = labels.tolist() if k_start else None
-    xs = None
-    if k_start:
-        xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
     seats = None if replay else labels  # drawing: the drawn seats, as tags
-    if k_start:
-        seats.fill(SPIKE)  # the seat of every component not drawn off SPIKE
 
     # Parallel slot lists, one slot per live inner cluster in creation order:
     # its tag, member count, summed member precision and summed statistic.
@@ -297,15 +278,18 @@ def _scan_components(inner, terms, i, rng=None):
     # drawing walk opens, the next number after those.
     tags = list(range(k_start))
     slot_of = {t: t for t in tags}
-    counts = inner.sizes() if k_start else []
-    sprec = [0.0] * k_start
-    sstat = [0.0] * k_start
+    counts, sprec, sstat = [], [], []
+    # The seats the walk starts from (drawing) or replays; and the row and
+    # the uniforms as Python lists. A walk from empty needs none of them on
+    # the block path, so it builds them when it leaves that path.
+    start = xs = None
     if k_start:
-        # Sequential sums in component order keep the stream.
-        for j, a in enumerate(start):
-            if a >= 0:
-                sprec[a] += precs[j]
-                sstat[a] += stats[j]
+        start = labels.tolist()
+        xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
+        us = u.tolist()
+        counts = inner.sizes()
+        sprec, sstat = _member_sums(labels, terms, i, k_start)
+        seats.fill(SPIKE)  # the seat of every component not drawn off SPIKE
     m_total = sum(counts)
     next_tag = k_start
 
@@ -334,7 +318,7 @@ def _scan_components(inner, terms, i, rng=None):
             # A spike run: see the module docstring.
             if not terms.run_finite[i]:
                 raise SamplerAbort("non-finite log weights in a spike run")
-            stop = _spike_run_stop(j, terms, i, labels, rng)
+            stop = _spike_run_stop(j, terms, i, labels, u)
             log_q += float(np.add.reduce(terms.run_lp_spike[i, j:stop]))
             log_q0 += float(np.add.reduce(terms.log_spike[j:stop]))
             if stop == p:
@@ -347,6 +331,8 @@ def _scan_components(inner, terms, i, rng=None):
                 terms.row_lists(i)
             if replay:
                 start = labels.tolist()
+            else:
+                us = u.tolist()
         if not block:
             xj = xs[j]
             v_obs = v_obs_list[j]
@@ -359,7 +345,7 @@ def _scan_components(inner, terms, i, rng=None):
                     + log_normal_pdf(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
                 )
             logw.append(pre_new[j] - log_denom)
-            choice, lse = _pick_with_lse(logw, rng)
+            choice, lse = pick_with_lse(logw, None if replay else us[j])
             if replay:
                 a = start[j]
                 choice = 0 if a == SPIKE else 1 + slot_of.get(a, k)
@@ -395,18 +381,17 @@ def _scan_components(inner, terms, i, rng=None):
 
     values = []
     if tags:
+        # The seats, as tags in ``labels``, to slots.
+        slot = np.zeros(max(tags) + 1, dtype=np.intp)
+        slot[tags] = np.arange(len(tags))
+        seats = np.where(labels >= 0, slot[labels], SPIKE)
         # Posterior of each inner value, recomputed from scratch over its
-        # members in component order to avoid accumulated float drift.
-        post_prec = [inv_slab_var] * len(tags)
-        post_stat = [0.0] * len(tags)
-        for j, a in enumerate(start if replay else seats.tolist()):
-            if a >= 0:
-                t = slot_of[a]
-                post_prec[t] += precs[j]
-                post_stat[t] += stats[j]
-        for t, c in enumerate(tags):
-            var = 1.0 / post_prec[t]
-            u_post = post_stat[t] / post_prec[t]
+        # members to avoid the running sums' float drift.
+        member_prec, member_stat = _member_sums(seats, terms, i, len(tags))
+        for c, prec, stat in zip(tags, member_prec, member_stat):
+            prec += inv_slab_var
+            var = 1.0 / prec
+            u_post = stat / prec
             if replay:
                 val = float(inner.values[c])
             else:
@@ -415,12 +400,6 @@ def _scan_components(inner, terms, i, rng=None):
             log_q += log_normal_pdf(val, u_post, var)
             log_q0 += log_normal_pdf(val, 0.0, slab_var)
     if not replay and (tags or k_start):  # else every seat stayed SPIKE
-        if tags and tags[-1] != len(tags) - 1:
-            # A cluster emptied during the walk (tags increase, so only then
-            # do they skip a number): tags to slots.
-            slot = np.zeros(tags[-1] + 1, dtype=np.intp)
-            slot[tags] = np.arange(len(tags))
-            seats = np.where(seats >= 0, slot[seats], SPIKE)
         ids = inner.cluster_ids()
         inner.set_slots([ids[c] if c < k_start else None for c in tags], seats, counts, values)
     return log_q, log_q0
@@ -428,7 +407,7 @@ def _scan_components(inner, terms, i, rng=None):
 
 def _spike_run_terms(w_spike, w_new):
     """(SPIKE weight, total weight, log P(SPIKE), log P(new)) of every
-    component's two-way choice, scaled as ``_pick_with_lse`` scales them,
+    component's two-way choice, scaled as ``pick_with_lse`` scales them,
     and per row whether all of them are finite (a walk that takes the block
     path on a row that is not aborts)."""
     m = np.maximum(w_spike, w_new)
@@ -440,24 +419,28 @@ def _spike_run_terms(w_spike, w_new):
         return e_spike, tot, w_spike - m, w_new - m, finite
 
 
-def _spike_run_stop(j, terms, i, labels, rng):
+def _spike_run_stop(j, terms, i, labels, u):
     """The first component at or after j seated off SPIKE (len(labels) if
-    none); replaying, the seats are ``labels``. Drawing, it seats component
-    c on SPIKE when ``u_c * total_c <= spike_c`` (row i of ``terms``), the
-    scalar draw's rule, then restores the generator and draws again just
-    the uniforms the run used: that leaves any bit generator where one
-    uniform per component would."""
+    none); replaying (``u`` None), the seats are ``labels``. Drawing, it
+    seats component c on SPIKE when ``u[c] * total_c <= spike_c`` (row i of
+    ``terms``), the scalar draw's rule."""
     p = len(labels)
-    if rng is None:
+    if u is None:
         off = labels[j:] != SPIKE
     else:
-        saved = rng.bit_generator.state
-        off = rng.random(p - j) * terms.run_tot[i, j:] > terms.run_spike[i, j:]
-    stop = j + int(off.argmax()) if off.any() else p
-    if rng is not None:
-        rng.bit_generator.state = saved
-        rng.random(min(stop + 1, p) - j)
-    return stop
+        off = u[j:p] * terms.run_tot[i, j:] > terms.run_spike[i, j:]
+    return j + int(off.argmax()) if off.any() else p
+
+
+def _member_sums(seats, terms, i, k):
+    """Per slot 0..k-1, the summed precision and precision-weighted value of
+    the components seated there (``seats`` holds slots or SPIKE), from row i
+    of ``terms``, as lists."""
+    seated = seats >= 0
+    slots = seats[seated]
+    prec = terms.prec[seated]
+    return (np.bincount(slots, prec, k).tolist(),
+            np.bincount(slots, prec * terms.x[i, seated], k).tolist())
 
 
 def _slab_coef(hp):
@@ -478,7 +461,7 @@ def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
         if rng.random() >= s:
             labels.append(SPIKE)
             continue
-        t = crp_seat(counts, conc_inner, rng)
+        t, _lse = pick_with_lse([*map(math.log, counts), math.log(conc_inner)], rng.random())
         if t == len(counts):
             counts.append(1)
             values.append(math.sqrt(slab_var) * rng.standard_normal())
@@ -502,26 +485,27 @@ def _loglik_rows(d, log_2pi_var, sigma_sq):
     return (-0.5 * (log_2pi_var + d * d / sigma_sq)).sum(axis=-1)
 
 
-def mh_birth_move(state, data, hp, i, rng, bd):
+def mh_birth_move(state, data, hp, i, rng, bd, u):
     """Propose moving a non-singleton sample into a fresh cluster.
 
-    ``bd`` is the step's ``BirthDeathPass``.
+    ``bd`` is the step's ``BirthDeathPass`` and ``u`` the sample's row of
+    p + 1 uniforms: u[j] seats component j, u[p] is the MH test's.
     """
     if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
     try:
-        mean_new, log_q, log_q0 = bd.propose(i, rng)
+        mean_new, log_q, log_q0 = bd.propose(i, u, rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"birth proposal i={i}: {exc}") from exc
     log_f_new = bd.loglik(i, mean_new)
     log_ratio, log_f_old = bd.birth_log_ratio(state, i, log_f_new, log_q, log_q0)
-    u = rng.random()
-    accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
+    accepted = log_ratio >= 0.0 or u.item(data.p) < math.exp(log_ratio)
     if accepted:
         new_cid = state.samples.move(i)
         state.cluster_means[new_cid] = mean_new
-        state.incl_prob[new_cid] = draw_pi_row(mean_new, state.attr_prob, hp, rng)
+        zero = mean_new.inner.spike_mask()
+        state.incl_prob[new_cid] = draw_pi_row(zero, state.attr_prob, hp, rng)
     info = {
         "log_ratio": log_ratio, "log_f_new": log_f_new, "log_f_old": log_f_old,
         "log_q": log_q, "log_q0": log_q0,
@@ -529,23 +513,22 @@ def mh_birth_move(state, data, hp, i, rng, bd):
     return accepted, info
 
 
-def mh_death_move(state, data, hp, i, rng, bd):
+def mh_death_move(state, data, hp, i, rng, bd, u):
     """Propose absorbing a singleton sample into an existing cluster.
 
-    ``bd`` is the step's ``BirthDeathPass``.
+    ``bd`` is the step's ``BirthDeathPass`` and ``u`` the sample's row of
+    p + 1 uniforms: u[0] picks the target, u[p] is the MH test's. The
+    replayed walk and the move draw nothing from ``rng``.
     """
     samples = state.samples
     cid = samples.cluster_of(i)
     if samples.cluster_size(i) != 1:
         raise RuntimeError(f"sample {i} is not a singleton; death move not applicable")
 
-    # The target is a sample drawn uniformly from the other n - 1 samples:
-    # a CRP seat among the other clusters with no new table.
-    s = samples.labels.item(i)
-    others = samples.sizes()
-    del others[s]
-    t = crp_seat(others, 0.0, rng)
-    target = samples.ids.item(t + (t >= s))
+    # The target is the cluster of a sample drawn uniformly from the other
+    # n - 1 samples.
+    k = int(u.item(0) * (data.n - 1))
+    target = samples.cluster_of(k + (k >= i))
 
     mean_own = state.cluster_means[cid]
     try:
@@ -559,8 +542,7 @@ def mh_death_move(state, data, hp, i, rng, bd):
         math.log(data.n - 1) - math.log(state.conc_samples)
         + log_f_new - log_f_old + log_q - log_q0
     )
-    u = rng.random()
-    accepted = log_ratio >= 0.0 or u < math.exp(log_ratio)
+    accepted = log_ratio >= 0.0 or u.item(data.p) < math.exp(log_ratio)
     if accepted:
         samples.move(i, target)
         del state.cluster_means[cid]
@@ -589,7 +571,7 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
     counts[samples.labels.item(i)] -= 1
     logw = [math.log(c) + w for c, w in zip(counts, loglik_row.tolist())]
     try:
-        choice, _lse = _pick_with_lse(logw, rng)
+        choice, _lse = pick_with_lse(logw, rng.random())
     except SamplerAbort as exc:
         raise SamplerAbort(f"reassignment i={i}: {exc}") from exc
     return samples.move(i, col_order[choice])
@@ -601,8 +583,9 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
     ``mem`` lists the cluster's samples in ascending order, as
     ``Partition.members`` gives them; the pass reads their average residual.
     Component memberships are resampled with the inner values integrated out,
-    then every inner value is redrawn from its conjugate posterior. Inclusion
-    probabilities are refreshed for components whose zero status flipped, so
+    component j reading u[j] of one uniform p-vector, then every inner value
+    is redrawn from its conjugate posterior. Inclusion probabilities are
+    redrawn, in one call, for the components whose zero status flipped, so
     the mu/incl_prob coupling invariant holds at exit.
     """
     n_count = len(mem)
@@ -610,61 +593,30 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
     inner = state.cluster_means[cid].inner
     was_spike = inner.spike_mask()
     try:
-        _scan_components(inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0, rng)
+        _scan_components(inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0,
+                         rng.random(data.p), rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"inner mean update cid={cid}: {exc}") from exc
 
-    row = state.incl_prob[cid]
-    is_spike = inner.spike_mask()
-    for j in np.flatnonzero(is_spike != was_spike).tolist():
-        row[j] = draw_pi_entry(bool(is_spike[j]), float(state.attr_prob[j]), hp, rng)
+    flipped = inner.spike_mask() != was_spike
+    if flipped.any():
+        state.incl_prob[cid][flipped] = draw_pi_row(
+            ~was_spike[flipped], state.attr_prob[flipped], hp, rng)
     return state.cluster_means[cid]
-
-
-def _spike_birth_block(state, bd, i, rng):
-    """Commit, as one block, the samples from i on whose birth proposal
-    seats every component on SPIKE and is rejected; returns the first sample
-    not committed (n if none is left). See the module docstring."""
-    samples = state.samples
-    if not bd.block_rows.item(i) or samples.cluster_size(i) == 1:
-        return i  # the common case on dense data, without the array test below
-    n, p = bd.x.shape
-    eligible = bd.block_rows[i:] & (samples.counts[samples.labels[i:]] > 1)
-    b = n - i if eligible.all() else int(eligible.argmin())
-    saved = rng.bit_generator.state
-    u = rng.random((b, p + 1))
-    # Component c of a spike run leaves SPIKE when u_c * total_c > spike_c,
-    # the rule of ``_spike_run_stop``; the last uniform is the MH test's.
-    leaves = (u[:, :p] * bd.run_tot[i:i + b] > bd.run_spike[i:i + b]).any(axis=1)
-    r = int(leaves.argmax()) if leaves.any() else b
-    if r:
-        rows = np.arange(i, i + r)
-        log_ratio = bd.birth_log_ratio(
-            state, rows, bd.zero_loglik[rows], bd.spike_log_q[rows], bd.spike_log_q0)[0]
-        for t, (log_r, v) in enumerate(zip(log_ratio.tolist(), u[:r, p].tolist())):
-            if log_r >= 0.0 or v < math.exp(log_r):  # math.exp, as mh_birth_move
-                r = t
-                break
-    if r < b:  # sample i + r deviates: leave the generator after the rows before it
-        rng.bit_generator.state = saved
-        rng.random(r * (p + 1))
-    return i + r
 
 
 def _births_and_deaths(state, data, hp, rng, bd):
     """The MH birth/death pass: a birth move per non-singleton and a death
-    move per singleton, in sample order, runs of rejected all-SPIKE births
-    committed as blocks."""
-    i = 0
-    while i < data.n:
-        i = _spike_birth_block(state, bd, i, rng)
-        if i == data.n:
-            return
-        if state.samples.cluster_size(i) > 1:
-            mh_birth_move(state, data, hp, i, rng, bd)
-        else:
-            mh_death_move(state, data, hp, i, rng, bd)
-        i += 1
+    move per singleton, in sample order, move i reading row i of one uniform
+    matrix. A row marked by ``rejected_spike_births`` whose sample is still
+    not a singleton is skipped: its move would change nothing."""
+    u = rng.random((data.n, data.p + 1))
+    skip = bd.rejected_spike_births(state, u).tolist()
+    for i in range(data.n):
+        if state.samples.cluster_size(i) == 1:
+            mh_death_move(state, data, hp, i, rng, bd, u[i])
+        elif not skip[i]:
+            mh_birth_move(state, data, hp, i, rng, bd, u[i])
 
 
 def step_clusters(state, data, hp, rng):

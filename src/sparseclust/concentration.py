@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from .densities import sample_log_categorical
+from .densities import SamplerAbort, pick_with_lse
 
 
 def update_concentration(conc, pairs, prior_shape, prior_rate, rng):
@@ -60,6 +60,9 @@ def update_concentration(conc, pairs, prior_shape, prior_rate, rng):
         for t in range(1, c_count - c + 1):
             esp[c][t] = np.logaddexp(esp[c + 1][t], logw[c] + esp[c + 1][t - 1])
 
-    log_count = np.array([esp[0][t] + gammaln(shape0 - t) for t in range(c_count + 1)])
-    u_total = sample_log_categorical(log_count, rng, where="concentration indicator count")
+    log_count = [esp[0][t] + gammaln(shape0 - t) for t in range(c_count + 1)]
+    try:
+        u_total, _lse = pick_with_lse(log_count, rng.random())
+    except SamplerAbort as exc:
+        raise SamplerAbort(f"concentration indicator count: {exc}") from exc
     return rng.gamma(shape0 - u_total, 1.0 / rate)

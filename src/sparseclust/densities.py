@@ -6,10 +6,10 @@ these helpers are the single implementation used everywhere.
 
 import math
 
-import numpy as np
 from scipy.special import betaln, gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
+_NEG_INF = float("-inf")
 
 
 class SamplerAbort(RuntimeError):
@@ -43,19 +43,36 @@ def log_beta_pdf(x, a, b):
     return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b)
 
 
-def sample_log_categorical(logw, rng, where="categorical"):
-    """Sample an index from unnormalized log weights.
+def pick_with_lse(logw, u=None):
+    """Single-pass categorical draw from unnormalized log weights (a list),
+    returned with the log normalizer: the first index whose running weight
+    reaches ``u`` times the total, for a uniform ``u``. With ``u`` None only
+    the normalizer, by the same summation, so replays stay bitwise equal.
 
     Aborts (rather than clamping) on non-finite input so that sampler bugs
-    surface immediately. NaN, +inf and all--inf inputs all make the maximum
-    non-finite, so one scalar check suffices: below a finite maximum every
-    weight lies in [0, 1] and the largest is 1, so the normalizer is finite
-    and at least 1.
+    surface immediately: a NaN or +inf anywhere makes the total NaN, since
+    ``max`` skips a NaN unless it comes first and inf - inf is NaN.
     """
-    logw = np.asarray(logw, dtype=float)
-    m = np.maximum.reduce(logw)
-    if not math.isfinite(m):
-        raise SamplerAbort(f"{where}: non-finite log weights {logw}")
-    p = np.exp(logw - m)
-    u = rng.random() * np.add.reduce(p)
-    return min(int(np.add.accumulate(p).searchsorted(u)), len(p) - 1)
+    m = max(logw)
+    if m == _NEG_INF:
+        if all(w == m for w in logw):
+            raise SamplerAbort("all log weights are -inf")
+        raise SamplerAbort(f"non-finite log weights {logw}")
+    exps = []
+    t = 0.0
+    for w in logw:
+        e = math.exp(w - m)
+        exps.append(e)
+        t += e
+    if not t < math.inf:
+        raise SamplerAbort(f"non-finite log weights {logw}")
+    lse = m + math.log(t)
+    if u is None:
+        return None, lse
+    u *= t
+    acc = 0.0
+    for idx, e in enumerate(exps):
+        acc += e
+        if u <= acc:
+            return idx, lse
+    return len(exps) - 1, lse

@@ -24,11 +24,10 @@ STATISTIC_NAMES = (
 def state_statistics(state):
     """The scalar functionals compared between the two simulators."""
     k = state.samples.n_clusters()
-    ssq = 0.0
-    for mean in state.cluster_means.values():
-        # Summed in order, one value at a time; a numpy reduction rounds differently.
-        for count, v in zip(mean.inner.sizes(), mean.inner.values.tolist()):
-            ssq += count * v * v
+    inner = [m.inner for m in state.cluster_means.values()]
+    values = np.concatenate([part.values for part in inner])
+    counts = np.concatenate([part.counts for part in inner])
+    ssq = float(counts @ (values * values))
     return (
         float(k),
         float(state.mean_part.n_clusters()),
@@ -88,7 +87,8 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     """Average acceptance probability of birth moves from a frozen state.
 
     Cycles over non-singleton samples; per attempt a candidate mean is drawn
-    (sequentially or from the prior) and the move's acceptance probability
+    (sequentially, from a fresh row of p + 1 uniforms as ``mh_birth_move``
+    reads it, or from the prior) and the move's acceptance probability
     min(1, r) is accumulated, r scored as ``mh_birth_move`` scores it. The
     state is never mutated.
     """
@@ -109,7 +109,7 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     for t in range(attempts):
         i = eligible[t % len(eligible)]
         if proposal == "sequential":
-            mean_new, log_q, log_q0 = bd.propose(i, rng)
+            mean_new, log_q, log_q0 = bd.propose(i, rng.random(data.p + 1), rng)
         else:
             mean_new = sample_prior_mean(data.p, state, hp, rng)
             log_q = log_q0 = 0.0

@@ -11,15 +11,16 @@ import math
 import numpy as np
 
 from .clusters import draw_prior_mean
+from .densities import pick_with_lse
 from .model import ModelState
-from .partition import Partition, crp_seat
+from .partition import Partition
 
 
 def _crp_partition(n_items, conc, rng, draw_value):
     """Sequential CRP draw; ``draw_value`` supplies a payload per new cluster."""
     labels, counts, values = [], [], []
     for _ in range(n_items):
-        t = crp_seat(counts, conc, rng)
+        t, _lse = pick_with_lse([*map(math.log, counts), math.log(conc)], rng.random())
         if t == len(counts):
             counts.append(1)
             values.append(draw_value())

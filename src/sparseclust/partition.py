@@ -126,7 +126,7 @@ class Partition:
     def members(self):
         """Items of each live cluster, by id in creation order (SPIKE items
         are skipped). Items are in ascending order, the order data rows are
-        summed in; another order would change the stream."""
+        summed in."""
         order = np.argsort(self.labels, kind="stable")
         seated = order[self.n_items - int(self.counts.sum()):]  # SPIKE sorts first
         return dict(zip(self.cluster_ids(), np.split(seated, np.cumsum(self.counts)[:-1])))
@@ -183,24 +183,6 @@ class Partition:
         out.ids = np.array(d["ids"], dtype=np.int64)
         out._next_id = d["next_id"]
         return out
-
-
-def crp_seat(counts, conc, rng):
-    """Seat one new item by the Chinese-restaurant rule.
-
-    Returns the slot to join (probability proportional to its count in
-    ``counts``, a list in creation order) or ``len(counts)`` for a new table
-    (proportional to ``conc``). Draws exactly one uniform and joins the
-    first slot whose cumulative count reaches it; the sums are exact
-    integers, so a fixed stream gives a fixed partition.
-    """
-    u = rng.random() * (conc + sum(counts))
-    acc = 0
-    for t, c in enumerate(counts):
-        acc += c
-        if u <= acc:
-            return t
-    return len(counts)
 
 
 def crp_log_prob(sizes, conc):

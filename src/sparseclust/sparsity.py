@@ -19,20 +19,11 @@ def spike_zero_weight(rho, slab_a, slab_b):
     return (1.0 - rho) / ((1.0 - rho) + cont)
 
 
-def draw_pi_entry(mu_is_zero, rho_j, hp, rng):
-    """One draw of an inclusion probability given the mean component's state."""
-    if not mu_is_zero:
-        return rng.beta(hp.slab_a + 1.0, hp.slab_b)
-    w0 = spike_zero_weight(rho_j, hp.slab_a, hp.slab_b)
-    if rng.random() < w0:
-        return 0.0
-    return rng.beta(hp.slab_a, hp.slab_b + 1.0)
-
-
-def draw_pi_row(mean, attr_prob, hp, rng):
-    """Vectorized draw of a whole inclusion-probability row for one cluster."""
-    p = mean.inner.n_items
-    zero = mean.inner.spike_mask()
+def draw_pi_row(zero, attr_prob, hp, rng):
+    """One draw of inclusion probabilities given which mean components are
+    exactly zero (the boolean mask ``zero``) and their attributes'
+    propensities ``attr_prob``, one entry each."""
+    p = len(zero)
     row = np.empty(p)
     n_nonzero = int(p - zero.sum())
     if n_nonzero:
@@ -49,7 +40,8 @@ def draw_pi_row(mean, attr_prob, hp, rng):
 def step_pi(state, hp, rng):
     """Refresh the full inclusion-probability matrix (one sweep of step 3)."""
     for cid in state.samples.cluster_ids():
-        state.incl_prob[cid] = draw_pi_row(state.cluster_means[cid], state.attr_prob, hp, rng)
+        zero = state.cluster_means[cid].inner.spike_mask()
+        state.incl_prob[cid] = draw_pi_row(zero, state.attr_prob, hp, rng)
 
 
 def step_rho(state, hp, rng):
@@ -68,12 +60,7 @@ def update_eta_sq(state, hp, rng):
     Each live inner cluster contributes its unique value once, whatever its
     multiplicity across mean components.
     """
-    n_unique = 0
-    ssq = 0.0
-    for cid in state.samples.cluster_ids():
-        # A sequential sum keeps the stream; a numpy reduction rounds differently.
-        for v in state.cluster_means[cid].inner.values.tolist():
-            n_unique += 1
-            ssq += v * v
-    state.slab_var = (hp.eta_rate + 0.5 * ssq) / rng.gamma(hp.eta_shape + 0.5 * n_unique)
+    values = np.concatenate([m.inner.values for m in state.cluster_means.values()])
+    ssq = float(values @ values)
+    state.slab_var = (hp.eta_rate + 0.5 * ssq) / rng.gamma(hp.eta_shape + 0.5 * len(values))
     return state.slab_var

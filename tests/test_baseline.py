@@ -24,7 +24,7 @@ from sparseclust.baseline import (
     step_baseline_vars,
 )
 from sparseclust.clusters import ClusterMeanVector
-from sparseclust.densities import SamplerAbort, sample_log_categorical
+from sparseclust.densities import SamplerAbort
 from sparseclust.model import DataMatrix, Hyperparams, ModelState
 
 from conftest import build_partition, manual_state
@@ -57,6 +57,17 @@ def _logits_without(step, part, j):
     return np.append(row, step.new_logw[j])
 
 
+def _draw_seat(logw, u, where):
+    """The first slot whose running weight reaches u times the total, in the
+    numpy arithmetic the pass scores a row with; a non-finite largest
+    weight aborts."""
+    m = np.maximum.reduce(logw)
+    if not math.isfinite(m):
+        raise SamplerAbort(f"{where}: non-finite log weights {logw}")
+    prob = np.exp(logw - m)
+    return min(int(np.add.accumulate(prob).searchsorted(u * np.add.reduce(prob))), len(prob) - 1)
+
+
 def _reference_run_step(part, step, rng, where):
     """One attribute at a time: it leaves its slot (a slot it was the last
     member of goes), every live slot and a new cluster are weighed, and its
@@ -86,7 +97,7 @@ def _reference_run_step(part, step, rng, where):
             stat[s] -= items[j]
         logw[:k] = step.logits(j, _slot_terms(step, cnt[:k], stat[:k]))
         logw[k] = step.new_logw[j]
-        t = sample_log_categorical(logw[:k + 1], rng, where=f"{where} j={j}")
+        t = _draw_seat(logw[:k + 1], rng.random(), f"{where} j={j}")
         events.append((bool(single), bool(single or t != s), t == k))
         if t == k:
             ids.append(None)

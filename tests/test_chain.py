@@ -99,7 +99,7 @@ def test_init_state_seats_samples_as_per_item_construction(ex3, mode):
     assert state.samples.to_dict() == want.to_dict()
     ref_rng = np.random.default_rng(5)
     for _ in want.cluster_ids():
-        chain.draw_pi_row(ClusterMeanVector(data.p), state.attr_prob, hp, ref_rng)
+        chain.draw_pi_row(np.ones(data.p, dtype=bool), state.attr_prob, hp, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

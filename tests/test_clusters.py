@@ -104,7 +104,7 @@ def test_sequential_p1_hand_enumeration():
     rng = np.random.default_rng(0)
     terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
     for _ in range(trials):
-        mean, log_q, _log_q0 = terms.propose(0, rng)
+        mean, log_q, _log_q0 = terms.propose(0, rng.random(1), rng)
         if mean.nonzero_count():
             hits += 1
             # hand-check log_q: categorical choice + conjugate value density
@@ -125,7 +125,7 @@ def test_sequential_all_spike_when_rho_zero():
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], attr_prob=0.0)
     rng = np.random.default_rng(1)
     terms = WalkTerms(np.array([0.5, -0.2]), 1, [1.0, 1.0], state, hp)
-    mean, log_q, log_q0 = terms.propose(0, rng)
+    mean, log_q, log_q0 = terms.propose(0, rng.random(2), rng)
     assert mean.nonzero_count() == 0
     assert log_q == 0.0
     assert log_q0 == 0.0
@@ -138,7 +138,7 @@ def test_sequential_replay_identity_exact():
     x = data.y[0] - state.mean_part.values_vector()
     terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
     for _ in range(300):
-        mean, log_q, log_q0 = terms.propose(0, rng)
+        mean, log_q, log_q0 = terms.propose(0, rng.random(6), rng)
         assert _scan_components(mean.inner, terms, 0) == (log_q, log_q0)  # bitwise
 
 
@@ -336,7 +336,7 @@ def test_eval_log_q_matches_mpmath_scorer():
     x = data.y[2] - state.mean_part.values_vector()
     terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
     for _ in range(25):
-        mean, log_q, _log_q0 = terms.propose(0, rng)
+        mean, log_q, _log_q0 = terms.propose(0, rng.random(5), rng)
         want = _mp_score_sequential(
             mean, x, 1, state.var_part.values_vector(), state.attr_prob,
             _slab_coef(hp), state.slab_var, state.conc_inner,
@@ -355,7 +355,8 @@ def test_birth_ratio_recomputation_oracle(tiny_state):
         if state.samples.cluster_size(i) > 1
     )
     st = copy.deepcopy(state)
-    accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
+    accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp),
+                                   rng.random(data.p + 1))
     want = (
         mpmath.log(mpmath.mpf(state.conc_samples)) - mpmath.log(data.n - 1)
         + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])
@@ -373,7 +374,8 @@ def test_q_equal_q0_reduces_to_plain_ratio(tiny_state):
         if state.samples.cluster_size(i) > 1
     )
     st = copy.deepcopy(state)
-    _, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp))
+    _, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp),
+                            rng.random(data.p + 1))
     plain = (
         math.log(state.conc_samples) - math.log(data.n - 1)
         + info["log_f_new"] - info["log_f_old"]
@@ -395,7 +397,8 @@ def test_birth_death_pair_ratios_cancel():
             if st.samples.cluster_size(k) > 1
         )
         origin = st.samples.cluster_of(i)
-        accepted, binfo = mh_birth_move(st, data, hp, i, rng, _pass(st, data, hp))
+        accepted, binfo = mh_birth_move(st, data, hp, i, rng, _pass(st, data, hp),
+                                        rng.random(data.p + 1))
         if not accepted:
             continue
         # the reversing death targets the origin cluster
@@ -423,7 +426,8 @@ def test_death_move_single_target():
         state, data, hp = make_state(n=2, p=2, seed=state.conc_samples.__hash__() % 97)
     rng = np.random.default_rng(8)
     other = [c for c in state.samples.cluster_ids() if c != state.samples.cluster_of(0)][0]
-    _, info = mh_death_move(copy.deepcopy(state), data, hp, 0, rng, _pass(state, data, hp))
+    _, info = mh_death_move(copy.deepcopy(state), data, hp, 0, rng, _pass(state, data, hp),
+                            rng.random(data.p + 1))
     assert info["target"] == other
 
 
@@ -443,7 +447,8 @@ def test_death_ratio_recomputation_oracle():
         state.incl_prob[cid] = np.full(data.p, 0.5)
         singleton = i
     rng = np.random.default_rng(9)
-    _, info = mh_death_move(copy.deepcopy(state), data, hp, singleton, rng, _pass(state, data, hp))
+    _, info = mh_death_move(copy.deepcopy(state), data, hp, singleton, rng,
+                            _pass(state, data, hp), rng.random(data.p + 1))
     want = (
         mpmath.log(data.n - 1) - mpmath.log(mpmath.mpf(state.conc_samples))
         + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])
@@ -650,52 +655,52 @@ def test_inner_gibbs_keeps_pi_coupling(tiny_state):
     state.validate(data)
 
 
-# -- birth/death blocks --------------------------------------------------------
+# -- the birth/death pass ------------------------------------------------------
 
 BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
 
 
 def _reference_births_and_deaths(state, data, hp, rng, bd):
-    """The per-sample pass the blocks must reproduce bit for bit: a birth
-    move per non-singleton and a death move per singleton, in sample order,
-    each drawing its own uniforms. Returns per sample (move, whether its
-    proposal seated a component off SPIKE, accepted)."""
+    """The per-sample pass the skips must reproduce bit for bit: one
+    (n, p + 1) uniform matrix, then a birth move per non-singleton and a
+    death move per singleton, in sample order, move i reading row i, with no
+    row skipped. Returns per sample (move, whether its proposal seated a
+    component off SPIKE, accepted)."""
     propose = bd.propose
     left_spike = []
 
-    def recording(i, rng):
-        mean, log_q, log_q0 = propose(i, rng)
+    def recording(i, u, rng):
+        mean, log_q, log_q0 = propose(i, u, rng)
         left_spike.append(mean.inner.n_clusters() > 0)
         return mean, log_q, log_q0
 
     bd.propose = recording
+    u = rng.random((data.n, data.p + 1))
     events = []
     for i in range(data.n):
         if state.samples.cluster_size(i) > 1:
-            accepted, _info = mh_birth_move(state, data, hp, i, rng, bd)
+            accepted, _info = mh_birth_move(state, data, hp, i, rng, bd, u[i])
             events.append(("birth", left_spike[-1], accepted))
         else:
-            accepted, _info = mh_death_move(state, data, hp, i, rng, bd)
+            accepted, _info = mh_death_move(state, data, hp, i, rng, bd, u[i])
             events.append(("death", False, accepted))
     return events
 
 
-def _record_blocks(monkeypatch):
-    """Record each block the pass tries as (first sample, first sample not
-    committed)."""
-    blocks = []
-    block = clusters._spike_birth_block
+def _record_moves(monkeypatch):
+    """Record each sample the pass runs a birth or a death move for."""
+    moved = []
+    for name in ("mh_birth_move", "mh_death_move"):
 
-    def recording(state, bd, i, rng):
-        stop = block(state, bd, i, rng)
-        blocks.append((i, stop))
-        return stop
+        def recording(state, data, hp, i, rng, bd, u, move=getattr(clusters, name)):
+            moved.append(i)
+            return move(state, data, hp, i, rng, bd, u)
 
-    monkeypatch.setattr(clusters, "_spike_birth_block", recording)
-    return blocks
+        monkeypatch.setattr(clusters, name, recording)
+    return moved
 
 
-def _block_state(seed):
+def _skip_state(seed):
     """A prior draw of 24 samples in several clusters, most components
     favouring SPIKE (so most rows start spike runs, and some proposals leave
     SPIKE), and a concentration that makes births rare or common."""
@@ -706,23 +711,25 @@ def _block_state(seed):
     return state, data, hp
 
 
-def test_birth_blocks_match_per_sample_moves(monkeypatch):
-    """The birth/death pass in blocks leaves the state and the generator
-    where the per-sample moves leave them, on each bit generator, through
-    the cases where a block ends or cannot start."""
+def test_skipped_births_match_per_sample_moves(monkeypatch):
+    """The birth/death pass, which skips the rows it marks as rejected
+    all-SPIKE births, leaves the state and the generator where the move of
+    every row leaves them, on each bit generator, through the cases around a
+    skipped row."""
     seen = dict.fromkeys(
-        ("block ended by an accepted birth", "block ended by a proposal off SPIKE",
-         "singleton between two blocks", "row with starts_run[i, 0] false",
-         "block reaches sample n - 1"), 0)
+        ("skipped row followed by an accepted birth", "proposal off SPIKE",
+         "singleton after a skipped row", "row with starts_run[i, 0] false",
+         "skip at sample n - 1"), 0)
     for bit_generator in BIT_GENERATORS:
         for seed in range(30):
-            state, data, hp = _block_state(seed)
+            state, data, hp = _skip_state(seed)
             ref = copy.deepcopy(state)
             rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
                             for _ in range(2))
-            blocks = _record_blocks(monkeypatch)
+            moved = _record_moves(monkeypatch)
             bd = _pass(state, data, hp)
             clusters._births_and_deaths(state, data, hp, rng, bd)
+            monkeypatch.undo()
             events = _reference_births_and_deaths(ref, data, hp, ref_rng, _pass(ref, data, hp))
 
             got, want = state.to_dict(), ref.to_dict()
@@ -734,48 +741,47 @@ def test_birth_blocks_match_per_sample_moves(monkeypatch):
             assert rng.random(4).tolist() == ref_rng.random(4).tolist(), (bit_generator, seed)
 
             n = data.n
-            for k, (first, stop) in enumerate(blocks):
-                if stop == n:
-                    seen["block reaches sample n - 1"] += stop > first
-                    continue
-                move, left_spike, accepted = events[stop]
-                if stop > first and move == "birth" and bd.block_rows[stop]:
-                    # An eligible row ends a block only by deviating.
-                    assert left_spike or accepted, (bit_generator, seed, stop)
-                    seen["block ended by a proposal off SPIKE"] += left_spike
-                    seen["block ended by an accepted birth"] += accepted and not left_spike
-                seen["singleton between two blocks"] += (
-                    move == "death" and stop > first and k + 1 < len(blocks)
-                    and blocks[k + 1][1] > stop + 1)
-                seen["row with starts_run[i, 0] false"] += not bd.starts_run[stop, 0]
-            monkeypatch.undo()
+            skipped = sorted(set(range(n)) - set(moved))
+            for i in skipped:
+                # A skipped row is a birth that stays on SPIKE and is rejected.
+                assert events[i] == ("birth", False, False), (bit_generator, seed, i)
+                if i + 1 < n:
+                    move, _left_spike, accepted = events[i + 1]
+                    seen["skipped row followed by an accepted birth"] += (
+                        move == "birth" and accepted)
+                    seen["singleton after a skipped row"] += move == "death"
+            seen["skip at sample n - 1"] += n - 1 in skipped
+            for i, (move, left_spike, _accepted) in enumerate(events):
+                seen["proposal off SPIKE"] += left_spike
+                seen["row with starts_run[i, 0] false"] += (
+                    move == "birth" and not bd.starts_run[i, 0])
     assert all(seen.values()), seen
 
 
-def test_abort_names_the_sample_after_a_block(monkeypatch):
-    """A non-finite row inside a run of rows that could form a block ends the
-    block before it; its own birth move then aborts, with the message of the
-    per-sample pass naming the move and the sample, and the generator where
-    the per-sample pass leaves it."""
+def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
+    """A non-finite row among rows the pass skips is not marked, so its own
+    birth move runs and aborts, with the message of the per-sample pass
+    naming the move and the sample, and the state and the generator where
+    the per-sample pass leaves them."""
     bad, p = 6, 5
     y = np.random.default_rng(2).normal(0.0, 0.1, size=(10, p))
     state, data, hp = manual_state(y, sigma_sq=[0.01] * p, attr_prob=1e-3)
     data.y[bad, 3] = np.inf  # past DataMatrix's check
     ref = copy.deepcopy(state)
-    blocks = _record_blocks(monkeypatch)
+    moved = _record_moves(monkeypatch)
     bd = _pass(state, data, hp)
     assert bd.starts_run[bad, 0] and not bd.run_finite[bad]
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    with pytest.raises(SamplerAbort) as block_abort:
+    with pytest.raises(SamplerAbort) as skip_abort:
         clusters._births_and_deaths(state, data, hp, rng, bd)
+    monkeypatch.undo()
     with pytest.raises(SamplerAbort) as reference_abort:
         _reference_births_and_deaths(ref, data, hp, ref_rng, _pass(ref, data, hp))
 
-    message = str(block_abort.value)
+    message = str(skip_abort.value)
     assert message == f"birth proposal i={bad}: non-finite log weights in a spike run"
     assert message == str(reference_abort.value)
-    first, stop = blocks[-1]
-    assert stop == bad and first < bad - 1, blocks
+    assert moved == [bad]  # every row before it was skipped
     assert state.to_dict() == ref.to_dict()
     assert rng.random(4).tolist() == ref_rng.random(4).tolist()
 
@@ -793,7 +799,7 @@ def test_step5_aborts_name_the_move():
     rng = np.random.default_rng(0)
 
     with pytest.raises(SamplerAbort, match=r"^death proposal i=3: non-finite log weights in a spike run$"):
-        mh_death_move(state, data, hp, 3, rng, _pass(state, data, hp))
+        mh_death_move(state, data, hp, 3, rng, _pass(state, data, hp), rng.random(p + 1))
     with pytest.raises(SamplerAbort, match=r"^reassignment i=1: non-finite log weights \[nan"):
         gibbs_reassign(state, data, hp, 1, rng, np.array([np.nan, 0.0]),
                        state.samples.cluster_ids())

@@ -1,12 +1,11 @@
 """The component walk against a scalar reference.
 
-``_reference_walk`` seats one component at a time with one uniform per
-component, the algorithm the walk's spike-run blocks must reproduce. The
-production walk must draw the same seats and values, leave the generator in
-the same position, agree on log Q and log Q0 to rounding, and replay its
-own proposals bitwise. The walk repositions the generator after a spike
-run, which must work for every bit generator numpy ships, so the proposal
-is checked on each.
+``_reference_walk`` seats one component at a time, component j by the
+uniform u[j], the algorithm the walk's spike-run blocks must reproduce. The
+production walk, handed the same uniforms, must draw the same seats and
+values, leave the generator in the same position, agree on log Q and log Q0
+to rounding, and replay its own proposals bitwise. The proposal is checked
+on every bit generator numpy ships.
 """
 
 import copy
@@ -19,15 +18,14 @@ from sparseclust.chain import sweep
 from sparseclust.clusters import (
     ClusterMeanVector,
     WalkTerms,
-    _pick_with_lse,
     _scan_components,
     _slab_coef,
     gibbs_update_cluster_mean,
 )
-from sparseclust.densities import LOG_2PI
+from sparseclust.densities import LOG_2PI, pick_with_lse
 from sparseclust.forward import draw_data
 from sparseclust.partition import SPIKE
-from sparseclust.sparsity import draw_pi_entry
+from sparseclust.sparsity import draw_pi_row
 
 from conftest import build_partition, make_state
 
@@ -39,13 +37,13 @@ def _ln_norm(x, mean, var):
     return -0.5 * (LOG_2PI + math.log(var) + d * d / var)
 
 
-def _reference_walk(inner, x, n_count, sigma_sq, state, hp, rng=None):
+def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
     """Component-by-component walk on lists of its own: each component leaves
     its seat, then SPIKE / each live inner cluster / a new cluster is
-    weighed and the seat drawn (or read); then every inner value is drawn
-    (or read). Drawing, the result is written into ``inner``. Returns
-    (log_q, log_q0)."""
-    replay = rng is None
+    weighed and the seat drawn with u[j] (or read); then every inner value is
+    drawn from ``rng`` (or read). Drawing, the result is written into
+    ``inner``. Returns (log_q, log_q0)."""
+    replay = u is None
     x = [float(v) for v in x]
     v_obs = [float(s) / n_count for s in sigma_sq]
     precs = [n_count / float(s) for s in sigma_sq]
@@ -87,7 +85,7 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, rng=None):
         logw.append(log_s + math.log(conc) - log_denom
                     + _ln_norm(x[j], 0.0, slab_var + v_obs[j]))
         k = len(counts)
-        choice, lse = _pick_with_lse(logw, rng)
+        choice, lse = pick_with_lse(logw, None if replay else float(u[j]))
         if replay:
             choice = 0 if a == SPIKE else 1 + (keys.index(a) if a in keys else k)
         log_q += logw[choice] - lse
@@ -113,12 +111,13 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, rng=None):
             sstat.append(precs[j] * x[j])
     values = []
     for c in keys:
-        prec = 1.0 / slab_var
-        stat = 0.0
+        # The members' sums in component order, then the prior precision.
+        prec = stat = 0.0
         for j in range(len(x)):
             if seats[j] == c:
                 prec += precs[j]
                 stat += precs[j] * x[j]
+        prec += 1.0 / slab_var
         var = 1.0 / prec
         if replay:
             val = float(inner.values[c])
@@ -195,9 +194,10 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
         rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
                         for _ in range(2))
         terms = WalkTerms(x, n_count, sigma_sq, state, hp)
-        mean, log_q, log_q0 = terms.propose(0, rng)
+        mean, log_q, log_q0 = terms.propose(0, rng.random(len(x)), rng)
         ref = ClusterMeanVector(len(x))
-        ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp, ref_rng)
+        ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
+                                        ref_rng.random(len(x)), ref_rng)
 
         assert mean.inner.to_dict() == ref.inner.to_dict()
         # Equal next draws: the two generators stand at the same position.
@@ -236,12 +236,13 @@ def _check_inner_gibbs(state, data, hp, cid, seed):
     was_spike = [inner.cluster_of(j) == SPIKE for j in range(inner.n_items)]
     rows = [i for i in range(data.n) if ref_state.samples.cluster_of(i) == cid]
     x = data.y[rows].sum(axis=0) / len(rows) - mu_base
-    _reference_walk(inner, x, len(rows), sigma_sq, ref_state, hp, ref_rng)
-    row = ref_state.incl_prob[cid]
-    for j in range(inner.n_items):
-        a = inner.cluster_of(j)
-        if (a == SPIKE) != was_spike[j]:
-            row[j] = draw_pi_entry(a == SPIKE, float(ref_state.attr_prob[j]), hp, ref_rng)
+    _reference_walk(inner, x, len(rows), sigma_sq, ref_state, hp, ref_rng.random(data.p), ref_rng)
+    flipped = [j for j in range(inner.n_items)
+               if (inner.cluster_of(j) == SPIKE) != was_spike[j]]
+    if flipped:
+        ref_state.incl_prob[cid][flipped] = draw_pi_row(
+            np.array([not was_spike[j] for j in flipped]), ref_state.attr_prob[flipped],
+            hp, ref_rng)
 
     assert state.to_dict() == ref_state.to_dict()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

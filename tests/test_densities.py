@@ -9,7 +9,7 @@ from sparseclust.densities import (
     log_beta_pdf,
     log_inv_gamma_pdf,
     log_normal_pdf,
-    sample_log_categorical,
+    pick_with_lse,
 )
 
 mpmath.mp.dps = 50
@@ -93,17 +93,30 @@ def test_log_beta_normalizes_sparse_prior():
     assert float(total) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_sample_log_categorical_frequencies():
+def test_pick_with_lse_frequencies():
     rng = np.random.default_rng(1)
-    logw = np.log([0.2, 0.5, 0.3])
-    draws = np.array([sample_log_categorical(logw, rng) for _ in range(20000)])
+    logw = np.log([0.2, 0.5, 0.3]).tolist()
+    draws = np.array([pick_with_lse(logw, rng.random())[0] for _ in range(20000)])
     freqs = np.bincount(draws, minlength=3) / len(draws)
     assert np.allclose(freqs, [0.2, 0.5, 0.3], atol=0.02)
 
 
-def test_sample_log_categorical_aborts_on_nan():
-    rng = np.random.default_rng(1)
-    with pytest.raises(SamplerAbort):
-        sample_log_categorical(np.array([0.0, np.nan]), rng)
-    with pytest.raises(SamplerAbort):
-        sample_log_categorical(np.array([-np.inf, -np.inf]), rng)
+def test_pick_joins_first_index_whose_running_weight_reaches_u():
+    # weights 2, 1, 1: u * 4 against the running weights 2, 3, 4
+    logw = [math.log(2.0), 0.0, 0.0]
+    for u, want in ((0.0, 0), (0.5, 0), (0.5001, 1), (0.75, 1), (0.7501, 2)):
+        assert pick_with_lse(logw, u) == (want, pytest.approx(math.log(4.0), abs=1e-15))
+    # a weight of zero is never picked, not even by the largest uniform
+    assert pick_with_lse([math.log(2.0), 0.0, -math.inf], np.nextafter(1.0, 0.0))[0] == 1
+    # without a uniform, only the normalizer, by the same summation
+    assert pick_with_lse(logw) == (None, pick_with_lse(logw, 0.3)[1])
+
+
+def test_pick_with_lse_aborts_on_non_finite_weights():
+    """A NaN or +inf anywhere aborts, not only in the first place."""
+    for logw in ([math.nan, 0.0, -1.0], [0.0, math.nan, -1.0], [0.0, -1.0, math.nan],
+                 [math.inf, 0.0], [0.0, math.inf], [-math.inf, math.nan]):
+        with pytest.raises(SamplerAbort, match="non-finite log weights"):
+            pick_with_lse(logw, 0.5)
+    with pytest.raises(SamplerAbort, match="all log weights are -inf"):
+        pick_with_lse([-math.inf, -math.inf], 0.5)

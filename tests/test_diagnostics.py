@@ -17,7 +17,7 @@ from sparseclust.diagnostics import (
 from sparseclust.model import default_hyperparams
 from sparseclust.simulate import gen_example1
 
-from conftest import informative_hp, make_state
+from conftest import informative_hp, make_state, manual_state
 
 GATE_SEEDS = (0, 1, 2, 3)
 GATE_DRAWS = 4000
@@ -69,12 +69,35 @@ def test_birth_acceptance_rejects_bad_arguments():
 
 def test_birth_acceptance_scores_the_kernel_move():
     """One sequential attempt is the acceptance probability of the birth
-    move the kernel makes from the same generator state."""
+    move the kernel makes from the same generator state, handed the row of
+    uniforms the attempt draws first."""
     state, data, hp = make_state(n=6, p=5, seed=2, require_multi=True)
     i = next(i for i in range(data.n) if state.samples.cluster_size(i) > 1)
     bd = BirthDeathPass(data.y, state.mean_part.values_vector(),
                         state.var_part.values_vector(), state, hp)
     for seed in range(20):
         got = measure_birth_acceptance(state, data, hp, np.random.default_rng(seed), 1)
-        _, info = mh_birth_move(copy.deepcopy(state), data, hp, i, np.random.default_rng(seed), bd)
+        rng = np.random.default_rng(seed)
+        u = rng.random(data.p + 1)
+        _, info = mh_birth_move(copy.deepcopy(state), data, hp, i, rng, bd, u)
         assert got == min(1.0, math.exp(info["log_ratio"]))
+
+
+def test_birth_acceptance_draws_a_fresh_row_per_attempt(monkeypatch):
+    """Attempts cycle over the eligible samples; a sample attempted again
+    reads a fresh row of uniforms, so its two proposals seat differently."""
+    p = 12
+    y = np.random.default_rng(1).normal(0.0, 0.5, size=(2, p))
+    state, data, hp = manual_state(y, sigma_sq=[0.2] * p, attr_prob=0.5)
+    seats = []
+    propose = BirthDeathPass.propose
+
+    def recording(self, i, u, rng):
+        mean, log_q, log_q0 = propose(self, i, u, rng)
+        seats.append((i, mean.inner.labels.tolist()))
+        return mean, log_q, log_q0
+
+    monkeypatch.setattr(BirthDeathPass, "propose", recording)
+    measure_birth_acceptance(state, data, hp, np.random.default_rng(0), 3)
+    assert [i for i, _ in seats] == [0, 1, 0]
+    assert seats[0][1] != seats[2][1]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparseclust.partition import crp_log_prob, crp_seat
+from sparseclust.partition import crp_log_prob
 
 from conftest import build_partition
 
@@ -99,23 +99,6 @@ def test_canonical_orders_by_first_appearance():
     # item 0 appears first, so its cluster gets label 0 regardless of cid age
     assert labels.tolist() == [0, 1, 1, 0]
     assert order == [c0, c1]
-
-
-class _FixedUniform:
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def test_crp_seat_joins_first_slot_whose_cumulative_count_reaches_u():
-    # counts [2, 1] with conc 1: u * 4 against the cumulative counts 2, 3
-    for u, want in ((0.0, 0), (0.5, 0), (0.5001, 1), (0.75, 1), (0.7501, 2)):
-        assert crp_seat([2, 1], 1.0, _FixedUniform(u)) == want
-    assert crp_seat([], 0.5, _FixedUniform(0.3)) == 0
-    # with conc 0, as the death move draws its target, no table opens
-    assert crp_seat([2, 1], 0.0, _FixedUniform(np.nextafter(1.0, 0.0))) == 1
 
 
 # -- crp_log_prob oracles ---------------------------------------------------

@@ -8,7 +8,6 @@ from sparseclust.clusters import ClusterMeanVector
 from sparseclust.model import Hyperparams
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import (
-    draw_pi_entry,
     draw_pi_row,
     spike_zero_weight,
     step_rho,
@@ -23,7 +22,7 @@ mpmath.mp.dps = 30
 def test_pi_nonzero_mean_is_slab_beta():
     hp = Hyperparams(base_mean=0.0, base_var=1.0)  # slab Beta(9,1)
     rng = np.random.default_rng(0)
-    draws = np.array([draw_pi_entry(False, 0.5, hp, rng) for _ in range(50_000)])
+    draws = draw_pi_row(np.zeros(50_000, dtype=bool), np.full(50_000, 0.5), hp, rng)
     assert np.all(draws > 0.0)
     want_mean = 10.0 / 11.0  # Beta(10, 1)
     se = draws.std() / math.sqrt(len(draws))
@@ -33,7 +32,7 @@ def test_pi_nonzero_mean_is_slab_beta():
 def test_pi_zero_mean_zero_rho_is_spike():
     hp = Hyperparams(base_mean=0.0, base_var=1.0)
     rng = np.random.default_rng(1)
-    assert all(draw_pi_entry(True, 0.0, hp, rng) == 0.0 for _ in range(100))
+    assert (draw_pi_row(np.ones(100, dtype=bool), np.zeros(100), hp, rng) == 0.0).all()
 
 
 def test_spike_weight_against_quadrature_posterior():
@@ -57,7 +56,7 @@ def test_pi_spike_frequency_matches_w0():
     hp = Hyperparams(base_mean=0.0, base_var=1.0)
     rho = 0.5
     rng = np.random.default_rng(2)
-    draws = np.array([draw_pi_entry(True, rho, hp, rng) for _ in range(100_000)])
+    draws = draw_pi_row(np.ones(100_000, dtype=bool), np.full(100_000, rho), hp, rng)
     w0 = spike_zero_weight(rho, hp.slab_a, hp.slab_b)
     p_zero = (draws == 0.0).mean()
     se = math.sqrt(w0 * (1 - w0) / len(draws))
@@ -73,12 +72,10 @@ def test_update_pi_respects_mu_coupling(tiny_state):
     rng = np.random.default_rng(3)
     for cid in state.samples.cluster_ids():
         mean = state.cluster_means[cid]
-        row = draw_pi_row(mean, state.attr_prob, hp, rng)
+        row = draw_pi_row(mean.inner.spike_mask(), state.attr_prob, hp, rng)
         for j in range(data.p):
-            is_zero = mean.inner.cluster_of(j) == SPIKE
-            v = draw_pi_entry(is_zero, float(state.attr_prob[j]), hp, rng)
-            if not is_zero:
-                assert v > 0.0 and row[j] > 0.0
+            if mean.inner.cluster_of(j) != SPIKE:
+                assert row[j] > 0.0
         state.incl_prob[cid] = row
     state.validate(data)
 

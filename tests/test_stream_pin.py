@@ -71,62 +71,60 @@ def fingerprint(name):
     }
 
 
-PINS = {'ex1_default_one': {'labels': [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 2, 0, 0, 0],
-                            'per_sweep': [(3, 77, 13, 2), (1, 49, 4, 0), (1, 44, 3, 0),
-                                          (1, 34, 2, 0), (1, 37, 2, 0), (2, 33, 2, 0),
-                                          (2, 29, 2, 0), (2, 30, 2, 0), (2, 29, 2, 0),
-                                          (2, 21, 2, 0), (3, 15, 2, 0), (3, 13, 2, 0),
-                                          (2, 13, 2, 0), (3, 13, 2, 0), (4, 11, 2, 0),
-                                          (3, 13, 2, 0), (3, 13, 2, 0), (3, 14, 2, 0),
-                                          (4, 13, 2, 0), (3, 13, 2, 0)],
-                            'rng_state': 256663742941771922795008659864794796788},
-        'ex2_default_one': {'labels': [0, 1, 2, 1, 3, 0, 1, 0, 1, 1, 2, 1, 0, 2, 0, 0, 0, 0, 0, 0],
-                            'per_sweep': [(2, 351, 14, 1), (2, 233, 5, 1), (2, 196, 2, 1),
-                                          (2, 193, 2, 1), (2, 181, 2, 2), (2, 156, 2, 1),
-                                          (2, 143, 2, 1), (3, 133, 2, 3), (4, 106, 2, 2),
-                                          (4, 96, 2, 2), (6, 84, 2, 3), (7, 78, 2, 3),
-                                          (6, 87, 2, 3), (4, 94, 2, 3), (4, 91, 2, 2),
-                                          (5, 89, 2, 4), (5, 85, 2, 3), (5, 81, 2, 4),
-                                          (4, 77, 2, 3), (4, 87, 2, 3)],
-                            'rng_state': 226403712607237447900620735563516533616},
-        'ex3_beta22_singletons': {'labels': [0, 0, 0, 1, 2, 1, 3, 3, 3, 3, 3, 4, 3, 5, 5, 5, 5, 5,
-                                             5, 5],
-                                  'per_sweep': [(6, 18, 8, 27), (5, 9, 3, 45), (5, 7, 2, 65),
-                                                (6, 4, 2, 92), (8, 4, 2, 136), (8, 4, 1, 148),
-                                                (6, 2, 1, 87), (6, 2, 1, 104), (6, 2, 1, 91),
-                                                (6, 2, 1, 95), (6, 2, 1, 104), (7, 2, 1, 114),
-                                                (7, 2, 1, 103), (7, 2, 1, 112), (6, 2, 1, 94),
-                                                (6, 2, 1, 94), (6, 2, 1, 98), (7, 2, 1, 115),
-                                                (7, 2, 1, 125), (6, 2, 1, 95)],
-                                  'rng_state': 102937612207451558540693065878820857838},
-        'ex4_default_one': {'labels': [0, 1, 2, 1, 2, 2, 2, 2, 3, 3, 2, 3, 3, 2, 2, 2, 2, 3, 2, 2],
-                            'per_sweep': [(1, 20, 14, 0), (1, 13, 8, 0), (2, 11, 6, 0),
-                                          (5, 12, 5, 0), (4, 13, 5, 0), (3, 8, 4, 0), (1, 9, 4, 0),
-                                          (1, 9, 4, 0), (1, 7, 4, 0), (1, 9, 4, 0), (2, 7, 4, 0),
-                                          (2, 7, 4, 0), (2, 6, 4, 0), (4, 5, 4, 0), (3, 5, 4, 0),
-                                          (3, 5, 4, 0), (3, 4, 4, 1), (3, 3, 4, 0), (4, 3, 5, 0),
-                                          (4, 4, 4, 1)],
-                            'rng_state': 45076883225530987410968944315343048774},
-        'tall_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-                             'per_sweep': [(2, 22, 8, 0), (1, 12, 4, 0), (1, 6, 3, 0),
-                                           (1, 5, 2, 0), (1, 5, 2, 0), (1, 4, 2, 0),
-                                           (1, 4, 2, 0), (1, 4, 2, 0), (1, 4, 2, 0),
-                                           (1, 4, 2, 0), (1, 4, 2, 0), (1, 4, 2, 0),
-                                           (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
-                                           (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
-                                           (1, 2, 2, 0), (1, 2, 2, 0)],
-                             'rng_state': 211430084409540762834577666095589033611}}
+PINS = {'ex1_default_one': {'labels': [0, 1, 2, 2, 3, 2, 4, 4, 3, 0, 2, 4, 1, 2, 4, 2, 1, 2, 5, 2],
+                            'per_sweep': [(3, 77, 13, 1), (3, 48, 4, 1), (3, 46, 3, 1),
+                                          (12, 40, 2, 1), (6, 37, 2, 2), (7, 30, 2, 2),
+                                          (10, 29, 2, 2), (9, 29, 2, 2), (9, 21, 2, 2),
+                                          (11, 16, 2, 2), (6, 13, 2, 2), (6, 9, 2, 2),
+                                          (8, 10, 2, 2), (6, 9, 2, 1), (5, 11, 2, 1),
+                                          (5, 12, 2, 2), (6, 13, 2, 2), (5, 12, 2, 3),
+                                          (6, 10, 2, 2), (6, 10, 2, 2)],
+                            'rng_state': 195038177119335591979521192698446678523},
+        'ex2_default_one': {'labels': [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 2, 0, 0, 1, 1],
+                            'per_sweep': [(3, 351, 14, 2), (3, 245, 6, 0), (2, 207, 4, 0),
+                                          (1, 214, 3, 0), (1, 183, 3, 0), (1, 182, 2, 0),
+                                          (1, 166, 2, 0), (1, 129, 2, 0), (2, 119, 2, 0),
+                                          (1, 115, 2, 0), (1, 109, 2, 0), (1, 103, 2, 0),
+                                          (1, 108, 2, 0), (1, 101, 2, 0), (1, 96, 2, 0),
+                                          (1, 94, 2, 0), (1, 87, 2, 0), (1, 84, 2, 0),
+                                          (2, 77, 2, 0), (3, 72, 2, 0)],
+                            'rng_state': 320542244248386457813216099632016170388},
+        'ex3_beta22_singletons': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                             0, 0],
+                                  'per_sweep': [(5, 18, 8, 11), (3, 9, 5, 37), (3, 8, 3, 51),
+                                                (3, 7, 3, 60), (4, 5, 2, 98), (3, 4, 2, 66),
+                                                (3, 4, 2, 61), (3, 5, 2, 53), (3, 4, 2, 56),
+                                                (2, 4, 2, 38), (1, 3, 2, 25), (1, 2, 2, 21),
+                                                (1, 2, 2, 18), (1, 2, 2, 24), (1, 2, 2, 25),
+                                                (1, 2, 2, 16), (1, 2, 2, 17), (1, 2, 2, 17),
+                                                (1, 2, 2, 21), (1, 2, 2, 25)],
+                                  'rng_state': 73562011703741400292954233090128630378},
+        'ex4_default_one': {'labels': [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 1, 0],
+                            'per_sweep': [(3, 20, 14, 0), (4, 14, 7, 0), (6, 14, 7, 0),
+                                          (4, 18, 5, 0), (4, 17, 4, 0), (4, 11, 4, 0),
+                                          (3, 10, 3, 0), (4, 6, 3, 0), (5, 5, 3, 0), (3, 4, 3, 0),
+                                          (4, 4, 3, 0), (6, 4, 3, 0), (6, 4, 3, 0), (5, 4, 3, 0),
+                                          (7, 5, 3, 0), (7, 7, 3, 0), (8, 6, 3, 0), (7, 5, 3, 0),
+                                          (6, 6, 3, 0), (3, 6, 3, 0)],
+                            'rng_state': 182310167149724418847101298852364343193},
+        'tall_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0],
+                             'per_sweep': [(1, 22, 8, 0), (1, 14, 3, 0), (1, 11, 2, 0),
+                                           (1, 10, 2, 0), (1, 7, 2, 0), (1, 7, 2, 0), (1, 4, 2, 0),
+                                           (1, 4, 2, 0), (2, 3, 2, 0), (1, 3, 2, 0), (1, 3, 2, 0),
+                                           (1, 3, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                           (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                           (1, 2, 2, 0)],
+                             'rng_state': 29408493879983888159641354960390531624}}
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))

@@ -4,7 +4,8 @@
 Gibbs pass and the public proposal functions build one-row ``WalkTerms``.
 Row i of the pass must be bitwise the one-row terms of y_i - mu_base, and
 its log likelihood, read per sample or from a cluster's column, bitwise the
-row expression ``_loglik_dense``, or the random stream moves.
+row expression ``_loglik_dense``, or a sample's move would depend on which
+form it reads.
 """
 
 import numpy as np
@@ -62,12 +63,14 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
         assert bd.row_lists(i) == one.row_lists(0)
         # The walk reads nothing else, so proposals and replays agree too.
         rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        (mean, *logs), (one_mean, *one_logs) = bd.propose(i, rng), one.propose(0, one_rng)
+        u, one_u = rng.random(p), one_rng.random(p)
+        (mean, *logs), (one_mean, *one_logs) = (bd.propose(i, u, rng),
+                                                one.propose(0, one_u, one_rng))
         assert mean.inner.to_dict() == one_mean.inner.to_dict()
         assert logs == one_logs
         assert rng.bit_generator.state == one_rng.bit_generator.state
-        if bd.block_rows[i] and not mean.inner.n_clusters():
-            # A block scores this proposal from the pass's sums.
+        if bd.starts_run[i, 0] and bd.run_finite[i] and not mean.inner.n_clusters():
+            # The pass marks a rejected proposal of this row from its sums.
             assert logs == [bd.spike_log_q[i], bd.spike_log_q0]
 
 
@@ -82,8 +85,8 @@ def test_pass_loglik_equals_loglik_dense(n, p, seed):
         for mean in means:
             want = _loglik_dense(data.y[i], mean.mu(), mu_base, sigma_sq)
             assert bd.loglik(i, mean) == want
-    # Blocks and the reassignment pass read cluster columns, which must give
-    # the same bits.
+    # The marking of skipped births and the reassignment pass read cluster
+    # columns, which must give the same bits.
     for cid, mean in state.cluster_means.items():
         column = bd.loglik_column(state, cid)
         assert column.tolist() == [bd.loglik(i, mean) for i in range(n)]
@@ -109,13 +112,14 @@ def test_non_finite_row_aborts_only_its_own_block_path():
     assert bd.starts_run[1, 0] and not bd.starts_run[2, 0]
 
     rng, one_rng = np.random.default_rng(1), np.random.default_rng(1)
-    mean, *logs = bd.propose(0, rng)
-    one_mean, *one_logs = WalkTerms(x[0], 1, sigma_sq, state, hp).propose(0, one_rng)
+    u = np.random.default_rng(2).random(6)
+    mean, *logs = bd.propose(0, u, rng)
+    one_mean, *one_logs = WalkTerms(x[0], 1, sigma_sq, state, hp).propose(0, u, one_rng)
     assert mean.inner.to_dict() == one_mean.inner.to_dict()
     assert logs == one_logs
 
     with pytest.raises(SamplerAbort, match="spike run"):
-        bd.propose(1, np.random.default_rng(1))
+        bd.propose(1, u, np.random.default_rng(1))
     for terms, i in ((bd, 2), (WalkTerms(x[2], 1, sigma_sq, state, hp), 0)):
         with pytest.raises(SamplerAbort, match="all log weights are -inf"):
-            terms.propose(i, np.random.default_rng(1))
+            terms.propose(i, u, np.random.default_rng(1))
