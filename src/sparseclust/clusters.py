@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
+from .densities import LOG_2PI, SamplerAbort, crp_log_weights, log_normal_pdf, pick_with_lse
 from .partition import SPIKE, Partition
 from .sparsity import draw_pi_row
 
@@ -461,7 +461,7 @@ def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
         if rng.random() >= s:
             labels.append(SPIKE)
             continue
-        t, _lse = pick_with_lse([*map(math.log, counts), math.log(conc_inner)], rng.random())
+        t, _lse = pick_with_lse(crp_log_weights(counts, conc_inner), rng.random())
         if t == len(counts):
             counts.append(1)
             values.append(math.sqrt(slab_var) * rng.standard_normal())

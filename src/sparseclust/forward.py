@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .clusters import draw_prior_mean
-from .densities import pick_with_lse
+from .densities import crp_log_weights, pick_with_lse
 from .model import ModelState
 from .partition import Partition
 
@@ -20,7 +20,7 @@ def _crp_partition(n_items, conc, rng, draw_value):
     """Sequential CRP draw; ``draw_value`` supplies a payload per new cluster."""
     labels, counts, values = [], [], []
     for _ in range(n_items):
-        t, _lse = pick_with_lse([*map(math.log, counts), math.log(conc)], rng.random())
+        t, _lse = pick_with_lse(crp_log_weights(counts, conc), rng.random())
         if t == len(counts):
             counts.append(1)
             values.append(draw_value())
