@@ -3,31 +3,34 @@
 Both updates follow the same shape: per attribute, resample the cluster
 assignment from a collapsed predictive (conditioning on the other members
 of each cluster), then redraw every cluster's unique value from its
-conjugate posterior.
+conjugate posterior (Neal 2000, JCGS 9:249, Algorithm 3).
 
 A step works on the slot arrays of its partition (see ``partition.py``):
-slot t is the t-th live cluster in creation order, with its member count
-and its members' sufficient statistics summed in attribute order, and each
-attribute holds its slot label. A cluster that its last attribute leaves
-gives up its slot and later slots move down one, so slot order stays
-creation order; a new cluster takes the next slot. A slot's log weights read
-a few terms of its count and statistic, kept per slot and updated when the
-slot changes; the attribute's own terms enter as scalars (one attribute) or
-as a column (several).
+slot t is the t-th cluster in creation order, with its member count and its
+members' sufficient statistics summed, and each attribute holds its slot
+label. A slot's log weights read a few terms of its count and statistic,
+kept per slot and updated when the slot changes; the attribute's own terms
+enter as scalars (one attribute) or as a column (several).
 
-The pass draws all p uniforms in one vector, then walks the attributes in
-blocks of consecutive rows. A block is scored as one matrix on the
-assumption that none of its rows moves: each row then sees every earlier row
-of the block left and rejoined (exactly as the sequential pass rounds it)
-and its own slot without it. Rows are committed up to and including the
-first that moves, whose state was still exact, and the next block starts
-after it. Blocks span several rows only after a run of rows that stayed,
-and grow with the run; a row whose slot it is the last member of is a block
-of its own; and rows times slots stay under a fixed number of cells, so many
-clusters mean short blocks, not large temporaries. All values are then
-redrawn in one vector draw and the partition is written back once. Each
-draw, its uniform and its arithmetic equal those of the sequential pass, one
-attribute at a time, so a seed gives the same chain.
+The pass draws all p uniforms in one vector, then reseats the attributes in
+order under two rules:
+
+- An attribute that keeps its slot changes nothing. It is weighed against
+  the slots as they stand with only itself taken out of its own, and only
+  an attribute that moves is written.
+- A slot its last member leaves stays, at count 0 and statistic 0, until
+  the pass ends. Its log count is -inf, so it weighs nothing; a new cluster
+  takes the next slot. The empty slots are dropped once at the end, so slot
+  order stays creation order.
+
+Since a row that stays changes nothing, the rows after it see the same
+slots, and a block of consecutive rows is scored as one matrix. Rows are
+committed up to and including the first that moves, and the next block
+starts after it. Blocks span several rows only after a run of rows that
+stayed, and grow with the run; rows times slots stay under a fixed number
+of cells, so many clusters mean short blocks, not large temporaries. All
+values are then redrawn in one vector draw and the partition is written
+back once.
 """
 
 import math
@@ -39,11 +42,12 @@ from .densities import LOG_2PI, SamplerAbort
 
 
 def _log_count_table(p):
-    """log c for member counts c = 0..p (entry 0 unused, set to 0)."""
-    return np.log(np.maximum(np.arange(p + 1.0), 1.0))
+    """log c for member counts c = 0..p; an empty slot's entry 0 is -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.arange(p + 1.0))
 
 
-# The most cells, rows times (live slots + 1), a block's weight matrix holds.
+# The most cells, rows times (slots + 1), a block's weight matrix holds.
 _BLOCK_CELLS = 4096
 # Rows that must stay in a row before a block spans several: setting up a
 # multi-row block costs about one more one-row block, so it pays only where
@@ -63,6 +67,10 @@ def _run_step(part, step, rng, where):
     the (terms, slots) array it sees or a slice with a (terms, rows, slots)
     array; ``step.values(labels, counts, rng)`` draws the final values.
 
+    A row that keeps its slot changes nothing, and a slot its last member
+    leaves stays empty (count 0, statistic exactly 0) until the empty slots
+    are dropped before the values are drawn.
+
     An attribute whose largest log weight is not finite (a NaN, +inf, or
     every weight -inf) raises SamplerAbort naming ``where`` and its 0-based
     index. The pass draws its p uniforms first, so a pass that aborts has
@@ -77,65 +85,31 @@ def _run_step(part, step, rng, where):
     stat = np.zeros(k, dtype=step.items.dtype)
     np.add.at(stat, labels, step.items)
     live_terms = np.array(step.slot_terms(cnt, stat), dtype=float)
-    terms = np.empty((len(live_terms), p))  # room for the most slots, p
+    terms = np.empty((len(live_terms), k + p))  # room for a new slot per row
     terms[:, :k] = live_terms
     cnt, stat = cnt.tolist(), stat.tolist()
     uniforms = rng.random(p)
-    j = stays = 0  # stays: rows committed in place since the last move
+    j = stays = 0  # stays: rows that kept their slots since the last move
     # A row with a non-finite weight aborts below; its arithmetic stays quiet.
     with np.errstate(all="ignore"):
         while j < p:
-            # The block's first row leaves its slot in place. A slot its last
-            # member leaves goes, and that row is a block of its own.
-            s = labels.item(j)
-            c = cnt[s]
-            if c == 1:
-                del cnt[s], stat[s], ids[s]
-                terms[:, s:k - 1] = terms[:, s + 1:k]
-                labels[labels > s] -= 1
-                k -= 1
-                own, n = [-1], 1
-            else:
-                cnt[s] = c - 1
-                stat[s] = left = stat[s] - items[j]
-                terms[:, s] = step.slot_terms(c - 1, left)
-                own, n = [s], (min(stays, max(1, _BLOCK_CELLS // (k + 1)), p - j)
-                               if stays >= _MIN_RUN else 1)
-            # Row i's state if no earlier row of the block moves: each earlier
-            # row left its slot and rejoined it, which may round the slot's
-            # statistic, and row i left its own. A singleton ends the block
-            # before it.
-            if n > 1:
-                count, lefts, after = [c], [left], [left + items[j]]
-                run = {s: after[0]}
-                for i, s in enumerate(labels[j + 1:j + n].tolist(), 1):
-                    c = cnt[s] + (s == own[0])
-                    if c == 1:
-                        break
-                    lefts.append(run.get(s, stat[s]) - items[j + i])
-                    run[s] = lefts[i] + items[j + i]
-                    own.append(s)
-                    count.append(c)
-                    after.append(run[s])
-                n = len(own)
-            # One row is scored as vectors against scalars: numpy calls cost
-            # more on (1, k) matrices, and a pass whose rows mostly move is
-            # nearly all one-row blocks.
+            n = min(stays, max(1, _BLOCK_CELLS // (k + 1)), p - j) if stays >= _MIN_RUN else 1
+            own = labels[j:j + n].tolist()
+            # Each row sees the slots as they stand, with itself taken out of
+            # its own. One row is scored as vectors against scalars: numpy
+            # calls cost more on (1, k) matrices, and a pass whose rows mostly
+            # move is nearly all one-row blocks.
             if n == 1:
+                s = own[0]
+                c = cnt[s] - 1
+                terms[:, s] = step.slot_terms(c, stat[s] - items[j] if c else 0)
                 rows, seen = j, terms[:, :k]
             else:
-                order, slots = np.arange(n), np.array(own)
-                # The last earlier row of each slot, or -1.
-                last = np.full((n, k), -1)
-                last[order[1:], slots[:-1]] = order[:-1]
-                np.maximum.accumulate(last, 0, out=last)
-                rejoined = last >= 0
-                count = np.array(count)
-                block = terms[:, None, :k].repeat(n, 1)
-                block[:, rejoined] = np.array(
-                    step.slot_terms(count, np.array(after)))[:, last[rejoined]]
-                block[:, order, slots] = step.slot_terms(count - 1, np.array(lefts))
-                rows, seen = slice(j, j + n), block
+                c = np.array([cnt[s] for s in own]) - 1
+                left = np.array([stat[s] for s in own]) - step.items[j:j + n]
+                seen = terms[:, None, :k].repeat(n, 1)
+                seen[:, np.arange(n), own] = step.slot_terms(c, np.where(c > 0, left, 0))
+                rows = slice(j, j + n)
             logw = np.concatenate((step.logits(rows, seen), step.new_logw[rows, None]), -1)
             top = np.maximum.reduce(logw, -1, keepdims=n > 1)
             prob = np.exp(logw - top)
@@ -156,29 +130,33 @@ def _run_step(part, step, rng, where):
                 t = min(int(t), k)
                 if t != own[r]:
                     break
-            # Commit rows 0..r: the earlier rows rejoined their slots, row r
-            # left its own and joins slot t.
-            if r:
-                terms[:, :k] = block[:, r]
-                cnt[own[0]] += 1
-                for s, x in zip(own[:r], after):
-                    stat[s] = x
-                cnt[own[r]] -= 1
-                stat[own[r]] -= items[j + r]
-            x = items[j + r]
-            if t == k:
-                ids.append(None)
-                cnt.append(1)
-                stat.append(x)
-                k += 1
-            else:
-                cnt[t] += 1
-                stat[t] += x
-            terms[:, t] = step.slot_terms(cnt[t], stat[t])
-            labels[j + r] = t
-            stays = stays + n if t == own[r] else 0
+            s = own[r]
+            if t == s:  # every row of the block stayed
+                if n == 1:
+                    terms[:, s] = step.slot_terms(cnt[s], stat[s])
+                stays += n
+            else:  # row r leaves slot s for slot t; the rows before it stayed
+                x = items[j + r]
+                cnt[s] -= 1
+                stat[s] = stat[s] - x if cnt[s] else 0
+                if n > 1:
+                    terms[:, s] = seen[:, r, s]
+                if t == k:
+                    ids.append(None)
+                    cnt.append(1)
+                    stat.append(x)
+                    k += 1
+                else:
+                    cnt[t] += 1
+                    stat[t] += x
+                terms[:, t] = step.slot_terms(cnt[t], stat[t])
+                labels[j + r] = t
+                stays = 0
             j += r + 1
-    counts = np.array(cnt, dtype=np.intp)
+    live = np.array(cnt) > 0
+    ids = [cid for cid, c in zip(ids, cnt) if c]
+    labels = (live.cumsum() - 1)[labels]
+    counts = np.array(cnt, dtype=np.intp)[live]
     part.set_slots(ids, labels, counts, step.values(labels, counts, rng))
 
 
@@ -192,8 +170,8 @@ def _residual_col_means(state, data):
 class _MeanStep:
     """The baseline-mean step's terms. Attribute j contributes precision
     w_j = n / sigma_j^2 and statistic q_j = w_j * rbar_j to its cluster,
-    carried as the one number q_j + i w_j: complex sums add the two parts
-    separately, each exactly as a float sum would."""
+    carried as the one number q_j + i w_j, so one Python number carries both
+    sums through the per-slot lists."""
 
     def __init__(self, state, data, hp):
         sigma_sq = state.var_part.values_vector()

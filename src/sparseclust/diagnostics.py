@@ -13,6 +13,7 @@ from .model import DataMatrix
 STATISTIC_NAMES = (
     "sample_clusters",
     "mean_clusters",
+    "var_clusters",
     "mean_attr_prob",
     "slab_var",
     "conc_samples",
@@ -31,6 +32,7 @@ def state_statistics(state):
     return (
         float(k),
         float(state.mean_part.n_clusters()),
+        float(state.var_part.n_clusters()),
         float(state.attr_prob.mean()),
         float(state.slab_var),
         float(state.conc_samples),

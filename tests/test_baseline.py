@@ -3,9 +3,12 @@ value draws against closed-form moments, and the block pass against a
 per-attribute reference.
 
 ``_reference_run_step`` reseats one attribute at a time with a uniform of its
-own, the sequential collapsed Gibbs pass the block pass must reproduce bit for
-bit: same labels, counts, values and ids, and the generator left at the same
-position, for every bit generator numpy ships.
+own, under the block pass's two rules (a kept slot is left untouched; an
+emptied slot waits for the end of the pass), the sequential collapsed Gibbs
+pass the block pass must reproduce bit for bit: same labels, counts, values
+and ids, and the generator left at the same position, for every bit
+generator numpy ships. An enumeration oracle checks the pass's stationary
+partition law at p = 3.
 """
 
 import copy
@@ -14,6 +17,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from sparseclust import baseline
 from sparseclust.baseline import (
@@ -25,7 +29,9 @@ from sparseclust.baseline import (
 )
 from sparseclust.clusters import ClusterMeanVector
 from sparseclust.densities import SamplerAbort
+from sparseclust.diagnostics import batch_means_se
 from sparseclust.model import DataMatrix, Hyperparams, ModelState
+from sparseclust.partition import crp_log_prob
 
 from conftest import build_partition, manual_state
 
@@ -69,46 +75,42 @@ def _draw_seat(logw, u, where):
 
 
 def _reference_run_step(part, step, rng, where):
-    """One attribute at a time: it leaves its slot (a slot it was the last
-    member of goes), every live slot and a new cluster are weighed, and its
-    seat is drawn with one uniform; then every value is drawn. Returns, per
-    attribute, (its slot went, it moved, it opened a new cluster)."""
+    """One attribute at a time, with a uniform of its own: it is weighed
+    against every slot as it stands, with itself taken out of its own (a slot
+    it was the last member of weighs log 0 and holds statistic 0), and a new
+    cluster. A kept slot is left untouched; a move takes the attribute out of
+    its slot and into the drawn one. Empty slots are dropped once, at the
+    end, and every value is drawn. Returns, per attribute, (it was alone in
+    its slot, it moved, it opened a new cluster)."""
     ids = part.cluster_ids()
     labels = part.labels.copy()
     items = step.items.tolist()
     p = len(labels)
     k = len(ids)
-    cnt = np.bincount(labels, minlength=p)
-    stat = np.zeros(p, dtype=step.items.dtype)
+    cnt = np.bincount(labels, minlength=k + p)
+    stat = np.zeros(k + p, dtype=step.items.dtype)
     np.add.at(stat, labels, step.items)
-    logw = np.empty(p + 1)
     events = []
     for j in range(p):
         s = labels[j]
-        single = cnt[s] == 1
-        if single:
-            cnt[s:k - 1] = cnt[s + 1:k]
-            stat[s:k - 1] = stat[s + 1:k]
-            labels[labels > s] -= 1
-            del ids[s]
-            k -= 1
-        else:
-            cnt[s] -= 1
-            stat[s] -= items[j]
-        logw[:k] = step.logits(j, _slot_terms(step, cnt[:k], stat[:k]))
-        logw[k] = step.new_logw[j]
-        t = _draw_seat(logw[:k + 1], rng.random(), f"{where} j={j}")
-        events.append((bool(single), bool(single or t != s), t == k))
-        if t == k:
-            ids.append(None)
-            cnt[t] = 1
-            stat[t] = items[j]
-            k += 1
-        else:
+        out_cnt, out_stat = cnt[:k].copy(), stat[:k].copy()
+        out_cnt[s] -= 1
+        out_stat[s] = out_stat[s] - items[j] if out_cnt[s] else 0
+        logw = np.append(step.logits(j, _slot_terms(step, out_cnt, out_stat)), step.new_logw[j])
+        t = _draw_seat(logw, rng.random(), f"{where} j={j}")
+        events.append((bool(cnt[s] == 1), t != s, t == k))
+        if t != s:
+            cnt[:k], stat[:k] = out_cnt, out_stat
+            k += t == k
             cnt[t] += 1
             stat[t] += items[j]
-        labels[j] = t
-    part.set_slots(ids, labels, cnt[:k], step.values(labels, cnt[:k], rng))
+            labels[j] = t
+    ids += [None] * (k - len(ids))
+    live = cnt[:k] > 0
+    labels = (np.cumsum(live) - 1)[labels]
+    counts = cnt[:k][live]
+    part.set_slots([cid for cid, keep in zip(ids, live) if keep], labels, counts,
+                   step.values(labels, counts, rng))
     return events
 
 
@@ -352,6 +354,69 @@ def test_uninformative_likelihood_reduces_to_crp_prior():
     assert abs(got - expect) / expect < 0.05
 
 
+# The five set partitions of three attributes, as canonical labels.
+PARTITIONS_OF_3 = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2))
+# Fixed before the first run: the chain seed, the passes per step and the
+# bound on each partition's batch-means z score.
+ORACLE_SEED = 7
+ORACLE_DRAWS = 6000
+ORACLE_BOUND = 4.5
+
+
+def _enumerated_posterior(log_marginal, conc):
+    """Probability of each partition of PARTITIONS_OF_3: CRP(z; conc) times
+    the product of its clusters' marginal likelihoods, normalised."""
+    logw = []
+    for z in PARTITIONS_OF_3:
+        groups = [[j for j, g in enumerate(z) if g == c] for c in range(max(z) + 1)]
+        logw.append(crp_log_prob(map(len, groups), conc) + sum(map(log_marginal, groups)))
+    w = np.exp(np.array(logw) - max(logw))
+    return w / w.sum()
+
+
+def test_pass_matches_enumerated_posterior():
+    """At p = 3 the pass, run as a chain from a fixed state, visits each of
+    the 5 partitions as often as the exact posterior says: the mean pass
+    with sigma fixed (attribute j's n values are N(u, sigma_j^2), u ~
+    N(base_mean, base_var)) and the variance pass with the means fixed
+    (residuals N(0, s), s ~ InvGamma(var_shape, var_rate))."""
+    y = np.array([[0.3, 0.5, -0.4], [0.9, 0.7, 0.2], [0.1, 0.6, -0.9], [0.5, 0.2, -0.1]])
+    n = len(y)
+    sigma_sq, mu_base = np.array([0.5, 0.8, 0.6]), np.array([0.4, 0.4, -0.3])
+    hp = Hyperparams(base_mean=0.2, base_var=1.5, var_shape=2.0, var_rate=1.0)
+
+    def mean_marginal(c):
+        obs = y[:, c].T.ravel()  # attribute by attribute
+        cov = np.diag(np.repeat(sigma_sq[c], n)) + hp.base_var
+        return multivariate_normal(np.full(len(obs), hp.base_mean), cov).logpdf(obs)
+
+    def var_marginal(c):
+        z = y[:, c] - mu_base[c]
+        half, a, b = 0.5 * z.size, hp.var_shape, hp.var_rate
+        return (-half * math.log(2 * math.pi) + a * math.log(b) - math.lgamma(a)
+                + math.lgamma(a + half) - (a + half) * math.log(b + 0.5 * (z * z).sum()))
+
+    rng = np.random.default_rng(ORACLE_SEED)
+    for step, attr, log_marginal in (
+        (step_baseline_means, "mean_part", mean_marginal),
+        (step_baseline_vars, "var_part", var_marginal),
+    ):
+        # Singleton baselines: sigma_sq for the mean pass, mu_base for the other.
+        state, data, hp = manual_state(y, sigma_sq, mean_values=mu_base, hp=hp)
+        state.conc_mean, state.conc_var = 0.7, 1.3
+        want = _enumerated_posterior(
+            log_marginal, state.conc_mean if attr == "mean_part" else state.conc_var)
+        visits = np.zeros((ORACLE_DRAWS, len(PARTITIONS_OF_3)))
+        for t in range(ORACLE_DRAWS):
+            step(state, data, hp, rng)
+            getattr(state, attr).validate()
+            labels = tuple(getattr(state, attr).canonical()[0].tolist())
+            visits[t, PARTITIONS_OF_3.index(labels)] = 1.0
+        z = [(visits[:, i].mean() - want[i]) / batch_means_se(visits[:, i])
+             for i in range(len(want))]
+        assert max(map(abs, z)) < ORACLE_BOUND, (attr, want, visits.mean(0), z)
+
+
 # (block cells, rows that stay before a block spans several) per seed: the
 # default, a cap that short blocks reach, and blocks that start early.
 BLOCK_SETTINGS = ((baseline._BLOCK_CELLS, baseline._MIN_RUN), (24, 1), (4096, 2))
@@ -360,11 +425,12 @@ BLOCK_SETTINGS = ((baseline._BLOCK_CELLS, baseline._MIN_RUN), (24, 1), (4096, 2)
 @pytest.mark.parametrize("which", sorted(STEPS))
 def test_block_pass_matches_reference(which, monkeypatch):
     """The block pass reproduces the per-attribute pass bitwise, on each bit
-    generator, through the cases where a block's assumption breaks."""
+    generator, through the cases where a block ends at a row that moves."""
     cls, attr = STEPS[which]
     seen = dict.fromkeys(
         ("singleton mid-pass", "move on first row", "move on last row",
-         "new cluster inside a block", "block at the cap"), 0)
+         "new cluster inside a block", "singleton inside a multi-row block",
+         "block at the cap"), 0)
     for bit_generator in BIT_GENERATORS:
         for seed in SEEDS:
             cells, min_run = BLOCK_SETTINGS[seed % len(BLOCK_SETTINGS)]
@@ -392,6 +458,7 @@ def test_block_pass_matches_reference(which, monkeypatch):
                 seen["move on first row"] += r == 0
                 seen["move on last row"] += r == n - 1
                 seen["new cluster inside a block"] += bool(r) and events[first + r][2]
+                seen["singleton inside a multi-row block"] += bool(r) and events[first + r][0]
                 seen["block at the cap"] += n == cells // (k + 1)
     assert all(seen.values()), seen
 
@@ -403,7 +470,6 @@ def test_abort_names_the_attribute_inside_a_block():
     rng = np.random.default_rng(5)
     column = rng.normal(0.0, 0.1, size=6)
     y = np.tile(column[:, None], (1, 20))
-    # Attribute ``bad`` shares its cluster, so its slot stays when it leaves.
     others = [j for j in range(20) if j not in (bad, bad + 1)]
     state, data, hp = manual_state(y, sigma_sq=[0.01] * 20, mean_groups=[others, [bad, bad + 1]])
     data.y[0, bad] = np.inf  # past DataMatrix's check
