@@ -20,8 +20,8 @@ order under two rules:
   an attribute that moves is written.
 - A slot its last member leaves stays, at count 0 and statistic 0, until
   the pass ends. Its log count is -inf, so it weighs nothing; a new cluster
-  takes the next slot. The empty slots are dropped once at the end, so slot
-  order stays creation order.
+  takes the next slot. ``partition.drop_empty`` drops the empty slots once
+  at the end, so slot order stays creation order.
 
 Since a row that stays changes nothing, the rows after it see the same
 slots, and a block of consecutive rows is scored as one matrix. Rows are
@@ -39,6 +39,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .densities import LOG_2PI, SamplerAbort
+from .partition import drop_empty
 
 
 def _log_count_table(p):
@@ -153,10 +154,7 @@ def _run_step(part, step, rng, where):
                 labels[j + r] = t
                 stays = 0
             j += r + 1
-    live = np.array(cnt) > 0
-    ids = [cid for cid, c in zip(ids, cnt) if c]
-    labels = (live.cumsum() - 1)[labels]
-    counts = np.array(cnt, dtype=np.intp)[live]
+    ids, labels, counts = drop_empty(ids, labels, cnt)
     part.set_slots(ids, labels, counts, step.values(labels, counts, rng))
 
 

@@ -62,7 +62,8 @@ class ChainTrace:
         return len(self.ks)
 
     def record(self, state):
-        labels, order = state.samples.canonical()
+        labels, slots = state.samples.canonical()
+        order = state.samples.ids[slots].tolist()
         self.ks.append(state.samples.n_clusters())
         self.assignments.append(labels)
         self.rhos.append(state.attr_prob.copy())

@@ -9,9 +9,18 @@ of those draws and their prior density Q0. From a fresh all-SPIKE mean it is
 the sequential proposal of a birth move; over a cluster's mean it is the
 inner Gibbs pass; without uniforms it replays a given vector, bitwise equal
 to the proposal's own Q and Q0, which is how a death move scores the reverse
-birth. The walk seats components in slot lists of its own, writes the seats
-into the partition's labels and the slot arrays back once, at the end; a
-proposal that seats every component on SPIKE writes nothing more.
+birth.
+
+The walk keeps its per-slot sums in lists indexed by the partition's slots;
+a new inner cluster takes the next slot. A slot whose last member leaves
+stays, at count 0, until write-back: it weighs -inf, which changes neither
+the pick nor its normalizer, and ``partition.drop_empty`` drops it at the
+end. The walk writes the seats into the partition's labels as it draws them
+and the slot arrays back once, at the end; a proposal that seats every
+component on SPIKE writes nothing more. The replay walks from empty, so it
+opens the clusters in order of first appearance: it reads the seats as the
+first-appearance labels of ``Partition.canonical``, and the values in that
+order.
 
 While no inner cluster is live, a component weighs only SPIKE against a new
 cluster, with weights that no earlier seat changes, so the walk seats a run
@@ -61,8 +70,8 @@ import math
 
 import numpy as np
 
-from .densities import LOG_2PI, SamplerAbort, crp_log_weights, log_normal_pdf, pick_with_lse
-from .partition import SPIKE, Partition
+from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
+from .partition import SPIKE, Partition, crp_draw, drop_empty
 from .sparsity import draw_pi_row
 
 
@@ -75,9 +84,7 @@ class ClusterMeanVector:
 
     def __init__(self, p, inner=None):
         if inner is None:
-            labels = np.empty(p, dtype=np.intp)
-            labels.fill(SPIKE)  # half the time of np.full, once per birth proposal
-            inner = Partition(labels, allow_spike=True)
+            inner = Partition(np.full(p, SPIKE), [], [], allow_spike=True)
         self.inner = inner
 
     def mu(self):
@@ -245,16 +252,14 @@ def _scan_components(inner, terms, i, u=None, rng=None):
     The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``).
 
     With uniforms ``u`` (component j's seat reads u[j]) and ``rng`` (for
-    the values) the seats and values are drawn and written into ``inner``:
-    the seats into its labels as they are drawn, the slot arrays in one
-    ``set_slots`` call at the end. From an all-SPIKE partition this is the
-    sequential proposal, over a cluster's current mean the inner Gibbs pass
-    (whose caller ignores the two sums: there the later components are still
-    seated, so they are not densities of the result).
-    Without ``u`` the walk starts empty and replays the seats and values
-    ``inner`` holds, leaving it untouched; the replay repeats the proposal's
-    arithmetic, spike-run blocks included, so its log densities are bitwise
-    equal.
+    the values) the seats and values are drawn and written into ``inner``.
+    From an all-SPIKE partition this is the sequential proposal, over a
+    cluster's current mean the inner Gibbs pass (whose caller ignores the two
+    sums: there the later components are still seated, so they are not
+    densities of the result). Without ``u`` the walk starts empty and
+    replays the seats and values ``inner`` holds, leaving it untouched; the
+    replay repeats the proposal's arithmetic, spike-run blocks included, so
+    its log densities are bitwise equal.
 
     ``x[j]`` averages n_count observations, so member j carries precision
     n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
@@ -269,19 +274,13 @@ def _scan_components(inner, terms, i, u=None, rng=None):
     inv_slab_var = 1.0 / slab_var
     starts_run = terms.starts_run[i]
     k_start = 0 if replay else inner.n_clusters()
-    seats = None if replay else labels  # drawing: the drawn seats, as tags
 
-    # Parallel slot lists, one slot per live inner cluster in creation order:
-    # its tag, member count, summed member precision and summed statistic.
-    # A cluster's tag is its slot in ``inner`` (drawing, for the clusters
-    # live at the start; replaying, for every cluster) or, for a cluster the
-    # drawing walk opens, the next number after those.
-    tags = list(range(k_start))
-    slot_of = {t: t for t in tags}
+    # Per slot (see the module docstring), its member count, summed member
+    # precision and summed statistic; an emptied slot's sums are reset to 0.
     counts, sprec, sstat = [], [], []
-    # The seats the walk starts from (drawing) or replays; and the row and
-    # the uniforms as Python lists. A walk from empty needs none of them on
-    # the block path, so it builds them when it leaves that path.
+    # The seats the walk starts from (drawing) or replays, as slots; and the
+    # row and the uniforms as Python lists. A walk from empty needs none of
+    # them on the block path, so it builds them when it leaves that path.
     start = xs = None
     if k_start:
         start = labels.tolist()
@@ -289,31 +288,27 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         us = u.tolist()
         counts = inner.sizes()
         sprec, sstat = _member_sums(labels, terms, i, k_start)
-        seats.fill(SPIKE)  # the seat of every component not drawn off SPIKE
+        labels.fill(SPIKE)  # the seat of every component not drawn off SPIKE
     m_total = sum(counts)
-    next_tag = k_start
 
     log_q = 0.0
     log_q0 = 0.0
     j = 0
     while j < p:
         if k_start:
-            a = start[j]
-            if a >= 0:
-                t = slot_of[a]
+            t = start[j]
+            if t >= 0:
                 m_total -= 1
-                if counts[t] == 1:
-                    for lst in (tags, counts, sprec, sstat):
-                        del lst[t]
-                    slot_of = {c: s for s, c in enumerate(tags)}
-                else:
-                    counts[t] -= 1
+                counts[t] -= 1
+                if counts[t]:
                     sprec[t] -= precs[j]
                     sstat[t] -= stats[j]
+                else:
+                    sprec[t] = sstat[t] = 0.0
 
         log_denom = math.log(conc_inner + m_total)
         k = len(counts)
-        block = not k and starts_run.item(j)
+        block = not m_total and starts_run.item(j)
         if block:
             # A spike run: see the module docstring.
             if not terms.run_finite[i]:
@@ -324,13 +319,14 @@ def _scan_components(inner, terms, i, u=None, rng=None):
             if stop == p:
                 break
             j = stop
-            choice = 1
+            choice = k + 1
             log_q += terms.run_lp_new.item(i, j)
         if xs is None:
             xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = \
                 terms.row_lists(i)
             if replay:
-                start = labels.tolist()
+                seats, order = inner.canonical()
+                start = seats.tolist()
             else:
                 us = u.tolist()
         if not block:
@@ -339,16 +335,19 @@ def _scan_components(inner, terms, i, u=None, rng=None):
             lsj = log_s[j]
             logw = [pre_spike[j]]
             for t in range(k):
-                v_post = inv_slab_var + sprec[t]
-                logw.append(
-                    lsj + math.log(counts[t]) - log_denom
-                    + log_normal_pdf(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
-                )
+                c = counts[t]
+                if c:
+                    v_post = inv_slab_var + sprec[t]
+                    logw.append(
+                        lsj + math.log(c) - log_denom
+                        + log_normal_pdf(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
+                    )
+                else:  # an emptied slot: adds 0 to the pick's sums
+                    logw.append(-math.inf)
             logw.append(pre_new[j] - log_denom)
             choice, lse = pick_with_lse(logw, None if replay else us[j])
             if replay:
-                a = start[j]
-                choice = 0 if a == SPIKE else 1 + slot_of.get(a, k)
+                choice = 1 + start[j]  # SPIKE is choice 0
             log_q += logw[choice] - lse
 
         if choice == 0:
@@ -357,51 +356,45 @@ def _scan_components(inner, terms, i, u=None, rng=None):
             continue
         lsj = log_s[j]
         m_total += 1
-        if choice <= k:
-            t = choice - 1
+        t = choice - 1
+        if t < k:
             log_q0 += lsj + math.log(counts[t]) - log_denom
             counts[t] += 1
             sprec[t] += precs[j]
             sstat[t] += stats[j]
-            if not replay:
-                seats[j] = tags[t]
         else:
             log_q0 += lsj + log_conc - log_denom
-            if replay:
-                a = start[j]
-            else:
-                a = seats[j] = next_tag
-                next_tag += 1
-            slot_of[a] = k
-            tags.append(a)
             counts.append(1)
             sprec.append(precs[j])
             sstat.append(stats[j])
+        if not replay:
+            labels[j] = t
         j += 1
 
-    values = []
-    if tags:
-        # The seats, as tags in ``labels``, to slots.
-        slot = np.zeros(max(tags) + 1, dtype=np.intp)
-        slot[tags] = np.arange(len(tags))
-        seats = np.where(labels >= 0, slot[labels], SPIKE)
-        # Posterior of each inner value, recomputed from scratch over its
-        # members to avoid the running sums' float drift.
-        member_prec, member_stat = _member_sums(seats, terms, i, len(tags))
-        for c, prec, stat in zip(tags, member_prec, member_stat):
-            prec += inv_slab_var
-            var = 1.0 / prec
-            u_post = stat / prec
-            if replay:
-                val = float(inner.values[c])
-            else:
-                val = u_post + math.sqrt(var) * rng.standard_normal()
+    if not counts:  # every seat stayed SPIKE, and none was off it at the start
+        return log_q, log_q0
+    if replay:
+        values = inner.values[order].tolist()
+    else:
+        ids, seats, counts = drop_empty(
+            inner.cluster_ids() + [None] * (len(counts) - k_start), labels, counts)
+        values = []
+    # Posterior of each inner value, recomputed from scratch over its
+    # members to avoid the running sums' float drift.
+    member_prec, member_stat = _member_sums(seats, terms, i, len(counts))
+    for t, (prec, stat) in enumerate(zip(member_prec, member_stat)):
+        prec += inv_slab_var
+        var = 1.0 / prec
+        u_post = stat / prec
+        if replay:
+            val = values[t]
+        else:
+            val = u_post + math.sqrt(var) * rng.standard_normal()
             values.append(val)
-            log_q += log_normal_pdf(val, u_post, var)
-            log_q0 += log_normal_pdf(val, 0.0, slab_var)
-    if not replay and (tags or k_start):  # else every seat stayed SPIKE
-        ids = inner.cluster_ids()
-        inner.set_slots([ids[c] if c < k_start else None for c in tags], seats, counts, values)
+        log_q += log_normal_pdf(val, u_post, var)
+        log_q0 += log_normal_pdf(val, 0.0, slab_var)
+    if not replay:
+        inner.set_slots(ids, seats, counts, values)
     return log_q, log_q0
 
 
@@ -455,20 +448,8 @@ def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
     draws, and may itself draw from ``rng``. Nonzero components share
     N(0, slab_var) values through a CRP with concentration ``conc_inner``.
     """
-    labels, counts, values = [], [], []
-    for j in range(p):
-        s = slab_prob(j)
-        if rng.random() >= s:
-            labels.append(SPIKE)
-            continue
-        t, _lse = pick_with_lse(crp_log_weights(counts, conc_inner), rng.random())
-        if t == len(counts):
-            counts.append(1)
-            values.append(math.sqrt(slab_var) * rng.standard_normal())
-        else:
-            counts[t] += 1
-        labels.append(t)
-    return ClusterMeanVector(p, Partition(labels, counts, values, allow_spike=True))
+    return ClusterMeanVector(p, crp_draw(
+        p, conc_inner, rng, lambda: math.sqrt(slab_var) * rng.standard_normal(), slab_prob))
 
 
 def sample_prior_mean(p, state, hp, rng):

@@ -43,12 +43,6 @@ def log_beta_pdf(x, a, b):
     return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b)
 
 
-def crp_log_weights(counts, conc):
-    """Log weights of a CRP seat: each cluster's count, then ``conc`` for a
-    new cluster."""
-    return [*map(math.log, counts), math.log(conc)]
-
-
 def pick_with_lse(logw, u=None):
     """Single-pass categorical draw from unnormalized log weights (a list),
     returned with the log normalizer: the first index whose running weight

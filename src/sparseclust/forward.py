@@ -11,23 +11,8 @@ import math
 import numpy as np
 
 from .clusters import draw_prior_mean
-from .densities import crp_log_weights, pick_with_lse
 from .model import ModelState
-from .partition import Partition
-
-
-def _crp_partition(n_items, conc, rng, draw_value):
-    """Sequential CRP draw; ``draw_value`` supplies a payload per new cluster."""
-    labels, counts, values = [], [], []
-    for _ in range(n_items):
-        t, _lse = pick_with_lse(crp_log_weights(counts, conc), rng.random())
-        if t == len(counts):
-            counts.append(1)
-            values.append(draw_value())
-        else:
-            counts[t] += 1
-        labels.append(t)
-    return Partition(labels, counts, values)
+from .partition import crp_draw
 
 
 def draw_cluster_mean_from_prior(p, attr_prob, hp, slab_var, conc_inner, rng):
@@ -50,14 +35,14 @@ def draw_state_from_prior(n, p, hp, rng):
     slab_var = hp.eta_rate / rng.gamma(hp.eta_shape)
     attr_prob = rng.beta(hp.rho_a, hp.rho_b, size=p)
 
-    mean_part = _crp_partition(
+    mean_part = crp_draw(
         p, conc_mean, rng,
         lambda: hp.base_mean + math.sqrt(hp.base_var) * rng.standard_normal(),
     )
-    var_part = _crp_partition(
+    var_part = crp_draw(
         p, conc_var, rng, lambda: hp.var_rate / rng.gamma(hp.var_shape),
     )
-    samples = _crp_partition(n, conc_samples, rng, lambda: 0.0)
+    samples = crp_draw(n, conc_samples, rng, lambda: 0.0)
 
     cluster_means = {}
     incl_prob = {}

@@ -10,16 +10,20 @@ The stored form is a set of slot arrays. The live clusters occupy slots
 Ids grow with creation, so slot order is id order. Per item, ``labels``
 holds its slot or SPIKE (-1); every item is always seated. A partition is
 written whole, through the constructor or ``set_slots``; the one per-item
-write, ``move``, serves the sample moves. When a cluster empties, its slot
-goes and later slots move down one. The rest of the state keys per-cluster
-payloads by id; contiguous labels are produced only when a trace is
-recorded (see ``canonical``).
+write, ``move``, serves the sample moves; when ``move`` empties a cluster,
+its slot goes and later slots move down one. A pass that rewrites a whole
+partition (the baseline DPs, the component walk) lets emptied slots stand at
+count 0 while it runs and compacts them once with ``drop_empty``. The rest
+of the state keys per-cluster payloads by id; contiguous labels are produced
+only when a trace is recorded (see ``canonical``).
 """
 
 import bisect
 import math
 
 import numpy as np
+
+from .densities import pick_with_lse
 
 # The label of a zero component in an inner mean partition.
 SPIKE = -1
@@ -28,20 +32,16 @@ SPIKE = -1
 class Partition:
     __slots__ = ("n_items", "allow_spike", "labels", "counts", "values", "ids", "_next_id")
 
-    def __init__(self, labels, counts=None, values=None, allow_spike=False):
+    def __init__(self, labels, counts, values, allow_spike=False):
         """A partition from slot arrays, as ``set_slots`` takes them; its K
-        clusters get ids 0..K-1. Without ``counts`` and ``values`` it has no
-        clusters. An array argument of the stored dtype is kept, not copied."""
+        clusters get ids 0..K-1. An array argument of the stored dtype is
+        kept, not copied."""
         self.allow_spike = allow_spike
         self.labels = np.asarray(labels, dtype=np.intp)
         self.n_items = len(self.labels)
-        if counts is None:  # built once per birth proposal: skip the conversions
-            self.counts, self.values = np.empty(0, np.intp), np.empty(0)
-            self.ids = np.empty(0, np.int64)
-        else:
-            self.counts = np.asarray(counts, dtype=np.intp)
-            self.values = np.asarray(values, dtype=float)
-            self.ids = np.arange(len(self.counts), dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
+        self.ids = np.arange(len(self.counts), dtype=np.int64)
         self._next_id = len(self.counts)
 
     # -- mutation ---------------------------------------------------------
@@ -138,8 +138,8 @@ class Partition:
     def canonical(self):
         """Contiguous labels in order of first appearance.
 
-        Returns (labels, cid_order) where labels[i] is the 0-based label of
-        item i (SPIKE stays -1) and cid_order lists the cid for each label.
+        Returns (labels, slot_order) where labels[i] is the 0-based label of
+        item i (SPIKE stays -1) and slot_order is the slot of each label.
         """
         seated = self.labels >= 0
         slots, first = np.unique(self.labels[seated], return_index=True)
@@ -148,7 +148,7 @@ class Partition:
         rank[order] = np.arange(len(order))
         labels = np.full(self.n_items, -1, dtype=np.int64)
         labels[seated] = rank[self.labels[seated]]
-        return labels, self.ids[order].tolist()
+        return labels, order
 
     def validate(self):
         """Check the structural invariants; raises AssertionError on failure."""
@@ -183,6 +183,37 @@ class Partition:
         out.ids = np.array(d["ids"], dtype=np.int64)
         out._next_id = d["next_id"]
         return out
+
+
+def drop_empty(ids, labels, counts):
+    """Slot arrays without their count-0 slots: (ids, labels, counts), the
+    live slots moved down in order. SPIKE labels and None ids are kept."""
+    counts = np.asarray(counts, dtype=np.intp)
+    live = counts > 0
+    slot = np.append(live.cumsum() - 1, SPIKE)  # a SPIKE label reads the last entry
+    return [cid for cid, keep in zip(ids, live.tolist()) if keep], slot[labels], counts[live]
+
+
+def crp_draw(n, conc, rng, draw_value, seated=None):
+    """A partition of n items drawn from its prior: each item is seated in
+    turn by a CRP with concentration ``conc``, and ``draw_value()`` gives
+    each new cluster its value. With ``seated``, item j takes a seat only
+    when ``seated(j) > rng.random()`` (``seated`` is called first and may
+    draw from ``rng``) and is SPIKE otherwise."""
+    labels, counts, values = [], [], []
+    log_conc = math.log(conc)
+    for j in range(n):
+        if seated is not None and not seated(j) > rng.random():
+            labels.append(SPIKE)
+            continue
+        t, _lse = pick_with_lse([*map(math.log, counts), log_conc], rng.random())
+        if t == len(counts):
+            counts.append(1)
+            values.append(draw_value())
+        else:
+            counts[t] += 1
+        labels.append(t)
+    return Partition(labels, counts, values, allow_spike=seated is not None)
 
 
 def crp_log_prob(sizes, conc):

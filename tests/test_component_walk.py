@@ -222,6 +222,32 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
         assert seen_slab >= len(SEEDS) // 2
 
 
+def test_replay_reads_slots_out_of_first_appearance_order():
+    """A Gibbs pass can leave an inner partition whose slot order is not the
+    order in which its clusters first appear along the components; the
+    replay must score it as the reference does, and as the same clusters
+    held in first-appearance order, bitwise."""
+    p = 8
+    for seed in range(10):
+        state, _data, hp = make_state(n=3, p=p, seed=seed)
+        rng = np.random.default_rng(seed)
+        state.attr_prob[:] = 0.5
+        x = rng.normal(0.0, 1.5, size=p)
+        sigma_sq = state.var_part.values_vector()
+        n_count = 1 + seed % 3
+        terms = WalkTerms(x, n_count, sigma_sq, state, hp)
+        late, early = x[5:7].mean(), x[1:3].mean()
+        inner = build_partition([[5, 6], [1, 2]], [late, early], p)
+        in_order = build_partition([[1, 2], [5, 6]], [early, late], p)
+
+        log_q, log_q0 = _scan_components(inner, terms, 0)
+        assert inner.to_dict() == build_partition([[5, 6], [1, 2]], [late, early], p).to_dict()
+        assert _scan_components(in_order, terms, 0) == (log_q, log_q0)
+        ref_q, ref_q0 = _reference_walk(inner, x, n_count, sigma_sq, state, hp)
+        assert log_q == pytest.approx(ref_q, rel=REL)
+        assert log_q0 == pytest.approx(ref_q0, rel=REL)
+
+
 def _check_inner_gibbs(state, data, hp, cid, seed):
     """One inner Gibbs pass over cluster cid against the reference walk on
     the average residual of the members' current rows."""

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparseclust.partition import crp_log_prob
+from sparseclust.partition import SPIKE, crp_log_prob, drop_empty
 
 from conftest import build_partition
 
@@ -93,12 +93,24 @@ def test_spike_assignments():
 
 
 def test_canonical_orders_by_first_appearance():
-    part = build_partition([[1, 2], [0, 3]])
+    part = build_partition([[4], [1, 2], [0, 3]])
+    part.move(4, part.cluster_of(0))  # slot 0 goes, so ids and slots differ
     c1, c0 = part.cluster_ids()
-    labels, order = part.canonical()
+    labels, slots = part.canonical()
     # item 0 appears first, so its cluster gets label 0 regardless of cid age
-    assert labels.tolist() == [0, 1, 1, 0]
-    assert order == [c0, c1]
+    assert labels.tolist() == [0, 1, 1, 0, 0]
+    assert slots.tolist() == [1, 0]
+    assert part.ids[slots].tolist() == [c0, c1] == [2, 1]
+
+
+def test_drop_empty_keeps_spike_labels_and_new_ids():
+    # Slot 1 (id 11) is empty; slot 2 is a new cluster, without an id yet.
+    ids, labels, counts = drop_empty([10, 11, None], np.array([SPIKE, 2, 0, 2, SPIKE]), [1, 0, 2])
+    assert ids == [10, None]
+    assert labels.tolist() == [SPIKE, 1, 0, 1, SPIKE]
+    assert counts.tolist() == [1, 2]
+    ids, labels, counts = drop_empty([3], np.array([SPIKE, SPIKE]), [0])
+    assert (ids, labels.tolist(), counts.tolist()) == ([], [SPIKE, SPIKE], [])
 
 
 # -- crp_log_prob oracles ---------------------------------------------------
