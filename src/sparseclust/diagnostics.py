@@ -86,13 +86,13 @@ def geweke_z_scores(forward, successive, n_batches=100):
 
 
 def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequential"):
-    """Average acceptance probability of birth moves from a frozen state.
+    """Per-attempt log MH ratios of birth moves from a frozen state.
 
     Cycles over non-singleton samples; per attempt a candidate mean is drawn
     (sequentially, from a fresh row of p + 1 uniforms as ``mh_birth_move``
-    reads it, or from the prior) and the move's acceptance probability
-    min(1, r) is accumulated, r scored as ``mh_birth_move`` scores it. The
-    state is never mutated.
+    reads it, or from the prior) and the move's log ratio log r is scored as
+    ``mh_birth_move`` scores it; the attempt accepts with probability
+    min(1, r). The state is never mutated.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
@@ -107,7 +107,7 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     if not eligible:
         raise ValueError("no non-singleton samples to attempt births from")
 
-    total = 0.0
+    log_ratios = np.empty(attempts)
     for t in range(attempts):
         i = eligible[t % len(eligible)]
         if proposal == "sequential":
@@ -115,6 +115,5 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
         else:
             mean_new = sample_prior_mean(data.p, state, hp, rng)
             log_q = log_q0 = 0.0
-        log_r = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)[0]
-        total += 1.0 if log_r >= 0.0 else math.exp(log_r)
-    return total / attempts
+        log_ratios[t] = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)[0]
+    return log_ratios

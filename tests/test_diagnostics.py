@@ -45,15 +45,20 @@ def test_joint_distribution_gate():
 
 def test_sequential_proposal_beats_prior_proposal():
     """On ex1 with rho ~ Beta(2,2), births proposed sequentially from the
-    data are accepted far more often than births drawn from the prior."""
+    data have a median log acceptance ratio at least log(1000) above that of
+    births drawn from the prior. The medians are compared because the mean
+    acceptance of 400 prior proposals is set by its one largest draw and
+    swings over tens of orders of magnitude between seeds."""
     data, _truth = gen_example1(0)
     hp = dataclasses.replace(default_hyperparams(data), rho_a=2.0, rho_b=2.0)
     rng = np.random.default_rng(0)
     state = init_state(data, hp, ChainConfig(seed=0), rng)
     sequential = measure_birth_acceptance(state, data, hp, rng, 400, "sequential")
     prior = measure_birth_acceptance(state, data, hp, rng, 400, "prior")
-    assert sequential > 0.0
-    assert sequential >= 1000.0 * prior, (sequential, prior)
+    assert sequential.shape == prior.shape == (400,)
+    assert np.isfinite(sequential).all() and np.isfinite(prior).all()
+    gap = np.median(sequential) - np.median(prior)
+    assert gap >= math.log(1000.0), (np.median(sequential), np.median(prior))
 
 
 def test_birth_acceptance_rejects_bad_arguments():
@@ -68,9 +73,9 @@ def test_birth_acceptance_rejects_bad_arguments():
 
 
 def test_birth_acceptance_scores_the_kernel_move():
-    """One sequential attempt is the acceptance probability of the birth
-    move the kernel makes from the same generator state, handed the row of
-    uniforms the attempt draws first."""
+    """One sequential attempt is the log ratio of the birth move the kernel
+    makes from the same generator state, handed the row of uniforms the
+    attempt draws first."""
     state, data, hp = make_state(n=6, p=5, seed=2, require_multi=True)
     i = next(i for i in range(data.n) if state.samples.cluster_size(i) > 1)
     bd = BirthDeathPass(data.y, state.mean_part.values_vector(),
@@ -80,7 +85,7 @@ def test_birth_acceptance_scores_the_kernel_move():
         rng = np.random.default_rng(seed)
         u = rng.random(data.p + 1)
         _, info = mh_birth_move(copy.deepcopy(state), data, hp, i, rng, bd, u)
-        assert got == min(1.0, math.exp(info["log_ratio"]))
+        assert got.tolist() == [info["log_ratio"]]
 
 
 def test_birth_acceptance_draws_a_fresh_row_per_attempt(monkeypatch):
