@@ -36,6 +36,7 @@ from .sparsity import update_eta_sq
 from .summarize import (
     coclustering,
     fitted_mean_posterior,
+    inclusion_posterior_mean,
     k_posterior,
     mse_fitted_means,
     relabel_conditional_on_K,
@@ -67,6 +68,7 @@ __all__ = [
     "gen_example4",
     "gibbs_reassign",
     "gibbs_update_cluster_mean",
+    "inclusion_posterior_mean",
     "init_state",
     "k_posterior",
     "load_csv",

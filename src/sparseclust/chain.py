@@ -10,7 +10,7 @@ from .concentration import update_concentration
 from .densities import SamplerAbort
 from .model import ModelState
 from .partition import Partition
-from .sparsity import draw_pi_row, step_pi, step_rho, update_eta_sq
+from .sparsity import step_pi, step_rho, update_eta_sq
 
 ALL_ONE_CLUSTER = "one"
 ALL_SINGLETONS = "singletons"
@@ -45,7 +45,9 @@ class ChainTrace:
     Cluster-indexed quantities are stored with contiguous labels in order of
     first appearance within each iteration; fitted mean matrices are
     reconstructed on demand from the baseline vector, the cluster means and
-    the assignments.
+    the assignments. The inclusion probabilities are not recorded: their
+    posterior means follow from the means and rho (see
+    ``summarize.inclusion_posterior_mean``).
     """
 
     def __init__(self, n, p):
@@ -54,7 +56,6 @@ class ChainTrace:
         self.ks = []
         self.assignments = []
         self.rhos = []
-        self.pis = []
         self.means = []
         self.baselines = []
 
@@ -67,7 +68,6 @@ class ChainTrace:
         self.ks.append(state.samples.n_clusters())
         self.assignments.append(labels)
         self.rhos.append(state.attr_prob.copy())
-        self.pis.append(np.stack([state.incl_prob[cid] for cid in order]))
         self.means.append(np.stack([state.cluster_means[cid].mu() for cid in order]))
         self.baselines.append(state.mean_part.values_vector())
 
@@ -85,7 +85,6 @@ def merge_traces(traces):
         out.ks.extend(tr.ks)
         out.assignments.extend(tr.assignments)
         out.rhos.extend(tr.rhos)
-        out.pis.extend(tr.pis)
         out.means.extend(tr.means)
         out.baselines.extend(tr.baselines)
     return out
@@ -93,7 +92,8 @@ def merge_traces(traces):
 
 def init_state(data, hp, cfg, rng):
     """Starting state: baselines at per-attribute moments (one singleton
-    cluster each), all mean shifts at zero, scalars at prior-scale values."""
+    cluster each), all mean shifts at zero, scalars at prior-scale values.
+    Nothing is drawn from ``rng``."""
     n, p = data.n, data.p
     col_mean = data.y.mean(axis=0)
     col_var = data.y.var(axis=0, ddof=1)
@@ -106,27 +106,18 @@ def init_state(data, hp, cfg, rng):
     else:
         samples = Partition(np.arange(n), np.ones(n), np.zeros(n))
 
-    rho0 = hp.rho_a / (hp.rho_a + hp.rho_b)
-    attr_prob = np.full(p, rho0)
-    state = ModelState(
+    return ModelState(
         mean_part=mean_part,
         var_part=var_part,
         samples=samples,
-        cluster_means={},
-        incl_prob={},
-        attr_prob=attr_prob,
+        cluster_means={cid: ClusterMeanVector(p) for cid in samples.cluster_ids()},
+        attr_prob=np.full(p, hp.rho_a / (hp.rho_a + hp.rho_b)),
         slab_var=1.0,
         conc_samples=hp.conc_shape / hp.conc_rate,
         conc_mean=hp.conc_shape / hp.conc_rate,
         conc_var=hp.conc_shape / hp.conc_rate,
         conc_inner=hp.conc_shape / hp.conc_rate,
     )
-
-    for cid in samples.cluster_ids():
-        mean = ClusterMeanVector(p)
-        state.cluster_means[cid] = mean
-        state.incl_prob[cid] = draw_pi_row(mean.inner.spike_mask(), attr_prob, hp, rng)
-    return state
 
 
 def step_concentrations(state, data, hp, rng):
@@ -147,8 +138,8 @@ def sweep(state, data, hp, rng):
     """One full update cycle over all unknowns."""
     step_baseline_means(state, data, hp, rng)
     step_baseline_vars(state, data, hp, rng)
-    step_pi(state, hp, rng)
-    step_rho(state, hp, rng)
+    n_active = step_pi(state, hp, rng)
+    step_rho(state, hp, rng, n_active)
     step_clusters(state, data, hp, rng)
     update_eta_sq(state, hp, rng)
     step_concentrations(state, data, hp, rng)

@@ -26,6 +26,7 @@ from .simulate import gen_example1, gen_example2, gen_example3, gen_example4
 from .summarize import (
     coclustering,
     fitted_mean_posterior,
+    inclusion_posterior_mean,
     k_posterior,
     relabel_conditional_on_K,
     select_attributes,
@@ -117,7 +118,7 @@ def _attr_names(data):
     return data.names or [f"x{j + 1}" for j in range(data.p)]
 
 
-def _write_outputs(outdir, trace, data, threshold, cfg, chains=1):
+def _write_outputs(outdir, trace, data, hp, threshold, cfg, chains=1):
     """Write the summaries of ``trace``, which pools ``chains`` equal-length
     chains; if several, k_trace.csv numbers them from 0 in its own column."""
     os.makedirs(outdir, exist_ok=True)
@@ -141,8 +142,8 @@ def _write_outputs(outdir, trace, data, threshold, cfg, chains=1):
     write_csv(os.path.join(outdir, "rho_mean.csv"), ["attribute", "rho_mean"],
               enumerate(rho_mean.tolist(), start=1))
 
-    _mu_al, pi_al, membership, _used = relabel_conditional_on_K(trace, mode)
-    pi_mean = pi_al.mean(axis=0)
+    mu_al, membership, used = relabel_conditional_on_K(trace, mode)
+    pi_mean = inclusion_posterior_mean(mu_al, [trace.rhos[t] for t in used], hp)
     save_matrix_csv(
         os.path.join(outdir, "pi_mean.csv"), pi_mean, names,
         index_name="cluster", index=range(1, mode + 1),
@@ -210,12 +211,12 @@ def main(argv=None):
 
     os.makedirs(args.out, exist_ok=True)
     if args.chains == 1:
-        _write_outputs(args.out, traces[0], data, args.threshold, configs[0])
+        _write_outputs(args.out, traces[0], data, hp, args.threshold, configs[0])
     else:
         for c, tr in enumerate(traces):
-            _write_outputs(os.path.join(args.out, f"chain_{c:02d}"), tr, data,
+            _write_outputs(os.path.join(args.out, f"chain_{c:02d}"), tr, data, hp,
                            args.threshold, configs[c])
-        _write_outputs(args.out, merge_traces(traces), data, args.threshold, configs[0],
+        _write_outputs(args.out, merge_traces(traces), data, hp, args.threshold, configs[0],
                        chains=args.chains)
 
     manifest = {

@@ -72,7 +72,6 @@ import numpy as np
 
 from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
 from .partition import SPIKE, Partition, crp_draw, drop_empty
-from .sparsity import draw_pi_row
 
 
 class ClusterMeanVector:
@@ -440,25 +439,20 @@ def _slab_coef(hp):
     return hp.slab_a / (hp.slab_a + hp.slab_b)
 
 
-def draw_prior_mean(p, slab_prob, conc_inner, slab_var, rng):
-    """Draw a mean vector from its prior.
-
-    ``slab_prob(j)`` is the probability that component j is nonzero. It is
-    called once per component, in order and before that component's own
-    draws, and may itself draw from ``rng``. Nonzero components share
+def draw_prior_mean(s, conc_inner, slab_var, rng):
+    """Draw a mean vector from its prior, with the inclusion probabilities
+    integrated out: component j is nonzero with probability ``s[j]``
+    (rho_j slab_a / (slab_a + slab_b)), and the nonzero components share
     N(0, slab_var) values through a CRP with concentration ``conc_inner``.
     """
-    return ClusterMeanVector(p, crp_draw(
-        p, conc_inner, rng, lambda: math.sqrt(slab_var) * rng.standard_normal(), slab_prob))
+    return ClusterMeanVector(len(s), crp_draw(
+        len(s), conc_inner, rng, lambda: math.sqrt(slab_var) * rng.standard_normal(), s))
 
 
 def sample_prior_mean(p, state, hp, rng):
     """Draw a mean vector from the prior (the unassisted proposal)."""
-    slab_coef = _slab_coef(hp)
     return draw_prior_mean(
-        p, lambda j: slab_coef * float(state.attr_prob[j]),
-        state.conc_inner, state.slab_var, rng,
-    )
+        _slab_coef(hp) * state.attr_prob[:p], state.conc_inner, state.slab_var, rng)
 
 
 def _loglik_rows(d, log_2pi_var, sigma_sq):
@@ -485,8 +479,6 @@ def mh_birth_move(state, data, hp, i, rng, bd, u):
     if accepted:
         new_cid = state.samples.move(i)
         state.cluster_means[new_cid] = mean_new
-        zero = mean_new.inner.spike_mask()
-        state.incl_prob[new_cid] = draw_pi_row(zero, state.attr_prob, hp, rng)
     info = {
         "log_ratio": log_ratio, "log_f_new": log_f_new, "log_f_old": log_f_old,
         "log_q": log_q, "log_q0": log_q0,
@@ -527,7 +519,6 @@ def mh_death_move(state, data, hp, i, rng, bd, u):
     if accepted:
         samples.move(i, target)
         del state.cluster_means[cid]
-        del state.incl_prob[cid]
     info = {
         "log_ratio": log_ratio, "log_f_new": log_f_new, "log_f_old": log_f_old,
         "log_q": log_q, "log_q0": log_q0, "target": target,
@@ -563,26 +554,19 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
 
     ``mem`` lists the cluster's samples in ascending order, as
     ``Partition.members`` gives them; the pass reads their average residual.
-    Component memberships are resampled with the inner values integrated out,
-    component j reading u[j] of one uniform p-vector, then every inner value
-    is redrawn from its conjugate posterior. Inclusion probabilities are
-    redrawn, in one call, for the components whose zero status flipped, so
-    the mu/incl_prob coupling invariant holds at exit.
+    Component memberships are resampled with the inner values and the
+    inclusion probabilities integrated out, component j reading u[j] of one
+    uniform p-vector, then every inner value is redrawn from its conjugate
+    posterior.
     """
     n_count = len(mem)
     x = data.y[mem].sum(axis=0) / n_count - mu_base
-    inner = state.cluster_means[cid].inner
-    was_spike = inner.spike_mask()
     try:
-        _scan_components(inner, WalkTerms(x, n_count, sigma_sq, state, hp), 0,
+        _scan_components(state.cluster_means[cid].inner,
+                         WalkTerms(x, n_count, sigma_sq, state, hp), 0,
                          rng.random(data.p), rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"inner mean update cid={cid}: {exc}") from exc
-
-    flipped = inner.spike_mask() != was_spike
-    if flipped.any():
-        state.incl_prob[cid][flipped] = draw_pi_row(
-            ~was_spike[flipped], state.attr_prob[flipped], hp, rng)
     return state.cluster_means[cid]
 
 

@@ -10,24 +10,14 @@ import math
 
 import numpy as np
 
-from .clusters import draw_prior_mean
+from .clusters import _slab_coef, draw_prior_mean
 from .model import ModelState
 from .partition import crp_draw
 
 
-def draw_cluster_mean_from_prior(p, attr_prob, hp, slab_var, conc_inner, rng):
-    """Joint prior draw of one cluster's inclusion row and mean vector."""
-    pi_row = np.empty(p)
-
-    def draw_pi(j):
-        pi_row[j] = rng.beta(hp.slab_a, hp.slab_b) if rng.random() < attr_prob[j] else 0.0
-        return pi_row[j]
-
-    return pi_row, draw_prior_mean(p, draw_pi, conc_inner, slab_var, rng)
-
-
 def draw_state_from_prior(n, p, hp, rng):
-    """One draw of the complete latent state from the prior."""
+    """One draw of the complete latent state from the prior, with the
+    inclusion probabilities integrated out as the state holds none."""
     conc_samples = rng.gamma(hp.conc_shape, 1.0 / hp.conc_rate)
     conc_mean = rng.gamma(hp.conc_shape, 1.0 / hp.conc_rate)
     conc_var = rng.gamma(hp.conc_shape, 1.0 / hp.conc_rate)
@@ -44,21 +34,15 @@ def draw_state_from_prior(n, p, hp, rng):
     )
     samples = crp_draw(n, conc_samples, rng, lambda: 0.0)
 
-    cluster_means = {}
-    incl_prob = {}
-    for cid in samples.cluster_ids():
-        pi_row, mean = draw_cluster_mean_from_prior(
-            p, attr_prob, hp, slab_var, conc_inner, rng
-        )
-        cluster_means[cid] = mean
-        incl_prob[cid] = pi_row
+    s = _slab_coef(hp) * attr_prob
+    cluster_means = {cid: draw_prior_mean(s, conc_inner, slab_var, rng)
+                     for cid in samples.cluster_ids()}
 
     return ModelState(
         mean_part=mean_part,
         var_part=var_part,
         samples=samples,
         cluster_means=cluster_means,
-        incl_prob=incl_prob,
         attr_prob=attr_prob,
         slab_var=slab_var,
         conc_samples=conc_samples,

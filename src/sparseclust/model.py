@@ -107,17 +107,17 @@ class ModelState:
 
     mean_part / var_part partition the attributes and carry the baseline
     means / variances as cluster values. ``samples`` partitions the
-    samples; per live sample-cluster id there is a ClusterMeanVector and an
-    inclusion-probability row. The state holds only unknowns: quantities
+    samples; per live sample-cluster id there is a ClusterMeanVector. The
+    state holds only the unknowns the kernel conditions on: quantities
     derived from the data, such as a cluster's summed member rows, are
-    computed where they are read.
+    computed where they are read, and the per-cluster inclusion
+    probabilities, which every move integrates out, are not held at all.
     """
 
     mean_part: Partition
     var_part: Partition
     samples: Partition
     cluster_means: dict
-    incl_prob: dict
     attr_prob: np.ndarray
     slab_var: float
     conc_samples: float
@@ -144,21 +144,10 @@ class ModelState:
         if (self.var_part.values <= 0.0).any():
             raise AssertionError(f"non-positive baseline variance in {self.var_part.values}")
         live = set(self.samples.cluster_ids())
-        if set(self.cluster_means) != live or set(self.incl_prob) != live:
-            raise AssertionError("per-cluster payload keys out of sync with live clusters")
-        for cid in live:
-            mean = self.cluster_means[cid]
+        if set(self.cluster_means) != live:
+            raise AssertionError("cluster mean keys out of sync with live clusters")
+        for mean in self.cluster_means.values():
             mean.inner.validate()
-            row = self.incl_prob[cid]
-            if row.shape != (self.p,):
-                raise AssertionError("inclusion row has wrong shape")
-            if np.any(row < 0.0) or np.any(row > 1.0):
-                raise AssertionError("inclusion probabilities outside [0,1]")
-            bad = np.flatnonzero(~mean.inner.spike_mask() & (row <= 0.0))
-            if bad.size:
-                raise AssertionError(
-                    f"nonzero mean component ({cid},{bad[0]}) with zero inclusion probability"
-                )
         if np.any(self.attr_prob <= 0.0) or np.any(self.attr_prob >= 1.0):
             raise AssertionError("attribute propensities must lie strictly inside (0,1)")
         for name in _SCALARS:
@@ -175,7 +164,6 @@ class ModelState:
         return {
             **{name: getattr(self, name).to_dict() for name in _PARTITIONS},
             "cluster_means": {str(c): m.inner.to_dict() for c, m in self.cluster_means.items()},
-            "incl_prob": {str(c): row.tolist() for c, row in self.incl_prob.items()},
             "attr_prob": self.attr_prob.tolist(),
             **{name: getattr(self, name) for name in _SCALARS},
         }
@@ -186,7 +174,6 @@ class ModelState:
             **{name: Partition.from_dict(d[name]) for name in _PARTITIONS},
             cluster_means={int(c): ClusterMeanVector(pd["n_items"], Partition.from_dict(pd))
                            for c, pd in d["cluster_means"].items()},
-            incl_prob={int(c): np.array(v) for c, v in d["incl_prob"].items()},
             attr_prob=np.array(d["attr_prob"]),
             **{name: d[name] for name in _SCALARS},
         )

@@ -120,9 +120,6 @@ class Partition:
         """Member counts in creation order."""
         return self.counts.tolist()
 
-    def spike_mask(self):
-        return self.labels == SPIKE
-
     def members(self):
         """Items of each live cluster, by id in creation order (SPIKE items
         are skipped). Items are in ascending order, the order data rows are
@@ -197,13 +194,14 @@ def drop_empty(ids, labels, counts):
 def crp_draw(n, conc, rng, draw_value, seated=None):
     """A partition of n items drawn from its prior: each item is seated in
     turn by a CRP with concentration ``conc``, and ``draw_value()`` gives
-    each new cluster its value. With ``seated``, item j takes a seat only
-    when ``seated(j) > rng.random()`` (``seated`` is called first and may
-    draw from ``rng``) and is SPIKE otherwise."""
+    each new cluster its value. With ``seated``, an array of n
+    probabilities, item j takes a seat only when ``seated[j] > rng.random()``
+    and is SPIKE otherwise."""
     labels, counts, values = [], [], []
     log_conc = math.log(conc)
+    probs = None if seated is None else np.asarray(seated, dtype=float).tolist()
     for j in range(n):
-        if seated is not None and not seated(j) > rng.random():
+        if probs is not None and not probs[j] > rng.random():
             labels.append(SPIKE)
             continue
         t, _lse = pick_with_lse([*map(math.log, counts), log_conc], rng.random())

@@ -1,15 +1,22 @@
 """Updates for the hierarchical point-mass sparsity layer.
 
-Covers the per-cluster inclusion probabilities (``incl_prob``), the
-per-attribute activity propensities (``attr_prob``) and the shared slab
-variance (``slab_var``).
+Covers the per-attribute activity propensities (``attr_prob``) and the
+shared slab variance (``slab_var``). The per-cluster inclusion
+probabilities pi_kj ~ (1 - rho_j) delta_0 + rho_j Beta(slab_a, slab_b) are
+not part of the state: every move on a cluster mean integrates them out,
+seating component j off SPIKE with probability rho_j slab_a / (slab_a +
+slab_b). ``step_pi`` draws only what ``step_rho`` conditions on, each
+attribute's number of clusters on the slab branch (pi_kj > 0), which makes
+the pair a partially collapsed Gibbs step (van Dyk & Park 2008, JASA
+103:790).
 """
 
 import numpy as np
 
 
 def spike_zero_weight(rho, slab_a, slab_b):
-    """Posterior probability that incl_prob is exactly zero given a zero mean.
+    """Posterior probability that an inclusion probability is exactly zero
+    given a zero mean component.
 
     The continuous branch keeps marginal mass rho * slab_b / (slab_a + slab_b)
     after observing a zero mean component, so the spike weight must be
@@ -19,38 +26,20 @@ def spike_zero_weight(rho, slab_a, slab_b):
     return (1.0 - rho) / ((1.0 - rho) + cont)
 
 
-def draw_pi_row(zero, attr_prob, hp, rng):
-    """One draw of inclusion probabilities given which mean components are
-    exactly zero (the boolean mask ``zero``) and their attributes'
-    propensities ``attr_prob``, one entry each."""
-    p = len(zero)
-    row = np.empty(p)
-    n_nonzero = int(p - zero.sum())
-    if n_nonzero:
-        row[~zero] = rng.beta(hp.slab_a + 1.0, hp.slab_b, size=n_nonzero)
-    if n_nonzero < p:
-        rho_z = attr_prob[zero]
-        w0 = spike_zero_weight(rho_z, hp.slab_a, hp.slab_b)
-        keep_zero = rng.random(size=rho_z.shape[0]) < w0
-        vals = np.where(keep_zero, 0.0, rng.beta(hp.slab_a, hp.slab_b + 1.0, size=rho_z.shape[0]))
-        row[zero] = vals
-    return row
-
-
 def step_pi(state, hp, rng):
-    """Refresh the full inclusion-probability matrix (one sweep of step 3)."""
-    for cid in state.samples.cluster_ids():
-        zero = state.cluster_means[cid].inner.spike_mask()
-        state.incl_prob[cid] = draw_pi_row(zero, state.attr_prob, hp, rng)
-
-
-def step_rho(state, hp, rng):
-    """Resample every attr_prob[j] given column j of the inclusion matrix."""
+    """Per attribute j, the number of clusters whose pi_kj is on the slab
+    branch, drawn given the means and attr_prob: every nonzero component,
+    and each zero one with probability 1 - ``spike_zero_weight(rho_j)``."""
     k_live = state.samples.n_clusters()
-    p = state.attr_prob.shape[0]
-    n_active = np.zeros(p)
-    for cid in state.samples.cluster_ids():
-        n_active += state.incl_prob[cid] > 0.0
+    nonzero = sum(m.inner.labels >= 0 for m in state.cluster_means.values())
+    w0 = spike_zero_weight(state.attr_prob, hp.slab_a, hp.slab_b)
+    return nonzero + rng.binomial(k_live - nonzero, 1.0 - w0)
+
+
+def step_rho(state, hp, rng, n_active):
+    """Resample every attr_prob[j] given ``n_active[j]``, the number of the
+    live clusters whose pi_kj is on the slab branch (see ``step_pi``)."""
+    k_live = state.samples.n_clusters()
     state.attr_prob = rng.beta(hp.rho_a + n_active, hp.rho_b + k_live - n_active)
 
 

@@ -4,6 +4,8 @@ attribute selection, fitted-mean error, co-clustering."""
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .sparsity import spike_zero_weight
+
 
 def k_posterior(trace):
     """Normalized frequency of the number of clusters; mode breaks ties low."""
@@ -20,9 +22,9 @@ def relabel_conditional_on_K(trace, k):
 
     Labels are matched to a running reference by minimum-cost bipartite
     matching with squared-distance costs between cluster mean vectors.
-    Returns (mu, pi, membership, used) where mu and pi are (T, k, p) aligned
-    arrays, membership is the (n, k) fraction of iterations each sample
-    spent in each aligned cluster, and used lists the trace indices.
+    Returns (mu, membership, used) where mu is the (T, k, p) array of
+    aligned means, membership is the (n, k) fraction of iterations each
+    sample spent in each aligned cluster, and used lists the trace indices.
     """
     used = [t for t, kt in enumerate(trace.ks) if kt == k]
     if not used:
@@ -30,7 +32,6 @@ def relabel_conditional_on_K(trace, k):
 
     p = trace.p
     mu = np.empty((len(used), k, p))
-    pi = np.empty((len(used), k, p))
     membership = np.zeros((trace.n, k))
     ref = trace.means[used[0]].copy()
     ref_weight = 0
@@ -41,12 +42,24 @@ def relabel_conditional_on_K(trace, k):
         perm = np.empty(k, dtype=int)
         perm[rows] = cols  # original label -> aligned label
         mu[out_t, perm] = m
-        pi[out_t, perm] = trace.pis[t]
         membership[np.arange(trace.n), perm[trace.assignments[t]]] += 1.0
         ref = (ref * ref_weight + mu[out_t]) / (ref_weight + 1)
         ref_weight += 1
     membership /= len(used)
-    return mu, pi, membership, used
+    return mu, membership, used
+
+
+def inclusion_posterior_mean(mu, rhos, hp):
+    """Posterior mean of each aligned cluster's inclusion probabilities,
+    (k, p), from the (T, k, p) aligned means ``mu`` and the T recorded rho
+    vectors ``rhos``. Each iteration contributes E[pi_kj | mu_kj, rho_j]
+    (Rao-Blackwellised): (a + 1)/(a + b + 1) where mu_kj is nonzero, and
+    (1 - w0(rho_j)) a/(a + b + 1) where it is zero, w0 being
+    ``spike_zero_weight`` and (a, b) the slab (slab_a, slab_b)."""
+    a, b = hp.slab_a, hp.slab_b
+    w0 = spike_zero_weight(np.asarray(rhos), a, b)
+    at_zero = (1.0 - w0)[:, None, :] * (a / (a + b + 1.0))
+    return np.where(mu != 0.0, (a + 1.0) / (a + b + 1.0), at_zero).mean(axis=0)
 
 
 def select_attributes(pi_mean, threshold=0.5):

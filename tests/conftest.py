@@ -71,7 +71,6 @@ def manual_state(y, sigma_sq, mean_values=None, mean_groups=None, hp=None,
         var_part=build_partition([[j] for j in range(p)], [float(v) for v in sigma_sq]),
         samples=build_partition([list(range(n))]),
         cluster_means={0: ClusterMeanVector(p)},
-        incl_prob={0: np.full(p, 0.5)},
         attr_prob=np.full(p, attr_prob),
         slab_var=slab_var,
         conc_samples=concs,

@@ -152,7 +152,6 @@ def _mixed_state(seed):
         var_part=build_partition(var_groups, rng.uniform(0.3, 2.0, len(var_groups)).tolist()),
         samples=build_partition([list(range(n))]),
         cluster_means={0: ClusterMeanVector(p)},
-        incl_prob={0: np.full(p, 0.5)},
         attr_prob=np.full(p, 0.5),
         slab_var=1.0,
         conc_samples=1.0,

@@ -60,8 +60,6 @@ def test_same_seed_identical_traces(ex3):
     assert a.ks == b.ks
     for xs, ys in zip(a.rhos, b.rhos):
         np.testing.assert_array_equal(xs, ys)
-    for xs, ys in zip(a.pis, b.pis):
-        np.testing.assert_array_equal(xs, ys)
     for xs, ys in zip(a.means, b.means):
         np.testing.assert_array_equal(xs, ys)
     for xs, ys in zip(a.assignments, b.assignments):
@@ -87,8 +85,8 @@ def test_init_modes(ex3):
 @pytest.mark.parametrize("mode", [ALL_ONE_CLUSTER, ALL_SINGLETONS])
 def test_init_state_seats_samples_as_per_item_construction(ex3, mode):
     """The sample partition that init_state writes in one go equals the one
-    built from its member groups, and the generator ends where one inclusion
-    row per cluster, drawn in creation order, leaves it."""
+    built from its member groups, each cluster with an all-SPIKE mean, and
+    the generator is left untouched."""
     data, hp = ex3
     rng = np.random.default_rng(5)
     state = init_state(data, hp, ChainConfig(init_mode=mode), rng)
@@ -97,10 +95,9 @@ def test_init_state_seats_samples_as_per_item_construction(ex3, mode):
     else:
         want = build_partition([[i] for i in range(data.n)])
     assert state.samples.to_dict() == want.to_dict()
-    ref_rng = np.random.default_rng(5)
-    for _ in want.cluster_ids():
-        chain.draw_pi_row(np.ones(data.p, dtype=bool), state.attr_prob, hp, ref_rng)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sorted(state.cluster_means) == want.cluster_ids()
+    assert all(not m.nonzero_count() for m in state.cluster_means.values())
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def test_every_sweep_state_valid(ex3):
@@ -138,7 +135,6 @@ def test_record_labels_beyond_int16():
         mean_part=build_partition([[0]]), var_part=build_partition([[0]], [1.0]),
         samples=samples,
         cluster_means={cid: ClusterMeanVector(1) for cid in samples.cluster_ids()},
-        incl_prob={cid: np.zeros(1) for cid in samples.cluster_ids()},
         attr_prob=np.full(1, 0.5), slab_var=1.0,
         conc_samples=1.0, conc_mean=1.0, conc_var=1.0, conc_inner=1.0,
     )
@@ -146,7 +142,7 @@ def test_record_labels_beyond_int16():
     tr.record(state)
     assert tr.ks == [n]
     np.testing.assert_array_equal(tr.assignments[0], np.arange(n))
-    assert tr.pis[0].shape == tr.means[0].shape == (n, 1)
+    assert tr.means[0].shape == (n, 1)
 
 
 CHAIN_STEPS = (

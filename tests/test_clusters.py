@@ -444,7 +444,6 @@ def test_death_ratio_recomputation_oracle():
         i = state.samples.members()[max(sizes, key=sizes.get)][0]
         cid = state.samples.move(i)
         state.cluster_means[cid] = ClusterMeanVector(data.p)
-        state.incl_prob[cid] = np.full(data.p, 0.5)
         singleton = i
     rng = np.random.default_rng(9)
     _, info = mh_death_move(copy.deepcopy(state), data, hp, singleton, rng,
@@ -491,7 +490,6 @@ def test_reassign_logits_match_scipy_oracle():
     state, data, hp = make_state(n=6, p=3, seed=13, require_multi=True)
     first = state.samples.cluster_ids()[0]
     state.cluster_means[first] = ClusterMeanVector(data.p)
-    state.incl_prob[first] = np.full(data.p, 0.5)
     assert any(state.cluster_means[c].nonzero_count() for c in state.samples.cluster_ids())
     loglik, col_order = _reassign_inputs(state, data, hp)
     assert loglik.shape == (data.n, len(col_order))
@@ -558,12 +556,10 @@ def test_inner_gibbs_p1_two_way_frequencies():
     hits = 0
     trials = 40_000
     saved_mean = copy.deepcopy(state.cluster_means[cid])
-    saved_row = state.incl_prob[cid].copy()
     for _ in range(trials):
         _inner_pass(state, data, hp, cid, rng)
         hits += state.cluster_means[cid].nonzero_count() > 0
         state.cluster_means[cid] = copy.deepcopy(saved_mean)
-        state.incl_prob[cid] = saved_row.copy()
     se = math.sqrt(p_slab * (1 - p_slab) / trials)
     assert abs(hits / trials - p_slab) < 4 * se
 
@@ -632,13 +628,11 @@ def test_inner_gibbs_value_redraw_moments():
     rng = np.random.default_rng(14)
     vals = []
     saved_mean = copy.deepcopy(state.cluster_means[cid])
-    saved_row = state.incl_prob[cid].copy()
     for _ in range(60_000):
         _inner_pass(state, data, hp, cid, rng)
         if state.cluster_means[cid].nonzero_count():
             vals.append(state.cluster_means[cid].mu()[0])
         state.cluster_means[cid] = copy.deepcopy(saved_mean)
-        state.incl_prob[cid] = saved_row.copy()
     vals = np.array(vals)
     se = vals.std() / math.sqrt(len(vals))
     # slab probability is not 1, so condition on the slab outcome
@@ -647,7 +641,7 @@ def test_inner_gibbs_value_redraw_moments():
     assert abs(vals.var() - 1.0 / v_post) < 6 * se_var
 
 
-def test_inner_gibbs_keeps_pi_coupling(tiny_state):
+def test_inner_gibbs_keeps_state_valid(tiny_state):
     state, data, hp = tiny_state
     rng = np.random.default_rng(15)
     for cid in state.samples.cluster_ids():
@@ -735,7 +729,6 @@ def test_skipped_births_match_per_sample_moves(monkeypatch):
             got, want = state.to_dict(), ref.to_dict()
             assert got["samples"] == want["samples"], (bit_generator, seed)
             assert got["cluster_means"] == want["cluster_means"], (bit_generator, seed)
-            assert got["incl_prob"] == want["incl_prob"], (bit_generator, seed)
             assert got == want, (bit_generator, seed)
             # Equal next draws: the two generators stand at the same position.
             assert rng.random(4).tolist() == ref_rng.random(4).tolist(), (bit_generator, seed)
@@ -794,7 +787,6 @@ def test_step5_aborts_name_the_move():
     state, data, hp = manual_state(y, sigma_sq=[0.01] * p, attr_prob=1e-3)
     cid = state.samples.move(3)  # sample 3 becomes a singleton
     state.cluster_means[cid] = ClusterMeanVector(p)
-    state.incl_prob[cid] = np.full(p, 0.5)
     data.y[3, 2] = np.inf  # past DataMatrix's check
     rng = np.random.default_rng(0)
 

@@ -25,7 +25,6 @@ from sparseclust.clusters import (
 from sparseclust.densities import LOG_2PI, pick_with_lse
 from sparseclust.forward import draw_data
 from sparseclust.partition import SPIKE
-from sparseclust.sparsity import draw_pi_row
 
 from conftest import build_partition, make_state
 
@@ -259,16 +258,9 @@ def _check_inner_gibbs(state, data, hp, cid, seed):
     gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
 
     inner = ref_state.cluster_means[cid].inner
-    was_spike = [inner.cluster_of(j) == SPIKE for j in range(inner.n_items)]
     rows = [i for i in range(data.n) if ref_state.samples.cluster_of(i) == cid]
     x = data.y[rows].sum(axis=0) / len(rows) - mu_base
     _reference_walk(inner, x, len(rows), sigma_sq, ref_state, hp, ref_rng.random(data.p), ref_rng)
-    flipped = [j for j in range(inner.n_items)
-               if (inner.cluster_of(j) == SPIKE) != was_spike[j]]
-    if flipped:
-        ref_state.incl_prob[cid][flipped] = draw_pi_row(
-            np.array([not was_spike[j] for j in flipped]), ref_state.attr_prob[flipped],
-            hp, ref_rng)
 
     assert state.to_dict() == ref_state.to_dict()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

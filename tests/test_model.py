@@ -115,7 +115,6 @@ def test_state_serialization_roundtrip_bit_exact():
     assert restored.conc_inner == state.conc_inner
     np.testing.assert_array_equal(restored.attr_prob, state.attr_prob)
     for cid in state.cluster_means:
-        np.testing.assert_array_equal(restored.incl_prob[cid], state.incl_prob[cid])
         np.testing.assert_array_equal(
             restored.cluster_means[cid].mu(), state.cluster_means[cid].mu()
         )
@@ -125,7 +124,7 @@ def test_state_serialization_roundtrip_bit_exact():
 def _state_arrays(state):
     parts = [state.mean_part, state.var_part, state.samples,
              *(m.inner for m in state.cluster_means.values())]
-    return [state.attr_prob, *state.incl_prob.values(),
+    return [state.attr_prob,
             *(getattr(part, name) for part in parts
               for name in ("labels", "counts", "values", "ids"))]
 
@@ -153,12 +152,15 @@ def test_validator_checks_data_shape():
         state.validate(DataMatrix(data.y[:, :3]))
 
 
-def test_validator_catches_broken_coupling():
+def test_validator_catches_cluster_means_out_of_sync():
+    """Every live sample cluster, and no other id, has a cluster mean."""
     state, data, _ = make_state(n=5, p=4, seed=17)
     state.validate(data)
-    # force a nonzero mean with a zero inclusion probability
     cid = state.samples.cluster_ids()[0]
-    state.cluster_means[cid] = ClusterMeanVector(4, build_partition([[0]], [1.5], 4))
-    state.incl_prob[cid][0] = 0.0
-    with pytest.raises(AssertionError):
+    mean = state.cluster_means.pop(cid)
+    with pytest.raises(AssertionError, match="out of sync"):
+        state.validate(data)
+    state.cluster_means[cid] = mean
+    state.cluster_means[max(state.cluster_means) + 1] = ClusterMeanVector(4)
+    with pytest.raises(AssertionError, match="out of sync"):
         state.validate(data)

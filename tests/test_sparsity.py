@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from sparseclust.clusters import ClusterMeanVector
+from sparseclust.diagnostics import batch_means_se
 from sparseclust.model import Hyperparams
-from sparseclust.partition import SPIKE
 from sparseclust.sparsity import (
-    draw_pi_row,
     spike_zero_weight,
+    step_pi,
     step_rho,
     update_eta_sq,
 )
@@ -19,20 +19,40 @@ from conftest import build_partition, make_state, manual_state
 mpmath.mp.dps = 30
 
 
+def _fixed_means(pattern, hp, attr_prob=0.5):
+    """A state of K singleton sample clusters whose means are fixed by the
+    K x p boolean ``pattern``: cluster k's mean is 0.7 where it is True and
+    zero elsewhere."""
+    pattern = np.asarray(pattern, dtype=bool)
+    k, p = pattern.shape
+    state, _data, _hp = manual_state(np.zeros((k, p)), sigma_sq=[1.0] * p, hp=hp,
+                                     attr_prob=attr_prob)
+    state.samples = build_partition([[i] for i in range(k)])
+    state.cluster_means = {
+        cid: ClusterMeanVector(p, build_partition([np.flatnonzero(row).tolist()], [0.7], p)
+                               if row.any() else None)
+        for cid, row in zip(state.samples.cluster_ids(), pattern)
+    }
+    return state
+
+
 def test_pi_nonzero_mean_is_slab_beta():
-    hp = Hyperparams(base_mean=0.0, base_var=1.0)  # slab Beta(9,1)
+    """A nonzero mean component's pi is always on the slab (Beta) branch,
+    whatever rho: an attribute nonzero in every cluster counts all K."""
+    hp = Hyperparams(base_mean=0.0, base_var=1.0)
+    state = _fixed_means(np.ones((4, 6), dtype=bool), hp)
     rng = np.random.default_rng(0)
-    draws = draw_pi_row(np.zeros(50_000, dtype=bool), np.full(50_000, 0.5), hp, rng)
-    assert np.all(draws > 0.0)
-    want_mean = 10.0 / 11.0  # Beta(10, 1)
-    se = draws.std() / math.sqrt(len(draws))
-    assert abs(draws.mean() - want_mean) < 4 * se
+    for rho in (1e-9, 0.3, 1.0 - 1e-9):
+        state.attr_prob[:] = rho
+        for _ in range(50):
+            assert step_pi(state, hp, rng).tolist() == [4] * 6
 
 
 def test_pi_zero_mean_zero_rho_is_spike():
     hp = Hyperparams(base_mean=0.0, base_var=1.0)
+    state = _fixed_means(np.zeros((3, 100), dtype=bool), hp, attr_prob=0.0)
     rng = np.random.default_rng(1)
-    assert (draw_pi_row(np.ones(100, dtype=bool), np.zeros(100), hp, rng) == 0.0).all()
+    assert (step_pi(state, hp, rng) == 0).all()
 
 
 def test_spike_weight_against_quadrature_posterior():
@@ -53,58 +73,55 @@ def test_spike_weight_against_quadrature_posterior():
 
 
 def test_pi_spike_frequency_matches_w0():
+    """A zero mean component's pi is on the slab branch with probability
+    1 - w0(rho)."""
     hp = Hyperparams(base_mean=0.0, base_var=1.0)
-    rho = 0.5
-    rng = np.random.default_rng(2)
-    draws = draw_pi_row(np.ones(100_000, dtype=bool), np.full(100_000, rho), hp, rng)
+    k, p, rho = 5, 20_000, 0.5
+    state = _fixed_means(np.zeros((k, p), dtype=bool), hp, attr_prob=rho)
+    counts = step_pi(state, hp, np.random.default_rng(2))
+    assert counts.min() >= 0 and counts.max() <= k
     w0 = spike_zero_weight(rho, hp.slab_a, hp.slab_b)
-    p_zero = (draws == 0.0).mean()
-    se = math.sqrt(w0 * (1 - w0) / len(draws))
-    assert abs(p_zero - w0) < 4 * se
-    # nonzero part is Beta(a, b+1)
-    nz = draws[draws > 0.0]
-    want = hp.slab_a / (hp.slab_a + hp.slab_b + 1.0)
-    assert abs(nz.mean() - want) < 4 * nz.std() / math.sqrt(len(nz))
+    se = math.sqrt(w0 * (1 - w0) / (k * p))
+    assert abs(counts.mean() / k - (1 - w0)) < 4 * se
 
 
 def test_update_pi_respects_mu_coupling(tiny_state):
+    """Every count lies between the attribute's number of nonzero mean
+    components and the number of clusters."""
     state, data, hp = tiny_state
+    nonzero = sum(m.inner.labels >= 0 for m in state.cluster_means.values())
+    assert nonzero.any()
+    k_live = state.samples.n_clusters()
     rng = np.random.default_rng(3)
-    for cid in state.samples.cluster_ids():
-        mean = state.cluster_means[cid]
-        row = draw_pi_row(mean.inner.spike_mask(), state.attr_prob, hp, rng)
-        for j in range(data.p):
-            if mean.inner.cluster_of(j) != SPIKE:
-                assert row[j] > 0.0
-        state.incl_prob[cid] = row
-    state.validate(data)
+    for _ in range(200):
+        counts = step_pi(state, hp, rng)
+        assert (counts >= nonzero).all() and (counts <= k_live).all()
 
 
-def _rho_draws(state, hp, rng, count):
+def _rho_draws(state, hp, rng, count, n_active):
     """Repeated step_rho draws of the whole attr_prob vector."""
     out = np.empty((count, state.p))
     for t in range(count):
-        step_rho(state, hp, rng)
+        step_rho(state, hp, rng, n_active)
         out[t] = state.attr_prob
     return out
 
 
 def test_update_rho_posterior_params():
-    # K clusters with controlled inclusion columns
     state, data, hp = make_state(n=6, p=2, seed=29, require_multi=True)
-    j = 0
     k_live = state.samples.n_clusters()
-    active = sum(1 for cid in state.samples.cluster_ids() if state.incl_prob[cid][j] > 0)
+    n_active = np.array([1, k_live - 1])
     rng = np.random.default_rng(0)
-    draws = _rho_draws(state, hp, rng, 100_000)[:, j]
-    want_mean = (hp.rho_a + active) / (hp.rho_a + hp.rho_b + k_live)
-    se = draws.std() / math.sqrt(len(draws))
-    assert abs(draws.mean() - want_mean) < 4 * se
+    draws = _rho_draws(state, hp, rng, 100_000, n_active)
+    for j in range(2):
+        want_mean = (hp.rho_a + n_active[j]) / (hp.rho_a + hp.rho_b + k_live)
+        se = draws[:, j].std() / math.sqrt(len(draws))
+        assert abs(draws[:, j].mean() - want_mean) < 4 * se
 
 
 def test_update_rho_extreme_counts():
-    """Boundary counts: all-zero column gives Beta(0.2, 203.8), all-active
-    gives Beta(4.2, 199.8) under the sparse defaults with K=4."""
+    """Boundary counts: no active cluster gives Beta(0.2, 203.8), all four
+    active give Beta(4.2, 199.8) under the sparse defaults with K=4."""
     seed = 0
     while True:
         state, data, hp = make_state(n=8, p=2, seed=seed)
@@ -113,13 +130,47 @@ def test_update_rho_extreme_counts():
         seed += 1
     hp = Hyperparams(base_mean=0.0, base_var=1.0)  # rho prior Beta(0.2, 199.8)
     rng = np.random.default_rng(1)
-    for fill, want_a, want_b in [(0.0, 0.2, 203.8), (0.7, 4.2, 199.8)]:
-        for cid in state.samples.cluster_ids():
-            state.incl_prob[cid][0] = fill
-        draws = _rho_draws(state, hp, rng, 100_000)[:, 0]
+    for fill, want_a, want_b in [(0, 0.2, 203.8), (4, 4.2, 199.8)]:
+        draws = _rho_draws(state, hp, rng, 100_000, np.full(2, fill))[:, 0]
         want_mean = want_a / (want_a + want_b)
         se = draws.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - want_mean) < 4 * se
+
+
+PAIR_SWEEPS = 20_000
+PAIR_BOUND = 4.0
+
+
+@pytest.mark.parametrize("rho_prior", [(0.2, 199.8), (2.0, 2.0)])
+def test_pi_rho_pair_matches_quadrature_posterior(rho_prior):
+    """Iterating step_pi then step_rho with the means fixed leaves rho_j at
+    its posterior given the means, with pi integrated out:
+    Beta(rho; rho_a, rho_b) s^nnz (1 - s)^(K - nnz), s = rho a / (a + b),
+    for an attribute nonzero in no, some and all of K = 4 clusters. Each
+    chain mean is bounded by its batch-means z against the quadrature mean.
+    The seed, sweep count and bound were fixed before the first run."""
+    hp = Hyperparams(base_mean=0.0, base_var=1.0, rho_a=rho_prior[0], rho_b=rho_prior[1])
+    pattern = np.array([[0, 1, 1], [0, 1, 1], [0, 0, 1], [0, 0, 1]], dtype=bool)
+    k = len(pattern)
+    state = _fixed_means(pattern, hp)
+    rng = np.random.default_rng(0)
+    draws = np.empty((PAIR_SWEEPS, pattern.shape[1]))
+    for t in range(PAIR_SWEEPS):
+        step_rho(state, hp, rng, step_pi(state, hp, rng))
+        draws[t] = state.attr_prob
+
+    coef = hp.slab_a / (hp.slab_a + hp.slab_b)
+    ra, rb = mpmath.mpf(hp.rho_a), mpmath.mpf(hp.rho_b)
+    for j, nnz in enumerate(pattern.sum(axis=0).tolist()):
+        def density(r, moment):
+            s = r * coef
+            return r ** moment * r ** (ra - 1) * (1 - r) ** (rb - 1) * s ** nnz * (1 - s) ** (k - nnz)
+
+        points = [0, 1e-4, 1e-3, 1e-2, 0.1, 1]
+        want = float(mpmath.quad(lambda r: density(r, 1), points)
+                     / mpmath.quad(lambda r: density(r, 0), points))
+        z = (draws[:, j].mean() - want) / batch_means_se(draws[:, j])
+        assert abs(z) < PAIR_BOUND, (j, nnz, draws[:, j].mean(), want, z)
 
 
 def test_eta_sq_prior_case():

@@ -71,60 +71,60 @@ def fingerprint(name):
     }
 
 
-PINS = {'ex1_default_one': {'labels': [0, 1, 2, 2, 3, 2, 4, 4, 3, 0, 2, 4, 1, 2, 4, 2, 1, 2, 5, 2],
-                            'per_sweep': [(3, 77, 13, 1), (3, 48, 4, 1), (3, 46, 3, 1),
-                                          (12, 40, 2, 1), (6, 37, 2, 2), (7, 30, 2, 2),
-                                          (10, 29, 2, 2), (9, 29, 2, 2), (9, 21, 2, 2),
-                                          (11, 16, 2, 2), (6, 13, 2, 2), (6, 9, 2, 2),
-                                          (8, 10, 2, 2), (6, 9, 2, 1), (5, 11, 2, 1),
-                                          (5, 12, 2, 2), (6, 13, 2, 2), (5, 12, 2, 3),
-                                          (6, 10, 2, 2), (6, 10, 2, 2)],
-                            'rng_state': 195038177119335591979521192698446678523},
-        'ex2_default_one': {'labels': [0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 2, 0, 0, 1, 1],
-                            'per_sweep': [(3, 351, 14, 2), (3, 245, 6, 0), (2, 207, 4, 0),
-                                          (1, 214, 3, 0), (1, 183, 3, 0), (1, 182, 2, 0),
-                                          (1, 166, 2, 0), (1, 129, 2, 0), (2, 119, 2, 0),
-                                          (1, 115, 2, 0), (1, 109, 2, 0), (1, 103, 2, 0),
-                                          (1, 108, 2, 0), (1, 101, 2, 0), (1, 96, 2, 0),
-                                          (1, 94, 2, 0), (1, 87, 2, 0), (1, 84, 2, 0),
-                                          (2, 77, 2, 0), (3, 72, 2, 0)],
-                            'rng_state': 320542244248386457813216099632016170388},
-        'ex3_beta22_singletons': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                             0, 0],
-                                  'per_sweep': [(5, 18, 8, 11), (3, 9, 5, 37), (3, 8, 3, 51),
-                                                (3, 7, 3, 60), (4, 5, 2, 98), (3, 4, 2, 66),
-                                                (3, 4, 2, 61), (3, 5, 2, 53), (3, 4, 2, 56),
-                                                (2, 4, 2, 38), (1, 3, 2, 25), (1, 2, 2, 21),
-                                                (1, 2, 2, 18), (1, 2, 2, 24), (1, 2, 2, 25),
-                                                (1, 2, 2, 16), (1, 2, 2, 17), (1, 2, 2, 17),
-                                                (1, 2, 2, 21), (1, 2, 2, 25)],
-                                  'rng_state': 73562011703741400292954233090128630378},
-        'ex4_default_one': {'labels': [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 1, 0],
-                            'per_sweep': [(3, 20, 14, 0), (4, 14, 7, 0), (6, 14, 7, 0),
-                                          (4, 18, 5, 0), (4, 17, 4, 0), (4, 11, 4, 0),
-                                          (3, 10, 3, 0), (4, 6, 3, 0), (5, 5, 3, 0), (3, 4, 3, 0),
-                                          (4, 4, 3, 0), (6, 4, 3, 0), (6, 4, 3, 0), (5, 4, 3, 0),
-                                          (7, 5, 3, 0), (7, 7, 3, 0), (8, 6, 3, 0), (7, 5, 3, 0),
-                                          (6, 6, 3, 0), (3, 6, 3, 0)],
-                            'rng_state': 182310167149724418847101298852364343193},
-        'tall_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                        0],
-                             'per_sweep': [(1, 22, 8, 0), (1, 14, 3, 0), (1, 11, 2, 0),
-                                           (1, 10, 2, 0), (1, 7, 2, 0), (1, 7, 2, 0), (1, 4, 2, 0),
-                                           (1, 4, 2, 0), (2, 3, 2, 0), (1, 3, 2, 0), (1, 3, 2, 0),
-                                           (1, 3, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
-                                           (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
-                                           (1, 2, 2, 0)],
-                             'rng_state': 29408493879983888159641354960390531624}}
+PINS = {'ex1_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                             'per_sweep': [(4, 78, 13, 0), (4, 51, 6, 0), (4, 45, 3, 0),
+                                           (7, 44, 3, 0), (6, 41, 2, 0), (6, 31, 2, 0),
+                                           (4, 31, 2, 0), (5, 21, 2, 0), (5, 17, 2, 1),
+                                           (4, 18, 2, 1), (3, 20, 2, 0), (2, 17, 2, 0),
+                                           (1, 20, 2, 0), (1, 17, 2, 0), (1, 14, 2, 0),
+                                           (1, 13, 2, 0), (1, 10, 2, 0), (1, 14, 2, 0),
+                                           (1, 12, 2, 0), (1, 9, 2, 0)],
+                             'rng_state': 61240369362527409974324711032639621730},
+         'ex2_default_one': {'labels': [0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 3, 0, 3, 2, 4, 4, 0, 5],
+                             'per_sweep': [(2, 352, 19, 0), (1, 250, 4, 0), (1, 233, 4, 0),
+                                           (1, 204, 3, 0), (1, 169, 3, 0), (1, 172, 3, 0),
+                                           (1, 155, 3, 0), (1, 143, 2, 0), (1, 129, 2, 0),
+                                           (1, 126, 2, 0), (1, 110, 2, 0), (1, 101, 2, 0),
+                                           (1, 88, 2, 0), (1, 85, 2, 0), (1, 77, 2, 0),
+                                           (1, 78, 2, 0), (2, 76, 2, 2), (4, 72, 2, 0),
+                                           (5, 81, 2, 0), (6, 77, 2, 0)],
+                             'rng_state': 336185351096648934676731241841837363207},
+         'ex3_beta22_singletons': {'labels': [0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
+                                              3, 3],
+                                   'per_sweep': [(6, 17, 12, 12), (6, 9, 7, 47), (6, 6, 3, 87),
+                                                 (6, 4, 2, 103), (6, 4, 2, 86), (7, 4, 2, 105),
+                                                 (9, 3, 2, 135), (9, 3, 2, 160), (8, 3, 1, 162),
+                                                 (7, 3, 1, 128), (7, 4, 1, 118), (5, 3, 1, 81),
+                                                 (5, 3, 1, 73), (4, 2, 1, 60), (4, 2, 1, 57),
+                                                 (3, 2, 1, 44), (3, 2, 1, 43), (3, 2, 1, 35),
+                                                 (3, 2, 1, 35), (4, 2, 1, 43)],
+                                   'rng_state': 63736817067862269358509860245020498792},
+         'ex4_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                             'per_sweep': [(2, 19, 18, 0), (1, 15, 10, 0), (2, 16, 6, 0),
+                                           (1, 19, 6, 0), (1, 13, 6, 0), (3, 15, 5, 0),
+                                           (3, 17, 4, 0), (3, 14, 4, 0), (3, 12, 4, 0),
+                                           (5, 10, 3, 0), (3, 8, 3, 0), (5, 8, 3, 0), (3, 6, 3, 0),
+                                           (4, 10, 3, 0), (3, 7, 4, 0), (1, 7, 3, 0), (1, 6, 3, 0),
+                                           (1, 7, 3, 0), (1, 6, 3, 0), (1, 7, 3, 0)],
+                             'rng_state': 237306563059806526838456576546213865080},
+         'tall_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                         0],
+                              'per_sweep': [(2, 20, 8, 0), (2, 10, 3, 0), (2, 9, 3, 0),
+                                            (2, 6, 3, 0), (1, 4, 3, 0), (1, 4, 3, 0), (1, 3, 2, 0),
+                                            (1, 3, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                            (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                            (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                            (1, 2, 2, 0)],
+                              'rng_state': 143675211275550015432038166347233762724}}
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from sparseclust.chain import ChainTrace
+from sparseclust.model import Hyperparams
 from sparseclust.simulate import SimTruth
 from sparseclust.summarize import (
     coclustering,
     fitted_mean_posterior,
+    inclusion_posterior_mean,
     k_posterior,
     mse_fitted_means,
     relabel_conditional_on_K,
@@ -14,22 +16,21 @@ from sparseclust.summarize import (
 
 
 def _trace_from(entries, n, p):
-    """Build a ChainTrace from (assignments, means, pi, rho, baseline) tuples."""
+    """Build a ChainTrace from (assignments, means, rho, baseline) tuples."""
     tr = ChainTrace(n, p)
-    for assid, means, pis, rho, base in entries:
+    for assid, means, rho, base in entries:
         tr.ks.append(means.shape[0])
         tr.assignments.append(np.asarray(assid, dtype=np.int16))
         tr.means.append(np.asarray(means, dtype=float))
-        tr.pis.append(np.asarray(pis, dtype=float))
         tr.rhos.append(np.asarray(rho, dtype=float))
         tr.baselines.append(np.asarray(base, dtype=float))
     return tr
 
 
 def _permuted_entry(entry, perm):
-    assid, means, pis, rho, base = entry
+    assid, means, rho, base = entry
     inv = np.argsort(perm)
-    return (inv[assid], means[perm], pis[perm], rho, base)
+    return (inv[assid], means[perm], rho, base)
 
 
 @pytest.fixture
@@ -38,9 +39,8 @@ def two_cluster_trace():
     base = np.zeros(p)
     rho = np.full(p, 0.5)
     means = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.5]])
-    pis = np.array([[0.9, 0.0, 0.1], [0.8, 0.1, 0.7]])
     assid = np.array([0, 0, 1, 1])
-    entries = [(assid, means, pis, rho, base)]
+    entries = [(assid, means, rho, base)]
     rng = np.random.default_rng(0)
     for _ in range(9):
         perm = rng.permutation(2)
@@ -50,7 +50,7 @@ def two_cluster_trace():
 
 def test_k_posterior_constant():
     tr = _trace_from(
-        [(np.zeros(3, int), np.zeros((4, 2)), np.zeros((4, 2)), np.zeros(2), np.zeros(2))] * 5,
+        [(np.zeros(3, int), np.zeros((4, 2)), np.zeros(2), np.zeros(2))] * 5,
         3, 2,
     )
     hist, mode = k_posterior(tr)
@@ -59,8 +59,8 @@ def test_k_posterior_constant():
 
 def test_k_posterior_tie_breaks_low():
     n, p = 3, 2
-    e_small = (np.zeros(n, int), np.zeros((2, p)), np.zeros((2, p)), np.zeros(p), np.zeros(p))
-    e_big = (np.zeros(n, int), np.zeros((5, p)), np.zeros((5, p)), np.zeros(p), np.zeros(p))
+    e_small = (np.zeros(n, int), np.zeros((2, p)), np.zeros(p), np.zeros(p))
+    e_big = (np.zeros(n, int), np.zeros((5, p)), np.zeros(p), np.zeros(p))
     tr = _trace_from([e_big, e_small], n, p)
     _, mode = k_posterior(tr)
     assert mode == 2
@@ -73,27 +73,26 @@ def test_k_posterior_empty_trace_errors():
 
 
 def test_relabel_recovers_permutations(two_cluster_trace):
-    mu, pi, membership, used = relabel_conditional_on_K(two_cluster_trace, 2)
+    mu, membership, used = relabel_conditional_on_K(two_cluster_trace, 2)
     assert len(used) == 10
     # every iteration aligns exactly to the first one
     for t in range(10):
         np.testing.assert_array_equal(mu[t], mu[0])
-        np.testing.assert_array_equal(pi[t], pi[0])
     assert set(np.unique(membership)) == {0.0, 1.0}
 
 
 def test_relabel_alignment_invariant_under_relabeling(two_cluster_trace):
-    mu_a, pi_a, mem_a, _ = relabel_conditional_on_K(two_cluster_trace, 2)
+    mu_a, mem_a, _ = relabel_conditional_on_K(two_cluster_trace, 2)
     # inject a fixed permutation into every iteration
     tr = two_cluster_trace
     perm = np.array([1, 0])
     entries = [
-        _permuted_entry((tr.assignments[t], tr.means[t], tr.pis[t], tr.rhos[t],
-                         tr.baselines[t]), perm)
+        _permuted_entry((tr.assignments[t], tr.means[t], tr.rhos[t], tr.baselines[t]),
+                        perm)
         for t in range(len(tr))
     ]
     tr2 = _trace_from(entries, tr.n, tr.p)
-    mu_b, pi_b, mem_b, _ = relabel_conditional_on_K(tr2, 2)
+    mu_b, mem_b, _ = relabel_conditional_on_K(tr2, 2)
     # aligned summaries agree up to one global permutation; costs are equal
     got = {tuple(np.round(mu_b.mean(axis=0)[k], 9)) for k in range(2)}
     want = {tuple(np.round(mu_a.mean(axis=0)[k], 9)) for k in range(2)}
@@ -103,6 +102,34 @@ def test_relabel_alignment_invariant_under_relabeling(two_cluster_trace):
 def test_relabel_missing_k_errors(two_cluster_trace):
     with pytest.raises(ValueError):
         relabel_conditional_on_K(two_cluster_trace, 5)
+
+
+def test_inclusion_posterior_mean_is_the_closed_form():
+    """Per iteration, E[pi | mu, rho] is (a + 1)/(a + b + 1) at a nonzero
+    mean component and (1 - w0(rho)) a/(a + b + 1) at a zero one; the
+    estimate averages it over the aligned iterations, and select_attributes
+    reads the result. Slab Beta(3, 1), rho 0.5 and then 0.2."""
+    hp = Hyperparams(base_mean=0.0, base_var=1.0, slab_a=3.0, slab_b=1.0)
+    n, p = 4, 3
+    base = np.zeros(p)
+    assid = np.array([0, 0, 1, 1])
+    first = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.5]])
+    second = np.array([[0.8, 0.0, 0.2], [-1.2, 0.0, 0.0]])
+    tr = _trace_from([(assid, first, np.full(p, 0.5), base),
+                      (assid, second, np.full(p, 0.2), base)], n, p)
+    mu, _membership, used = relabel_conditional_on_K(tr, 2)
+    got = inclusion_posterior_mean(mu, [tr.rhos[t] for t in used], hp)
+
+    on = 4.0 / 5.0  # (a + 1)/(a + b + 1)
+    # w0 = (1 - rho) / (1 - rho + rho b/(a + b)): 0.5 -> 4/5, 0.2 -> 16/17
+    off = {0.5: (1.0 - 4.0 / 5.0) * 3.0 / 5.0, 0.2: (1.0 - 16.0 / 17.0) * 3.0 / 5.0}
+    want = np.array([
+        [on, off[0.5] / 2 + off[0.2] / 2, off[0.5] / 2 + on / 2],
+        [on, off[0.5] / 2 + off[0.2] / 2, on / 2 + off[0.2] / 2],
+    ])
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert select_attributes(got, 0.45) == {1, 3}  # attribute 3 via cluster 1 only
+    assert select_attributes(got, 0.5) == {1}
 
 
 def test_select_attributes_thresholds():
@@ -149,8 +176,8 @@ def test_coclustering_invariant_to_label_permutation(two_cluster_trace):
     tr = two_cluster_trace
     perm = np.array([1, 0])
     entries = [
-        _permuted_entry((tr.assignments[t], tr.means[t], tr.pis[t], tr.rhos[t],
-                         tr.baselines[t]), perm)
+        _permuted_entry((tr.assignments[t], tr.means[t], tr.rhos[t], tr.baselines[t]),
+                        perm)
         for t in range(len(tr))
     ]
     tr2 = _trace_from(entries, tr.n, tr.p)
