@@ -199,9 +199,8 @@ def crp_draw(n, conc, rng, draw_value, seated=None):
     and is SPIKE otherwise."""
     labels, counts, values = [], [], []
     log_conc = math.log(conc)
-    probs = None if seated is None else np.asarray(seated, dtype=float).tolist()
     for j in range(n):
-        if probs is not None and not probs[j] > rng.random():
+        if seated is not None and not seated[j] > rng.random():
             labels.append(SPIKE)
             continue
         t, _lse = pick_with_lse([*map(math.log, counts), log_conc], rng.random())

@@ -15,7 +15,7 @@ from sparseclust.model import (
 )
 from sparseclust.simulate import gen_example1
 
-from conftest import build_partition, make_state
+from conftest import make_state
 
 
 def test_data_matrix_validates():
