@@ -31,7 +31,8 @@ from .densities import (
 from .io import load_csv, preprocess_expression, standardize_columns
 from .model import DataMatrix, DegenerateDataError, Hyperparams, ModelState, default_hyperparams
 from .partition import SPIKE, Partition, crp_log_prob
-from .simulate import SimTruth, gen_example1, gen_example2, gen_example3, gen_example4
+from .simulate import (
+    SimTruth, gen_example1, gen_example2, gen_example3, gen_example4, gen_golub_shape)
 from .sparsity import update_eta_sq
 from .summarize import (
     coclustering,
@@ -66,6 +67,7 @@ __all__ = [
     "gen_example2",
     "gen_example3",
     "gen_example4",
+    "gen_golub_shape",
     "gibbs_reassign",
     "gibbs_update_cluster_mean",
     "inclusion_posterior_mean",

@@ -22,17 +22,25 @@ opens the clusters in order of first appearance: it reads the seats as the
 first-appearance labels of ``Partition.canonical``, and the values in that
 order.
 
-While no inner cluster is live, a component weighs only SPIKE against a new
-cluster, with weights that no earlier seat changes, so the walk seats a run
-of components up to the first non-spike seat as one block, by one array
-comparison of the run's uniforms against its SPIKE weights. The replay
-walks the same blocks. A block starts only at a component that favours
-SPIKE, so dense vectors take the scalar path.
+The walk seats runs of SPIKE seats in blocks. A SPIKE seat changes no slot
+and not the walk's member total, so while the seats stay SPIKE the next
+components' weights are fixed: one array comparison of their uniforms
+against their SPIKE weights seats them up to the first one off SPIKE, whose
+seat is read from its cumulative weights. While no inner cluster is live, a
+block starts at a component that favours SPIKE and weighs SPIKE against a
+new cluster only, from terms built before the walk. With inner clusters
+live, a live block starts only after 16 SPIKE seats in a row, so dense
+vectors stay on the scalar path; it weighs every slot from the terms the
+walk keeps per slot (log count, posterior mean and variance, updated when
+the slot changes), summed as the scalar step sums them, spans up to a fixed
+number of cells and stops before the next component that starts seated.
+The replay walks the same blocks, so it stays bitwise equal to the
+proposal.
 
 The walk reads its per-component inputs from a ``WalkTerms`` row: the
 SPIKE and new-cluster weights, where spike runs start and the run's choice
-terms, built as arrays before the walk, and as Python lists only when the
-walk leaves the block path. None of them depends on a seat. In step 5 they
+terms, built as arrays before the walk, and as Python lists only at the
+walk's first scalar step. None of them depends on a seat. In step 5 they
 depend only on the baselines, attr_prob, slab_var and conc_inner, and no
 birth, death or reassignment move changes any of those. So
 ``step_clusters`` builds one ``BirthDeathPass`` for the birth/death loop and
@@ -66,12 +74,19 @@ still not a singleton when it is reached; the skip is exactly the birth move
 on that row.
 """
 
+import bisect
 import math
 
 import numpy as np
 
 from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
 from .partition import SPIKE, Partition, crp_draw, drop_empty
+
+# SPIKE seats in a row before a live block: a block costs several scalar
+# steps and wastes the components after its stop, so it pays only in a run.
+_LIVE_RUN = 16
+# Cells, components times (slots + 2), a live block spans.
+_BLOCK_CELLS = 4096
 
 
 class ClusterMeanVector:
@@ -109,7 +124,8 @@ class WalkTerms:
     the run's scaled choice terms ``run_spike``, ``run_tot``,
     ``run_lp_spike`` and ``run_lp_new`` (see ``_spike_run_terms``), with
     one finiteness flag per row in ``run_finite``. Shared by all rows:
-    log s, log(1 - s), the observation variance and precision.
+    log s, log(1 - s), the observation variance and precision. The run
+    terms serve only the blocks walked while no inner cluster is live.
     """
 
     def __init__(self, x, n_count, sigma_sq, state, hp):
@@ -257,8 +273,8 @@ def _scan_components(inner, terms, i, u=None, rng=None):
     sums: there the later components are still seated, so they are not
     densities of the result). Without ``u`` the walk starts empty and
     replays the seats and values ``inner`` holds, leaving it untouched; the
-    replay repeats the proposal's arithmetic, spike-run blocks included, so
-    its log densities are bitwise equal.
+    replay repeats the proposal's arithmetic, blocks included (see the
+    module docstring), so its log densities are bitwise equal.
 
     ``x[j]`` averages n_count observations, so member j carries precision
     n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
@@ -276,23 +292,38 @@ def _scan_components(inner, terms, i, u=None, rng=None):
 
     # Per slot (see the module docstring), its member count, summed member
     # precision and summed statistic; an emptied slot's sums are reset to 0.
-    counts, sprec, sstat = [], [], []
+    # From them, its weight terms: log count (-inf once emptied), posterior
+    # mean and posterior variance, updated when the slot changes.
+    counts, sprec, sstat, slot_terms = [], [], [], []
+
+    def refresh(t):
+        c = counts[t]
+        v_post = inv_slab_var + sprec[t]
+        slot_terms[t] = (math.log(c) if c else -math.inf, sstat[t] / v_post, 1.0 / v_post)
+
     # The seats the walk starts from (drawing) or replays, as slots; and the
     # row and the uniforms as Python lists. A walk from empty needs none of
-    # them on the block path, so it builds them when it leaves that path.
+    # them in a spike run with no inner cluster live, so it builds them at
+    # its first scalar step.
     start = xs = None
+    seated_at = []  # the components that start seated, in order
     if k_start:
         start = labels.tolist()
+        seated_at = np.flatnonzero(labels >= 0).tolist()
         xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
         us = u.tolist()
         counts = inner.sizes()
         sprec, sstat = _member_sums(labels, terms, i, k_start)
+        slot_terms = [None] * k_start
+        for t in range(k_start):
+            refresh(t)
         labels.fill(SPIKE)  # the seat of every component not drawn off SPIKE
     m_total = sum(counts)
 
     log_q = 0.0
     log_q0 = 0.0
     j = 0
+    spikes = 0  # SPIKE seats since the last seat off SPIKE
     while j < p:
         if k_start:
             t = start[j]
@@ -304,11 +335,12 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                     sstat[t] -= stats[j]
                 else:
                     sprec[t] = sstat[t] = 0.0
+                refresh(t)
 
         log_denom = math.log(conc_inner + m_total)
         k = len(counts)
-        block = not m_total and starts_run.item(j)
-        if block:
+        choice = None
+        if not m_total and starts_run.item(j):
             # A spike run: see the module docstring.
             if not terms.run_finite[i]:
                 raise SamplerAbort("non-finite log weights in a spike run")
@@ -328,19 +360,31 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                 start = seats.tolist()
             else:
                 us = u.tolist()
-        if not block:
+        if choice is None and m_total and spikes >= _LIVE_RUN:
+            # A live block: see the module docstring. It stops before the
+            # next component that starts seated.
+            nxt = bisect.bisect_right(seated_at, j)
+            end = min(j + max(1, _BLOCK_CELLS // (k + 2)),
+                      seated_at[nxt] if nxt < len(seated_at) else p)
+            stop, choice, block_q = _live_block(
+                terms, i, j, end, slot_terms, log_denom, seats if replay else None, u)
+            log_q += block_q
+            log_q0 += float(np.add.reduce(terms.log_spike[j:stop]))
+            spikes += stop - j
+            j = stop
+            if stop == end:
+                continue
+        if choice is None:
             xj = xs[j]
             v_obs = v_obs_list[j]
             lsj = log_s[j]
             logw = [pre_spike[j]]
-            for t in range(k):
-                c = counts[t]
-                if c:
-                    v_post = inv_slab_var + sprec[t]
-                    logw.append(
-                        lsj + math.log(c) - log_denom
-                        + log_normal_pdf(xj, sstat[t] / v_post, 1.0 / v_post + v_obs)
-                    )
+            for c, (log_c, mean, var) in zip(counts, slot_terms):
+                if c:  # log_normal_pdf, summed as the live block sums it
+                    d = xj - mean
+                    var += v_obs
+                    logw.append(lsj + log_c - log_denom
+                                - 0.5 * (LOG_2PI + math.log(var) + d * d / var))
                 else:  # an emptied slot: adds 0 to the pick's sums
                     logw.append(-math.inf)
             logw.append(pre_new[j] - log_denom)
@@ -351,13 +395,15 @@ def _scan_components(inner, terms, i, u=None, rng=None):
 
         if choice == 0:
             log_q0 += log_spike[j]
+            spikes += 1
             j += 1
             continue
+        spikes = 0
         lsj = log_s[j]
         m_total += 1
         t = choice - 1
         if t < k:
-            log_q0 += lsj + math.log(counts[t]) - log_denom
+            log_q0 += lsj + slot_terms[t][0] - log_denom
             counts[t] += 1
             sprec[t] += precs[j]
             sstat[t] += stats[j]
@@ -366,6 +412,8 @@ def _scan_components(inner, terms, i, u=None, rng=None):
             counts.append(1)
             sprec.append(precs[j])
             sstat.append(stats[j])
+            slot_terms.append(None)
+        refresh(t)
         if not replay:
             labels[j] = t
         j += 1
@@ -422,6 +470,51 @@ def _spike_run_stop(j, terms, i, labels, u):
     else:
         off = u[j:p] * terms.run_tot[i, j:] > terms.run_spike[i, j:]
     return j + int(off.argmax()) if off.any() else p
+
+
+def _live_block(terms, i, j, end, slot_terms, log_denom, seats, u):
+    """Seat components j..end-1 of row i of ``terms`` from the walk's
+    ``slot_terms`` and the CRP log denominator ``log_denom``, as scalar
+    steps would while each stays on SPIKE. Returns (stop, choice, log_q):
+    components j..stop-1 go to SPIKE, their log probabilities summing to
+    ``log_q``. ``stop`` is ``end`` (choice None), a component seated at
+    ``choice`` (its log probability in ``log_q``) or one whose weights are
+    not finite (choice None), left for the scalar pick to abort on.
+    Replaying, the seats are ``seats``."""
+    k = len(slot_terms)
+    n = end - j
+    log_c, post_mean, post_var = np.array(slot_terms).T
+    # Column c holds component j + c's weights, row 0 SPIKE, row 1 + t slot
+    # t and the last row a new cluster. A column with a non-finite weight
+    # stops the block; its arithmetic stays quiet.
+    with np.errstate(all="ignore"):
+        var = np.add.outer(post_var, terms.v_obs[j:end])
+        d = np.subtract.outer(post_mean, terms.x[i, j:end])  # only d * d is read
+        w = np.empty((k + 2, n))
+        w[0] = terms.spike[i, j:end]
+        w[1:-1] = (np.add.outer(log_c, terms.log_s[j:end]) - log_denom
+                   - 0.5 * (LOG_2PI + np.log(var) + d * d / var))
+        w[-1] = terms.new[i, j:end] - log_denom
+        top = np.maximum.reduce(w)
+        acc = np.add.accumulate(np.exp(w - top))
+    total = acc[-1]
+    if seats is None:
+        scaled = u[j:end] * total
+        off = ~(scaled <= acc[0])
+    else:
+        off = (seats[j:end] != SPIKE) | ~np.isfinite(total)
+    r = int(off.argmax())
+    if not off[r]:
+        r = n
+    lse = top[:r + 1] + np.log(total[:r + 1])
+    log_q = float(np.add.reduce(w[0, :r] - lse[:r]))
+    if r == n or not math.isfinite(total[r]):
+        return j + r, None, log_q
+    if seats is None:
+        choice = min(int(acc[:, r].searchsorted(scaled[r])), k + 1)
+    else:
+        choice = 1 + int(seats[j + r])
+    return j + r, choice, log_q + (w.item(choice, r) - lse.item(r))
 
 
 def _member_sums(seats, terms, i, k):

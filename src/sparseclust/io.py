@@ -75,15 +75,17 @@ def save_matrix_csv(path, matrix, names=None, index_name=None, index=None):
         write_csv(path, [index_name, *names], ([label, *row] for label, row in zip(index, matrix)))
 
 
-def preprocess_expression(data, floor=1.0, ceil=16000.0, ratio=5.0, spread=500.0, top=2000):
-    """Standard expression filtering: clamp to [floor, ceil], drop attributes
-    that are flat in both relative and absolute terms, keep the ``top``
-    attributes by across-sample variance (original column order)."""
+def preprocess_expression(data, floor=100.0, ceil=16000.0, ratio=5.0, spread=500.0, top=2000):
+    """The leukemia-data preprocessing of Dudoit, Fridlyand & Speed (2002,
+    JASA 97:77): clamp to [floor, ceil], drop attributes with max/min <=
+    ``ratio`` or max - min <= ``spread``, take log10, and keep the ``top``
+    attributes by across-sample variance of the log10 values (original
+    column order)."""
     y = np.clip(data.y, floor, ceil)
     col_max = y.max(axis=0)
     col_min = y.min(axis=0)
-    keep = ~((col_max / col_min <= ratio) & (col_max - col_min <= spread))
-    y = y[:, keep]
+    keep = (col_max / col_min > ratio) & (col_max - col_min > spread)
+    y = np.log10(y[:, keep])
     names = [nm for nm, k in zip(data.names, keep) if k] if data.names else None
     if y.shape[1] == 0:
         raise CsvFormatError("no attributes survive the flatness filter")

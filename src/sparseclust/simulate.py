@@ -1,4 +1,5 @@
-"""Deterministic generators for the four benchmark simulation designs.
+"""Deterministic generators for the four benchmark simulation designs and
+one design of the leukemia data's shape.
 
 Attribute and sample numbering in docstrings and in ``SimTruth.relevant``
 is 1-based (as in the tables these designs come from); arrays are 0-based.
@@ -20,7 +21,7 @@ class SimTruth:
 
 
 def _finish(mu, sigma, labels, seed):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a seed, or a Generator to go on with
     y = mu + sigma * rng.standard_normal(mu.shape)
     relevant = {int(j) + 1 for j in np.nonzero(np.any(mu != 0.0, axis=0))[0]}
     truth = SimTruth(mu=mu, sigma=sigma, labels=labels, relevant=relevant)
@@ -81,3 +82,20 @@ def gen_example4(seed):
     sigma = np.full(p, 0.1)
     labels = np.repeat(np.arange(2), 10)
     return _finish(mu, sigma, labels, seed)
+
+
+def gen_golub_shape(seed):
+    """A design of the shape of the leukemia data (Golub et al. 1999):
+    72 samples in groups of 38, 9 and 25 (B-ALL, T-ALL, AML) and p=2000.
+    Attributes 1-20 separate all three groups (means 0.5, 1.5, -1.0),
+    21-35 only T-ALL (mean 1.2) and 36-50 only AML (mean -1.2); the other
+    1950 are noise. Each attribute's noise sd is drawn from U(0.3, 1)."""
+    n, p = 72, 2000
+    labels = np.repeat(np.arange(3), [38, 9, 25])
+    mu = np.zeros((n, p))
+    mu[:, 0:20] = np.array([0.5, 1.5, -1.0])[labels, None]
+    mu[labels == 1, 20:35] = 1.2
+    mu[labels == 2, 35:50] = -1.2
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.3, 1.0, size=p)
+    return _finish(mu, sigma, labels, rng)

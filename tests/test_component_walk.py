@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from sparseclust import clusters
 from sparseclust.chain import sweep
 from sparseclust.clusters import (
     ClusterMeanVector,
@@ -22,7 +23,7 @@ from sparseclust.clusters import (
     _slab_coef,
     gibbs_update_cluster_mean,
 )
-from sparseclust.densities import LOG_2PI, pick_with_lse
+from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
 from sparseclust.forward import draw_data
 from sparseclust.partition import SPIKE
 
@@ -133,19 +134,26 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
 
 
 MID = 60
+# The live kind's components that favour the slab, and the one that starts
+# seated far down the vector.
+LIVE_EARLY, LIVE_LATE, LIVE_SEATED = 0, 250, 280
 
 
 def _case(kind, seed):
     """(state, data, hp, cid, x) for one walk input.
 
     spike: 300 components that favour SPIKE; mid: 120 such components but
-    component 60 strongly favours the slab; dense: 40 slab-favouring
-    components; p1: a single component. The inner Gibbs pass starts all
-    SPIKE, except in mid, where component 10 starts alone in an inner cluster
-    that empties when it leaves, so a spike run starts inside the pass, and
-    in dense and p1 at odd seeds, which start with live inner clusters.
+    component 60 strongly favours the slab; live: 300 such components but
+    components 0 and 250 strongly favour the slab, so spike runs with an
+    inner cluster live are walked as blocks that stop at component 250's
+    seat and start again; dense: 40 slab-favouring components; p1: a single
+    component. The inner Gibbs pass starts all SPIKE, except in mid, where
+    component 10 starts alone in an inner cluster that empties when it
+    leaves, so a spike run starts inside the pass; in live, where component
+    280 starts alone in an inner cluster, so a block must stop before it;
+    and in dense and p1 at odd seeds, which start with live inner clusters.
     """
-    p = {"spike": 300, "mid": 120, "dense": 40, "p1": 1}[kind]
+    p = {"spike": 300, "mid": 120, "live": 300, "dense": 40, "p1": 1}[kind]
     state, data, hp = make_state(n=3, p=p, seed=seed)
     rng = np.random.default_rng(10_000 + seed)
     cid = state.samples.cluster_ids()[0]
@@ -164,6 +172,10 @@ def _case(kind, seed):
         state.attr_prob[MID] = 0.9
         x[MID] = 6.0
         start = ClusterMeanVector(p, build_partition([[10]], [5.0], p))
+    elif kind == "live":
+        state.attr_prob[[LIVE_EARLY, LIVE_LATE]] = 0.9
+        x[[LIVE_EARLY, LIVE_LATE]] = 6.0
+        start = ClusterMeanVector(p, build_partition([[LIVE_SEATED]], [5.0], p))
     elif kind in ("dense", "p1") and seed % 2:
         # Components j % 3 == 0 and == 1 form two inner clusters (valued
         # x[0] and x[1]), the rest are SPIKE.
@@ -174,7 +186,7 @@ def _case(kind, seed):
     return state, data, hp, cid, x
 
 
-KINDS = ("spike", "mid", "dense", "p1")
+KINDS = ("spike", "mid", "live", "dense", "p1")
 SEEDS = range(30)
 # default_rng's PCG64 keeps the bare kind as its test id.
 BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
@@ -219,6 +231,122 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
         assert seen_spike_only >= len(SEEDS) // 2
     else:
         assert seen_slab >= len(SEEDS) // 2
+
+
+def _record_live_blocks(monkeypatch):
+    """Record every live block the walk scores as (start, end, stop, choice)."""
+    blocks = []
+    live_block = clusters._live_block
+
+    def recorded(terms, i, j, end, *args):
+        stop, choice, log_q = live_block(terms, i, j, end, *args)
+        blocks.append((j, end, stop, choice))
+        return stop, choice, log_q
+
+    monkeypatch.setattr(clusters, "_live_block", recorded)
+    return blocks
+
+
+def test_live_blocks_stop_at_a_slab_seat_and_start_again(monkeypatch):
+    """In the live kind, once component 0 is seated off SPIKE and 16 more
+    on SPIKE, the walk seats the rest of the run as one block; the block
+    stops at component 250's seat off SPIKE, and after 16 more SPIKE seats
+    a block starts again. The replay walks the same blocks."""
+    blocks = _record_live_blocks(monkeypatch)
+    seen = 0
+    for seed in SEEDS:
+        state, _data, hp, _cid, x = _case("live", seed)
+        sigma_sq = state.var_part.values_vector()
+        rng = np.random.default_rng(seed)
+        terms = WalkTerms(x, 1 + seed % 3, sigma_sq, state, hp)
+        del blocks[:]
+        mean = terms.propose(0, rng.random(len(x)), rng)[0]
+        drawn = blocks[:]
+        del blocks[:]
+        _scan_components(mean.inner, terms, 0)
+        assert blocks == drawn
+        if np.flatnonzero(mean.inner.labels != SPIKE).tolist() != [LIVE_EARLY, LIVE_LATE]:
+            continue
+        seen += 1
+        p, run = len(x), clusters._LIVE_RUN
+        assert [b[:3] for b in drawn] == [
+            (LIVE_EARLY + 1 + run, p, LIVE_LATE), (LIVE_LATE + 1 + run, p, p)]
+        assert drawn[0][3] in (1, 2) and drawn[1][3] is None
+    assert seen >= len(SEEDS) // 2
+
+
+def test_live_block_stops_before_a_start_seated_component(monkeypatch):
+    """In the live kind's inner Gibbs pass component 280 starts seated, so
+    an inner cluster is live from the first component on, and no block may
+    span component 280: it leaves its seat before it is weighed."""
+    blocks = _record_live_blocks(monkeypatch)
+    for seed in SEEDS:
+        state, data, hp, cid, _x = _case("live", seed)
+        del blocks[:]
+        _check_inner_gibbs(state, data, hp, cid, seed)
+        assert blocks and all(not (j < LIVE_SEATED < end) for j, end, _, _ in blocks)
+        assert any(end == LIVE_SEATED for _, end, _, _ in blocks)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.inf, "all log weights are -inf"), (np.nan, r"non-finite log weights \[nan")])
+def test_live_block_aborts_as_the_scalar_pick(bad, message, monkeypatch):
+    """A component with a non-finite residual inside a live block stops the
+    block, and the scalar pick aborts on it with its own message, drawing
+    and replaying alike. Component 0 favours the slab, so neither walk
+    starts with a spike run, which would abort on the row first."""
+    state, _data, hp, _cid, x = _case("live", 0)
+    p = len(x)
+    sigma_sq = state.var_part.values_vector()
+    vector = build_partition([[LIVE_EARLY]], [6.0], p)
+    u = np.random.default_rng(0).random(p)
+    blocks = _record_live_blocks(monkeypatch)
+    terms = WalkTerms(x, 1, sigma_sq, state, hp)
+    _scan_components(copy.deepcopy(vector), terms, 0, u, np.random.default_rng(0))
+    _scan_components(vector, terms, 0)
+    assert sum(j <= 200 < end for j, end, _, _ in blocks) == 2  # both in a live block
+
+    x[200] = bad
+    bad_terms = WalkTerms(x, 1, sigma_sq, state, hp)
+    with pytest.raises(SamplerAbort, match=message):
+        _scan_components(copy.deepcopy(vector), bad_terms, 0, u, np.random.default_rng(0))
+    with pytest.raises(SamplerAbort, match=message):
+        _scan_components(vector, bad_terms, 0)
+
+
+# (live block cells, SPIKE seats before a live block): one-component blocks
+# at the cap that start after every SPIKE seat, and short blocks that start
+# early, so blocks also end on SPIKE and start again at once.
+SMALL_BLOCKS = ((24, 1), (120, 4))
+
+
+@pytest.mark.parametrize("cells, run", SMALL_BLOCKS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_live_blocks_match_reference_walk(kind, cells, run, monkeypatch):
+    """With short live blocks that start early, the proposal and the inner
+    Gibbs pass still match the reference walk, and the replay is still
+    bitwise the proposal."""
+    monkeypatch.setattr(clusters, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(clusters, "_LIVE_RUN", run)
+    blocks = _record_live_blocks(monkeypatch)
+    for seed in SEEDS:
+        state, data, hp, cid, x = _case(kind, seed)
+        sigma_sq = state.var_part.values_vector()
+        n_count = 1 + seed % 3
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        terms = WalkTerms(x, n_count, sigma_sq, state, hp)
+        mean, log_q, log_q0 = terms.propose(0, rng.random(len(x)), rng)
+        ref = ClusterMeanVector(len(x))
+        ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
+                                        ref_rng.random(len(x)), ref_rng)
+
+        assert mean.inner.to_dict() == ref.inner.to_dict()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert log_q == pytest.approx(ref_q, rel=REL)
+        assert log_q0 == pytest.approx(ref_q0, rel=REL)
+        assert _scan_components(mean.inner, terms, 0) == (log_q, log_q0)
+        _check_inner_gibbs(state, data, hp, cid, seed)
+    assert blocks or kind == "p1"  # one component leaves no room for a block
 
 
 def test_replay_reads_slots_out_of_first_appearance_order():

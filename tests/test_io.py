@@ -61,49 +61,57 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 
 
 def test_preprocess_hand_fixture():
-    """10-gene fixture filtered by hand (drop iff ratio<=5 AND spread<=500,
-    evaluated after clamping to [1, 16000]).
+    """10-gene fixture filtered by hand (drop iff ratio<=5 OR spread<=500,
+    evaluated after clamping to [100, 16000]), then log10.
 
-      g0 constant 5             ratio 1,   spread 0    -> drop
-      g1 1..4                   ratio 4,   spread 3    -> drop
-      g2 1..600                 ratio 600, spread 599  -> keep
-      g3 100..450               ratio 4.5, spread 350  -> drop
-      g4 3000..8000             ratio 2.7, spread 5000 -> keep
-      g5 1..20000 (clamped)     ratio 16000            -> keep
-      g6 15999..16001 (clamped) ratio ~1,  spread 1    -> drop
-      g7 0.5->1 vs 400          ratio 400, spread 399  -> keep (ratio fails AND)
-      g8 2..9                   ratio 4.5, spread 7    -> drop
-      g9 10..80                 ratio 8,   spread 70   -> keep (ratio fails AND)
-    Survivors in original order: g2, g4, g5, g7, g9.
+      g0 constant 5 -> 100              ratio 1,    spread 0     -> drop
+      g1 1..4 -> all 100                ratio 1,    spread 0     -> drop
+      g2 100..600                       ratio 6,    spread 500   -> drop (spread)
+      g3 100..601                       ratio 6.01, spread 501   -> keep
+      g4 3000..8000                     ratio 2.7,  spread 5000  -> drop (ratio)
+      g5 1..20000 -> 100..16000         ratio 160,  spread 15900 -> keep
+      g6 4000..30000 -> 4000..16000     ratio 4,    spread 12000 -> drop (ceiling)
+      g7 10..600 -> 100..600            ratio 6,    spread 500   -> drop (floor)
+      g8 200..1000                      ratio 5,    spread 800   -> drop (ratio)
+      g9 120..2000                      ratio 16.7, spread 1880  -> keep
+    Survivors in original order: g3, g5, g9.
     """
     cols = {
         "g0": [5, 5, 5, 5],
         "g1": [1, 2, 3, 4],
-        "g2": [1, 200, 400, 600],
-        "g3": [100, 200, 300, 450],
+        "g2": [100, 200, 400, 600],
+        "g3": [100, 200, 400, 601],
         "g4": [3000, 5000, 6000, 8000],
         "g5": [1, 10, 100, 20000],
-        "g6": [15999, 16000, 16001, 16000],
-        "g7": [0.5, 100, 200, 400],
-        "g8": [2, 4, 6, 9],
-        "g9": [10, 20, 40, 80],
+        "g6": [4000, 5000, 10000, 30000],
+        "g7": [10, 100, 300, 600],
+        "g8": [200, 300, 500, 1000],
+        "g9": [120, 200, 500, 2000],
     }
     names = list(cols)
     y = np.array([[cols[g][i] for g in names] for i in range(4)], dtype=float)
     dm = DataMatrix(y, names)
-    out = preprocess_expression(dm, top=5)
-    assert out.names == ["g2", "g4", "g5", "g7", "g9"]
-    assert out.y.max() <= 16000.0 and out.y.min() >= 1.0
+    out = preprocess_expression(dm, top=3)
+    assert out.names == ["g3", "g5", "g9"]
+    clamped = np.array([[100, 100, 120], [200, 100, 200], [400, 100, 500], [601, 16000, 2000]],
+                       dtype=float)
+    np.testing.assert_array_equal(out.y, np.log10(clamped))
+    assert out.y[:, 1].tolist()[:3] == [2.0, 2.0, 2.0]
 
 
 def test_preprocess_top_variance_selection():
-    rng = np.random.default_rng(1)
-    base = rng.uniform(10, 100, size=(6, 8))
-    base[:, 2] += np.linspace(0, 4000, 6)  # large variance
-    base[:, 5] += np.linspace(0, 9000, 6)  # largest variance
-    dm = DataMatrix(base, [f"g{j}" for j in range(8)])
+    """The top-variance cut ranks log10 values: by raw variance gB and gA
+    would be kept, by log10 variance gA (0.317) and gC (0.152) are, ahead
+    of gB (0.133)."""
+    cols = {
+        "gA": [100, 200, 400, 800, 1600, 3200],
+        "gB": [2000, 4000, 8000, 12000, 16000, 16000],
+        "gC": [100, 100, 100, 100, 100, 900],
+    }
+    dm = DataMatrix(np.array(list(cols.values()), dtype=float).T, list(cols))
     out = preprocess_expression(dm, top=2)
-    assert out.names == ["g2", "g5"]  # original column order retained
+    assert out.names == ["gA", "gC"]  # original column order retained
+    np.testing.assert_array_equal(out.y, np.log10(dm.y[:, [0, 2]]))
 
 
 def test_preprocess_warns_when_top_exceeds_survivors():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sparseclust.simulate import gen_example1, gen_example2, gen_example3, gen_example4
+from sparseclust.simulate import (
+    gen_example1, gen_example2, gen_example3, gen_example4, gen_golub_shape)
 
 
 def test_example1_structure():
@@ -52,6 +53,42 @@ def test_example4_structure():
     assert truth.mu[0, 49] == 1.0 and truth.mu[11, 49] == 0.0
     assert truth.mu[0, 24] == truth.mu[11, 24] == 0.5
     assert truth.labels.tolist() == [0] * 10 + [1] * 10
+
+
+def test_golub_shape_structure():
+    data, truth = gen_golub_shape(0)
+    assert (data.n, data.p) == (72, 2000)
+    assert np.bincount(truth.labels).tolist() == [38, 9, 25]
+    assert truth.labels.tolist() == sorted(truth.labels.tolist())
+    assert truth.relevant == set(range(1, 51))
+    # Attributes 1-20 separate all three groups.
+    group_means = np.array([truth.mu[truth.labels == g][0] for g in range(3)])
+    assert group_means[:, :20].T.tolist() == [[0.5, 1.5, -1.0]] * 20
+    # 21-35 separate only T-ALL, 36-50 only AML.
+    assert group_means[:, 20:35].T.tolist() == [[0.0, 1.2, 0.0]] * 15
+    assert group_means[:, 35:50].T.tolist() == [[0.0, 0.0, -1.2]] * 15
+    assert np.all(truth.mu[:, 50:] == 0.0)
+    # Every sample of a group shares its group's means.
+    np.testing.assert_array_equal(truth.mu, group_means[truth.labels])
+    assert truth.sigma.shape == (2000,)
+    assert truth.sigma.min() >= 0.3 and truth.sigma.max() < 1.0
+    assert truth.sigma.min() < 0.31 and truth.sigma.max() > 0.99  # spans U(0.3, 1)
+    assert len(np.unique(truth.sigma)) == 2000
+
+
+def test_golub_shape_seed_purity():
+    np.random.seed(5)
+    before = np.random.random()
+    np.random.seed(5)
+    a, ta = gen_golub_shape(123)
+    assert np.random.random() == before  # the global generator is untouched
+    b, tb = gen_golub_shape(123)
+    c, tc = gen_golub_shape(124)
+    np.testing.assert_array_equal(a.y, b.y)
+    np.testing.assert_array_equal(ta.sigma, tb.sigma)
+    assert not np.array_equal(a.y, c.y)
+    assert not np.array_equal(ta.sigma, tc.sigma)
+    np.testing.assert_array_equal(ta.mu, tc.mu)  # the design does not depend on the seed
 
 
 def test_example1_column_means_converge():
