@@ -22,24 +22,24 @@ opens the clusters in order of first appearance: it reads the seats as the
 first-appearance labels of ``Partition.canonical``, and the values in that
 order.
 
-The walk seats runs of SPIKE seats in blocks. A SPIKE seat changes no slot
-and not the walk's member total, so while the seats stay SPIKE the next
-components' weights are fixed: one array comparison of their uniforms
-against their SPIKE weights seats them up to the first one off SPIKE, whose
-seat is read from its cumulative weights. While no inner cluster is live, a
-block starts at a component that favours SPIKE and weighs SPIKE against a
-new cluster only, from terms built before the walk. With inner clusters
-live, a live block starts only after 16 SPIKE seats in a row, so dense
-vectors stay on the scalar path; it weighs every slot from the terms the
-walk keeps per slot (log count, posterior mean and variance, updated when
-the slot changes), summed as the scalar step sums them, spans up to a fixed
-number of cells and stops before the next component that starts seated.
-The replay walks the same blocks, so it stays bitwise equal to the
-proposal.
+The walk seats runs of SPIKE seats in blocks (``_block``). A SPIKE seat
+changes no slot and not the walk's member total, so while the seats stay
+SPIKE the next components' weights are fixed: one array comparison of their
+uniforms against their SPIKE weights seats them up to the first one off
+SPIKE, whose seat is read from its cumulative weights. A block weighs every
+slot from the terms the walk keeps per slot (log count, posterior mean and
+variance, updated when the slot changes), summed as the scalar step sums
+them. While no member is seated, a block starts at a component that
+favours SPIKE and spans to p: no later component starts seated, and with
+every slot empty only SPIKE and a new cluster weigh anything. With members
+seated, a block starts only after 16 SPIKE seats in a row, so dense vectors
+stay on the scalar path; it spans up to a fixed number of cells and stops
+before the next component that starts seated. The replay walks the same
+blocks, so it stays bitwise equal to the proposal.
 
 The walk reads its per-component inputs from a ``WalkTerms`` row: the
-SPIKE and new-cluster weights, where spike runs start and the run's choice
-terms, built as arrays before the walk, and as Python lists only at the
+SPIKE and new-cluster weights and where a block starts while no member is
+seated, built as arrays before the walk, and as Python lists only at the
 walk's first scalar step. None of them depends on a seat. In step 5 they
 depend only on the baselines, attr_prob, slab_var and conc_inner, and no
 birth, death or reassignment move changes any of those. So
@@ -82,10 +82,12 @@ import numpy as np
 from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
 from .partition import SPIKE, Partition, crp_draw, drop_empty
 
-# SPIKE seats in a row before a live block: a block costs several scalar
-# steps and wastes the components after its stop, so it pays only in a run.
+# SPIKE seats in a row before a block while members are seated: a block
+# costs several scalar steps and wastes the components after its stop, so it
+# pays only in a run.
 _LIVE_RUN = 16
-# Cells, components times (slots + 2), a live block spans.
+# Cells, components times (slots + 2), a block spans while members are
+# seated.
 _BLOCK_CELLS = 4096
 
 
@@ -119,13 +121,9 @@ class WalkTerms:
 
     Per component j and row: the SPIKE weight ``spike`` and the new-cluster
     weight ``new`` (the seat weights with the inner values integrated out;
-    ``new`` before the CRP denominator), whether j starts a spike run
-    (``starts_run``: j favours SPIKE while no inner cluster is live), and
-    the run's scaled choice terms ``run_spike``, ``run_tot``,
-    ``run_lp_spike`` and ``run_lp_new`` (see ``_spike_run_terms``), with
-    one finiteness flag per row in ``run_finite``. Shared by all rows:
-    log s, log(1 - s), the observation variance and precision. The run
-    terms serve only the blocks walked while no inner cluster is live.
+    ``new`` before the CRP denominator), and whether j starts a block while
+    no member is seated (``starts_run``: j favours SPIKE then). Shared by
+    all rows: log s, log(1 - s), the observation variance and precision.
     """
 
     def __init__(self, x, n_count, sigma_sq, state, hp):
@@ -145,12 +143,9 @@ class WalkTerms:
             self.spike = self.log_spike - 0.5 * (LOG_2PI + np.log(self.v_obs) + x * x / self.v_obs)
             self.new = self.log_s + self.log_conc - 0.5 * (
                 LOG_2PI + np.log(new_var) + x * x / new_var)
-        # With no inner cluster live, m_total is 0 and the CRP denominator
-        # is conc_inner.
-        w_new = self.new - self.log_conc
-        self.starts_run = self.spike >= w_new
-        (self.run_spike, self.run_tot, self.run_lp_spike, self.run_lp_new,
-         self.run_finite) = _spike_run_terms(self.spike, w_new)
+        # With no member seated, m_total is 0 and the CRP denominator is
+        # conc_inner.
+        self.starts_run = self.spike >= self.new - self.log_conc
         self._shared = None
 
     def row_lists(self, i):
@@ -175,11 +170,16 @@ class WalkTerms:
 class BirthDeathPass(WalkTerms):
     """What the birth, death and reassignment moves of one step-5 pass read:
     the walk terms of every sample's residual ``x[i] = y_i - mu_base``
-    (n_count 1), ``log(2 pi sigma_sq)``, every sample's log likelihood
-    under a zero mean, and the log Q and log Q0 of a proposal that seats
-    every component on SPIKE. Each live cluster's column of log likelihoods
-    is computed when first read. See the module docstring for why none of it
-    changes in the pass."""
+    (n_count 1), ``log(2 pi sigma_sq)`` and every sample's log likelihood
+    under a zero mean. For the skip of rejected births, per row, the terms
+    of a block over all p components with no member seated: the SPIKE
+    weight ``run_spike`` and total weight ``run_tot`` of each component,
+    scaled as ``_block`` scales them, whether all are finite
+    (``run_finite``), and the log Q and log Q0 (``spike_log_q``,
+    ``spike_log_q0``) the walk sums when the block seats every component on
+    SPIKE. Each live cluster's column of log likelihoods is computed when
+    first read. See the module docstring for why none of it changes in the
+    pass."""
 
     def __init__(self, y, mu_base, sigma_sq, state, hp):
         sigma_sq = np.asarray(sigma_sq, dtype=float)
@@ -187,8 +187,16 @@ class BirthDeathPass(WalkTerms):
         self.sigma_sq = sigma_sq
         self.log_2pi_var = np.log(2.0 * np.pi * sigma_sq)
         self.zero_loglik = _loglik_rows(self.x, self.log_2pi_var, sigma_sq)
-        # The sums the walk forms for a spike run over all p components.
-        self.spike_log_q = 0.0 + np.add.reduce(self.run_lp_spike, axis=-1)
+        # ``_block``'s arithmetic with no slot: m_total is 0, so the CRP
+        # denominator is conc_inner.
+        w_new = self.new - self.log_conc
+        top = np.maximum(self.spike, w_new)
+        self.run_finite = np.isfinite(top).all(axis=-1)
+        with np.errstate(invalid="ignore"):
+            self.run_spike = np.exp(self.spike - top)
+            self.run_tot = self.run_spike + np.exp(w_new - top)
+            top += np.log(self.run_tot)  # the log normalizer, in place
+            self.spike_log_q = 0.0 + np.add.reduce(self.spike - top, axis=-1)
         self.spike_log_q0 = 0.0 + float(np.add.reduce(self.log_spike))
         self._columns = {}
 
@@ -236,12 +244,12 @@ class BirthDeathPass(WalkTerms):
         """Per row of the uniforms ``u``, whether the birth move of that
         sample, reading that row, proposes an all-SPIKE mean and rejects it.
         Only samples that are not singletons in ``state`` and whose walk
-        starts a finite spike run at component 0 are marked: their proposal
-        is then one spike run, scored from the pass's sums."""
+        starts a finite block at component 0 are marked: their proposal is
+        then one block, scored from the pass's sums."""
         samples = state.samples
         p = self.x.shape[1]
         rows = np.flatnonzero(
-            self.starts_run[:, 0] & np.array(self.run_finite)
+            self.starts_run[:, 0] & self.run_finite
             & (samples.counts[samples.labels] > 1)
             & ~(u[:, :p] * self.run_tot > self.run_spike).any(axis=1))
         skip = np.zeros(len(u), dtype=bool)
@@ -303,9 +311,12 @@ def _scan_components(inner, terms, i, u=None, rng=None):
 
     # The seats the walk starts from (drawing) or replays, as slots; and the
     # row and the uniforms as Python lists. A walk from empty needs none of
-    # them in a spike run with no inner cluster live, so it builds them at
-    # its first scalar step.
-    start = xs = None
+    # them in a block with no member seated, so it builds them at its first
+    # scalar step. A replay's blocks read its seats as first-appearance
+    # labels; an all-SPIKE mean needs no relabelling.
+    start = xs = seats = None
+    if replay:
+        seats, order = inner.canonical() if inner.n_clusters() else (labels, None)
     seated_at = []  # the components that start seated, in order
     if k_start:
         start = labels.tolist()
@@ -340,40 +351,28 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         log_denom = math.log(conc_inner + m_total)
         k = len(counts)
         choice = None
-        if not m_total and starts_run.item(j):
-            # A spike run: see the module docstring.
-            if not terms.run_finite[i]:
-                raise SamplerAbort("non-finite log weights in a spike run")
-            stop = _spike_run_stop(j, terms, i, labels, u)
-            log_q += float(np.add.reduce(terms.run_lp_spike[i, j:stop]))
-            log_q0 += float(np.add.reduce(terms.log_spike[j:stop]))
-            if stop == p:
-                break
-            j = stop
-            choice = k + 1
-            log_q += terms.run_lp_new.item(i, j)
-        if xs is None:
-            xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = \
-                terms.row_lists(i)
-            if replay:
-                seats, order = inner.canonical()
-                start = seats.tolist()
-            else:
-                us = u.tolist()
-        if choice is None and m_total and spikes >= _LIVE_RUN:
-            # A live block: see the module docstring. It stops before the
-            # next component that starts seated.
-            nxt = bisect.bisect_right(seated_at, j)
-            end = min(j + max(1, _BLOCK_CELLS // (k + 2)),
-                      seated_at[nxt] if nxt < len(seated_at) else p)
-            stop, choice, block_q = _live_block(
-                terms, i, j, end, slot_terms, log_denom, seats if replay else None, u)
+        if (spikes >= _LIVE_RUN) if m_total else starts_run.item(j):
+            # A block: see the module docstring. With no member seated no
+            # later component starts seated, and the block spans to p.
+            end = p
+            if m_total:
+                nxt = bisect.bisect_right(seated_at, j)
+                end = min(j + max(1, _BLOCK_CELLS // (k + 2)),
+                          seated_at[nxt] if nxt < len(seated_at) else p)
+            stop, choice, block_q = _block(terms, i, j, end, slot_terms, log_denom, seats, u)
             log_q += block_q
             log_q0 += float(np.add.reduce(terms.log_spike[j:stop]))
             spikes += stop - j
             j = stop
             if stop == end:
                 continue
+        if xs is None:
+            xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = \
+                terms.row_lists(i)
+            if replay:
+                start = seats.tolist()
+            else:
+                us = u.tolist()
         if choice is None:
             xj = xs[j]
             v_obs = v_obs_list[j]
@@ -445,34 +444,7 @@ def _scan_components(inner, terms, i, u=None, rng=None):
     return log_q, log_q0
 
 
-def _spike_run_terms(w_spike, w_new):
-    """(SPIKE weight, total weight, log P(SPIKE), log P(new)) of every
-    component's two-way choice, scaled as ``pick_with_lse`` scales them,
-    and per row whether all of them are finite (a walk that takes the block
-    path on a row that is not aborts)."""
-    m = np.maximum(w_spike, w_new)
-    finite = np.isfinite(m).all(axis=-1).tolist()
-    with np.errstate(invalid="ignore"):
-        e_spike = np.exp(w_spike - m)
-        tot = e_spike + np.exp(w_new - m)
-        m += np.log(tot)  # the log normalizer, in place to spare an (n, p) array
-        return e_spike, tot, w_spike - m, w_new - m, finite
-
-
-def _spike_run_stop(j, terms, i, labels, u):
-    """The first component at or after j seated off SPIKE (len(labels) if
-    none); replaying (``u`` None), the seats are ``labels``. Drawing, it
-    seats component c on SPIKE when ``u[c] * total_c <= spike_c`` (row i of
-    ``terms``), the scalar draw's rule."""
-    p = len(labels)
-    if u is None:
-        off = labels[j:] != SPIKE
-    else:
-        off = u[j:p] * terms.run_tot[i, j:] > terms.run_spike[i, j:]
-    return j + int(off.argmax()) if off.any() else p
-
-
-def _live_block(terms, i, j, end, slot_terms, log_denom, seats, u):
+def _block(terms, i, j, end, slot_terms, log_denom, seats, u):
     """Seat components j..end-1 of row i of ``terms`` from the walk's
     ``slot_terms`` and the CRP log denominator ``log_denom``, as scalar
     steps would while each stays on SPIKE. Returns (stop, choice, log_q):
@@ -483,17 +455,18 @@ def _live_block(terms, i, j, end, slot_terms, log_denom, seats, u):
     Replaying, the seats are ``seats``."""
     k = len(slot_terms)
     n = end - j
-    log_c, post_mean, post_var = np.array(slot_terms).T
     # Column c holds component j + c's weights, row 0 SPIKE, row 1 + t slot
     # t and the last row a new cluster. A column with a non-finite weight
     # stops the block; its arithmetic stays quiet.
     with np.errstate(all="ignore"):
-        var = np.add.outer(post_var, terms.v_obs[j:end])
-        d = np.subtract.outer(post_mean, terms.x[i, j:end])  # only d * d is read
         w = np.empty((k + 2, n))
         w[0] = terms.spike[i, j:end]
-        w[1:-1] = (np.add.outer(log_c, terms.log_s[j:end]) - log_denom
-                   - 0.5 * (LOG_2PI + np.log(var) + d * d / var))
+        if k:
+            log_c, post_mean, post_var = np.array(slot_terms).T
+            var = np.add.outer(post_var, terms.v_obs[j:end])
+            d = np.subtract.outer(post_mean, terms.x[i, j:end])  # only d * d is read
+            w[1:-1] = (np.add.outer(log_c, terms.log_s[j:end]) - log_denom
+                       - 0.5 * (LOG_2PI + np.log(var) + d * d / var))
         w[-1] = terms.new[i, j:end] - log_denom
         top = np.maximum.reduce(w)
         acc = np.add.accumulate(np.exp(w - top))

@@ -148,6 +148,11 @@ class ModelState:
             raise AssertionError("cluster mean keys out of sync with live clusters")
         for mean in self.cluster_means.values():
             mean.inner.validate()
+        lengths = {"var_part": self.var_part.n_items, "attr_prob": len(self.attr_prob),
+                   **{f"cluster {c}'s mean": m.inner.n_items for c, m in self.cluster_means.items()}}
+        for name, length in lengths.items():
+            if length != self.p:
+                raise AssertionError(f"{name} has {length} items, mean_part has {self.p}")
         if np.any(self.attr_prob <= 0.0) or np.any(self.attr_prob >= 1.0):
             raise AssertionError("attribute propensities must lie strictly inside (0,1)")
         for name in _SCALARS:

@@ -696,8 +696,9 @@ def _record_moves(monkeypatch):
 
 def _skip_state(seed):
     """A prior draw of 24 samples in several clusters, most components
-    favouring SPIKE (so most rows start spike runs, and some proposals leave
-    SPIKE), and a concentration that makes births rare or common."""
+    favouring SPIKE (so most rows start a block at component 0, and some
+    proposals leave SPIKE), and a concentration that makes births rare or
+    common."""
     state, data, hp = make_state(n=24, p=5, seed=seed, require_multi=True)
     rng = np.random.default_rng(seed + 1000)
     state.attr_prob = rng.choice([1e-3, 0.02, 0.3], size=data.p, p=[0.5, 0.3, 0.2])
@@ -772,7 +773,7 @@ def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
         _reference_births_and_deaths(ref, data, hp, ref_rng, _pass(ref, data, hp))
 
     message = str(skip_abort.value)
-    assert message == f"birth proposal i={bad}: non-finite log weights in a spike run"
+    assert message == f"birth proposal i={bad}: all log weights are -inf"
     assert message == str(reference_abort.value)
     assert moved == [bad]  # every row before it was skipped
     assert state.to_dict() == ref.to_dict()
@@ -790,10 +791,10 @@ def test_step5_aborts_name_the_move():
     data.y[3, 2] = np.inf  # past DataMatrix's check
     rng = np.random.default_rng(0)
 
-    with pytest.raises(SamplerAbort, match=r"^death proposal i=3: non-finite log weights in a spike run$"):
+    with pytest.raises(SamplerAbort, match=r"^death proposal i=3: all log weights are -inf$"):
         mh_death_move(state, data, hp, 3, rng, _pass(state, data, hp), rng.random(p + 1))
     with pytest.raises(SamplerAbort, match=r"^reassignment i=1: non-finite log weights \[nan"):
         gibbs_reassign(state, data, hp, 1, rng, np.array([np.nan, 0.0]),
                        state.samples.cluster_ids())
-    with pytest.raises(SamplerAbort, match=rf"^inner mean update cid={cid}: non-finite"):
+    with pytest.raises(SamplerAbort, match=rf"^inner mean update cid={cid}: all log weights are -inf$"):
         _inner_pass(state, data, hp, cid, rng)

@@ -1,7 +1,7 @@
 """The component walk against a scalar reference.
 
 ``_reference_walk`` seats one component at a time, component j by the
-uniform u[j], the algorithm the walk's spike-run blocks must reproduce. The
+uniform u[j], the algorithm the walk's blocks must reproduce. The
 production walk, handed the same uniforms, must draw the same seats and
 values, leave the generator in the same position, agree on log Q and log Q0
 to rounding, and replay its own proposals bitwise. The proposal is checked
@@ -144,14 +144,15 @@ def _case(kind, seed):
 
     spike: 300 components that favour SPIKE; mid: 120 such components but
     component 60 strongly favours the slab; live: 300 such components but
-    components 0 and 250 strongly favour the slab, so spike runs with an
-    inner cluster live are walked as blocks that stop at component 250's
-    seat and start again; dense: 40 slab-favouring components; p1: a single
-    component. The inner Gibbs pass starts all SPIKE, except in mid, where
-    component 10 starts alone in an inner cluster that empties when it
-    leaves, so a spike run starts inside the pass; in live, where component
-    280 starts alone in an inner cluster, so a block must stop before it;
-    and in dense and p1 at odd seeds, which start with live inner clusters.
+    components 0 and 250 strongly favour the slab, so runs of SPIKE seats
+    with an inner cluster live are walked as blocks that stop at component
+    250's seat and start again; dense: 40 slab-favouring components; p1: a
+    single component. The inner Gibbs pass starts all SPIKE, except in mid,
+    where component 10 starts alone in an inner cluster that empties when it
+    leaves, so a block with no member seated starts inside the pass; in
+    live, where component 280 starts alone in an inner cluster, so a block
+    must stop before it; and in dense and p1 at odd seeds, which start with
+    live inner clusters.
     """
     p = {"spike": 300, "mid": 120, "live": 300, "dense": 40, "p1": 1}[kind]
     state, data, hp = make_state(n=3, p=p, seed=seed)
@@ -234,16 +235,16 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
 
 
 def _record_live_blocks(monkeypatch):
-    """Record every live block the walk scores as (start, end, stop, choice)."""
+    """Record every block the walk scores as (start, end, stop, choice)."""
     blocks = []
-    live_block = clusters._live_block
+    block = clusters._block
 
     def recorded(terms, i, j, end, *args):
-        stop, choice, log_q = live_block(terms, i, j, end, *args)
+        stop, choice, log_q = block(terms, i, j, end, *args)
         blocks.append((j, end, stop, choice))
         return stop, choice, log_q
 
-    monkeypatch.setattr(clusters, "_live_block", recorded)
+    monkeypatch.setattr(clusters, "_block", recorded)
     return blocks
 
 
@@ -293,8 +294,8 @@ def test_live_block_stops_before_a_start_seated_component(monkeypatch):
 def test_live_block_aborts_as_the_scalar_pick(bad, message, monkeypatch):
     """A component with a non-finite residual inside a live block stops the
     block, and the scalar pick aborts on it with its own message, drawing
-    and replaying alike. Component 0 favours the slab, so neither walk
-    starts with a spike run, which would abort on the row first."""
+    and replaying alike. A block with no member seated stops and aborts the
+    same way (``tests/test_walk_terms.py``)."""
     state, _data, hp, _cid, x = _case("live", 0)
     p = len(x)
     sigma_sq = state.var_part.values_vector()

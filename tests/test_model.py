@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sparseclust.chain import sweep
+from sparseclust.chain import ChainConfig, init_state, sweep
 from sparseclust.clusters import ClusterMeanVector
 from sparseclust.model import (
     DataMatrix,
@@ -13,7 +13,8 @@ from sparseclust.model import (
     ModelState,
     default_hyperparams,
 )
-from sparseclust.simulate import gen_example1
+from sparseclust.partition import Partition
+from sparseclust.simulate import gen_example1, gen_example3
 
 from conftest import make_state
 
@@ -150,6 +151,24 @@ def test_validator_checks_data_shape():
     state.validate(data)
     with pytest.raises(AssertionError, match="shape"):
         state.validate(DataMatrix(data.y[:, :3]))
+
+
+def test_validator_checks_per_attribute_lengths():
+    """var_part, attr_prob and every cluster mean have one item per
+    attribute of mean_part."""
+    data, _truth = gen_example3(0)
+    hp = default_hyperparams(data)
+    state = init_state(data, hp, ChainConfig(seed=0), np.random.default_rng(0))
+    state.validate(data)
+    cid = state.samples.cluster_ids()[0]
+    bad = [("attr_prob", "attr_prob", state.attr_prob[:3]),
+           ("cluster_means", f"cluster {cid}'s mean", {cid: ClusterMeanVector(7)}),
+           ("var_part", "var_part", Partition(np.zeros(data.p - 1, dtype=int), [data.p - 1], [1.0]))]
+    for field, name, value in bad:
+        twin = copy.deepcopy(state)
+        setattr(twin, field, value)
+        with pytest.raises(AssertionError, match=f"^{name} has "):
+            twin.validate(data)
 
 
 def test_validator_catches_cluster_means_out_of_sync():

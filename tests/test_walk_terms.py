@@ -19,9 +19,9 @@ from sparseclust.clusters import (
 from sparseclust.densities import SamplerAbort
 
 from conftest import build_partition, make_state
+from test_component_walk import _record_live_blocks
 
-ROW_ARRAYS = ("x", "spike", "new", "starts_run", "run_spike", "run_tot",
-              "run_lp_spike", "run_lp_new")
+ROW_ARRAYS = ("x", "spike", "new", "starts_run")
 CASES = [(n, p, seed) for seed in range(6) for n, p in ((5, 7), (3, 40))]
 
 
@@ -52,14 +52,13 @@ def _dense_mean(p, rng):
 def test_pass_rows_equal_one_row_terms(n, p, seed):
     state, data, hp = make_state(n=n, p=p, seed=seed)
     if seed % 2:
-        state.attr_prob[:] = 1e-3  # rows that start spike runs
+        state.attr_prob[:] = 1e-3  # rows that start blocks with no member seated
     bd, mu_base, sigma_sq = _pass(state, data, hp)
     for i in range(n):
         one = WalkTerms(data.y[i] - mu_base, 1, sigma_sq, state, hp)
         for name in ROW_ARRAYS:
             np.testing.assert_array_equal(
                 _bits(getattr(bd, name)[i]), _bits(getattr(one, name)[0]), err_msg=name)
-        assert bd.run_finite[i] == one.run_finite[0]
         assert bd.row_lists(i) == one.row_lists(0)
         # The walk reads nothing else, so proposals and replays agree too.
         rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -93,33 +92,63 @@ def test_pass_loglik_equals_loglik_dense(n, p, seed):
         assert bd.loglik_column(state, cid) is column  # once per pass
 
 
-def test_non_finite_row_aborts_only_its_own_block_path():
-    """Row 1's residuals hold an infinity, so its spike-run terms are not
-    finite: its walk aborts when it takes the block path. Row 2 has the same
-    infinity but seats component 0 off SPIKE and never takes the block path,
-    so it aborts in the scalar draw instead, as a walk with its own terms
-    does. Row 0 is finite and walks as its one-row terms do."""
-    state, data, hp = make_state(n=3, p=6, seed=4)
+def test_all_spike_proposal_at_p_3000_is_one_block():
+    """A block with no member seated spans to p, with no cap on its cells:
+    at p = 3000 an all-SPIKE proposal's log Q and log Q0 are bitwise the
+    pass's sums, which the skip of rejected births reads. A capped block
+    would split the walk's sum of log Q."""
+    seen = 0
+    for seed in range(40):
+        state, data, hp = make_state(n=3, p=3000, seed=seed)
+        state.attr_prob[:] = 1e-3
+        bd = _pass(state, data, hp)[0]
+        rng = np.random.default_rng(seed)
+        for i in range(3):
+            mean, *logs = bd.propose(i, rng.random(3000), rng)
+            if bd.starts_run[i, 0] and bd.run_finite[i] and not mean.inner.n_clusters():
+                seen += 1
+                assert logs == [bd.spike_log_q[i], bd.spike_log_q0], (seed, i)
+    assert seen >= 5
+
+
+def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
+    """Rows 1 and 2 hold an infinity and a NaN at component 4 and start a
+    block at component 0; row 3 holds an infinity there too but seats
+    component 0 off SPIKE, so its walk reaches component 4 in scalar steps.
+    Each walk aborts at component 4 through the scalar pick, with the
+    message of a walk with its own one-row terms and before it draws
+    anything; the blocks stop there. The pass keeps these rows out of its
+    skip. Row 0 is finite and walks as its one-row terms do."""
+    p = 6
+    state, data, hp = make_state(n=4, p=p, seed=4)
     state.attr_prob[:] = 1e-3
     state.attr_prob[0] = 0.9
     mu_base = state.mean_part.values_vector()
-    sigma_sq = np.full(6, 0.01)
-    x = np.random.default_rng(0).normal(0.0, 0.01, size=(3, 6))
-    x[1:, 4] = np.inf
-    x[2, 0] = 5.0
+    sigma_sq = np.full(p, 0.01)
+    x = np.random.default_rng(0).normal(0.0, 0.01, size=(4, p))
+    x[[1, 3], 4] = np.inf
+    x[2, 4] = np.nan
+    x[3, 0] = 5.0
     bd = BirthDeathPass(x + mu_base, mu_base, sigma_sq, state, hp)  # does not raise
-    assert bd.run_finite == [True, False, False]
-    assert bd.starts_run[1, 0] and not bd.starts_run[2, 0]
+    assert bd.run_finite.tolist() == [True, False, False, False]
+    assert bd.starts_run[1:3, 0].all() and not bd.starts_run[3, 0]
 
+    u = np.full(p, 1e-3)  # every SPIKE-favouring component stays on SPIKE
     rng, one_rng = np.random.default_rng(1), np.random.default_rng(1)
-    u = np.random.default_rng(2).random(6)
     mean, *logs = bd.propose(0, u, rng)
     one_mean, *one_logs = WalkTerms(x[0], 1, sigma_sq, state, hp).propose(0, u, one_rng)
     assert mean.inner.to_dict() == one_mean.inner.to_dict()
     assert logs == one_logs
 
-    with pytest.raises(SamplerAbort, match="spike run"):
-        bd.propose(1, u, np.random.default_rng(1))
-    for terms, i in ((bd, 2), (WalkTerms(x[2], 1, sigma_sq, state, hp), 0)):
-        with pytest.raises(SamplerAbort, match="all log weights are -inf"):
-            terms.propose(i, u, np.random.default_rng(1))
+    blocks = _record_live_blocks(monkeypatch)
+    for i, message, walked in ((1, "all log weights are -inf", [(0, p, 4, None)]),
+                               (2, r"non-finite log weights \[nan", [(0, p, 4, None)]),
+                               (3, "all log weights are -inf", [])):
+        for terms, row in ((bd, i), (WalkTerms(x[i], 1, sigma_sq, state, hp), 0)):
+            del blocks[:]
+            rng = np.random.default_rng(1)
+            before = rng.bit_generator.state
+            with pytest.raises(SamplerAbort, match=message):
+                terms.propose(row, u, rng)
+            assert blocks == walked, i
+            assert rng.bit_generator.state == before
