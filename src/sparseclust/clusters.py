@@ -9,7 +9,8 @@ of those draws and their prior density Q0. From a fresh all-SPIKE mean it is
 the sequential proposal of a birth move; over a cluster's mean it is the
 inner Gibbs pass; without uniforms it replays a given vector, bitwise equal
 to the proposal's own Q and Q0, which is how a death move scores the reverse
-birth.
+birth. A mean vector drawn from the prior itself, with no data, comes from
+``forward.draw_prior_mean``.
 
 The walk keeps its per-slot sums in lists indexed by the partition's slots;
 a new inner cluster takes the next slot. A slot whose last member leaves
@@ -80,7 +81,8 @@ import math
 import numpy as np
 
 from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
-from .partition import SPIKE, Partition, crp_draw, drop_empty
+from .partition import SPIKE, Partition, drop_empty
+from .sparsity import slab_coef
 
 # SPIKE seats in a row before a block while members are seated: a block
 # costs several scalar steps and wastes the components after its stop, so it
@@ -131,7 +133,7 @@ class WalkTerms:
         sig = np.asarray(sigma_sq, dtype=float)
         self.v_obs = sig / n_count
         self.prec = n_count / sig
-        s_vec = _slab_coef(hp) * np.asarray(state.attr_prob, dtype=float)
+        s_vec = slab_coef(hp) * np.asarray(state.attr_prob, dtype=float)
         self.slab_var = state.slab_var
         self.conc_inner = state.conc_inner
         self.log_conc = math.log(state.conc_inner)
@@ -499,26 +501,6 @@ def _member_sums(seats, terms, i, k):
     prec = terms.prec[seated]
     return (np.bincount(slots, prec, k).tolist(),
             np.bincount(slots, prec * terms.x[i, seated], k).tolist())
-
-
-def _slab_coef(hp):
-    return hp.slab_a / (hp.slab_a + hp.slab_b)
-
-
-def draw_prior_mean(s, conc_inner, slab_var, rng):
-    """Draw a mean vector from its prior, with the inclusion probabilities
-    integrated out: component j is nonzero with probability ``s[j]``
-    (rho_j slab_a / (slab_a + slab_b)), and the nonzero components share
-    N(0, slab_var) values through a CRP with concentration ``conc_inner``.
-    """
-    return ClusterMeanVector(len(s), crp_draw(
-        len(s), conc_inner, rng, lambda: math.sqrt(slab_var) * rng.standard_normal(), s))
-
-
-def sample_prior_mean(p, state, hp, rng):
-    """Draw a mean vector from the prior (the unassisted proposal)."""
-    return draw_prior_mean(
-        _slab_coef(hp) * state.attr_prob[:p], state.conc_inner, state.slab_var, rng)
 
 
 def _loglik_rows(d, log_2pi_var, sigma_sq):

@@ -6,9 +6,10 @@ import math
 import numpy as np
 
 from .chain import sweep
-from .clusters import BirthDeathPass, sample_prior_mean
-from .forward import draw_data, draw_state_from_prior
+from .clusters import BirthDeathPass
+from .forward import draw_data, draw_prior_mean, draw_state_from_prior
 from .model import DataMatrix
+from .sparsity import slab_coef
 
 STATISTIC_NAMES = (
     "sample_clusters",
@@ -20,6 +21,8 @@ STATISTIC_NAMES = (
     "conc_inner",
     "mean_sq_shift",
 )
+# Batches of a batch-means standard error.
+N_BATCHES = 100
 
 
 def state_statistics(state):
@@ -63,16 +66,17 @@ def successive_conditional_samples(n, p, hp, draws, rng):
     return out
 
 
-def batch_means_se(x, n_batches=100):
-    """Standard error of the mean of a correlated sequence via batch means."""
-    m = len(x) // n_batches
+def batch_means_se(x):
+    """Standard error of the mean of a correlated sequence via batch means,
+    over ``N_BATCHES`` batches."""
+    m = len(x) // N_BATCHES
     if m < 2:
-        raise ValueError("sequence too short for the requested batch count")
-    b = np.asarray(x[: m * n_batches]).reshape(n_batches, m).mean(axis=1)
-    return float(b.std(ddof=1) / math.sqrt(n_batches))
+        raise ValueError(f"sequence too short for {N_BATCHES} batches of at least 2")
+    b = np.asarray(x[: m * N_BATCHES]).reshape(N_BATCHES, m).mean(axis=1)
+    return float(b.std(ddof=1) / math.sqrt(N_BATCHES))
 
 
-def geweke_z_scores(forward, successive, n_batches=100):
+def geweke_z_scores(forward, successive):
     """Two-sample z per statistic; the successive side uses batch-means SEs
     to account for autocorrelation, the forward side is independent."""
     zs = {}
@@ -80,7 +84,7 @@ def geweke_z_scores(forward, successive, n_batches=100):
         a = forward[:, idx]
         b = successive[:, idx]
         se_a = a.std(ddof=1) / math.sqrt(len(a))
-        se_b = batch_means_se(b, n_batches)
+        se_b = batch_means_se(b)
         zs[name] = float((a.mean() - b.mean()) / math.hypot(se_a, se_b))
     return zs
 
@@ -113,7 +117,8 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
         if proposal == "sequential":
             mean_new, log_q, log_q0 = bd.propose(i, rng.random(data.p + 1), rng)
         else:
-            mean_new = sample_prior_mean(data.p, state, hp, rng)
+            mean_new = draw_prior_mean(
+                slab_coef(hp) * state.attr_prob, state.conc_inner, state.slab_var, rng)
             log_q = log_q0 = 0.0
         log_ratios[t] = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)[0]
     return log_ratios

@@ -4,15 +4,22 @@ joint-distribution (marginal-conditional vs successive-conditional) testing;
 ``tests/test_diagnostics.py::test_joint_distribution_gate`` runs that test on
 the full sweep. The state holds nothing derived from the data, so data
 redrawn in place needs no resync before the next sweep.
+
+Every draw from the prior lives here or in ``partition.crp_draw``, the one
+CRP draw that these build on: ``draw_state_from_prior`` draws a whole state,
+and ``draw_prior_mean`` one cluster mean vector, which is also the prior
+proposal that ``diagnostics.measure_birth_acceptance`` compares with the
+sequential one.
 """
 
 import math
 
 import numpy as np
 
-from .clusters import _slab_coef, draw_prior_mean
+from .clusters import ClusterMeanVector
 from .model import ModelState
 from .partition import crp_draw
+from .sparsity import slab_coef
 
 
 def draw_state_from_prior(n, p, hp, rng):
@@ -34,7 +41,7 @@ def draw_state_from_prior(n, p, hp, rng):
     )
     samples = crp_draw(n, conc_samples, rng, lambda: 0.0)
 
-    s = _slab_coef(hp) * attr_prob
+    s = slab_coef(hp) * attr_prob
     cluster_means = {cid: draw_prior_mean(s, conc_inner, slab_var, rng)
                      for cid in samples.cluster_ids()}
 
@@ -52,13 +59,19 @@ def draw_state_from_prior(n, p, hp, rng):
     )
 
 
+def draw_prior_mean(s, conc_inner, slab_var, rng):
+    """Draw a mean vector from its prior, with the inclusion probabilities
+    integrated out: component j is nonzero with probability ``s[j]``
+    (rho_j slab_a / (slab_a + slab_b)), and the nonzero components share
+    N(0, slab_var) values through a CRP with concentration ``conc_inner``.
+    """
+    return ClusterMeanVector(len(s), crp_draw(
+        len(s), conc_inner, rng, lambda: math.sqrt(slab_var) * rng.standard_normal(), s))
+
+
 def draw_data(state, rng):
     """Generate y given the state: baseline + cluster shift + noise."""
-    n, p = state.n, state.p
     mu_base = state.mean_part.values_vector()
     sd = np.sqrt(state.var_part.values_vector())
-    y = np.empty((n, p))
-    for i in range(n):
-        mu_c = state.cluster_means[state.samples.cluster_of(i)].mu()
-        y[i] = mu_base + mu_c + sd * rng.standard_normal(p)
-    return y
+    means = np.array([state.cluster_means[cid].mu() for cid in state.samples.cluster_ids()])
+    return mu_base + means[state.samples.labels] + sd * rng.standard_normal((state.n, state.p))

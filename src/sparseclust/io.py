@@ -75,16 +75,24 @@ def save_matrix_csv(path, matrix, names=None, index_name=None, index=None):
         write_csv(path, [index_name, *names], ([label, *row] for label, row in zip(index, matrix)))
 
 
-def preprocess_expression(data, floor=100.0, ceil=16000.0, ratio=5.0, spread=500.0, top=2000):
-    """The leukemia-data preprocessing of Dudoit, Fridlyand & Speed (2002,
-    JASA 97:77): clamp to [floor, ceil], drop attributes with max/min <=
-    ``ratio`` or max - min <= ``spread``, take log10, and keep the ``top``
-    attributes by across-sample variance of the log10 values (original
-    column order)."""
-    y = np.clip(data.y, floor, ceil)
+# The published leukemia-data thresholds of Dudoit, Fridlyand & Speed
+# (2002, JASA 97:77): expression is clamped to [FLOOR, CEIL], and an
+# attribute is dropped when max/min <= RATIO or max - min <= SPREAD.
+FLOOR = 100.0
+CEIL = 16000.0
+RATIO = 5.0
+SPREAD = 500.0
+
+
+def preprocess_expression(data, top=2000):
+    """The leukemia-data preprocessing of Dudoit, Fridlyand & Speed (2002):
+    clamp to [FLOOR, CEIL], drop attributes with max/min <= RATIO or
+    max - min <= SPREAD, take log10, and keep the ``top`` attributes by
+    across-sample variance of the log10 values (original column order)."""
+    y = np.clip(data.y, FLOOR, CEIL)
     col_max = y.max(axis=0)
     col_min = y.min(axis=0)
-    keep = (col_max / col_min > ratio) & (col_max - col_min > spread)
+    keep = (col_max / col_min > RATIO) & (col_max - col_min > SPREAD)
     y = np.log10(y[:, keep])
     names = [nm for nm, k in zip(data.names, keep) if k] if data.names else None
     if y.shape[1] == 0:

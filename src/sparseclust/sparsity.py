@@ -14,6 +14,12 @@ the pair a partially collapsed Gibbs step (van Dyk & Park 2008, JASA
 import numpy as np
 
 
+def slab_coef(hp):
+    """slab_a / (slab_a + slab_b): the prior probability that a component
+    is nonzero is this times rho_j."""
+    return hp.slab_a / (hp.slab_a + hp.slab_b)
+
+
 def spike_zero_weight(rho, slab_a, slab_b):
     """Posterior probability that an inclusion probability is exactly zero
     given a zero mean component.

@@ -11,16 +11,16 @@ from sparseclust.clusters import (
     ClusterMeanVector,
     WalkTerms,
     _scan_components,
-    _slab_coef,
     gibbs_reassign,
     gibbs_update_cluster_mean,
     mh_birth_move,
     mh_death_move,
-    sample_prior_mean,
 )
 from sparseclust.densities import SamplerAbort, log_normal_pdf
+from sparseclust.forward import draw_prior_mean
 from sparseclust.model import Hyperparams
 from sparseclust.partition import SPIKE
+from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state, manual_state
 
@@ -94,7 +94,7 @@ def test_sequential_p1_hand_enumeration():
     y = np.array([[0.6], [0.1]])
     state, data, hp = manual_state(y, sigma_sq=[0.2], attr_prob=0.4, slab_var=1.5)
     x = np.array([0.6])
-    s = _slab_coef(hp) * 0.4
+    s = slab_coef(hp) * 0.4
     w_spike = (1 - s) * math.exp(log_normal_pdf(0.6, 0.0, 0.2))
     w_slab = s * math.exp(log_normal_pdf(0.6, 0.0, 1.5 + 0.2))  # gamma/(gamma+0) = 1
     p_slab = w_slab / (w_spike + w_slab)
@@ -194,7 +194,7 @@ def test_q0_all_zero_mean():
     state, data, hp = manual_state(np.zeros((2, 3)) + [[0.0], [1.0]],
                                    sigma_sq=[1.0] * 3, attr_prob=0.3)
     mean = ClusterMeanVector(3)
-    s = _slab_coef(hp) * 0.3
+    s = slab_coef(hp) * 0.3
     assert _log_q0(mean, state, hp) == pytest.approx(3 * math.log(1 - s), rel=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_q0_single_slab_component():
     state, data, hp = manual_state(np.zeros((2, 3)) + [[0.0], [1.0]],
                                    sigma_sq=[1.0] * 3, attr_prob=0.3, slab_var=2.0)
     mean = ClusterMeanVector(3, build_partition([[1]], [0.7], 3))
-    s = _slab_coef(hp) * 0.3
+    s = slab_coef(hp) * 0.3
     want = math.log(s) + 2 * math.log(1 - s) + log_normal_pdf(0.7, 0.0, 2.0)
     assert _log_q0(mean, state, hp) == pytest.approx(want, rel=1e-12)
 
@@ -240,7 +240,7 @@ def test_q0_discrete_part_sums_to_one_p3():
 
 
 def test_prior_sampler_matches_q0_frequencies():
-    """sample_prior_mean's discrete outcome frequencies match exp(q0)."""
+    """draw_prior_mean's discrete outcome frequencies match exp(q0)."""
     y = np.array([[0.0, 0.0], [1.0, 1.0]])
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], attr_prob=0.5, slab_var=1.0)
     state.conc_inner = 0.6
@@ -248,7 +248,8 @@ def test_prior_sampler_matches_q0_frequencies():
     trials = 60_000
     counts = {}
     for _ in range(trials):
-        mean = sample_prior_mean(2, state, hp, rng)
+        mean = draw_prior_mean(
+            slab_coef(hp) * state.attr_prob, state.conc_inner, state.slab_var, rng)
         key = []
         seen = {}
         for j, a in enumerate(mean.inner.labels.tolist()):
@@ -339,7 +340,7 @@ def test_eval_log_q_matches_mpmath_scorer():
         mean, log_q, _log_q0 = terms.propose(0, rng.random(5), rng)
         want = _mp_score_sequential(
             mean, x, 1, state.var_part.values_vector(), state.attr_prob,
-            _slab_coef(hp), state.slab_var, state.conc_inner,
+            slab_coef(hp), state.slab_var, state.conc_inner,
         )
         assert log_q == pytest.approx(float(want), abs=1e-10)
 
@@ -548,7 +549,7 @@ def test_inner_gibbs_p1_two_way_frequencies():
     cid = state.samples.cluster_ids()[0]
     n_c = 2
     x = float(y.mean())  # baseline mean is zero
-    s = _slab_coef(hp) * 0.5
+    s = slab_coef(hp) * 0.5
     w0 = (1 - s) * math.exp(log_normal_pdf(x, 0.0, 0.3 / n_c))
     w1 = s * math.exp(log_normal_pdf(x, 0.0, 2.0 + 0.3 / n_c))
     p_slab = w1 / (w0 + w1)
@@ -582,7 +583,7 @@ def test_inner_gibbs_p2_pattern_frequencies_match_posterior():
     cid = state.samples.cluster_ids()[0]
     x = y.mean(axis=0)  # baseline mean is zero
     noise = np.diag([0.3, 0.5]) / 2
-    s = _slab_coef(hp) * 0.5
+    s = slab_coef(hp) * 0.5
     a = state.conc_inner
     slab = {"SS": [], "1S": [0], "S1": [1], "11": [0, 1], "12": [0, 1]}
     prior = {"SS": (1 - s) ** 2, "1S": s * (1 - s), "S1": (1 - s) * s,

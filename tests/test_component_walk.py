@@ -20,12 +20,12 @@ from sparseclust.clusters import (
     ClusterMeanVector,
     WalkTerms,
     _scan_components,
-    _slab_coef,
     gibbs_update_cluster_mean,
 )
 from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
 from sparseclust.forward import draw_data
 from sparseclust.partition import SPIKE
+from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state
 
@@ -47,7 +47,7 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
     x = [float(v) for v in x]
     v_obs = [float(s) / n_count for s in sigma_sq]
     precs = [n_count / float(s) for s in sigma_sq]
-    s_vec = [_slab_coef(hp) * float(a) for a in state.attr_prob]
+    s_vec = [slab_coef(hp) * float(a) for a in state.attr_prob]
     slab_var, conc = state.slab_var, state.conc_inner
     # Seats are SPIKE or a cluster key: the cluster's slot in ``inner`` for
     # the clusters it holds, the next numbers for the clusters drawn here.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparseclust.concentration import update_concentration
+from sparseclust.diagnostics import batch_means_se
 
 
 def _two_component_update(conc, k, n, prior_shape, prior_rate, rng):
@@ -82,12 +83,6 @@ def test_multi_positive_and_finite():
         assert out > 0.0 and np.isfinite(out)
 
 
-def _batch_se(x, n_batches=100):
-    m = len(x) // n_batches
-    b = np.asarray(x[: m * n_batches]).reshape(n_batches, m).mean(axis=1)
-    return float(b.std(ddof=1) / math.sqrt(n_batches))
-
-
 def test_joint_invariance_single_crp():
     """Alternate (partition | conc) exactly and (conc | partition) via the
     update; the Gamma(0.5, 0.5) marginal of conc must be preserved."""
@@ -99,8 +94,8 @@ def test_joint_invariance_single_crp():
         k = _crp_cluster_count(conc, n, rng)
         conc = update_concentration(conc, [(k, n)], s, r, rng)
         draws[t] = conc
-    z_mean = (draws.mean() - s / r) / _batch_se(draws)
-    z_m2 = ((draws**2).mean() - s * (s + 1) / r**2) / _batch_se(draws**2)
+    z_mean = (draws.mean() - s / r) / batch_means_se(draws)
+    z_m2 = ((draws**2).mean() - s * (s + 1) / r**2) / batch_means_se(draws**2)
     assert abs(z_mean) < 4
     assert abs(z_m2) < 4
 
@@ -116,7 +111,7 @@ def test_joint_invariance_multi_crp():
         pairs = [(_crp_cluster_count(conc, m, rng), m) for m in sizes]
         conc = update_concentration(conc, pairs, s, r, rng)
         draws[t] = conc
-    z_mean = (draws.mean() - s / r) / _batch_se(draws)
-    z_m2 = ((draws**2).mean() - s * (s + 1) / r**2) / _batch_se(draws**2)
+    z_mean = (draws.mean() - s / r) / batch_means_se(draws)
+    z_m2 = ((draws**2).mean() - s * (s + 1) / r**2) / batch_means_se(draws**2)
     assert abs(z_mean) < 4
     assert abs(z_m2) < 4

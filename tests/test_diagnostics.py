@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparseclust.chain import ChainConfig, init_state
+from sparseclust.chain import ChainConfig, init_state, sweep
 from sparseclust.clusters import BirthDeathPass, mh_birth_move
 from sparseclust.diagnostics import (
     STATISTIC_NAMES,
@@ -14,7 +14,8 @@ from sparseclust.diagnostics import (
     measure_birth_acceptance,
     successive_conditional_samples,
 )
-from sparseclust.model import default_hyperparams
+from sparseclust.forward import draw_data, draw_state_from_prior
+from sparseclust.model import DataMatrix, default_hyperparams
 from sparseclust.simulate import gen_example1
 
 from conftest import informative_hp, make_state, manual_state
@@ -41,6 +42,40 @@ def test_joint_distribution_gate():
             pooled[name] += z / math.sqrt(len(GATE_SEEDS))
     bad = {name: z for name, z in pooled.items() if not abs(z) < GATE_BOUND}
     assert not bad, f"pooled z beyond {GATE_BOUND}: {bad} (all: {pooled})"
+
+
+def _draw_data_per_sample(state, rng):
+    """y drawn one sample at a time: baseline + the sample's cluster mean +
+    p standard normals scaled by the baseline sd."""
+    mu_base = state.mean_part.values_vector()
+    sd = np.sqrt(state.var_part.values_vector())
+    y = np.empty((state.n, state.p))
+    for i in range(state.n):
+        mu_c = state.cluster_means[state.samples.cluster_of(i)].mu()
+        y[i] = mu_base + mu_c + sd * rng.standard_normal(state.p)
+    return y
+
+
+def test_draw_data_equals_per_sample_draws():
+    """``draw_data``'s one (n, p) draw is bitwise the per-sample loop's y,
+    and leaves the generator where the loop does, on prior states and on
+    states two sweeps on, whose cluster ids no longer equal their slots."""
+    hp = informative_hp()
+    ids_moved = 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        state = draw_state_from_prior(6, 9, hp, rng)
+        data = DataMatrix(draw_data(state, rng))
+        for t in range(3):
+            if t:
+                sweep(state, data, hp, rng)
+            want_rng = copy.deepcopy(rng)
+            want = _draw_data_per_sample(state, want_rng)
+            got = draw_data(state, rng)
+            assert got.tobytes() == want.tobytes(), (seed, t)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+        ids_moved += state.samples.cluster_ids() != list(range(state.samples.n_clusters()))
+    assert ids_moved > 0
 
 
 def test_sequential_proposal_beats_prior_proposal():

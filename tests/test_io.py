@@ -114,6 +114,22 @@ def test_preprocess_top_variance_selection():
     np.testing.assert_array_equal(out.y, np.log10(dm.y[:, [0, 2]]))
 
 
+def test_preprocess_unnamed_data_keeps_no_names():
+    """A matrix without names (a simulated design) stays without names on
+    both branches, the top-variance cut and keep-all, and keeps the columns
+    that its named copy keeps."""
+    y = np.array([[100, 2000, 100, 5], [200, 4000, 100, 5], [400, 8000, 100, 6],
+                  [800, 12000, 100, 7], [1600, 16000, 100, 8], [3200, 16000, 900, 9]],
+                 dtype=float)
+    named = DataMatrix(y, ["gA", "gB", "gC", "flat"])
+    for top, kept in ((2, ["gA", "gC"]), (3, ["gA", "gB", "gC"])):
+        want = preprocess_expression(named, top=top)
+        got = preprocess_expression(DataMatrix(y), top=top)
+        assert want.names == kept
+        assert got.names is None
+        np.testing.assert_array_equal(got.y, want.y)
+
+
 def test_preprocess_warns_when_top_exceeds_survivors():
     y = np.array([[1.0, 1000.0], [800.0, 1.0], [400.0, 500.0]])
     dm = DataMatrix(y, ["a", "b"])

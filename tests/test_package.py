@@ -1,5 +1,25 @@
 import sparseclust
 
+USER_API = {
+    # chains
+    "ALL_ONE_CLUSTER", "ALL_SINGLETONS", "ChainConfig", "ChainTrace", "merge_traces",
+    "run_chain",
+    # data and model
+    "DataMatrix", "DegenerateDataError", "Hyperparams", "default_hyperparams", "SamplerAbort",
+    # input
+    "load_csv", "preprocess_expression", "standardize_columns",
+    # simulation
+    "SimTruth", "gen_example1", "gen_example2", "gen_example3", "gen_example4",
+    "gen_golub_shape",
+    # summaries
+    "coclustering", "fitted_mean_posterior", "inclusion_posterior_mean", "k_posterior",
+    "mse_fitted_means", "relabel_conditional_on_K", "select_attributes",
+}
+
+
+def test_root_exports_the_user_api():
+    """The root exports the user API and no kernel internals."""
+    assert set(sparseclust.__all__) == USER_API
 
 def test_all_names_resolve():
     missing = [name for name in sparseclust.__all__ if not hasattr(sparseclust, name)]
