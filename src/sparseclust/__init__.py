@@ -11,8 +11,7 @@ The package root holds the user API, in five groups:
 - summaries: coclustering, fitted_mean_posterior, inclusion_posterior_mean,
   k_posterior, mse_fitted_means, relabel_conditional_on_K, select_attributes.
 
-The transition kernel and the state it acts on stay in their modules, and
-the prior draws in ``forward``.
+The transition kernel and the state it acts on stay in their modules.
 """
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ import concurrent.futures
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -109,11 +110,6 @@ def _load_data(args, parser, seed):
     return data, source
 
 
-def _run_one_chain(payload):
-    data, hp, cfg = payload
-    return run_chain(data, hp, cfg)
-
-
 def _attr_names(data):
     return data.names or [f"x{j + 1}" for j in range(data.p)]
 
@@ -204,7 +200,7 @@ def main(argv=None):
         else:
             workers = min(args.chains, os.cpu_count() or 1)
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                traces = list(pool.map(_run_one_chain, [(data, hp, c) for c in configs]))
+                traces = list(pool.map(run_chain, repeat(data), repeat(hp), configs))
     except SamplerAbort as exc:
         print(f"sampler aborted: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ the sequential proposal of a birth move; over a cluster's mean it is the
 inner Gibbs pass; without uniforms it replays a given vector, bitwise equal
 to the proposal's own Q and Q0, which is how a death move scores the reverse
 birth. A mean vector drawn from the prior itself, with no data, comes from
-``forward.draw_prior_mean``.
+``diagnostics.draw_prior_mean``.
 
 The walk keeps its per-slot sums in lists indexed by the partition's slots;
 a new inner cluster takes the next slot. A slot whose last member leaves

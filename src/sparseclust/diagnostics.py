@@ -1,69 +1,21 @@
-"""Sampler diagnostics: joint-distribution (marginal-conditional vs
-successive-conditional) comparison and proposal-efficiency measurement."""
+"""Sampler diagnostics: the batch-means standard error of a correlated
+sequence, and the acceptance of birth moves under the sequential proposal
+against the prior one, ``draw_prior_mean``.
+
+The joint-distribution test's simulators (Geweke, JASA 2004) are test
+support and live in ``tests/geweke.py``, which builds on these.
+"""
 
 import math
 
 import numpy as np
 
-from .chain import sweep
-from .clusters import BirthDeathPass
-from .forward import draw_data, draw_prior_mean, draw_state_from_prior
-from .model import DataMatrix
+from .clusters import BirthDeathPass, ClusterMeanVector
+from .partition import crp_draw
 from .sparsity import slab_coef
 
-STATISTIC_NAMES = (
-    "sample_clusters",
-    "mean_clusters",
-    "var_clusters",
-    "mean_attr_prob",
-    "slab_var",
-    "conc_samples",
-    "conc_inner",
-    "mean_sq_shift",
-)
 # Batches of a batch-means standard error.
 N_BATCHES = 100
-
-
-def state_statistics(state):
-    """The scalar functionals compared between the two simulators."""
-    k = state.samples.n_clusters()
-    inner = [m.inner for m in state.cluster_means.values()]
-    values = np.concatenate([part.values for part in inner])
-    counts = np.concatenate([part.counts for part in inner])
-    ssq = float(counts @ (values * values))
-    return (
-        float(k),
-        float(state.mean_part.n_clusters()),
-        float(state.var_part.n_clusters()),
-        float(state.attr_prob.mean()),
-        float(state.slab_var),
-        float(state.conc_samples),
-        float(state.conc_inner),
-        ssq / (k * state.p),
-    )
-
-
-def marginal_conditional_samples(n, p, hp, draws, rng):
-    """Independent forward draws of the statistics from the prior."""
-    out = np.empty((draws, len(STATISTIC_NAMES)))
-    for t in range(draws):
-        state = draw_state_from_prior(n, p, hp, rng)
-        out[t] = state_statistics(state)
-    return out
-
-
-def successive_conditional_samples(n, p, hp, draws, rng):
-    """Statistics along the coupled chain: resample data given the state,
-    then the state given the data by one full transition-kernel sweep."""
-    state = draw_state_from_prior(n, p, hp, rng)
-    data = DataMatrix(draw_data(state, rng))
-    out = np.empty((draws, len(STATISTIC_NAMES)))
-    for t in range(draws):
-        sweep(state, data, hp, rng)
-        out[t] = state_statistics(state)
-        data.y[...] = draw_data(state, rng)
-    return out
 
 
 def batch_means_se(x):
@@ -76,17 +28,14 @@ def batch_means_se(x):
     return float(b.std(ddof=1) / math.sqrt(N_BATCHES))
 
 
-def geweke_z_scores(forward, successive):
-    """Two-sample z per statistic; the successive side uses batch-means SEs
-    to account for autocorrelation, the forward side is independent."""
-    zs = {}
-    for idx, name in enumerate(STATISTIC_NAMES):
-        a = forward[:, idx]
-        b = successive[:, idx]
-        se_a = a.std(ddof=1) / math.sqrt(len(a))
-        se_b = batch_means_se(b)
-        zs[name] = float((a.mean() - b.mean()) / math.hypot(se_a, se_b))
-    return zs
+def draw_prior_mean(s, conc_inner, slab_var, rng):
+    """Draw a mean vector from its prior, with the inclusion probabilities
+    integrated out: component j is nonzero with probability ``s[j]``
+    (rho_j slab_a / (slab_a + slab_b)), and the nonzero components share
+    N(0, slab_var) values through a CRP with concentration ``conc_inner``.
+    """
+    return ClusterMeanVector(len(s), crp_draw(
+        len(s), conc_inner, rng, lambda: math.sqrt(slab_var) * rng.standard_normal(), s))
 
 
 def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequential"):

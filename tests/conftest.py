@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sparseclust.clusters import ClusterMeanVector
-from sparseclust.forward import draw_data, draw_state_from_prior
 from sparseclust.model import DataMatrix, Hyperparams, ModelState
 from sparseclust.partition import SPIKE, Partition
+
+from geweke import draw_data, draw_state_from_prior
 
 
 def build_partition(groups, values=None, p=None):

@@ -17,7 +17,7 @@ from sparseclust.clusters import (
     mh_death_move,
 )
 from sparseclust.densities import SamplerAbort, log_normal_pdf
-from sparseclust.forward import draw_prior_mean
+from sparseclust.diagnostics import draw_prior_mean
 from sparseclust.model import Hyperparams
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import slab_coef

@@ -23,11 +23,11 @@ from sparseclust.clusters import (
     gibbs_update_cluster_mean,
 )
 from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
-from sparseclust.forward import draw_data
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state
+from geweke import draw_data
 
 REL = 1e-12
 

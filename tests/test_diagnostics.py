@@ -5,20 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from sparseclust.chain import ChainConfig, init_state, sweep
+from sparseclust.chain import ALL_SINGLETONS, ChainConfig, init_state, sweep
 from sparseclust.clusters import BirthDeathPass, mh_birth_move
-from sparseclust.diagnostics import (
-    STATISTIC_NAMES,
-    geweke_z_scores,
-    marginal_conditional_samples,
-    measure_birth_acceptance,
-    successive_conditional_samples,
-)
-from sparseclust.forward import draw_data, draw_state_from_prior
+from sparseclust.diagnostics import batch_means_se, measure_birth_acceptance
 from sparseclust.model import DataMatrix, default_hyperparams
 from sparseclust.simulate import gen_example1
 
 from conftest import informative_hp, make_state, manual_state
+from geweke import (
+    STATISTIC_NAMES,
+    draw_data,
+    draw_state_from_prior,
+    geweke_z_scores,
+    marginal_conditional_samples,
+    successive_conditional_samples,
+)
 
 GATE_SEEDS = (0, 1, 2, 3)
 GATE_DRAWS = 4000
@@ -105,6 +106,27 @@ def test_birth_acceptance_rejects_bad_arguments():
         with pytest.raises(ValueError, match="attempts|proposal"):
             measure_birth_acceptance(state, data, hp, rng, attempts, proposal)
     assert rng.bit_generator.state == before
+
+
+def test_birth_acceptance_needs_a_non_singleton_sample():
+    """From all singletons no birth can be attempted: rejected before any
+    draw is made."""
+    data, _truth = gen_example1(0)
+    hp = default_hyperparams(data)
+    rng = np.random.default_rng(0)
+    state = init_state(data, hp, ChainConfig(init_mode=ALL_SINGLETONS), rng)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no non-singleton samples"):
+        measure_birth_acceptance(state, data, hp, rng, 5)
+    assert rng.bit_generator.state == before
+
+
+def test_batch_means_se_needs_two_values_per_batch():
+    """199 values cannot fill 100 batches of two; 200 can."""
+    x = np.random.default_rng(0).standard_normal(200)
+    with pytest.raises(ValueError, match="100 batches"):
+        batch_means_se(x[:199])
+    assert math.isfinite(batch_means_se(x))
 
 
 def test_birth_acceptance_scores_the_kernel_move():

@@ -1,3 +1,8 @@
+import os
+import pkgutil
+import subprocess
+import sys
+
 import sparseclust
 
 USER_API = {
@@ -31,3 +36,18 @@ def test_star_import():
     namespace = {}
     exec("from sparseclust import *", namespace)
     assert set(sparseclust.__all__) <= set(namespace)
+
+
+def test_cli_loads_every_module_but_diagnostics(tmp_path):
+    """A fresh interpreter, with only the package's parent on its path,
+    loads every package module on importing the CLI except ``diagnostics``,
+    so the package holds no module that only tests import. With ``tests/``
+    off the path, it also shows that no package module imports the tests'
+    harness."""
+    parent = os.path.dirname(os.path.dirname(sparseclust.__file__))
+    code = ("import sys, sparseclust.cli; "
+            "print(*(m.split('.')[1] for m in sys.modules if m.startswith('sparseclust.')))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": parent})
+    modules = {m.name for m in pkgutil.iter_modules(sparseclust.__path__)}
+    assert set(out.stdout.split()) >= modules - {"diagnostics"}

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from sparseclust.clusters import ClusterMeanVector
-from sparseclust.diagnostics import batch_means_se
+from sparseclust.diagnostics import batch_means_se, draw_prior_mean
 from sparseclust.model import Hyperparams
 from sparseclust.sparsity import (
+    slab_coef,
     spike_zero_weight,
     step_pi,
     step_rho,
@@ -197,8 +198,10 @@ def test_eta_sq_counts_unique_values_once():
 
 
 def test_forward_marginal_inclusion_rate():
-    """Forward-simulating the hierarchy reproduces the marginalized prior
-    inclusion probability E[rho] * a/(a+b)."""
+    """Forward-simulating the hierarchy rho -> pi -> inclusion reproduces the
+    marginalized prior inclusion probability E[rho] * a/(a+b), and so does
+    the package's collapsed draw, ``draw_prior_mean`` with pi integrated
+    out."""
     hp = Hyperparams(base_mean=0.0, base_var=1.0, rho_a=2.0, rho_b=6.0)
     rng = np.random.default_rng(7)
     hits = 0
@@ -214,3 +217,14 @@ def test_forward_marginal_inclusion_rate():
     want = (hp.rho_a / (hp.rho_a + hp.rho_b)) * hp.slab_a / (hp.slab_a + hp.slab_b)
     se = math.sqrt(want * (1 - want) / trials)
     assert abs(hits / trials - want) < 4 * se
+
+    # Given rho, components are nonzero independently, so the share over
+    # draws x p components is binomial.
+    rng = np.random.default_rng(7)
+    draws, p = 200, 1000
+    nonzero = 0
+    for _ in range(draws):
+        rho = rng.beta(hp.rho_a, hp.rho_b, size=p)
+        nonzero += np.count_nonzero(draw_prior_mean(slab_coef(hp) * rho, 1.0, 1.0, rng).mu())
+    se = math.sqrt(want * (1 - want) / (draws * p))
+    assert abs(nonzero / (draws * p) - want) < 4 * se
