@@ -174,7 +174,9 @@ def test_sweep_reaches_steps_and_moves_through_module_attributes(monkeypatch):
         count(clusters, name)
     count(chain.ChainTrace, "record")
 
-    state, data, hp = make_state(n=6, p=3, seed=0, require_multi=True)
+    # The reassignment pass calls gibbs_reassign only for a row its blocks
+    # cannot call a stay; from this state (seed 2) rows move in the sweep.
+    state, data, hp = make_state(n=6, p=3, seed=2, require_multi=True)
     sizes = state.samples.sizes()
     assert min(sizes) == 1 and max(sizes) > 1  # both birth and death apply
     chain.sweep(state, data, hp, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import copy
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -18,8 +19,7 @@ from sparseclust.clusters import (
 )
 from sparseclust.densities import SamplerAbort, log_normal_pdf
 from sparseclust.diagnostics import draw_prior_mean
-from sparseclust.model import Hyperparams
-from sparseclust.partition import SPIKE
+from sparseclust.partition import SPIKE, Partition
 from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state, manual_state
@@ -779,6 +779,173 @@ def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
     assert moved == [bad]  # every row before it was skipped
     assert state.to_dict() == ref.to_dict()
     assert rng.random(4).tolist() == ref_rng.random(4).tolist()
+
+
+# -- the reassignment pass ----------------------------------------------------
+
+
+def _reassign_state(labels):
+    """A state whose sample partition has ``labels`` (slot t holding cluster
+    id t): all of a state the reassignment pass reads."""
+    counts = np.bincount(labels)
+    return SimpleNamespace(samples=Partition(labels.copy(), counts, np.zeros(len(counts))))
+
+
+def _reference_reassignments(state, rng, loglik, col_order):
+    """The per-sample pass the blocks must reproduce bit for bit:
+    ``gibbs_reassign`` of every non-singleton, in sample order. Returns the
+    number of calls and, per move, (sample, whether it left a 2-member
+    cluster whose other member comes later, whether it joined a singleton
+    that comes later)."""
+    samples = state.samples
+    calls, moves = 0, []
+    for i in range(len(loglik)):
+        if samples.cluster_size(i) > 1:
+            before = samples.labels.copy()
+            gibbs_reassign(state, None, None, i, rng, loglik[i], col_order)
+            calls += 1
+            s, t = before[i], samples.labels.item(i)
+            if t != s:
+                left, joined = np.flatnonzero(before == s), np.flatnonzero(before == t)
+                moves.append((i, len(left) == 2 and left.max() > i,
+                              len(joined) == 1 and joined.item(0) > i))
+    return calls, moves
+
+
+def _generator_state(rng):
+    """The bit generator's state with its arrays as lists, for comparing."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {key: plain(x) for key, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+def _record_reassigns(monkeypatch):
+    """Record each sample the pass commits through ``gibbs_reassign``."""
+    committed = []
+
+    def recording(state, data, hp, i, rng, loglik_row, col_order):
+        committed.append(i)
+        return gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order)
+
+    monkeypatch.setattr(clusters, "gibbs_reassign", recording)
+    return committed
+
+
+def _reassign_case(seed):
+    """A random partition of 1-24 samples into K = 1..5 clusters, and log
+    likelihoods that favour each sample's own cluster by a random margin, so
+    that passes range from every row staying to rows moving often."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    k = int(rng.integers(1, min(n, 5) + 1))
+    labels = rng.permutation(np.concatenate((np.arange(k), rng.integers(0, k, n - k))))
+    loglik = float(rng.choice([0.1, 1.0, 5.0])) * rng.standard_normal((n, k)) - 50.0
+    loglik[np.arange(n), labels] += rng.choice([0.0, 2.0, 6.0, 20.0], size=n)
+    return labels, loglik
+
+
+def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
+    """The reassignment pass, which decides the rows that stay in blocks,
+    leaves the labels, counts, ids and generator state where
+    ``gibbs_reassign`` of every non-singleton leaves them, on each bit
+    generator, through the cases where a block stops or draws differently
+    from its start."""
+    seen = dict.fromkeys(
+        ("K = 1", "every row stays, K > 1", "mover at sample 0", "mover at sample n - 1",
+         "one uniform fewer", "one uniform more"), 0)
+    committed = _record_reassigns(monkeypatch)
+    block_calls = reference_calls = 0
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(150):
+            labels, loglik = _reassign_case(seed)
+            state, ref = _reassign_state(labels), _reassign_state(labels)
+            col_order = state.samples.cluster_ids()
+            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                            for _ in range(2))
+            committed.clear()
+            clusters._reassignments(state, None, None, rng, loglik, col_order)
+            calls, moves = _reference_reassignments(ref, ref_rng, loglik, col_order)
+
+            assert state.samples.to_dict() == ref.samples.to_dict(), (bit_generator, seed)
+            assert _generator_state(rng) == _generator_state(ref_rng), (bit_generator, seed)
+            block_calls += len(committed)
+            reference_calls += calls
+            n, k = loglik.shape
+            if k == 1:
+                assert committed == [], (bit_generator, seed)  # blocks decided every row
+                seen["K = 1"] += calls > 1
+            seen["every row stays, K > 1"] += k > 1 and calls > 1 and not moves
+            seen["mover at sample 0"] += any(i == 0 for i, _, _ in moves)
+            seen["mover at sample n - 1"] += n > 1 and any(i == n - 1 for i, _, _ in moves)
+            seen["one uniform fewer"] += any(fewer for _, fewer, _ in moves)
+            seen["one uniform more"] += any(more for _, _, more in moves)
+    assert all(seen.values()), seen
+    assert block_calls < reference_calls, (block_calls, reference_calls)  # blocks decided rows
+
+
+@pytest.mark.parametrize("own", [0, 1])
+def test_reassignment_uniform_on_an_interval_end_goes_to_gibbs_reassign(monkeypatch, own):
+    """A row whose scaled uniform sits on an end of its own cluster's
+    cumulative interval (the upper end of cluster 0's, the lower end of
+    cluster 1's) is committed by ``gibbs_reassign``, whichever way its last
+    bits fall, and the pass ends as the per-sample pass does."""
+    n = 12
+    row = 6 + own
+    labels = np.arange(n) % 2  # row is in cluster own; every row draws
+    committed = _record_reassigns(monkeypatch)
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(10):
+            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                            for _ in range(2))
+            u = copy.deepcopy(rng).random(n).item(row)
+            # Every other row stays with certainty. The row's weights, with
+            # 5 others in its own cluster and 6 in the other, give cluster 0
+            # the share u of the total.
+            loglik = np.zeros((n, 2))
+            loglik[np.arange(n), labels] = 60.0
+            loglik[row] = (math.log(u / (1.0 - u)) + math.log(6 - own) - math.log(5 + own),
+                           0.0)
+            logw = [math.log(c) + w for c, w in zip((5 + own, 6 - own), loglik[row].tolist())]
+            exps = [math.exp(w - max(logw)) for w in logw]
+            t = exps[0] + exps[1]
+            assert abs(u * t - exps[0]) <= 1e-12 * t, (bit_generator, seed)
+
+            state, ref = _reassign_state(labels), _reassign_state(labels)
+            col_order = state.samples.cluster_ids()
+            committed.clear()
+            clusters._reassignments(state, None, None, rng, loglik, col_order)
+            _reference_reassignments(ref, ref_rng, loglik, col_order)
+            assert committed[0] == row, (bit_generator, seed, committed)
+            assert state.samples.to_dict() == ref.samples.to_dict(), (bit_generator, seed)
+            assert _generator_state(rng) == _generator_state(ref_rng), (bit_generator, seed)
+
+
+def test_reassignment_abort_after_rows_that_stayed(monkeypatch):
+    """A non-finite row after a block of rows that stay aborts in
+    ``gibbs_reassign`` with the per-sample pass's message, leaving the state
+    and the generator where that pass leaves them."""
+    n, bad = 10, 6
+    labels = np.arange(n) % 2
+    loglik = np.zeros((n, 2))
+    loglik[np.arange(n), labels] = 60.0
+    loglik[bad, 1] = np.nan
+    state, ref = _reassign_state(labels), _reassign_state(labels)
+    col_order = state.samples.cluster_ids()
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    committed = _record_reassigns(monkeypatch)
+    with pytest.raises(SamplerAbort) as block_abort:
+        clusters._reassignments(state, None, None, rng, loglik, col_order)
+    with pytest.raises(SamplerAbort) as reference_abort:
+        _reference_reassignments(ref, ref_rng, loglik, col_order)
+
+    message = str(block_abort.value)
+    assert message.startswith(f"reassignment i={bad}: non-finite log weights [")
+    assert message == str(reference_abort.value)
+    assert committed == [bad]  # a block decided every row before it
+    assert state.samples.to_dict() == ref.samples.to_dict()
+    assert _generator_state(rng) == _generator_state(ref_rng)
 
 
 def test_step5_aborts_name_the_move():
