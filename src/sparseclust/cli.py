@@ -205,15 +205,12 @@ def main(argv=None):
         print(f"sampler aborted: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
-    if args.chains == 1:
-        _write_outputs(args.out, traces[0], data, hp, args.threshold, configs[0])
-    else:
+    _write_outputs(args.out, merge_traces(traces), data, hp, args.threshold, configs[0],
+                   chains=args.chains)
+    if args.chains > 1:
         for c, tr in enumerate(traces):
             _write_outputs(os.path.join(args.out, f"chain_{c:02d}"), tr, data, hp,
                            args.threshold, configs[c])
-        _write_outputs(args.out, merge_traces(traces), data, hp, args.threshold, configs[0],
-                       chains=args.chains)
 
     manifest = {
         "version": f"sparseclust-{__version__}",

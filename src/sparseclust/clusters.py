@@ -49,20 +49,24 @@ the reassignment pass: the terms of every sample's residual y_i - mu_base as
 (n, p) rows, together with log(2 pi sigma^2), every sample's log likelihood
 under a zero mean, which is the likelihood of nearly every proposal at the
 default sparsity, and each live cluster's column of log likelihoods,
-computed once when first read. The elementwise ufuncs and the row sums give
-the same bits on the (n, p) arrays as on one row, so a row of the pass walks
-as its one-row terms do. The inner Gibbs pass then reads each cluster's
-member rows from the data, in ascending sample order.
+computed once when first read. Every move reads a live cluster's likelihood
+from its column, a death its own and its target's too; only a fresh proposal
+is scored on its own row. The elementwise ufuncs and the row sums give the
+same bits on the (n, p) arrays as on one row, so a row of the pass walks as
+its one-row terms do. The inner Gibbs pass then reads each cluster's member
+rows from the data, in ascending sample order.
 
-A drawing walk is handed its uniforms, one per component: component j is
-seated by u[j], on either path. The birth/death pass draws one (n, p + 1)
-uniform matrix when it starts, and the move of sample i reads only row i. A
-birth walk reads column j to seat component j and column p for its MH test;
-a death reads column 0 for its target (a uniform pick among the other
-n - 1 samples) and column p for its test. The inner Gibbs pass draws one
-p-vector per cluster. Normal and beta draws come from the generator. This
-is valid: each uniform is read by one draw only, and it is drawn before, and
-independently of, the state it is used in.
+Every sample move is handed its uniforms, and so is a drawing walk, one per
+component: component j is seated by u[j], on either path. The birth/death
+pass draws one (n, p + 1) uniform matrix when it starts, and the move of
+sample i reads only row i. A birth walk reads column j to seat component j
+and column p for its MH test; a death reads column 0 for its target (a
+uniform pick among the other n - 1 samples) and column p for its test. The
+reassignment pass hands each row it commits that row's uniform (see below).
+The inner Gibbs pass draws one p-vector per cluster. Normal and beta draws
+come from the generator. This is valid: each uniform is read by one draw
+only, and it is drawn before, and independently of, the state it is used
+in.
 
 At the default sparsity nearly every birth proposal seats every component
 on SPIKE and is rejected. Such a row changes nothing and draws nothing.
@@ -84,17 +88,17 @@ its cluster, whose weights are not finite, or whose scaled uniform lies
 within a relative 1e-12 (plus K ulps) of an end of its own cluster's
 cumulative interval (numpy's exp and ``math.exp`` may differ in the last
 bit). The rows before it stay. The generator is set back to its state
-before the block's draw and redraws only their uniforms, and
-``gibbs_reassign`` commits the row, drawing its own. ``random(m)`` gives the
-values of m scalar draws on every bit generator, so the pass draws and moves
-as the per-sample loop does. The first block spans every row. Each block
-keeps its verdicts on its rows as guesses: the counts change by one move at
-a time, so a row it called a stay most likely still stays. A later block
-runs from the next row through the next row guessed not to stay, if at
-least ``_MIN_RUN`` rows lie before that one; the rows of a shorter stretch
-go one at a time through ``gibbs_reassign``. The guesses only size the
-blocks: every row is still seated by its own uniform under the counts it
-sees.
+before the block's draw and redraws only the uniforms through that row, and
+``gibbs_reassign`` commits the row with its uniform from the block's draw.
+``random(m)`` gives the values of m scalar draws on every bit generator, so
+the pass draws and moves as the per-sample loop does. The first block spans
+every row. Each block keeps its verdicts on its rows as guesses: the counts
+change by one move at a time, so a row it called a stay most likely still
+stays. A later block runs from the next row through the next row guessed
+not to stay, if at least ``_MIN_RUN`` rows lie before that one; the rows of
+a shorter stretch go one at a time through ``gibbs_reassign``, each handed
+one scalar draw. The guesses only size the blocks: every row is still seated
+by its own uniform under the counts it sees.
 """
 
 import bisect
@@ -234,7 +238,8 @@ class BirthDeathPass(WalkTerms):
         self._columns = {}
 
     def loglik(self, i, mean):
-        """Log F(y_i; mu_base + mean): sample i's normal log likelihood."""
+        """Log F(y_i; mu_base + mean): sample i's normal log likelihood under
+        a proposed mean; a live cluster's is read from its column."""
         if not mean.inner.n_clusters():  # every component is SPIKE
             return self.zero_loglik.item(i)
         return float(_loglik_rows(self.x[i] - mean.mu(), self.log_2pi_var, self.sigma_sq))
@@ -254,8 +259,8 @@ class BirthDeathPass(WalkTerms):
         return col
 
     def birth_log_ratio(self, state, rows, log_f_new, log_q, log_q0):
-        """(log MH ratio, log F old) of moving each sample of ``rows`` out of
-        its cluster into a new one, under whose mean its log likelihood is
+        """The log MH ratio of moving each sample of ``rows`` out of its
+        cluster into a new one, under whose mean its log likelihood is
         ``log_f_new``, proposed with density ``log_q`` whose prior density
         is ``log_q0``. ``rows`` is one sample, with floats, or an index
         array, with a float or an array over the rows for each term."""
@@ -267,11 +272,8 @@ class BirthDeathPass(WalkTerms):
             log_f_old = cols[np.searchsorted(live, slots), rows]
         else:
             log_f_old = self.loglik_column(state, samples.cluster_of(rows)).item(rows)
-        log_ratio = (
-            math.log(state.conc_samples) - math.log(len(self.x) - 1)
-            + log_f_new - log_f_old + log_q0 - log_q
-        )
-        return log_ratio, log_f_old
+        return (math.log(state.conc_samples) - math.log(len(self.x) - 1)
+                + log_f_new - log_f_old + log_q0 - log_q)
 
     def rejected_spike_births(self, state, u):
         """Per row of the uniforms ``u``, whether the birth move of that
@@ -288,9 +290,8 @@ class BirthDeathPass(WalkTerms):
         skip = np.zeros(len(u), dtype=bool)
         if rows.size:
             log_ratio = self.birth_log_ratio(
-                state, rows, self.zero_loglik[rows], self.spike_log_q[rows], self.spike_log_q0)[0]
-            # The MH test of ``mh_birth_move``, in ``math.exp``.
-            skip[rows] = [r < 0.0 and v >= math.exp(r)
+                state, rows, self.zero_loglik[rows], self.spike_log_q[rows], self.spike_log_q0)
+            skip[rows] = [not _mh_accepts(r, v)
                           for r, v in zip(log_ratio.tolist(), u[rows, p].tolist())]
         return skip
 
@@ -539,11 +540,19 @@ def _loglik_rows(d, log_2pi_var, sigma_sq):
     return (-0.5 * (log_2pi_var + d * d / sigma_sq)).sum(axis=-1)
 
 
-def mh_birth_move(state, data, hp, i, rng, bd, u):
-    """Propose moving a non-singleton sample into a fresh cluster.
+def _mh_accepts(log_ratio, v):
+    """The MH test: whether the uniform ``v`` accepts a move of log ratio
+    ``log_ratio``. A NaN ratio rejects."""
+    return log_ratio >= 0.0 or v < math.exp(log_ratio)
+
+
+def mh_birth_move(state, i, rng, bd, u):
+    """Propose moving a non-singleton sample into a fresh cluster; returns
+    (accepted, log MH ratio).
 
     ``bd`` is the step's ``BirthDeathPass`` and ``u`` the sample's row of
-    p + 1 uniforms: u[j] seats component j, u[p] is the MH test's.
+    p + 1 uniforms: u[j] seats component j, u[p] is the MH test's. ``rng``
+    draws the slab values.
     """
     if state.samples.cluster_size(i) <= 1:
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
@@ -552,25 +561,21 @@ def mh_birth_move(state, data, hp, i, rng, bd, u):
         mean_new, log_q, log_q0 = bd.propose(i, u, rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"birth proposal i={i}: {exc}") from exc
-    log_f_new = bd.loglik(i, mean_new)
-    log_ratio, log_f_old = bd.birth_log_ratio(state, i, log_f_new, log_q, log_q0)
-    accepted = log_ratio >= 0.0 or u.item(data.p) < math.exp(log_ratio)
+    log_ratio = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)
+    accepted = _mh_accepts(log_ratio, u.item(-1))
     if accepted:
         new_cid = state.samples.move(i)
         state.cluster_means[new_cid] = mean_new
-    info = {
-        "log_ratio": log_ratio, "log_f_new": log_f_new, "log_f_old": log_f_old,
-        "log_q": log_q, "log_q0": log_q0,
-    }
-    return accepted, info
+    return accepted, log_ratio
 
 
-def mh_death_move(state, data, hp, i, rng, bd, u):
-    """Propose absorbing a singleton sample into an existing cluster.
+def mh_death_move(state, i, bd, u):
+    """Propose absorbing a singleton sample into an existing cluster;
+    returns (accepted, log MH ratio).
 
     ``bd`` is the step's ``BirthDeathPass`` and ``u`` the sample's row of
     p + 1 uniforms: u[0] picks the target, u[p] is the MH test's. The
-    replayed walk and the move draw nothing from ``rng``.
+    replayed walk and the move draw nothing.
     """
     samples = state.samples
     cid = samples.cluster_of(i)
@@ -579,34 +584,30 @@ def mh_death_move(state, data, hp, i, rng, bd, u):
 
     # The target is the cluster of a sample drawn uniformly from the other
     # n - 1 samples.
-    k = int(u.item(0) * (data.n - 1))
+    n = len(bd.x)
+    k = int(u.item(0) * (n - 1))
     target = samples.cluster_of(k + (k >= i))
 
-    mean_own = state.cluster_means[cid]
     try:
-        log_q, log_q0 = _scan_components(mean_own.inner, bd, i)
+        log_q, log_q0 = _scan_components(state.cluster_means[cid].inner, bd, i)
     except SamplerAbort as exc:
         raise SamplerAbort(f"death proposal i={i}: {exc}") from exc
 
-    log_f_new = bd.loglik(i, state.cluster_means[target])
-    log_f_old = bd.loglik(i, mean_own)
     log_ratio = (
-        math.log(data.n - 1) - math.log(state.conc_samples)
-        + log_f_new - log_f_old + log_q - log_q0
+        math.log(n - 1) - math.log(state.conc_samples)
+        + bd.loglik_column(state, target).item(i) - bd.loglik_column(state, cid).item(i)
+        + log_q - log_q0
     )
-    accepted = log_ratio >= 0.0 or u.item(data.p) < math.exp(log_ratio)
+    accepted = _mh_accepts(log_ratio, u.item(-1))
     if accepted:
         samples.move(i, target)
         del state.cluster_means[cid]
-    info = {
-        "log_ratio": log_ratio, "log_f_new": log_f_new, "log_f_old": log_f_old,
-        "log_q": log_q, "log_q0": log_q0, "target": target,
-    }
-    return accepted, info
+    return accepted, log_ratio
 
 
-def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
-    """Resample a non-singleton sample's cluster among existing clusters.
+def gibbs_reassign(state, loglik_row, col_order, i, u):
+    """Resample a non-singleton sample's cluster among existing clusters by
+    the uniform ``u``; returns its new cluster id.
 
     ``loglik_row[t]`` is sample i's log likelihood under cluster
     ``col_order[t]``: entry i of that cluster's ``BirthDeathPass.loglik_column``.
@@ -622,7 +623,7 @@ def gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order):
     counts[samples.labels.item(i)] -= 1
     logw = [math.log(c) + w for c, w in zip(counts, loglik_row.tolist())]
     try:
-        choice, _lse = pick_with_lse(logw, rng.random())
+        choice, _lse = pick_with_lse(logw, u)
     except SamplerAbort as exc:
         raise SamplerAbort(f"reassignment i={i}: {exc}") from exc
     return samples.move(i, col_order[choice])
@@ -646,24 +647,24 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
                          rng.random(data.p), rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"inner mean update cid={cid}: {exc}") from exc
-    return state.cluster_means[cid]
 
 
-def _births_and_deaths(state, data, hp, rng, bd):
+def _births_and_deaths(state, rng, bd):
     """The MH birth/death pass: a birth move per non-singleton and a death
     move per singleton, in sample order, move i reading row i of one uniform
     matrix. A row marked by ``rejected_spike_births`` whose sample is still
     not a singleton is skipped: its move would change nothing."""
-    u = rng.random((data.n, data.p + 1))
+    n, p = bd.x.shape
+    u = rng.random((n, p + 1))
     skip = bd.rejected_spike_births(state, u).tolist()
-    for i in range(data.n):
+    for i in range(n):
         if state.samples.cluster_size(i) == 1:
-            mh_death_move(state, data, hp, i, rng, bd, u[i])
+            mh_death_move(state, i, bd, u[i])
         elif not skip[i]:
-            mh_birth_move(state, data, hp, i, rng, bd, u[i])
+            mh_birth_move(state, i, rng, bd, u[i])
 
 
-def _reassignments(state, data, hp, rng, loglik, col_order):
+def _reassignments(state, rng, loglik, col_order):
     """The Gibbs reassignment pass: ``gibbs_reassign`` of every non-singleton
     in sample order, row i of ``loglik`` holding sample i's log likelihood
     under each cluster of ``col_order``, with the rows that stay decided in
@@ -688,7 +689,7 @@ def _reassignments(state, data, hp, rng, loglik, col_order):
                 nxt = n
         if j and nxt - j < _MIN_RUN:
             if samples.cluster_size(j) > 1:
-                gibbs_reassign(state, data, hp, j, rng, loglik[j], col_order)
+                gibbs_reassign(state, loglik[j], col_order, j, rng.random())
             j += 1
             continue
         end = min(nxt + 1, n)
@@ -727,9 +728,9 @@ def _reassignments(state, data, hp, rng, loglik, col_order):
             j = end
             continue
         rng.bit_generator.state = saved
-        rng.random(q)  # the uniforms of the rows before it
+        rng.random(q + 1)  # the uniforms of the rows through it
         i = rows.item(q)
-        gibbs_reassign(state, data, hp, i, rng, loglik[i], col_order)
+        gibbs_reassign(state, loglik[i], col_order, i, u.item(q))
         j = i + 1
 
 
@@ -740,14 +741,14 @@ def step_clusters(state, data, hp, rng):
     sigma_sq = state.var_part.values_vector()
 
     bd = BirthDeathPass(data.y, mu_base, sigma_sq, state, hp)
-    _births_and_deaths(state, data, hp, rng, bd)
+    _births_and_deaths(state, rng, bd)
 
     # The cluster set and the means are fixed during the reassignment pass,
     # so it reads the pass's columns.
     col_order = state.samples.cluster_ids()
     loglik = np.column_stack([bd.loglik_column(state, c) for c in col_order])
     del bd  # (n, p) arrays the rest of the step does not read
-    _reassignments(state, data, hp, rng, loglik, col_order)
+    _reassignments(state, rng, loglik, col_order)
 
     # The inner pass moves no sample.
     for cid, mem in state.samples.members().items():

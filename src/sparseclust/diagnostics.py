@@ -69,5 +69,5 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
             mean_new = draw_prior_mean(
                 slab_coef(hp) * state.attr_prob, state.conc_inner, state.slab_var, rng)
             log_q = log_q0 = 0.0
-        log_ratios[t] = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)[0]
+        log_ratios[t] = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)
     return log_ratios

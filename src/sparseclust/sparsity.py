@@ -58,4 +58,3 @@ def update_eta_sq(state, hp, rng):
     values = np.concatenate([m.inner.values for m in state.cluster_means.values()])
     ssq = float(values @ values)
     state.slab_var = (hp.eta_rate + 0.5 * ssq) / rng.gamma(hp.eta_shape + 0.5 * len(values))
-    return state.slab_var

@@ -348,6 +348,31 @@ def test_eval_log_q_matches_mpmath_scorer():
 # -- MH moves ----------------------------------------------------------------
 
 
+def _birth_parts(state, data, hp, i, u, rng):
+    """The parts of the birth move's log ratio for sample i from the uniform
+    row ``u``, each computed apart from the move: the proposal from a copy
+    of ``rng``, its likelihood, and the likelihood under i's own cluster
+    from the pass's column. Returns (log F new, log F old, log Q, log Q0)."""
+    bd = _pass(state, data, hp)
+    mean, log_q, log_q0 = bd.propose(i, u, copy.deepcopy(rng))
+    log_f_old = bd.loglik_column(state, state.samples.cluster_of(i))[i]
+    return bd.loglik(i, mean), log_f_old, log_q, log_q0
+
+
+def _death_parts(state, data, hp, i, u):
+    """The parts of the death move's log ratio for singleton i from the
+    uniform row ``u``, each computed apart from the move: the target from
+    u[0], the likelihoods from the pass's columns and the reverse birth from
+    the replayed walk. Returns (target, log F new, log F old, log Q, log Q0)."""
+    bd = _pass(state, data, hp)
+    k = int(u[0] * (data.n - 1))
+    target = state.samples.cluster_of(k + (k >= i))
+    own = state.samples.cluster_of(i)
+    log_q, log_q0 = _scan_components(state.cluster_means[own].inner, bd, i)
+    return (target, bd.loglik_column(state, target)[i], bd.loglik_column(state, own)[i],
+            log_q, log_q0)
+
+
 def test_birth_ratio_recomputation_oracle(tiny_state):
     state, data, hp = tiny_state
     rng = np.random.default_rng(5)
@@ -355,15 +380,16 @@ def test_birth_ratio_recomputation_oracle(tiny_state):
         i for i in range(data.n)
         if state.samples.cluster_size(i) > 1
     )
+    u = rng.random(data.p + 1)
+    log_f_new, log_f_old, log_q, log_q0 = _birth_parts(state, data, hp, non_singleton, u, rng)
     st = copy.deepcopy(state)
-    accepted, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp),
-                                   rng.random(data.p + 1))
+    _accepted, log_ratio = mh_birth_move(st, non_singleton, rng, _pass(st, data, hp), u)
     want = (
         mpmath.log(mpmath.mpf(state.conc_samples)) - mpmath.log(data.n - 1)
-        + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])
-        + mpmath.mpf(info["log_q0"]) - mpmath.mpf(info["log_q"])
+        + mpmath.mpf(log_f_new) - mpmath.mpf(log_f_old)
+        + mpmath.mpf(log_q0) - mpmath.mpf(log_q)
     )
-    assert info["log_ratio"] == pytest.approx(float(want), abs=1e-10)
+    assert log_ratio == pytest.approx(float(want), abs=1e-10)
 
 
 def test_q_equal_q0_reduces_to_plain_ratio(tiny_state):
@@ -374,16 +400,15 @@ def test_q_equal_q0_reduces_to_plain_ratio(tiny_state):
         i for i in range(data.n)
         if state.samples.cluster_size(i) > 1
     )
+    u = rng.random(data.p + 1)
+    log_f_new, log_f_old, log_q, log_q0 = _birth_parts(state, data, hp, non_singleton, u, rng)
     st = copy.deepcopy(state)
-    _, info = mh_birth_move(st, data, hp, non_singleton, rng, _pass(st, data, hp),
-                            rng.random(data.p + 1))
+    _, log_ratio = mh_birth_move(st, non_singleton, rng, _pass(st, data, hp), u)
     plain = (
         math.log(state.conc_samples) - math.log(data.n - 1)
-        + info["log_f_new"] - info["log_f_old"]
+        + log_f_new - log_f_old
     )
-    assert info["log_ratio"] - (info["log_q0"] - info["log_q"]) == pytest.approx(
-        plain, abs=1e-12
-    )
+    assert log_ratio - (log_q0 - log_q) == pytest.approx(plain, abs=1e-12)
 
 
 def test_birth_death_pair_ratios_cancel():
@@ -398,38 +423,41 @@ def test_birth_death_pair_ratios_cancel():
             if st.samples.cluster_size(k) > 1
         )
         origin = st.samples.cluster_of(i)
-        accepted, binfo = mh_birth_move(st, data, hp, i, rng, _pass(st, data, hp),
-                                        rng.random(data.p + 1))
+        accepted, birth_ratio = mh_birth_move(st, i, rng, _pass(st, data, hp),
+                                              rng.random(data.p + 1))
         if not accepted:
             continue
         # the reversing death targets the origin cluster
-        mu_base, sigma_sq = _baselines(st)
-        x = data.y[i] - mu_base
-        own = st.cluster_means[st.samples.cluster_of(i)]
-        log_q, log_q0 = _scan_components(own.inner, WalkTerms(x, 1, sigma_sq, st, hp), 0)
         bd = _pass(st, data, hp)
-        log_f_origin = bd.loglik(i, st.cluster_means[origin])
-        log_f_own = bd.loglik(i, own)
+        own = st.samples.cluster_of(i)
+        log_q, log_q0 = _scan_components(st.cluster_means[own].inner, bd, i)
         death_ratio = (
             math.log(data.n - 1) - math.log(st.conc_samples)
-            + log_f_origin - log_f_own + log_q - log_q0
+            + bd.loglik_column(st, origin)[i] - bd.loglik_column(st, own)[i]
+            + log_q - log_q0
         )
-        assert binfo["log_ratio"] + death_ratio == pytest.approx(0.0, abs=1e-10)
+        assert birth_ratio + death_ratio == pytest.approx(0.0, abs=1e-10)
         break
     else:
         pytest.fail("no accepted birth in 200 tries")
 
 
 def test_death_move_single_target():
-    """n=2 with a singleton: the other cluster is proposed with certainty."""
+    """n=2 with a singleton: the other cluster is proposed with certainty,
+    and an accepted death moves the sample there."""
     state, data, hp = make_state(n=2, p=2, seed=1)
     while state.samples.n_clusters() != 2:
         state, data, hp = make_state(n=2, p=2, seed=state.conc_samples.__hash__() % 97)
     rng = np.random.default_rng(8)
     other = [c for c in state.samples.cluster_ids() if c != state.samples.cluster_of(0)][0]
-    _, info = mh_death_move(copy.deepcopy(state), data, hp, 0, rng, _pass(state, data, hp),
-                            rng.random(data.p + 1))
-    assert info["target"] == other
+    u = rng.random(data.p + 1)
+    target, log_f_new, log_f_old, log_q, log_q0 = _death_parts(state, data, hp, 0, u)
+    assert target == other
+    st = copy.deepcopy(state)
+    accepted, log_ratio = mh_death_move(st, 0, _pass(state, data, hp), u)
+    assert log_ratio == (math.log(data.n - 1) - math.log(state.conc_samples)
+                         + log_f_new - log_f_old + log_q - log_q0)
+    assert st.samples.cluster_of(0) == (other if accepted else state.samples.cluster_of(0))
 
 
 def test_death_ratio_recomputation_oracle():
@@ -447,14 +475,15 @@ def test_death_ratio_recomputation_oracle():
         state.cluster_means[cid] = ClusterMeanVector(data.p)
         singleton = i
     rng = np.random.default_rng(9)
-    _, info = mh_death_move(copy.deepcopy(state), data, hp, singleton, rng,
-                            _pass(state, data, hp), rng.random(data.p + 1))
+    u = rng.random(data.p + 1)
+    _target, log_f_new, log_f_old, log_q, log_q0 = _death_parts(state, data, hp, singleton, u)
+    _, log_ratio = mh_death_move(copy.deepcopy(state), singleton, _pass(state, data, hp), u)
     want = (
         mpmath.log(data.n - 1) - mpmath.log(mpmath.mpf(state.conc_samples))
-        + mpmath.mpf(info["log_f_new"]) - mpmath.mpf(info["log_f_old"])
-        + mpmath.mpf(info["log_q"]) - mpmath.mpf(info["log_q0"])
+        + mpmath.mpf(log_f_new) - mpmath.mpf(log_f_old)
+        + mpmath.mpf(log_q) - mpmath.mpf(log_q0)
     )
-    assert info["log_ratio"] == pytest.approx(float(want), abs=1e-10)
+    assert log_ratio == pytest.approx(float(want), abs=1e-10)
 
 
 # -- Gibbs reassignment -------------------------------------------------------
@@ -482,7 +511,7 @@ def test_reassign_single_cluster_certain():
     rng = np.random.default_rng(10)
     cid = state.samples.cluster_of(1)
     loglik, col_order = _reassign_inputs(state, data, hp)
-    assert gibbs_reassign(state, data, hp, 1, rng, loglik[1], col_order) == cid
+    assert gibbs_reassign(state, loglik[1], col_order, 1, rng.random()) == cid
 
 
 def test_reassign_logits_match_scipy_oracle():
@@ -517,7 +546,7 @@ def test_reassign_frequencies_follow_logits():
     counts = {c: 0 for c in col_order}
     trials = 40_000
     for _ in range(trials):
-        got = gibbs_reassign(state, data, hp, i, rng, loglik[i], col_order)
+        got = gibbs_reassign(state, loglik[i], col_order, i, rng.random())
         counts[got] += 1
         state.samples.move(i, orig)  # put the sample back for the next trial
     for t, c in enumerate(col_order):
@@ -650,12 +679,62 @@ def test_inner_gibbs_keeps_state_valid(tiny_state):
     state.validate(data)
 
 
+# -- the sample-partition law of step 5 ----------------------------------------
+
+
+def test_step5_partition_law_matches_exact_enumeration():
+    """Repeated ``step_clusters`` at n = 3, p = 1, with the baselines,
+    attr_prob, slab_var and the concentrations held fixed, visits the five
+    sample partitions with their exact posterior probabilities: CRP(conc_samples)
+    times, per cluster, the spike/slab marginal of its members' y with the
+    mean integrated out, (1 - s) prod N(y_i; mu, sigma^2) + s N(y; mu 1,
+    sigma^2 I + slab_var 11^T), s = slab_coef * rho. At p = 1 a slab mean is
+    one inner cluster whatever conc_inner is. The chain is autocorrelated, so
+    the standard errors come from batch means. y, the seed, the sweep count
+    and the 4-SE bound were fixed before the first run; the likeliest
+    partition carries 0.29 of the mass."""
+    from scipy.stats import multivariate_normal
+
+    from sparseclust.diagnostics import batch_means_se
+
+    y = np.array([[-0.5], [0.3], [1.6]])
+    sigma_sq, rho, slab_var, conc = 0.4, 0.6, 1.5, 1.0
+    state, data, hp = manual_state(y, sigma_sq=[sigma_sq], attr_prob=rho,
+                                   slab_var=slab_var, concs=conc)
+    s = slab_coef(hp) * rho
+    weights = {}
+    # Canonical labels (first appearance) of each partition of {0, 1, 2}.
+    for key in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)):
+        w = conc ** (max(key) + 1) / (conc * (conc + 1) * (conc + 2))
+        for c in set(key):
+            members = y[[i for i, k in enumerate(key) if k == c], 0]
+            m = len(members)
+            w *= math.factorial(m - 1) * (
+                (1 - s) * math.exp(sum(log_normal_pdf(v, 0.0, sigma_sq) for v in members))
+                + s * multivariate_normal(np.zeros(m), sigma_sq * np.eye(m)
+                                          + slab_var * np.ones((m, m))).pdf(members))
+        weights[key] = w
+    total = sum(weights.values())
+    assert max(weights.values()) / total < 0.6
+
+    rng = np.random.default_rng(23)
+    seen = []
+    for _ in range(10_000):
+        clusters.step_clusters(state, data, hp, rng)
+        seen.append(tuple(state.samples.canonical()[0].tolist()))
+    state.validate(data)
+    for key, w in weights.items():
+        hits = np.array([got == key for got in seen], dtype=float)
+        want = w / total
+        assert abs(hits.mean() - want) < 4 * batch_means_se(hits), (key, hits.mean(), want)
+
+
 # -- the birth/death pass ------------------------------------------------------
 
 BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
 
 
-def _reference_births_and_deaths(state, data, hp, rng, bd):
+def _reference_births_and_deaths(state, data, rng, bd):
     """The per-sample pass the skips must reproduce bit for bit: one
     (n, p + 1) uniform matrix, then a birth move per non-singleton and a
     death move per singleton, in sample order, move i reading row i, with no
@@ -674,10 +753,10 @@ def _reference_births_and_deaths(state, data, hp, rng, bd):
     events = []
     for i in range(data.n):
         if state.samples.cluster_size(i) > 1:
-            accepted, _info = mh_birth_move(state, data, hp, i, rng, bd, u[i])
+            accepted, _log_ratio = mh_birth_move(state, i, rng, bd, u[i])
             events.append(("birth", left_spike[-1], accepted))
         else:
-            accepted, _info = mh_death_move(state, data, hp, i, rng, bd, u[i])
+            accepted, _log_ratio = mh_death_move(state, i, bd, u[i])
             events.append(("death", False, accepted))
     return events
 
@@ -687,9 +766,9 @@ def _record_moves(monkeypatch):
     moved = []
     for name in ("mh_birth_move", "mh_death_move"):
 
-        def recording(state, data, hp, i, rng, bd, u, move=getattr(clusters, name)):
+        def recording(state, i, *args, move=getattr(clusters, name)):
             moved.append(i)
-            return move(state, data, hp, i, rng, bd, u)
+            return move(state, i, *args)
 
         monkeypatch.setattr(clusters, name, recording)
     return moved
@@ -724,9 +803,9 @@ def test_skipped_births_match_per_sample_moves(monkeypatch):
                             for _ in range(2))
             moved = _record_moves(monkeypatch)
             bd = _pass(state, data, hp)
-            clusters._births_and_deaths(state, data, hp, rng, bd)
+            clusters._births_and_deaths(state, rng, bd)
             monkeypatch.undo()
-            events = _reference_births_and_deaths(ref, data, hp, ref_rng, _pass(ref, data, hp))
+            events = _reference_births_and_deaths(ref, data, ref_rng, _pass(ref, data, hp))
 
             got, want = state.to_dict(), ref.to_dict()
             assert got["samples"] == want["samples"], (bit_generator, seed)
@@ -768,10 +847,10 @@ def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
     assert bd.starts_run[bad, 0] and not bd.run_finite[bad]
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     with pytest.raises(SamplerAbort) as skip_abort:
-        clusters._births_and_deaths(state, data, hp, rng, bd)
+        clusters._births_and_deaths(state, rng, bd)
     monkeypatch.undo()
     with pytest.raises(SamplerAbort) as reference_abort:
-        _reference_births_and_deaths(ref, data, hp, ref_rng, _pass(ref, data, hp))
+        _reference_births_and_deaths(ref, data, ref_rng, _pass(ref, data, hp))
 
     message = str(skip_abort.value)
     assert message == f"birth proposal i={bad}: all log weights are -inf"
@@ -802,7 +881,7 @@ def _reference_reassignments(state, rng, loglik, col_order):
     for i in range(len(loglik)):
         if samples.cluster_size(i) > 1:
             before = samples.labels.copy()
-            gibbs_reassign(state, None, None, i, rng, loglik[i], col_order)
+            gibbs_reassign(state, loglik[i], col_order, i, rng.random())
             calls += 1
             s, t = before[i], samples.labels.item(i)
             if t != s:
@@ -825,9 +904,9 @@ def _record_reassigns(monkeypatch):
     """Record each sample the pass commits through ``gibbs_reassign``."""
     committed = []
 
-    def recording(state, data, hp, i, rng, loglik_row, col_order):
+    def recording(state, loglik_row, col_order, i, u):
         committed.append(i)
-        return gibbs_reassign(state, data, hp, i, rng, loglik_row, col_order)
+        return gibbs_reassign(state, loglik_row, col_order, i, u)
 
     monkeypatch.setattr(clusters, "gibbs_reassign", recording)
     return committed
@@ -865,7 +944,7 @@ def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
             rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
                             for _ in range(2))
             committed.clear()
-            clusters._reassignments(state, None, None, rng, loglik, col_order)
+            clusters._reassignments(state, rng, loglik, col_order)
             calls, moves = _reference_reassignments(ref, ref_rng, loglik, col_order)
 
             assert state.samples.to_dict() == ref.samples.to_dict(), (bit_generator, seed)
@@ -915,7 +994,7 @@ def test_reassignment_uniform_on_an_interval_end_goes_to_gibbs_reassign(monkeypa
             state, ref = _reassign_state(labels), _reassign_state(labels)
             col_order = state.samples.cluster_ids()
             committed.clear()
-            clusters._reassignments(state, None, None, rng, loglik, col_order)
+            clusters._reassignments(state, rng, loglik, col_order)
             _reference_reassignments(ref, ref_rng, loglik, col_order)
             assert committed[0] == row, (bit_generator, seed, committed)
             assert state.samples.to_dict() == ref.samples.to_dict(), (bit_generator, seed)
@@ -936,7 +1015,7 @@ def test_reassignment_abort_after_rows_that_stayed(monkeypatch):
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     committed = _record_reassigns(monkeypatch)
     with pytest.raises(SamplerAbort) as block_abort:
-        clusters._reassignments(state, None, None, rng, loglik, col_order)
+        clusters._reassignments(state, rng, loglik, col_order)
     with pytest.raises(SamplerAbort) as reference_abort:
         _reference_reassignments(ref, ref_rng, loglik, col_order)
 
@@ -960,9 +1039,9 @@ def test_step5_aborts_name_the_move():
     rng = np.random.default_rng(0)
 
     with pytest.raises(SamplerAbort, match=r"^death proposal i=3: all log weights are -inf$"):
-        mh_death_move(state, data, hp, 3, rng, _pass(state, data, hp), rng.random(p + 1))
+        mh_death_move(state, 3, _pass(state, data, hp), rng.random(p + 1))
     with pytest.raises(SamplerAbort, match=r"^reassignment i=1: non-finite log weights \[nan"):
-        gibbs_reassign(state, data, hp, 1, rng, np.array([np.nan, 0.0]),
-                       state.samples.cluster_ids())
+        gibbs_reassign(state, np.array([np.nan, 0.0]), state.samples.cluster_ids(), 1,
+                       rng.random())
     with pytest.raises(SamplerAbort, match=rf"^inner mean update cid={cid}: all log weights are -inf$"):
         _inner_pass(state, data, hp, cid, rng)

@@ -141,8 +141,8 @@ def test_birth_acceptance_scores_the_kernel_move():
         got = measure_birth_acceptance(state, data, hp, np.random.default_rng(seed), 1)
         rng = np.random.default_rng(seed)
         u = rng.random(data.p + 1)
-        _, info = mh_birth_move(copy.deepcopy(state), data, hp, i, rng, bd, u)
-        assert got.tolist() == [info["log_ratio"]]
+        _, log_ratio = mh_birth_move(copy.deepcopy(state), i, rng, bd, u)
+        assert got.tolist() == [log_ratio]
 
 
 def test_birth_acceptance_draws_a_fresh_row_per_attempt(monkeypatch):

@@ -178,7 +178,10 @@ def test_eta_sq_prior_case():
     state, data, hp = manual_state(np.array([[0.0], [1.0]]), sigma_sq=[1.0])
     # all means are spike: conditional is the Inv-Gamma(0.5, 0.5) prior
     rng = np.random.default_rng(5)
-    draws = np.array([update_eta_sq(state, hp, rng) for _ in range(100_000)])
+    draws = np.empty(100_000)
+    for t in range(len(draws)):
+        update_eta_sq(state, hp, rng)
+        draws[t] = state.slab_var
     # compare 1/eta^2 ~ Gamma(0.5, rate 0.5): mean 1, var 2
     inv = 1.0 / draws
     se = inv.std() / math.sqrt(len(inv))
@@ -191,7 +194,10 @@ def test_eta_sq_counts_unique_values_once():
     # two components sharing one unique value 2.0 -> Inv-Gamma(1, 2.5)
     state.cluster_means[cid] = ClusterMeanVector(2, build_partition([[0, 1]], [2.0], 2))
     rng = np.random.default_rng(6)
-    draws = np.array([update_eta_sq(state, hp, rng) for _ in range(200_000)])
+    draws = np.empty(200_000)
+    for t in range(len(draws)):
+        update_eta_sq(state, hp, rng)
+        draws[t] = state.slab_var
     inv = 1.0 / draws  # Gamma(shape 1, rate 2.5): mean 0.4
     se = inv.std() / math.sqrt(len(inv))
     assert abs(inv.mean() - 1.0 / 2.5) < 4 * se
