@@ -62,11 +62,10 @@ pass draws one (n, p + 1) uniform matrix when it starts, and the move of
 sample i reads only row i. A birth walk reads column j to seat component j
 and column p for its MH test; a death reads column 0 for its target (a
 uniform pick among the other n - 1 samples) and column p for its test. The
-reassignment pass hands each row it commits that row's uniform (see below).
-The inner Gibbs pass draws one p-vector per cluster. Normal and beta draws
-come from the generator. This is valid: each uniform is read by one draw
-only, and it is drawn before, and independently of, the state it is used
-in.
+reassignment pass hands each row one scalar draw (see below). The inner Gibbs
+pass draws one p-vector per cluster. Normal and beta draws come from the
+generator. This is valid: each uniform is read by one draw only, and it is
+drawn before, and independently of, the state it is used in.
 
 At the default sparsity nearly every birth proposal seats every component
 on SPIKE and is rejected. Such a row changes nothing and draws nothing.
@@ -78,27 +77,11 @@ mean. So the pass marks these rows up front with one array comparison
 still not a singleton when it is reached; the skip is exactly the birth move
 on that row.
 
-The reassignment pass (``_reassignments``) reseats the non-singletons in
-sample order among a fixed cluster set: it opens and empties none. As in
-``baseline._run_step``, a sample that keeps its cluster changes nothing, so
-the rows after it see the same counts, and a block of rows is scored as one
-(K, rows) matrix against one ``rng.random`` vector of their uniforms. The
-block finds its first row that it cannot call a stay: one whose draw leaves
-its cluster, whose weights are not finite, or whose scaled uniform lies
-within a relative 1e-12 (plus K ulps) of an end of its own cluster's
-cumulative interval (numpy's exp and ``math.exp`` may differ in the last
-bit). The rows before it stay. The generator is set back to its state
-before the block's draw and redraws only the uniforms through that row, and
-``gibbs_reassign`` commits the row with its uniform from the block's draw.
-``random(m)`` gives the values of m scalar draws on every bit generator, so
-the pass draws and moves as the per-sample loop does. The first block spans
-every row. Each block keeps its verdicts on its rows as guesses: the counts
-change by one move at a time, so a row it called a stay most likely still
-stays. A later block runs from the next row through the next row guessed
-not to stay, if at least ``_MIN_RUN`` rows lie before that one; the rows of
-a shorter stretch go one at a time through ``gibbs_reassign``, each handed
-one scalar draw. The guesses only size the blocks: every row is still seated
-by its own uniform under the counts it sees.
+The reassignment pass (``_reassignments``) hands each non-singleton, in
+sample order, one scalar uniform and its row of the pass's columns. With one
+cluster no row can move, so when every row is finite the pass only draws the
+rows' uniforms: ``random(m)`` gives the values of m scalar draws on every bit
+generator. A non-finite row still goes to ``gibbs_reassign`` to abort on.
 """
 
 import bisect
@@ -117,15 +100,6 @@ _LIVE_RUN = 16
 # Cells, components times (slots + 2), a block spans while members are
 # seated.
 _BLOCK_CELLS = 4096
-# A reassignment block after the first runs only where at least this many
-# rows come before the next row guessed to move: a block costs about as much
-# as eight rows committed one at a time, and a wrong guess stops it early.
-_MIN_RUN = 16
-# How near, relative to its row's total weight, a reassignment block lets a
-# scaled uniform come to an end of its own cluster's interval and still call
-# the row a stay; each of the K weights adds up to an ulp more (see
-# ``_reassignments``).
-_EDGE = 1e-12
 
 
 class ClusterMeanVector:
@@ -667,71 +641,18 @@ def _births_and_deaths(state, rng, bd):
 def _reassignments(state, rng, loglik, col_order):
     """The Gibbs reassignment pass: ``gibbs_reassign`` of every non-singleton
     in sample order, row i of ``loglik`` holding sample i's log likelihood
-    under each cluster of ``col_order``, with the rows that stay decided in
-    blocks (see the module docstring)."""
-    samples = state.samples
+    under each cluster of ``col_order``. With one cluster and every row
+    finite, no row moves and the pass only draws the rows' uniforms (see the
+    module docstring)."""
     n, k = loglik.shape
-    # numpy's and math's exp differ by an ulp or so per weight, and each of
-    # the K terms a cumulative weight sums may round differently.
-    edge = _EDGE + k * np.finfo(float).eps
-    # A block weighs its rows as columns, so that its sums over the clusters
-    # run across rows of this transpose.
-    loglik_t = np.ascontiguousarray(loglik.T)
-    # Per row, whether the last block that scored it called it a stay; the
-    # first block, at j = 0, spans every row.
-    guess = np.ones(n, dtype=bool)
-    j = 0
-    nxt = n  # the first row at or after j guessed not to stay, or n
-    while j < n:
-        if nxt < j:
-            nxt = j + int(guess[j:].argmin())
-            if guess[nxt]:
-                nxt = n
-        if j and nxt - j < _MIN_RUN:
-            if samples.cluster_size(j) > 1:
-                gibbs_reassign(state, loglik[j], col_order, j, rng.random())
-            j += 1
-            continue
-        end = min(nxt + 1, n)
-        rows = j + np.flatnonzero(samples.counts[samples.labels[j:end]] > 1)
-        if not rows.size:
-            j = end
-            continue
-        m = len(rows)
-        own = samples.labels[rows]
-        at = own * m + np.arange(m)  # entry (own, row) of a (k, m) array, flat
-        # Each weight counts the cluster's members other than the row's own
-        # sample, its log taken as ``gibbs_reassign`` takes it; a singleton's
-        # cluster is no row's own.
-        counts = samples.counts.tolist()
-        log_c = np.array([math.log(c) for c in counts])
-        log_rest = np.array([math.log(c - 1) if c > 1 else 0.0 for c in counts])
-        logw = loglik_t.take(rows, axis=1) + log_c[:, None]
-        logw.put(at, loglik_t.take(own * n + rows) + log_rest[own])
-        saved = rng.bit_generator.state
-        u = rng.random(m)
-        # A row with a non-finite weight is left to ``gibbs_reassign`` to
-        # abort on; its arithmetic stays quiet. Row t of ``acc`` holds the
-        # running weight through cluster t, so a row's own interval ends at
-        # ``hi`` and starts its own weight below.
-        with np.errstate(all="ignore"):
-            w = np.exp(logw - np.maximum.reduce(logw))
-            acc = np.add.accumulate(w)
-            hi = acc.take(at)
-            scaled = u * acc[-1]
-            margin = edge * acc[-1]
-            stay = (scaled - hi + w.take(at) > margin) & (hi - scaled > margin)
-        guess[rows] = stay
-        nxt = -1  # look the next one up again
-        q = int(stay.argmin())  # the first row not known to stay, if any
-        if stay[q]:
-            j = end
-            continue
-        rng.bit_generator.state = saved
-        rng.random(q + 1)  # the uniforms of the rows through it
-        i = rows.item(q)
-        gibbs_reassign(state, loglik[i], col_order, i, u.item(q))
-        j = i + 1
+    if k == 1 and np.isfinite(loglik).all():
+        if n > 1:  # a lone sample is a singleton, and draws nothing
+            rng.random(n)
+        return
+    samples = state.samples
+    for i in range(n):
+        if samples.cluster_size(i) > 1:
+            gibbs_reassign(state, loglik[i], col_order, i, rng.random())
 
 
 def step_clusters(state, data, hp, rng):

@@ -50,17 +50,15 @@ def update_concentration(conc, pairs, prior_shape, prior_rate, rng):
     shape0 = prior_shape + total_k  # shape when no indicator fires
 
     logw = [math.log(m) + math.log(rate) for _, m in pairs]
-    # Suffix table of log elementary symmetric polynomials:
-    # esp[c][t] = log ESP_t(w_c, ..., w_{C-1}).
-    neg_inf = float("-inf")
-    esp = [[neg_inf] * (c_count + 1) for _ in range(c_count + 1)]
-    esp[c_count][0] = 0.0
+    # Log elementary symmetric polynomials, folding in w_c for c = C-1..0:
+    # then esp[t] = log ESP_t(w_c, ..., w_{C-1}). t runs down, so esp[t - 1]
+    # still excludes w_c when esp[t] reads it.
+    esp = [0.0] + [float("-inf")] * c_count
     for c in range(c_count - 1, -1, -1):
-        esp[c][0] = 0.0
-        for t in range(1, c_count - c + 1):
-            esp[c][t] = np.logaddexp(esp[c + 1][t], logw[c] + esp[c + 1][t - 1])
+        for t in range(c_count - c, 0, -1):
+            esp[t] = np.logaddexp(esp[t], logw[c] + esp[t - 1])
 
-    log_count = [esp[0][t] + gammaln(shape0 - t) for t in range(c_count + 1)]
+    log_count = [e + gammaln(shape0 - t) for t, e in enumerate(esp)]
     try:
         u_total, _lse = pick_with_lse(log_count, rng.random())
     except SamplerAbort as exc:

@@ -871,11 +871,11 @@ def _reassign_state(labels):
 
 
 def _reference_reassignments(state, rng, loglik, col_order):
-    """The per-sample pass the blocks must reproduce bit for bit:
-    ``gibbs_reassign`` of every non-singleton, in sample order. Returns the
-    number of calls and, per move, (sample, whether it left a 2-member
-    cluster whose other member comes later, whether it joined a singleton
-    that comes later)."""
+    """The per-sample pass that the one-cluster draw must reproduce bit for
+    bit: ``gibbs_reassign`` of every non-singleton, in sample order, each
+    handed one scalar draw. Returns the number of calls and, per move,
+    (sample, whether it left a 2-member cluster whose other member comes
+    later, whether it joined a singleton that comes later)."""
     samples = state.samples
     calls, moves = 0, []
     for i in range(len(loglik)):
@@ -926,11 +926,10 @@ def _reassign_case(seed):
 
 
 def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
-    """The reassignment pass, which decides the rows that stay in blocks,
-    leaves the labels, counts, ids and generator state where
+    """The reassignment pass, which draws a one-cluster pass's uniforms at
+    once, leaves the labels, counts, ids and generator state where
     ``gibbs_reassign`` of every non-singleton leaves them, on each bit
-    generator, through the cases where a block stops or draws differently
-    from its start."""
+    generator, through moves that change which later rows draw."""
     seen = dict.fromkeys(
         ("K = 1", "every row stays, K > 1", "mover at sample 0", "mover at sample n - 1",
          "one uniform fewer", "one uniform more"), 0)
@@ -953,7 +952,7 @@ def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
             reference_calls += calls
             n, k = loglik.shape
             if k == 1:
-                assert committed == [], (bit_generator, seed)  # blocks decided every row
+                assert committed == [], (bit_generator, seed)  # the one-cluster draw
                 seen["K = 1"] += calls > 1
             seen["every row stays, K > 1"] += k > 1 and calls > 1 and not moves
             seen["mover at sample 0"] += any(i == 0 for i, _, _ in moves)
@@ -961,50 +960,13 @@ def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
             seen["one uniform fewer"] += any(fewer for _, fewer, _ in moves)
             seen["one uniform more"] += any(more for _, _, more in moves)
     assert all(seen.values()), seen
-    assert block_calls < reference_calls, (block_calls, reference_calls)  # blocks decided rows
+    assert block_calls < reference_calls, (block_calls, reference_calls)  # one-cluster passes
 
 
-@pytest.mark.parametrize("own", [0, 1])
-def test_reassignment_uniform_on_an_interval_end_goes_to_gibbs_reassign(monkeypatch, own):
-    """A row whose scaled uniform sits on an end of its own cluster's
-    cumulative interval (the upper end of cluster 0's, the lower end of
-    cluster 1's) is committed by ``gibbs_reassign``, whichever way its last
-    bits fall, and the pass ends as the per-sample pass does."""
-    n = 12
-    row = 6 + own
-    labels = np.arange(n) % 2  # row is in cluster own; every row draws
-    committed = _record_reassigns(monkeypatch)
-    for bit_generator in BIT_GENERATORS:
-        for seed in range(10):
-            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
-                            for _ in range(2))
-            u = copy.deepcopy(rng).random(n).item(row)
-            # Every other row stays with certainty. The row's weights, with
-            # 5 others in its own cluster and 6 in the other, give cluster 0
-            # the share u of the total.
-            loglik = np.zeros((n, 2))
-            loglik[np.arange(n), labels] = 60.0
-            loglik[row] = (math.log(u / (1.0 - u)) + math.log(6 - own) - math.log(5 + own),
-                           0.0)
-            logw = [math.log(c) + w for c, w in zip((5 + own, 6 - own), loglik[row].tolist())]
-            exps = [math.exp(w - max(logw)) for w in logw]
-            t = exps[0] + exps[1]
-            assert abs(u * t - exps[0]) <= 1e-12 * t, (bit_generator, seed)
-
-            state, ref = _reassign_state(labels), _reassign_state(labels)
-            col_order = state.samples.cluster_ids()
-            committed.clear()
-            clusters._reassignments(state, rng, loglik, col_order)
-            _reference_reassignments(ref, ref_rng, loglik, col_order)
-            assert committed[0] == row, (bit_generator, seed, committed)
-            assert state.samples.to_dict() == ref.samples.to_dict(), (bit_generator, seed)
-            assert _generator_state(rng) == _generator_state(ref_rng), (bit_generator, seed)
-
-
-def test_reassignment_abort_after_rows_that_stayed(monkeypatch):
-    """A non-finite row after a block of rows that stay aborts in
-    ``gibbs_reassign`` with the per-sample pass's message, leaving the state
-    and the generator where that pass leaves them."""
+def test_reassignment_abort_after_rows_that_stayed():
+    """A non-finite row after rows that stay aborts in ``gibbs_reassign``
+    with the per-sample pass's message, leaving the state and the generator
+    where that pass leaves them."""
     n, bad = 10, 6
     labels = np.arange(n) % 2
     loglik = np.zeros((n, 2))
@@ -1013,16 +975,42 @@ def test_reassignment_abort_after_rows_that_stayed(monkeypatch):
     state, ref = _reassign_state(labels), _reassign_state(labels)
     col_order = state.samples.cluster_ids()
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    committed = _record_reassigns(monkeypatch)
-    with pytest.raises(SamplerAbort) as block_abort:
+    with pytest.raises(SamplerAbort) as pass_abort:
         clusters._reassignments(state, rng, loglik, col_order)
     with pytest.raises(SamplerAbort) as reference_abort:
         _reference_reassignments(ref, ref_rng, loglik, col_order)
 
-    message = str(block_abort.value)
+    message = str(pass_abort.value)
     assert message.startswith(f"reassignment i={bad}: non-finite log weights [")
     assert message == str(reference_abort.value)
-    assert committed == [bad]  # a block decided every row before it
+    assert state.samples.to_dict() == ref.samples.to_dict()
+    assert _generator_state(rng) == _generator_state(ref_rng)
+
+
+@pytest.mark.parametrize("value, prefix", [
+    (np.nan, "non-finite log weights [nan]"),
+    (np.inf, "non-finite log weights [inf]"),
+    (-np.inf, "all log weights are -inf"),
+], ids=["nan", "inf", "-inf"])
+def test_reassignment_at_one_cluster_aborts_on_a_non_finite_row(value, prefix):
+    """With one cluster no row can move, but a non-finite likelihood row
+    still aborts with the per-sample pass's message, after the uniforms of
+    the rows before it."""
+    n, bad = 8, 4
+    labels = np.zeros(n, dtype=int)
+    loglik = np.full((n, 1), -3.0)
+    loglik[bad, 0] = value
+    state, ref = _reassign_state(labels), _reassign_state(labels)
+    col_order = state.samples.cluster_ids()
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(SamplerAbort) as pass_abort:
+        clusters._reassignments(state, rng, loglik, col_order)
+    with pytest.raises(SamplerAbort) as reference_abort:
+        _reference_reassignments(ref, ref_rng, loglik, col_order)
+
+    message = str(pass_abort.value)
+    assert message.startswith(f"reassignment i={bad}: {prefix}")
+    assert message == str(reference_abort.value)
     assert state.samples.to_dict() == ref.samples.to_dict()
     assert _generator_state(rng) == _generator_state(ref_rng)
 
