@@ -8,9 +8,19 @@ conjugate posterior (Neal 2000, JCGS 9:249, Algorithm 3).
 A step works on the slot arrays of its partition (see ``partition.py``):
 slot t is the t-th cluster in creation order, with its member count and its
 members' sufficient statistics summed, and each attribute holds its slot
-label. A slot's log weights read a few terms of its count and statistic,
-kept per slot and updated when the slot changes; the attribute's own terms
-enter as scalars (one attribute) or as a column (several).
+label. An attribute is scored against one table of three rows of terms:
+column t < k holds slot t's, rewritten when the slot changes, and column k
+a new cluster's. A column's weight reads it and the attribute's own terms.
+
+- Mean step: a slot's terms are log c, its posterior variance and its
+  negated posterior mean; the weight adds to log c the normal log density
+  of rbar_j with variance (posterior variance + sigma_j^2 / n). A new
+  cluster's column is (log conc, base_var, -base_mean).
+- Variance step: a slot of posterior shape u and rate v holds
+  A = log c + u log v - gammaln(u) + gammaln(u + n/2), then u + n/2 and v;
+  the weight is A - (u + n/2) log(v + ssq_j / 2). A new cluster's column
+  is (log conc + a log b - gammaln(a) + gammaln(a + n/2), a + n/2, b) for
+  the prior shape a and rate b.
 
 The pass draws all p uniforms in one vector, then reseats the attributes in
 order under two rules:
@@ -23,14 +33,15 @@ order under two rules:
   takes the next slot. ``partition.drop_empty`` drops the empty slots once
   at the end, so slot order stays creation order.
 
-Since a row that stays changes nothing, the rows after it see the same
-slots, and a block of consecutive rows is scored as one matrix. Rows are
-committed up to and including the first that moves, and the next block
-starts after it. Blocks span several rows only after a run of rows that
-stayed, and grow with the run; rows times slots stay under a fixed number
-of cells, so many clusters mean short blocks, not large temporaries. All
-values are then redrawn in one vector draw and the partition is written
-back once.
+A row scored alone is weighed against the table itself, its own slot's
+column rewritten without it and written back if it stays. Since a row that
+stays changes nothing, the rows after it see the same slots, and a block
+of consecutive rows is scored as one matrix. Rows are committed up to and
+including the first that moves, and the next block starts after it. Blocks
+span several rows only after a run of rows that stayed, and grow with the
+run; rows times slots stay under a fixed number of cells, so many clusters
+mean short blocks, not large temporaries. All values are then redrawn in
+one vector draw and the partition is written back once.
 """
 
 import math
@@ -60,17 +71,15 @@ def _run_step(part, step, rng, where):
     """Reseat every attribute of ``part`` in order, then redraw every value
     and write the partition back.
 
-    ``step.items[j]`` is attribute j's sufficient statistic (one number),
-    ``step.new_logw[j]`` its log weight of a new cluster and
-    ``step.slot_terms(count, stat)`` the terms a slot's log weights read,
-    from its member count and summed statistic (scalars or arrays).
-    ``step.logits(rows, terms)`` scores attribute ``rows``, an index with
-    the (terms, slots) array it sees or a slice with a (terms, rows, slots)
-    array; ``step.values(labels, counts, rng)`` draws the final values.
-
-    A row that keeps its slot changes nothing, and a slot its last member
-    leaves stays empty (count 0, statistic exactly 0) until the empty slots
-    are dropped before the values are drawn.
+    ``step.items[j]`` is attribute j's sufficient statistic (one number).
+    ``step.slot_terms(count, stat)`` gives the three terms of a slot from
+    its member count and summed statistic (scalars or arrays), and
+    ``step.new_slot`` those of a new cluster. The table holds them in
+    columns 0..k-1 and k, and one more new-cluster column for each slot the
+    pass may open. ``step.logits(rows, terms)`` scores attribute ``rows``,
+    an index with the table's three rows of k + 1 columns or a slice with
+    a (3, rows, k + 1) array; ``step.values(labels, counts, rng)`` draws
+    the final values.
 
     An attribute whose largest log weight is not finite (a NaN, +inf, or
     every weight -inf) raises SamplerAbort naming ``where`` and its 0-based
@@ -78,81 +87,86 @@ def _run_step(part, step, rng, where):
     drawn them all.
     """
     ids = part.cluster_ids()
-    labels = part.labels.copy()
+    labels = part.labels.tolist()
     items = step.items.tolist()
     p = len(labels)
     k = len(ids)
     cnt = np.bincount(labels, minlength=k)
     stat = np.zeros(k, dtype=step.items.dtype)
     np.add.at(stat, labels, step.items)
-    live_terms = np.array(step.slot_terms(cnt, stat), dtype=float)
-    terms = np.empty((len(live_terms), k + p))  # room for a new slot per row
-    terms[:, :k] = live_terms
+    # A slot the pass opens at column k leaves the new cluster in column k + 1.
+    table = np.empty((3, k + p + 1))
+    table[:, :k] = step.slot_terms(cnt, stat)
+    table[:, k:] = np.reshape(step.new_slot, (3, 1))
     cnt, stat = cnt.tolist(), stat.tolist()
+    seen = tuple(table[:, :k + 1])  # the table's rows as one row sees them
     uniforms = rng.random(p)
+    u = uniforms.tolist()
     j = stays = 0  # stays: rows that kept their slots since the last move
     # A row with a non-finite weight aborts below; its arithmetic stays quiet.
     with np.errstate(all="ignore"):
         while j < p:
             n = min(stays, max(1, _BLOCK_CELLS // (k + 1)), p - j) if stays >= _MIN_RUN else 1
-            own = labels[j:j + n].tolist()
-            # Each row sees the slots as they stand, with itself taken out of
-            # its own. One row is scored as vectors against scalars: numpy
-            # calls cost more on (1, k) matrices, and a pass whose rows mostly
-            # move is nearly all one-row blocks.
             if n == 1:
-                s = own[0]
+                # One row is scored against the table itself: its own slot's
+                # column is written without it, and back if it stays.
+                r, s = 0, labels[j]
                 c = cnt[s] - 1
-                terms[:, s] = step.slot_terms(c, stat[s] - items[j] if c else 0)
-                rows, seen = j, terms[:, :k]
+                kept = table[0, s], table[1, s], table[2, s]
+                table[0, s], table[1, s], table[2, s] = step.slot_terms(
+                    c, stat[s] - items[j] if c else 0)
+                logw = step.logits(j, seen)
+                prob = np.exp(logw - logw[logw.argmax()])  # a NaN is the argmax
+                total = np.add.reduce(prob)
+                if not math.isfinite(total):  # exactly when the largest weight is not
+                    raise SamplerAbort(f"{where} j={j}: non-finite log weights {logw}")
+                t = min(int(np.add.accumulate(prob).searchsorted(u[j] * total)), k)
+                if t == s:
+                    table[0, s], table[1, s], table[2, s] = kept
+                    stays += 1
+                    j += 1
+                    continue
             else:
+                own = labels[j:j + n]
                 c = np.array([cnt[s] for s in own]) - 1
                 left = np.array([stat[s] for s in own]) - step.items[j:j + n]
-                seen = terms[:, None, :k].repeat(n, 1)
-                seen[:, np.arange(n), own] = step.slot_terms(c, np.where(c > 0, left, 0))
-                rows = slice(j, j + n)
-            logw = np.concatenate((step.logits(rows, seen), step.new_logw[rows, None]), -1)
-            top = np.maximum.reduce(logw, -1, keepdims=n > 1)
-            prob = np.exp(logw - top)
-            acc = np.add.accumulate(prob, -1)
-            total = np.add.reduce(prob, -1, keepdims=n > 1)
-            # Row r joins the first slot whose running weight reaches
-            # u_r * total_r, or the last slot.
-            if n == 1:
-                draws, totals = [acc.searchsorted(uniforms[j] * total)], [total]
+                block = table[:, None, :k + 1].repeat(n, 1)
+                block[:, np.arange(n), own] = step.slot_terms(c, np.where(c > 0, left, 0))
+                logw = step.logits(slice(j, j + n), block)
+                prob = np.exp(logw - np.maximum.reduce(logw, -1, keepdims=True))
+                total = np.add.reduce(prob, -1, keepdims=True)
+                # Row r joins the first slot whose running weight reaches
+                # u_r * total_r, or the last slot.
+                draws = np.add.reduce(
+                    np.add.accumulate(prob, -1) < uniforms[j:j + n, None] * total, -1, np.intp)
+                for r, (t, row_total) in enumerate(zip(draws.tolist(), total.ravel().tolist())):
+                    if not math.isfinite(row_total):
+                        raise SamplerAbort(f"{where} j={j + r}: non-finite log weights {logw[r]}")
+                    t = min(t, k)
+                    if t != own[r]:
+                        break
+                else:  # every row of the block stayed
+                    stays += n
+                    j += n
+                    continue
+                s = own[r]
+                table[:, s] = block[:, r, s]
+            # Row j + r leaves slot s for slot t; the rows before it stayed.
+            x = items[j + r]
+            cnt[s] -= 1
+            stat[s] = stat[s] - x if cnt[s] else 0
+            if t == k:
+                ids.append(None)
+                cnt.append(1)
+                stat.append(x)
+                k += 1
+                seen = tuple(table[:, :k + 1])
             else:
-                draws = np.add.reduce(acc < uniforms[rows, None] * total, -1, np.intp).tolist()
-                totals = total.ravel().tolist()
-            for r, (t, total) in enumerate(zip(draws, totals)):
-                # A row's total is finite exactly when its largest weight is.
-                if not math.isfinite(total):
-                    raise SamplerAbort(
-                        f"{where} j={j + r}: non-finite log weights {logw.reshape(n, -1)[r]}")
-                t = min(int(t), k)
-                if t != own[r]:
-                    break
-            s = own[r]
-            if t == s:  # every row of the block stayed
-                if n == 1:
-                    terms[:, s] = step.slot_terms(cnt[s], stat[s])
-                stays += n
-            else:  # row r leaves slot s for slot t; the rows before it stayed
-                x = items[j + r]
-                cnt[s] -= 1
-                stat[s] = stat[s] - x if cnt[s] else 0
-                if n > 1:
-                    terms[:, s] = seen[:, r, s]
-                if t == k:
-                    ids.append(None)
-                    cnt.append(1)
-                    stat.append(x)
-                    k += 1
-                else:
-                    cnt[t] += 1
-                    stat[t] += x
-                terms[:, t] = step.slot_terms(cnt[t], stat[t])
-                labels[j + r] = t
-                stays = 0
+                cnt[t] += 1
+                stat[t] += x
+            table[0, t], table[1, t], table[2, t] = step.slot_terms(cnt[t], stat[t])
+            labels[j + r] = t
+            stays = 0
             j += r + 1
     ids, labels, counts = drop_empty(ids, labels, cnt)
     part.set_slots(ids, labels, counts, step.values(labels, counts, rng))
@@ -180,9 +194,10 @@ class _MeanStep:
         self.prior_stat = hp.base_mean / hp.base_var
         self.log_count = _log_count_table(data.p)
         obs_var = 1.0 / w  # sigma_j^2 / n
-        self.obs = np.stack((obs_var, rbar))  # each attribute's own terms
-        pv, d = hp.base_var + obs_var, rbar - hp.base_mean
-        self.new_logw = math.log(state.conc_mean) - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
+        # Each attribute's own terms: columns for a block, a pair for one row.
+        self.obs = np.stack((obs_var, rbar))[:, :, None]
+        self.obs_rows = list(zip(obs_var.tolist(), rbar.tolist()))
+        self.new_slot = math.log(state.conc_mean), hp.base_var, -hp.base_mean
 
     def slot_terms(self, count, stat):
         """log c, then the slot's posterior variance and negated mean."""
@@ -190,10 +205,11 @@ class _MeanStep:
         return self.log_count[count], 1.0 / v, -((self.prior_stat + stat.real) / v)
 
     def logits(self, rows, terms):
-        # With the mean negated, d = rbar_j - u is exactly an addition, so pv =
-        # post_var + sigma_j^2 / n and d come from one broadcast add.
-        pv, d = terms[1:] + self.obs[:, rows, None]
-        return terms[0] - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
+        # With the mean negated, d = rbar_j - u is exactly an addition.
+        log_c, post_var, neg_mean = terms
+        obs_var, rbar = self.obs[:, rows] if type(rows) is slice else self.obs_rows[rows]
+        pv, d = post_var + obs_var, neg_mean + rbar
+        return log_c - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
 
     def values(self, labels, counts, rng):
         """One draw of every cluster value from its normal posterior."""
@@ -240,16 +256,18 @@ class _VarStep:
             + hp.var_shape * math.log(hp.var_rate) - gammaln(hp.var_shape)
             + gammaln(shape1)
         )
-        self.new_logw = base - shape1 * np.log(hp.var_rate + self.items)
+        self.new_slot = base, shape1, hp.var_rate
 
     def slot_terms(self, count, stat):
-        """A slot's member count and posterior rate."""
-        return count, self.hp.var_rate + stat
+        """A = log c + u log v - gammaln(u) + gammaln(u + n/2) of a slot with
+        posterior shape u and rate v, then u + n/2 and v."""
+        v = self.hp.var_rate + stat
+        log_c, u, gl_u, gl_u1, u1 = self.tables[:, count]
+        return log_c + u * np.log(v) - gl_u + gl_u1, u1, v
 
     def logits(self, rows, terms):
-        count, v = terms
-        log_c, u, gl_u, gl_u1, u1 = self.tables.take(count.astype(np.intp), axis=1)
-        return log_c + u * np.log(v) - gl_u + gl_u1 - u1 * np.log(v + self.items[rows, None])
+        a, u1, v = terms
+        return a - u1 * np.log(v + self.items[rows, None])
 
     def values(self, labels, counts, rng):
         """One draw of every cluster value from its inverse-gamma posterior."""

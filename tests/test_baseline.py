@@ -17,18 +17,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import multivariate_normal
 
 from sparseclust import baseline
 from sparseclust.baseline import (
     _MeanStep,
+    _residual_col_means,
+    _residual_sq_colsums,
     _run_step,
     _VarStep,
     step_baseline_means,
     step_baseline_vars,
 )
 from sparseclust.clusters import ClusterMeanVector
-from sparseclust.densities import SamplerAbort
+from sparseclust.densities import LOG_2PI, SamplerAbort
 from sparseclust.diagnostics import batch_means_se
 from sparseclust.model import DataMatrix, Hyperparams, ModelState
 from sparseclust.partition import crp_log_prob
@@ -43,15 +46,70 @@ BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
 STEPS = {"mean": (_MeanStep, "mean_part"), "var": (_VarStep, "var_part")}
 
 
+def _mean_new_logw(state, data, hp):
+    """Each attribute's log weight of a new mean cluster, in closed form: log
+    conc_mean plus the normal log density of rbar_j at base_mean with
+    variance base_var + sigma_j^2 / n."""
+    rbar = _residual_col_means(state, data)
+    # sigma_j^2 / n, rounded as the reciprocal of the precision n / sigma_j^2.
+    obs_var = 1.0 / (data.n / state.var_part.values_vector())
+    pv, d = hp.base_var + obs_var, rbar - hp.base_mean
+    return math.log(state.conc_mean) - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
+
+
+def _var_new_logw(state, data, hp):
+    """Each attribute's log weight of a new variance cluster, in closed form:
+    log conc_var plus the inverse-gamma marginal of its n residuals,
+    a log b - lgamma(a) + lgamma(a + n/2) - (a + n/2) log(b + ssq_j / 2)."""
+    half_ssq = 0.5 * _residual_sq_colsums(state, data)
+    a, b, half_n = hp.var_shape, hp.var_rate, 0.5 * data.n
+    return (math.log(state.conc_var) + a * math.log(b) - gammaln(a) + gammaln(a + half_n)
+            - (a + half_n) * np.log(b + half_ssq))
+
+
+NEW_LOGW = {"mean": _mean_new_logw, "var": _var_new_logw}
+
+
+def _mean_logw(state, data, hp, j, counts, stats):
+    """Attribute j's log weights of slots with these counts and (q + i w)
+    statistics, then of a new cluster, in closed form: log c plus the
+    normal log density of rbar_j at the slot's posterior mean with variance
+    its posterior variance + sigma_j^2 / n."""
+    rbar = _residual_col_means(state, data)[j]
+    obs_var = 1.0 / (data.n / state.var_part.values_vector()[j])
+    prec = 1.0 / hp.base_var + stats.imag
+    pv, d = 1.0 / prec + obs_var, rbar - (hp.base_mean / hp.base_var + stats.real) / prec
+    with np.errstate(divide="ignore"):
+        slots = np.log(counts) - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
+    return np.append(slots, _mean_new_logw(state, data, hp)[j])
+
+
+def _var_logw(state, data, hp, j, counts, stats):
+    """Attribute j's log weights of slots with these counts and summed
+    half squared residuals, then of a new cluster, in closed form: log c
+    plus the inverse-gamma predictive of its n residuals, with posterior
+    shape u = a + c n/2 and rate v = b + stat."""
+    x = 0.5 * _residual_sq_colsums(state, data)[j]
+    half_n = 0.5 * data.n
+    u, v = hp.var_shape + counts * half_n, hp.var_rate + stats
+    with np.errstate(divide="ignore"):
+        slots = (np.log(counts) + u * np.log(v) - gammaln(u) + gammaln(u + half_n)
+                 - (u + half_n) * np.log(v + x))
+    return np.append(slots, _var_new_logw(state, data, hp)[j])
+
+
+CLOSED_FORM_LOGW = {"mean": _mean_logw, "var": _var_logw}
+
+
 def _slot_terms(step, counts, stats):
     """The (terms, slots) array of slots with these counts and statistics."""
     return np.array(step.slot_terms(counts, stats), dtype=float)
 
 
-def _logits_without(step, part, j):
+def _logits_without(step, part, j, new_logw):
     """Attribute j's log weights (live clusters in creation order, then a new
-    cluster) with j taken out of its cluster, from the step's own logit
-    function in its row form."""
+    cluster) with j taken out of its cluster: the clusters' from the step's
+    own logit function in its row form, the new cluster's ``new_logw[j]``."""
     labels, k = part.labels, part.n_clusters()
     others = np.arange(len(labels)) != j
     counts = np.bincount(labels[others], minlength=k)
@@ -60,7 +118,7 @@ def _logits_without(step, part, j):
     live = counts > 0
     terms = _slot_terms(step, counts[live], stats[live])
     (row,) = step.logits(slice(j, j + 1), terms[:, None])
-    return np.append(row, step.new_logw[j])
+    return np.append(row, new_logw[j])
 
 
 def _draw_seat(logw, u, where):
@@ -74,14 +132,16 @@ def _draw_seat(logw, u, where):
     return min(int(np.add.accumulate(prob).searchsorted(u * np.add.reduce(prob))), len(prob) - 1)
 
 
-def _reference_run_step(part, step, rng, where):
+def _reference_run_step(part, step, rng, where, new_logw, slots=None):
     """One attribute at a time, with a uniform of its own: it is weighed
     against every slot as it stands, with itself taken out of its own (a slot
     it was the last member of weighs log 0 and holds statistic 0), and a new
-    cluster. A kept slot is left untouched; a move takes the attribute out of
-    its slot and into the drawn one. Empty slots are dropped once, at the
-    end, and every value is drawn. Returns, per attribute, (it was alone in
-    its slot, it moved, it opened a new cluster)."""
+    cluster, at ``new_logw[j]``. A kept slot is left untouched; a move takes
+    the attribute out of its slot and into the drawn one. Empty slots are
+    dropped once, at the end, and every value is drawn. Returns, per
+    attribute, (it was alone in its slot, it moved, it opened a new
+    cluster); with a list ``slots``, appends to it each attribute's (counts,
+    statistics) of the slots it was weighed against."""
     ids = part.cluster_ids()
     labels = part.labels.copy()
     items = step.items.tolist()
@@ -96,7 +156,9 @@ def _reference_run_step(part, step, rng, where):
         out_cnt, out_stat = cnt[:k].copy(), stat[:k].copy()
         out_cnt[s] -= 1
         out_stat[s] = out_stat[s] - items[j] if out_cnt[s] else 0
-        logw = np.append(step.logits(j, _slot_terms(step, out_cnt, out_stat)), step.new_logw[j])
+        if slots is not None:
+            slots.append((out_cnt, out_stat))
+        logw = np.append(step.logits(j, _slot_terms(step, out_cnt, out_stat)), new_logw[j])
         t = _draw_seat(logw, rng.random(), f"{where} j={j}")
         events.append((bool(cnt[s] == 1), t != s, t == k))
         if t != s:
@@ -114,6 +176,25 @@ def _reference_run_step(part, step, rng, where):
     return events
 
 
+def _record_weights(step):
+    """Make ``step`` keep, per row, the log weights it scored the row with
+    last: those of the pass's draw for the row, since a block's rows after
+    the first that moves are scored again."""
+    weights = {}
+    logits = step.logits
+
+    def recording(rows, terms):
+        logw = logits(rows, terms)
+        if isinstance(rows, int):
+            weights[rows] = logw
+        else:
+            weights.update(zip(range(rows.start, rows.stop), logw))
+        return logw
+
+    step.logits = recording
+    return weights
+
+
 def _record_blocks(step):
     """Make ``step`` log each block it scores as (first row, rows, slots)."""
     blocks = []
@@ -121,7 +202,7 @@ def _record_blocks(step):
 
     def recording(rows, terms):
         first, n = (rows, 1) if isinstance(rows, int) else (rows.start, rows.stop - rows.start)
-        blocks.append((first, n, terms.shape[-1]))
+        blocks.append((first, n, terms[0].shape[-1] - 1))  # the last column is a new cluster
         return logits(rows, terms)
 
     step.logits = recording
@@ -163,11 +244,13 @@ def _mixed_state(seed):
 
 
 def _mean_logits_without(state, data, hp, j):
-    return _logits_without(_MeanStep(state, data, hp), state.mean_part, j)
+    return _logits_without(_MeanStep(state, data, hp), state.mean_part, j,
+                           _mean_new_logw(state, data, hp))
 
 
 def _var_logits_without(state, data, hp, j):
-    return _logits_without(_VarStep(state, data, hp), state.var_part, j)
+    return _logits_without(_VarStep(state, data, hp), state.var_part, j,
+                           _var_new_logw(state, data, hp))
 
 
 def _slot_view_values(step, part, rng):
@@ -442,7 +525,8 @@ def test_block_pass_matches_reference(which, monkeypatch):
             step = cls(state, data, hp)
             blocks = _record_blocks(step)
             _run_step(part, step, rng, which)
-            events = _reference_run_step(ref, cls(state, data, hp), ref_rng, which)
+            events = _reference_run_step(ref, cls(state, data, hp), ref_rng, which,
+                                         NEW_LOGW[which](state, data, hp))
 
             assert part.to_dict() == ref.to_dict(), (bit_generator, seed)
             # Equal next draws: the two generators stand at the same position.
@@ -460,6 +544,33 @@ def test_block_pass_matches_reference(which, monkeypatch):
                 seen["singleton inside a multi-row block"] += bool(r) and events[first + r][0]
                 seen["block at the cap"] += n == cells // (k + 1)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("which", sorted(STEPS))
+def test_row_weights_match_closed_form(which, monkeypatch):
+    """The log weights the pass draws each row from equal bitwise the closed
+    form over the slots the per-attribute pass weighs the row against: the
+    table's slot columns and its new-cluster column, at a base measure
+    away from zero, through one-row and multi-row blocks."""
+    cls, attr = STEPS[which]
+    for seed in range(6):
+        cells, min_run = BLOCK_SETTINGS[seed % len(BLOCK_SETTINGS)]
+        monkeypatch.setattr(baseline, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(baseline, "_MIN_RUN", min_run)
+        state, data, _ = _mixed_state(seed)
+        hp = Hyperparams(base_mean=0.4, base_var=1.7, var_shape=1.3, var_rate=0.8)
+        part, ref = (copy.deepcopy(getattr(state, attr)) for _ in range(2))
+        step = cls(state, data, hp)
+        weights = _record_weights(step)
+        _run_step(part, step, np.random.default_rng(seed), which)
+        slots = []
+        _reference_run_step(ref, cls(state, data, hp), np.random.default_rng(seed), which,
+                            NEW_LOGW[which](state, data, hp), slots)
+
+        assert part.to_dict() == ref.to_dict(), seed
+        for j, (counts, stats) in enumerate(slots):
+            want = CLOSED_FORM_LOGW[which](state, data, hp, j, counts, stats)
+            assert weights[j].tolist() == want.tolist(), (seed, j)
 
 
 def test_abort_names_the_attribute_inside_a_block():
@@ -480,13 +591,49 @@ def test_abort_names_the_attribute_inside_a_block():
     # The per-attribute pass subtracts numpy scalars, which warn on inf - inf.
     with np.errstate(invalid="ignore"), pytest.raises(SamplerAbort) as reference_abort:
         _reference_run_step(copy.deepcopy(state.mean_part), _MeanStep(state, data, hp),
-                            ref_gen, "baseline-mean assignment")
+                            ref_gen, "baseline-mean assignment", _mean_new_logw(state, data, hp))
 
     message = str(block_abort.value)
     assert message.startswith(f"baseline-mean assignment j={bad}: non-finite log weights")
     assert message == str(reference_abort.value)
     first, n, _ = blocks[-1]
     assert first < bad < first + n - 1, blocks
+    fresh = np.random.default_rng(3)
+    fresh.random(20)
+    assert gen.random(4).tolist() == fresh.random(4).tolist()
+
+
+@pytest.mark.parametrize("which, bad", [("mean", 0), ("mean", 10), ("var", 0)])
+def test_abort_names_an_attribute_scored_alone(which, bad):
+    """A non-finite statistic on an attribute scored alone, at row 0 or right
+    after a singleton that must move, aborts the pass at its attribute with
+    the message of the per-attribute pass, after all p uniforms. A variance
+    slot holding an infinite statistic gives every earlier row NaN weights,
+    so the variance step is checked at row 0 only."""
+    cls, attr = STEPS[which]
+    where = f"baseline-{which} assignment"
+    rng = np.random.default_rng(5)
+    column = rng.normal(0.0, 0.1, size=6)
+    y = np.tile(column[:, None], (1, 20))
+    alone = [[bad]] + ([[bad - 1]] if bad else [])
+    others = [j for j in range(20) if [j] not in alone]
+    state, data, hp = manual_state(y, sigma_sq=[0.01] * 20)
+    setattr(state, attr, build_partition([others] + alone, [0.01] * (1 + len(alone))))
+    data.y[0, bad] = np.inf  # past DataMatrix's check
+    step = cls(state, data, hp)
+    blocks = _record_blocks(step)
+    gen, ref_gen = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(SamplerAbort) as row_abort:
+        _run_step(copy.deepcopy(getattr(state, attr)), step, gen, where)
+    # The per-attribute pass subtracts numpy scalars, which warn on inf - inf.
+    with np.errstate(all="ignore"), pytest.raises(SamplerAbort) as reference_abort:
+        _reference_run_step(copy.deepcopy(getattr(state, attr)), cls(state, data, hp), ref_gen,
+                            where, NEW_LOGW[which](state, data, hp))
+
+    message = str(row_abort.value)
+    assert message.startswith(f"{where} j={bad}: non-finite log weights")
+    assert message == str(reference_abort.value)
+    assert blocks[-1][:2] == (bad, 1), blocks
     fresh = np.random.default_rng(3)
     fresh.random(20)
     assert gen.random(4).tolist() == fresh.random(4).tolist()
