@@ -65,6 +65,9 @@ _BLOCK_CELLS = 4096
 # multi-row block costs about one more one-row block, so it pays only where
 # most rows stay.
 _MIN_RUN = 8
+# The mean step's constants as 0-d arrays, which numpy takes faster than floats.
+_LOG_2PI = np.array(LOG_2PI)
+_HALF = np.array(0.5)
 
 
 def _run_step(part, step, rng, where):
@@ -209,7 +212,7 @@ class _MeanStep:
         log_c, post_var, neg_mean = terms
         obs_var, rbar = self.obs[:, rows] if type(rows) is slice else self.obs_rows[rows]
         pv, d = post_var + obs_var, neg_mean + rbar
-        return log_c - 0.5 * (LOG_2PI + np.log(pv) + d * d / pv)
+        return log_c - _HALF * (_LOG_2PI + np.log(pv) + d * d / pv)
 
     def values(self, labels, counts, rng):
         """One draw of every cluster value from its normal posterior."""

@@ -23,6 +23,7 @@ from sparseclust.partition import SPIKE, Partition
 from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state, manual_state
+from test_component_walk import _record_lockstep_rows
 
 mpmath.mp.dps = 40
 
@@ -682,7 +683,8 @@ def test_inner_gibbs_keeps_state_valid(tiny_state):
 # -- the sample-partition law of step 5 ----------------------------------------
 
 
-def test_step5_partition_law_matches_exact_enumeration():
+@pytest.mark.parametrize("lockstep_rows", [clusters._LOCKSTEP_ROWS, 1], ids=["default", "1"])
+def test_step5_partition_law_matches_exact_enumeration(lockstep_rows, monkeypatch):
     """Repeated ``step_clusters`` at n = 3, p = 1, with the baselines,
     attr_prob, slab_var and the concentrations held fixed, visits the five
     sample partitions with their exact posterior probabilities: CRP(conc_samples)
@@ -692,7 +694,8 @@ def test_step5_partition_law_matches_exact_enumeration():
     one inner cluster whatever conc_inner is. The chain is autocorrelated, so
     the standard errors come from batch means. y, the seed, the sweep count
     and the 4-SE bound were fixed before the first run; the likeliest
-    partition carries 0.29 of the mass."""
+    partition carries 0.29 of the mass. n = 3 never reaches the default
+    ``_LOCKSTEP_ROWS``; at 1, every pass seats its births in lockstep."""
     from scipy.stats import multivariate_normal
 
     from sparseclust.diagnostics import batch_means_se
@@ -717,6 +720,7 @@ def test_step5_partition_law_matches_exact_enumeration():
     total = sum(weights.values())
     assert max(weights.values()) / total < 0.6
 
+    monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", lockstep_rows)
     rng = np.random.default_rng(23)
     seen = []
     for _ in range(10_000):
@@ -858,6 +862,43 @@ def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
     assert moved == [bad]  # every row before it was skipped
     assert state.to_dict() == ref.to_dict()
     assert rng.random(4).tolist() == ref_rng.random(4).tolist()
+
+
+def test_lockstep_pass_matches_scalar_pass(monkeypatch):
+    """The birth/death pass with every pass's births seated in lockstep
+    (``_LOCKSTEP_ROWS`` = 1) leaves the state and the generator where the
+    scalar walks (a threshold above n) leave them, on each bit generator,
+    through a seated row that has become a singleton by its turn (its death
+    move runs, and its seats drew nothing) and a singleton that has become a
+    non-singleton (its birth walks when reached)."""
+    seen = dict.fromkeys(("seated row became a singleton", "singleton walked when reached",
+                          "seated birth accepted"), 0)
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(30):
+            sides = []
+            for rows in (1, 25):  # in lockstep, then scalar (n = 24)
+                state, data, hp = _skip_state(seed)
+                singletons = set(np.flatnonzero(state.samples.counts[state.samples.labels] == 1))
+                monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", rows)
+                seated, moves = _record_lockstep_rows(monkeypatch), []
+                for name in ("mh_birth_move", "mh_death_move"):
+                    def recording(state, i, *args, move=getattr(clusters, name), name=name):
+                        accepted, log_ratio = move(state, i, *args)
+                        moves.append((name, i, accepted))
+                        return accepted, log_ratio
+                    monkeypatch.setattr(clusters, name, recording)
+                rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+                clusters._births_and_deaths(state, rng, _pass(state, data, hp))
+                monkeypatch.undo()
+                sides.append((state.to_dict(), rng.random(4).tolist(), moves, seated))
+            (*lockstep_side, seated), (*scalar_side, scalar_seated) = sides
+            assert lockstep_side == scalar_side, (bit_generator, seed)
+            assert not scalar_seated
+            for name, i, accepted in lockstep_side[2]:
+                seen["seated row became a singleton"] += name == "mh_death_move" and i in seated
+                seen["singleton walked when reached"] += name == "mh_birth_move" and i in singletons
+                seen["seated birth accepted"] += name == "mh_birth_move" and accepted and i in seated
+    assert all(seen.values()), seen
 
 
 # -- the reassignment pass ----------------------------------------------------

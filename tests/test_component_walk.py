@@ -17,6 +17,7 @@ import pytest
 from sparseclust import clusters
 from sparseclust.chain import sweep
 from sparseclust.clusters import (
+    BirthDeathPass,
     ClusterMeanVector,
     WalkTerms,
     _scan_components,
@@ -26,7 +27,7 @@ from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import slab_coef
 
-from conftest import build_partition, make_state
+from conftest import build_partition, make_state, manual_state
 from geweke import draw_data
 
 REL = 1e-12
@@ -411,3 +412,151 @@ def test_inner_gibbs_reads_data_written_in_place():
         data.y[...] = draw_data(state, np.random.default_rng(100 + seed))
         for cid in state.samples.cluster_ids():
             _check_inner_gibbs(state, data, hp, cid, seed)
+
+
+# -- birth proposals seated in lockstep ---------------------------------------
+
+LOCKSTEP_KINDS = ("dense", "live", "mixed", "spike")
+# The mixed kind's components where the even rows' residuals are large.
+MIXED_LEAD = 20
+
+
+def _lockstep_pass(kind, seed):
+    """(state, hp, bd): a ``BirthDeathPass`` of 8 rows whose walks take the
+    lockstep's paths. dense: 40 slab-favouring components, many inner
+    clusters; live: the live kind's 300 components on every row, so each
+    row's SPIKE runs reach ``_LIVE_RUN`` and are seated in live blocks;
+    mixed: 120 SPIKE-favouring components but component 0, where the odd
+    rows' residuals are near 0, so their walks start with a scalar step,
+    often seat it on SPIKE and then start a block with no member seated,
+    while the even rows' large residuals on components 0-19 seat several of
+    them, so rows step and block in the same rounds; spike: 300
+    SPIKE-favouring components, so most rows never leave SPIKE."""
+    n = 8
+    p = {"dense": 40, "live": 300, "mixed": 120, "spike": 300}[kind]
+    state, _data, hp = make_state(n=3, p=p, seed=seed)
+    rng = np.random.default_rng(20_000 + seed)
+    if kind == "dense":
+        state.attr_prob[:] = 0.9
+        x = rng.normal(0.0, 3.0, size=(n, p))
+    else:
+        state.attr_prob[:] = 1e-3
+        x = rng.normal(0.0, 0.3, size=(n, p))
+    if kind == "live":
+        state.attr_prob[[LIVE_EARLY, LIVE_LATE]] = 0.9
+        x[:, [LIVE_EARLY, LIVE_LATE]] = 6.0
+    elif kind == "mixed":
+        state.attr_prob[0] = 0.9
+        x[::2, :MIXED_LEAD] *= 20.0
+        x[1::2, 0] *= 0.1
+    mu_base = state.mean_part.values_vector()
+    return state, hp, BirthDeathPass(x + mu_base, mu_base, state.var_part.values_vector(),
+                                     state, hp)
+
+
+def _record_blocks_by_row(monkeypatch):
+    """Record every block as (row, start, stop, slots live)."""
+    blocks = []
+    block = clusters._block
+
+    def recorded(terms, i, j, end, slot_terms, *args):
+        stop, choice, log_q = block(terms, i, j, end, slot_terms, *args)
+        blocks.append((i, j, stop, len(slot_terms)))
+        return stop, choice, log_q
+
+    monkeypatch.setattr(clusters, "_block", recorded)
+    return blocks
+
+
+def _record_lockstep_rows(monkeypatch):
+    """Record the rows every pass seats in lockstep."""
+    seated = []
+    lockstep = clusters._lockstep_seats
+
+    def recorded(terms, rows, u):
+        seated.extend(rows.tolist())
+        return lockstep(terms, rows, u)
+
+    monkeypatch.setattr(clusters, "_lockstep_seats", recorded)
+    return seated
+
+
+@pytest.mark.parametrize("kind, bit_generator", [
+    pytest.param(kind, name, id=kind if name == "PCG64" else f"{kind}-{name}")
+    for name in BIT_GENERATORS for kind in LOCKSTEP_KINDS
+])
+def test_lockstep_matches_reference_walk(kind, bit_generator, monkeypatch):
+    """Every row of a pass seated in lockstep, then proposed in sample
+    order, draws the seats and values the reference walk draws from the same
+    uniforms, leaves the generator where it leaves it, and agrees on log Q
+    and log Q0 to rounding with it and with the scalar walk's replay; each
+    row takes the blocks the scalar walk takes on it."""
+    blocks = _record_blocks_by_row(monkeypatch)
+    seen = dict.fromkeys(("3+ inner clusters", "live block", "late empty block",
+                          "never off SPIKE"), 0)
+    for seed in range(8):
+        state, hp, bd = _lockstep_pass(kind, seed)
+        n, p = bd.x.shape
+        rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                        for _ in range(2))
+        u = rng.random((n, p + 1))
+        ref_rng.random((n, p + 1))
+        del blocks[:]
+        bd.seat_births(np.arange(n), u)
+        assert sorted(bd._seated) == list(range(n))
+        seated_blocks = blocks[:]
+        for i in range(n):
+            mean, log_q, log_q0 = bd.propose(i, u[i], rng)
+            ref = ClusterMeanVector(p)
+            ref_q, ref_q0 = _reference_walk(ref.inner, bd.x[i], 1, bd.sigma_sq, state, hp,
+                                            u[i], ref_rng)
+            assert mean.inner.to_dict() == ref.inner.to_dict(), (seed, i)
+            assert log_q == pytest.approx(ref_q, rel=REL)
+            assert log_q0 == pytest.approx(ref_q0, rel=REL)
+            rep_q, rep_q0 = _scan_components(mean.inner, bd, i)
+            assert log_q == pytest.approx(rep_q, rel=REL)
+            assert log_q0 == pytest.approx(rep_q0, rel=REL)
+            seen["3+ inner clusters"] += mean.inner_cluster_count() >= 3
+            seen["never off SPIKE"] += mean.nonzero_count() == 0
+        # Equal next draws: the two generators stand at the same position.
+        assert rng.random(4).tolist() == ref_rng.random(4).tolist(), seed
+        # Each row took the blocks its scalar walk takes.
+        for i in range(n):
+            del blocks[:]
+            _scan_components(ClusterMeanVector(p).inner, bd, i, u[i], np.random.default_rng(0))
+            assert [b for b in seated_blocks if b[0] == i] == blocks, (seed, i)
+        seen["live block"] += any(k for _i, _j, _stop, k in seated_blocks)
+        seen["late empty block"] += any(j and not k for _i, j, _stop, k in seated_blocks)
+    want = {"dense": "3+ inner clusters", "live": "live block", "mixed": "late empty block",
+            "spike": "never off SPIKE"}[kind]
+    assert seen[want], seen
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.inf, "all log weights are -inf"), (np.nan, r"non-finite log weights \[nan")],
+    ids=["inf", "nan"])
+def test_lockstep_leaves_a_non_finite_row_to_the_scalar_walk(bad, message, monkeypatch):
+    """With every pass in lockstep, a row holding a non-finite residual is
+    not seated with the others; its birth move walks it, and aborts with the
+    scalar pass's message, naming the sample, after the same moves before
+    it, leaving the state and the generator where the scalar pass does."""
+    bad_row, n, p = 5, 8, 6
+    y = np.random.default_rng(2).normal(0.0, 1.5, size=(n, p))
+    sides = []
+    for rows in (1, n + 1):  # every pass in lockstep, then none
+        state, data, hp = manual_state(y.copy(), sigma_sq=[0.5] * p, attr_prob=0.5)
+        data.y[bad_row, 3] = bad  # past DataMatrix's check
+        monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", rows)
+        seated = _record_lockstep_rows(monkeypatch)
+        rng = np.random.default_rng(3)
+        with pytest.raises(SamplerAbort, match=message) as abort:
+            clusters._births_and_deaths(state, rng, BirthDeathPass(
+                data.y, state.mean_part.values_vector(), state.var_part.values_vector(),
+                state, hp))
+        monkeypatch.undo()
+        sides.append((str(abort.value), state.to_dict(), rng.random(4).tolist(), seated))
+    (message_lock, state_lock, next_lock, seated), (message_scalar, *scalar, _) = sides
+    assert message_lock == message_scalar
+    assert message_lock.startswith(f"birth proposal i={bad_row}: ")
+    assert [state_lock, next_lock] == scalar
+    assert seated == [i for i in range(n) if i != bad_row]
