@@ -82,17 +82,31 @@ With ``_LOCKSTEP_ROWS`` or more rows left to walk, the pass seats all their
 proposals first, side by side (``BirthDeathPass.seat_births``): a row's walk
 reads only its own terms and uniforms. Each round takes every row one
 component on, by the scalar walk's block or else by one scalar step, all
-steps in one set of array operations; a row's move then draws its values,
-and a row that has become a singleton drew nothing. The draws and their
-order are the scalar walk's, but numpy's exp and log differ from math's in
-the last bit: a seat or an MH decision can differ from the scalar walk's
-only where a uniform falls within rounding of a boundary.
+steps in one set of array operations. While every row stands at the same
+component j, as they do until a block moves one on, the round reads column
+j of the rows' terms; otherwise it gathers each row's own. A row with no
+member seated starts a block only where ``starts_run`` is set, and no row
+loses a member; so once every row has one, only a SPIKE run of
+``_LIVE_RUN`` can start a block, and a round checks for one only when a
+bound on the longest run allows it. The draws and their order are the scalar walk's, but numpy's exp and log
+differ from math's in the last bit: a seat or an MH decision can differ from
+the scalar walk's only where a uniform falls within rounding of a boundary.
+
+The lockstep ends with every seated row's value tail up to its draws: each
+inner value's posterior, from member sums added in component order by one
+``bincount`` over (row, slot), so they are bitwise ``_member_sums``. The
+row's move draws its k values with one ``standard_normal(k)``, which gives
+the values of k scalar draws on every bit generator and leaves it in the
+same place, and adds their densities in ``_values``' order and arithmetic.
+A row that has become a singleton by its turn draws nothing.
 
 The reassignment pass (``_reassignments``) hands each non-singleton, in
-sample order, one scalar uniform and its row of the pass's columns. With one
-cluster no row can move, so when every row is finite the pass only draws the
-rows' uniforms: ``random(m)`` gives the values of m scalar draws on every bit
-generator. A non-finite row still goes to ``gibbs_reassign`` to abort on.
+sample order, one scalar uniform, its row of the pass's columns and the
+clusters' sizes, which the pass reads once and each move keeps current: no
+move of the pass empties a cluster. With one cluster no row can move, so
+when every row is finite the pass only draws the rows' uniforms:
+``random(m)`` gives the values of m scalar draws on every bit generator. A
+non-finite row still goes to ``gibbs_reassign`` to abort on.
 """
 
 import bisect
@@ -111,9 +125,11 @@ _LIVE_RUN = 16
 # Cells, components times (slots + 2), a block spans while members are
 # seated.
 _BLOCK_CELLS = 4096
-# Rows a birth/death pass must have left to walk to seat them in lockstep: on
-# fit_ex4_dense passes that pays from about 11 rows, but 8 sparser tall_n200
-# rows took 1.2 ms so against 0.9 ms one at a time.
+# Rows a birth/death pass must have left to walk to seat them in lockstep,
+# values included: on fit_ex4_dense passes that pays from about 11 rows (10
+# took 1.68 ms so against 1.62 ms one at a time, 12 took 1.75 against 1.93
+# ms), but 8 sparser tall_n200 rows, which walk mostly in blocks, took 1.07
+# ms so against 0.69 ms.
 _LOCKSTEP_ROWS = 16
 
 
@@ -224,25 +240,36 @@ class BirthDeathPass(WalkTerms):
             top += np.log(self.run_tot)  # the log normalizer, in place
             self.spike_log_q = 0.0 + np.add.reduce(self.spike - top, axis=-1)
         self.spike_log_q0 = 0.0 + float(np.add.reduce(self.log_spike))
+        self.log_norm_slab = LOG_2PI + math.log(self.slab_var)  # of a value's prior density
         self._columns = {}
         self._seated = {}
 
     def seat_births(self, rows, u):
         """Seat the birth proposals of ``rows`` in lockstep, row i reading
-        u[i], for ``propose``; a row not ``run_finite`` is left to the walk."""
+        u[i], with their values' posteriors, for ``propose``; a row not
+        ``run_finite`` is left to the walk."""
         self._seated = _lockstep_seats(self, rows[self.run_finite[rows]], u)
 
     def propose(self, i, u, rng):
-        """As ``WalkTerms.propose``; a row seated in lockstep draws its values."""
+        """As ``WalkTerms.propose``; a row seated in lockstep draws its values
+        from the posteriors ``seat_births`` computed, with ``_values``' draws
+        and arithmetic."""
         seated = self._seated.pop(i, None)
         if seated is None:
             return super().propose(i, u, rng)
-        seats, counts, log_q, log_q0 = seated
-        mean = ClusterMeanVector(self.x.shape[1])
-        if counts:
-            values, log_q, log_q0 = _values(self, i, seats, len(counts), log_q, log_q0, rng)
-            mean.inner.set_slots([None] * len(counts), seats, counts, values)
-        return mean, log_q, log_q0
+        seats, counts, log_q, log_q0, (post_mean, sd, var, log_norm) = seated
+        if not counts:
+            return ClusterMeanVector(len(seats)), log_q, log_q0
+        # One array draw gives the values of k scalar draws.
+        values = post_mean + sd * rng.standard_normal(len(counts))
+        d = values - post_mean
+        q = -0.5 * (log_norm + d * d / var)
+        q0 = -0.5 * (self.log_norm_slab + values * values / self.slab_var)
+        for a, b in zip(q.tolist(), q0.tolist()):  # in slot order, as _values sums
+            log_q += a
+            log_q0 += b
+        return (ClusterMeanVector(len(seats), Partition(seats, counts, values, allow_spike=True)),
+                log_q, log_q0)
 
     def loglik(self, i, mean):
         """Log F(y_i; mu_base + mean): sample i's normal log likelihood under
@@ -536,109 +563,182 @@ def _block(terms, i, j, end, slot_terms, log_denom, seats, u):
 
 def _lockstep_seats(terms, rows, u):
     """Per row of ``rows`` of ``terms``, walked in lockstep from empty (see
-    the module docstring) reading u[i]: (seats, counts, log_q, log_q0) of
-    its birth proposal before the values. The rows must be ``run_finite``:
-    every weight is then finite or -inf, and no walk aborts."""
+    the module docstring) reading u[i]: (seats, counts, log_q, log_q0,
+    posterior) of its birth proposal before the values, the posterior being
+    each inner value's (mean, sd, variance, log(2 pi variance)) in slot
+    order. The rows must be ``run_finite``: every weight is then finite or
+    -inf, and no walk aborts."""
     n_rows, p = len(rows), terms.x.shape[1]
+    if not n_rows:
+        return {}
     inv_slab_var = 1.0 / terms.slab_var
     # By count: the walk's log count (-inf: a slot not yet opened), a seat's
     # log weight in Q0 (log conc_inner at count 0) and CRP log denominator.
     log_count = np.array([-math.inf] + [math.log(c) for c in range(1, p + 1)])
     log_seat = np.concatenate(([terms.log_conc], log_count[1:]))
     log_denoms = np.array([math.log(terms.conc_inner + m) for m in range(p + 1)])
-    # A step's inputs: per row and component (flat), the SPIKE and new
-    # cluster weights, x and u; per component, log s, v_obs, log(1 - s), prec.
-    own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[rows, :p])).reshape(4, -1)
-    shared = np.stack((terms.log_s, terms.v_obs, terms.log_spike, terms.prec))
+    # A step's inputs, per row and component: the SPIKE and new-cluster
+    # weights, x, u and prec * x, read as column j while every row stands
+    # at component j and gathered (flat) otherwise; whether a block starts
+    # there while no member is seated; and per component log s, v_obs,
+    # log(1 - s) and prec, as floats for a column and as arrays to gather.
+    own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[rows, :p],
+                    terms.prec * terms.x[rows]))
+    flat = own.reshape(5, -1)
     starts_run = terms.starts_run[rows].ravel()
-    seats = np.full(n_rows * p, SPIKE)
-    # Per walking row, compacted as rows finish: sample, flat offset, next
-    # component, slot count (no member leaves, so every slot is live), member
-    # total, SPIKE seats since the last seat off SPIKE, log Q and log Q0; per
-    # slot and row, the count and the summed precision and statistic.
-    sample, base = rows, np.arange(n_rows) * p
-    nxt, k, m_total, spikes = np.zeros((4, n_rows), dtype=np.intp)
+    shared = np.stack((terms.log_s, terms.v_obs, terms.log_spike, terms.prec))
+    by_component = shared.T.tolist()
+    seats = np.full((n_rows, p), SPIKE)
+    flat_seats = seats.reshape(-1)
+    log_qs = np.empty((2, n_rows))
+    # Per walking row, compacted as rows finish: its row of ``rows``, flat
+    # offset, slot count (no member leaves, so every slot is live), member
+    # total, last component seated off SPIKE, log Q and log Q0; per slot and
+    # row, the count and the summed precision and statistic, and a last
+    # slot, whose sums no weight reads, that SPIKE seats (t = -1) update.
+    idx = np.arange(n_rows)
+    pos, base = idx, idx * p
+    k, m_total = np.zeros((2, n_rows), dtype=np.intp)
+    last_off = np.full(n_rows, -1)
     log_q, log_q0 = np.zeros((2, n_rows))
-    counts = np.zeros((min(p, 7) + 1, n_rows), dtype=np.intp)
+    counts = np.zeros((min(p, 7) + 2, n_rows), dtype=np.intp)
     sprec, sstat = np.zeros((2,) + counts.shape)
-    kw = lead = 0  # the most slots and the furthest next component of a row
-    seated = {}
-    while len(nxt):
-        at = base + nxt
-        blk = np.where(m_total > 0, spikes >= _LIVE_RUN, starts_run[at])
-        blocks = np.flatnonzero(blk).tolist() if blk.any() else ()
-        step = np.flatnonzero(~blk) if blocks else slice(None)
-        j = nxt[step]
-        (spike, new_w, x, uj), (log_s, v_obs, log_spike, prec) = (
-            own.take(at[step], axis=1), shared.take(j, axis=1))
+    kw = 0  # the most slots of a row
+    # Every row stands at component ``col`` until a block moves some on;
+    # from then on row r stands at nxt[r], and the furthest at ``lead``.
+    col, nxt, lead = 0, None, 0
+    empty = True  # whether a row may have no member seated
+    low_off = -1  # at most the last component any row seated off SPIKE
+    while True:
+        m = len(k)
+        cols = idx[:m]
+        j = col if nxt is None else nxt
+        # A row starts a block at a SPIKE run of _LIVE_RUN or, while it has
+        # no member seated, where ``starts_run`` is set. A row that gains a
+        # member never loses it, and no run reaches _LIVE_RUN before
+        # (furthest component) - 1 - low_off does.
+        blk = None
+        if empty:
+            live = m_total > 0
+            empty = not live.all()
+        if empty or (col if nxt is None else lead) - 1 - low_off >= _LIVE_RUN:
+            blk = j - 1 - last_off >= _LIVE_RUN
+            if empty:
+                blk = np.where(live, blk, starts_run[base + j])
+            else:
+                low_off = min(last_off.tolist())
+        blocks = np.flatnonzero(blk).tolist() if blk is not None and blk.any() else ()
+        if blocks:
+            if nxt is None:
+                nxt = np.full(m, col)
+            step = np.flatnonzero(~blk)
+            j = nxt[step]
+        else:
+            step = slice(None)
+        if nxt is None:
+            (spike, new_w, x, uj, stat), (log_s, v_obs, log_spike, prec) = (
+                own[:, :, col], by_component[col])
+        else:
+            (spike, new_w, x, uj, stat), (log_s, v_obs, log_spike, prec) = (
+                flat.take(base[step] + j, axis=1), shared.take(j, axis=1))
         log_denom = log_denoms[m_total[step]]
         # Rows: SPIKE, each slot (-inf if unopened), new; as the scalar step sums.
-        w = np.empty((kw + 2, len(j)))
+        w = np.empty((kw + 2, len(uj)))
         w[0] = spike
         if kw:
             v_post = inv_slab_var + sprec[:kw, step]
             var = 1.0 / v_post + v_obs
             d = x - sstat[:kw, step] / v_post
-            w[1:-1] = (log_s + log_count[counts[:kw, step]] - log_denom
-                       - 0.5 * (LOG_2PI + np.log(var) + d * d / var))
-        w[-1] = new_w - log_denom
+            np.subtract(log_s + log_count[counts[:kw, step]] - log_denom,
+                        0.5 * (LOG_2PI + np.log(var) + d * d / var), out=w[1:-1])
+        np.subtract(new_w, log_denom, out=w[-1])
         top = np.maximum.reduce(w)
         acc = np.add.accumulate(np.exp(w - top))
         choice = (uj * acc[-1] <= acc).argmax(axis=0)  # the first to reach u * total
-        log_q[step] += w[choice, np.arange(len(j))] - (top + np.log(acc[-1]))
+        q = w[choice, cols[:len(uj)]] - (top + np.log(acc[-1]))
         if blocks:
-            picked = np.full(len(nxt), -1)  # -1: no seat this round
+            log_q[step] += q
+            picked = np.full(m, -1)  # -1: no seat this round
             picked[step] = choice
             for b in blocks:
-                i, j, kb, m = sample.item(b), nxt.item(b), k.item(b), m_total.item(b)
-                end = min(j + max(1, _BLOCK_CELLS // (kb + 2)), p) if m else p
+                i, j, kb, mb = rows.item(pos.item(b)), nxt.item(b), k.item(b), m_total.item(b)
+                end = min(j + max(1, _BLOCK_CELLS // (kb + 2)), p) if mb else p
                 v_post = inv_slab_var + sprec[:kb, b]
                 slot_terms = np.column_stack(
                     (log_count[counts[:kb, b]], sstat[:kb, b] / v_post, 1.0 / v_post))
-                stop, c, block_q = _block(terms, i, j, end, slot_terms, log_denoms.item(m), None, u[i])
+                stop, c, block_q = _block(terms, i, j, end, slot_terms, log_denoms.item(mb),
+                                          None, u[i])
                 log_q[b] += block_q
                 log_q0[b] += float(np.add.reduce(terms.log_spike[j:stop]))
-                spikes[b] += stop - j
                 nxt[b] = stop
                 picked[b] = -1 if c is None else c
+            # Each row's component to seat: a blocked row's stop.
             j = np.minimum(nxt, p - 1)
-            at, log_denom = base + j, log_denoms[m_total]
-            x, (log_s, _, log_spike, prec) = own[2].take(at), shared.take(j, axis=1)
+            log_denom = log_denoms[m_total]
+            stat, (log_s, _, log_spike, prec) = flat[4].take(base + j), shared.take(j, axis=1)
         else:
+            log_q += q
             picked = choice
-        # Seat each row's component nxt as the scalar walk does: t is SPIKE
-        # (-1), slot t, or a new cluster at t = k; -2 leaves the row as it is.
+        # Seat each row's component j as the scalar walk does: t is SPIKE
+        # (-1), slot t, or a new cluster at t = k; -2 seats nothing.
         t = np.minimum(picked - 1, k)
-        if kw + 1 == len(counts):
-            counts, sprec, sstat = (np.concatenate((a, np.zeros_like(a)))[:p + 1]
-                                    for a in (counts, sprec, sstat))
         off = t >= 0
-        q0 = np.where(off, log_s + log_seat[counts[t, np.arange(len(t))]] - log_denom, log_spike)
-        onehot = np.arange(kw + 1)[:, None] == t
-        counts[:kw + 1] += onehot
-        sprec[:kw + 1] += onehot * prec
-        sstat[:kw + 1] += onehot * (prec * x)
+        if kw + 2 > len(counts):
+            counts, sprec, sstat = (np.concatenate((a[:-1], np.zeros_like(a)))
+                                    for a in (counts, sprec, sstat))
+        if blocks:
+            seat = t >= -1
+            log_spike = np.where(seat, log_spike, 0.0)
+            t = np.maximum(t, SPIKE)  # -2: SPIKE, as its block seats
+        at = t * m + cols  # flat (slot, row)
+        count = counts.reshape(-1)[at]
+        log_q0 += np.where(off, log_s + log_seat[count] - log_denom, log_spike)
+        counts.reshape(-1)[at] = count + 1
+        sprec.reshape(-1)[at] += prec
+        sstat.reshape(-1)[at] += stat
         k += t == k
-        kw = int(k.max())
+        kw = max(k.tolist())
         m_total += off
-        seat = t >= -1
-        log_q0 += np.where(seat, q0, 0.0) if blocks else q0
-        seats[at] = np.maximum(t, SPIKE)  # -2: SPIKE, which its block seats or a step rewrites
-        spikes = (spikes + seat) * ~off
-        nxt += seat
-        lead = int(nxt.max()) if blocks else lead + 1
-        if lead >= p:
-            done = nxt >= p
-            for b in np.flatnonzero(done).tolist():
-                r = base.item(b)
-                seated[sample.item(b)] = (seats[r:r + p].copy(), counts[:k.item(b), b].tolist(),
-                                          log_q.item(b), log_q0.item(b))
-            keep = ~done
-            sample, base, nxt, k, m_total, spikes, log_q, log_q0 = (
-                a[keep] for a in (sample, base, nxt, k, m_total, spikes, log_q, log_q0))
-            counts, sprec, sstat = counts[:, keep], sprec[:, keep], sstat[:, keep]
-            kw, lead = (int(k.max()), int(nxt.max())) if len(k) else (0, 0)
-    return seated
+        np.copyto(last_off, j, where=off)
+        if nxt is None:
+            seats[:, col] = t
+            col += 1
+            if col < p:
+                continue
+            log_qs[:] = log_q, log_q0
+            break
+        flat_seats[base + j] = t
+        nxt += seat if blocks else 1
+        lead = max(nxt.tolist()) if blocks else lead + 1
+        if lead < p:
+            continue
+        # Rows that have seated component p - 1 are done.
+        done = nxt >= p
+        log_qs[:, pos[done]] = log_q[done], log_q0[done]
+        if done.all():
+            break
+        keep = ~done
+        pos, base, nxt, k, m_total, last_off, log_q, log_q0 = (
+            a[keep] for a in (pos, base, nxt, k, m_total, last_off, log_q, log_q0))
+        counts, sprec, sstat = (a.compress(keep, axis=1) for a in (counts, sprec, sstat))
+        kw, lead = max(k.tolist()), max(nxt.tolist())
+    # Each row's value tail up to its draws: per slot, its size and member
+    # sums, added in component order (so bitwise ``_member_sums``), and the
+    # posterior.
+    width = int(seats.max()) + 1
+    on = seats >= 0
+    at = (idx[:, None] * width + seats)[on]
+    sizes = np.bincount(at, minlength=n_rows * width).reshape(n_rows, width)
+    prec = np.bincount(at, np.broadcast_to(terms.prec, seats.shape)[on], n_rows * width)
+    prec = prec.reshape(n_rows, width) + inv_slab_var
+    var = 1.0 / prec
+    mean = np.bincount(at, own[4][on], n_rows * width).reshape(n_rows, width) / prec
+    sd = np.sqrt(var)
+    log_norm = np.array([LOG_2PI + math.log(v) for v in var.ravel().tolist()]).reshape(var.shape)
+    return {i: (seats[r].copy(), size[:kr], log_qs.item(0, r), log_qs.item(1, r),
+                (mean[r, :kr], sd[r, :kr], var[r, :kr], log_norm[r, :kr]))
+            for r, (i, kr, size) in enumerate(zip(rows.tolist(), (sizes > 0).sum(axis=1).tolist(),
+                                                  sizes.tolist()))}
 
 
 def _member_sums(seats, terms, i, k):
@@ -722,28 +822,31 @@ def mh_death_move(state, i, bd, u):
     return accepted, log_ratio
 
 
-def gibbs_reassign(state, loglik_row, col_order, i, u):
+def gibbs_reassign(state, loglik_row, col_order, i, u, sizes):
     """Resample a non-singleton sample's cluster among existing clusters by
     the uniform ``u``; returns its new cluster id.
 
     ``loglik_row[t]`` is sample i's log likelihood under cluster
     ``col_order[t]``: entry i of that cluster's ``BirthDeathPass.loglik_column``.
+    ``sizes[t]`` is that cluster's member count; the move keeps it current.
     """
-    samples = state.samples
-    if samples.cluster_size(i) <= 1:
+    s = state.samples.labels.item(i)
+    if sizes[s] <= 1:
         raise RuntimeError(f"sample {i} is a singleton; Gibbs reassignment skipped")
 
     # Sample i's cluster keeps other members, so the cluster set is the one
     # ``col_order`` lists, and slots are in the same creation order. Each
     # weight counts the cluster's members other than sample i.
-    counts = samples.sizes()
-    counts[samples.labels.item(i)] -= 1
-    logw = [math.log(c) + w for c, w in zip(counts, loglik_row.tolist())]
+    sizes[s] -= 1
+    logw = [math.log(c) + w for c, w in zip(sizes, loglik_row.tolist())]
     try:
         choice, _lse = pick_with_lse(logw, u)
     except SamplerAbort as exc:
         raise SamplerAbort(f"reassignment i={i}: {exc}") from exc
-    return samples.move(i, col_order[choice])
+    sizes[choice] += 1
+    if choice == s:
+        return col_order[s]
+    return state.samples.move(i, col_order[choice])
 
 
 def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem):
@@ -796,10 +899,10 @@ def _reassignments(state, rng, loglik, col_order):
         if n > 1:  # a lone sample is a singleton, and draws nothing
             rng.random(n)
         return
-    samples = state.samples
+    labels, sizes = state.samples.labels, state.samples.sizes()
     for i in range(n):
-        if samples.cluster_size(i) > 1:
-            gibbs_reassign(state, loglik[i], col_order, i, rng.random())
+        if sizes[labels.item(i)] > 1:
+            gibbs_reassign(state, loglik[i], col_order, i, rng.random(), sizes)
 
 
 def step_clusters(state, data, hp, rng):

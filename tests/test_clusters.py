@@ -23,7 +23,7 @@ from sparseclust.partition import SPIKE, Partition
 from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state, manual_state
-from test_component_walk import _record_lockstep_rows
+from test_component_walk import _proposal_bits, _record_lockstep_rows, _scalar_tail
 
 mpmath.mp.dps = 40
 
@@ -512,7 +512,8 @@ def test_reassign_single_cluster_certain():
     rng = np.random.default_rng(10)
     cid = state.samples.cluster_of(1)
     loglik, col_order = _reassign_inputs(state, data, hp)
-    assert gibbs_reassign(state, loglik[1], col_order, 1, rng.random()) == cid
+    assert gibbs_reassign(state, loglik[1], col_order, 1, rng.random(),
+                          state.samples.sizes()) == cid
 
 
 def test_reassign_logits_match_scipy_oracle():
@@ -547,7 +548,7 @@ def test_reassign_frequencies_follow_logits():
     counts = {c: 0 for c in col_order}
     trials = 40_000
     for _ in range(trials):
-        got = gibbs_reassign(state, loglik[i], col_order, i, rng.random())
+        got = gibbs_reassign(state, loglik[i], col_order, i, rng.random(), state.samples.sizes())
         counts[got] += 1
         state.samples.move(i, orig)  # put the sample back for the next trial
     for t, c in enumerate(col_order):
@@ -901,6 +902,54 @@ def test_lockstep_pass_matches_scalar_pass(monkeypatch):
     assert all(seen.values()), seen
 
 
+def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
+    """With every pass's births seated in lockstep, the pass's value tail
+    (one array draw per seated row) leaves every proposal's values, log Q,
+    log Q0 and log likelihood, the state and the generator bit for bit where
+    the scalar tail (``_values``) leaves them, on each bit generator, through
+    a seated row that has become a singleton by its turn (it draws nothing)
+    and a singleton that has become a non-singleton (it takes the scalar
+    walk)."""
+    seen = dict.fromkeys(("seated row drew values", "seated row became a singleton",
+                          "singleton walked when reached"), 0)
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(30):
+            sides = []
+            for scalar in (False, True):
+                state, data, hp = _skip_state(seed)
+                singletons = set(np.flatnonzero(state.samples.counts[state.samples.labels] == 1))
+                monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", 1)
+                seated_rows = _record_lockstep_rows(monkeypatch)
+                bd, proposals, deaths = _pass(state, data, hp), [], []
+                propose = bd.propose
+
+                def recording(i, u, rng, bd=bd, propose=propose, scalar=scalar):
+                    seated = bd._seated.get(i)
+                    if scalar and seated is not None:
+                        del bd._seated[i]
+                        proposal = _scalar_tail(bd, seated, i, rng)
+                    else:
+                        proposal = propose(i, u, rng)
+                    proposals.append((i, seated is not None, _proposal_bits(bd, i, proposal)))
+                    return proposal
+
+                bd.propose = recording
+                death = clusters.mh_death_move
+                monkeypatch.setattr(clusters, "mh_death_move",
+                                    lambda state, i, *args: deaths.append(i) or death(state, i, *args))
+                rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+                clusters._births_and_deaths(state, rng, bd)
+                monkeypatch.undo()
+                sides.append((state.to_dict(), _generator_state(rng), proposals))
+            assert sides[0] == sides[1], (bit_generator, seed)
+            seen["seated row drew values"] += any(
+                seated and bits[0]["counts"] for _i, seated, bits in proposals)
+            seen["seated row became a singleton"] += any(i in seated_rows for i in deaths)
+            seen["singleton walked when reached"] += any(
+                i in singletons and not seated for i, seated, _bits in proposals)
+    assert all(seen.values()), seen
+
+
 # -- the reassignment pass ----------------------------------------------------
 
 
@@ -914,7 +963,8 @@ def _reassign_state(labels):
 def _reference_reassignments(state, rng, loglik, col_order):
     """The per-sample pass that the one-cluster draw must reproduce bit for
     bit: ``gibbs_reassign`` of every non-singleton, in sample order, each
-    handed one scalar draw. Returns the number of calls and, per move,
+    handed one scalar draw and the cluster sizes read afresh (the pass keeps
+    them from move to move). Returns the number of calls and, per move,
     (sample, whether it left a 2-member cluster whose other member comes
     later, whether it joined a singleton that comes later)."""
     samples = state.samples
@@ -922,7 +972,7 @@ def _reference_reassignments(state, rng, loglik, col_order):
     for i in range(len(loglik)):
         if samples.cluster_size(i) > 1:
             before = samples.labels.copy()
-            gibbs_reassign(state, loglik[i], col_order, i, rng.random())
+            gibbs_reassign(state, loglik[i], col_order, i, rng.random(), samples.sizes())
             calls += 1
             s, t = before[i], samples.labels.item(i)
             if t != s:
@@ -945,9 +995,9 @@ def _record_reassigns(monkeypatch):
     """Record each sample the pass commits through ``gibbs_reassign``."""
     committed = []
 
-    def recording(state, loglik_row, col_order, i, u):
+    def recording(state, loglik_row, col_order, i, u, sizes):
         committed.append(i)
-        return gibbs_reassign(state, loglik_row, col_order, i, u)
+        return gibbs_reassign(state, loglik_row, col_order, i, u, sizes)
 
     monkeypatch.setattr(clusters, "gibbs_reassign", recording)
     return committed
@@ -1071,6 +1121,6 @@ def test_step5_aborts_name_the_move():
         mh_death_move(state, 3, _pass(state, data, hp), rng.random(p + 1))
     with pytest.raises(SamplerAbort, match=r"^reassignment i=1: non-finite log weights \[nan"):
         gibbs_reassign(state, np.array([np.nan, 0.0]), state.samples.cluster_ids(), 1,
-                       rng.random())
+                       rng.random(), state.samples.sizes())
     with pytest.raises(SamplerAbort, match=rf"^inner mean update cid={cid}: all log weights are -inf$"):
         _inner_pass(state, data, hp, cid, rng)

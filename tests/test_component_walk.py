@@ -9,6 +9,7 @@ on every bit generator numpy ships.
 """
 
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -560,3 +561,110 @@ def test_lockstep_leaves_a_non_finite_row_to_the_scalar_walk(bad, message, monke
     assert message_lock.startswith(f"birth proposal i={bad_row}: ")
     assert [state_lock, next_lock] == scalar
     assert seated == [i for i in range(n) if i != bad_row]
+
+
+# Bits of ``_lockstep_seats`` on each lockstep kind's passes of seeds 0-2,
+# row i reading row i of ``default_rng(seed).random((n, p + 1))``: per seed,
+# the first 16 hex digits of the SHA-256 over every row's seats (int64) and
+# the ``float.hex`` of its log Q and log Q0 (``_lockstep_digest``). Recorded
+# from the earlier implementation, which gathered every round's inputs and
+# built its block check and count updates from whole arrays; the rounds
+# must keep its arithmetic exactly. numpy's exp and log differ in the last
+# bit between SIMD targets, so the pins are keyed by a probe of both
+# (``_exp_log_probe``).
+LOCKSTEP_PINS = {
+    # x86-64 with numpy's AVX-512 (X86_V4) exp and log
+    "4117a7b1b2889523": {
+        "dense": ["81cf79b2b064359a", "0555dfbfbfd1bcc0", "bf04012156e5fb6f"],
+        "live": ["079215fa8e7ebeeb", "7097192faa6bb6c0", "15bff6827545cb0f"],
+        "mixed": ["e74daa95c52b0fd0", "f2e85b18984326a7", "ac200f6980b63852"],
+        "spike": ["0e442855fed03755", "e4f77753af1357ab", "97f10c531b9c34c1"],
+    },
+    # x86-64 with those kernels disabled (or absent): the C library's exp and log
+    "6469758e9361ab7d": {
+        "dense": ["81cf79b2b064359a", "0555dfbfbfd1bcc0", "bf04012156e5fb6f"],
+        "live": ["079215fa8e7ebeeb", "7097192faa6bb6c0", "15bff6827545cb0f"],
+        "mixed": ["e74daa95c52b0fd0", "af9ba109faf59eef", "ac200f6980b63852"],
+        "spike": ["0e442855fed03755", "e4f77753af1357ab", "97f10c531b9c34c1"],
+    },
+}
+
+
+def _exp_log_probe():
+    """The first 16 hex digits of the SHA-256 over numpy's exp and log of a
+    fixed grid: which exp and log this platform's numpy computes."""
+    x = np.linspace(-40.0, 40.0, 4001)
+    return hashlib.sha256(np.exp(x).tobytes() + np.log(np.abs(x) + 0.5).tobytes()).hexdigest()[:16]
+
+
+def _lockstep_digest(kind, seed):
+    state, hp, bd = _lockstep_pass(kind, seed)
+    n, p = bd.x.shape
+    u = np.random.default_rng(seed).random((n, p + 1))
+    seated = clusters._lockstep_seats(bd, np.arange(n), u)
+    h = hashlib.sha256()
+    for i in range(n):
+        seats, _counts, log_q, log_q0 = seated[i][:4]
+        h.update(np.asarray(seats, dtype=np.int64).tobytes())
+        h.update(f"{float(log_q).hex()} {float(log_q0).hex()};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
+def test_lockstep_seats_match_pinned_bits(kind):
+    """The lockstep's seats, log Q and log Q0 of every row equal, bit for
+    bit, those recorded from the earlier implementation on this platform's
+    exp and log. The reference-walk test allows rounding (REL); this pin
+    does not. A platform whose numpy exp and log match neither recorded
+    probe has no pin to compare with."""
+    pins = LOCKSTEP_PINS.get(_exp_log_probe())
+    if pins is None:
+        pytest.skip(f"no lockstep pin for this numpy's exp and log (probe {_exp_log_probe()})")
+    assert [_lockstep_digest(kind, seed) for seed in range(3)] == pins[kind]
+
+
+def _scalar_tail(bd, seated, i, rng):
+    """(mean, log Q, log Q0) of row i seated in lockstep as ``seated``
+    (``seat_births``' entry for it), its values drawn by the scalar tail:
+    ``_values``, one ``standard_normal()`` per inner cluster."""
+    seats, counts, log_q, log_q0 = seated[:4]
+    mean = ClusterMeanVector(len(seats))
+    if counts:
+        values, log_q, log_q0 = clusters._values(bd, i, seats, len(counts), log_q, log_q0, rng)
+        mean.inner.set_slots([None] * len(counts), seats, counts, values)
+    return mean, log_q, log_q0
+
+
+def _proposal_bits(bd, i, proposal):
+    """A proposal's partition, values, log Q, log Q0 and log likelihood of
+    row i, floats as ``float.hex``."""
+    mean, log_q, log_q0 = proposal
+    inner = mean.inner.to_dict()
+    inner["values"] = [v.hex() for v in inner["values"]]
+    return inner, log_q.hex(), log_q0.hex(), bd.loglik(i, mean).hex()
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_lockstep_value_tail_matches_scalar_tail(bit_generator):
+    """A row seated in lockstep draws its k values with one
+    ``standard_normal(k)`` from the posteriors ``seat_births`` computed for
+    the pass: its values, log Q, log Q0 and log likelihood equal, bit for
+    bit, those of ``_values`` with ``BirthDeathPass.loglik``, and the
+    generator stands where k scalar draws leave it, after every row."""
+    drew = 0
+    for kind in LOCKSTEP_KINDS:
+        for seed in range(4):
+            state, hp, bd = _lockstep_pass(kind, seed)
+            n, p = bd.x.shape
+            u = np.random.default_rng(seed).random((n, p + 1))
+            bd.seat_births(np.arange(n), u)
+            seated = dict(bd._seated)
+            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                            for _ in range(2))
+            for i in range(n):
+                got = _proposal_bits(bd, i, bd.propose(i, u[i], rng))
+                assert got == _proposal_bits(bd, i, _scalar_tail(bd, seated[i], i, ref_rng)), \
+                    (kind, seed, i)
+                assert rng.random() == ref_rng.random(), (kind, seed, i)
+                drew += len(seated[i][1]) > 0
+    assert drew
