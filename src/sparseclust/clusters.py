@@ -88,17 +88,18 @@ j of the rows' terms; otherwise it gathers each row's own. A row with no
 member seated starts a block only where ``starts_run`` is set, and no row
 loses a member; so once every row has one, only a SPIKE run of
 ``_LIVE_RUN`` can start a block, and a round checks for one only when a
-bound on the longest run allows it. The draws and their order are the scalar walk's, but numpy's exp and log
-differ from math's in the last bit: a seat or an MH decision can differ from
-the scalar walk's only where a uniform falls within rounding of a boundary.
+bound on the longest run allows it. The draws and their order are the
+scalar walk's, but numpy's exp and log differ from math's in the last bit: a
+seat or an MH decision can differ from the scalar walk's only where a
+uniform falls within rounding of a boundary.
 
-The lockstep ends with every seated row's value tail up to its draws: each
-inner value's posterior, from member sums added in component order by one
-``bincount`` over (row, slot), so they are bitwise ``_member_sums``. The
-row's move draws its k values with one ``standard_normal(k)``, which gives
-the values of k scalar draws on every bit generator and leaves it in the
-same place, and adds their densities in ``_values``' order and arithmetic.
-A row that has become a singleton by its turn draws nothing.
+Every walk ends with one value tail: ``_posterior`` turns each slot's
+member sums into its value's posterior, and ``_values`` draws the values
+(or reads the replayed ones) and adds their densities in slot order. A
+scalar walk sums its slots' members afresh (``_member_sums``); the lockstep
+sums every seated row's by one ``bincount`` over (row, slot), also in
+component order, and calls ``_posterior`` once per pass. A seated row that
+has become a singleton by its turn draws nothing.
 
 The reassignment pass (``_reassignments``) hands each non-singleton, in
 sample order, one scalar uniform, its row of the pass's columns and the
@@ -114,7 +115,7 @@ import math
 
 import numpy as np
 
-from .densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
+from .densities import LOG_2PI, SamplerAbort, pick_with_lse
 from .partition import SPIKE, Partition, drop_empty
 from .sparsity import slab_coef
 
@@ -240,34 +241,25 @@ class BirthDeathPass(WalkTerms):
             top += np.log(self.run_tot)  # the log normalizer, in place
             self.spike_log_q = 0.0 + np.add.reduce(self.spike - top, axis=-1)
         self.spike_log_q0 = 0.0 + float(np.add.reduce(self.log_spike))
-        self.log_norm_slab = LOG_2PI + math.log(self.slab_var)  # of a value's prior density
         self._columns = {}
         self._seated = {}
 
     def seat_births(self, rows, u):
         """Seat the birth proposals of ``rows`` in lockstep, row i reading
-        u[i], with their values' posteriors, for ``propose``; a row not
+        u[i], with their values' posterior, for ``propose``; a row not
         ``run_finite`` is left to the walk."""
         self._seated = _lockstep_seats(self, rows[self.run_finite[rows]], u)
 
     def propose(self, i, u, rng):
         """As ``WalkTerms.propose``; a row seated in lockstep draws its values
-        from the posteriors ``seat_births`` computed, with ``_values``' draws
-        and arithmetic."""
+        by ``_values`` from the posterior ``seat_births`` computed."""
         seated = self._seated.pop(i, None)
         if seated is None:
             return super().propose(i, u, rng)
-        seats, counts, log_q, log_q0, (post_mean, sd, var, log_norm) = seated
+        seats, counts, log_q, log_q0, post = seated
         if not counts:
             return ClusterMeanVector(len(seats)), log_q, log_q0
-        # One array draw gives the values of k scalar draws.
-        values = post_mean + sd * rng.standard_normal(len(counts))
-        d = values - post_mean
-        q = -0.5 * (log_norm + d * d / var)
-        q0 = -0.5 * (self.log_norm_slab + values * values / self.slab_var)
-        for a, b in zip(q.tolist(), q0.tolist()):  # in slot order, as _values sums
-            log_q += a
-            log_q0 += b
+        values, log_q, log_q0 = _values(post, self.slab_var, log_q, log_q0, rng)
         return (ClusterMeanVector(len(seats), Partition(seats, counts, values, allow_spike=True)),
                 log_q, log_q0)
 
@@ -391,7 +383,7 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
         us = u.tolist()
         counts = inner.sizes()
-        sprec, sstat = _member_sums(labels, terms, i, k_start)
+        sprec, sstat = (a.tolist() for a in _member_sums(labels, terms, i, k_start))
         slot_terms = [None] * k_start
         for t in range(k_start):
             refresh(t)
@@ -486,33 +478,45 @@ def _scan_components(inner, terms, i, u=None, rng=None):
 
     if not counts:  # every seat stayed SPIKE, and none was off it at the start
         return log_q, log_q0
+    if not replay:
+        ids, seats, counts = drop_empty(
+            inner.cluster_ids() + [None] * (len(counts) - k_start), labels, counts)
+    # The posterior is recomputed from scratch over the members, free of the
+    # running sums' float drift.
+    post = _posterior(*_member_sums(seats, terms, i, len(counts)), terms.slab_var)
     if replay:
-        return _values(terms, i, seats, len(counts), log_q, log_q0,
-                       values=inner.values[order].tolist())[1:]
-    ids, seats, counts = drop_empty(
-        inner.cluster_ids() + [None] * (len(counts) - k_start), labels, counts)
-    values, log_q, log_q0 = _values(terms, i, seats, len(counts), log_q, log_q0, rng)
+        return _values(post, terms.slab_var, log_q, log_q0, values=inner.values[order])[1:]
+    values, log_q, log_q0 = _values(post, terms.slab_var, log_q, log_q0, rng)
     inner.set_slots(ids, seats, counts, values)
     return log_q, log_q0
 
 
-def _values(terms, i, seats, k, log_q, log_q0, rng=None, values=None):
-    """The walk's value tail on row i of ``terms``: each of the k inner
-    values in slot order, drawn from ``rng`` (or read from ``values``), and
-    log_q and log_q0 with their posterior and prior log densities added."""
-    drawn = []
-    # Posterior of each inner value, recomputed from scratch over its
-    # members to avoid the running sums' float drift.
-    member_prec, member_stat = _member_sums(seats, terms, i, k)
-    for t, (prec, stat) in enumerate(zip(member_prec, member_stat)):
-        prec += 1.0 / terms.slab_var
-        var = 1.0 / prec
-        u_post = stat / prec
-        val = u_post + math.sqrt(var) * rng.standard_normal() if values is None else values[t]
-        drawn.append(val)
-        log_q += log_normal_pdf(val, u_post, var)
-        log_q0 += log_normal_pdf(val, 0.0, terms.slab_var)
-    return drawn, log_q, log_q0
+def _posterior(prec_sums, stat_sums, slab_var):
+    """(mean, sd, variance, log(2 pi variance)) of inner values whose
+    members' summed precision and precision-weighted value are the arrays
+    ``prec_sums`` and ``stat_sums``; the log is math's, as in ``log_normal_pdf``."""
+    prec = prec_sums + 1.0 / slab_var
+    var = 1.0 / prec
+    log_norm = np.array([LOG_2PI + math.log(v) for v in var.ravel().tolist()]).reshape(var.shape)
+    return stat_sums / prec, np.sqrt(var), var, log_norm
+
+
+def _values(post, slab_var, log_q, log_q0, rng=None, values=None):
+    """The value tail of every walk: (values, log_q, log_q0), the values of
+    the posterior ``post`` (``_posterior``'s, in slot order) drawn from
+    ``rng`` by one ``standard_normal(k)``, which gives k scalar draws' values
+    and leaves every bit generator where they do, or read from ``values``;
+    their posterior and N(0, slab_var) log densities are added to log_q and
+    log_q0 in slot order, by ``log_normal_pdf``'s arithmetic."""
+    mean, sd, var, log_norm = post
+    if values is None:
+        values = mean + sd * rng.standard_normal(len(mean))
+    log_norm_slab = LOG_2PI + math.log(slab_var)
+    for v, m, w, c in zip(values.tolist(), mean.tolist(), var.tolist(), log_norm.tolist()):
+        d = v - m
+        log_q += -0.5 * (c + d * d / w)
+        log_q0 += -0.5 * (log_norm_slab + v * v / slab_var)
+    return values, log_q, log_q0
 
 
 def _block(terms, i, j, end, slot_terms, log_denom, seats, u):
@@ -564,10 +568,9 @@ def _block(terms, i, j, end, slot_terms, log_denom, seats, u):
 def _lockstep_seats(terms, rows, u):
     """Per row of ``rows`` of ``terms``, walked in lockstep from empty (see
     the module docstring) reading u[i]: (seats, counts, log_q, log_q0,
-    posterior) of its birth proposal before the values, the posterior being
-    each inner value's (mean, sd, variance, log(2 pi variance)) in slot
-    order. The rows must be ``run_finite``: every weight is then finite or
-    -inf, and no walk aborts."""
+    posterior) of its birth proposal before the values, the posterior
+    ``_posterior``'s, in slot order. The rows must be ``run_finite``: every
+    weight is then finite or -inf, and no walk aborts."""
     n_rows, p = len(rows), terms.x.shape[1]
     if not n_rows:
         return {}
@@ -722,21 +725,16 @@ def _lockstep_seats(terms, rows, u):
             a[keep] for a in (pos, base, nxt, k, m_total, last_off, log_q, log_q0))
         counts, sprec, sstat = (a.compress(keep, axis=1) for a in (counts, sprec, sstat))
         kw, lead = max(k.tolist()), max(nxt.tolist())
-    # Each row's value tail up to its draws: per slot, its size and member
-    # sums, added in component order (so bitwise ``_member_sums``), and the
-    # posterior.
+    # Per row and slot, its size and member sums, added in component order
+    # (so bitwise ``_member_sums``), and the posterior.
     width = int(seats.max()) + 1
     on = seats >= 0
     at = (idx[:, None] * width + seats)[on]
-    sizes = np.bincount(at, minlength=n_rows * width).reshape(n_rows, width)
-    prec = np.bincount(at, np.broadcast_to(terms.prec, seats.shape)[on], n_rows * width)
-    prec = prec.reshape(n_rows, width) + inv_slab_var
-    var = 1.0 / prec
-    mean = np.bincount(at, own[4][on], n_rows * width).reshape(n_rows, width) / prec
-    sd = np.sqrt(var)
-    log_norm = np.array([LOG_2PI + math.log(v) for v in var.ravel().tolist()]).reshape(var.shape)
+    sizes, prec, stat = (np.bincount(at, w, n_rows * width).reshape(n_rows, width) for w in (
+        None, np.broadcast_to(terms.prec, seats.shape)[on], own[4][on]))
+    post = _posterior(prec, stat, terms.slab_var)
     return {i: (seats[r].copy(), size[:kr], log_qs.item(0, r), log_qs.item(1, r),
-                (mean[r, :kr], sd[r, :kr], var[r, :kr], log_norm[r, :kr]))
+                tuple(a[r, :kr] for a in post))
             for r, (i, kr, size) in enumerate(zip(rows.tolist(), (sizes > 0).sum(axis=1).tolist(),
                                                   sizes.tolist()))}
 
@@ -744,12 +742,11 @@ def _lockstep_seats(terms, rows, u):
 def _member_sums(seats, terms, i, k):
     """Per slot 0..k-1, the summed precision and precision-weighted value of
     the components seated there (``seats`` holds slots or SPIKE), from row i
-    of ``terms``, as lists."""
+    of ``terms``, as arrays."""
     seated = seats >= 0
     slots = seats[seated]
     prec = terms.prec[seated]
-    return (np.bincount(slots, prec, k).tolist(),
-            np.bincount(slots, prec * terms.x[i, seated], k).tolist())
+    return np.bincount(slots, prec, k), np.bincount(slots, prec * terms.x[i, seated], k)
 
 
 def _loglik_rows(d, log_2pi_var, sigma_sq):

@@ -906,10 +906,10 @@ def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
     """With every pass's births seated in lockstep, the pass's value tail
     (one array draw per seated row) leaves every proposal's values, log Q,
     log Q0 and log likelihood, the state and the generator bit for bit where
-    the scalar tail (``_values``) leaves them, on each bit generator, through
-    a seated row that has become a singleton by its turn (it draws nothing)
-    and a singleton that has become a non-singleton (it takes the scalar
-    walk)."""
+    the reference walk's scalar tail leaves them, on each bit generator,
+    through a seated row that has become a singleton by its turn (it draws
+    nothing) and a singleton that has become a non-singleton (it takes the
+    scalar walk)."""
     seen = dict.fromkeys(("seated row drew values", "seated row became a singleton",
                           "singleton walked when reached"), 0)
     for bit_generator in BIT_GENERATORS:
@@ -1016,7 +1016,7 @@ def _reassign_case(seed):
     return labels, loglik
 
 
-def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
+def test_reassignment_pass_matches_per_sample_moves(monkeypatch):
     """The reassignment pass, which draws a one-cluster pass's uniforms at
     once, leaves the labels, counts, ids and generator state where
     ``gibbs_reassign`` of every non-singleton leaves them, on each bit
@@ -1025,7 +1025,7 @@ def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
         ("K = 1", "every row stays, K > 1", "mover at sample 0", "mover at sample n - 1",
          "one uniform fewer", "one uniform more"), 0)
     committed = _record_reassigns(monkeypatch)
-    block_calls = reference_calls = 0
+    pass_calls = reference_calls = 0
     for bit_generator in BIT_GENERATORS:
         for seed in range(150):
             labels, loglik = _reassign_case(seed)
@@ -1039,7 +1039,7 @@ def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
 
             assert state.samples.to_dict() == ref.samples.to_dict(), (bit_generator, seed)
             assert _generator_state(rng) == _generator_state(ref_rng), (bit_generator, seed)
-            block_calls += len(committed)
+            pass_calls += len(committed)
             reference_calls += calls
             n, k = loglik.shape
             if k == 1:
@@ -1051,7 +1051,7 @@ def test_reassignment_blocks_match_per_sample_moves(monkeypatch):
             seen["one uniform fewer"] += any(fewer for _, fewer, _ in moves)
             seen["one uniform more"] += any(more for _, _, more in moves)
     assert all(seen.values()), seen
-    assert block_calls < reference_calls, (block_calls, reference_calls)  # one-cluster passes
+    assert pass_calls < reference_calls, (pass_calls, reference_calls)  # one-cluster passes
 
 
 def test_reassignment_abort_after_rows_that_stayed():

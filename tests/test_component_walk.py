@@ -24,7 +24,7 @@ from sparseclust.clusters import (
     _scan_components,
     gibbs_update_cluster_mean,
 )
-from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
+from sparseclust.densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import slab_coef
 
@@ -111,28 +111,38 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
             counts.append(1)
             sprec.append(precs[j])
             sstat.append(precs[j] * x[j])
-    values = []
-    for c in keys:
-        # The members' sums in component order, then the prior precision.
+    slots = [keys.index(a) if a >= 0 else SPIKE for a in seats]
+    values, log_q, log_q0 = _reference_values(
+        slots, len(keys), x, precs, slab_var, log_q, log_q0, rng,
+        [float(inner.values[c]) for c in keys] if replay else None)
+    if not replay:
+        ids = inner.cluster_ids()
+        inner.set_slots([ids[c] if c < k_start else None for c in keys], slots, counts, values)
+    return log_q, log_q0
+
+
+def _reference_values(slots, k, x, precs, slab_var, log_q, log_q0, rng=None, values=None):
+    """The value tail on lists of its own: for each slot 0..k-1 in order, the
+    members' sums in component order, then one ``standard_normal()`` draw
+    from ``rng`` (or ``values[t]``) and its two scalar normal log densities.
+    Returns (values, log_q, log_q0)."""
+    drawn = []
+    for t in range(k):
         prec = stat = 0.0
-        for j in range(len(x)):
-            if seats[j] == c:
+        for j, a in enumerate(slots):
+            if a == t:
                 prec += precs[j]
                 stat += precs[j] * x[j]
         prec += 1.0 / slab_var
         var = 1.0 / prec
-        if replay:
-            val = float(inner.values[c])
-        else:
+        if values is None:
             val = stat / prec + math.sqrt(var) * rng.standard_normal()
-        values.append(val)
+        else:
+            val = values[t]
+        drawn.append(val)
         log_q += _ln_norm(val, stat / prec, var)
         log_q0 += _ln_norm(val, 0.0, slab_var)
-    if not replay:
-        ids = inner.cluster_ids()
-        inner.set_slots([ids[c] if c < k_start else None for c in keys],
-                        [keys.index(a) if a >= 0 else SPIKE for a in seats], counts, values)
-    return log_q, log_q0
+    return drawn, log_q, log_q0
 
 
 MID = 60
@@ -625,12 +635,15 @@ def test_lockstep_seats_match_pinned_bits(kind):
 
 def _scalar_tail(bd, seated, i, rng):
     """(mean, log Q, log Q0) of row i seated in lockstep as ``seated``
-    (``seat_births``' entry for it), its values drawn by the scalar tail:
-    ``_values``, one ``standard_normal()`` per inner cluster."""
+    (``seat_births``' entry for it), its values drawn by the reference walk's
+    scalar tail (``_reference_values``), one ``standard_normal()`` per inner
+    cluster."""
     seats, counts, log_q, log_q0 = seated[:4]
     mean = ClusterMeanVector(len(seats))
     if counts:
-        values, log_q, log_q0 = clusters._values(bd, i, seats, len(counts), log_q, log_q0, rng)
+        values, log_q, log_q0 = _reference_values(
+            seats.tolist(), len(counts), bd.x[i].tolist(), bd.prec.tolist(), bd.slab_var,
+            log_q, log_q0, rng)
         mean.inner.set_slots([None] * len(counts), seats, counts, values)
     return mean, log_q, log_q0
 
@@ -647,10 +660,11 @@ def _proposal_bits(bd, i, proposal):
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 def test_lockstep_value_tail_matches_scalar_tail(bit_generator):
     """A row seated in lockstep draws its k values with one
-    ``standard_normal(k)`` from the posteriors ``seat_births`` computed for
+    ``standard_normal(k)`` from the posterior ``seat_births`` computed for
     the pass: its values, log Q, log Q0 and log likelihood equal, bit for
-    bit, those of ``_values`` with ``BirthDeathPass.loglik``, and the
-    generator stands where k scalar draws leave it, after every row."""
+    bit, those of the reference walk's scalar tail with
+    ``BirthDeathPass.loglik``, and the generator stands where k scalar draws
+    leave it, after every row."""
     drew = 0
     for kind in LOCKSTEP_KINDS:
         for seed in range(4):
@@ -668,3 +682,25 @@ def test_lockstep_value_tail_matches_scalar_tail(bit_generator):
                 assert rng.random() == ref_rng.random(), (kind, seed, i)
                 drew += len(seated[i][1]) > 0
     assert drew
+
+
+def test_value_tail_takes_math_log_of_the_posterior_variance():
+    """The value tail's log Q equals ``log_normal_pdf``'s, bit for bit, at
+    posterior variances where numpy's log differs from math's in the last
+    bit (as numpy's AVX-512 log does on about 0.05% of values): member
+    precision sums from a fixed grid, each value at its posterior mean so
+    that log(2 pi variance) alone makes log Q. A platform whose numpy log
+    agrees with math's on the whole grid has nothing to check."""
+    slab_var = 1.0
+    prec_sums = np.linspace(1.0, 1000.0, 100001)
+    var = 1.0 / (prec_sums + 1.0 / slab_var)  # ``_posterior``'s arithmetic
+    math_log = np.array([LOG_2PI + math.log(v) for v in var.tolist()])
+    differ = np.flatnonzero(LOG_2PI + np.log(var) != math_log)
+    if not differ.size:
+        pytest.skip("numpy's log equals math's on every grid variance")
+    for prec_sum, v in zip(prec_sums[differ].tolist(), var[differ].tolist()):
+        post = clusters._posterior(np.array([prec_sum]), np.array([0.5 * prec_sum]), slab_var)
+        mean = post[0]
+        _values, log_q, _log_q0 = clusters._values(post, slab_var, 0.0, 0.0, values=mean)
+        expected = 0.0 + log_normal_pdf(mean.item(), mean.item(), v)
+        assert log_q.hex() == expected.hex(), prec_sum
