@@ -17,10 +17,11 @@ a new cluster's. A column's weight reads it and the attribute's own terms.
   of rbar_j with variance (posterior variance + sigma_j^2 / n). A new
   cluster's column is (log conc, base_var, -base_mean).
 - Variance step: a slot of posterior shape u and rate v holds
-  A = log c + u log v - gammaln(u) + gammaln(u + n/2), then u + n/2 and v;
+  A = log c + u log v - lgamma(u) + lgamma(u + n/2), then u + n/2 and v;
   the weight is A - (u + n/2) log(v + ssq_j / 2). A new cluster's column
-  is (log conc + a log b - gammaln(a) + gammaln(a + n/2), a + n/2, b) for
-  the prior shape a and rate b.
+  is (log conc + a log b - lgamma(a) + lgamma(a + n/2), a + n/2, b) for
+  the prior shape a and rate b. The count-indexed terms depend only on a,
+  n and p, so a chain builds them once.
 
 The pass draws all p uniforms in one vector, then reseats the attributes in
 order under two rules:
@@ -44,10 +45,10 @@ mean short blocks, not large temporaries. All values are then redrawn in
 one vector draw and the partition is written back once.
 """
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .densities import LOG_2PI, SamplerAbort
 from .partition import drop_empty
@@ -237,6 +238,22 @@ def _residual_sq_colsums(state, data):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _var_tables(var_shape, n, p):
+    """Count-indexed terms of a variance cluster of c = 0..p members: log c,
+    its posterior shape u, lgamma(u), lgamma(u + n/2) and u + n/2. Read-only,
+    shared by every pass with these three numbers."""
+    half_n = 0.5 * n
+    shape = var_shape + np.arange(p + 1.0) * half_n
+    shape1 = shape + half_n  # lgamma(u + n/2) reads u + n/2 as written
+    tables = np.stack((
+        _log_count_table(p), shape, [math.lgamma(u) for u in shape.tolist()],
+        [math.lgamma(u) for u in shape1.tolist()], shape1,
+    ))
+    tables.flags.writeable = False
+    return tables
+
+
 class _VarStep:
     """The baseline-variance step's terms. Attribute j contributes half its
     residual sum of squares over the n samples, ssq_j / 2, to its cluster."""
@@ -245,24 +262,17 @@ class _VarStep:
         self.items = 0.5 * _residual_sq_colsums(state, data)
         self.hp = hp
         self.n = data.n
-        half_n = 0.5 * data.n
-        # Count-indexed terms of a cluster of c members: log c, its posterior
-        # shape u, gammaln(u), gammaln(u + n/2) and u + n/2.
-        shape = hp.var_shape + np.arange(data.p + 1.0) * half_n
-        self.tables = np.stack((
-            _log_count_table(data.p), shape, gammaln(shape), gammaln(shape + half_n),
-            shape + half_n,
-        ))
-        shape1 = hp.var_shape + half_n
+        self.tables = _var_tables(hp.var_shape, data.n, data.p)
+        shape1 = hp.var_shape + 0.5 * data.n
         base = (
             math.log(state.conc_var)
-            + hp.var_shape * math.log(hp.var_rate) - gammaln(hp.var_shape)
-            + gammaln(shape1)
+            + hp.var_shape * math.log(hp.var_rate) - math.lgamma(hp.var_shape)
+            + math.lgamma(shape1)
         )
         self.new_slot = base, shape1, hp.var_rate
 
     def slot_terms(self, count, stat):
-        """A = log c + u log v - gammaln(u) + gammaln(u + n/2) of a slot with
+        """A = log c + u log v - lgamma(u) + lgamma(u + n/2) of a slot with
         posterior shape u and rate v, then u + n/2 and v."""
         v = self.hp.var_rate + stat
         log_c, u, gl_u, gl_u1, u1 = self.tables[:, count]

@@ -9,7 +9,6 @@ extended to several CRPs that share one concentration).
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .densities import SamplerAbort, pick_with_lse
 
@@ -58,7 +57,7 @@ def update_concentration(conc, pairs, prior_shape, prior_rate, rng):
         for t in range(c_count - c, 0, -1):
             esp[t] = np.logaddexp(esp[t], logw[c] + esp[t - 1])
 
-    log_count = [e + gammaln(shape0 - t) for t, e in enumerate(esp)]
+    log_count = [e + math.lgamma(shape0 - t) for t, e in enumerate(esp)]
     try:
         u_total, _lse = pick_with_lse(log_count, rng.random())
     except SamplerAbort as exc:

@@ -6,8 +6,6 @@ these helpers are the single implementation used everywhere.
 
 import math
 
-from scipy.special import betaln, gammaln
-
 LOG_2PI = math.log(2.0 * math.pi)
 _NEG_INF = float("-inf")
 
@@ -31,7 +29,7 @@ def log_inv_gamma_pdf(x, shape, rate):
             f"log_inv_gamma_pdf needs positive arguments, got x={x}, "
             f"shape={shape}, rate={rate}"
         )
-    return shape * math.log(rate) - gammaln(shape) - (shape + 1.0) * math.log(x) - rate / x
+    return shape * math.log(rate) - math.lgamma(shape) - (shape + 1.0) * math.log(x) - rate / x
 
 
 def log_beta_pdf(x, a, b):
@@ -40,7 +38,8 @@ def log_beta_pdf(x, a, b):
         raise ValueError(f"x must be in (0,1), got {x}")
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b)
+    return ((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+            - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
 
 
 def pick_with_lse(logw, u=None):

@@ -65,14 +65,22 @@ def write_csv(path, header, rows):
 
 
 def save_matrix_csv(path, matrix, names=None, index_name=None, index=None):
-    """Write a 2-d array as CSV; optional leading index column."""
-    matrix = np.asarray(matrix, dtype=float)  # a float64 entry is a float
+    """Write a 2-d array as CSV; optional leading column of integer index
+    labels. The bytes equal ``write_csv``'s: the header goes through the
+    csv writer, and each row is one %-format of 17-digit cells."""
+    matrix = np.asarray(matrix, dtype=float)
     if names is None:
         names = [f"x{j + 1}" for j in range(matrix.shape[1])]
-    if index is None:
-        write_csv(path, names, matrix)
-    else:
-        write_csv(path, [index_name, *names], ([label, *row] for label, row in zip(index, matrix)))
+    cells = ["%.17g"] * matrix.shape[1]
+    rows = matrix.tolist()
+    if index is not None:
+        names = [index_name, *names]
+        cells.insert(0, "%s")
+        rows = ((label, *row) for label, row in zip(index, rows))
+    line = ",".join(cells) + "\r\n"  # the csv writer's line terminator
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(names)
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 # The published leukemia-data thresholds of Dudoit, Fridlyand & Speed

@@ -1,8 +1,9 @@
 """Posterior summaries: cluster-count distribution, label alignment,
 attribute selection, fitted-mean error, co-clustering."""
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .sparsity import spike_zero_weight
 
@@ -15,6 +16,57 @@ def k_posterior(trace):
     hist = {int(k): c / len(trace.ks) for k, c in zip(ks, counts)}
     mode = int(ks[np.argmax(counts)])  # np.argmax takes the first (smallest K) on ties
     return hist, mode
+
+
+def _min_cost_assignment(cost):
+    """The column of each row in a minimum-cost assignment of the square
+    matrix ``cost``, by shortest augmenting paths (Crouse 2016, IEEE Trans.
+    Aerosp. Electron. Syst. 52:1679). Rows are added in order; each path
+    search scans the unscanned columns from the highest index down, a
+    scanned column swapped out by the last, and on an equal path cost
+    prefers an unassigned column: the scan order and tie rule of the
+    common ``linear_sum_assignment``, so the two return the same
+    permutation. A non-finite cost raises ValueError."""
+    cost = np.asarray(cost, dtype=float)
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix has a non-finite entry")
+    cost = cost.tolist()
+    k = len(cost)
+    u, v = [0.0] * k, [0.0] * k
+    col4row, row4col, path = [-1] * k, [-1] * k, [-1] * k
+    for cur in range(k):
+        dist = [math.inf] * k  # shortest path cost to each column
+        remaining = list(range(k - 1, -1, -1))
+        rows, cols = [cur], []  # rows and columns the search reached
+        i, low = cur, 0.0
+        while True:
+            best, low_i = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = low + cost[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < low_i or (dist[j] == low_i and row4col[j] == -1):
+                    best, low_i = it, dist[j]
+            low, j = low_i, remaining[best]
+            cols.append(j)
+            remaining[best] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[cur] += low
+        for i in rows[1:]:
+            u[i] += low - dist[col4row[i]]
+        for j in cols:
+            v[j] -= low - dist[j]
+        while True:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def relabel_conditional_on_K(trace, k):
@@ -38,9 +90,7 @@ def relabel_conditional_on_K(trace, k):
     for out_t, t in enumerate(used):
         m = trace.means[t]
         cost = ((m[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        rows, cols = linear_sum_assignment(cost)
-        perm = np.empty(k, dtype=int)
-        perm[rows] = cols  # original label -> aligned label
+        perm = np.array(_min_cost_assignment(cost))  # original label -> aligned label
         mu[out_t, perm] = m
         membership[np.arange(trace.n), perm[trace.assignments[t]]] += 1.0
         ref = (ref * ref_weight + mu[out_t]) / (ref_weight + 1)

@@ -8,6 +8,7 @@ from sparseclust.io import (
     preprocess_expression,
     save_matrix_csv,
     standardize_columns,
+    write_csv,
 )
 from sparseclust.model import DataMatrix
 
@@ -58,6 +59,24 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     save_matrix_csv(f, y, [f"g{j}" for j in range(7)])
     back = load_csv(f)
     np.testing.assert_array_equal(back.y, y)  # 17 significant digits suffice
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_save_matrix_csv_bytes_equal_write_csv(tmp_path, indexed):
+    """One %-format per row writes the bytes the csv writer writes cell by
+    cell: signed zero, nan, infinities, a subnormal, a 17-digit fraction, int
+    index labels, and a header name that needs quoting."""
+    y = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1.0 / 3.0], [1e300, -2.5, 7.0]])
+    names = ["a", 'b,"c"', "d"]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    if indexed:
+        save_matrix_csv(got, y, names, index_name="row", index=range(1, 4))
+        write_csv(want, ["row", *names], ([i, *r] for i, r in zip(range(1, 4), y.tolist())))
+    else:
+        save_matrix_csv(got, y, names)
+        write_csv(want, names, y.tolist())
+    assert got.read_bytes() == want.read_bytes()
+    assert b'"b,""c"""' in got.read_bytes()
 
 
 def test_preprocess_hand_fixture():

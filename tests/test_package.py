@@ -51,3 +51,14 @@ def test_cli_loads_every_module_but_diagnostics(tmp_path):
                          text=True, check=True, env={**os.environ, "PYTHONPATH": parent})
     modules = {m.name for m in pkgutil.iter_modules(sparseclust.__path__)}
     assert set(out.stdout.split()) >= modules - {"diagnostics"}
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    """The package runs on numpy alone: a fresh interpreter that imports the
+    CLI has loaded no scipy module."""
+    parent = os.path.dirname(os.path.dirname(sparseclust.__file__))
+    code = ("import sys, sparseclust.cli; "
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": parent})
+    assert out.stdout.split() == []

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from sparseclust.chain import ChainTrace
 from sparseclust.model import Hyperparams
 from sparseclust.simulate import SimTruth
 from sparseclust.summarize import (
+    _min_cost_assignment,
     coclustering,
     fitted_mean_posterior,
     inclusion_posterior_mean,
@@ -102,6 +104,42 @@ def test_relabel_alignment_invariant_under_relabeling(two_cluster_trace):
 def test_relabel_missing_k_errors(two_cluster_trace):
     with pytest.raises(ValueError):
         relabel_conditional_on_K(two_cluster_trace, 5)
+
+
+def _scipy_permutation(cost):
+    rows, cols = linear_sum_assignment(cost)
+    assert rows.tolist() == list(range(len(cost)))
+    return cols.tolist()
+
+
+def test_min_cost_assignment_returns_scipys_permutation():
+    """The in-package solver returns scipy's permutation, not only an
+    assignment of equal cost, so relabelled summaries keep their bytes.
+    Small-integer entries make most matrices tie-heavy; the all-zero matrix
+    ties everywhere and gives the identity."""
+    rng = np.random.default_rng(20160601)
+    for k in range(1, 9):
+        for cost in rng.integers(0, 4, (1250, k, k)).astype(float):
+            assert _min_cost_assignment(cost) == _scipy_permutation(cost), cost
+        for cost in rng.random((625, k, k)):
+            assert _min_cost_assignment(cost) == _scipy_permutation(cost), cost
+        zero = np.zeros((k, k))
+        assert _min_cost_assignment(zero) == _scipy_permutation(zero) == list(range(k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_min_cost_assignment_rejects_non_finite_costs(bad):
+    """A non-finite cost anywhere raises ValueError; scipy raises on the
+    same value in every cell (an all +inf matrix has no feasible
+    assignment)."""
+    cost = np.arange(9.0).reshape(3, 3)
+    cost[1, 2] = bad
+    with pytest.raises(ValueError):
+        _min_cost_assignment(cost)
+    with pytest.raises(ValueError):
+        _min_cost_assignment(np.full((3, 3), bad))
+    with pytest.raises(ValueError):
+        linear_sum_assignment(np.full((3, 3), bad))
 
 
 def test_inclusion_posterior_mean_is_the_closed_form():
