@@ -41,10 +41,27 @@ _SIMULATORS = {
 }
 
 
+_OUTPUTS_EPILOG = """\
+files written to --out (with --chains N > 1, pooled over the chains, and
+each chain's CSVs again in chain_00/ .. chain_<N-1>/):
+  k_trace.csv              K at each recorded sweep
+  k_posterior.csv          posterior probability of each K
+  rho_mean.csv             posterior mean of rho_j per attribute
+  pi_mean.csv              inclusion probability per cluster and attribute, given modal K
+  mu_hat.csv               fitted mean mu_j + mu_{c_i j} per sample and attribute
+  coclustering.csv         probability that two samples share a cluster
+  assignments.csv          MAP cluster and membership probabilities per sample
+  selected_attributes.csv  attributes whose pi_mean exceeds --threshold in some cluster
+  run_manifest.txt         settings and hyperparameters that reproduce the run
+"""
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="sparseclust",
         description="Sparse Bayesian Dirichlet-process clustering with variable selection",
+        epilog=_OUTPUTS_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     ap.add_argument("--data", help="CSV file: header row of attribute names, one sample per row")
     ap.add_argument("--simulate", choices=sorted(_SIMULATORS), help="fit a built-in simulated example")
@@ -135,8 +152,10 @@ def _write_outputs(outdir, trace, data, hp, threshold, cfg, chains=1):
     # Every emitted cell is numeric; attribute names appear only as column
     # headers so each file stays loadable by load_csv conventions.
     rho_mean = np.mean(np.stack(trace.rhos), axis=0)
-    write_csv(os.path.join(outdir, "rho_mean.csv"), ["attribute", "rho_mean"],
-              enumerate(rho_mean.tolist(), start=1))
+    save_matrix_csv(
+        os.path.join(outdir, "rho_mean.csv"), rho_mean[:, None], ["rho_mean"],
+        index_name="attribute", index=range(1, data.p + 1),
+    )
 
     mu_al, membership, used = relabel_conditional_on_K(trace, mode)
     pi_mean = inclusion_posterior_mean(mu_al, [trace.rhos[t] for t in used], hp)

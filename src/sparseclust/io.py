@@ -5,6 +5,7 @@ files round-trip float64 values exactly.
 """
 
 import csv
+import itertools
 import math
 import warnings
 
@@ -66,21 +67,38 @@ def write_csv(path, header, rows):
 
 def save_matrix_csv(path, matrix, names=None, index_name=None, index=None):
     """Write a 2-d array as CSV; optional leading column of integer index
-    labels. The bytes equal ``write_csv``'s: the header goes through the
-    csv writer, and each row is one %-format of 17-digit cells."""
-    matrix = np.asarray(matrix, dtype=float)
+    labels, one per row. The bytes equal ``write_csv``'s: the header goes
+    through the csv writer, and each row is one %-format of 17-digit cells.
+
+    Each distinct row is formatted once: a row whose float64 bytes equal an
+    earlier row's reuses that row's text. Samples that always share a
+    cluster have equal rows in the co-clustering and fitted-mean tables.
+    Raises ValueError naming ``path`` when ``names`` or ``index`` does not
+    match the matrix; no file is written then."""
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    n, p = matrix.shape
     if names is None:
-        names = [f"x{j + 1}" for j in range(matrix.shape[1])]
-    cells = ["%.17g"] * matrix.shape[1]
-    rows = matrix.tolist()
-    if index is not None:
+        names = [f"x{j + 1}" for j in range(p)]
+    if len(names) != p:
+        raise ValueError(f"{path}: {len(names)} column names for {p} columns")
+    if index is None:
+        labels = itertools.repeat("", n)
+    else:
+        sep = "," if p else ""  # write_csv writes a label-only row as "1"
+        labels = [f"{label}{sep}" for label in index]
+        if len(labels) != n:
+            raise ValueError(f"{path}: {len(labels)} index labels for {n} rows")
         names = [index_name, *names]
-        cells.insert(0, "%s")
-        rows = ((label, *row) for label, row in zip(index, rows))
-    line = ",".join(cells) + "\r\n"  # the csv writer's line terminator
+    line = ",".join(["%.17g"] * p) + "\r\n"  # the csv writer's line terminator
+    texts = {}  # row bytes -> row text; not values, as 0.0 == -0.0 prints apart
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(names)
-        fh.writelines(line % tuple(row) for row in rows)
+        for label, row in zip(labels, matrix):
+            key = bytes(row)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = line % tuple(row.tolist())
+            fh.write(label + text)
 
 
 # The published leukemia-data thresholds of Dudoit, Fridlyand & Speed

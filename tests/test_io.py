@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,11 +63,31 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.y, y)  # 17 significant digits suffice
 
 
+def _write_csv_oracle(path, y, names, index):
+    """``write_csv`` of a matrix cell by cell, as ``save_matrix_csv`` must
+    write it; ``names=None`` stands for the default x1..xp."""
+    rows = np.asarray(y, dtype=float).tolist()
+    header = [f"x{j + 1}" for j in range(np.shape(y)[1])] if names is None else names
+    if index is None:
+        write_csv(path, header, rows)
+    else:
+        write_csv(path, ["row", *header], ([i, *r] for i, r in zip(index, rows)))
+
+
+def _nan(payload):
+    return np.array([payload], dtype=np.uint64).view(np.float64)[0]
+
+
 @pytest.mark.parametrize("indexed", [False, True])
 def test_save_matrix_csv_bytes_equal_write_csv(tmp_path, indexed):
-    """One %-format per row writes the bytes the csv writer writes cell by
-    cell: signed zero, nan, infinities, a subnormal, a 17-digit fraction, int
-    index labels, and a header name that needs quoting."""
+    """One %-format per distinct row writes the bytes the csv writer writes
+    cell by cell: signed zero, nan, infinities, a subnormal, a 17-digit
+    fraction, int index labels, and a header name that needs quoting. A
+    repeated row reuses the text of its first copy, keyed by its bytes, so
+    a 0.0 row and an otherwise equal -0.0 row, and nan rows whose payloads
+    differ, stay apart. Memory order, strides and dtype do not change the
+    text; a matrix without rows writes the header alone, one without
+    columns writes its labels alone (``1``, not ``1,``)."""
     y = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1.0 / 3.0], [1e300, -2.5, 7.0]])
     names = ["a", 'b,"c"', "d"]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -77,6 +99,46 @@ def test_save_matrix_csv_bytes_equal_write_csv(tmp_path, indexed):
         write_csv(want, names, y.tolist())
     assert got.read_bytes() == want.read_bytes()
     assert b'"b,""c"""' in got.read_bytes()
+
+    big = np.arange(48.0).reshape(6, 8) / 7.0
+    repeated = y[[0, 1, 0, 2, 1, 0, 0]]
+    nans = [_nan(0x7FF8000000000001), _nan(0x7FF8000000000002), _nan(0xFFF8000000000000)]
+    cases = {
+        "repeated rows": (repeated, names),
+        "equal but the last cell": (np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0],
+                                              [1.0, 2.0, 3.0]]), None),
+        "signed zero": (np.array([[1.5, 0.0], [1.5, -0.0], [1.5, 0.0], [1.5, -0.0]]), None),
+        "nan payloads": (np.array([[nans[0], 2.0], [nans[1], 2.0], [nans[0], 2.0],
+                                   [nans[2], 2.0]]), ["a", "b"]),
+        "fortran order": (np.asfortranarray(repeated), names),
+        "sliced": (big[::2, 1::3], None),
+        "integer": (np.array([[1, -2], [1, -2], [3, 4]]), None),
+        "zero rows": (np.empty((0, 3)), names),
+        "zero columns": (np.empty((3, 0)), []),
+    }
+    assert len({r.tobytes() for r in cases["nan payloads"][0]}) == 3
+    for case, (matrix, case_names) in cases.items():
+        index = range(1, len(matrix) + 1) if indexed else None
+        save_matrix_csv(got, matrix, case_names, index_name="row", index=index)
+        _write_csv_oracle(want, matrix, case_names, index)
+        assert got.read_bytes() == want.read_bytes(), case
+    assert got.read_bytes() == (b"row\r\n1\r\n2\r\n3\r\n" if indexed else b"\r\n" * 4)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"index": range(1, 2)}, "1 index labels for 3 rows"),
+    ({"index": range(1, 5)}, "4 index labels for 3 rows"),
+    ({"names": ["a", "b"]}, "2 column names for 3 columns"),
+    ({"names": ["a", "b", "c", "d"], "index": range(1, 4)}, "4 column names for 3 columns"),
+], ids=["short_index", "long_index", "short_names", "long_names"])
+def test_save_matrix_csv_rejects_labels_that_do_not_fit(tmp_path, kwargs, message):
+    """An index or a names list of the wrong length is an error naming the
+    file and both lengths, and nothing is written: the rows are neither
+    dropped nor shifted under a header of another width."""
+    f = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{f}: {message}")):
+        save_matrix_csv(f, np.ones((3, 3)), index_name="row", **kwargs)
+    assert not f.exists()
 
 
 def test_preprocess_hand_fixture():
