@@ -133,7 +133,11 @@ def _attr_names(data):
 
 def _write_outputs(outdir, trace, data, hp, threshold, cfg, chains=1):
     """Write the summaries of ``trace``, which pools ``chains`` equal-length
-    chains; if several, k_trace.csv numbers them from 0 in its own column."""
+    chains; if several, k_trace.csv numbers them from 0 in its own column.
+    Each file is a header row, then rows of numeric cells: attribute names
+    appear only as column headers. A table can have fewer rows than the two
+    ``load_csv`` asks of data: at a modal K of 1, k_posterior.csv and
+    pi_mean.csv have one, and selected_attributes.csv can have none."""
     os.makedirs(outdir, exist_ok=True)
     names = _attr_names(data)
     hist, mode = k_posterior(trace)
@@ -149,8 +153,6 @@ def _write_outputs(outdir, trace, data, hp, threshold, cfg, chains=1):
     write_csv(os.path.join(outdir, "k_posterior.csv"), ["K", "probability"],
               ([k, hist[k]] for k in sorted(hist)))
 
-    # Every emitted cell is numeric; attribute names appear only as column
-    # headers so each file stays loadable by load_csv conventions.
     rho_mean = np.mean(np.stack(trace.rhos), axis=0)
     save_matrix_csv(
         os.path.join(outdir, "rho_mean.csv"), rho_mean[:, None], ["rho_mean"],

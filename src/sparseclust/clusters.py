@@ -80,18 +80,18 @@ on that row.
 
 With ``_LOCKSTEP_ROWS`` or more rows left to walk, the pass seats all their
 proposals first, side by side (``BirthDeathPass.seat_births``): a row's walk
-reads only its own terms and uniforms. Each round takes every row one
-component on, by the scalar walk's block or else by one scalar step, all
-steps in one set of array operations. While every row stands at the same
-component j, as they do until a block moves one on, the round reads column
-j of the rows' terms; otherwise it gathers each row's own. A row with no
-member seated starts a block only where ``starts_run`` is set, and no row
-loses a member; so once every row has one, only a SPIKE run of
-``_LIVE_RUN`` can start a block, and a round checks for one only when a
-bound on the longest run allows it. The draws and their order are the
-scalar walk's, but numpy's exp and log differ from math's in the last bit: a
-seat or an MH decision can differ from the scalar walk's only where a
-uniform falls within rounding of a boundary.
+reads only its own terms and uniforms. Every row stands at the same
+component j, and a step weighs column j of all rows at once. After a
+component that all rows but at most one seated on SPIKE, a step weighs the
+next components of all rows as one block: every row sits on SPIKE up to the
+first component that some row leaves SPIKE at, which is seated from the
+same array. A component's weights come from the same elementwise
+arithmetic in either step, so the seats do not depend on where blocks fall;
+a block sums its SPIKE seats' log Q and log Q0 by one reduction, which
+differs from the scalar walk's sums in rounding only. The draws and their
+order are the scalar walk's, but numpy's exp and log differ from math's in
+the last bit: a seat or an MH decision can differ from the scalar walk's
+only where a uniform falls within rounding of a boundary.
 
 Every walk ends with one value tail: ``_posterior`` turns each slot's
 member sums into its value's posterior, and ``_values`` draws the values
@@ -119,12 +119,13 @@ from .densities import LOG_2PI, SamplerAbort, pick_with_lse
 from .partition import SPIKE, Partition, drop_empty
 from .sparsity import slab_coef
 
-# SPIKE seats in a row before a block while members are seated: a block
-# costs several scalar steps and wastes the components after its stop, so it
-# pays only in a run.
+# SPIKE seats in a row before the scalar walk starts a block while members
+# are seated: a block costs several scalar steps and wastes the components
+# after its stop, so it pays only in a run.
 _LIVE_RUN = 16
-# Cells, components times (slots + 2), a block spans while members are
-# seated.
+# Cells a block spans: components times (slots + 2) in the scalar walk's
+# blocks while members are seated, and rows times components times
+# (slots + 2) in the lockstep's shared blocks.
 _BLOCK_CELLS = 4096
 # Rows a birth/death pass must have left to walk to seat them in lockstep,
 # values included: on fit_ex4_dense passes that pays from about 11 rows (10
@@ -247,7 +248,7 @@ class BirthDeathPass(WalkTerms):
     def seat_births(self, rows, u):
         """Seat the birth proposals of ``rows`` in lockstep, row i reading
         u[i], with their values' posterior, for ``propose``; a row not
-        ``run_finite`` is left to the walk."""
+        ``run_finite`` is left to the scalar walk."""
         self._seated = _lockstep_seats(self, rows[self.run_finite[rows]], u)
 
     def propose(self, i, u, rng):
@@ -570,7 +571,11 @@ def _lockstep_seats(terms, rows, u):
     the module docstring) reading u[i]: (seats, counts, log_q, log_q0,
     posterior) of its birth proposal before the values, the posterior
     ``_posterior``'s, in slot order. The rows must be ``run_finite``: every
-    weight is then finite or -inf, and no walk aborts."""
+    weight is then finite or -inf, and no walk aborts. A step weighs
+    components j..j+width-1 of every row as one (slots + 2, rows, width)
+    array, a row with fewer slots than the most weighing -inf at the
+    others; a block's width is ``_BLOCK_CELLS // ((slots + 2) * rows)``, at
+    least 1."""
     n_rows, p = len(rows), terms.x.shape[1]
     if not n_rows:
         return {}
@@ -581,150 +586,92 @@ def _lockstep_seats(terms, rows, u):
     log_seat = np.concatenate(([terms.log_conc], log_count[1:]))
     log_denoms = np.array([math.log(terms.conc_inner + m) for m in range(p + 1)])
     # A step's inputs, per row and component: the SPIKE and new-cluster
-    # weights, x, u and prec * x, read as column j while every row stands
-    # at component j and gathered (flat) otherwise; whether a block starts
-    # there while no member is seated; and per component log s, v_obs,
-    # log(1 - s) and prec, as floats for a column and as arrays to gather.
+    # weights, x, u and prec * x; and per component log s, v_obs,
+    # log(1 - s) and prec.
     own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[rows, :p],
                     terms.prec * terms.x[rows]))
-    flat = own.reshape(5, -1)
-    starts_run = terms.starts_run[rows].ravel()
     shared = np.stack((terms.log_s, terms.v_obs, terms.log_spike, terms.prec))
     by_component = shared.T.tolist()
     seats = np.full((n_rows, p), SPIKE)
-    flat_seats = seats.reshape(-1)
-    log_qs = np.empty((2, n_rows))
-    # Per walking row, compacted as rows finish: its row of ``rows``, flat
-    # offset, slot count (no member leaves, so every slot is live), member
-    # total, last component seated off SPIKE, log Q and log Q0; per slot and
-    # row, the count and the summed precision and statistic, and a last
-    # slot, whose sums no weight reads, that SPIKE seats (t = -1) update.
+    # Per row: its slot count (no member leaves, so every slot is live),
+    # member total, log Q and log Q0; per slot and row (and one component,
+    # to broadcast over a step's), the count and the summed precision and
+    # statistic, and a last slot, read by no weight, that SPIKE seats
+    # (t = -1) update.
     idx = np.arange(n_rows)
-    pos, base = idx, idx * p
     k, m_total = np.zeros((2, n_rows), dtype=np.intp)
-    last_off = np.full(n_rows, -1)
     log_q, log_q0 = np.zeros((2, n_rows))
-    counts = np.zeros((min(p, 7) + 2, n_rows), dtype=np.intp)
+    counts = np.zeros((min(p, 7) + 2, n_rows, 1), dtype=np.intp)
     sprec, sstat = np.zeros((2,) + counts.shape)
     kw = 0  # the most slots of a row
-    # Every row stands at component ``col`` until a block moves some on;
-    # from then on row r stands at nxt[r], and the furthest at ``lead``.
-    col, nxt, lead = 0, None, 0
-    empty = True  # whether a row may have no member seated
-    low_off = -1  # at most the last component any row seated off SPIKE
-    while True:
-        m = len(k)
-        cols = idx[:m]
-        j = col if nxt is None else nxt
-        # A row starts a block at a SPIKE run of _LIVE_RUN or, while it has
-        # no member seated, where ``starts_run`` is set. A row that gains a
-        # member never loses it, and no run reaches _LIVE_RUN before
-        # (furthest component) - 1 - low_off does.
-        blk = None
-        if empty:
-            live = m_total > 0
-            empty = not live.all()
-        if empty or (col if nxt is None else lead) - 1 - low_off >= _LIVE_RUN:
-            blk = j - 1 - last_off >= _LIVE_RUN
-            if empty:
-                blk = np.where(live, blk, starts_run[base + j])
-            else:
-                low_off = min(last_off.tolist())
-        blocks = np.flatnonzero(blk).tolist() if blk is not None and blk.any() else ()
-        if blocks:
-            if nxt is None:
-                nxt = np.full(m, col)
-            step = np.flatnonzero(~blk)
-            j = nxt[step]
-        else:
-            step = slice(None)
-        if nxt is None:
-            (spike, new_w, x, uj, stat), (log_s, v_obs, log_spike, prec) = (
-                own[:, :, col], by_component[col])
-        else:
-            (spike, new_w, x, uj, stat), (log_s, v_obs, log_spike, prec) = (
-                flat.take(base[step] + j, axis=1), shared.take(j, axis=1))
-        log_denom = log_denoms[m_total[step]]
+    j, leaving = 0, 0  # the next component, and the rows that left SPIKE at the last
+    while j < p:
+        width = 1 if leaving > 1 else min(p - j, max(1, _BLOCK_CELLS // ((kw + 2) * n_rows)))
+        spike, new_w, x, uj, stat = own[:, :, j:j + width]
+        # One component's shared terms as floats, which numpy broadcasts
+        # faster than one-element arrays.
+        log_s, v_obs = shared[:2, j:j + width] if width > 1 else by_component[j][:2]
+        log_denom = log_denoms[m_total]
+        col_denom = log_denom[:, None]
         # Rows: SPIKE, each slot (-inf if unopened), new; as the scalar step sums.
-        w = np.empty((kw + 2, len(uj)))
+        w = np.empty((kw + 2, n_rows, width))
         w[0] = spike
         if kw:
-            v_post = inv_slab_var + sprec[:kw, step]
+            v_post = inv_slab_var + sprec[:kw]
             var = 1.0 / v_post + v_obs
-            d = x - sstat[:kw, step] / v_post
-            np.subtract(log_s + log_count[counts[:kw, step]] - log_denom,
+            d = x - sstat[:kw] / v_post
+            np.subtract(log_s + log_count[counts[:kw]] - col_denom,
                         0.5 * (LOG_2PI + np.log(var) + d * d / var), out=w[1:-1])
-        np.subtract(new_w, log_denom, out=w[-1])
+        np.subtract(new_w, col_denom, out=w[-1])
         top = np.maximum.reduce(w)
-        acc = np.add.accumulate(np.exp(w - top))
-        choice = (uj * acc[-1] <= acc).argmax(axis=0)  # the first to reach u * total
-        q = w[choice, cols[:len(uj)]] - (top + np.log(acc[-1]))
-        if blocks:
-            log_q[step] += q
-            picked = np.full(m, -1)  # -1: no seat this round
-            picked[step] = choice
-            for b in blocks:
-                i, j, kb, mb = rows.item(pos.item(b)), nxt.item(b), k.item(b), m_total.item(b)
-                end = min(j + max(1, _BLOCK_CELLS // (kb + 2)), p) if mb else p
-                v_post = inv_slab_var + sprec[:kb, b]
-                slot_terms = np.column_stack(
-                    (log_count[counts[:kb, b]], sstat[:kb, b] / v_post, 1.0 / v_post))
-                stop, c, block_q = _block(terms, i, j, end, slot_terms, log_denoms.item(mb),
-                                          None, u[i])
-                log_q[b] += block_q
-                log_q0[b] += float(np.add.reduce(terms.log_spike[j:stop]))
-                nxt[b] = stop
-                picked[b] = -1 if c is None else c
-            # Each row's component to seat: a blocked row's stop.
-            j = np.minimum(nxt, p - 1)
-            log_denom = log_denoms[m_total]
-            stat, (log_s, _, log_spike, prec) = flat[4].take(base + j), shared.take(j, axis=1)
+        acc = np.exp(w - top)
+        # The cumulative weights: a block adds the slot rows in turn, the
+        # same sums in the same order as numpy's accumulate, which is slow
+        # along a short first axis of a wide array.
+        if width > 1:
+            for s in range(1, kw + 2):
+                acc[s] += acc[s - 1]
         else:
-            log_q += q
-            picked = choice
-        # Seat each row's component j as the scalar walk does: t is SPIKE
-        # (-1), slot t, or a new cluster at t = k; -2 seats nothing.
-        t = np.minimum(picked - 1, k)
-        off = t >= 0
+            np.add.accumulate(acc, out=acc)
+        scaled = uj * acc[-1]
+        lse = top + np.log(acc[-1])
+        # A block seats every row on SPIKE up to the first component c that
+        # some row leaves SPIKE at; a one-component step has c = 0.
+        c = 0
+        if width > 1:
+            off = (scaled > acc[0]).any(axis=0)
+            c = int(off.argmax())
+            if not off[c]:
+                c = width
+        if c:
+            log_q += np.add.reduce(w[0, :, :c] - lse[:, :c], axis=1)
+            log_q0 += np.add.reduce(shared[2, j:j + c])
+        j += c
+        if c == width:
+            leaving = 0
+            continue
+        choice = (scaled[:, c] <= acc[:, :, c]).argmax(axis=0)  # the first to reach u * total
+        log_q += w[choice, idx, c] - lse[:, c]
+        # Seat component j as the scalar walk does: t is SPIKE (-1), slot t,
+        # or a new cluster at t = k.
+        t = np.minimum(choice - 1, k)
+        on = t >= 0
         if kw + 2 > len(counts):
             counts, sprec, sstat = (np.concatenate((a[:-1], np.zeros_like(a)))
                                     for a in (counts, sprec, sstat))
-        if blocks:
-            seat = t >= -1
-            log_spike = np.where(seat, log_spike, 0.0)
-            t = np.maximum(t, SPIKE)  # -2: SPIKE, as its block seats
-        at = t * m + cols  # flat (slot, row)
+        at = t * n_rows + idx  # flat (slot, row)
+        log_sj, _, log_spike, prec = by_component[j]
         count = counts.reshape(-1)[at]
-        log_q0 += np.where(off, log_s + log_seat[count] - log_denom, log_spike)
+        log_q0 += np.where(on, log_sj + log_seat[count] - log_denom, log_spike)
         counts.reshape(-1)[at] = count + 1
         sprec.reshape(-1)[at] += prec
-        sstat.reshape(-1)[at] += stat
+        sstat.reshape(-1)[at] += stat[:, c]
         k += t == k
         kw = max(k.tolist())
-        m_total += off
-        np.copyto(last_off, j, where=off)
-        if nxt is None:
-            seats[:, col] = t
-            col += 1
-            if col < p:
-                continue
-            log_qs[:] = log_q, log_q0
-            break
-        flat_seats[base + j] = t
-        nxt += seat if blocks else 1
-        lead = max(nxt.tolist()) if blocks else lead + 1
-        if lead < p:
-            continue
-        # Rows that have seated component p - 1 are done.
-        done = nxt >= p
-        log_qs[:, pos[done]] = log_q[done], log_q0[done]
-        if done.all():
-            break
-        keep = ~done
-        pos, base, nxt, k, m_total, last_off, log_q, log_q0 = (
-            a[keep] for a in (pos, base, nxt, k, m_total, last_off, log_q, log_q0))
-        counts, sprec, sstat = (a.compress(keep, axis=1) for a in (counts, sprec, sstat))
-        kw, lead = max(k.tolist()), max(nxt.tolist())
+        m_total += on
+        seats[:, j] = t
+        leaving = int(np.count_nonzero(on))
+        j += 1
     # Per row and slot, its size and member sums, added in component order
     # (so bitwise ``_member_sums``), and the posterior.
     width = int(seats.max()) + 1
@@ -733,7 +680,7 @@ def _lockstep_seats(terms, rows, u):
     sizes, prec, stat = (np.bincount(at, w, n_rows * width).reshape(n_rows, width) for w in (
         None, np.broadcast_to(terms.prec, seats.shape)[on], own[4][on]))
     post = _posterior(prec, stat, terms.slab_var)
-    return {i: (seats[r].copy(), size[:kr], log_qs.item(0, r), log_qs.item(1, r),
+    return {i: (seats[r].copy(), size[:kr], log_q.item(r), log_q0.item(r),
                 tuple(a[r, :kr] for a in post))
             for r, (i, kr, size) in enumerate(zip(rows.tolist(), (sizes > 0).sum(axis=1).tolist(),
                                                   sizes.tolist()))}

@@ -1,4 +1,6 @@
+import csv
 import filecmp
+import math
 import os
 from dataclasses import fields
 
@@ -190,6 +192,32 @@ def test_matrix_outputs_bytes_equal_write_csv(tmp_path):
             if len(np.unique(table.y[:, 1:], axis=0)) < table.n:
                 repeated.add(name)
     assert repeated >= {"mu_hat.csv", "coclustering.csv", "pi_mean.csv"}
+
+
+def test_summaries_are_a_header_then_numeric_rows(tmp_path):
+    """Every summary file is a header row, then rows of numeric cells, one
+    per header cell, also for a fit whose modal K is 1: its k_posterior.csv
+    and pi_mean.csv have one row and its selected_attributes.csv none, fewer
+    than the two rows load_csv asks of data."""
+    out = tmp_path / "k1"
+    assert _run(["--simulate", "ex3", "--seed", "3", "--iters", "12", "--burn-in", "6",
+                 "--out", str(out)]) == 0
+    rows = {}
+    for name in EXPECTED_FILES[:-1]:
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            header, *rows[name] = csv.reader(fh)
+        assert header and all(not _is_number(cell) for cell in header), name
+        for row in rows[name]:
+            assert len(row) == len(header) and all(map(_is_number, row)), (name, row)
+    assert [len(rows[name]) for name in ("k_posterior.csv", "pi_mean.csv",
+                                         "selected_attributes.csv")] == [1, 1, 0]
+
+
+def _is_number(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def test_csv_input_roundtrip(tmp_path):

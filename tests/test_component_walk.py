@@ -435,14 +435,15 @@ MIXED_LEAD = 20
 def _lockstep_pass(kind, seed):
     """(state, hp, bd): a ``BirthDeathPass`` of 8 rows whose walks take the
     lockstep's paths. dense: 40 slab-favouring components, many inner
-    clusters; live: the live kind's 300 components on every row, so each
-    row's SPIKE runs reach ``_LIVE_RUN`` and are seated in live blocks;
-    mixed: 120 SPIKE-favouring components but component 0, where the odd
-    rows' residuals are near 0, so their walks start with a scalar step,
-    often seat it on SPIKE and then start a block with no member seated,
-    while the even rows' large residuals on components 0-19 seat several of
-    them, so rows step and block in the same rounds; spike: 300
-    SPIKE-favouring components, so most rows never leave SPIKE."""
+    clusters, so several rows leave SPIKE at most components and the steps
+    weigh one component; live: the live kind's 300 components on every row,
+    so rows leave SPIKE at the two live components, with members seated,
+    and sit on SPIKE in long shared blocks around them; mixed: 120
+    SPIKE-favouring components but component 0, where the odd rows'
+    residuals are near 0, while the even rows' large residuals on components
+    0-19 seat several of them, so one-component steps and shared blocks
+    alternate there; spike: 300 SPIKE-favouring components, so most rows
+    never leave SPIKE."""
     n = 8
     p = {"dense": 40, "live": 300, "mixed": 120, "spike": 300}[kind]
     state, _data, hp = make_state(n=3, p=p, seed=seed)
@@ -465,20 +466,6 @@ def _lockstep_pass(kind, seed):
                                      state, hp)
 
 
-def _record_blocks_by_row(monkeypatch):
-    """Record every block as (row, start, stop, slots live)."""
-    blocks = []
-    block = clusters._block
-
-    def recorded(terms, i, j, end, slot_terms, *args):
-        stop, choice, log_q = block(terms, i, j, end, slot_terms, *args)
-        blocks.append((i, j, stop, len(slot_terms)))
-        return stop, choice, log_q
-
-    monkeypatch.setattr(clusters, "_block", recorded)
-    return blocks
-
-
 def _record_lockstep_rows(monkeypatch):
     """Record the rows every pass seats in lockstep."""
     seated = []
@@ -496,15 +483,12 @@ def _record_lockstep_rows(monkeypatch):
     pytest.param(kind, name, id=kind if name == "PCG64" else f"{kind}-{name}")
     for name in BIT_GENERATORS for kind in LOCKSTEP_KINDS
 ])
-def test_lockstep_matches_reference_walk(kind, bit_generator, monkeypatch):
+def test_lockstep_matches_reference_walk(kind, bit_generator):
     """Every row of a pass seated in lockstep, then proposed in sample
     order, draws the seats and values the reference walk draws from the same
     uniforms, leaves the generator where it leaves it, and agrees on log Q
-    and log Q0 to rounding with it and with the scalar walk's replay; each
-    row takes the blocks the scalar walk takes on it."""
-    blocks = _record_blocks_by_row(monkeypatch)
-    seen = dict.fromkeys(("3+ inner clusters", "live block", "late empty block",
-                          "never off SPIKE"), 0)
+    and log Q0 to rounding with it and with the scalar walk's replay."""
+    seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE"), 0)
     for seed in range(8):
         state, hp, bd = _lockstep_pass(kind, seed)
         n, p = bd.x.shape
@@ -512,10 +496,8 @@ def test_lockstep_matches_reference_walk(kind, bit_generator, monkeypatch):
                         for _ in range(2))
         u = rng.random((n, p + 1))
         ref_rng.random((n, p + 1))
-        del blocks[:]
         bd.seat_births(np.arange(n), u)
         assert sorted(bd._seated) == list(range(n))
-        seated_blocks = blocks[:]
         for i in range(n):
             mean, log_q, log_q0 = bd.propose(i, u[i], rng)
             ref = ClusterMeanVector(p)
@@ -531,16 +513,39 @@ def test_lockstep_matches_reference_walk(kind, bit_generator, monkeypatch):
             seen["never off SPIKE"] += mean.nonzero_count() == 0
         # Equal next draws: the two generators stand at the same position.
         assert rng.random(4).tolist() == ref_rng.random(4).tolist(), seed
-        # Each row took the blocks its scalar walk takes.
+    if kind in ("dense", "spike"):
+        assert seen["3+ inner clusters" if kind == "dense" else "never off SPIKE"], seen
+
+
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
+def test_lockstep_blocks_match_one_component_steps(kind, monkeypatch):
+    """With ``_BLOCK_CELLS`` at 1 every lockstep step weighs one component.
+    That pass gives every row the seats, counts and posterior of the default
+    pass, whose shared blocks weigh many components at once, bit for bit,
+    and log Q and log Q0 to rounding. Every kind but dense has components
+    that all rows seat on SPIKE, two in a row, where the default pass weighs
+    a shared block; dense has components that several rows leave SPIKE at,
+    where it weighs one."""
+    runs = 0
+    for seed in range(8):
+        state, hp, bd = _lockstep_pass(kind, seed)
+        n, p = bd.x.shape
+        u = np.random.default_rng(seed).random((n, p + 1))
+        blocked = clusters._lockstep_seats(bd, np.arange(n), u)
+        monkeypatch.setattr(clusters, "_BLOCK_CELLS", 1)
+        stepped = clusters._lockstep_seats(bd, np.arange(n), u)
+        monkeypatch.undo()
         for i in range(n):
-            del blocks[:]
-            _scan_components(ClusterMeanVector(p).inner, bd, i, u[i], np.random.default_rng(0))
-            assert [b for b in seated_blocks if b[0] == i] == blocks, (seed, i)
-        seen["live block"] += any(k for _i, _j, _stop, k in seated_blocks)
-        seen["late empty block"] += any(j and not k for _i, j, _stop, k in seated_blocks)
-    want = {"dense": "3+ inner clusters", "live": "live block", "mixed": "late empty block",
-            "spike": "never off SPIKE"}[kind]
-    assert seen[want], seen
+            seats, counts, log_q, log_q0, post = blocked[i]
+            assert seats.tolist() == stepped[i][0].tolist(), (seed, i)
+            assert counts == stepped[i][1], (seed, i)
+            assert [a.tolist() for a in post] == [a.tolist() for a in stepped[i][4]], (seed, i)
+            assert log_q == pytest.approx(stepped[i][2], rel=REL)
+            assert log_q0 == pytest.approx(stepped[i][3], rel=REL)
+        leaving = (np.array([blocked[i][0] for i in range(n)]) >= 0).sum(axis=0)
+        runs += (((leaving[:-1] == 0) & (leaving[1:] == 0)).any() if kind != "dense"
+                 else (leaving > 1).any())
+    assert runs
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -576,26 +581,26 @@ def test_lockstep_leaves_a_non_finite_row_to_the_scalar_walk(bad, message, monke
 # Bits of ``_lockstep_seats`` on each lockstep kind's passes of seeds 0-2,
 # row i reading row i of ``default_rng(seed).random((n, p + 1))``: per seed,
 # the first 16 hex digits of the SHA-256 over every row's seats (int64) and
-# the ``float.hex`` of its log Q and log Q0 (``_lockstep_digest``). Recorded
-# from the earlier implementation, which gathered every round's inputs and
-# built its block check and count updates from whole arrays; the rounds
-# must keep its arithmetic exactly. numpy's exp and log differ in the last
-# bit between SIMD targets, so the pins are keyed by a probe of both
-# (``_exp_log_probe``).
+# the ``float.hex`` of its log Q and log Q0 (``_lockstep_digest``). A shared
+# block sums the log Q and log Q0 of its SPIKE seats by one reduction, so
+# the pins hold where the blocks fall as well as each step's arithmetic;
+# the dense kind's passes weigh no block with SPIKE seats. numpy's exp and
+# log differ in the last bit between SIMD targets, so the pins are keyed by
+# a probe of both (``_exp_log_probe``).
 LOCKSTEP_PINS = {
     # x86-64 with numpy's AVX-512 (X86_V4) exp and log
     "4117a7b1b2889523": {
         "dense": ["81cf79b2b064359a", "0555dfbfbfd1bcc0", "bf04012156e5fb6f"],
-        "live": ["079215fa8e7ebeeb", "7097192faa6bb6c0", "15bff6827545cb0f"],
-        "mixed": ["e74daa95c52b0fd0", "f2e85b18984326a7", "ac200f6980b63852"],
-        "spike": ["0e442855fed03755", "e4f77753af1357ab", "97f10c531b9c34c1"],
+        "live": ["30e8de3c34ea2c6b", "517d28bc45554ece", "5061acf071e78a0e"],
+        "mixed": ["aab8f61322385ee2", "a6f65ef1311ac4ba", "c07b3fbf7dd22a66"],
+        "spike": ["16d7774f5c38da48", "c1ec48f4fb364495", "3c7601c7355e4cca"],
     },
     # x86-64 with those kernels disabled (or absent): the C library's exp and log
     "6469758e9361ab7d": {
         "dense": ["81cf79b2b064359a", "0555dfbfbfd1bcc0", "bf04012156e5fb6f"],
-        "live": ["079215fa8e7ebeeb", "7097192faa6bb6c0", "15bff6827545cb0f"],
-        "mixed": ["e74daa95c52b0fd0", "af9ba109faf59eef", "ac200f6980b63852"],
-        "spike": ["0e442855fed03755", "e4f77753af1357ab", "97f10c531b9c34c1"],
+        "live": ["30e8de3c34ea2c6b", "517d28bc45554ece", "5061acf071e78a0e"],
+        "mixed": ["aab8f61322385ee2", "09373e25ae84a90f", "c07b3fbf7dd22a66"],
+        "spike": ["16d7774f5c38da48", "c1ec48f4fb364495", "3c7601c7355e4cca"],
     },
 }
 
@@ -623,8 +628,7 @@ def _lockstep_digest(kind, seed):
 @pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
 def test_lockstep_seats_match_pinned_bits(kind):
     """The lockstep's seats, log Q and log Q0 of every row equal, bit for
-    bit, those recorded from the earlier implementation on this platform's
-    exp and log. The reference-walk test allows rounding (REL); this pin
+    bit, those pinned for this platform's exp and log. The reference-walk test allows rounding (REL); this pin
     does not. A platform whose numpy exp and log match neither recorded
     probe has no pin to compare with."""
     pins = LOCKSTEP_PINS.get(_exp_log_probe())
