@@ -77,7 +77,8 @@ def build_parser():
     ap.add_argument("--chains", type=int, default=1, help="independent chains with seeds seed+0..N-1")
     ap.add_argument("--preprocess", action="store_true",
                     help="apply expression preprocessing (clamp/filter/log10/top-variance)")
-    ap.add_argument("--standardize", action="store_true", help="column-standardize before fitting")
+    ap.add_argument("--standardize", action="store_true", help="column-standardize before "
+                    "fitting; --config must then set base_mean and base_var")
     ap.add_argument("--threshold", type=float, default=0.5, help="attribute-selection threshold")
     ap.add_argument("--out", required=True, help="output directory")
     return ap

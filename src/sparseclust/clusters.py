@@ -24,20 +24,21 @@ opens the clusters in order of first appearance: it reads the seats as the
 first-appearance labels of ``Partition.canonical``, and the values in that
 order.
 
-The walk seats runs of SPIKE seats in blocks (``_block``). A SPIKE seat
-changes no slot and not the walk's member total, so while the seats stay
-SPIKE the next components' weights are fixed: one array comparison of their
-uniforms against their SPIKE weights seats them up to the first one off
-SPIKE, whose seat is read from its cumulative weights. A block weighs every
-slot from the terms the walk keeps per slot (log count, posterior mean and
-variance, updated when the slot changes), summed as the scalar step sums
-them. While no member is seated, a block starts at a component that
-favours SPIKE and spans to p: no later component starts seated, and with
-every slot empty only SPIKE and a new cluster weigh anything. With members
-seated, a block starts only after 16 SPIKE seats in a row, so dense vectors
-stay on the scalar path; it spans up to a fixed number of cells and stops
-before the next component that starts seated. The replay walks the same
-blocks, so it stays bitwise equal to the proposal.
+Every walk seats runs of SPIKE seats in blocks of one row or a stack of
+rows (``_block``). A SPIKE seat changes no slot and not the walk's member
+total, so while the seats stay SPIKE the next components' weights are fixed:
+one array comparison of their uniforms against their SPIKE weights seats
+them up to the first one off SPIKE, whose seat is read from its running
+sums. A block weighs every slot from the terms the walk keeps per slot (log
+count, posterior mean and variance, updated when the slot changes), summed
+as the scalar step sums them. In the scalar walk, while no member is
+seated, a block starts at a component that favours SPIKE and spans to p:
+no later component starts seated, and with every slot empty only SPIKE and
+a new cluster weigh anything. With members seated, a block starts only
+after 16 SPIKE seats in a row, so dense vectors stay on the scalar path; it
+spans up to a fixed number of cells and stops before the next component
+that starts seated. The replay walks the same blocks, so it stays bitwise
+equal to the proposal.
 
 The walk reads its per-component inputs from a ``WalkTerms`` row: the
 SPIKE and new-cluster weights and where a block starts while no member is
@@ -73,31 +74,31 @@ on SPIKE and is rejected. Such a row changes nothing and draws nothing.
 Whether a row is one depends on its uniforms, the pass's terms and the
 sample's log likelihood under its own cluster, and no earlier move of the
 pass changes the last: a move relocates only its own sample and changes no
-mean. So the pass marks these rows up front with one array comparison
-(``BirthDeathPass.rejected_spike_births``) and skips a marked row that is
-still not a singleton when it is reached; the skip is exactly the birth move
-on that row.
+mean. So the pass marks these rows up front, each chunk of rows weighed as
+one block of all p components with no member seated
+(``BirthDeathPass.rejected_spike_births``), and skips a marked row that is
+still not a singleton when it is reached; the skip is exactly its birth move.
 
 With ``_LOCKSTEP_ROWS`` or more rows left to walk, the pass seats all their
 proposals first, side by side (``BirthDeathPass.seat_births``): a row's walk
 reads only its own terms and uniforms. Every row stands at the same
-component j, and a step weighs column j of all rows at once. After a
-component that all rows but at most one seated on SPIKE, a step weighs the
-next components of all rows as one block: every row sits on SPIKE up to the
-first component that some row leaves SPIKE at, which is seated from the
-same array. A component's weights come from the same elementwise
-arithmetic in either step, so the seats do not depend on where blocks fall;
-a block sums its SPIKE seats' log Q and log Q0 by one reduction, which
-differs from the scalar walk's sums in rounding only. The draws and their
-order are the scalar walk's, but numpy's exp and log differ from math's in
-the last bit: a seat or an MH decision can differ from the scalar walk's
-only where a uniform falls within rounding of a boundary.
+component j, and each step is one block of all rows: of component j alone,
+or, after a component that all rows but at most one seated on SPIKE, of
+the next components too. Every row sits on SPIKE up to the first component
+that some row leaves SPIKE at, which is seated from the same block. A
+component's weights come from the same elementwise arithmetic in either
+step, so the seats do not depend on where blocks fall; a block sums its
+SPIKE seats' log Q and log Q0 by one reduction, which differs from the
+scalar walk's sums in rounding only. The draws and their order are the
+scalar walk's, but numpy's exp and log differ from math's in the last bit:
+a seat or an MH decision can differ from the scalar walk's only where a
+uniform falls within rounding of a boundary.
 
 Every walk ends with one value tail: ``_posterior`` turns each slot's
 member sums into its value's posterior, and ``_values`` draws the values
 (or reads the replayed ones) and adds their densities in slot order. A
 scalar walk sums its slots' members afresh (``_member_sums``); the lockstep
-sums every seated row's by one ``bincount`` over (row, slot), also in
+sums every seated row's by the same call over (row, slot) pairs, also in
 component order, and calls ``_posterior`` once per pass. A seated row that
 has become a singleton by its turn draws nothing.
 
@@ -112,6 +113,7 @@ non-finite row still goes to ``gibbs_reassign`` to abort on.
 
 import bisect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -125,13 +127,15 @@ from .sparsity import slab_coef
 _LIVE_RUN = 16
 # Cells a block spans: components times (slots + 2) in the scalar walk's
 # blocks while members are seated, and rows times components times
-# (slots + 2) in the lockstep's shared blocks.
+# (slots + 2) in the lockstep's shared blocks. The rejected-birth precheck
+# weighs its rows in even chunks of about as many (row, component) cells:
+# wider arrays take fresh memory on every pass.
 _BLOCK_CELLS = 4096
 # Rows a birth/death pass must have left to walk to seat them in lockstep,
-# values included: on fit_ex4_dense passes that pays from about 11 rows (10
-# took 1.68 ms so against 1.62 ms one at a time, 12 took 1.75 against 1.93
-# ms), but 8 sparser tall_n200 rows, which walk mostly in blocks, took 1.07
-# ms so against 0.69 ms.
+# values included. Against 1 (in-process, all sub-seeds of seed 1), 16 keeps
+# ex2_wide about 1% faster (10.73 against 10.86 ms per sweep) but tall_n200
+# about 2% slower on average (1.60 against 1.57 ms; the median sweep within
+# 0.5%), and fit_ex4_dense, whose passes walk more rows, the same (3.90 ms).
 _LOCKSTEP_ROWS = 16
 
 
@@ -184,9 +188,9 @@ class WalkTerms:
             self.log_s = np.log(s_vec)
             self.log_spike = np.log1p(-s_vec)
             new_var = self.slab_var + self.v_obs
-            self.spike = self.log_spike - 0.5 * (LOG_2PI + np.log(self.v_obs) + x * x / self.v_obs)
-            self.new = self.log_s + self.log_conc - 0.5 * (
-                LOG_2PI + np.log(new_var) + x * x / new_var)
+            xx = x * x
+            self.spike = self.log_spike - 0.5 * (LOG_2PI + np.log(self.v_obs) + xx / self.v_obs)
+            self.new = self.log_s + self.log_conc - 0.5 * (LOG_2PI + np.log(new_var) + xx / new_var)
         # With no member seated, m_total is 0 and the CRP denominator is
         # conc_inner.
         self.starts_run = self.spike >= self.new - self.log_conc
@@ -215,15 +219,10 @@ class BirthDeathPass(WalkTerms):
     """What the birth, death and reassignment moves of one step-5 pass read:
     the walk terms of every sample's residual ``x[i] = y_i - mu_base``
     (n_count 1), ``log(2 pi sigma_sq)`` and every sample's log likelihood
-    under a zero mean. For the skip of rejected births, per row, the terms
-    of a block over all p components with no member seated: the SPIKE
-    weight ``run_spike`` and total weight ``run_tot`` of each component,
-    scaled as ``_block`` scales them, whether all are finite
-    (``run_finite``), and the log Q and log Q0 (``spike_log_q``,
-    ``spike_log_q0``) the walk sums when the block seats every component on
-    SPIKE. Each live cluster's column of log likelihoods is computed when
-    first read. See the module docstring for why none of it changes in the
-    pass."""
+    under a zero mean, and the log Q0 of a proposal that seats every
+    component on SPIKE (``spike_log_q0``). Each live cluster's column of log
+    likelihoods is computed when first read. See the module docstring for
+    why none of it changes in the pass."""
 
     def __init__(self, y, mu_base, sigma_sq, state, hp):
         sigma_sq = np.asarray(sigma_sq, dtype=float)
@@ -231,25 +230,15 @@ class BirthDeathPass(WalkTerms):
         self.sigma_sq = sigma_sq
         self.log_2pi_var = np.log(2.0 * np.pi * sigma_sq)
         self.zero_loglik = _loglik_rows(self.x, self.log_2pi_var, sigma_sq)
-        # ``_block``'s arithmetic with no slot: m_total is 0, so the CRP
-        # denominator is conc_inner.
-        w_new = self.new - self.log_conc
-        top = np.maximum(self.spike, w_new)
-        self.run_finite = np.isfinite(top).all(axis=-1)
-        with np.errstate(invalid="ignore"):
-            self.run_spike = np.exp(self.spike - top)
-            self.run_tot = self.run_spike + np.exp(w_new - top)
-            top += np.log(self.run_tot)  # the log normalizer, in place
-            self.spike_log_q = 0.0 + np.add.reduce(self.spike - top, axis=-1)
         self.spike_log_q0 = 0.0 + float(np.add.reduce(self.log_spike))
         self._columns = {}
         self._seated = {}
 
     def seat_births(self, rows, u):
         """Seat the birth proposals of ``rows`` in lockstep, row i reading
-        u[i], with their values' posterior, for ``propose``; a row not
-        ``run_finite`` is left to the scalar walk."""
-        self._seated = _lockstep_seats(self, rows[self.run_finite[rows]], u)
+        u[i], with their values' posterior, for ``propose``. The rows must be
+        ``run_finite``."""
+        self._seated = _lockstep_seats(self, rows, u)
 
     def propose(self, i, u, rng):
         """As ``WalkTerms.propose``; a row seated in lockstep draws its values
@@ -306,14 +295,23 @@ class BirthDeathPass(WalkTerms):
         """Per row of the uniforms ``u``, whether the birth move of that
         sample, reading that row, proposes an all-SPIKE mean and rejects it.
         Only samples that are not singletons in ``state`` and whose walk
-        starts a finite block at component 0 are marked: their proposal is
-        then one block, scored from the pass's sums."""
+        starts its first block at component 0 and stays on SPIKE through it
+        are marked: their proposal is then that block, scored from its log Q.
+        Records each row's block log Q (``spike_log_q``) and whether it is
+        finite (``run_finite``)."""
         samples = state.samples
-        p = self.x.shape[1]
-        rows = np.flatnonzero(
-            self.starts_run[:, 0] & self.run_finite
-            & (samples.counts[samples.labels] > 1)
-            & ~(u[:, :p] * self.run_tot > self.run_spike).any(axis=1))
+        n, p = self.x.shape
+        stays = np.empty(n, dtype=bool)
+        self.spike_log_q = np.empty(n)
+        chunk = -(-n // max(1, round(n * p / _BLOCK_CELLS)))  # rows at a time, evenly
+        with np.errstate(all="ignore"):
+            for r in range(0, n, chunk):
+                rows = slice(r, r + chunk)
+                stays_run, _, _, _, spike_q = _block(self, rows, 0, p, self.log_conc, u=u[rows])
+                stays[rows] = stays_run.all(axis=1)
+                self.spike_log_q[rows] = 0.0 + np.add.reduce(spike_q, axis=-1)
+        self.run_finite = ~np.isnan(self.spike_log_q)
+        rows = np.flatnonzero(self.starts_run[:, 0] & stays & (samples.counts[samples.labels] > 1))
         skip = np.zeros(len(u), dtype=bool)
         if rows.size:
             log_ratio = self.birth_log_ratio(
@@ -384,7 +382,7 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
         us = u.tolist()
         counts = inner.sizes()
-        sprec, sstat = (a.tolist() for a in _member_sums(labels, terms, i, k_start))
+        sprec, sstat = (a.tolist() for a in _member_sums(labels, terms.prec, terms.x[i], k_start))
         slot_terms = [None] * k_start
         for t in range(k_start):
             refresh(t)
@@ -419,12 +417,23 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                 nxt = bisect.bisect_right(seated_at, j)
                 end = min(j + max(1, _BLOCK_CELLS // (k + 2)),
                           seated_at[nxt] if nxt < len(seated_at) else p)
-            stop, choice, block_q = _block(terms, i, j, end, slot_terms, log_denom, seats, u)
+            with np.errstate(all="ignore"):  # a non-finite component stops the block
+                _, c, choice, seat_q, spike_q = _block(
+                    terms, slice(i, i + 1), j, end, log_denom,
+                    np.array(slot_terms).T[..., None, None] if k else None,
+                    None if replay else u[None], seats[None] if replay else None)
+            block_q = float(np.add.reduce(spike_q[0, :c])) if c else 0.0
+            if choice is not None:
+                choice = choice.item()
+                if math.isnan(seat_q.item(choice, 0)):  # left to the scalar pick to abort on
+                    choice = None
+                else:
+                    block_q += seat_q.item(choice, 0)
             log_q += block_q
-            log_q0 += float(np.add.reduce(terms.log_spike[j:stop]))
-            spikes += stop - j
-            j = stop
-            if stop == end:
+            log_q0 += float(np.add.reduce(terms.log_spike[j:j + c]))
+            spikes += c
+            j += c
+            if j == end:
                 continue
         if xs is None:
             xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = \
@@ -484,7 +493,8 @@ def _scan_components(inner, terms, i, u=None, rng=None):
             inner.cluster_ids() + [None] * (len(counts) - k_start), labels, counts)
     # The posterior is recomputed from scratch over the members, free of the
     # running sums' float drift.
-    post = _posterior(*_member_sums(seats, terms, i, len(counts)), terms.slab_var)
+    post = _posterior(*_member_sums(seats, terms.prec, terms.x[i], len(counts)),
+                      terms.slab_var)
     if replay:
         return _values(post, terms.slab_var, log_q, log_q0, values=inner.values[order])[1:]
     values, log_q, log_q0 = _values(post, terms.slab_var, log_q, log_q0, rng)
@@ -520,50 +530,67 @@ def _values(post, slab_var, log_q, log_q0, rng=None, values=None):
     return values, log_q, log_q0
 
 
-def _block(terms, i, j, end, slot_terms, log_denom, seats, u):
-    """Seat components j..end-1 of row i of ``terms`` from the walk's
-    ``slot_terms`` and the CRP log denominator ``log_denom``, as scalar
-    steps would while each stays on SPIKE. Returns (stop, choice, log_q):
-    components j..stop-1 go to SPIKE, their log probabilities summing to
-    ``log_q``. ``stop`` is ``end`` (choice None), a component seated at
-    ``choice`` (its log probability in ``log_q``) or one whose weights are
-    not finite (choice None), left for the scalar pick to abort on.
-    Replaying, the seats are ``seats``."""
-    k = len(slot_terms)
-    n = end - j
-    # Column c holds component j + c's weights, row 0 SPIKE, row 1 + t slot
-    # t and the last row a new cluster. A column with a non-finite weight
-    # stops the block; its arithmetic stays quiet.
-    with np.errstate(all="ignore"):
-        w = np.empty((k + 2, n))
-        w[0] = terms.spike[i, j:end]
-        if k:
-            log_c, post_mean, post_var = np.array(slot_terms).T
-            var = np.add.outer(post_var, terms.v_obs[j:end])
-            d = np.subtract.outer(post_mean, terms.x[i, j:end])  # only d * d is read
-            w[1:-1] = (np.add.outer(log_c, terms.log_s[j:end]) - log_denom
-                       - 0.5 * (LOG_2PI + np.log(var) + d * d / var))
-        w[-1] = terms.new[i, j:end] - log_denom
-        top = np.maximum.reduce(w)
-        acc = np.add.accumulate(np.exp(w - top))
+def _block(terms, rows, j, end, log_denom, slots=None, u=None, seats=None):
+    """Weigh components j..end-1 of ``rows`` (a slice) of ``terms`` (as in
+    ``WalkTerms``) and seat each row on SPIKE up to its first component off
+    SPIKE, summing every weight as the scalar step does. ``log_denom`` is
+    each row's CRP log denominator, ``slots`` the slots' log count (-inf
+    once emptied or not opened), posterior mean and variance, each (slots,
+    rows or 1, 1). A row leaves SPIKE where its uniform in ``u`` times the
+    total weight exceeds the SPIKE weight, or, replaying, where its seat in
+    ``seats`` is not SPIKE; a non-finite weight stops it too (a caller that
+    allows one quiets numpy).
+
+    Returns (stays, c, choice, seat_q, spike_q): whether each row stays on
+    SPIKE at each component; ``c``, the first component some row leaves
+    SPIKE at (from j; the width if none, 0 in a block of one component,
+    which seats every row there); at c, each row's seat (0 SPIKE, 1 + t slot
+    t, then new) and every seat's log probability, or None for both if c is
+    the width; and the log probability of a SPIKE seat at each component.
+    A log probability is NaN where a weight is not finite."""
+    spike, new = terms.spike[rows, j:end], terms.new[rows, j:end]
+    n_rows, width = spike.shape
+    k = 0 if slots is None else len(slots[0])
+    # Row 0 SPIKE, row 1 + t slot t, the last row a new cluster.
+    w = np.empty((k + 2, n_rows, width))
+    w[0] = spike
+    if k:
+        log_c, mean, var = slots
+        var = var + terms.v_obs[j:end]
+        d = terms.x[rows, j:end] - mean
+        np.subtract(terms.log_s[j:end] + log_c - log_denom,
+                    0.5 * (LOG_2PI + np.log(var) + d * d / var), out=w[1:-1])
+    np.subtract(new, log_denom, out=w[-1])
+    top = np.maximum.reduce(w) if k else np.maximum(w[0], w[1])
+    acc = np.subtract(w, top)
+    np.exp(acc, out=acc)
+    # The cumulative weights: a wide block adds the rows in turn, the same
+    # sums in the same order as numpy's accumulate, which is slow along a
+    # short first axis of a wide array.
+    if width > 1:
+        for t in range(1, k + 2):
+            acc[t] += acc[t - 1]
+    else:
+        np.add.accumulate(acc, out=acc)
     total = acc[-1]
+    lse = top + np.log(total)
     if seats is None:
-        scaled = u[j:end] * total
-        off = ~(scaled <= acc[0])
+        scaled = u[..., j:end] * total
+        stays = scaled <= acc[0]
     else:
-        off = (seats[j:end] != SPIKE) | ~np.isfinite(total)
-    r = int(off.argmax())
-    if not off[r]:
-        r = n
-    lse = top[:r + 1] + np.log(total[:r + 1])
-    log_q = float(np.add.reduce(w[0, :r] - lse[:r]))
-    if r == n or not math.isfinite(total[r]):
-        return j + r, None, log_q
+        stays = (seats[..., j:end] == SPIKE) & np.isfinite(total)
+    spike_q = spike - lse
+    c = 0  # a one-component block seats every row at its component
+    if width > 1:
+        all_stay = stays.all(axis=0)
+        c = int(all_stay.argmin())
+        if all_stay[c]:
+            return stays, width, None, None, spike_q
     if seats is None:
-        choice = min(int(acc[:, r].searchsorted(scaled[r])), k + 1)
+        choice = (scaled[:, c] <= acc[:, :, c]).argmax(axis=0)  # the first to reach u * total
     else:
-        choice = 1 + int(seats[j + r])
-    return j + r, choice, log_q + (w.item(choice, r) - lse.item(r))
+        choice = 1 + seats[:, j + c]
+    return stays, c, choice, w[:, :, c] - lse[:, c], spike_q
 
 
 def _lockstep_seats(terms, rows, u):
@@ -571,10 +598,10 @@ def _lockstep_seats(terms, rows, u):
     the module docstring) reading u[i]: (seats, counts, log_q, log_q0,
     posterior) of its birth proposal before the values, the posterior
     ``_posterior``'s, in slot order. The rows must be ``run_finite``: every
-    weight is then finite or -inf, and no walk aborts. A step weighs
-    components j..j+width-1 of every row as one (slots + 2, rows, width)
-    array, a row with fewer slots than the most weighing -inf at the
-    others; a block's width is ``_BLOCK_CELLS // ((slots + 2) * rows)``, at
+    weight is then finite or -inf, and no walk aborts. A step is one
+    ``_block`` of every row, a row with fewer slots than the most weighing
+    -inf at the others; its width is 1 after a component that more than one
+    row left SPIKE at, else ``_BLOCK_CELLS // ((slots + 2) * rows)``, at
     least 1."""
     n_rows, p = len(rows), terms.x.shape[1]
     if not n_rows:
@@ -585,73 +612,44 @@ def _lockstep_seats(terms, rows, u):
     log_count = np.array([-math.inf] + [math.log(c) for c in range(1, p + 1)])
     log_seat = np.concatenate(([terms.log_conc], log_count[1:]))
     log_denoms = np.array([math.log(terms.conc_inner + m) for m in range(p + 1)])
-    # A step's inputs, per row and component: the SPIKE and new-cluster
-    # weights, x, u and prec * x; and per component log s, v_obs,
-    # log(1 - s) and prec.
+    # The rows' terms, uniforms and prec * x, gathered as one array, and per
+    # component log s, log(1 - s) and prec as floats.
     own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[rows, :p],
                     terms.prec * terms.x[rows]))
-    shared = np.stack((terms.log_s, terms.v_obs, terms.log_spike, terms.prec))
-    by_component = shared.T.tolist()
+    walk = SimpleNamespace(spike=own[0], new=own[1], x=own[2], log_s=terms.log_s, v_obs=terms.v_obs)
+    u, stat = own[3], own[4]
+    by_component = np.stack((terms.log_s, terms.log_spike, terms.prec)).T.tolist()
     seats = np.full((n_rows, p), SPIKE)
     # Per row: its slot count (no member leaves, so every slot is live),
     # member total, log Q and log Q0; per slot and row (and one component,
     # to broadcast over a step's), the count and the summed precision and
-    # statistic, and a last slot, read by no weight, that SPIKE seats
-    # (t = -1) update.
+    # statistic, each also as a flat (slot, row) view, and a last slot, read
+    # by no weight, that SPIKE seats (t = -1) update.
     idx = np.arange(n_rows)
     k, m_total = np.zeros((2, n_rows), dtype=np.intp)
     log_q, log_q0 = np.zeros((2, n_rows))
     counts = np.zeros((min(p, 7) + 2, n_rows, 1), dtype=np.intp)
     sprec, sstat = np.zeros((2,) + counts.shape)
+    count_at, prec_at, stat_at = counts.reshape(-1), sprec.reshape(-1), sstat.reshape(-1)
     kw = 0  # the most slots of a row
     j, leaving = 0, 0  # the next component, and the rows that left SPIKE at the last
     while j < p:
         width = 1 if leaving > 1 else min(p - j, max(1, _BLOCK_CELLS // ((kw + 2) * n_rows)))
-        spike, new_w, x, uj, stat = own[:, :, j:j + width]
-        # One component's shared terms as floats, which numpy broadcasts
-        # faster than one-element arrays.
-        log_s, v_obs = shared[:2, j:j + width] if width > 1 else by_component[j][:2]
         log_denom = log_denoms[m_total]
-        col_denom = log_denom[:, None]
-        # Rows: SPIKE, each slot (-inf if unopened), new; as the scalar step sums.
-        w = np.empty((kw + 2, n_rows, width))
-        w[0] = spike
+        slots = None
         if kw:
             v_post = inv_slab_var + sprec[:kw]
-            var = 1.0 / v_post + v_obs
-            d = x - sstat[:kw] / v_post
-            np.subtract(log_s + log_count[counts[:kw]] - col_denom,
-                        0.5 * (LOG_2PI + np.log(var) + d * d / var), out=w[1:-1])
-        np.subtract(new_w, col_denom, out=w[-1])
-        top = np.maximum.reduce(w)
-        acc = np.exp(w - top)
-        # The cumulative weights: a block adds the slot rows in turn, the
-        # same sums in the same order as numpy's accumulate, which is slow
-        # along a short first axis of a wide array.
-        if width > 1:
-            for s in range(1, kw + 2):
-                acc[s] += acc[s - 1]
-        else:
-            np.add.accumulate(acc, out=acc)
-        scaled = uj * acc[-1]
-        lse = top + np.log(acc[-1])
-        # A block seats every row on SPIKE up to the first component c that
-        # some row leaves SPIKE at; a one-component step has c = 0.
-        c = 0
-        if width > 1:
-            off = (scaled > acc[0]).any(axis=0)
-            c = int(off.argmax())
-            if not off[c]:
-                c = width
+            slots = (log_count[counts[:kw]], sstat[:kw] / v_post, 1.0 / v_post)
+        _, c, choice, seat_q, spike_q = _block(walk, slice(None), j, j + width,
+                                               log_denom[:, None], slots, u)
         if c:
-            log_q += np.add.reduce(w[0, :, :c] - lse[:, :c], axis=1)
-            log_q0 += np.add.reduce(shared[2, j:j + c])
+            log_q += np.add.reduce(spike_q[:, :c], axis=1)
+            log_q0 += np.add.reduce(terms.log_spike[j:j + c])
         j += c
         if c == width:
             leaving = 0
             continue
-        choice = (scaled[:, c] <= acc[:, :, c]).argmax(axis=0)  # the first to reach u * total
-        log_q += w[choice, idx, c] - lse[:, c]
+        log_q += seat_q[choice, idx]
         # Seat component j as the scalar walk does: t is SPIKE (-1), slot t,
         # or a new cluster at t = k.
         t = np.minimum(choice - 1, k)
@@ -659,41 +657,41 @@ def _lockstep_seats(terms, rows, u):
         if kw + 2 > len(counts):
             counts, sprec, sstat = (np.concatenate((a[:-1], np.zeros_like(a)))
                                     for a in (counts, sprec, sstat))
+            count_at, prec_at, stat_at = counts.reshape(-1), sprec.reshape(-1), sstat.reshape(-1)
         at = t * n_rows + idx  # flat (slot, row)
-        log_sj, _, log_spike, prec = by_component[j]
-        count = counts.reshape(-1)[at]
+        log_sj, log_spike, prec = by_component[j]
+        count = count_at[at]
         log_q0 += np.where(on, log_sj + log_seat[count] - log_denom, log_spike)
-        counts.reshape(-1)[at] = count + 1
-        sprec.reshape(-1)[at] += prec
-        sstat.reshape(-1)[at] += stat[:, c]
+        count_at[at] = count + 1
+        prec_at[at] += prec
+        stat_at[at] += stat[:, j]
         k += t == k
         kw = max(k.tolist())
         m_total += on
         seats[:, j] = t
         leaving = int(np.count_nonzero(on))
         j += 1
-    # Per row and slot, its size and member sums, added in component order
-    # (so bitwise ``_member_sums``), and the posterior.
-    width = int(seats.max()) + 1
+    # Per row and slot, its member sums, added in component order (so
+    # bitwise the scalar walk's), and the posterior.
     on = seats >= 0
-    at = (idx[:, None] * width + seats)[on]
-    sizes, prec, stat = (np.bincount(at, w, n_rows * width).reshape(n_rows, width) for w in (
-        None, np.broadcast_to(terms.prec, seats.shape)[on], own[4][on]))
-    post = _posterior(prec, stat, terms.slab_var)
+    post = _posterior(*(a.reshape(n_rows, kw) for a in _member_sums(
+        np.where(on, seats + kw * idx[:, None], SPIKE), np.broadcast_to(terms.prec, seats.shape),
+        walk.x, n_rows * kw)), terms.slab_var)
     return {i: (seats[r].copy(), size[:kr], log_q.item(r), log_q0.item(r),
                 tuple(a[r, :kr] for a in post))
-            for r, (i, kr, size) in enumerate(zip(rows.tolist(), (sizes > 0).sum(axis=1).tolist(),
-                                                  sizes.tolist()))}
+            for r, (i, kr, size) in enumerate(zip(rows.tolist(), k.tolist(),
+                                                  counts[:kw, :, 0].T.tolist()))}
 
 
-def _member_sums(seats, terms, i, k):
+def _member_sums(seats, prec, x, k):
     """Per slot 0..k-1, the summed precision and precision-weighted value of
-    the components seated there (``seats`` holds slots or SPIKE), from row i
-    of ``terms``, as arrays."""
+    the components seated there, added in order: ``seats`` holds slots or
+    SPIKE, ``prec`` and ``x`` each component's precision and value, all of
+    one shape."""
     seated = seats >= 0
     slots = seats[seated]
-    prec = terms.prec[seated]
-    return np.bincount(slots, prec, k), np.bincount(slots, prec * terms.x[i, seated], k)
+    prec = prec[seated]
+    return np.bincount(slots, prec, k), np.bincount(slots, prec * x[seated], k)
 
 
 def _loglik_rows(d, log_2pi_var, sigma_sq):
@@ -822,8 +820,8 @@ def _births_and_deaths(state, rng, bd):
     u = rng.random((n, p + 1))
     skip = bd.rejected_spike_births(state, u)
     walk = np.flatnonzero(~skip & (state.samples.counts[state.samples.labels] > 1))
-    if len(walk) >= _LOCKSTEP_ROWS:
-        bd.seat_births(walk, u)
+    if len(walk) >= _LOCKSTEP_ROWS:  # a row not run_finite is left to the scalar walk
+        bd.seat_births(walk[bd.run_finite[walk]], u)
     skip = skip.tolist()
     for i in range(n):
         if state.samples.cluster_size(i) == 1:

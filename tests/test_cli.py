@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparseclust.chain import ChainConfig
-from sparseclust.cli import main
+from sparseclust.cli import build_parser, main
 from sparseclust.io import load_csv, write_csv
 from sparseclust.model import Hyperparams
 
@@ -251,7 +251,11 @@ def test_config_base_measure_replaces_data_default(tmp_path):
 
 def test_standardize_needs_a_configured_base_measure(tmp_path, capsys):
     """Standardized attribute means differ only by rounding: without a
-    configured base measure that is a usage error naming the config keys."""
+    configured base measure that is a usage error naming the config keys,
+    as the option's help says."""
+    help_text = " ".join(build_parser().format_help().split())
+    assert ("--standardize column-standardize before fitting; --config must then set "
+            "base_mean and base_var") in help_text
     out = tmp_path / "o"
     args = ["--simulate", "ex3", "--standardize", "--iters", "6", "--burn-in", "2"]
     with pytest.raises(SystemExit) as e:

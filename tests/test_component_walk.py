@@ -11,6 +11,7 @@ on every bit generator numpy ships.
 import copy
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,14 +248,24 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
 
 
 def _record_live_blocks(monkeypatch):
-    """Record every block the walk scores as (start, end, stop, choice)."""
+    """Record every block the walk scores as (start, end, stop, choice):
+    components start..stop-1 go to SPIKE, and the seat of component stop,
+    if it is before the end and its weights are finite, is choice; else
+    choice is None. A one-component block that seats SPIKE is recorded as
+    one that reaches its end."""
     blocks = []
     block = clusters._block
 
-    def recorded(terms, i, j, end, *args):
-        stop, choice, log_q = block(terms, i, j, end, *args)
-        blocks.append((j, end, stop, choice))
-        return stop, choice, log_q
+    def recorded(terms, rows, j, end, *args, **kwargs):
+        result = _stays, c, choice, seat_q, _spike_q = block(terms, rows, j, end, *args, **kwargs)
+        if choice is None or math.isnan(seat_q[choice[0], 0]):
+            choice = None
+        elif choice[0] == 0:  # SPIKE, in a block of one component
+            c, choice = end - j, None
+        else:
+            choice = int(choice[0])
+        blocks.append((j, end, j + c, choice))
+        return result
 
     monkeypatch.setattr(clusters, "_block", recorded)
     return blocks
@@ -708,3 +719,123 @@ def test_value_tail_takes_math_log_of_the_posterior_variance():
         _values, log_q, _log_q0 = clusters._values(post, slab_var, 0.0, 0.0, values=mean)
         expected = 0.0 + log_normal_pdf(mean.item(), mean.item(), v)
         assert log_q.hex() == expected.hex(), prec_sum
+
+
+# -- the block routine ----------------------------------------------------------
+
+
+def _block_inputs(seed, k, replay):
+    """Terms of 6 rows and 30 components, each row's slot terms (k slots;
+    slot 0 emptied, at log count -inf, on rows 0 and 3, and a row with fewer
+    slots than k weighing -inf at the rest), CRP log denominators, and
+    uniforms or seats (SPIKE, a slot or a new cluster)."""
+    rng = np.random.default_rng(seed)
+    rows, p = 6, 30
+    x = rng.normal(0.0, 1.0, size=(rows, p))
+    terms = SimpleNamespace(spike=rng.normal(-0.5, 1.0, size=(rows, p)),
+                            new=rng.normal(-1.5, 1.0, size=(rows, p)), x=x,
+                            log_s=rng.normal(-0.7, 0.3, size=p), v_obs=rng.uniform(0.1, 1.0, size=p))
+    log_c = np.log(rng.integers(1, 4, size=(k, rows, 1)).astype(float))
+    if k:
+        log_c[0, [0, 3]] = -math.inf
+        log_c[k - 1:, 5] = -math.inf
+    slots = (log_c, rng.normal(0.0, 1.0, size=(k, rows, 1)), rng.uniform(0.05, 0.5, size=(k, rows, 1)))
+    log_denom = np.log(1.0 + rng.integers(0, 5, size=(rows, 1)))
+    if replay:
+        seats = np.where(rng.random((rows, p)) < 0.85, SPIKE, rng.integers(0, k + 1, size=(rows, p)))
+        return terms, slots if k else None, log_denom, None, seats
+    return terms, slots if k else None, log_denom, rng.random((rows, p)) ** 3, None
+
+
+def _block_oracle(terms, r, j, end, slots, log_denom, u, seats):
+    """Row r's block by the scalar step's sums in numpy, with numpy's
+    accumulate for the running sums: (stays, stop, at), where at(c) gives
+    the seat at component c, every seat's log probability there, and the
+    log Q of the SPIKE seats before it."""
+    k = 0 if slots is None else len(slots[0])
+    w = np.empty((k + 2, end - j))
+    w[0] = terms.spike[r, j:end]
+    for t in range(k):
+        log_c, mean, var = (a[t, r, 0] for a in slots)
+        var = var + terms.v_obs[j:end]
+        d = terms.x[r, j:end] - mean
+        w[1 + t] = terms.log_s[j:end] + log_c - log_denom[r, 0] - 0.5 * (
+            LOG_2PI + np.log(var) + d * d / var)
+    w[-1] = terms.new[r, j:end] - log_denom[r, 0]
+    top = np.maximum.reduce(w)
+    acc = np.add.accumulate(np.exp(w - top))
+    lse = top + np.log(acc[-1])
+    if seats is None:
+        stays = u[r, j:end] * acc[-1] <= acc[0]
+    else:
+        stays = (seats[r, j:end] == SPIKE) & np.isfinite(acc[-1])
+    stop = int(np.argmin(stays)) if not stays.all() else end - j
+
+    def at(c):
+        log_q = float(np.add.reduce(w[0, :c] - lse[:c]))
+        if c == end - j:
+            return None, None, log_q
+        choice = (int(np.searchsorted(acc[:, c], u[r, j + c] * acc[-1, c])) if seats is None
+                  else 1 + int(seats[r, j + c]))
+        return choice, (w[:, c] - lse[c]).tolist(), log_q
+
+    return stays, stop, at
+
+
+@pytest.mark.parametrize("replay", [False, True], ids=["draw", "replay"])
+@pytest.mark.parametrize("k", range(4))
+def test_block_of_stacked_rows_matches_each_row_alone(k, replay):
+    """``_block`` over a stack of rows gives every row, bit for bit, what it
+    gives that row alone, and both what the scalar step's sums with numpy's
+    accumulate give: where the row stays on SPIKE, its stop, its seat there
+    with every seat's log probability, and the log Q of its SPIKE seats
+    before it. A stack stops at its first row's stop, where the rows that
+    stop later sit on SPIKE; the stack of those rows reaches the next stop.
+    A one-component block seats every row at its component. Blocks of 1, 7
+    and 30 components, drawing and replaying, 0-3 slots, an emptied slot
+    and rows with fewer slots than the rest."""
+    seen = dict.fromkeys(("row leaves SPIKE", "row stays through", "stack of several"), 0)
+    for seed in range(12):
+        terms, slots, log_denom, u, seats = _block_inputs(100 * k + seed, k, replay)
+        for j, end in ((4, 5), (11, 18), (0, 30)):
+            width, alone = end - j, {}
+            for r in range(6):
+                got = clusters._block(
+                    terms, slice(r, r + 1), j, end, log_denom.item(r),
+                    None if slots is None else tuple(a[:, r:r + 1] for a in slots),
+                    None if u is None else u[r:r + 1], None if seats is None else seats[r:r + 1])
+                stays, c, choice, seat_q, spike_q = got
+                want_stays, stop, at = _block_oracle(terms, r, j, end, slots, log_denom, u, seats)
+                assert stays[0].tolist() == want_stays.tolist(), (seed, j, r)
+                assert c == (0 if width == 1 else stop), (seed, j, r)
+                want_choice, want_seat_q, want_log_q = at(c)
+                assert float(np.add.reduce(spike_q[0, :c])) == want_log_q, (seed, j, r)
+                if c < width:
+                    assert (choice.item(), seat_q[:, 0].tolist()) == (want_choice, want_seat_q)
+                else:
+                    assert choice is seat_q is None
+                alone[r] = got
+                seen["row leaves SPIKE" if stop < width else "row stays through"] += 1
+            remaining = list(range(6))
+            while remaining:
+                sub = SimpleNamespace(spike=terms.spike[remaining], new=terms.new[remaining],
+                                      x=terms.x[remaining], log_s=terms.log_s, v_obs=terms.v_obs)
+                stays, c, choice, seat_q, spike_q = clusters._block(
+                    sub, slice(None), j, end, log_denom[remaining],
+                    None if slots is None else tuple(a[:, remaining] for a in slots),
+                    None if u is None else u[remaining], None if seats is None else seats[remaining])
+                seen["stack of several"] += len(remaining) > 1
+                seated = []
+                for s, r in enumerate(remaining):
+                    one_stays, one_c, one_choice, one_seat_q, one_spike_q = alone[r]
+                    assert stays[s].tolist() == one_stays[0].tolist(), (seed, j, r)
+                    assert spike_q[s].tolist() == one_spike_q[0].tolist(), (seed, j, r)
+                    if one_c == c:  # the stack stops at the row's own stop
+                        if c < width:
+                            assert choice[s] == one_choice[0], (seed, j, r)
+                            assert seat_q[:, s].tolist() == one_seat_q[:, 0].tolist(), (seed, j, r)
+                        seated.append(r)
+                    else:  # the row sits on SPIKE at the stack's stop
+                        assert c < one_c and choice[s] == 0, (seed, j, r)
+                remaining = [r for r in remaining if r not in seated]
+    assert all(seen.values()), seen

@@ -54,6 +54,7 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
     if seed % 2:
         state.attr_prob[:] = 1e-3  # rows that start blocks with no member seated
     bd, mu_base, sigma_sq = _pass(state, data, hp)
+    bd.rejected_spike_births(state, np.random.default_rng(seed).random((n, p + 1)))
     for i in range(n):
         one = WalkTerms(data.y[i] - mu_base, 1, sigma_sq, state, hp)
         for name in ROW_ARRAYS:
@@ -103,6 +104,7 @@ def test_all_spike_proposal_at_p_3000_is_one_block():
         state.attr_prob[:] = 1e-3
         bd = _pass(state, data, hp)[0]
         rng = np.random.default_rng(seed)
+        bd.rejected_spike_births(state, np.full((3, 3001), 0.5))
         for i in range(3):
             mean, *logs = bd.propose(i, rng.random(3000), rng)
             if bd.starts_run[i, 0] and bd.run_finite[i] and not mean.inner.n_clusters():
@@ -130,6 +132,7 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     x[2, 4] = np.nan
     x[3, 0] = 5.0
     bd = BirthDeathPass(x + mu_base, mu_base, sigma_sq, state, hp)  # does not raise
+    bd.rejected_spike_births(state, np.full((4, p + 1), 0.5))  # nor does its skip
     assert bd.run_finite.tolist() == [True, False, False, False]
     assert bd.starts_run[1:3, 0].all() and not bd.starts_run[3, 0]
 
