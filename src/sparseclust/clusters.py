@@ -1,28 +1,26 @@
 """Sample-cluster moves: MH birth/death with a sequential proposal, Gibbs
 reassignment, and the inner Gibbs update of cluster mean vectors.
 
-One component walk (``_scan_components``) serves every move on a cluster's
-mean vector. It seats each component in turn (SPIKE, a live inner cluster
-or a new one) from the collapsed spike/CRP conditional, then draws the inner
-values from their conjugate posteriors, and sums both the proposal density Q
-of those draws and their prior density Q0. From a fresh all-SPIKE mean it is
-the sequential proposal of a birth move; over a cluster's mean it is the
-inner Gibbs pass; without uniforms it replays a given vector, which is how
-a death move scores the reverse birth: bitwise equal to the proposal's own Q
-and Q0, or to rounding for a proposal seated in lockstep (below). A mean
-vector drawn from the prior itself, with no data, comes from
-``diagnostics.draw_prior_mean``.
+Two component walks seat a cluster's mean vector, each component in turn
+(SPIKE, a live inner cluster or a new one) from the collapsed spike/CRP
+conditional, then draw the inner values from their conjugate posteriors and
+sum the proposal density Q of those draws and their prior density Q0. The
+lockstep (``_lockstep_seats``, below) seats every birth proposal, however
+many a pass walks. The scalar walk (``_scan_components``) is the inner Gibbs
+pass; without uniforms it replays a given vector, which is how a death
+scores the reverse birth, equal to a birth's log Q and log Q0 to rounding.
+``diagnostics.draw_prior_mean`` draws a mean vector from the prior itself.
 
-The walk keeps its per-slot sums in lists indexed by the partition's slots;
-a new inner cluster takes the next slot. A slot whose last member leaves
-stays, at count 0, until write-back: it weighs -inf, which changes neither
-the pick nor its normalizer, and ``partition.drop_empty`` drops it at the
-end. The walk writes the seats into the partition's labels as it draws them
-and the slot arrays back once, at the end; a proposal that seats every
-component on SPIKE writes nothing more. The replay walks from empty, so it
-opens the clusters in order of first appearance: it reads the seats as the
-first-appearance labels of ``Partition.canonical``, and the values in that
-order.
+The scalar walk keeps its per-slot sums in lists indexed by the partition's
+slots; a new inner cluster takes the next slot. A slot whose last member
+leaves stays, at count 0, until write-back: it weighs -inf, which changes
+neither the pick nor its normalizer, and ``partition.drop_empty`` drops it
+at the end. The walk writes the seats into the partition's labels as it
+draws them and the slot arrays back once, at the end; a walk that seats
+every component of an all-SPIKE mean on SPIKE writes nothing more. The
+replay walks from empty, so it opens the clusters in order of first
+appearance: it reads the seats as the first-appearance labels of
+``Partition.canonical``, and the values in that order.
 
 Every walk seats runs of SPIKE seats in blocks of one row or a stack of
 rows (``_block``). A SPIKE seat changes no slot and not the walk's member
@@ -37,8 +35,8 @@ no later component starts seated, and with every slot empty only SPIKE and
 a new cluster weigh anything. With members seated, a block starts only
 after 16 SPIKE seats in a row, so dense vectors stay on the scalar path; it
 spans up to a fixed number of cells and stops before the next component
-that starts seated. The replay walks the same blocks, so it stays bitwise
-equal to the proposal.
+that starts seated. The replay walks the blocks a drawing walk from an
+all-SPIKE mean walks, so it is bitwise equal to that walk's sums.
 
 The walk reads its per-component inputs from a ``WalkTerms`` row: the
 SPIKE and new-cluster weights and where a block starts while no member is
@@ -79,19 +77,21 @@ one block of all p components with no member seated
 (``BirthDeathPass.rejected_spike_births``), and skips a marked row that is
 still not a singleton when it is reached; the skip is exactly its birth move.
 
-With ``_LOCKSTEP_ROWS`` or more rows left to walk, the pass seats all their
-proposals first, side by side (``BirthDeathPass.seat_births``): a row's walk
-reads only its own terms and uniforms. Every row stands at the same
-component j, and each step is one block of all rows: of component j alone,
-or, after a component that all rows but at most one seated on SPIKE, of
-the next components too. Every row sits on SPIKE up to the first component
-that some row leaves SPIKE at, which is seated from the same block. A
-component's weights come from the same elementwise arithmetic in either
-step, so the seats do not depend on where blocks fall; a block sums its
-SPIKE seats' log Q and log Q0 by one reduction, which differs from the
-scalar walk's sums in rounding only. The draws and their order are the
-scalar walk's, but numpy's exp and log differ from math's in the last bit:
-a seat or an MH decision can differ from the scalar walk's only where a
+The pass then seats the proposals of the rows left to walk side by side
+(``BirthDeathPass.seat_births``): a row's walk reads only its own terms and
+uniforms. A birth the pass did not seat (a singleton that has become a
+non-singleton by its turn, or one outside a pass, as in
+``diagnostics.measure_birth_acceptance``) seats its row alone the same way;
+a row that is not ``run_finite`` is left to the scalar walk, which aborts on
+it. Every row stands at the same component j, and each step is one block of
+all rows: of component j alone, or, after a component that all rows but at
+most one seated on SPIKE, of the next components too. Every row sits on
+SPIKE up to the first component some row leaves SPIKE at, which is seated
+from the same block. The seats do not depend on where blocks fall; a block
+sums its SPIKE seats' log Q and log Q0 by one reduction, which differs from
+the scalar walk's sums in rounding only. The draws and their order are the
+scalar walk's from an all-SPIKE mean, but numpy's exp and log differ from
+math's in the last bit: a seat or an MH decision can differ only where a
 uniform falls within rounding of a boundary.
 
 Every walk ends with one value tail: ``_posterior`` turns each slot's
@@ -99,7 +99,7 @@ member sums into its value's posterior, and ``_values`` draws the values
 (or reads the replayed ones) and adds their densities in slot order. A
 scalar walk sums its slots' members afresh (``_member_sums``); the lockstep
 sums every seated row's by the same call over (row, slot) pairs, also in
-component order, and calls ``_posterior`` once per pass. A seated row that
+component order, and calls ``_posterior`` once per call. A seated row that
 has become a singleton by its turn draws nothing.
 
 The reassignment pass (``_reassignments``) hands each non-singleton, in
@@ -131,12 +131,6 @@ _LIVE_RUN = 16
 # weighs its rows in even chunks of about as many (row, component) cells:
 # wider arrays take fresh memory on every pass.
 _BLOCK_CELLS = 4096
-# Rows a birth/death pass must have left to walk to seat them in lockstep,
-# values included. Against 1 (in-process, all sub-seeds of seed 1), 16 keeps
-# ex2_wide about 1% faster (10.73 against 10.86 ms per sweep) but tall_n200
-# about 2% slower on average (1.60 against 1.57 ms; the median sweep within
-# 0.5%), and fit_ex4_dense, whose passes walk more rows, the same (3.90 ms).
-_LOCKSTEP_ROWS = 16
 
 
 class ClusterMeanVector:
@@ -207,13 +201,6 @@ class WalkTerms:
         return (x.tolist(), (self.prec * x).tolist(), self.spike[i].tolist(),
                 self.new[i].tolist(), *self._shared)
 
-    def propose(self, i, u, rng):
-        """(mean, log Q, log Q0): a new cluster mean for row i, drawn by the
-        sequential proposal from the uniforms ``u`` (one per component) and
-        ``rng``, with its proposal and prior log densities."""
-        mean = ClusterMeanVector(self.x.shape[1])
-        return (mean, *_scan_components(mean.inner, self, i, u, rng))
-
 
 class BirthDeathPass(WalkTerms):
     """What the birth, death and reassignment moves of one step-5 pass read:
@@ -238,14 +225,21 @@ class BirthDeathPass(WalkTerms):
         """Seat the birth proposals of ``rows`` in lockstep, row i reading
         u[i], with their values' posterior, for ``propose``. The rows must be
         ``run_finite``."""
-        self._seated = _lockstep_seats(self, rows, u)
+        self._seated = _lockstep_seats(self, rows, u[rows])
 
     def propose(self, i, u, rng):
-        """As ``WalkTerms.propose``; a row seated in lockstep draws its values
-        by ``_values`` from the posterior ``seat_births`` computed."""
+        """(mean, log Q, log Q0): a new cluster mean for row i, drawn by the
+        sequential proposal from the uniforms ``u`` (one per component) and
+        ``rng``, with its proposal and prior log densities: seated by
+        ``seat_births``, or alone if no pass seated it, its values drawn by
+        ``_values``. A row not ``run_finite`` goes to the scalar walk to abort."""
         seated = self._seated.pop(i, None)
         if seated is None:
-            return super().propose(i, u, rng)
+            # Not run_finite: some weight is NaN or +inf, or both are -inf.
+            if not np.isfinite(np.maximum(self.spike[i], self.new[i])).all():
+                mean = ClusterMeanVector(self.x.shape[1])
+                return (mean, *_scan_components(mean.inner, self, i, u, rng))
+            seated = _lockstep_seats(self, np.array([i]), u[None])[i]
         seats, counts, log_q, log_q0, post = seated
         if not counts:
             return ClusterMeanVector(len(seats)), log_q, log_q0
@@ -321,6 +315,7 @@ class BirthDeathPass(WalkTerms):
         return skip
 
 
+@np.errstate(all="ignore")  # a non-finite weight stops a block; the scalar pick aborts on it
 def _scan_components(inner, terms, i, u=None, rng=None):
     """Walk a mean vector's components in order; returns (log_q, log_q0).
 
@@ -334,14 +329,15 @@ def _scan_components(inner, terms, i, u=None, rng=None):
     The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``).
 
     With uniforms ``u`` (component j's seat reads u[j]) and ``rng`` (for
-    the values) the seats and values are drawn and written into ``inner``.
-    From an all-SPIKE partition this is the sequential proposal, over a
-    cluster's current mean the inner Gibbs pass (whose caller ignores the two
-    sums: there the later components are still seated, so they are not
-    densities of the result). Without ``u`` the walk starts empty and
-    replays the seats and values ``inner`` holds, leaving it untouched; the
-    replay repeats the proposal's arithmetic, blocks included (see the
-    module docstring), so its log densities are bitwise equal.
+    the values) the seats and values are drawn and written into ``inner``:
+    the inner Gibbs pass over a cluster's current mean, whose caller ignores
+    the two sums (the later components are still seated, so they are not
+    densities of the result). From an all-SPIKE mean the sums are the
+    sequential proposal's, which the lockstep draws for a birth. Without
+    ``u`` the walk starts empty and replays the seats and values ``inner``
+    holds, leaving it untouched; the replay repeats the arithmetic of a walk
+    from an all-SPIKE mean, blocks included (see the module docstring), so
+    its log densities are bitwise equal to that walk's.
 
     ``x[j]`` averages n_count observations, so member j carries precision
     n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
@@ -417,11 +413,10 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                 nxt = bisect.bisect_right(seated_at, j)
                 end = min(j + max(1, _BLOCK_CELLS // (k + 2)),
                           seated_at[nxt] if nxt < len(seated_at) else p)
-            with np.errstate(all="ignore"):  # a non-finite component stops the block
-                _, c, choice, seat_q, spike_q = _block(
-                    terms, slice(i, i + 1), j, end, log_denom,
-                    np.array(slot_terms).T[..., None, None] if k else None,
-                    None if replay else u[None], seats[None] if replay else None)
+            _, c, choice, seat_q, spike_q = _block(
+                terms, slice(i, i + 1), j, end, log_denom,
+                np.array(slot_terms).T[..., None, None] if k else None,
+                None if replay else u[None], seats[None] if replay else None)
             block_q = float(np.add.reduce(spike_q[0, :c])) if c else 0.0
             if choice is not None:
                 choice = choice.item()
@@ -594,9 +589,9 @@ def _block(terms, rows, j, end, log_denom, slots=None, u=None, seats=None):
 
 
 def _lockstep_seats(terms, rows, u):
-    """Per row of ``rows`` of ``terms``, walked in lockstep from empty (see
-    the module docstring) reading u[i]: (seats, counts, log_q, log_q0,
-    posterior) of its birth proposal before the values, the posterior
+    """Per row of ``rows`` of ``terms``, the r-th reading u[r], walked in
+    lockstep from empty (see the module docstring): (seats, counts, log_q,
+    log_q0, posterior) of its birth proposal before the values, the posterior
     ``_posterior``'s, in slot order. The rows must be ``run_finite``: every
     weight is then finite or -inf, and no walk aborts. A step is one
     ``_block`` of every row, a row with fewer slots than the most weighing
@@ -614,7 +609,7 @@ def _lockstep_seats(terms, rows, u):
     log_denoms = np.array([math.log(terms.conc_inner + m) for m in range(p + 1)])
     # The rows' terms, uniforms and prec * x, gathered as one array, and per
     # component log s, log(1 - s) and prec as floats.
-    own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[rows, :p],
+    own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[:, :p],
                     terms.prec * terms.x[rows]))
     walk = SimpleNamespace(spike=own[0], new=own[1], x=own[2], log_s=terms.log_s, v_obs=terms.v_obs)
     u, stat = own[3], own[4]
@@ -815,13 +810,12 @@ def _births_and_deaths(state, rng, bd):
     """The MH birth/death pass: a birth move per non-singleton and a death
     move per singleton, in sample order, move i reading row i of one uniform
     matrix. A row marked by ``rejected_spike_births`` whose sample is still
-    not a singleton is skipped, and ``seat_births`` may seat the others first."""
+    not a singleton is skipped, and ``seat_births`` seats the others first."""
     n, p = bd.x.shape
     u = rng.random((n, p + 1))
     skip = bd.rejected_spike_births(state, u)
     walk = np.flatnonzero(~skip & (state.samples.counts[state.samples.labels] > 1))
-    if len(walk) >= _LOCKSTEP_ROWS:  # a row not run_finite is left to the scalar walk
-        bd.seat_births(walk[bd.run_finite[walk]], u)
+    bd.seat_births(walk[bd.run_finite[walk]], u)  # a row not run_finite is left to the scalar walk
     skip = skip.tolist()
     for i in range(n):
         if state.samples.cluster_size(i) == 1:

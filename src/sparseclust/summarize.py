@@ -137,12 +137,16 @@ def fitted_mean_posterior(trace, k=None):
 
 def mse_fitted_means(trace, truth, restrict=None, k=None):
     """Mean squared error of the posterior-mean fitted means against the
-    simulation truth, over the given 1-based attribute set."""
-    est = fitted_mean_posterior(trace, k=k)
+    simulation truth, over the given 1-based attribute set, a non-empty
+    subset of 1..p (all of them by default)."""
     if restrict is None:
         cols = np.arange(trace.p)
     else:
         cols = np.array(sorted(j - 1 for j in restrict), dtype=int)
+        if not cols.size or cols[0] < 0 or cols[-1] >= trace.p:
+            raise ValueError(f"restrict must be a non-empty set of attributes in 1..{trace.p}, "
+                             f"got {sorted(restrict)}")
+    est = fitted_mean_posterior(trace, k=k)
     d = est[:, cols] - truth.mu[:, cols]
     return float((d * d).mean())
 

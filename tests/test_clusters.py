@@ -23,7 +23,12 @@ from sparseclust.partition import SPIKE, Partition
 from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state, manual_state
-from test_component_walk import _proposal_bits, _record_lockstep_rows, _scalar_tail
+from test_component_walk import (
+    _proposal_bits,
+    _propose_by_reference_walk,
+    _record_lockstep_rows,
+    _reference_births_and_deaths,
+)
 
 mpmath.mp.dps = 40
 
@@ -103,9 +108,10 @@ def test_sequential_p1_hand_enumeration():
     hits = 0
     trials = 40_000
     rng = np.random.default_rng(0)
-    terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
+    bd = _pass(state, data, hp)
+    assert bd.x[0].tolist() == x.tolist()
     for _ in range(trials):
-        mean, log_q, _log_q0 = terms.propose(0, rng.random(1), rng)
+        mean, log_q, _log_q0 = bd.propose(0, rng.random(1), rng)
         if mean.nonzero_count():
             hits += 1
             # hand-check log_q: categorical choice + conjugate value density
@@ -125,8 +131,7 @@ def test_sequential_all_spike_when_rho_zero():
     y = np.array([[0.5, -0.2], [0.1, 0.3]])
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], attr_prob=0.0)
     rng = np.random.default_rng(1)
-    terms = WalkTerms(np.array([0.5, -0.2]), 1, [1.0, 1.0], state, hp)
-    mean, log_q, log_q0 = terms.propose(0, rng.random(2), rng)
+    mean, log_q, log_q0 = _pass(state, data, hp).propose(0, rng.random(2), rng)
     assert mean.nonzero_count() == 0
     assert log_q == 0.0
     assert log_q0 == 0.0
@@ -139,7 +144,8 @@ def test_sequential_replay_identity_exact():
     x = data.y[0] - state.mean_part.values_vector()
     terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
     for _ in range(300):
-        mean, log_q, log_q0 = terms.propose(0, rng.random(6), rng)
+        mean = ClusterMeanVector(6)
+        log_q, log_q0 = _scan_components(mean.inner, terms, 0, rng.random(6), rng)
         assert _scan_components(mean.inner, terms, 0) == (log_q, log_q0)  # bitwise
 
 
@@ -336,9 +342,9 @@ def test_eval_log_q_matches_mpmath_scorer():
     state.attr_prob = np.full(5, 0.6)
     rng = np.random.default_rng(4)
     x = data.y[2] - state.mean_part.values_vector()
-    terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
+    bd = _pass(state, data, hp)
     for _ in range(25):
-        mean, log_q, _log_q0 = terms.propose(0, rng.random(5), rng)
+        mean, log_q, _log_q0 = bd.propose(2, rng.random(5), rng)
         want = _mp_score_sequential(
             mean, x, 1, state.var_part.values_vector(), state.attr_prob,
             slab_coef(hp), state.slab_var, state.conc_inner,
@@ -684,8 +690,7 @@ def test_inner_gibbs_keeps_state_valid(tiny_state):
 # -- the sample-partition law of step 5 ----------------------------------------
 
 
-@pytest.mark.parametrize("lockstep_rows", [clusters._LOCKSTEP_ROWS, 1], ids=["default", "1"])
-def test_step5_partition_law_matches_exact_enumeration(lockstep_rows, monkeypatch):
+def test_step5_partition_law_matches_exact_enumeration():
     """Repeated ``step_clusters`` at n = 3, p = 1, with the baselines,
     attr_prob, slab_var and the concentrations held fixed, visits the five
     sample partitions with their exact posterior probabilities: CRP(conc_samples)
@@ -695,8 +700,7 @@ def test_step5_partition_law_matches_exact_enumeration(lockstep_rows, monkeypatc
     one inner cluster whatever conc_inner is. The chain is autocorrelated, so
     the standard errors come from batch means. y, the seed, the sweep count
     and the 4-SE bound were fixed before the first run; the likeliest
-    partition carries 0.29 of the mass. n = 3 never reaches the default
-    ``_LOCKSTEP_ROWS``; at 1, every pass seats its births in lockstep."""
+    partition carries 0.29 of the mass."""
     from scipy.stats import multivariate_normal
 
     from sparseclust.diagnostics import batch_means_se
@@ -721,7 +725,6 @@ def test_step5_partition_law_matches_exact_enumeration(lockstep_rows, monkeypatc
     total = sum(weights.values())
     assert max(weights.values()) / total < 0.6
 
-    monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", lockstep_rows)
     rng = np.random.default_rng(23)
     seen = []
     for _ in range(10_000):
@@ -737,33 +740,6 @@ def test_step5_partition_law_matches_exact_enumeration(lockstep_rows, monkeypatc
 # -- the birth/death pass ------------------------------------------------------
 
 BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
-
-
-def _reference_births_and_deaths(state, data, rng, bd):
-    """The per-sample pass the skips must reproduce bit for bit: one
-    (n, p + 1) uniform matrix, then a birth move per non-singleton and a
-    death move per singleton, in sample order, move i reading row i, with no
-    row skipped. Returns per sample (move, whether its proposal seated a
-    component off SPIKE, accepted)."""
-    propose = bd.propose
-    left_spike = []
-
-    def recording(i, u, rng):
-        mean, log_q, log_q0 = propose(i, u, rng)
-        left_spike.append(mean.inner.n_clusters() > 0)
-        return mean, log_q, log_q0
-
-    bd.propose = recording
-    u = rng.random((data.n, data.p + 1))
-    events = []
-    for i in range(data.n):
-        if state.samples.cluster_size(i) > 1:
-            accepted, _log_ratio = mh_birth_move(state, i, rng, bd, u[i])
-            events.append(("birth", left_spike[-1], accepted))
-        else:
-            accepted, _log_ratio = mh_death_move(state, i, bd, u[i])
-            events.append(("death", False, accepted))
-    return events
 
 
 def _record_moves(monkeypatch):
@@ -865,37 +841,65 @@ def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
     assert rng.random(4).tolist() == ref_rng.random(4).tolist()
 
 
+def _pass_sides(seed, bit_generator, monkeypatch, record):
+    """The birth/death pass on ``_skip_state(seed)`` from a fresh generator,
+    then the per-sample reference pass with births drawn by
+    ``_reference_walk`` from another. Per side: the state, the generator, the
+    rows seated in lockstep and what ``record(bd)`` returns, called on the
+    side's pass before it runs (it may patch moves); and the samples that
+    were singletons at the start."""
+    sides = []
+    for reference in (False, True):
+        state, data, hp = _skip_state(seed)
+        singletons = set(np.flatnonzero(state.samples.counts[state.samples.labels] == 1).tolist())
+        seated = _record_lockstep_rows(monkeypatch)
+        bd = _pass(state, data, hp)
+        if reference:
+            _propose_by_reference_walk(bd, state, hp)
+        recorded = record(bd)
+        rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+        if reference:
+            _reference_births_and_deaths(state, data, rng, bd)
+        else:
+            clusters._births_and_deaths(state, rng, bd)
+        monkeypatch.undo()
+        sides.append((state.to_dict(), _generator_state(rng), seated, recorded))
+    return sides, singletons
+
+
 def test_lockstep_pass_matches_scalar_pass(monkeypatch):
-    """The birth/death pass with every pass's births seated in lockstep
-    (``_LOCKSTEP_ROWS`` = 1) leaves the state and the generator where the
-    scalar walks (a threshold above n) leave them, on each bit generator,
-    through a seated row that has become a singleton by its turn (its death
-    move runs, and its seats drew nothing) and a singleton that has become a
-    non-singleton (its birth walks when reached)."""
+    """The birth/death pass, which seats every birth it walks in lockstep,
+    leaves the state and the generator where the per-sample reference pass
+    (births drawn by ``_reference_walk``, in math's exp and log) leaves
+    them, with the same moves but for the rejected all-SPIKE births it
+    skips, on each bit generator, through a seated row that has become a
+    singleton by its turn (its death move runs, and its seats drew nothing),
+    a singleton that has become a non-singleton (its birth walks when
+    reached) and an accepted seated birth."""
     seen = dict.fromkeys(("seated row became a singleton", "singleton walked when reached",
                           "seated birth accepted"), 0)
+
+    def record(_bd):
+        moves = []
+        for name in ("mh_birth_move", "mh_death_move"):
+            def recording(state, i, *args, move=getattr(clusters, name), name=name):
+                accepted, log_ratio = move(state, i, *args)
+                moves.append((name, i, accepted))
+                return accepted, log_ratio
+            monkeypatch.setattr(clusters, name, recording)
+        return moves
+
     for bit_generator in BIT_GENERATORS:
         for seed in range(30):
-            sides = []
-            for rows in (1, 25):  # in lockstep, then scalar (n = 24)
-                state, data, hp = _skip_state(seed)
-                singletons = set(np.flatnonzero(state.samples.counts[state.samples.labels] == 1))
-                monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", rows)
-                seated, moves = _record_lockstep_rows(monkeypatch), []
-                for name in ("mh_birth_move", "mh_death_move"):
-                    def recording(state, i, *args, move=getattr(clusters, name), name=name):
-                        accepted, log_ratio = move(state, i, *args)
-                        moves.append((name, i, accepted))
-                        return accepted, log_ratio
-                    monkeypatch.setattr(clusters, name, recording)
-                rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
-                clusters._births_and_deaths(state, rng, _pass(state, data, hp))
-                monkeypatch.undo()
-                sides.append((state.to_dict(), rng.random(4).tolist(), moves, seated))
-            (*lockstep_side, seated), (*scalar_side, scalar_seated) = sides
-            assert lockstep_side == scalar_side, (bit_generator, seed)
-            assert not scalar_seated
-            for name, i, accepted in lockstep_side[2]:
+            sides, singletons = _pass_sides(seed, bit_generator, monkeypatch, record)
+            (*lockstep_side, seated, moves), (*reference_side, ref_seated, ref_moves) = sides
+            assert lockstep_side == reference_side, (bit_generator, seed)
+            assert not ref_seated
+            moved = {i for _name, i, _accepted in moves}
+            assert moves == [m for m in ref_moves if m[1] in moved], (bit_generator, seed)
+            assert all(m == ("mh_birth_move", m[1], False)
+                       for m in ref_moves if m[1] not in moved), (bit_generator, seed)
+            for name, i, accepted in moves:
                 seen["seated row became a singleton"] += name == "mh_death_move" and i in seated
                 seen["singleton walked when reached"] += name == "mh_birth_move" and i in singletons
                 seen["seated birth accepted"] += name == "mh_birth_move" and accepted and i in seated
@@ -903,50 +907,89 @@ def test_lockstep_pass_matches_scalar_pass(monkeypatch):
 
 
 def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
-    """With every pass's births seated in lockstep, the pass's value tail
-    (one array draw per seated row) leaves every proposal's values, log Q,
-    log Q0 and log likelihood, the state and the generator bit for bit where
-    the reference walk's scalar tail leaves them, on each bit generator,
-    through a seated row that has become a singleton by its turn (it draws
-    nothing) and a singleton that has become a non-singleton (it takes the
-    scalar walk)."""
+    """The pass's value tail (one array draw per seated row) leaves every
+    proposal's partition, values and log likelihood bit for bit where the
+    per-sample reference pass, whose births ``_reference_walk`` draws with
+    its scalar tail, leaves them, and its log Q and log Q0 to rounding
+    (the reference takes math's exp and log); and the state and the
+    generator bit for bit, on each bit generator, through a seated row that
+    has become a singleton by its turn (it draws nothing) and a singleton
+    that has become a non-singleton (seated alone when reached)."""
     seen = dict.fromkeys(("seated row drew values", "seated row became a singleton",
                           "singleton walked when reached"), 0)
+
+    def record(bd):
+        proposals, deaths = {}, []
+        propose = bd.propose
+
+        def recording(i, u, rng):
+            seated = i in bd._seated
+            proposal = propose(i, u, rng)
+            proposals[i] = (seated, _proposal_bits(bd, i, proposal))
+            return proposal
+
+        bd.propose = recording
+        death = clusters.mh_death_move
+        monkeypatch.setattr(clusters, "mh_death_move",
+                            lambda state, i, *args: deaths.append(i) or death(state, i, *args))
+        return proposals, deaths
+
     for bit_generator in BIT_GENERATORS:
         for seed in range(30):
-            sides = []
-            for scalar in (False, True):
-                state, data, hp = _skip_state(seed)
-                singletons = set(np.flatnonzero(state.samples.counts[state.samples.labels] == 1))
-                monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", 1)
-                seated_rows = _record_lockstep_rows(monkeypatch)
-                bd, proposals, deaths = _pass(state, data, hp), [], []
-                propose = bd.propose
-
-                def recording(i, u, rng, bd=bd, propose=propose, scalar=scalar):
-                    seated = bd._seated.get(i)
-                    if scalar and seated is not None:
-                        del bd._seated[i]
-                        proposal = _scalar_tail(bd, seated, i, rng)
-                    else:
-                        proposal = propose(i, u, rng)
-                    proposals.append((i, seated is not None, _proposal_bits(bd, i, proposal)))
-                    return proposal
-
-                bd.propose = recording
-                death = clusters.mh_death_move
-                monkeypatch.setattr(clusters, "mh_death_move",
-                                    lambda state, i, *args: deaths.append(i) or death(state, i, *args))
-                rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
-                clusters._births_and_deaths(state, rng, bd)
-                monkeypatch.undo()
-                sides.append((state.to_dict(), _generator_state(rng), proposals))
-            assert sides[0] == sides[1], (bit_generator, seed)
+            sides, singletons = _pass_sides(seed, bit_generator, monkeypatch, record)
+            (*lockstep_side, seated_rows, (proposals, deaths)), (*reference_side, _, (ref, _)) = sides
+            assert lockstep_side == reference_side, (bit_generator, seed)
+            for i, (_seated, (inner, log_q, log_q0, log_f)) in proposals.items():
+                ref_inner, ref_q, ref_q0, ref_f = ref[i][1]
+                assert (inner, log_f) == (ref_inner, ref_f), (bit_generator, seed, i)
+                assert float.fromhex(log_q) == pytest.approx(float.fromhex(ref_q), rel=1e-12)
+                assert float.fromhex(log_q0) == pytest.approx(float.fromhex(ref_q0), rel=1e-12)
             seen["seated row drew values"] += any(
-                seated and bits[0]["counts"] for _i, seated, bits in proposals)
+                seated and bits[0]["counts"] for seated, bits in proposals.values())
             seen["seated row became a singleton"] += any(i in seated_rows for i in deaths)
             seen["singleton walked when reached"] += any(
-                i in singletons and not seated for i, seated, _bits in proposals)
+                i in singletons and not seated for i, (seated, _bits) in proposals.items())
+    assert all(seen.values()), seen
+
+
+def test_every_walked_birth_is_seated_in_lockstep(monkeypatch):
+    """However few rows a pass walks (fewer than 16 here), the birth of
+    every row it walks, each ``run_finite``, is seated by ``_lockstep_seats``:
+    the rows left after the skip together at the pass's start, and a
+    singleton that has become a non-singleton alone at its turn. The scalar
+    walk draws no birth; it only replays for the deaths."""
+    seen = dict.fromkeys(("pass seated fewer than 16 rows", "row seated alone at its turn"), 0)
+    for seed in range(30):
+        state, data, hp = _skip_state(seed)
+        calls, births, drawing_walks = [], [], []
+        lockstep, birth, scan = clusters._lockstep_seats, clusters.mh_birth_move, \
+            clusters._scan_components
+
+        def seats(terms, rows, u):
+            calls.append(rows.tolist())
+            return lockstep(terms, rows, u)
+
+        def birth_move(state, i, *args):
+            births.append(i)
+            return birth(state, i, *args)
+
+        def walk(inner, terms, i, u=None, rng=None):
+            drawing_walks.append(u is not None)
+            return scan(inner, terms, i, u, rng)
+
+        monkeypatch.setattr(clusters, "_lockstep_seats", seats)
+        monkeypatch.setattr(clusters, "mh_birth_move", birth_move)
+        monkeypatch.setattr(clusters, "_scan_components", walk)
+        bd = _pass(state, data, hp)
+        clusters._births_and_deaths(state, np.random.default_rng(seed), bd)
+        monkeypatch.undo()
+        assert bd.run_finite.all()
+        assert set(births) <= {i for rows in calls for i in rows}, seed
+        assert not any(drawing_walks), seed
+        for rows in calls[1:]:  # a row the pass did not seat, at its birth
+            assert len(rows) == 1 and rows[0] in births and rows[0] not in calls[0], seed
+        seen["pass seated fewer than 16 rows"] += 0 < len(calls[0]) < 16
+        seen["row seated alone at its turn"] += len(calls) > 1
     assert all(seen.values()), seen
 
 

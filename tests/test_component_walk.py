@@ -1,11 +1,12 @@
-"""The component walk against a scalar reference.
+"""The component walks against a scalar reference.
 
 ``_reference_walk`` seats one component at a time, component j by the
-uniform u[j], the algorithm the walk's blocks must reproduce. The
-production walk, handed the same uniforms, must draw the same seats and
-values, leave the generator in the same position, agree on log Q and log Q0
-to rounding, and replay its own proposals bitwise. The proposal is checked
-on every bit generator numpy ships.
+uniform u[j], the algorithm the walks' blocks must reproduce. The scalar
+walk from an all-SPIKE mean and the lockstep of a birth/death pass, handed
+the same uniforms, must draw the same seats and values, leave the generator
+in the same position and agree on log Q and log Q0 to rounding; the scalar
+walk must replay its own draws bitwise. Both are checked on every bit
+generator numpy ships.
 """
 
 import copy
@@ -122,6 +123,14 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
     return log_q, log_q0
 
 
+def _walk_from_spike(terms, i, u, rng):
+    """(mean, log Q, log Q0): the scalar walk of row i of ``terms`` from an
+    all-SPIKE mean, drawing its seats from ``u`` and its values from
+    ``rng``."""
+    mean = ClusterMeanVector(terms.x.shape[1])
+    return (mean, *_scan_components(mean.inner, terms, i, u, rng))
+
+
 def _reference_values(slots, k, x, precs, slab_var, log_q, log_q0, rng=None, values=None):
     """The value tail on lists of its own: for each slot 0..k-1 in order, the
     members' sums in component order, then one ``standard_normal()`` draw
@@ -211,6 +220,8 @@ BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
     for name in BIT_GENERATORS for kind in KINDS
 ])
 def test_proposal_matches_reference_walk(kind, bit_generator):
+    """The scalar walk from an all-SPIKE mean (the form of an inner Gibbs
+    pass that a death replays) draws what the reference walk draws."""
     seen_slab = seen_spike_only = 0
     for seed in SEEDS:
         state, _data, hp, _cid, x = _case(kind, seed)
@@ -219,7 +230,7 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
         rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
                         for _ in range(2))
         terms = WalkTerms(x, n_count, sigma_sq, state, hp)
-        mean, log_q, log_q0 = terms.propose(0, rng.random(len(x)), rng)
+        mean, log_q, log_q0 = _walk_from_spike(terms, 0, rng.random(len(x)), rng)
         ref = ClusterMeanVector(len(x))
         ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
                                         ref_rng.random(len(x)), ref_rng)
@@ -284,7 +295,7 @@ def test_live_blocks_stop_at_a_slab_seat_and_start_again(monkeypatch):
         rng = np.random.default_rng(seed)
         terms = WalkTerms(x, 1 + seed % 3, sigma_sq, state, hp)
         del blocks[:]
-        mean = terms.propose(0, rng.random(len(x)), rng)[0]
+        mean = _walk_from_spike(terms, 0, rng.random(len(x)), rng)[0]
         drawn = blocks[:]
         del blocks[:]
         _scan_components(mean.inner, terms, 0)
@@ -347,9 +358,9 @@ SMALL_BLOCKS = ((24, 1), (120, 4))
 @pytest.mark.parametrize("cells, run", SMALL_BLOCKS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_small_live_blocks_match_reference_walk(kind, cells, run, monkeypatch):
-    """With short live blocks that start early, the proposal and the inner
-    Gibbs pass still match the reference walk, and the replay is still
-    bitwise the proposal."""
+    """With short live blocks that start early, the walk from an all-SPIKE
+    mean and the inner Gibbs pass still match the reference walk, and the
+    replay is still bitwise the walk."""
     monkeypatch.setattr(clusters, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(clusters, "_LIVE_RUN", run)
     blocks = _record_live_blocks(monkeypatch)
@@ -359,7 +370,7 @@ def test_small_live_blocks_match_reference_walk(kind, cells, run, monkeypatch):
         n_count = 1 + seed % 3
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         terms = WalkTerms(x, n_count, sigma_sq, state, hp)
-        mean, log_q, log_q0 = terms.propose(0, rng.random(len(x)), rng)
+        mean, log_q, log_q0 = _walk_from_spike(terms, 0, rng.random(len(x)), rng)
         ref = ClusterMeanVector(len(x))
         ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
                                         ref_rng.random(len(x)), ref_rng)
@@ -477,6 +488,45 @@ def _lockstep_pass(kind, seed):
                                      state, hp)
 
 
+def _reference_births_and_deaths(state, data, rng, bd):
+    """The per-sample pass: one (n, p + 1) uniform matrix, then a birth move
+    per non-singleton and a death move per singleton, in sample order, move
+    i reading row i, with no row skipped and none seated ahead. Returns per
+    sample (move, whether its proposal seated a component off SPIKE,
+    accepted)."""
+    propose = bd.propose
+    left_spike = []
+
+    def recording(i, u, rng):
+        mean, log_q, log_q0 = propose(i, u, rng)
+        left_spike.append(mean.inner.n_clusters() > 0)
+        return mean, log_q, log_q0
+
+    bd.propose = recording
+    u = rng.random((data.n, data.p + 1))
+    events = []
+    for i in range(data.n):
+        if state.samples.cluster_size(i) > 1:
+            accepted, _log_ratio = clusters.mh_birth_move(state, i, rng, bd, u[i])
+            events.append(("birth", left_spike[-1], accepted))
+        else:
+            accepted, _log_ratio = clusters.mh_death_move(state, i, bd, u[i])
+            events.append(("death", False, accepted))
+    return events
+
+
+def _propose_by_reference_walk(bd, state, hp):
+    """Make the pass ``bd`` draw each birth proposal by ``_reference_walk``
+    on the sample's row: the per-sample reference pass's births."""
+
+    def propose(i, u, rng):
+        mean = ClusterMeanVector(bd.x.shape[1])
+        return (mean, *_reference_walk(mean.inner, bd.x[i], 1, bd.sigma_sq, state, hp, u, rng))
+
+    bd.propose = propose
+    return bd
+
+
 def _record_lockstep_rows(monkeypatch):
     """Record the rows every pass seats in lockstep."""
     seated = []
@@ -563,30 +613,35 @@ def test_lockstep_blocks_match_one_component_steps(kind, monkeypatch):
     (np.inf, "all log weights are -inf"), (np.nan, r"non-finite log weights \[nan")],
     ids=["inf", "nan"])
 def test_lockstep_leaves_a_non_finite_row_to_the_scalar_walk(bad, message, monkeypatch):
-    """With every pass in lockstep, a row holding a non-finite residual is
-    not seated with the others; its birth move walks it, and aborts with the
-    scalar pass's message, naming the sample, after the same moves before
-    it, leaving the state and the generator where the scalar pass does."""
+    """A row holding a non-finite residual is not seated with the others;
+    its birth move leaves it to the scalar walk, which aborts with the
+    message of the per-sample reference pass (births drawn by
+    ``_reference_walk``), naming the sample, after the same moves before it,
+    leaving the state and the generator where the reference pass does."""
     bad_row, n, p = 5, 8, 6
     y = np.random.default_rng(2).normal(0.0, 1.5, size=(n, p))
     sides = []
-    for rows in (1, n + 1):  # every pass in lockstep, then none
+    for reference in (False, True):
         state, data, hp = manual_state(y.copy(), sigma_sq=[0.5] * p, attr_prob=0.5)
         data.y[bad_row, 3] = bad  # past DataMatrix's check
-        monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", rows)
         seated = _record_lockstep_rows(monkeypatch)
         rng = np.random.default_rng(3)
+        bd = BirthDeathPass(data.y, state.mean_part.values_vector(),
+                            state.var_part.values_vector(), state, hp)
         with pytest.raises(SamplerAbort, match=message) as abort:
-            clusters._births_and_deaths(state, rng, BirthDeathPass(
-                data.y, state.mean_part.values_vector(), state.var_part.values_vector(),
-                state, hp))
+            if reference:
+                _reference_births_and_deaths(state, data, rng, _propose_by_reference_walk(
+                    bd, state, hp))
+            else:
+                clusters._births_and_deaths(state, rng, bd)
         monkeypatch.undo()
         sides.append((str(abort.value), state.to_dict(), rng.random(4).tolist(), seated))
-    (message_lock, state_lock, next_lock, seated), (message_scalar, *scalar, _) = sides
-    assert message_lock == message_scalar
+    (message_lock, state_lock, next_lock, seated), (message_ref, *ref, ref_seated) = sides
+    assert message_lock == message_ref
     assert message_lock.startswith(f"birth proposal i={bad_row}: ")
-    assert [state_lock, next_lock] == scalar
+    assert [state_lock, next_lock] == ref
     assert seated == [i for i in range(n) if i != bad_row]
+    assert not ref_seated
 
 
 # Bits of ``_lockstep_seats`` on each lockstep kind's passes of seeds 0-2,

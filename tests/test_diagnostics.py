@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from sparseclust import clusters
 from sparseclust.chain import ALL_SINGLETONS, ChainConfig, init_state, sweep
 from sparseclust.clusters import BirthDeathPass, mh_birth_move
 from sparseclust.diagnostics import batch_means_se, measure_birth_acceptance
@@ -44,14 +43,6 @@ def test_joint_distribution_gate():
             pooled[name] += z / math.sqrt(len(GATE_SEEDS))
     bad = {name: z for name, z in pooled.items() if not abs(z) < GATE_BOUND}
     assert not bad, f"pooled z beyond {GATE_BOUND}: {bad} (all: {pooled})"
-
-
-def test_joint_distribution_gate_lockstep(monkeypatch):
-    """The gate with every step-5 pass seating its births in lockstep: at
-    n = 6 no pass reaches the default ``_LOCKSTEP_ROWS``, so it is set to 1.
-    The gate's seeds, draws and bound are unchanged."""
-    monkeypatch.setattr(clusters, "_LOCKSTEP_ROWS", 1)
-    test_joint_distribution_gate()
 
 
 def _draw_data_per_sample(state, rng):

@@ -202,6 +202,19 @@ def test_mse_zero_when_exact(two_cluster_trace):
     assert got == pytest.approx(0.25 / tr.n, rel=1e-12)
 
 
+@pytest.mark.parametrize("restrict", [set(), {0}, {1, 0}, {4}, {2, 4}],
+                         ids=["empty", "zero", "zero-and-one", "p+1", "two-and-p+1"])
+def test_mse_rejects_attributes_outside_1_to_p(two_cluster_trace, restrict):
+    """An empty set, attribute 0 (which index -1 would read as attribute p)
+    and attribute p + 1 are each refused, not scored."""
+    tr = two_cluster_trace
+    truth = SimTruth(mu=np.zeros((tr.n, tr.p)), sigma=np.ones(tr.p),
+                     labels=np.zeros(tr.n, int), relevant=set())
+    with pytest.raises(ValueError, match=r"attributes in 1\.\.3"):
+        mse_fitted_means(tr, truth, restrict=restrict)
+    assert mse_fitted_means(tr, truth, restrict={1, 3}) >= 0.0
+
+
 def test_coclustering_block_structure(two_cluster_trace):
     m = coclustering(two_cluster_trace)
     np.testing.assert_array_equal(m, m.T)

@@ -1,7 +1,7 @@
 """The birth/death pass object against the per-walk terms it replaces.
 
 ``step_clusters`` builds one ``BirthDeathPass`` for all samples; the inner
-Gibbs pass and the public proposal functions build one-row ``WalkTerms``.
+Gibbs pass builds one-row ``WalkTerms``.
 Row i of the pass must be bitwise the one-row terms of y_i - mu_base, and
 its log likelihood, read per sample or from a cluster's column, bitwise the
 row expression ``_loglik_dense``, or a sample's move would depend on which
@@ -11,6 +11,7 @@ form it reads.
 import numpy as np
 import pytest
 
+from sparseclust import clusters
 from sparseclust.clusters import (
     BirthDeathPass,
     ClusterMeanVector,
@@ -19,7 +20,7 @@ from sparseclust.clusters import (
 from sparseclust.densities import SamplerAbort
 
 from conftest import build_partition, make_state
-from test_component_walk import _record_live_blocks
+from test_component_walk import _record_live_blocks, _walk_from_spike
 
 ROW_ARRAYS = ("x", "spike", "new", "starts_run")
 CASES = [(n, p, seed) for seed in range(6) for n, p in ((5, 7), (3, 40))]
@@ -48,6 +49,13 @@ def _dense_mean(p, rng):
     return ClusterMeanVector(p, build_partition(groups, rng.normal(0.0, 1.0, size=2), p))
 
 
+def _seated_alone(terms, row, u):
+    """``_lockstep_seats`` of ``row`` alone from the uniforms ``u``: seats,
+    counts, log Q, log Q0 and posterior, arrays as lists."""
+    seats, counts, log_q, log_q0, post = clusters._lockstep_seats(terms, np.array([row]), u[None])[row]
+    return seats.tolist(), counts, log_q, log_q0, [a.tolist() for a in post]
+
+
 @pytest.mark.parametrize("n, p, seed", CASES)
 def test_pass_rows_equal_one_row_terms(n, p, seed):
     state, data, hp = make_state(n=n, p=p, seed=seed)
@@ -61,14 +69,15 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
             np.testing.assert_array_equal(
                 _bits(getattr(bd, name)[i]), _bits(getattr(one, name)[0]), err_msg=name)
         assert bd.row_lists(i) == one.row_lists(0)
-        # The walk reads nothing else, so proposals and replays agree too.
+        # The walks read nothing else, so their draws and replays agree too.
         rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         u, one_u = rng.random(p), one_rng.random(p)
-        (mean, *logs), (one_mean, *one_logs) = (bd.propose(i, u, rng),
-                                                one.propose(0, one_u, one_rng))
+        (mean, *logs), (one_mean, *one_logs) = (_walk_from_spike(bd, i, u, rng),
+                                                _walk_from_spike(one, 0, one_u, one_rng))
         assert mean.inner.to_dict() == one_mean.inner.to_dict()
         assert logs == one_logs
         assert rng.bit_generator.state == one_rng.bit_generator.state
+        assert _seated_alone(bd, i, u) == _seated_alone(one, 0, u)
         if bd.starts_run[i, 0] and bd.run_finite[i] and not mean.inner.n_clusters():
             # The pass marks a rejected proposal of this row from its sums.
             assert logs == [bd.spike_log_q[i], bd.spike_log_q0]
@@ -95,9 +104,10 @@ def test_pass_loglik_equals_loglik_dense(n, p, seed):
 
 def test_all_spike_proposal_at_p_3000_is_one_block():
     """A block with no member seated spans to p, with no cap on its cells:
-    at p = 3000 an all-SPIKE proposal's log Q and log Q0 are bitwise the
-    pass's sums, which the skip of rejected births reads. A capped block
-    would split the walk's sum of log Q."""
+    at p = 3000 the scalar walk from an all-SPIKE mean that stays on SPIKE,
+    the walk a death replays, has log Q and log Q0 bitwise the pass's sums,
+    which the skip of rejected births reads. A capped block would split the
+    walk's sum of log Q."""
     seen = 0
     for seed in range(40):
         state, data, hp = make_state(n=3, p=3000, seed=seed)
@@ -106,7 +116,7 @@ def test_all_spike_proposal_at_p_3000_is_one_block():
         rng = np.random.default_rng(seed)
         bd.rejected_spike_births(state, np.full((3, 3001), 0.5))
         for i in range(3):
-            mean, *logs = bd.propose(i, rng.random(3000), rng)
+            mean, *logs = _walk_from_spike(bd, i, rng.random(3000), rng)
             if bd.starts_run[i, 0] and bd.run_finite[i] and not mean.inner.n_clusters():
                 seen += 1
                 assert logs == [bd.spike_log_q[i], bd.spike_log_q0], (seed, i)
@@ -120,7 +130,8 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     Each walk aborts at component 4 through the scalar pick, with the
     message of a walk with its own one-row terms and before it draws
     anything; the blocks stop there. The pass keeps these rows out of its
-    skip. Row 0 is finite and walks as its one-row terms do."""
+    skip, and their birth proposals leave them to the scalar walk. Row 0 is
+    finite and walks as its one-row terms do."""
     p = 6
     state, data, hp = make_state(n=4, p=p, seed=4)
     state.attr_prob[:] = 1e-3
@@ -138,8 +149,8 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
 
     u = np.full(p, 1e-3)  # every SPIKE-favouring component stays on SPIKE
     rng, one_rng = np.random.default_rng(1), np.random.default_rng(1)
-    mean, *logs = bd.propose(0, u, rng)
-    one_mean, *one_logs = WalkTerms(x[0], 1, sigma_sq, state, hp).propose(0, u, one_rng)
+    mean, *logs = _walk_from_spike(bd, 0, u, rng)
+    one_mean, *one_logs = _walk_from_spike(WalkTerms(x[0], 1, sigma_sq, state, hp), 0, u, one_rng)
     assert mean.inner.to_dict() == one_mean.inner.to_dict()
     assert logs == one_logs
 
@@ -147,11 +158,12 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     for i, message, walked in ((1, "all log weights are -inf", [(0, p, 4, None)]),
                                (2, r"non-finite log weights \[nan", [(0, p, 4, None)]),
                                (3, "all log weights are -inf", [])):
-        for terms, row in ((bd, i), (WalkTerms(x[i], 1, sigma_sq, state, hp), 0)):
+        one = WalkTerms(x[i], 1, sigma_sq, state, hp)
+        for propose in (bd.propose, lambda _i, u, rng: _walk_from_spike(one, 0, u, rng)):
             del blocks[:]
             rng = np.random.default_rng(1)
             before = rng.bit_generator.state
             with pytest.raises(SamplerAbort, match=message):
-                terms.propose(row, u, rng)
+                propose(i, u, rng)
             assert blocks == walked, i
             assert rng.bit_generator.state == before
