@@ -690,7 +690,8 @@ def test_inner_gibbs_keeps_state_valid(tiny_state):
 # -- the sample-partition law of step 5 ----------------------------------------
 
 
-def test_step5_partition_law_matches_exact_enumeration():
+@pytest.mark.parametrize("block_cells", [clusters._BLOCK_CELLS, 1], ids=["default", "1"])
+def test_step5_partition_law_matches_exact_enumeration(block_cells, monkeypatch):
     """Repeated ``step_clusters`` at n = 3, p = 1, with the baselines,
     attr_prob, slab_var and the concentrations held fixed, visits the five
     sample partitions with their exact posterior probabilities: CRP(conc_samples)
@@ -700,7 +701,8 @@ def test_step5_partition_law_matches_exact_enumeration():
     one inner cluster whatever conc_inner is. The chain is autocorrelated, so
     the standard errors come from batch means. y, the seed, the sweep count
     and the 4-SE bound were fixed before the first run; the likeliest
-    partition carries 0.29 of the mass."""
+    partition carries 0.29 of the mass. With ``_BLOCK_CELLS`` at 1 the
+    rejected-birth precheck weighs one row at a time."""
     from scipy.stats import multivariate_normal
 
     from sparseclust.diagnostics import batch_means_se
@@ -725,6 +727,7 @@ def test_step5_partition_law_matches_exact_enumeration():
     total = sum(weights.values())
     assert max(weights.values()) / total < 0.6
 
+    monkeypatch.setattr(clusters, "_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(23)
     seen = []
     for _ in range(10_000):
