@@ -5,11 +5,13 @@ Two component walks seat a cluster's mean vector, each component in turn
 (SPIKE, a live inner cluster or a new one) from the collapsed spike/CRP
 conditional, then draw the inner values from their conjugate posteriors and
 sum the proposal density Q of those draws and their prior density Q0. The
-lockstep (``_lockstep_seats``, below) seats every birth proposal, however
-many a pass walks. The scalar walk (``_scan_components``) is the inner Gibbs
-pass; without uniforms it replays a given vector, which is how a death
-scores the reverse birth, equal to a birth's log Q and log Q0 to rounding.
-``diagnostics.draw_prior_mean`` draws a mean vector from the prior itself.
+lockstep (``_lockstep_seats``, below) seats the birth proposals of a pass's
+rows. The scalar walk (``_scan_components``) does every one-row walk: a
+birth the pass did not seat and the inner Gibbs pass; without uniforms it
+replays a given vector, which is how a death scores the reverse birth,
+equal to a lone birth's log Q and log Q0 bit for bit and to a seated one's
+to rounding. ``diagnostics.draw_prior_mean`` draws a mean vector from the
+prior itself.
 
 The scalar walk keeps its per-slot sums in lists indexed by the partition's
 slots; a new inner cluster takes the next slot. A slot whose last member
@@ -38,12 +40,11 @@ spans up to a fixed number of cells and stops before the next component
 that starts seated. The replay walks the blocks a drawing walk from an
 all-SPIKE mean walks, so it is bitwise equal to that walk's sums.
 
-The walk reads its per-component inputs from a ``WalkTerms`` row: the
-SPIKE and new-cluster weights and where a block starts while no member is
-seated, built as arrays before the walk, and as Python lists only at the
-walk's first scalar step. None of them depends on a seat. In step 5 they
-depend only on the baselines, attr_prob, slab_var and conc_inner, and no
-birth, death or reassignment move changes any of those. So
+The walk reads its per-component inputs in place from a ``WalkTerms`` row,
+arrays built before the walk, of which a scalar step reads component j's
+entries by ``item``. None of them depends on a seat. In step 5 they depend
+only on the baselines, attr_prob, slab_var and conc_inner, and no birth,
+death or reassignment move changes any of those. So
 ``step_clusters`` builds one ``BirthDeathPass`` for the birth/death loop and
 the reassignment pass: the terms of every sample's residual y_i - mu_base as
 (n, p) rows, together with log(2 pi sigma^2), every sample's log likelihood
@@ -75,21 +76,25 @@ pass changes the last: a move relocates only its own sample and changes no
 mean. So the pass marks these rows up front, each chunk of rows weighed as
 one block of all p components with no member seated
 (``BirthDeathPass.rejected_spike_births``), and skips a marked row that is
-still not a singleton when it is reached; the skip is exactly its birth move.
+still not a singleton when it is reached. The skip is its birth move, but
+for its MH test, which reads the block's log Q: a walked proposal's differs
+from it in rounding only.
 
 The pass then seats the proposals of the rows left to walk side by side
 (``BirthDeathPass.seat_births``): a row's walk reads only its own terms and
 uniforms. A birth the pass did not seat (a singleton that has become a
-non-singleton by its turn, or one outside a pass, as in
-``diagnostics.measure_birth_acceptance``) seats its row alone the same way;
-a row that is not ``run_finite`` is left to the scalar walk, which aborts on
-it. Every row stands at the same component j, and each step is one block of
-all rows: of component j alone, or, after a component that all rows but at
-most one seated on SPIKE, of the next components too. Every row sits on
-SPIKE up to the first component some row leaves SPIKE at, which is seated
-from the same block. The seats do not depend on where blocks fall; a block
-sums its SPIKE seats' log Q and log Q0 by one reduction, which differs from
-the scalar walk's sums in rounding only. The draws and their order are the
+non-singleton by its turn, a row that is not ``run_finite``, on which the
+walk aborts, or one outside a pass, as in
+``diagnostics.measure_birth_acceptance``) is the scalar walk from an
+all-SPIKE mean. Every row stands at the same component j, and each step is
+one block of all rows: of component j alone, or, after a component that
+all rows but at most one seated on SPIKE, of the next components too. Every
+row sits on SPIKE up to the first component some row leaves SPIKE at, which
+is seated from the same block. The seats do not depend on where blocks
+fall; a block sums its SPIKE seats' log Q and log Q0 by one reduction, which
+differs from the scalar walk's sums in rounding only, and blocks are sized
+by the number of rows and their slots, so a row's last bits of log Q and
+log Q0 depend on the rows seated with it. The draws and their order are the
 scalar walk's from an all-SPIKE mean, but numpy's exp and log differ from
 math's in the last bit: a seat or an MH decision can differ only where a
 uniform falls within rounding of a boundary.
@@ -163,9 +168,8 @@ class WalkTerms:
 
     Per component j and row: the SPIKE weight ``spike`` and the new-cluster
     weight ``new`` (the seat weights with the inner values integrated out;
-    ``new`` before the CRP denominator), and whether j starts a block while
-    no member is seated (``starts_run``: j favours SPIKE then). Shared by
-    all rows: log s, log(1 - s), the observation variance and precision.
+    ``new`` before the CRP denominator). Shared by all rows: log s,
+    log(1 - s), the observation variance and precision.
     """
 
     def __init__(self, x, n_count, sigma_sq, state, hp):
@@ -185,21 +189,6 @@ class WalkTerms:
             xx = x * x
             self.spike = self.log_spike - 0.5 * (LOG_2PI + np.log(self.v_obs) + xx / self.v_obs)
             self.new = self.log_s + self.log_conc - 0.5 * (LOG_2PI + np.log(new_var) + xx / new_var)
-        # With no member seated, m_total is 0 and the CRP denominator is
-        # conc_inner.
-        self.starts_run = self.spike >= self.new - self.log_conc
-        self._shared = None
-
-    def row_lists(self, i):
-        """Row i as Python lists for the walk's scalar path: x, precision
-        times x, the SPIKE and new-cluster weights, then the shared log s,
-        log(1 - s), observation variances and precisions."""
-        if self._shared is None:
-            self._shared = (self.log_s.tolist(), self.log_spike.tolist(),
-                            self.v_obs.tolist(), self.prec.tolist())
-        x = self.x[i]
-        return (x.tolist(), (self.prec * x).tolist(), self.spike[i].tolist(),
-                self.new[i].tolist(), *self._shared)
 
 
 class BirthDeathPass(WalkTerms):
@@ -230,16 +219,14 @@ class BirthDeathPass(WalkTerms):
     def propose(self, i, u, rng):
         """(mean, log Q, log Q0): a new cluster mean for row i, drawn by the
         sequential proposal from the uniforms ``u`` (one per component) and
-        ``rng``, with its proposal and prior log densities: seated by
-        ``seat_births``, or alone if no pass seated it, its values drawn by
-        ``_values``. A row not ``run_finite`` goes to the scalar walk to abort."""
+        ``rng``, with its proposal and prior log densities. A row
+        ``seat_births`` seated draws its values by ``_values``; any other
+        row is the scalar walk from an all-SPIKE mean, which aborts on a row
+        that is not ``run_finite``."""
         seated = self._seated.pop(i, None)
         if seated is None:
-            # Not run_finite: some weight is NaN or +inf, or both are -inf.
-            if not np.isfinite(np.maximum(self.spike[i], self.new[i])).all():
-                mean = ClusterMeanVector(self.x.shape[1])
-                return (mean, *_scan_components(mean.inner, self, i, u, rng))
-            seated = _lockstep_seats(self, np.array([i]), u[None])[i]
+            mean = ClusterMeanVector(self.x.shape[1])
+            return (mean, *_scan_components(mean.inner, self, i, u, rng))
         seats, counts, log_q, log_q0, post = seated
         if not counts:
             return ClusterMeanVector(len(seats)), log_q, log_q0
@@ -288,11 +275,10 @@ class BirthDeathPass(WalkTerms):
     def rejected_spike_births(self, state, u):
         """Per row of the uniforms ``u``, whether the birth move of that
         sample, reading that row, proposes an all-SPIKE mean and rejects it.
-        Only samples that are not singletons in ``state`` and whose walk
-        starts its first block at component 0 and stays on SPIKE through it
-        are marked: their proposal is then that block, scored from its log Q.
-        Records each row's block log Q (``spike_log_q``) and whether it is
-        finite (``run_finite``)."""
+        Only samples that are not singletons in ``state`` and whose proposal
+        stays on SPIKE through p are marked, each scored from the log Q of
+        one block of all p components. Records each row's block log Q
+        (``spike_log_q``) and whether it is finite (``run_finite``)."""
         samples = state.samples
         n, p = self.x.shape
         stays = np.empty(n, dtype=bool)
@@ -305,7 +291,7 @@ class BirthDeathPass(WalkTerms):
                 stays[rows] = stays_run.all(axis=1)
                 self.spike_log_q[rows] = 0.0 + np.add.reduce(spike_q, axis=-1)
         self.run_finite = ~np.isnan(self.spike_log_q)
-        rows = np.flatnonzero(self.starts_run[:, 0] & stays & (samples.counts[samples.labels] > 1))
+        rows = np.flatnonzero(stays & (samples.counts[samples.labels] > 1))
         skip = np.zeros(len(u), dtype=bool)
         if rows.size:
             log_ratio = self.birth_log_ratio(
@@ -326,14 +312,17 @@ def _scan_components(inner, terms, i, u=None, rng=None):
     of these seat and value draws, ``log_q0`` the prior (spike/CRP and
     N(0, slab_var)) log densities of the same seats and values, both on
     counting measure for partitions and Lebesgue measure for unique values.
-    The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``).
+    The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``), read in
+    place. While no member is seated, a block starts at a component that
+    favours SPIKE, ``spike >= new - log_conc`` (the CRP denominator is then
+    conc_inner).
 
     With uniforms ``u`` (component j's seat reads u[j]) and ``rng`` (for
     the values) the seats and values are drawn and written into ``inner``:
     the inner Gibbs pass over a cluster's current mean, whose caller ignores
     the two sums (the later components are still seated, so they are not
     densities of the result). From an all-SPIKE mean the sums are the
-    sequential proposal's, which the lockstep draws for a birth. Without
+    sequential proposal's: a birth the pass did not seat. Without
     ``u`` the walk starts empty and replays the seats and values ``inner``
     holds, leaving it untouched; the replay repeats the arithmetic of a walk
     from an all-SPIKE mean, blocks included (see the module docstring), so
@@ -349,7 +338,8 @@ def _scan_components(inner, terms, i, u=None, rng=None):
     conc_inner = terms.conc_inner
     log_conc = terms.log_conc
     inv_slab_var = 1.0 / terms.slab_var
-    starts_run = terms.starts_run[i]
+    x, spike, new = terms.x[i], terms.spike[i], terms.new[i]
+    log_s, log_spike, v_obs, prec = terms.log_s, terms.log_spike, terms.v_obs, terms.prec
     k_start = 0 if replay else inner.n_clusters()
 
     # Per slot (see the module docstring), its member count, summed member
@@ -363,22 +353,17 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         v_post = inv_slab_var + sprec[t]
         slot_terms[t] = (math.log(c) if c else -math.inf, sstat[t] / v_post, 1.0 / v_post)
 
-    # The seats the walk starts from (drawing) or replays, as slots; and the
-    # row and the uniforms as Python lists. A walk from empty needs none of
-    # them in a block with no member seated, so it builds them at its first
-    # scalar step. A replay's blocks read its seats as first-appearance
-    # labels; an all-SPIKE mean needs no relabelling.
-    start = xs = seats = None
+    # The seats the walk starts from (drawing) or replays, as slots. A
+    # replay's blocks read its seats as first-appearance labels; an
+    # all-SPIKE mean needs no relabelling.
     if replay:
         seats, order = inner.canonical() if inner.n_clusters() else (labels, None)
     seated_at = []  # the components that start seated, in order
     if k_start:
         start = labels.tolist()
         seated_at = np.flatnonzero(labels >= 0).tolist()
-        xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = terms.row_lists(i)
-        us = u.tolist()
         counts = inner.sizes()
-        sprec, sstat = (a.tolist() for a in _member_sums(labels, terms.prec, terms.x[i], k_start))
+        sprec, sstat = (a.tolist() for a in _member_sums(labels, prec, x, k_start))
         slot_terms = [None] * k_start
         for t in range(k_start):
             refresh(t)
@@ -396,8 +381,8 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                 m_total -= 1
                 counts[t] -= 1
                 if counts[t]:
-                    sprec[t] -= precs[j]
-                    sstat[t] -= stats[j]
+                    sprec[t] -= prec.item(j)
+                    sstat[t] -= prec.item(j) * x.item(j)
                 else:
                     sprec[t] = sstat[t] = 0.0
                 refresh(t)
@@ -405,7 +390,7 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         log_denom = math.log(conc_inner + m_total)
         k = len(counts)
         choice = None
-        if (spikes >= _LIVE_RUN) if m_total else starts_run.item(j):
+        if (spikes >= _LIVE_RUN) if m_total else spike.item(j) >= new.item(j) - log_conc:
             # A block: see the module docstring. With no member seated no
             # later component starts seated, and the block spans to p.
             end = p
@@ -425,56 +410,51 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                 else:
                     block_q += seat_q.item(choice, 0)
             log_q += block_q
-            log_q0 += float(np.add.reduce(terms.log_spike[j:j + c]))
+            log_q0 += float(np.add.reduce(log_spike[j:j + c]))
             spikes += c
             j += c
             if j == end:
                 continue
-        if xs is None:
-            xs, stats, pre_spike, pre_new, log_s, log_spike, v_obs_list, precs = \
-                terms.row_lists(i)
-            if replay:
-                start = seats.tolist()
-            else:
-                us = u.tolist()
         if choice is None:
-            xj = xs[j]
-            v_obs = v_obs_list[j]
-            lsj = log_s[j]
-            logw = [pre_spike[j]]
+            xj = x.item(j)
+            v_obs_j = v_obs.item(j)
+            lsj = log_s.item(j)
+            logw = [spike.item(j)]
             for c, (log_c, mean, var) in zip(counts, slot_terms):
                 if c:  # log_normal_pdf, summed as the live block sums it
                     d = xj - mean
-                    var += v_obs
+                    var += v_obs_j
                     logw.append(lsj + log_c - log_denom
                                 - 0.5 * (LOG_2PI + math.log(var) + d * d / var))
                 else:  # an emptied slot: adds 0 to the pick's sums
                     logw.append(-math.inf)
-            logw.append(pre_new[j] - log_denom)
-            choice, lse = pick_with_lse(logw, None if replay else us[j])
+            logw.append(new.item(j) - log_denom)
+            choice, lse = pick_with_lse(logw, None if replay else u.item(j))
             if replay:
-                choice = 1 + start[j]  # SPIKE is choice 0
+                choice = 1 + seats.item(j)  # SPIKE is choice 0
             log_q += logw[choice] - lse
 
         if choice == 0:
-            log_q0 += log_spike[j]
+            log_q0 += log_spike.item(j)
             spikes += 1
             j += 1
             continue
         spikes = 0
-        lsj = log_s[j]
+        lsj = log_s.item(j)
+        prec_j = prec.item(j)
+        stat_j = prec_j * x.item(j)
         m_total += 1
         t = choice - 1
         if t < k:
             log_q0 += lsj + slot_terms[t][0] - log_denom
             counts[t] += 1
-            sprec[t] += precs[j]
-            sstat[t] += stats[j]
+            sprec[t] += prec_j
+            sstat[t] += stat_j
         else:
             log_q0 += lsj + log_conc - log_denom
             counts.append(1)
-            sprec.append(precs[j])
-            sstat.append(stats[j])
+            sprec.append(prec_j)
+            sstat.append(stat_j)
             slot_terms.append(None)
         refresh(t)
         if not replay:
@@ -488,8 +468,7 @@ def _scan_components(inner, terms, i, u=None, rng=None):
             inner.cluster_ids() + [None] * (len(counts) - k_start), labels, counts)
     # The posterior is recomputed from scratch over the members, free of the
     # running sums' float drift.
-    post = _posterior(*_member_sums(seats, terms.prec, terms.x[i], len(counts)),
-                      terms.slab_var)
+    post = _posterior(*_member_sums(seats, prec, x, len(counts)), terms.slab_var)
     if replay:
         return _values(post, terms.slab_var, log_q, log_q0, values=inner.values[order])[1:]
     values, log_q, log_q0 = _values(post, terms.slab_var, log_q, log_q0, rng)
@@ -592,12 +571,14 @@ def _lockstep_seats(terms, rows, u):
     """Per row of ``rows`` of ``terms``, the r-th reading u[r], walked in
     lockstep from empty (see the module docstring): (seats, counts, log_q,
     log_q0, posterior) of its birth proposal before the values, the posterior
-    ``_posterior``'s, in slot order. The rows must be ``run_finite``: every
-    weight is then finite or -inf, and no walk aborts. A step is one
-    ``_block`` of every row, a row with fewer slots than the most weighing
-    -inf at the others; its width is 1 after a component that more than one
-    row left SPIKE at, else ``_BLOCK_CELLS // ((slots + 2) * rows)``, at
-    least 1."""
+    ``_posterior``'s, in slot order. It seats a pass's rows only
+    (``seat_births``); the scalar walk draws any other birth. The rows must
+    be ``run_finite``: every weight is then finite or -inf, and no walk
+    aborts. A step is one ``_block`` of every row, a row with fewer slots
+    than the most weighing -inf at the others; its width is 1 after a
+    component that more than one row left SPIKE at, else
+    ``_BLOCK_CELLS // ((slots + 2) * rows)``, at least 1. So a row's last bits
+    of log Q and log Q0 depend on the rows seated with it."""
     n_rows, p = len(rows), terms.x.shape[1]
     if not n_rows:
         return {}

@@ -18,7 +18,7 @@ from sparseclust.clusters import (
     mh_death_move,
 )
 from sparseclust.densities import SamplerAbort, log_normal_pdf
-from sparseclust.diagnostics import draw_prior_mean
+from sparseclust.diagnostics import draw_prior_mean, measure_birth_acceptance
 from sparseclust.partition import SPIKE, Partition
 from sparseclust.sparsity import slab_coef
 
@@ -28,6 +28,8 @@ from test_component_walk import (
     _propose_by_reference_walk,
     _record_lockstep_rows,
     _reference_births_and_deaths,
+    _starts_block,
+    _walk_from_spike,
 )
 
 mpmath.mp.dps = 40
@@ -777,7 +779,8 @@ def test_skipped_births_match_per_sample_moves(monkeypatch):
     skipped row."""
     seen = dict.fromkeys(
         ("skipped row followed by an accepted birth", "proposal off SPIKE",
-         "singleton after a skipped row", "row with starts_run[i, 0] false",
+         "singleton after a skipped row",
+         "skipped row whose component 0 favours a new cluster",
          "skip at sample n - 1"), 0)
     for bit_generator in BIT_GENERATORS:
         for seed in range(30):
@@ -808,11 +811,11 @@ def test_skipped_births_match_per_sample_moves(monkeypatch):
                     seen["skipped row followed by an accepted birth"] += (
                         move == "birth" and accepted)
                     seen["singleton after a skipped row"] += move == "death"
+                seen["skipped row whose component 0 favours a new cluster"] += (
+                    not _starts_block(bd, i))
             seen["skip at sample n - 1"] += n - 1 in skipped
-            for i, (move, left_spike, _accepted) in enumerate(events):
+            for _move, left_spike, _accepted in events:
                 seen["proposal off SPIKE"] += left_spike
-                seen["row with starts_run[i, 0] false"] += (
-                    move == "birth" and not bd.starts_run[i, 0])
     assert all(seen.values()), seen
 
 
@@ -832,7 +835,7 @@ def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
     with pytest.raises(SamplerAbort) as skip_abort:
         clusters._births_and_deaths(state, rng, bd)
     monkeypatch.undo()
-    assert bd.starts_run[bad, 0] and not bd.run_finite[bad]  # as the pass's skip found
+    assert _starts_block(bd, bad) and not bd.run_finite[bad]  # as the pass's skip found
     with pytest.raises(SamplerAbort) as reference_abort:
         _reference_births_and_deaths(ref, data, ref_rng, _pass(ref, data, hp))
 
@@ -917,7 +920,7 @@ def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
     (the reference takes math's exp and log); and the state and the
     generator bit for bit, on each bit generator, through a seated row that
     has become a singleton by its turn (it draws nothing) and a singleton
-    that has become a non-singleton (seated alone when reached)."""
+    that has become a non-singleton (the scalar walk's draw when reached)."""
     seen = dict.fromkeys(("seated row drew values", "seated row became a singleton",
                           "singleton walked when reached"), 0)
 
@@ -955,44 +958,72 @@ def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
     assert all(seen.values()), seen
 
 
-def test_every_walked_birth_is_seated_in_lockstep(monkeypatch):
-    """However few rows a pass walks (fewer than 16 here), the birth of
-    every row it walks, each ``run_finite``, is seated by ``_lockstep_seats``:
-    the rows left after the skip together at the pass's start, and a
-    singleton that has become a non-singleton alone at its turn. The scalar
-    walk draws no birth; it only replays for the deaths."""
-    seen = dict.fromkeys(("pass seated fewer than 16 rows", "row seated alone at its turn"), 0)
+def _check_lone_births(monkeypatch, lone):
+    """Make ``BirthDeathPass.propose`` check each birth no pass seated
+    against the scalar walk from an all-SPIKE mean, handed the same uniforms
+    and a copy of the generator, and against the replay of its mean as
+    ``mh_death_move`` calls it; record each such row and whether its
+    proposal left SPIKE in ``lone``."""
+    propose = BirthDeathPass.propose
+
+    def checking(bd, i, u, rng):
+        if i in bd._seated:
+            return propose(bd, i, u, rng)
+        walk_rng = copy.deepcopy(rng)
+        proposal = mean, log_q, log_q0 = propose(bd, i, u, rng)
+        assert (_proposal_bits(bd, i, proposal)
+                == _proposal_bits(bd, i, _walk_from_spike(bd, i, u, walk_rng))), i
+        assert rng.bit_generator.state == walk_rng.bit_generator.state, i
+        replay = _scan_components(mean.inner, bd, i)
+        assert [v.hex() for v in replay] == [log_q.hex(), log_q0.hex()], i
+        lone.append((i, mean.inner.n_clusters() > 0))
+        return proposal
+
+    monkeypatch.setattr(BirthDeathPass, "propose", checking)
+
+
+def test_lone_birth_is_the_scalar_walk(monkeypatch):
+    """``_lockstep_seats`` runs once per pass, on the rows the pass walks:
+    the non-singletons its skip leaves. A birth no pass seated, of a
+    singleton that has become a non-singleton by its turn or of a
+    ``measure_birth_acceptance`` attempt, is the scalar walk's draw from an
+    all-SPIKE mean with the same uniforms and generator: the same seats,
+    values, log Q and log Q0, and the generator where that walk leaves it.
+    The replay of its mean, as a death scores the reverse birth, gives back
+    its log Q and log Q0 bit for bit."""
+    seen = dict.fromkeys(("singleton walked when reached", "attempt walked",
+                          "lone proposal off SPIKE"), 0)
     for seed in range(30):
         state, data, hp = _skip_state(seed)
-        calls, births, drawing_walks = [], [], []
-        lockstep, birth, scan = clusters._lockstep_seats, clusters.mh_birth_move, \
-            clusters._scan_components
+        samples = state.samples
+        start_singletons = samples.counts[samples.labels] == 1
+        calls, lone, skips = [], [], []
+        lockstep = clusters._lockstep_seats
 
         def seats(terms, rows, u):
             calls.append(rows.tolist())
             return lockstep(terms, rows, u)
 
-        def birth_move(state, i, *args):
-            births.append(i)
-            return birth(state, i, *args)
-
-        def walk(inner, terms, i, u=None, rng=None):
-            drawing_walks.append(u is not None)
-            return scan(inner, terms, i, u, rng)
-
         monkeypatch.setattr(clusters, "_lockstep_seats", seats)
-        monkeypatch.setattr(clusters, "mh_birth_move", birth_move)
-        monkeypatch.setattr(clusters, "_scan_components", walk)
+        _check_lone_births(monkeypatch, lone)
         bd = _pass(state, data, hp)
+        mark = bd.rejected_spike_births
+        bd.rejected_spike_births = lambda state, u: skips.append(mark(state, u)) or skips[0]
         clusters._births_and_deaths(state, np.random.default_rng(seed), bd)
-        monkeypatch.undo()
         assert bd.run_finite.all()
-        assert set(births) <= {i for rows in calls for i in rows}, seed
-        assert not any(drawing_walks), seed
-        for rows in calls[1:]:  # a row the pass did not seat, at its birth
-            assert len(rows) == 1 and rows[0] in births and rows[0] not in calls[0], seed
-        seen["pass seated fewer than 16 rows"] += 0 < len(calls[0]) < 16
-        seen["row seated alone at its turn"] += len(calls) > 1
+        assert calls == [np.flatnonzero(~skips[0] & ~start_singletons).tolist()], seed
+        assert all(start_singletons[i] for i, _left in lone), seed
+        seen["singleton walked when reached"] += len(lone)
+        walked = len(lone)
+
+        # Outside a pass nothing is seated in lockstep.
+        del calls[:]
+        if (samples.counts[samples.labels] > 1).any():
+            measure_birth_acceptance(state, data, hp, np.random.default_rng(seed), 5)
+            assert not calls and len(lone) == walked + 5, seed
+            seen["attempt walked"] += 5
+        monkeypatch.undo()
+        seen["lone proposal off SPIKE"] += any(left for _i, left in lone)
     assert all(seen.values()), seen
 
 

@@ -131,6 +131,12 @@ def _walk_from_spike(terms, i, u, rng):
     return (mean, *_scan_components(mean.inner, terms, i, u, rng))
 
 
+def _starts_block(terms, i):
+    """Whether row i's scalar walk from an all-SPIKE mean starts a block at
+    component 0: it favours SPIKE there with no member seated."""
+    return terms.spike[i, 0] >= terms.new[i, 0] - terms.log_conc
+
+
 def _reference_values(slots, k, x, precs, slab_var, log_q, log_q0, rng=None, values=None):
     """The value tail on lists of its own: for each slot 0..k-1 in order, the
     members' sums in component order, then one ``standard_normal()`` draw

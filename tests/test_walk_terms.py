@@ -20,9 +20,9 @@ from sparseclust.clusters import (
 from sparseclust.densities import SamplerAbort
 
 from conftest import build_partition, make_state
-from test_component_walk import _record_live_blocks, _walk_from_spike
+from test_component_walk import _record_live_blocks, _starts_block, _walk_from_spike
 
-ROW_ARRAYS = ("x", "spike", "new", "starts_run")
+ROW_ARRAYS = ("x", "spike", "new")
 CASES = [(n, p, seed) for seed in range(6) for n, p in ((5, 7), (3, 40))]
 
 
@@ -68,7 +68,6 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
         for name in ROW_ARRAYS:
             np.testing.assert_array_equal(
                 _bits(getattr(bd, name)[i]), _bits(getattr(one, name)[0]), err_msg=name)
-        assert bd.row_lists(i) == one.row_lists(0)
         # The walks read nothing else, so their draws and replays agree too.
         rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         u, one_u = rng.random(p), one_rng.random(p)
@@ -78,7 +77,7 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
         assert logs == one_logs
         assert rng.bit_generator.state == one_rng.bit_generator.state
         assert _seated_alone(bd, i, u) == _seated_alone(one, 0, u)
-        if bd.starts_run[i, 0] and bd.run_finite[i] and not mean.inner.n_clusters():
+        if _starts_block(bd, i) and bd.run_finite[i] and not mean.inner.n_clusters():
             # The pass marks a rejected proposal of this row from its sums.
             assert logs == [bd.spike_log_q[i], bd.spike_log_q0]
 
@@ -117,7 +116,7 @@ def test_all_spike_proposal_at_p_3000_is_one_block():
         bd.rejected_spike_births(state, np.full((3, 3001), 0.5))
         for i in range(3):
             mean, *logs = _walk_from_spike(bd, i, rng.random(3000), rng)
-            if bd.starts_run[i, 0] and bd.run_finite[i] and not mean.inner.n_clusters():
+            if _starts_block(bd, i) and bd.run_finite[i] and not mean.inner.n_clusters():
                 seen += 1
                 assert logs == [bd.spike_log_q[i], bd.spike_log_q0], (seed, i)
     assert seen >= 5
@@ -145,7 +144,7 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     bd = BirthDeathPass(x + mu_base, mu_base, sigma_sq, state, hp)  # does not raise
     bd.rejected_spike_births(state, np.full((4, p + 1), 0.5))  # nor does its skip
     assert bd.run_finite.tolist() == [True, False, False, False]
-    assert bd.starts_run[1:3, 0].all() and not bd.starts_run[3, 0]
+    assert [_starts_block(bd, i) for i in range(1, 4)] == [True, True, False]
 
     u = np.full(p, 1e-3)  # every SPIKE-favouring component stays on SPIKE
     rng, one_rng = np.random.default_rng(1), np.random.default_rng(1)
