@@ -21,7 +21,9 @@ a new cluster's. A column's weight reads it and the attribute's own terms.
   the weight is A - (u + n/2) log(v + ssq_j / 2). A new cluster's column
   is (log conc + a log b - lgamma(a) + lgamma(a + n/2), a + n/2, b) for
   the prior shape a and rate b. The count-indexed terms depend only on a,
-  n and p, so a chain builds them once.
+  n and p, so a chain builds them once. A one-row step's slot sums them as
+  Python floats around numpy's log v, the array form's arithmetic, bit
+  for bit.
 
 The pass draws all p uniforms in one vector, then reseats the attributes in
 order under two rules:
@@ -103,9 +105,12 @@ def _run_step(part, step, rng, where):
     table[:, :k] = step.slot_terms(cnt, stat)
     table[:, k:] = np.reshape(step.new_slot, (3, 1))
     cnt, stat = cnt.tolist(), stat.tolist()
-    seen = tuple(table[:, :k + 1])  # the table's rows as one row sees them
+    t0, t1, t2 = table  # a row view each, which one-row steps read and write
+    seen = t0[:k + 1], t1[:k + 1], t2[:k + 1]  # the table as one row sees it
     uniforms = rng.random(p)
     u = uniforms.tolist()
+    slot_terms, logits = step.slot_terms, step.logits
+    exp, reduce, accumulate, isfinite = np.exp, np.add.reduce, np.add.accumulate, math.isfinite
     j = stays = 0  # stays: rows that kept their slots since the last move
     # A row with a non-finite weight aborts below; its arithmetic stays quiet.
     with np.errstate(all="ignore"):
@@ -116,17 +121,16 @@ def _run_step(part, step, rng, where):
                 # column is written without it, and back if it stays.
                 r, s = 0, labels[j]
                 c = cnt[s] - 1
-                kept = table[0, s], table[1, s], table[2, s]
-                table[0, s], table[1, s], table[2, s] = step.slot_terms(
-                    c, stat[s] - items[j] if c else 0)
-                logw = step.logits(j, seen)
-                prob = np.exp(logw - logw[logw.argmax()])  # a NaN is the argmax
-                total = np.add.reduce(prob)
-                if not math.isfinite(total):  # exactly when the largest weight is not
+                kept = t0[s], t1[s], t2[s]
+                t0[s], t1[s], t2[s] = slot_terms(c, stat[s] - items[j] if c else 0)
+                logw = logits(j, seen)
+                prob = exp(logw - logw[logw.argmax()])  # a NaN is the argmax
+                total = reduce(prob)
+                if not isfinite(total):  # exactly when the largest weight is not
                     raise SamplerAbort(f"{where} j={j}: non-finite log weights {logw}")
-                t = min(int(np.add.accumulate(prob).searchsorted(u[j] * total)), k)
+                t = min(int(accumulate(prob).searchsorted(u[j] * total)), k)
                 if t == s:
-                    table[0, s], table[1, s], table[2, s] = kept
+                    t0[s], t1[s], t2[s] = kept
                     stays += 1
                     j += 1
                     continue
@@ -135,8 +139,8 @@ def _run_step(part, step, rng, where):
                 c = np.array([cnt[s] for s in own]) - 1
                 left = np.array([stat[s] for s in own]) - step.items[j:j + n]
                 block = table[:, None, :k + 1].repeat(n, 1)
-                block[:, np.arange(n), own] = step.slot_terms(c, np.where(c > 0, left, 0))
-                logw = step.logits(slice(j, j + n), block)
+                block[:, np.arange(n), own] = slot_terms(c, np.where(c > 0, left, 0))
+                logw = logits(slice(j, j + n), block)
                 prob = np.exp(logw - np.maximum.reduce(logw, -1, keepdims=True))
                 total = np.add.reduce(prob, -1, keepdims=True)
                 # Row r joins the first slot whose running weight reaches
@@ -164,11 +168,11 @@ def _run_step(part, step, rng, where):
                 cnt.append(1)
                 stat.append(x)
                 k += 1
-                seen = tuple(table[:, :k + 1])
+                seen = t0[:k + 1], t1[:k + 1], t2[:k + 1]
             else:
                 cnt[t] += 1
                 stat[t] += x
-            table[0, t], table[1, t], table[2, t] = step.slot_terms(cnt[t], stat[t])
+            t0[t], t1[t], t2[t] = slot_terms(cnt[t], stat[t])
             labels[j + r] = t
             stays = 0
             j += r + 1
@@ -197,10 +201,10 @@ class _MeanStep:
         self.prior_prec = 1.0 / hp.base_var
         self.prior_stat = hp.base_mean / hp.base_var
         self.log_count = _log_count_table(data.p)
-        obs_var = 1.0 / w  # sigma_j^2 / n
-        # Each attribute's own terms: columns for a block, a pair for one row.
-        self.obs = np.stack((obs_var, rbar))[:, :, None]
-        self.obs_rows = list(zip(obs_var.tolist(), rbar.tolist()))
+        # Each attribute's own terms, sigma_j^2 / n and rbar_j: columns for
+        # a block, 0-d arrays for one row, which numpy adds faster than floats.
+        self.obs = np.stack((1.0 / w, rbar))[:, :, None]
+        self.obs_var, self.rbar = self.obs[:, :, 0]
         self.new_slot = math.log(state.conc_mean), hp.base_var, -hp.base_mean
 
     def slot_terms(self, count, stat):
@@ -211,7 +215,10 @@ class _MeanStep:
     def logits(self, rows, terms):
         # With the mean negated, d = rbar_j - u is exactly an addition.
         log_c, post_var, neg_mean = terms
-        obs_var, rbar = self.obs[:, rows] if type(rows) is slice else self.obs_rows[rows]
+        if type(rows) is slice:
+            obs_var, rbar = self.obs[:, rows]
+        else:
+            obs_var, rbar = self.obs_var[rows, ...], self.rbar[rows, ...]
         pv, d = post_var + obs_var, neg_mean + rbar
         return log_c - _HALF * (_LOG_2PI + np.log(pv) + d * d / pv)
 
@@ -241,7 +248,8 @@ def _residual_sq_colsums(state, data):
 @functools.lru_cache(maxsize=8)
 def _var_tables(var_shape, n, p):
     """Count-indexed terms of a variance cluster of c = 0..p members: log c,
-    its posterior shape u, lgamma(u), lgamma(u + n/2) and u + n/2. Read-only,
+    its posterior shape u, lgamma(u), lgamma(u + n/2) and u + n/2, as a
+    (5, p + 1) array and, per count, as a tuple of Python floats. Read-only,
     shared by every pass with these three numbers."""
     half_n = 0.5 * n
     shape = var_shape + np.arange(p + 1.0) * half_n
@@ -251,7 +259,7 @@ def _var_tables(var_shape, n, p):
         [math.lgamma(u) for u in shape1.tolist()], shape1,
     ))
     tables.flags.writeable = False
-    return tables
+    return tables, tuple(map(tuple, tables.T.tolist()))
 
 
 class _VarStep:
@@ -262,7 +270,7 @@ class _VarStep:
         self.items = 0.5 * _residual_sq_colsums(state, data)
         self.hp = hp
         self.n = data.n
-        self.tables = _var_tables(hp.var_shape, data.n, data.p)
+        self.tables, self.by_count = _var_tables(hp.var_shape, data.n, data.p)
         shape1 = hp.var_shape + 0.5 * data.n
         base = (
             math.log(state.conc_var)
@@ -273,8 +281,12 @@ class _VarStep:
 
     def slot_terms(self, count, stat):
         """A = log c + u log v - lgamma(u) + lgamma(u + n/2) of a slot with
-        posterior shape u and rate v, then u + n/2 and v."""
+        posterior shape u and rate v, then u + n/2 and v. One slot, an int
+        count, sums the same terms in Python floats."""
         v = self.hp.var_rate + stat
+        if type(count) is int:
+            log_c, u, gl_u, gl_u1, u1 = self.by_count[count]
+            return log_c + u * float(np.log(v)) - gl_u + gl_u1, u1, v
         log_c, u, gl_u, gl_u1, u1 = self.tables[:, count]
         return log_c + u * np.log(v) - gl_u + gl_u1, u1, v
 

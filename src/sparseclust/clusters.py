@@ -117,6 +117,7 @@ non-finite row still goes to ``gibbs_reassign`` to abort on.
 """
 
 import bisect
+import functools
 import math
 from types import SimpleNamespace
 
@@ -567,6 +568,15 @@ def _block(terms, rows, j, end, log_denom, slots=None, u=None, seats=None):
     return stays, c, choice, w[:, :, c] - lse[:, c], spike_q
 
 
+@functools.lru_cache(maxsize=8)
+def _log_counts(p):
+    """math's log c for counts c = 0..p, -inf at 0. Read-only, shared by
+    every lockstep call with this p."""
+    table = np.array([-math.inf] + [math.log(c) for c in range(1, p + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _lockstep_seats(terms, rows, u):
     """Per row of ``rows`` of ``terms``, the r-th reading u[r], walked in
     lockstep from empty (see the module docstring): (seats, counts, log_q,
@@ -578,23 +588,30 @@ def _lockstep_seats(terms, rows, u):
     than the most weighing -inf at the others; its width is 1 after a
     component that more than one row left SPIKE at, else
     ``_BLOCK_CELLS // ((slots + 2) * rows)``, at least 1. So a row's last bits
-    of log Q and log Q0 depend on the rows seated with it."""
+    of log Q and log Q0 depend on the rows seated with it.
+
+    A call builds no table of all p components: the log counts come from a
+    table cached per p (``_log_counts``), the CRP log denominators cover
+    only the member totals the rows have reached (the table doubles when a
+    row goes past it), and log s, log(1 - s) and prec are read by ``item``
+    at the components some row leaves SPIKE at."""
     n_rows, p = len(rows), terms.x.shape[1]
     if not n_rows:
         return {}
     inv_slab_var = 1.0 / terms.slab_var
-    # By count: the walk's log count (-inf: a slot not yet opened), a seat's
-    # log weight in Q0 (log conc_inner at count 0) and CRP log denominator.
-    log_count = np.array([-math.inf] + [math.log(c) for c in range(1, p + 1)])
+    conc_inner = terms.conc_inner
+    log_s, log_spike, prec = terms.log_s, terms.log_spike, terms.prec
+    # By count: the walk's log count (-inf: a slot not yet opened) and a
+    # seat's log weight in Q0 (log conc_inner at count 0); by member total,
+    # the CRP log denominator.
+    log_count = _log_counts(p)
     log_seat = np.concatenate(([terms.log_conc], log_count[1:]))
-    log_denoms = np.array([math.log(terms.conc_inner + m) for m in range(p + 1)])
-    # The rows' terms, uniforms and prec * x, gathered as one array, and per
-    # component log s, log(1 - s) and prec as floats.
+    log_denoms = np.array([math.log(conc_inner)])
+    # The rows' terms, uniforms and prec * x, gathered as one array.
     own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[:, :p],
-                    terms.prec * terms.x[rows]))
-    walk = SimpleNamespace(spike=own[0], new=own[1], x=own[2], log_s=terms.log_s, v_obs=terms.v_obs)
+                    prec * terms.x[rows]))
+    walk = SimpleNamespace(spike=own[0], new=own[1], x=own[2], log_s=log_s, v_obs=terms.v_obs)
     u, stat = own[3], own[4]
-    by_component = np.stack((terms.log_s, terms.log_spike, terms.prec)).T.tolist()
     seats = np.full((n_rows, p), SPIKE)
     # Per row: its slot count (no member leaves, so every slot is live),
     # member total, log Q and log Q0; per slot and row (and one component,
@@ -620,7 +637,7 @@ def _lockstep_seats(terms, rows, u):
                                                log_denom[:, None], slots, u)
         if c:
             log_q += np.add.reduce(spike_q[:, :c], axis=1)
-            log_q0 += np.add.reduce(terms.log_spike[j:j + c])
+            log_q0 += np.add.reduce(log_spike[j:j + c])
         j += c
         if c == width:
             leaving = 0
@@ -635,15 +652,18 @@ def _lockstep_seats(terms, rows, u):
                                     for a in (counts, sprec, sstat))
             count_at, prec_at, stat_at = counts.reshape(-1), sprec.reshape(-1), sstat.reshape(-1)
         at = t * n_rows + idx  # flat (slot, row)
-        log_sj, log_spike, prec = by_component[j]
         count = count_at[at]
-        log_q0 += np.where(on, log_sj + log_seat[count] - log_denom, log_spike)
+        log_q0 += np.where(on, log_s.item(j) + log_seat[count] - log_denom, log_spike.item(j))
         count_at[at] = count + 1
-        prec_at[at] += prec
+        prec_at[at] += prec.item(j)
         stat_at[at] += stat[:, j]
         k += t == k
         kw = max(k.tolist())
         m_total += on
+        reach = max(m_total.tolist())
+        if reach == len(log_denoms):  # a row went past the table: double it
+            log_denoms = np.append(log_denoms, [math.log(conc_inner + m)
+                                                for m in range(reach, min(2 * reach, p) + 1)])
         seats[:, j] = t
         leaving = int(np.count_nonzero(on))
         j += 1
@@ -651,7 +671,7 @@ def _lockstep_seats(terms, rows, u):
     # bitwise the scalar walk's), and the posterior.
     on = seats >= 0
     post = _posterior(*(a.reshape(n_rows, kw) for a in _member_sums(
-        np.where(on, seats + kw * idx[:, None], SPIKE), np.broadcast_to(terms.prec, seats.shape),
+        np.where(on, seats + kw * idx[:, None], SPIKE), np.broadcast_to(prec, seats.shape),
         walk.x, n_rows * kw)), terms.slab_var)
     return {i: (seats[r].copy(), size[:kr], log_q.item(r), log_q0.item(r),
                 tuple(a[r, :kr] for a in post))

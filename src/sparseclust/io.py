@@ -25,9 +25,11 @@ def _fmt(x):
 def load_csv(path):
     """Read a header + numeric-rows CSV into a DataMatrix.
 
-    Errors name the offending row and column (1-based, header = row 1).
+    Errors name the offending row and column (1-based, header = row 1). A
+    UTF-8 byte-order mark, as spreadsheet programs write, is not part of the
+    first name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -147,10 +149,10 @@ def standardize_columns(data):
 
 def parse_config_file(path):
     """Flat key=value lines; '#' starts a comment, blank lines are skipped.
-    A key may appear once."""
+    A key may appear once. A leading UTF-8 byte-order mark is skipped."""
     out = {}
     first_line = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

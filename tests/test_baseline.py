@@ -574,6 +574,36 @@ def test_row_weights_match_closed_form(which, monkeypatch):
             assert weights[j].tolist() == want.tolist(), (seed, j)
 
 
+# Statistics the slot terms are checked on: the mean step's q + i w (a
+# precision-weighted sum and a precision) and the variance step's half sums
+# of squared residuals, from an empty slot's int 0 up to large sums. The
+# variance grid is dense enough that numpy's log and math's differ in the
+# last bit at some of its points on x86-64 with numpy's AVX-512 kernels.
+SLOT_STATS = {
+    "mean": [0] + [complex(q, w) for q in np.linspace(-40.0, 2.5e3, 12).tolist()
+                   for w in (0.0, 0.05, 3.0, 7.5e4)],
+    "var": [0, 0.0] + np.geomspace(1e-9, 1e6, 2000).tolist(),
+}
+
+
+@pytest.mark.parametrize("which", sorted(STEPS))
+def test_one_slot_terms_match_array_terms(which):
+    """A slot's terms from an int count and one statistic, the form the
+    one-row path writes a table column with, equal bit for bit the matching
+    column of the array form that builds the table at pass start and the
+    blocks' columns, for every count 0..p."""
+    cls, _ = STEPS[which]
+    state, data, _ = _mixed_state(0)
+    hp = Hyperparams(base_mean=0.4, base_var=1.7, var_shape=1.3, var_rate=0.8)
+    step = cls(state, data, hp)
+    stats = SLOT_STATS[which]
+    counts = np.repeat(np.arange(data.p + 1), len(stats))
+    want = _slot_terms(step, counts, np.tile(np.array(stats, dtype=step.items.dtype), data.p + 1))
+    got = [step.slot_terms(c, stat) for c in range(data.p + 1) for stat in stats]
+    assert [[float(a).hex() for a in terms] for terms in got] == [
+        [a.hex() for a in terms] for terms in want.T.tolist()]
+
+
 def test_abort_names_the_attribute_inside_a_block():
     """A non-finite statistic inside a block aborts the pass at its attribute,
     with the message of the per-attribute pass, after all p uniforms."""

@@ -471,14 +471,18 @@ def _lockstep_pass(kind, seed):
     residuals are near 0, while the even rows' large residuals on components
     0-19 seat several of them, so one-component steps and shared blocks
     alternate there; spike: 300 SPIKE-favouring components, so most rows
-    never leave SPIKE."""
+    never leave SPIKE; full: the dense kind's rows at 64 components with
+    attr_prob near 1, but the even rows' residuals so far from 0 that they
+    leave SPIKE at every component, so their member totals reach p."""
     n = 8
-    p = {"dense": 40, "live": 300, "mixed": 120, "spike": 300}[kind]
+    p = {"dense": 40, "live": 300, "mixed": 120, "spike": 300, "full": 64}[kind]
     state, _data, hp = make_state(n=3, p=p, seed=seed)
     rng = np.random.default_rng(20_000 + seed)
-    if kind == "dense":
-        state.attr_prob[:] = 0.9
+    if kind in ("dense", "full"):
+        state.attr_prob[:] = 0.9 if kind == "dense" else 1.0 - 1e-9
         x = rng.normal(0.0, 3.0, size=(n, p))
+        if kind == "full":
+            x[::2] = rng.normal(20.0, 2.0, size=(n // 2, p))
     else:
         state.attr_prob[:] = 1e-3
         x = rng.normal(0.0, 0.3, size=(n, p))
@@ -548,14 +552,15 @@ def _record_lockstep_rows(monkeypatch):
 
 @pytest.mark.parametrize("kind, bit_generator", [
     pytest.param(kind, name, id=kind if name == "PCG64" else f"{kind}-{name}")
-    for name in BIT_GENERATORS for kind in LOCKSTEP_KINDS
+    for name in BIT_GENERATORS for kind in LOCKSTEP_KINDS + ("full",)
 ])
 def test_lockstep_matches_reference_walk(kind, bit_generator):
     """Every row of a pass seated in lockstep, then proposed in sample
     order, draws the seats and values the reference walk draws from the same
     uniforms, leaves the generator where it leaves it, and agrees on log Q
-    and log Q0 to rounding with it and with the scalar walk's replay."""
-    seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE"), 0)
+    and log Q0 to rounding with it and with the scalar walk's replay. The
+    full kind reads the lockstep's by-count tables up to member total p."""
+    seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE", "member total p"), 0)
     for seed in range(8):
         state, hp, bd = _lockstep_pass(kind, seed)
         n, p = bd.x.shape
@@ -578,10 +583,13 @@ def test_lockstep_matches_reference_walk(kind, bit_generator):
             assert log_q0 == pytest.approx(rep_q0, rel=REL)
             seen["3+ inner clusters"] += mean.inner_cluster_count() >= 3
             seen["never off SPIKE"] += mean.nonzero_count() == 0
+            seen["member total p"] += mean.nonzero_count() == p
         # Equal next draws: the two generators stand at the same position.
         assert rng.random(4).tolist() == ref_rng.random(4).tolist(), seed
     if kind in ("dense", "spike"):
         assert seen["3+ inner clusters" if kind == "dense" else "never off SPIKE"], seen
+    if kind == "full":
+        assert seen["member total p"], seen
 
 
 @pytest.mark.parametrize("kind", LOCKSTEP_KINDS)

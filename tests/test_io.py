@@ -23,6 +23,16 @@ def test_load_csv_basic(tmp_path):
     np.testing.assert_array_equal(dm.y, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_load_csv_skips_byte_order_mark(tmp_path):
+    """A file saved as "CSV UTF-8" by a spreadsheet starts with a byte-order
+    mark, which must not become part of the first attribute name."""
+    f = tmp_path / "m.csv"
+    f.write_bytes("a,b\n1,2\n3,4\n".encode("utf-8-sig"))
+    dm = load_csv(f)
+    assert dm.names == ["a", "b"]
+    np.testing.assert_array_equal(dm.y, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_load_csv_names_cell_on_error(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("a,b\n1,NA\n3,4\n")
@@ -236,3 +246,9 @@ def test_parse_config_file(tmp_path):
     bad.write_text("not a pair\n")
     with pytest.raises(CsvFormatError, match="line 1"):
         parse_config_file(bad)
+
+
+def test_parse_config_file_skips_byte_order_mark(tmp_path):
+    f = tmp_path / "cfg"
+    f.write_bytes("iterations = 500\nseed=9\n".encode("utf-8-sig"))
+    assert parse_config_file(f) == {"iterations": "500", "seed": "9"}
