@@ -292,7 +292,8 @@ class _VarStep:
 
     def logits(self, rows, terms):
         a, u1, v = terms
-        return a - u1 * np.log(v + self.items[rows, None])
+        item = self.items[rows, None] if type(rows) is slice else self.items[rows, ...]
+        return a - u1 * np.log(v + item)
 
     def values(self, labels, counts, rng):
         """One draw of every cluster value from its inverse-gamma posterior."""
