@@ -68,17 +68,42 @@ pass draws one p-vector per cluster. Normal and beta draws come from the
 generator. This is valid: each uniform is read by one draw only, and it is
 drawn before, and independently of, the state it is used in.
 
-At the default sparsity nearly every birth proposal seats every component
-on SPIKE and is rejected. Such a row changes nothing and draws nothing.
-Whether a row is one depends on its uniforms, the pass's terms and the
+Nearly every birth proposal is rejected, and the pass proves most of these
+rejections before the walk. A birth's log MH ratio is log conc_samples -
+log(n - 1) - log F_old + log W, with F_old the sample's likelihood under its
+own cluster and W = F(y_i; m) Q0(m) / Q(m) for the proposed mean m. log W
+is the sum over components of the log normalisers Z_j of the walk's seat
+picks: the values are drawn from their exact posterior given the seats, so
+their densities cancel, and the seats' collapsed weights multiply to the
+joint density of y_i and the seats (sequential importance sampling; Kong,
+Liu & Wong 1994, JASA 89:278). Whatever the seats, every slot's and a new
+cluster's predictive density at component j is a normal of variance at
+least v_j = sigma_j^2, and the CRP weights of the slots and of a new
+cluster sum to 1, so
+
+    Z_j <= (1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j),
+
+s_j = slab_coef * attr_prob_j. The sum of their logs, B_i >= log W, reads
+only the pass's terms. So one (n, p) ``logaddexp`` at pass start
+(``BirthDeathPass.screened_births``) marks the rows whose MH uniform lies
+above the ratio with log W at B_i, by a margin of 1e-9 relative plus 1e-9
+that keeps a rounding-level tie unmarked: their births reject whatever
+their walks would draw. A row whose bound or likelihood is not finite is
+never marked, so its walk still aborts.
+
+At the default sparsity most of the rest seat every component on SPIKE and
+are rejected. The pass marks these rows up front too, each chunk of rows
+weighed as one block of all p components with no member seated
+(``BirthDeathPass.rejected_spike_births``); the MH test reads the block's
+log Q, from which a walked proposal's differs in rounding only.
+
+Either mark depends on the row's uniforms, the pass's terms and the
 sample's log likelihood under its own cluster, and no earlier move of the
 pass changes the last: a move relocates only its own sample and changes no
-mean. So the pass marks these rows up front, each chunk of rows weighed as
-one block of all p components with no member seated
-(``BirthDeathPass.rejected_spike_births``), and skips a marked row that is
-still not a singleton when it is reached. The skip is its birth move, but
-for its MH test, which reads the block's log Q: a walked proposal's differs
-from it in rounding only.
+mean. So the pass reads these likelihoods once (``own_loglik``) and skips a
+marked row, a non-singleton at the start, that is still not a singleton
+when it is reached: the skip is its rejected birth move, and it walks
+nothing and draws nothing.
 
 The pass then seats the proposals of the rows left to walk side by side
 (``BirthDeathPass.seat_births``): a row's walk reads only its own terms and
@@ -256,31 +281,53 @@ class BirthDeathPass(WalkTerms):
             self._columns[cid] = col
         return col
 
-    def birth_log_ratio(self, state, rows, log_f_new, log_q, log_q0):
-        """The log MH ratio of moving each sample of ``rows`` out of its
-        cluster into a new one, under whose mean its log likelihood is
-        ``log_f_new``, proposed with density ``log_q`` whose prior density
-        is ``log_q0``. ``rows`` is one sample, with floats, or an index
-        array, with a float or an array over the rows for each term."""
+    def own_loglik(self, state):
+        """Every sample's log likelihood under its own cluster in ``state``,
+        entry i bitwise entry i of that cluster's ``loglik_column``. It reads
+        every live cluster's column, which the pass reads later anyway: the
+        reassignment pass each cluster's, a death its own."""
         samples = state.samples
-        if np.ndim(rows):
-            slots = samples.labels[rows]
-            live = np.unique(slots)  # the rows' clusters, by slot
-            cols = np.array([self.loglik_column(state, c) for c in samples.ids[live].tolist()])
-            log_f_old = cols[np.searchsorted(live, slots), rows]
-        else:
-            log_f_old = self.loglik_column(state, samples.cluster_of(rows)).item(rows)
+        cols = np.array([self.loglik_column(state, c) for c in samples.cluster_ids()])
+        return cols[samples.labels, np.arange(len(samples.labels))]
+
+    def birth_log_ratio(self, state, log_f_old, log_f_new, log_q, log_q0):
+        """The log MH ratio of moving a sample out of its cluster, under
+        whose mean its log likelihood is ``log_f_old``, into a new one,
+        under whose mean it is ``log_f_new``, proposed with density
+        ``log_q`` whose prior density is ``log_q0``: floats, or arrays over
+        rows."""
         return (math.log(state.conc_samples) - math.log(len(self.x) - 1)
                 + log_f_new - log_f_old + log_q0 - log_q)
 
-    def rejected_spike_births(self, state, u):
+    def screened_births(self, state, u, log_f_old):
+        """Per row of the uniforms ``u``, whether the birth move of that
+        sample, reading that row, rejects whatever its walk would draw, by
+        the bound B_i on the log of its proposal's weight W = F Q0 / Q (see
+        the module docstring): log u[i, p] is at least the log ratio with
+        log W at B_i, by more than rounding. ``log_f_old`` is every
+        sample's ``own_loglik``. A row whose bound or likelihood is not
+        finite is not marked, so its walk still aborts."""
+        p = self.x.shape[1]
+        with np.errstate(all="ignore"):
+            # Z_j <= (1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j), per row.
+            bound = np.add.reduce(np.logaddexp(
+                self.spike, self.log_s - 0.5 * (LOG_2PI + np.log(self.v_obs))), axis=-1)
+            limit = self.birth_log_ratio(state, log_f_old, bound, 0.0, 0.0)
+            limit += 1e-9 * np.abs(limit) + 1e-9
+            return np.isfinite(limit) & (np.log(u[:, p]) >= limit)
+
+    def rejected_spike_births(self, state, u, log_f_old):
         """Per row of the uniforms ``u``, whether the birth move of that
         sample, reading that row, proposes an all-SPIKE mean and rejects it.
-        Only samples that are not singletons in ``state`` and whose proposal
-        stays on SPIKE through p are marked, each scored from the log Q of
-        one block of all p components. Records each row's block log Q
-        (``spike_log_q``) and whether it is finite (``run_finite``)."""
-        samples = state.samples
+        Only rows whose proposal stays on SPIKE through p are marked, each
+        scored from the log Q of one block of all p components;
+        ``log_f_old`` is every sample's ``own_loglik``. Records each row's
+        block log Q (``spike_log_q``) and whether it is finite
+        (``run_finite``). The pass skips these rows and those
+        ``screened_births`` marks by its bound, if still not singletons when
+        reached: neither mark reads a state that an earlier move of the pass
+        changes, either way the move rejects, and a skipped row draws
+        nothing (see the module docstring)."""
         n, p = self.x.shape
         stays = np.empty(n, dtype=bool)
         self.spike_log_q = np.empty(n)
@@ -292,14 +339,12 @@ class BirthDeathPass(WalkTerms):
                 stays[rows] = stays_run.all(axis=1)
                 self.spike_log_q[rows] = 0.0 + np.add.reduce(spike_q, axis=-1)
         self.run_finite = ~np.isnan(self.spike_log_q)
-        rows = np.flatnonzero(stays & (samples.counts[samples.labels] > 1))
-        skip = np.zeros(len(u), dtype=bool)
-        if rows.size:
-            log_ratio = self.birth_log_ratio(
-                state, rows, self.zero_loglik[rows], self.spike_log_q[rows], self.spike_log_q0)
-            skip[rows] = [not _mh_accepts(r, v)
-                          for r, v in zip(log_ratio.tolist(), u[rows, p].tolist())]
-        return skip
+        rows = np.flatnonzero(stays)
+        log_ratio = self.birth_log_ratio(state, log_f_old[rows], self.zero_loglik[rows],
+                                         self.spike_log_q[rows], self.spike_log_q0)
+        stays[rows] = [not _mh_accepts(r, v)
+                       for r, v in zip(log_ratio.tolist(), u[rows, p].tolist())]
+        return stays
 
 
 @np.errstate(all="ignore")  # a non-finite weight stops a block; the scalar pick aborts on it
@@ -716,7 +761,8 @@ def mh_birth_move(state, i, rng, bd, u):
         mean_new, log_q, log_q0 = bd.propose(i, u, rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"birth proposal i={i}: {exc}") from exc
-    log_ratio = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)
+    log_f_old = bd.loglik_column(state, state.samples.cluster_of(i)).item(i)
+    log_ratio = bd.birth_log_ratio(state, log_f_old, bd.loglik(i, mean_new), log_q, log_q0)
     accepted = _mh_accepts(log_ratio, u.item(-1))
     if accepted:
         new_cid = state.samples.move(i)
@@ -810,12 +856,17 @@ def gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
 def _births_and_deaths(state, rng, bd):
     """The MH birth/death pass: a birth move per non-singleton and a death
     move per singleton, in sample order, move i reading row i of one uniform
-    matrix. A row marked by ``rejected_spike_births`` whose sample is still
-    not a singleton is skipped, and ``seat_births`` seats the others first."""
+    matrix. A row that was not a singleton at the start and that
+    ``screened_births`` or ``rejected_spike_births`` marks is skipped if
+    still not a singleton when reached, and ``seat_births`` seats the
+    others first."""
     n, p = bd.x.shape
     u = rng.random((n, p + 1))
-    skip = bd.rejected_spike_births(state, u)
-    walk = np.flatnonzero(~skip & (state.samples.counts[state.samples.labels] > 1))
+    log_f_old = bd.own_loglik(state)
+    births = state.samples.counts[state.samples.labels] > 1
+    skip = births & (bd.screened_births(state, u, log_f_old)
+                     | bd.rejected_spike_births(state, u, log_f_old))
+    walk = np.flatnonzero(births & ~skip)
     bd.seat_births(walk[bd.run_finite[walk]], u)  # a row not run_finite is left to the scalar walk
     skip = skip.tolist()
     for i in range(n):

@@ -69,5 +69,6 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
             mean_new = draw_prior_mean(
                 slab_coef(hp) * state.attr_prob, state.conc_inner, state.slab_var, rng)
             log_q = log_q0 = 0.0
-        log_ratios[t] = bd.birth_log_ratio(state, i, bd.loglik(i, mean_new), log_q, log_q0)
+        log_f_old = bd.loglik_column(state, state.samples.cluster_of(i)).item(i)
+        log_ratios[t] = bd.birth_log_ratio(state, log_f_old, bd.loglik(i, mean_new), log_q, log_q0)
     return log_ratios

@@ -7,10 +7,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sparseclust.chain import ChainConfig
-from sparseclust.cli import build_parser, main
+from sparseclust.chain import ChainConfig, ChainTrace
+from sparseclust.cli import _write_outputs, build_parser, main
 from sparseclust.io import load_csv, write_csv
-from sparseclust.model import Hyperparams
+from sparseclust.model import DataMatrix, Hyperparams
 
 EXPECTED_FILES = [
     "k_trace.csv", "k_posterior.csv", "rho_mean.csv", "pi_mean.csv",
@@ -177,20 +177,37 @@ def test_outputs_reparse_and_shapes(tmp_path):
 def test_matrix_outputs_bytes_equal_write_csv(tmp_path):
     """The tables written a distinct row at a time (mu_hat, coclustering,
     pi_mean, rho_mean) hold the bytes write_csv writes cell by cell: each is
-    reloaded with load_csv, which is bit-exact, and rewritten. Between them
-    the two short fits repeat rows in the first three tables."""
+    reloaded with load_csv, which is bit-exact, and rewritten. They are the
+    summaries ``_write_outputs`` writes of a constructed trace, so that no
+    sampler stream decides their shape: K is 2 at every sweep, samples 0
+    and 1 share a cluster at every sweep, and both clusters' means are
+    nonzero on the same components, so the first three tables repeat rows."""
+    n, p, sweeps = 6, 5, 6
+    rng = np.random.default_rng(11)
+    data = DataMatrix(rng.normal(size=(n, p)))
+    trace = ChainTrace(n, p)
+    for _ in range(sweeps):
+        labels = rng.integers(0, 2, size=n)
+        labels[1] = labels[0]
+        labels[2:4] = [1 - labels[0], labels[0]]  # both clusters are live
+        means = np.zeros((2, p))
+        means[:, [0, 2]] = rng.normal(size=(2, 2))
+        trace.ks.append(2)
+        trace.assignments.append(labels)
+        trace.rhos.append(rng.uniform(size=p))
+        trace.means.append(means)
+        trace.baselines.append(rng.normal(size=p))
+    out = tmp_path / "out"
+    _write_outputs(str(out), trace, data, Hyperparams(0.0, 1.0), 0.5,
+                   ChainConfig(iterations=12, burn_in=6))
     again = tmp_path / "again.csv"
     repeated = set()
-    for seed in (1, 6):
-        out = tmp_path / f"seed{seed}"
-        assert _run(["--simulate", "ex3", "--iters", "12", "--burn-in", "6",
-                     "--seed", str(seed), "--out", str(out)]) == 0
-        for name in ("mu_hat.csv", "coclustering.csv", "pi_mean.csv", "rho_mean.csv"):
-            table = load_csv(out / name)
-            write_csv(again, table.names, table.y.tolist())
-            assert again.read_bytes() == (out / name).read_bytes(), (seed, name)
-            if len(np.unique(table.y[:, 1:], axis=0)) < table.n:
-                repeated.add(name)
+    for name in ("mu_hat.csv", "coclustering.csv", "pi_mean.csv", "rho_mean.csv"):
+        table = load_csv(out / name)
+        write_csv(again, table.names, table.y.tolist())
+        assert again.read_bytes() == (out / name).read_bytes(), name
+        if len(np.unique(table.y[:, 1:], axis=0)) < table.n:
+            repeated.add(name)
     assert repeated >= {"mu_hat.csv", "coclustering.csv", "pi_mean.csv"}
 
 

@@ -24,6 +24,7 @@ from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state, manual_state
 from test_component_walk import (
+    _lockstep_pass,
     _proposal_bits,
     _propose_by_reference_walk,
     _record_lockstep_rows,
@@ -772,51 +773,71 @@ def _skip_state(seed):
     return state, data, hp
 
 
+def _no_screen(bd, state, u, log_f_old):
+    """``BirthDeathPass.screened_births`` marking no row."""
+    return np.zeros(len(u), dtype=bool)
+
+
 def test_skipped_births_match_per_sample_moves(monkeypatch):
     """The birth/death pass, which skips the rows it marks as rejected
     all-SPIKE births, leaves the state and the generator where the move of
     every row leaves them, on each bit generator, through the cases around a
-    skipped row."""
-    seen = dict.fromkeys(
-        ("skipped row followed by an accepted birth", "proposal off SPIKE",
-         "singleton after a skipped row",
-         "skipped row whose component 0 favours a new cluster",
-         "skip at sample n - 1"), 0)
-    for bit_generator in BIT_GENERATORS:
-        for seed in range(30):
-            state, data, hp = _skip_state(seed)
-            ref = copy.deepcopy(state)
-            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
-                            for _ in range(2))
-            moved = _record_moves(monkeypatch)
-            bd = _pass(state, data, hp)
-            clusters._births_and_deaths(state, rng, bd)
-            monkeypatch.undo()
-            events = _reference_births_and_deaths(ref, data, ref_rng, _pass(ref, data, hp))
+    skipped row. Both passes skip the rows the screen marks; every other
+    skipped row is an all-SPIKE birth that rejects. The passes run once with
+    the screen and once with it marking no row: on these states the screen
+    marks every skipped row whose component 0 favours a new cluster, which
+    the precheck alone must then skip."""
+    for screen in (True, False):
+        seen = dict.fromkeys(
+            ("skipped row followed by an accepted birth", "proposal off SPIKE",
+             "singleton after a skipped row", "skip at sample n - 1",
+             "screened row" if screen else
+             "skipped row whose component 0 favours a new cluster"), 0)
+        for bit_generator in BIT_GENERATORS:
+            for seed in range(30):
+                with monkeypatch.context() as patch:
+                    if not screen:
+                        patch.setattr(BirthDeathPass, "screened_births", _no_screen)
+                    state, data, hp = _skip_state(seed)
+                    ref = copy.deepcopy(state)
+                    rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                                    for _ in range(2))
+                    moved = _record_moves(monkeypatch)
+                    bd = _pass(state, data, hp)
+                    clusters._births_and_deaths(state, rng, bd)
+                    monkeypatch.undo()
+                    events = _reference_births_and_deaths(ref, data, ref_rng, _pass(ref, data, hp))
 
-            got, want = state.to_dict(), ref.to_dict()
-            assert got["samples"] == want["samples"], (bit_generator, seed)
-            assert got["cluster_means"] == want["cluster_means"], (bit_generator, seed)
-            assert got == want, (bit_generator, seed)
-            # Equal next draws: the two generators stand at the same position.
-            assert rng.random(4).tolist() == ref_rng.random(4).tolist(), (bit_generator, seed)
+                got, want = state.to_dict(), ref.to_dict()
+                assert got["samples"] == want["samples"], (bit_generator, seed)
+                assert got["cluster_means"] == want["cluster_means"], (bit_generator, seed)
+                assert got == want, (bit_generator, seed)
+                # Equal next draws: the two generators stand at the same position.
+                assert rng.random(4).tolist() == ref_rng.random(4).tolist(), (bit_generator, seed)
 
-            n = data.n
-            skipped = sorted(set(range(n)) - set(moved))
-            for i in skipped:
-                # A skipped row is a birth that stays on SPIKE and is rejected.
-                assert events[i] == ("birth", False, False), (bit_generator, seed, i)
-                if i + 1 < n:
-                    move, _left_spike, accepted = events[i + 1]
-                    seen["skipped row followed by an accepted birth"] += (
-                        move == "birth" and accepted)
-                    seen["singleton after a skipped row"] += move == "death"
-                seen["skipped row whose component 0 favours a new cluster"] += (
-                    not _starts_block(bd, i))
-            seen["skip at sample n - 1"] += n - 1 in skipped
-            for _move, left_spike, _accepted in events:
-                seen["proposal off SPIKE"] += left_spike
-    assert all(seen.values()), seen
+                n = data.n
+                skipped = sorted(set(range(n)) - set(moved))
+                screened = {i for i, event in enumerate(events) if event[0] == "screened"}
+                assert screened <= set(skipped), (bit_generator, seed)
+                for i in skipped:
+                    if i in screened:
+                        seen["screened row"] += 1
+                    else:
+                        # A skipped row the screen left is a birth that stays
+                        # on SPIKE and is rejected.
+                        assert events[i] == ("birth", False, False), (bit_generator, seed, i)
+                        if not screen:
+                            seen["skipped row whose component 0 favours a new cluster"] += (
+                                not _starts_block(bd, i))
+                    if i + 1 < n:
+                        move, _left_spike, accepted = events[i + 1]
+                        seen["skipped row followed by an accepted birth"] += (
+                            move == "birth" and accepted)
+                        seen["singleton after a skipped row"] += move == "death"
+                seen["skip at sample n - 1"] += n - 1 in skipped
+                for _move, left_spike, _accepted in events:
+                    seen["proposal off SPIKE"] += bool(left_spike)  # None where screened
+        assert all(seen.values()), (screen, seen)
 
 
 def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
@@ -1007,11 +1028,12 @@ def test_lone_birth_is_the_scalar_walk(monkeypatch):
         monkeypatch.setattr(clusters, "_lockstep_seats", seats)
         _check_lone_births(monkeypatch, lone)
         bd = _pass(state, data, hp)
-        mark = bd.rejected_spike_births
-        bd.rejected_spike_births = lambda state, u: skips.append(mark(state, u)) or skips[0]
+        for name in ("screened_births", "rejected_spike_births"):
+            mark = getattr(bd, name)
+            setattr(bd, name, lambda *args, mark=mark: skips.append(mark(*args)) or skips[-1])
         clusters._births_and_deaths(state, np.random.default_rng(seed), bd)
         assert bd.run_finite.all()
-        assert calls == [np.flatnonzero(~skips[0] & ~start_singletons).tolist()], seed
+        assert calls == [np.flatnonzero(~skips[0] & ~skips[1] & ~start_singletons).tolist()], seed
         assert all(start_singletons[i] for i, _left in lone), seed
         seen["singleton walked when reached"] += len(lone)
         walked = len(lone)
@@ -1024,6 +1046,119 @@ def test_lone_birth_is_the_scalar_walk(monkeypatch):
             seen["attempt walked"] += 5
         monkeypatch.undo()
         seen["lone proposal off SPIKE"] += any(left for _i, left in lone)
+    assert all(seen.values()), seen
+
+
+# -- the screen ----------------------------------------------------------------
+
+
+def _screen_bound(bd, state, hp, i):
+    """The screen's bound B_i on row i's log W, in math: the sum over
+    components of log((1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j))."""
+    total = 0.0
+    for x, v, a in zip(bd.x[i].tolist(), bd.sigma_sq.tolist(), state.attr_prob.tolist()):
+        s = slab_coef(hp) * a
+        total += math.log((1.0 - s) * math.exp(log_normal_pdf(x, 0.0, v))
+                          + s / math.sqrt(2.0 * math.pi * v))
+    return total
+
+
+def _dense_state(seed):
+    """A prior draw of 16 samples in several clusters with attr_prob near 1
+    on most components, so that birth proposals seat several inner
+    clusters."""
+    state, data, hp = make_state(n=16, p=8, seed=500 + seed, require_multi=True)
+    rng = np.random.default_rng(seed + 2000)
+    state.attr_prob = rng.choice([0.05, 0.9, 0.999], size=data.p, p=[0.2, 0.4, 0.4])
+    state.conc_samples = float(rng.choice([0.5, 3.0, 20.0]))
+    return state, data, hp
+
+
+def test_screen_bound_holds_for_walked_proposals():
+    """The bound B_i (``_screen_bound``) exceeds log W = log F(y_i; m) +
+    log Q0 - log Q of every proposal m walked for row i, seated in lockstep
+    and drawn by the scalar walk from the same uniforms: on the lockstep
+    kinds' passes, among them dense ones (attr_prob 0.9, and 1 - 1e-9 with
+    rows that seat every component off SPIKE), and on the passes of prior
+    draws with sparse and with dense attr_prob. The states and seeds were
+    fixed before the first run."""
+    seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE", "member total p"), 0)
+    passes = [_lockstep_pass(kind, seed)
+              for kind in ("dense", "full", "live", "mixed", "spike") for seed in range(6)]
+    for make in (_skip_state, _dense_state):
+        for seed in range(10):
+            state, data, hp = make(seed)
+            passes.append((state, hp, _pass(state, data, hp)))
+    for seed, (state, hp, bd) in enumerate(passes):
+        n, p = bd.x.shape
+        rng = np.random.default_rng(seed)
+        u = rng.random((n, p + 1))
+        bd.seat_births(np.arange(n), u)
+        for i in range(n):
+            bound = _screen_bound(bd, state, hp, i)
+            walk_rng = copy.deepcopy(rng)
+            for mean, log_q, log_q0 in (bd.propose(i, u[i], rng),
+                                        _walk_from_spike(bd, i, u[i], walk_rng)):
+                assert bd.loglik(i, mean) + log_q0 - log_q < bound, (seed, i)
+            seen["3+ inner clusters"] += mean.inner_cluster_count() >= 3
+            seen["never off SPIKE"] += mean.nonzero_count() == 0
+            seen["member total p"] += mean.nonzero_count() == p
+    assert all(seen.values()), seen
+
+
+def test_screened_rows_reject_when_walked():
+    """Every row ``screened_births`` marks among the pass's non-singletons
+    rejects when walked: its birth move, run on a copy of the state and of
+    the pass with a copy of the generator, does not accept. On prior draws
+    with sparse and with dense attr_prob, the MH uniforms are the pass's own
+    draw, then placed 1e-6 (relative, plus 1e-6) above and below the
+    threshold exp(log conc - log(n - 1) - log F_old + B_i), with B_i and
+    F_old in math: the screen marks every row placed above, and none placed
+    below. The states and seeds were fixed before the first run."""
+    seen = dict.fromkeys(("marked from the pass's draw", "marked at the threshold",
+                          "marked proposal off SPIKE"), 0)
+    for make in (_skip_state, _dense_state):
+        for seed in range(30):
+            state, data, hp = make(seed)
+            samples = state.samples
+            n, p = data.n, data.p
+            bd = _pass(state, data, hp)
+            rng = np.random.default_rng(seed)
+            u = rng.random((n, p + 1))
+            births = samples.counts[samples.labels] > 1
+            log_f_old = bd.own_loglik(state)
+            mu_base, sigma_sq = _baselines(state)
+            threshold = []
+            for i in range(n):
+                mu = mu_base + state.cluster_means[samples.cluster_of(i)].mu()
+                own = sum(log_normal_pdf(y, m, v) for y, m, v in
+                          zip(data.y[i].tolist(), mu.tolist(), sigma_sq.tolist()))
+                threshold.append(math.log(state.conc_samples) - math.log(n - 1) - own
+                                 + _screen_bound(bd, state, hp, i))
+            for place in ("drawn", "above", "below"):
+                v = u.copy()
+                placed = np.zeros(n, dtype=bool)
+                if place != "drawn":
+                    for i, t in enumerate(threshold):
+                        shifted = t + (1e-6 if place == "above" else -1e-6) * (abs(t) + 1.0)
+                        if shifted < 0.0:
+                            v[i, p] = math.exp(shifted)
+                            placed[i] = True
+                marked = births & bd.screened_births(state, v, log_f_old)
+                if place == "above":
+                    assert marked[births & placed].all(), seed
+                elif place == "below":
+                    assert not marked[placed].any(), seed
+                for i in np.flatnonzero(marked).tolist():
+                    walk_state, walk_bd = copy.deepcopy(state), copy.deepcopy(bd)
+                    propose, proposals = walk_bd.propose, []
+                    walk_bd.propose = lambda *a: proposals.append(propose(*a)) or proposals[-1]
+                    accepted, _log_ratio = mh_birth_move(walk_state, i, copy.deepcopy(rng),
+                                                         walk_bd, v[i])
+                    assert not accepted, (seed, place, i)
+                    seen["marked from the pass's draw" if place == "drawn"
+                         else "marked at the threshold"] += 1
+                    seen["marked proposal off SPIKE"] += proposals[0][0].nonzero_count() > 0
     assert all(seen.values()), seen
 
 

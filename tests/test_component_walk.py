@@ -501,9 +501,12 @@ def _lockstep_pass(kind, seed):
 def _reference_births_and_deaths(state, data, rng, bd):
     """The per-sample pass: one (n, p + 1) uniform matrix, then a birth move
     per non-singleton and a death move per singleton, in sample order, move
-    i reading row i, with no row skipped and none seated ahead. Returns per
-    sample (move, whether its proposal seated a component off SPIKE,
-    accepted)."""
+    i reading row i, with none seated ahead and no row skipped but those
+    the pass's screen marks (``screened_births``, among the samples that
+    start as non-singletons), whose births reject whatever their walks draw
+    (``test_screened_rows_reject_when_walked``). Returns per sample (move,
+    whether its proposal seated a component off SPIKE, accepted); a
+    screened row's is ("screened", None, False)."""
     propose = bd.propose
     left_spike = []
 
@@ -514,9 +517,15 @@ def _reference_births_and_deaths(state, data, rng, bd):
 
     bd.propose = recording
     u = rng.random((data.n, data.p + 1))
+    samples = state.samples
+    screened = ((samples.counts[samples.labels] > 1)
+                & bd.screened_births(state, u, bd.own_loglik(state))).tolist()
     events = []
     for i in range(data.n):
         if state.samples.cluster_size(i) > 1:
+            if screened[i]:
+                events.append(("screened", None, False))
+                continue
             accepted, _log_ratio = clusters.mh_birth_move(state, i, rng, bd, u[i])
             events.append(("birth", left_spike[-1], accepted))
         else:

@@ -71,60 +71,60 @@ def fingerprint(name):
     }
 
 
-PINS = {'ex1_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-                             'per_sweep': [(4, 78, 13, 0), (4, 51, 6, 0), (4, 45, 3, 0),
-                                           (7, 44, 3, 0), (6, 41, 2, 0), (6, 31, 2, 0),
-                                           (4, 31, 2, 0), (5, 21, 2, 0), (5, 17, 2, 1),
-                                           (4, 18, 2, 1), (3, 20, 2, 0), (2, 17, 2, 0),
-                                           (1, 20, 2, 0), (1, 17, 2, 0), (1, 14, 2, 0),
-                                           (1, 13, 2, 0), (1, 10, 2, 0), (1, 14, 2, 0),
-                                           (1, 12, 2, 0), (1, 9, 2, 0)],
-                             'rng_state': 61240369362527409974324711032639621730},
-         'ex2_default_one': {'labels': [0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 3, 0, 3, 2, 4, 4, 0, 5],
-                             'per_sweep': [(2, 352, 19, 0), (1, 250, 4, 0), (1, 233, 4, 0),
-                                           (1, 204, 3, 0), (1, 169, 3, 0), (1, 172, 3, 0),
-                                           (1, 155, 3, 0), (1, 143, 2, 0), (1, 129, 2, 0),
-                                           (1, 126, 2, 0), (1, 110, 2, 0), (1, 101, 2, 0),
-                                           (1, 88, 2, 0), (1, 85, 2, 0), (1, 77, 2, 0),
-                                           (1, 78, 2, 0), (2, 76, 2, 2), (4, 72, 2, 0),
-                                           (5, 81, 2, 0), (6, 77, 2, 0)],
-                             'rng_state': 336185351096648934676731241841837363207},
-         'ex3_beta22_singletons': {'labels': [0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
-                                              3, 3],
-                                   'per_sweep': [(6, 17, 12, 12), (6, 9, 7, 47), (6, 6, 3, 87),
-                                                 (6, 4, 2, 103), (6, 4, 2, 86), (7, 4, 2, 105),
-                                                 (9, 3, 2, 135), (9, 3, 2, 160), (8, 3, 1, 162),
-                                                 (7, 3, 1, 128), (7, 4, 1, 118), (5, 3, 1, 81),
-                                                 (5, 3, 1, 73), (4, 2, 1, 60), (4, 2, 1, 57),
-                                                 (3, 2, 1, 44), (3, 2, 1, 43), (3, 2, 1, 35),
-                                                 (3, 2, 1, 35), (4, 2, 1, 43)],
-                                   'rng_state': 63736817067862269358509860245020498792},
-         'ex4_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-                             'per_sweep': [(2, 19, 18, 0), (1, 15, 10, 0), (2, 16, 6, 0),
-                                           (1, 19, 6, 0), (1, 13, 6, 0), (3, 15, 5, 0),
-                                           (3, 17, 4, 0), (3, 14, 4, 0), (3, 12, 4, 0),
-                                           (5, 10, 3, 0), (3, 8, 3, 0), (5, 8, 3, 0), (3, 6, 3, 0),
-                                           (4, 10, 3, 0), (3, 7, 4, 0), (1, 7, 3, 0), (1, 6, 3, 0),
-                                           (1, 7, 3, 0), (1, 6, 3, 0), (1, 7, 3, 0)],
-                             'rng_state': 237306563059806526838456576546213865080},
-         'tall_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                         0],
-                              'per_sweep': [(2, 20, 8, 0), (2, 10, 3, 0), (2, 9, 3, 0),
-                                            (2, 6, 3, 0), (1, 4, 3, 0), (1, 4, 3, 0), (1, 3, 2, 0),
-                                            (1, 3, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
-                                            (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
-                                            (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
-                                            (1, 2, 2, 0)],
-                              'rng_state': 143675211275550015432038166347233762724}}
+PINS = {'ex1_default_one': {'labels': [0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0],
+                            'per_sweep': [(4, 78, 13, 0), (4, 54, 4, 0), (6, 44, 4, 0),
+                                          (5, 32, 2, 0), (4, 34, 2, 0), (4, 22, 2, 0),
+                                          (5, 18, 2, 0), (5, 19, 2, 0), (4, 14, 2, 0),
+                                          (4, 17, 2, 0), (3, 18, 2, 0), (2, 16, 2, 0),
+                                          (3, 20, 2, 0), (3, 18, 2, 0), (2, 13, 3, 0),
+                                          (3, 15, 2, 0), (2, 14, 2, 0), (3, 18, 2, 0),
+                                          (2, 17, 2, 0), (2, 19, 2, 0)],
+                            'rng_state': 255832593491834758840366567638086885623},
+        'ex2_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                            'per_sweep': [(2, 352, 19, 0), (2, 232, 5, 0), (2, 224, 4, 0),
+                                          (4, 196, 3, 0), (2, 179, 3, 0), (1, 157, 3, 0),
+                                          (1, 144, 3, 0), (1, 145, 3, 0), (2, 135, 3, 0),
+                                          (1, 139, 3, 0), (1, 121, 3, 0), (1, 107, 3, 0),
+                                          (1, 95, 3, 0), (1, 82, 3, 0), (1, 81, 3, 0),
+                                          (1, 89, 3, 0), (1, 90, 3, 0), (1, 83, 3, 0),
+                                          (1, 81, 3, 0), (1, 68, 3, 0)],
+                            'rng_state': 47953348985310159414390715503043774839},
+        'ex3_beta22_singletons': {'labels': [0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
+                                             3, 3],
+                                  'per_sweep': [(6, 17, 12, 12), (6, 9, 7, 47), (6, 6, 3, 87),
+                                                (6, 4, 2, 103), (6, 4, 2, 86), (7, 4, 2, 100),
+                                                (7, 3, 2, 127), (6, 3, 2, 117), (4, 3, 2, 73),
+                                                (4, 3, 2, 61), (4, 3, 2, 66), (4, 3, 1, 74),
+                                                (3, 2, 1, 51), (3, 2, 1, 45), (3, 2, 1, 45),
+                                                (3, 2, 1, 45), (4, 2, 1, 51), (4, 2, 1, 65),
+                                                (4, 2, 1, 63), (4, 2, 1, 68)],
+                                  'rng_state': 253618500027851336368281941675921429967},
+        'ex4_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+                            'per_sweep': [(2, 19, 18, 0), (1, 20, 12, 0), (1, 18, 10, 0),
+                                          (1, 18, 6, 0), (2, 13, 6, 0), (3, 11, 5, 0),
+                                          (3, 9, 4, 0), (3, 7, 3, 0), (2, 9, 3, 0), (2, 9, 3, 0),
+                                          (2, 10, 3, 0), (2, 8, 3, 0), (2, 6, 3, 0), (3, 9, 3, 0),
+                                          (4, 8, 3, 0), (3, 8, 3, 0), (2, 6, 3, 0), (1, 5, 3, 0),
+                                          (1, 4, 3, 0), (2, 3, 3, 0)],
+                            'rng_state': 47302650398176722501549956356371098542},
+        'tall_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                        0],
+                             'per_sweep': [(2, 20, 8, 0), (3, 11, 3, 0), (2, 8, 2, 0),
+                                           (2, 5, 2, 0), (1, 4, 2, 0), (1, 3, 2, 0), (1, 3, 2, 0),
+                                           (1, 3, 2, 0), (1, 3, 2, 0), (1, 3, 2, 0), (1, 3, 2, 0),
+                                           (2, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                           (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0), (1, 2, 2, 0),
+                                           (1, 2, 2, 0)],
+                             'rng_state': 306343284178560722768700971659027450536}}
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))

@@ -62,7 +62,8 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
     if seed % 2:
         state.attr_prob[:] = 1e-3  # rows that start blocks with no member seated
     bd, mu_base, sigma_sq = _pass(state, data, hp)
-    bd.rejected_spike_births(state, np.random.default_rng(seed).random((n, p + 1)))
+    bd.rejected_spike_births(state, np.random.default_rng(seed).random((n, p + 1)),
+                             bd.own_loglik(state))
     for i in range(n):
         one = WalkTerms(data.y[i] - mu_base, 1, sigma_sq, state, hp)
         for name in ROW_ARRAYS:
@@ -113,7 +114,7 @@ def test_all_spike_proposal_at_p_3000_is_one_block():
         state.attr_prob[:] = 1e-3
         bd = _pass(state, data, hp)[0]
         rng = np.random.default_rng(seed)
-        bd.rejected_spike_births(state, np.full((3, 3001), 0.5))
+        bd.rejected_spike_births(state, np.full((3, 3001), 0.5), bd.own_loglik(state))
         for i in range(3):
             mean, *logs = _walk_from_spike(bd, i, rng.random(3000), rng)
             if _starts_block(bd, i) and bd.run_finite[i] and not mean.inner.n_clusters():
@@ -129,7 +130,7 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     Each walk aborts at component 4 through the scalar pick, with the
     message of a walk with its own one-row terms and before it draws
     anything; the blocks stop there. The pass keeps these rows out of its
-    skip, and their birth proposals leave them to the scalar walk. Row 0 is
+    skip and its screen, and their birth proposals leave them to the scalar walk. Row 0 is
     finite and walks as its one-row terms do."""
     p = 6
     state, data, hp = make_state(n=4, p=p, seed=4)
@@ -142,8 +143,11 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     x[2, 4] = np.nan
     x[3, 0] = 5.0
     bd = BirthDeathPass(x + mu_base, mu_base, sigma_sq, state, hp)  # does not raise
-    bd.rejected_spike_births(state, np.full((4, p + 1), 0.5))  # nor does its skip
+    bd.rejected_spike_births(state, np.full((4, p + 1), 0.5), bd.own_loglik(state))  # nor its skip
     assert bd.run_finite.tolist() == [True, False, False, False]
+    # Not even an MH uniform just below 1 screens a non-finite row.
+    u_top = np.full((4, p + 1), np.nextafter(1.0, 0.0))
+    assert not bd.screened_births(state, u_top, bd.own_loglik(state))[1:].any()
     assert [_starts_block(bd, i) for i in range(1, 4)] == [True, True, False]
 
     u = np.full(p, 1e-3)  # every SPIKE-favouring component stays on SPIKE
