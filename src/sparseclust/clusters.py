@@ -3,15 +3,31 @@ reassignment, and the inner Gibbs update of cluster mean vectors.
 
 Two component walks seat a cluster's mean vector, each component in turn
 (SPIKE, a live inner cluster or a new one) from the collapsed spike/CRP
-conditional, then draw the inner values from their conjugate posteriors and
-sum the proposal density Q of those draws and their prior density Q0. The
-lockstep (``_lockstep_seats``, below) seats the birth proposals of a pass's
-rows. The scalar walk (``_scan_components``) does every one-row walk: a
-birth the pass did not seat and the inner Gibbs pass; without uniforms it
-replays a given vector, which is how a death scores the reverse birth,
-equal to a lone birth's log Q and log Q0 bit for bit and to a seated one's
-to rounding. ``diagnostics.draw_prior_mean`` draws a mean vector from the
-prior itself.
+conditional, then draw the inner values from their conjugate posteriors.
+The lockstep (``_lockstep_seats``, below) seats the birth proposals of a
+pass's rows. The scalar walk (``_scan_components``) does every one-row
+walk: a birth the pass did not seat and the inner Gibbs pass.
+``diagnostics.draw_prior_mean`` draws a mean vector from the prior itself.
+
+A walk returns one number, log W: the sum over components of the log
+normaliser Z_j of the pick that seats component j. From an all-SPIKE mean
+the walk is a sequential importance sampler (Kong, Liu & Wong 1994, JASA
+89:278) of a new cluster's mean m for row i: each seat weight is the prior
+seat probability times the predictive density of x_ij given the seats
+before, and the values are drawn from their exact posterior given the
+seats, so their densities cancel and
+
+    F(y_i; m) Q0(m) / Q(m) = prod_j Z_j = W,
+
+with F the likelihood, Q0 the prior and Q the proposal density of m. A
+birth's log MH ratio is therefore log conc_samples - log(n - 1) - log F_old
++ log W, with F_old the sample's likelihood under its own cluster. A death
+scores the birth that proposes its singleton's mean from the mean's fixed
+seats (``_seated_log_w``): each slot's count, summed precision and summed
+statistic before component j are cumulative sums along the components, a
+slot not yet opened weighs log 0, and one (slots + 2, p) array gives every
+Z_j. Its log MH ratio is log(n - 1) - log conc_samples + log F_target - log
+W. Neither move scores the proposed or the dying mean's likelihood.
 
 The scalar walk keeps its per-slot sums in lists indexed by the partition's
 slots; a new inner cluster takes the next slot. A slot whose last member
@@ -19,10 +35,7 @@ leaves stays, at count 0, until write-back: it weighs -inf, which changes
 neither the pick nor its normalizer, and ``partition.drop_empty`` drops it
 at the end. The walk writes the seats into the partition's labels as it
 draws them and the slot arrays back once, at the end; a walk that seats
-every component of an all-SPIKE mean on SPIKE writes nothing more. The
-replay walks from empty, so it opens the clusters in order of first
-appearance: it reads the seats as the first-appearance labels of
-``Partition.canonical``, and the values in that order.
+every component of an all-SPIKE mean on SPIKE writes nothing more.
 
 Every walk seats runs of SPIKE seats in blocks of one row or a stack of
 rows (``_block``). A SPIKE seat changes no slot and not the walk's member
@@ -31,14 +44,13 @@ one array comparison of their uniforms against their SPIKE weights seats
 them up to the first one off SPIKE, whose seat is read from its running
 sums. A block weighs every slot from the terms the walk keeps per slot (log
 count, posterior mean and variance, updated when the slot changes), summed
-as the scalar step sums them. In the scalar walk, while no member is
-seated, a block starts at a component that favours SPIKE and spans to p:
-no later component starts seated, and with every slot empty only SPIKE and
-a new cluster weigh anything. With members seated, a block starts only
-after 16 SPIKE seats in a row, so dense vectors stay on the scalar path; it
-spans up to a fixed number of cells and stops before the next component
-that starts seated. The replay walks the blocks a drawing walk from an
-all-SPIKE mean walks, so it is bitwise equal to that walk's sums.
+as the scalar step sums them, and returns every pick's normaliser. In the
+scalar walk, while no member is seated, a block starts at a component that
+favours SPIKE and spans to p: no later component starts seated, and with
+every slot empty only SPIKE and a new cluster weigh anything. With members
+seated, a block starts only after 16 SPIKE seats in a row, so dense vectors
+stay on the scalar path; it spans up to a fixed number of cells and stops
+before the next component that starts seated.
 
 The walk reads its per-component inputs in place from a ``WalkTerms`` row,
 arrays built before the walk, of which a scalar step reads component j's
@@ -48,14 +60,13 @@ death or reassignment move changes any of those. So
 ``step_clusters`` builds one ``BirthDeathPass`` for the birth/death loop and
 the reassignment pass: the terms of every sample's residual y_i - mu_base as
 (n, p) rows, together with log(2 pi sigma^2), every sample's log likelihood
-under a zero mean, which is the likelihood of nearly every proposal at the
-default sparsity, and each live cluster's column of log likelihoods,
-computed once when first read. Every move reads a live cluster's likelihood
-from its column, a death its own and its target's too; only a fresh proposal
-is scored on its own row. The elementwise ufuncs and the row sums give the
-same bits on the (n, p) arrays as on one row, so a row of the pass walks as
-its one-row terms do. The inner Gibbs pass then reads each cluster's member
-rows from the data, in ascending sample order.
+under a zero mean, and each live cluster's column of log likelihoods,
+computed once when first read. A birth reads its sample's own column, a
+death its target's, the reassignment pass every cluster's. The elementwise
+ufuncs and the row sums give the same bits on the (n, p) arrays as on one
+row, so a row of the pass walks as its one-row terms do. The inner Gibbs
+pass then reads each cluster's member rows from the data, in ascending
+sample order.
 
 Every sample move is handed its uniforms, and so is a drawing walk, one per
 component: component j is seated by u[j], on either path. The birth/death
@@ -69,14 +80,7 @@ generator. This is valid: each uniform is read by one draw only, and it is
 drawn before, and independently of, the state it is used in.
 
 Nearly every birth proposal is rejected, and the pass proves most of these
-rejections before the walk. A birth's log MH ratio is log conc_samples -
-log(n - 1) - log F_old + log W, with F_old the sample's likelihood under its
-own cluster and W = F(y_i; m) Q0(m) / Q(m) for the proposed mean m. log W
-is the sum over components of the log normalisers Z_j of the walk's seat
-picks: the values are drawn from their exact posterior given the seats, so
-their densities cancel, and the seats' collapsed weights multiply to the
-joint density of y_i and the seats (sequential importance sampling; Kong,
-Liu & Wong 1994, JASA 89:278). Whatever the seats, every slot's and a new
+rejections before the walk. Whatever the seats, every slot's and a new
 cluster's predictive density at component j is a normal of variance at
 least v_j = sigma_j^2, and the CRP weights of the slots and of a new
 cluster sum to 1, so
@@ -95,7 +99,7 @@ At the default sparsity most of the rest seat every component on SPIKE and
 are rejected. The pass marks these rows up front too, each chunk of rows
 weighed as one block of all p components with no member seated
 (``BirthDeathPass.rejected_spike_births``); the MH test reads the block's
-log Q, from which a walked proposal's differs in rounding only.
+log W, from which a walked proposal's differs in rounding only.
 
 Either mark depends on the row's uniforms, the pass's terms and the
 sample's log likelihood under its own cluster, and no earlier move of the
@@ -116,21 +120,19 @@ one block of all rows: of component j alone, or, after a component that
 all rows but at most one seated on SPIKE, of the next components too. Every
 row sits on SPIKE up to the first component some row leaves SPIKE at, which
 is seated from the same block. The seats do not depend on where blocks
-fall; a block sums its SPIKE seats' log Q and log Q0 by one reduction, which
-differs from the scalar walk's sums in rounding only, and blocks are sized
-by the number of rows and their slots, so a row's last bits of log Q and
-log Q0 depend on the rows seated with it. The draws and their order are the
-scalar walk's from an all-SPIKE mean, but numpy's exp and log differ from
-math's in the last bit: a seat or an MH decision can differ only where a
-uniform falls within rounding of a boundary.
+fall; a block adds its normalisers by one reduction, which differs from the
+scalar walk's sums in rounding only, and blocks are sized by the number of
+rows and their slots, so a row's last bits of log W depend on the rows
+seated with it. The draws and their order are the scalar walk's from an
+all-SPIKE mean, but numpy's exp and log differ from math's in the last bit:
+a seat or an MH decision can differ only where a uniform falls within
+rounding of a boundary.
 
-Every walk ends with one value tail: ``_posterior`` turns each slot's
-member sums into its value's posterior, and ``_values`` draws the values
-(or reads the replayed ones) and adds their densities in slot order. A
-scalar walk sums its slots' members afresh (``_member_sums``); the lockstep
-sums every seated row's by the same call over (row, slot) pairs, also in
-component order, and calls ``_posterior`` once per call. A seated row that
-has become a singleton by its turn draws nothing.
+Every walk ends with one value tail, ``_values``, which reads its slots'
+member sums (``_member_sums``): a scalar walk sums its slots' members
+afresh, and the lockstep every seated row's by one call over (row, slot)
+pairs, also in component order. A seated row that has become a singleton by
+its turn draws nothing.
 
 The reassignment pass (``_reassignments``) hands each non-singleton, in
 sample order, one scalar uniform, its row of the pass's columns and the
@@ -194,8 +196,8 @@ class WalkTerms:
 
     Per component j and row: the SPIKE weight ``spike`` and the new-cluster
     weight ``new`` (the seat weights with the inner values integrated out;
-    ``new`` before the CRP denominator). Shared by all rows: log s,
-    log(1 - s), the observation variance and precision.
+    ``new`` before the CRP denominator). Shared by all rows: log s, the
+    observation variance and precision.
     """
 
     def __init__(self, x, n_count, sigma_sq, state, hp):
@@ -210,10 +212,9 @@ class WalkTerms:
         x = self.x
         with np.errstate(divide="ignore"):
             self.log_s = np.log(s_vec)
-            self.log_spike = np.log1p(-s_vec)
             new_var = self.slab_var + self.v_obs
             xx = x * x
-            self.spike = self.log_spike - 0.5 * (LOG_2PI + np.log(self.v_obs) + xx / self.v_obs)
+            self.spike = np.log1p(-s_vec) - 0.5 * (LOG_2PI + np.log(self.v_obs) + xx / self.v_obs)
             self.new = self.log_s + self.log_conc - 0.5 * (LOG_2PI + np.log(new_var) + xx / new_var)
 
 
@@ -221,10 +222,9 @@ class BirthDeathPass(WalkTerms):
     """What the birth, death and reassignment moves of one step-5 pass read:
     the walk terms of every sample's residual ``x[i] = y_i - mu_base``
     (n_count 1), ``log(2 pi sigma_sq)`` and every sample's log likelihood
-    under a zero mean, and the log Q0 of a proposal that seats every
-    component on SPIKE (``spike_log_q0``). Each live cluster's column of log
-    likelihoods is computed when first read. See the module docstring for
-    why none of it changes in the pass."""
+    under a zero mean. Each live cluster's column of log likelihoods is
+    computed when first read. See the module docstring for why none of it
+    changes in the pass."""
 
     def __init__(self, y, mu_base, sigma_sq, state, hp):
         sigma_sq = np.asarray(sigma_sq, dtype=float)
@@ -232,7 +232,6 @@ class BirthDeathPass(WalkTerms):
         self.sigma_sq = sigma_sq
         self.log_2pi_var = np.log(2.0 * np.pi * sigma_sq)
         self.zero_loglik = _loglik_rows(self.x, self.log_2pi_var, sigma_sq)
-        self.spike_log_q0 = 0.0 + float(np.add.reduce(self.log_spike))
         self._columns = {}
         self._seated = {}
 
@@ -243,26 +242,26 @@ class BirthDeathPass(WalkTerms):
         self._seated = _lockstep_seats(self, rows, u[rows])
 
     def propose(self, i, u, rng):
-        """(mean, log Q, log Q0): a new cluster mean for row i, drawn by the
+        """(mean, log W): a new cluster mean for row i, drawn by the
         sequential proposal from the uniforms ``u`` (one per component) and
-        ``rng``, with its proposal and prior log densities. A row
+        ``rng``, with its walk's log W (see the module docstring). A row
         ``seat_births`` seated draws its values by ``_values``; any other
         row is the scalar walk from an all-SPIKE mean, which aborts on a row
         that is not ``run_finite``."""
         seated = self._seated.pop(i, None)
         if seated is None:
             mean = ClusterMeanVector(self.x.shape[1])
-            return (mean, *_scan_components(mean.inner, self, i, u, rng))
-        seats, counts, log_q, log_q0, post = seated
+            return mean, _scan_components(mean.inner, self, i, u, rng)
+        seats, counts, log_w, sums = seated
         if not counts:
-            return ClusterMeanVector(len(seats)), log_q, log_q0
-        values, log_q, log_q0 = _values(post, self.slab_var, log_q, log_q0, rng)
-        return (ClusterMeanVector(len(seats), Partition(seats, counts, values, allow_spike=True)),
-                log_q, log_q0)
+            return ClusterMeanVector(len(seats)), log_w
+        inner = Partition(seats, counts, _values(*sums, self.slab_var, rng), allow_spike=True)
+        return ClusterMeanVector(len(seats), inner), log_w
 
     def loglik(self, i, mean):
         """Log F(y_i; mu_base + mean): sample i's normal log likelihood under
-        a proposed mean; a live cluster's is read from its column."""
+        a mean drawn outside the pass, as ``diagnostics.draw_prior_mean``
+        draws one; a live cluster's is read from its column."""
         if not mean.inner.n_clusters():  # every component is SPIKE
             return self.zero_loglik.item(i)
         return float(_loglik_rows(self.x[i] - mean.mu(), self.log_2pi_var, self.sigma_sq))
@@ -290,29 +289,26 @@ class BirthDeathPass(WalkTerms):
         cols = np.array([self.loglik_column(state, c) for c in samples.cluster_ids()])
         return cols[samples.labels, np.arange(len(samples.labels))]
 
-    def birth_log_ratio(self, state, log_f_old, log_f_new, log_q, log_q0):
+    def birth_log_ratio(self, state, log_f_old, log_w):
         """The log MH ratio of moving a sample out of its cluster, under
-        whose mean its log likelihood is ``log_f_old``, into a new one,
-        under whose mean it is ``log_f_new``, proposed with density
-        ``log_q`` whose prior density is ``log_q0``: floats, or arrays over
-        rows."""
-        return (math.log(state.conc_samples) - math.log(len(self.x) - 1)
-                + log_f_new - log_f_old + log_q0 - log_q)
+        whose mean its log likelihood is ``log_f_old``, into a new one whose
+        proposal's walk has log W ``log_w``: floats, or arrays over rows."""
+        return math.log(state.conc_samples) - math.log(len(self.x) - 1) + log_w - log_f_old
 
     def screened_births(self, state, u, log_f_old):
         """Per row of the uniforms ``u``, whether the birth move of that
         sample, reading that row, rejects whatever its walk would draw, by
-        the bound B_i on the log of its proposal's weight W = F Q0 / Q (see
-        the module docstring): log u[i, p] is at least the log ratio with
-        log W at B_i, by more than rounding. ``log_f_old`` is every
-        sample's ``own_loglik``. A row whose bound or likelihood is not
-        finite is not marked, so its walk still aborts."""
+        the bound B_i >= log W of any proposal of that row (see the module
+        docstring): log u[i, p] is at least the log ratio with log W at B_i,
+        by more than rounding. ``log_f_old`` is every sample's
+        ``own_loglik``. A row whose bound or likelihood is not finite is not
+        marked, so its walk still aborts."""
         p = self.x.shape[1]
         with np.errstate(all="ignore"):
             # Z_j <= (1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j), per row.
             bound = np.add.reduce(np.logaddexp(
                 self.spike, self.log_s - 0.5 * (LOG_2PI + np.log(self.v_obs))), axis=-1)
-            limit = self.birth_log_ratio(state, log_f_old, bound, 0.0, 0.0)
+            limit = self.birth_log_ratio(state, log_f_old, bound)
             limit += 1e-9 * np.abs(limit) + 1e-9
             return np.isfinite(limit) & (np.log(u[:, p]) >= limit)
 
@@ -320,73 +316,61 @@ class BirthDeathPass(WalkTerms):
         """Per row of the uniforms ``u``, whether the birth move of that
         sample, reading that row, proposes an all-SPIKE mean and rejects it.
         Only rows whose proposal stays on SPIKE through p are marked, each
-        scored from the log Q of one block of all p components;
-        ``log_f_old`` is every sample's ``own_loglik``. Records each row's
-        block log Q (``spike_log_q``) and whether it is finite
-        (``run_finite``). The pass skips these rows and those
-        ``screened_births`` marks by its bound, if still not singletons when
-        reached: neither mark reads a state that an earlier move of the pass
-        changes, either way the move rejects, and a skipped row draws
-        nothing (see the module docstring)."""
+        scored by the log W of one block of all p components; ``log_f_old``
+        is every sample's ``own_loglik``. Records each row's block log W
+        (``spike_log_w``) and whether it is finite (``run_finite``). The
+        pass skips these rows and those ``screened_births`` marks by its
+        bound, if still not singletons when reached: neither mark reads a
+        state that an earlier move of the pass changes, either way the move
+        rejects, and a skipped row draws nothing (see the module
+        docstring)."""
         n, p = self.x.shape
         stays = np.empty(n, dtype=bool)
-        self.spike_log_q = np.empty(n)
+        self.spike_log_w = np.empty(n)
         chunk = -(-n // max(1, round(n * p / _BLOCK_CELLS)))  # rows at a time, evenly
         with np.errstate(all="ignore"):
             for r in range(0, n, chunk):
                 rows = slice(r, r + chunk)
-                stays_run, _, _, _, spike_q = _block(self, rows, 0, p, self.log_conc, u=u[rows])
+                stays_run, _, _, lse = _block(self, rows, 0, p, self.log_conc, u[rows])
                 stays[rows] = stays_run.all(axis=1)
-                self.spike_log_q[rows] = 0.0 + np.add.reduce(spike_q, axis=-1)
-        self.run_finite = ~np.isnan(self.spike_log_q)
+                self.spike_log_w[rows] = np.add.reduce(lse, axis=-1)
+        self.run_finite = ~np.isnan(self.spike_log_w)
         rows = np.flatnonzero(stays)
-        log_ratio = self.birth_log_ratio(state, log_f_old[rows], self.zero_loglik[rows],
-                                         self.spike_log_q[rows], self.spike_log_q0)
+        log_ratio = self.birth_log_ratio(state, log_f_old[rows], self.spike_log_w[rows])
         stays[rows] = [not _mh_accepts(r, v)
                        for r, v in zip(log_ratio.tolist(), u[rows, p].tolist())]
         return stays
 
 
 @np.errstate(all="ignore")  # a non-finite weight stops a block; the scalar pick aborts on it
-def _scan_components(inner, terms, i, u=None, rng=None):
-    """Walk a mean vector's components in order; returns (log_q, log_q0).
+def _scan_components(inner, terms, i, u, rng):
+    """Walk a mean vector's components in order, seating component j by the
+    uniform u[j], then draw every inner value from its conjugate posterior
+    by ``rng``, and write the seats and values into ``inner``. Returns log
+    W, the sum of the log normalisers of the seat picks.
 
     Each component j leaves its seat (if it has one), then SPIKE, every live
     inner cluster and a new cluster are weighed with the inner values
-    integrated out, and j is seated. After the walk every inner value is
-    drawn from its conjugate posterior. ``log_q`` sums the log probabilities
-    of these seat and value draws, ``log_q0`` the prior (spike/CRP and
-    N(0, slab_var)) log densities of the same seats and values, both on
-    counting measure for partitions and Lebesgue measure for unique values.
-    The walk's inputs are row ``i`` of ``terms`` (a ``WalkTerms``), read in
-    place. While no member is seated, a block starts at a component that
-    favours SPIKE, ``spike >= new - log_conc`` (the CRP denominator is then
-    conc_inner).
-
-    With uniforms ``u`` (component j's seat reads u[j]) and ``rng`` (for
-    the values) the seats and values are drawn and written into ``inner``:
-    the inner Gibbs pass over a cluster's current mean, whose caller ignores
-    the two sums (the later components are still seated, so they are not
-    densities of the result). From an all-SPIKE mean the sums are the
-    sequential proposal's: a birth the pass did not seat. Without
-    ``u`` the walk starts empty and replays the seats and values ``inner``
-    holds, leaving it untouched; the replay repeats the arithmetic of a walk
-    from an all-SPIKE mean, blocks included (see the module docstring), so
-    its log densities are bitwise equal to that walk's.
+    integrated out, and j is seated. The walk's inputs are row ``i`` of
+    ``terms`` (a ``WalkTerms``), read in place. From an all-SPIKE mean the
+    walk is the sequential proposal, and log W scores it (see the module
+    docstring): a birth the pass did not seat. From a cluster's current mean
+    it is the inner Gibbs pass, whose caller ignores log W. While no member
+    is seated, a block starts at a component that favours SPIKE, ``spike >=
+    new - log_conc`` (the CRP denominator is then conc_inner).
 
     ``x[j]`` averages n_count observations, so member j carries precision
     n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
     1 / sigma_sq[j] fails the joint-distribution test).
     """
-    replay = u is None
     labels = inner.labels
     p = len(labels)
     conc_inner = terms.conc_inner
     log_conc = terms.log_conc
     inv_slab_var = 1.0 / terms.slab_var
     x, spike, new = terms.x[i], terms.spike[i], terms.new[i]
-    log_s, log_spike, v_obs, prec = terms.log_s, terms.log_spike, terms.v_obs, terms.prec
-    k_start = 0 if replay else inner.n_clusters()
+    log_s, v_obs, prec = terms.log_s, terms.v_obs, terms.prec
+    k_start = inner.n_clusters()
 
     # Per slot (see the module docstring), its member count, summed member
     # precision and summed statistic; an emptied slot's sums are reset to 0.
@@ -399,11 +383,6 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         v_post = inv_slab_var + sprec[t]
         slot_terms[t] = (math.log(c) if c else -math.inf, sstat[t] / v_post, 1.0 / v_post)
 
-    # The seats the walk starts from (drawing) or replays, as slots. A
-    # replay's blocks read its seats as first-appearance labels; an
-    # all-SPIKE mean needs no relabelling.
-    if replay:
-        seats, order = inner.canonical() if inner.n_clusters() else (labels, None)
     seated_at = []  # the components that start seated, in order
     if k_start:
         start = labels.tolist()
@@ -416,8 +395,7 @@ def _scan_components(inner, terms, i, u=None, rng=None):
         labels.fill(SPIKE)  # the seat of every component not drawn off SPIKE
     m_total = sum(counts)
 
-    log_q = 0.0
-    log_q0 = 0.0
+    log_w = 0.0
     j = 0
     spikes = 0  # SPIKE seats since the last seat off SPIKE
     while j < p:
@@ -444,19 +422,12 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                 nxt = bisect.bisect_right(seated_at, j)
                 end = min(j + max(1, _BLOCK_CELLS // (k + 2)),
                           seated_at[nxt] if nxt < len(seated_at) else p)
-            _, c, choice, seat_q, spike_q = _block(
-                terms, slice(i, i + 1), j, end, log_denom,
-                np.array(slot_terms).T[..., None, None] if k else None,
-                None if replay else u[None], seats[None] if replay else None)
-            block_q = float(np.add.reduce(spike_q[0, :c])) if c else 0.0
+            _, c, choice, lse = _block(terms, slice(i, i + 1), j, end, log_denom, u[None],
+                                       np.array(slot_terms).T[..., None, None] if k else None)
             if choice is not None:
-                choice = choice.item()
-                if math.isnan(seat_q.item(choice, 0)):  # left to the scalar pick to abort on
-                    choice = None
-                else:
-                    block_q += seat_q.item(choice, 0)
-            log_q += block_q
-            log_q0 += float(np.add.reduce(log_spike[j:j + c]))
+                # A pick with a non-finite weight is left to the scalar pick to abort on.
+                choice = None if math.isnan(lse.item(0, c)) else choice.item()
+            log_w += float(np.add.reduce(lse[0, :c + (choice is not None)]))
             spikes += c
             j += c
             if j == end:
@@ -467,7 +438,7 @@ def _scan_components(inner, terms, i, u=None, rng=None):
             lsj = log_s.item(j)
             logw = [spike.item(j)]
             for c, (log_c, mean, var) in zip(counts, slot_terms):
-                if c:  # log_normal_pdf, summed as the live block sums it
+                if c:  # summed as the live block sums it
                     d = xj - mean
                     var += v_obs_j
                     logw.append(lsj + log_c - log_denom
@@ -475,99 +446,102 @@ def _scan_components(inner, terms, i, u=None, rng=None):
                 else:  # an emptied slot: adds 0 to the pick's sums
                     logw.append(-math.inf)
             logw.append(new.item(j) - log_denom)
-            choice, lse = pick_with_lse(logw, None if replay else u.item(j))
-            if replay:
-                choice = 1 + seats.item(j)  # SPIKE is choice 0
-            log_q += logw[choice] - lse
+            choice, lse = pick_with_lse(logw, u.item(j))
+            log_w += lse
 
         if choice == 0:
-            log_q0 += log_spike.item(j)
             spikes += 1
             j += 1
             continue
         spikes = 0
-        lsj = log_s.item(j)
         prec_j = prec.item(j)
         stat_j = prec_j * x.item(j)
         m_total += 1
         t = choice - 1
         if t < k:
-            log_q0 += lsj + slot_terms[t][0] - log_denom
             counts[t] += 1
             sprec[t] += prec_j
             sstat[t] += stat_j
         else:
-            log_q0 += lsj + log_conc - log_denom
             counts.append(1)
             sprec.append(prec_j)
             sstat.append(stat_j)
             slot_terms.append(None)
         refresh(t)
-        if not replay:
-            labels[j] = t
+        labels[j] = t
         j += 1
 
     if not counts:  # every seat stayed SPIKE, and none was off it at the start
-        return log_q, log_q0
-    if not replay:
-        ids, seats, counts = drop_empty(
-            inner.cluster_ids() + [None] * (len(counts) - k_start), labels, counts)
+        return log_w
+    ids, seats, counts = drop_empty(
+        inner.cluster_ids() + [None] * (len(counts) - k_start), labels, counts)
     # The posterior is recomputed from scratch over the members, free of the
     # running sums' float drift.
-    post = _posterior(*_member_sums(seats, prec, x, len(counts)), terms.slab_var)
-    if replay:
-        return _values(post, terms.slab_var, log_q, log_q0, values=inner.values[order])[1:]
-    values, log_q, log_q0 = _values(post, terms.slab_var, log_q, log_q0, rng)
+    values = _values(*_member_sums(seats, prec, x, len(counts)), terms.slab_var, rng)
     inner.set_slots(ids, seats, counts, values)
-    return log_q, log_q0
+    return log_w
 
 
-def _posterior(prec_sums, stat_sums, slab_var):
-    """(mean, sd, variance, log(2 pi variance)) of inner values whose
-    members' summed precision and precision-weighted value are the arrays
-    ``prec_sums`` and ``stat_sums``; the log is math's, as in ``log_normal_pdf``."""
+@np.errstate(all="ignore")  # an unopened slot weighs log 0; a non-finite weight aborts below
+def _seated_log_w(terms, i, inner):
+    """log W of the walk of row ``i`` of ``terms`` that seats every
+    component as ``inner`` holds it: a death's score of the birth that
+    proposes its singleton's mean (see the module docstring). Aborts where
+    that walk's pick would."""
+    labels, k = inner.labels, inner.n_clusters()
+    x = terms.x[i]
+    w = np.empty((k + 2, len(labels)))  # SPIKE, the slots, a new cluster
+    w[0] = terms.spike[i]
+    log_denom = terms.log_conc
+    if k:
+        # Per slot and component j, the slot's count, summed precision and
+        # summed statistic over the components before j: a slot not yet
+        # opened has count 0, and weighs -inf, as in the walk.
+        prec = terms.prec
+        own = np.where(labels == np.arange(k)[:, None],
+                       np.stack((np.ones_like(x), prec, prec * x))[:, None], 0.0)
+        count, sprec, sstat = before = np.zeros(own.shape)
+        np.cumsum(own[..., :-1], axis=-1, out=before[..., 1:])
+        v_post = 1.0 / terms.slab_var + sprec
+        var = 1.0 / v_post + terms.v_obs
+        d = x - sstat / v_post
+        log_denom = np.log(terms.conc_inner + count.sum(axis=0))
+        w[1:-1] = terms.log_s + np.log(count) - log_denom - 0.5 * (LOG_2PI + np.log(var) + d * d / var)
+    w[-1] = terms.new[i] - log_denom
+    top = np.maximum.reduce(w)
+    log_z = top + np.log(np.add.reduce(np.exp(w - top)))  # NaN where the pick aborts
+    log_w = float(np.add.reduce(log_z))
+    if not math.isfinite(log_w):  # abort as the walk's pick at the first non-finite Z_j
+        pick_with_lse(w[:, np.isfinite(log_z).argmin()].tolist(), 0.0)
+    return log_w
+
+
+def _values(prec_sums, stat_sums, slab_var, rng):
+    """The value tail of every walk: the values of k inner clusters, in slot
+    order, whose members' summed precision and precision-weighted value are
+    the arrays ``prec_sums`` and ``stat_sums``, drawn from their conjugate
+    posteriors by one ``standard_normal(k)``, which gives k scalar draws'
+    values and leaves every bit generator where they do."""
     prec = prec_sums + 1.0 / slab_var
-    var = 1.0 / prec
-    log_norm = np.array([LOG_2PI + math.log(v) for v in var.ravel().tolist()]).reshape(var.shape)
-    return stat_sums / prec, np.sqrt(var), var, log_norm
+    return stat_sums / prec + np.sqrt(1.0 / prec) * rng.standard_normal(len(prec))
 
 
-def _values(post, slab_var, log_q, log_q0, rng=None, values=None):
-    """The value tail of every walk: (values, log_q, log_q0), the values of
-    the posterior ``post`` (``_posterior``'s, in slot order) drawn from
-    ``rng`` by one ``standard_normal(k)``, which gives k scalar draws' values
-    and leaves every bit generator where they do, or read from ``values``;
-    their posterior and N(0, slab_var) log densities are added to log_q and
-    log_q0 in slot order, by ``log_normal_pdf``'s arithmetic."""
-    mean, sd, var, log_norm = post
-    if values is None:
-        values = mean + sd * rng.standard_normal(len(mean))
-    log_norm_slab = LOG_2PI + math.log(slab_var)
-    for v, m, w, c in zip(values.tolist(), mean.tolist(), var.tolist(), log_norm.tolist()):
-        d = v - m
-        log_q += -0.5 * (c + d * d / w)
-        log_q0 += -0.5 * (log_norm_slab + v * v / slab_var)
-    return values, log_q, log_q0
-
-
-def _block(terms, rows, j, end, log_denom, slots=None, u=None, seats=None):
+def _block(terms, rows, j, end, log_denom, u, slots=None):
     """Weigh components j..end-1 of ``rows`` (a slice) of ``terms`` (as in
     ``WalkTerms``) and seat each row on SPIKE up to its first component off
     SPIKE, summing every weight as the scalar step does. ``log_denom`` is
     each row's CRP log denominator, ``slots`` the slots' log count (-inf
     once emptied or not opened), posterior mean and variance, each (slots,
     rows or 1, 1). A row leaves SPIKE where its uniform in ``u`` times the
-    total weight exceeds the SPIKE weight, or, replaying, where its seat in
-    ``seats`` is not SPIKE; a non-finite weight stops it too (a caller that
-    allows one quiets numpy).
+    total weight exceeds the SPIKE weight; a non-finite weight stops it too
+    (a caller that allows one quiets numpy).
 
-    Returns (stays, c, choice, seat_q, spike_q): whether each row stays on
-    SPIKE at each component; ``c``, the first component some row leaves
-    SPIKE at (from j; the width if none, 0 in a block of one component,
-    which seats every row there); at c, each row's seat (0 SPIKE, 1 + t slot
-    t, then new) and every seat's log probability, or None for both if c is
-    the width; and the log probability of a SPIKE seat at each component.
-    A log probability is NaN where a weight is not finite."""
+    Returns (stays, c, choice, lse): whether each row stays on SPIKE at each
+    component; ``c``, the first component some row leaves SPIKE at (from j;
+    the width if none, 0 in a block of one component, which seats every row
+    there); at c, each row's seat (0 SPIKE, 1 + t slot t, then new), or None
+    if c is the width; and the log normaliser of each row's pick at each
+    component, NaN where the scalar pick would abort."""
     spike, new = terms.spike[rows, j:end], terms.new[rows, j:end]
     n_rows, width = spike.shape
     k = 0 if slots is None else len(slots[0])
@@ -594,23 +568,16 @@ def _block(terms, rows, j, end, log_denom, slots=None, u=None, seats=None):
         np.add.accumulate(acc, out=acc)
     total = acc[-1]
     lse = top + np.log(total)
-    if seats is None:
-        scaled = u[..., j:end] * total
-        stays = scaled <= acc[0]
-    else:
-        stays = (seats[..., j:end] == SPIKE) & np.isfinite(total)
-    spike_q = spike - lse
+    scaled = u[..., j:end] * total
+    stays = scaled <= acc[0]
     c = 0  # a one-component block seats every row at its component
     if width > 1:
         all_stay = stays.all(axis=0)
         c = int(all_stay.argmin())
         if all_stay[c]:
-            return stays, width, None, None, spike_q
-    if seats is None:
-        choice = (scaled[:, c] <= acc[:, :, c]).argmax(axis=0)  # the first to reach u * total
-    else:
-        choice = 1 + seats[:, j + c]
-    return stays, c, choice, w[:, :, c] - lse[:, c], spike_q
+            return stays, width, None, lse
+    choice = (scaled[:, c] <= acc[:, :, c]).argmax(axis=0)  # the first to reach u * total
+    return stays, c, choice, lse
 
 
 @functools.lru_cache(maxsize=8)
@@ -624,48 +591,49 @@ def _log_counts(p):
 
 def _lockstep_seats(terms, rows, u):
     """Per row of ``rows`` of ``terms``, the r-th reading u[r], walked in
-    lockstep from empty (see the module docstring): (seats, counts, log_q,
-    log_q0, posterior) of its birth proposal before the values, the posterior
-    ``_posterior``'s, in slot order. It seats a pass's rows only
+    lockstep from empty (see the module docstring): (seats, counts, log W,
+    member sums) of its birth proposal before the values, the sums
+    ``_member_sums``' in slot order, as ``_values`` reads them. It seats a
+    pass's rows only
     (``seat_births``); the scalar walk draws any other birth. The rows must
     be ``run_finite``: every weight is then finite or -inf, and no walk
     aborts. A step is one ``_block`` of every row, a row with fewer slots
-    than the most weighing -inf at the others; its width is 1 after a
-    component that more than one row left SPIKE at, else
-    ``_BLOCK_CELLS // ((slots + 2) * rows)``, at least 1. So a row's last bits
-    of log Q and log Q0 depend on the rows seated with it.
+    than the most weighing -inf at the others, and adds each row's log
+    normalisers at the components it seats; its width is 1 after a
+    component that more than one row left SPIKE at, else ``_BLOCK_CELLS //
+    ((slots + 2) * rows)``, at least 1. So a row's last bits of log W depend
+    on the rows seated with it.
 
     A call builds no table of all p components: the log counts come from a
     table cached per p (``_log_counts``), the CRP log denominators cover
     only the member totals the rows have reached (the table doubles when a
-    row goes past it), and log s, log(1 - s) and prec are read by ``item``
-    at the components some row leaves SPIKE at."""
+    row goes past it), and prec is read by ``item`` at the components some
+    row leaves SPIKE at."""
     n_rows, p = len(rows), terms.x.shape[1]
     if not n_rows:
         return {}
     inv_slab_var = 1.0 / terms.slab_var
     conc_inner = terms.conc_inner
-    log_s, log_spike, prec = terms.log_s, terms.log_spike, terms.prec
-    # By count: the walk's log count (-inf: a slot not yet opened) and a
-    # seat's log weight in Q0 (log conc_inner at count 0); by member total,
-    # the CRP log denominator.
+    prec = terms.prec
+    # By count, the walk's log count (-inf: a slot not yet opened); by
+    # member total, the CRP log denominator.
     log_count = _log_counts(p)
-    log_seat = np.concatenate(([terms.log_conc], log_count[1:]))
     log_denoms = np.array([math.log(conc_inner)])
     # The rows' terms, uniforms and prec * x, gathered as one array.
     own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[:, :p],
                     prec * terms.x[rows]))
-    walk = SimpleNamespace(spike=own[0], new=own[1], x=own[2], log_s=log_s, v_obs=terms.v_obs)
+    walk = SimpleNamespace(spike=own[0], new=own[1], x=own[2], log_s=terms.log_s,
+                           v_obs=terms.v_obs)
     u, stat = own[3], own[4]
     seats = np.full((n_rows, p), SPIKE)
     # Per row: its slot count (no member leaves, so every slot is live),
-    # member total, log Q and log Q0; per slot and row (and one component,
-    # to broadcast over a step's), the count and the summed precision and
+    # member total and log W; per slot and row (and one component, to
+    # broadcast over a step's), the count and the summed precision and
     # statistic, each also as a flat (slot, row) view, and a last slot, read
     # by no weight, that SPIKE seats (t = -1) update.
     idx = np.arange(n_rows)
     k, m_total = np.zeros((2, n_rows), dtype=np.intp)
-    log_q, log_q0 = np.zeros((2, n_rows))
+    log_w = np.zeros(n_rows)
     counts = np.zeros((min(p, 7) + 2, n_rows, 1), dtype=np.intp)
     sprec, sstat = np.zeros((2,) + counts.shape)
     count_at, prec_at, stat_at = counts.reshape(-1), sprec.reshape(-1), sstat.reshape(-1)
@@ -673,21 +641,18 @@ def _lockstep_seats(terms, rows, u):
     j, leaving = 0, 0  # the next component, and the rows that left SPIKE at the last
     while j < p:
         width = 1 if leaving > 1 else min(p - j, max(1, _BLOCK_CELLS // ((kw + 2) * n_rows)))
-        log_denom = log_denoms[m_total]
         slots = None
         if kw:
             v_post = inv_slab_var + sprec[:kw]
             slots = (log_count[counts[:kw]], sstat[:kw] / v_post, 1.0 / v_post)
-        _, c, choice, seat_q, spike_q = _block(walk, slice(None), j, j + width,
-                                               log_denom[:, None], slots, u)
-        if c:
-            log_q += np.add.reduce(spike_q[:, :c], axis=1)
-            log_q0 += np.add.reduce(log_spike[j:j + c])
+        _, c, choice, lse = _block(walk, slice(None), j, j + width,
+                                   log_denoms[m_total][:, None], u, slots)
+        seated = c < width
+        log_w += np.add.reduce(lse[:, :c + seated], axis=1)
         j += c
-        if c == width:
+        if not seated:
             leaving = 0
             continue
-        log_q += seat_q[choice, idx]
         # Seat component j as the scalar walk does: t is SPIKE (-1), slot t,
         # or a new cluster at t = k.
         t = np.minimum(choice - 1, k)
@@ -697,9 +662,7 @@ def _lockstep_seats(terms, rows, u):
                                     for a in (counts, sprec, sstat))
             count_at, prec_at, stat_at = counts.reshape(-1), sprec.reshape(-1), sstat.reshape(-1)
         at = t * n_rows + idx  # flat (slot, row)
-        count = count_at[at]
-        log_q0 += np.where(on, log_s.item(j) + log_seat[count] - log_denom, log_spike.item(j))
-        count_at[at] = count + 1
+        count_at[at] += 1
         prec_at[at] += prec.item(j)
         stat_at[at] += stat[:, j]
         k += t == k
@@ -713,13 +676,11 @@ def _lockstep_seats(terms, rows, u):
         leaving = int(np.count_nonzero(on))
         j += 1
     # Per row and slot, its member sums, added in component order (so
-    # bitwise the scalar walk's), and the posterior.
-    on = seats >= 0
-    post = _posterior(*(a.reshape(n_rows, kw) for a in _member_sums(
-        np.where(on, seats + kw * idx[:, None], SPIKE), np.broadcast_to(prec, seats.shape),
-        walk.x, n_rows * kw)), terms.slab_var)
-    return {i: (seats[r].copy(), size[:kr], log_q.item(r), log_q0.item(r),
-                tuple(a[r, :kr] for a in post))
+    # bitwise the scalar walk's).
+    sums = [a.reshape(n_rows, kw) for a in _member_sums(
+        np.where(seats >= 0, seats + kw * idx[:, None], SPIKE), np.broadcast_to(prec, seats.shape),
+        walk.x, n_rows * kw)]
+    return {i: (seats[r].copy(), size[:kr], log_w.item(r), tuple(a[r, :kr] for a in sums))
             for r, (i, kr, size) in enumerate(zip(rows.tolist(), k.tolist(),
                                                   counts[:kw, :, 0].T.tolist()))}
 
@@ -758,11 +719,11 @@ def mh_birth_move(state, i, rng, bd, u):
         raise RuntimeError(f"sample {i} is a singleton; birth move not applicable")
 
     try:
-        mean_new, log_q, log_q0 = bd.propose(i, u, rng)
+        mean_new, log_w = bd.propose(i, u, rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"birth proposal i={i}: {exc}") from exc
     log_f_old = bd.loglik_column(state, state.samples.cluster_of(i)).item(i)
-    log_ratio = bd.birth_log_ratio(state, log_f_old, bd.loglik(i, mean_new), log_q, log_q0)
+    log_ratio = bd.birth_log_ratio(state, log_f_old, log_w)
     accepted = _mh_accepts(log_ratio, u.item(-1))
     if accepted:
         new_cid = state.samples.move(i)
@@ -775,8 +736,9 @@ def mh_death_move(state, i, bd, u):
     returns (accepted, log MH ratio).
 
     ``bd`` is the step's ``BirthDeathPass`` and ``u`` the sample's row of
-    p + 1 uniforms: u[0] picks the target, u[p] is the MH test's. The
-    replayed walk and the move draw nothing.
+    p + 1 uniforms: u[0] picks the target, u[p] is the MH test's. The move
+    draws nothing; the reverse birth is scored from the singleton's seats
+    (``_seated_log_w``).
     """
     samples = state.samples
     cid = samples.cluster_of(i)
@@ -790,15 +752,12 @@ def mh_death_move(state, i, bd, u):
     target = samples.cluster_of(k + (k >= i))
 
     try:
-        log_q, log_q0 = _scan_components(state.cluster_means[cid].inner, bd, i)
+        log_w = _seated_log_w(bd, i, state.cluster_means[cid].inner)
     except SamplerAbort as exc:
         raise SamplerAbort(f"death proposal i={i}: {exc}") from exc
 
-    log_ratio = (
-        math.log(n - 1) - math.log(state.conc_samples)
-        + bd.loglik_column(state, target).item(i) - bd.loglik_column(state, cid).item(i)
-        + log_q - log_q0
-    )
+    log_ratio = (math.log(n - 1) - math.log(state.conc_samples)
+                 + bd.loglik_column(state, target).item(i) - log_w)
     accepted = _mh_accepts(log_ratio, u.item(-1))
     if accepted:
         samples.move(i, target)

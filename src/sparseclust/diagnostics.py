@@ -44,8 +44,10 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     Cycles over non-singleton samples; per attempt a candidate mean is drawn
     (sequentially, from a fresh row of p + 1 uniforms as ``mh_birth_move``
     reads it, or from the prior) and the move's log ratio log r is scored as
-    ``mh_birth_move`` scores it; the attempt accepts with probability
-    min(1, r). The state is never mutated.
+    ``mh_birth_move`` scores it, from the proposal's W = F Q0 / Q: the
+    sequential walk's log W, or, for a prior draw, whose Q is Q0, its log
+    likelihood. The attempt accepts with probability min(1, r). The state is
+    never mutated.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, got {attempts}")
@@ -64,11 +66,10 @@ def measure_birth_acceptance(state, data, hp, rng, attempts, proposal="sequentia
     for t in range(attempts):
         i = eligible[t % len(eligible)]
         if proposal == "sequential":
-            mean_new, log_q, log_q0 = bd.propose(i, rng.random(data.p + 1), rng)
+            _mean, log_w = bd.propose(i, rng.random(data.p + 1), rng)
         else:
-            mean_new = draw_prior_mean(
-                slab_coef(hp) * state.attr_prob, state.conc_inner, state.slab_var, rng)
-            log_q = log_q0 = 0.0
+            log_w = bd.loglik(i, draw_prior_mean(
+                slab_coef(hp) * state.attr_prob, state.conc_inner, state.slab_var, rng))
         log_f_old = bd.loglik_column(state, state.samples.cluster_of(i)).item(i)
-        log_ratios[t] = bd.birth_log_ratio(state, log_f_old, bd.loglik(i, mean_new), log_q, log_q0)
+        log_ratios[t] = bd.birth_log_ratio(state, log_f_old, log_w)
     return log_ratios

@@ -211,23 +211,3 @@ def crp_draw(n, conc, rng, draw_value, seated=None):
             counts[t] += 1
         labels.append(t)
     return Partition(labels, counts, values, allow_spike=seated is not None)
-
-
-def crp_log_prob(sizes, conc):
-    """Log probability of a labeled set partition under a CRP.
-
-    For cluster sizes n_1..n_K over n = sum(n_c) items:
-    conc^K * prod (n_c - 1)! / prod_{i=0}^{n-1} (conc + i).
-    """
-    if conc <= 0.0:
-        raise ValueError(f"concentration must be positive, got {conc}")
-    sizes = list(sizes)
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
-    n = sum(sizes)
-    out = len(sizes) * math.log(conc)
-    for s in sizes:
-        out += math.lgamma(s)
-    for i in range(n):
-        out -= math.log(conc + i)
-    return out

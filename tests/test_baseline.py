@@ -33,9 +33,9 @@ from sparseclust.clusters import ClusterMeanVector
 from sparseclust.densities import LOG_2PI, SamplerAbort
 from sparseclust.diagnostics import batch_means_se
 from sparseclust.model import DataMatrix, Hyperparams, ModelState
-from sparseclust.partition import crp_log_prob
 
 from conftest import build_partition, manual_state
+from log_densities import crp_log_prob
 
 mpmath.mp.dps = 40
 

@@ -10,7 +10,7 @@ import pytest
 from sparseclust.chain import ChainConfig, ChainTrace
 from sparseclust.cli import _write_outputs, build_parser, main
 from sparseclust.io import load_csv, write_csv
-from sparseclust.model import DataMatrix, Hyperparams
+from sparseclust.model import DataMatrix, Hyperparams, default_hyperparams
 
 EXPECTED_FILES = [
     "k_trace.csv", "k_posterior.csv", "rho_mean.csv", "pi_mean.csv",
@@ -215,10 +215,23 @@ def test_summaries_are_a_header_then_numeric_rows(tmp_path):
     """Every summary file is a header row, then rows of numeric cells, one
     per header cell, also for a fit whose modal K is 1: its k_posterior.csv
     and pi_mean.csv have one row and its selected_attributes.csv none, fewer
-    than the two rows load_csv asks of data."""
+    than the two rows load_csv asks of data. The files are the summaries
+    ``_write_outputs`` writes of a constructed trace, so that no sampler
+    stream decides their shape: an ex3-sized fit at K = 1 with an all-zero
+    cluster mean at every sweep, written with the CLI's default threshold."""
+    n, p, sweeps = 20, 50, 6
+    rng = np.random.default_rng(3)
+    data = DataMatrix(rng.normal(size=(n, p)))
+    trace = ChainTrace(n, p)
+    for _ in range(sweeps):
+        trace.ks.append(1)
+        trace.assignments.append(np.zeros(n, dtype=np.int64))
+        trace.rhos.append(rng.uniform(0.0, 0.01, size=p))
+        trace.means.append(np.zeros((1, p)))
+        trace.baselines.append(rng.normal(size=p))
     out = tmp_path / "k1"
-    assert _run(["--simulate", "ex3", "--seed", "3", "--iters", "12", "--burn-in", "6",
-                 "--out", str(out)]) == 0
+    _write_outputs(str(out), trace, data, default_hyperparams(data),
+                   build_parser().get_default("threshold"), ChainConfig(iterations=12, burn_in=6))
     rows = {}
     for name in EXPECTED_FILES[:-1]:
         with open(out / name, newline="", encoding="utf-8") as fh:

@@ -11,24 +11,26 @@ from sparseclust.clusters import (
     BirthDeathPass,
     ClusterMeanVector,
     WalkTerms,
-    _scan_components,
+    _seated_log_w,
     gibbs_reassign,
     gibbs_update_cluster_mean,
     mh_birth_move,
     mh_death_move,
 )
-from sparseclust.densities import SamplerAbort, log_normal_pdf
+from sparseclust.densities import SamplerAbort
 from sparseclust.diagnostics import draw_prior_mean, measure_birth_acceptance
 from sparseclust.partition import SPIKE, Partition
 from sparseclust.sparsity import slab_coef
 
 from conftest import build_partition, make_state, manual_state
+from log_densities import log_normal_pdf
 from test_component_walk import (
     _lockstep_pass,
     _proposal_bits,
     _propose_by_reference_walk,
     _record_lockstep_rows,
     _reference_births_and_deaths,
+    _reference_walk,
     _starts_block,
     _walk_from_spike,
 )
@@ -114,18 +116,21 @@ def test_sequential_p1_hand_enumeration():
     bd = _pass(state, data, hp)
     assert bd.x[0].tolist() == x.tolist()
     for _ in range(trials):
-        mean, log_q, _log_q0 = bd.propose(0, rng.random(1), rng)
+        mean, log_w = bd.propose(0, rng.random(1), rng)
+        # hand-check log W = log F + log Q0 - log Q, with log Q the
+        # categorical choice + conjugate value density
         if mean.nonzero_count():
             hits += 1
-            # hand-check log_q: categorical choice + conjugate value density
             v_post = 1.0 / 1.5 + 1.0 / 0.2
             u_post = (0.6 / 0.2) / v_post
             val = mean.inner.values[0]
-            want = math.log(p_slab) + log_normal_pdf(val, u_post, 1.0 / v_post)
-            assert log_q == pytest.approx(want, rel=1e-12)
+            log_q = math.log(p_slab) + log_normal_pdf(val, u_post, 1.0 / v_post)
+            log_q0 = math.log(s) + log_normal_pdf(val, 0.0, 1.5)
+            want = log_normal_pdf(0.6, val, 0.2) + log_q0 - log_q
+            assert log_w == pytest.approx(want, rel=1e-12)
         else:
-            want = math.log(1.0 - p_slab)
-            assert log_q == pytest.approx(want, rel=1e-12)
+            want = log_normal_pdf(0.6, 0.0, 0.2) + math.log(1.0 - s) - math.log(1.0 - p_slab)
+            assert log_w == pytest.approx(want, rel=1e-12)
     se = math.sqrt(p_slab * (1 - p_slab) / trials)
     assert abs(hits / trials - p_slab) < 4 * se
 
@@ -134,35 +139,29 @@ def test_sequential_all_spike_when_rho_zero():
     y = np.array([[0.5, -0.2], [0.1, 0.3]])
     state, data, hp = manual_state(y, sigma_sq=[1.0, 1.0], attr_prob=0.0)
     rng = np.random.default_rng(1)
-    mean, log_q, log_q0 = _pass(state, data, hp).propose(0, rng.random(2), rng)
+    bd = _pass(state, data, hp)
+    mean, log_w = bd.propose(0, rng.random(2), rng)
     assert mean.nonzero_count() == 0
-    assert log_q == 0.0
-    assert log_q0 == 0.0
-
-
-def test_sequential_replay_identity_exact():
-    state, data, hp = make_state(n=4, p=6, seed=5)
-    state.attr_prob = np.full(6, 0.5)  # make slabs common
-    rng = np.random.default_rng(2)
-    x = data.y[0] - state.mean_part.values_vector()
-    terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
-    for _ in range(300):
-        mean = ClusterMeanVector(6)
-        log_q, log_q0 = _scan_components(mean.inner, terms, 0, rng.random(6), rng)
-        assert _scan_components(mean.inner, terms, 0) == (log_q, log_q0)  # bitwise
+    # Every seat is SPIKE with probability 1, so Q = Q0 = 1 and W = F.
+    assert log_w == pytest.approx(bd.zero_loglik[0], rel=1e-12)
 
 
 def test_sequential_p2_total_mass_one():
     """All outcome trees for p=2, integrating the value densities out with
-    Gauss-Legendre quadrature over a wide bracket."""
+    Gauss-Legendre quadrature over a wide bracket: the proposal density
+    that a death's score implies, Q = F Q0 / W, with W from the mean's
+    seats (``_seated_log_w``) and Q0 from the reference walk."""
     y = np.array([[0.4, -0.6], [0.2, 0.0]])
-    state, data, hp = manual_state(y, sigma_sq=[0.5, 0.8], attr_prob=0.45, slab_var=1.2)
+    sigma_sq = [0.5, 0.8]
+    state, data, hp = manual_state(y, sigma_sq=sigma_sq, attr_prob=0.45, slab_var=1.2)
     x = np.array([0.4, -0.6])
 
     terms = WalkTerms(x, 1, state.var_part.values_vector(), state, hp)
 
     def q_of(mean):
-        return _scan_components(mean.inner, terms, 0)[0]
+        log_f = sum(map(log_normal_pdf, x.tolist(), mean.mu().tolist(), sigma_sq))
+        log_q0 = _reference_walk(mean.inner, x, 1, sigma_sq, state, hp)[1]
+        return log_f + log_q0 - _seated_log_w(terms, 0, mean.inner)
 
     nodes, weights = np.polynomial.legendre.leggauss(160)
     lo, hi = -14.0, 14.0
@@ -188,9 +187,10 @@ def test_sequential_p2_total_mass_one():
 
 
 def _log_q0(mean, state, hp):
-    """log Q0 of ``mean``; it does not depend on the data, so any x will do."""
+    """log Q0 of ``mean`` by the reference walk; it does not depend on the
+    data, so any x will do."""
     p = mean.inner.n_items
-    return _scan_components(mean.inner, WalkTerms(np.full(p, 0.3), 1, np.ones(p), state, hp), 0)[1]
+    return _reference_walk(mean.inner, np.full(p, 0.3), 1, np.ones(p), state, hp)[1]
 
 
 def _log_q0_discrete(mean, state, hp):
@@ -289,10 +289,11 @@ def _mp_norm_logpdf(x, mean, var):
 
 def _mp_score_sequential(mean, x, n_count, sigma_sq, attr_prob, slab_coef,
                          slab_var, conc_inner):
-    """mpmath reimplementation of the sequential-proposal density."""
+    """mpmath reimplementation of the sequential-proposal density: (log Q,
+    log W), the second the sum of the log normalisers of the seat picks."""
     p = len(x)
     counts, sprec, smean, cid_to_t, cids = [], [], [], {}, []
-    logq = mpmath.mpf(0)
+    logq = logw = mpmath.mpf(0)
     m_total = 0
     for j in range(p):
         sj = mpmath.mpf(slab_coef) * mpmath.mpf(float(attr_prob[j]))
@@ -315,6 +316,7 @@ def _mp_score_sequential(mean, x, n_count, sigma_sq, attr_prob, slab_coef,
         else:
             choice = 1 + len(counts)
         logq += mpmath.log(w[choice] / sum(w))
+        logw += mpmath.log(sum(w))
 
         prec_j = mpmath.mpf(n_count) / mpmath.mpf(float(sigma_sq[j]))
         if choice == 0:
@@ -337,22 +339,27 @@ def _mp_score_sequential(mean, x, n_count, sigma_sq, attr_prob, slab_coef,
         u_post = smean[t] / v_post
         val = mean.inner.values[cids[t]]
         logq += _mp_norm_logpdf(val, u_post, 1 / v_post)
-    return logq
+    return logq, logw
 
 
 def test_eval_log_q_matches_mpmath_scorer():
+    """The kernel's proposals, scored in mpmath: the reference walk's log Q
+    of each, and the kernel's log W."""
     state, data, hp = make_state(n=4, p=5, seed=9)
     state.attr_prob = np.full(5, 0.6)
     rng = np.random.default_rng(4)
     x = data.y[2] - state.mean_part.values_vector()
+    sigma_sq = state.var_part.values_vector()
     bd = _pass(state, data, hp)
     for _ in range(25):
-        mean, log_q, _log_q0 = bd.propose(2, rng.random(5), rng)
-        want = _mp_score_sequential(
-            mean, x, 1, state.var_part.values_vector(), state.attr_prob,
+        mean, log_w = bd.propose(2, rng.random(5), rng)
+        want_q, want_w = _mp_score_sequential(
+            mean, x, 1, sigma_sq, state.attr_prob,
             slab_coef(hp), state.slab_var, state.conc_inner,
         )
-        assert log_q == pytest.approx(float(want), abs=1e-10)
+        log_q = _reference_walk(mean.inner, x, 1, sigma_sq, state, hp)[0]
+        assert log_q == pytest.approx(float(want_q), abs=1e-10)
+        assert log_w == pytest.approx(float(want_w), abs=1e-10)
 
 
 # -- MH moves ----------------------------------------------------------------
@@ -360,11 +367,14 @@ def test_eval_log_q_matches_mpmath_scorer():
 
 def _birth_parts(state, data, hp, i, u, rng):
     """The parts of the birth move's log ratio for sample i from the uniform
-    row ``u``, each computed apart from the move: the proposal from a copy
-    of ``rng``, its likelihood, and the likelihood under i's own cluster
-    from the pass's column. Returns (log F new, log F old, log Q, log Q0)."""
+    row ``u``, each computed apart from the move: the proposal by the
+    reference walk from a copy of ``rng``, its likelihood, and the
+    likelihood under i's own cluster from the pass's column. Returns (log F
+    new, log F old, log Q, log Q0)."""
     bd = _pass(state, data, hp)
-    mean, log_q, log_q0 = bd.propose(i, u, copy.deepcopy(rng))
+    mean = ClusterMeanVector(data.p)
+    log_q, log_q0, _log_z = _reference_walk(mean.inner, bd.x[i], 1, bd.sigma_sq, state, hp,
+                                            u, copy.deepcopy(rng))
     log_f_old = bd.loglik_column(state, state.samples.cluster_of(i))[i]
     return bd.loglik(i, mean), log_f_old, log_q, log_q0
 
@@ -373,12 +383,14 @@ def _death_parts(state, data, hp, i, u):
     """The parts of the death move's log ratio for singleton i from the
     uniform row ``u``, each computed apart from the move: the target from
     u[0], the likelihoods from the pass's columns and the reverse birth from
-    the replayed walk. Returns (target, log F new, log F old, log Q, log Q0)."""
+    the reference walk's replay. Returns (target, log F new, log F old, log
+    Q, log Q0)."""
     bd = _pass(state, data, hp)
     k = int(u[0] * (data.n - 1))
     target = state.samples.cluster_of(k + (k >= i))
     own = state.samples.cluster_of(i)
-    log_q, log_q0 = _scan_components(state.cluster_means[own].inner, bd, i)
+    log_q, log_q0, _log_z = _reference_walk(state.cluster_means[own].inner, bd.x[i], 1,
+                                            bd.sigma_sq, state, hp)
     return (target, bd.loglik_column(state, target)[i], bd.loglik_column(state, own)[i],
             log_q, log_q0)
 
@@ -437,10 +449,12 @@ def test_birth_death_pair_ratios_cancel():
                                               rng.random(data.p + 1))
         if not accepted:
             continue
-        # the reversing death targets the origin cluster
+        # the reversing death targets the origin cluster; its reverse birth
+        # is scored by the reference walk's replay
         bd = _pass(st, data, hp)
         own = st.samples.cluster_of(i)
-        log_q, log_q0 = _scan_components(st.cluster_means[own].inner, bd, i)
+        log_q, log_q0, _log_z = _reference_walk(st.cluster_means[own].inner, bd.x[i], 1,
+                                                bd.sigma_sq, st, hp)
         death_ratio = (
             math.log(data.n - 1) - math.log(st.conc_samples)
             + bd.loglik_column(st, origin)[i] - bd.loglik_column(st, own)[i]
@@ -464,9 +478,13 @@ def test_death_move_single_target():
     target, log_f_new, log_f_old, log_q, log_q0 = _death_parts(state, data, hp, 0, u)
     assert target == other
     st = copy.deepcopy(state)
-    accepted, log_ratio = mh_death_move(st, 0, _pass(state, data, hp), u)
+    bd = _pass(state, data, hp)
+    accepted, log_ratio = mh_death_move(st, 0, bd, u)
+    log_w = _seated_log_w(bd, 0, state.cluster_means[state.samples.cluster_of(0)].inner)
     assert log_ratio == (math.log(data.n - 1) - math.log(state.conc_samples)
-                         + log_f_new - log_f_old + log_q - log_q0)
+                         + log_f_new - log_w)
+    assert log_ratio == pytest.approx(math.log(data.n - 1) - math.log(state.conc_samples)
+                                      + log_f_new - log_f_old + log_q - log_q0, rel=1e-12)
     assert st.samples.cluster_of(0) == (other if accepted else state.samples.cluster_of(0))
 
 
@@ -937,8 +955,8 @@ def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
     """The pass's value tail (one array draw per seated row) leaves every
     proposal's partition, values and log likelihood bit for bit where the
     per-sample reference pass, whose births ``_reference_walk`` draws with
-    its scalar tail, leaves them, and its log Q and log Q0 to rounding
-    (the reference takes math's exp and log); and the state and the
+    its scalar tail, leaves them, and its log W to rounding (the reference
+    takes log F + log Q0 - log Q in math's exp and log); and the state and the
     generator bit for bit, on each bit generator, through a seated row that
     has become a singleton by its turn (it draws nothing) and a singleton
     that has become a non-singleton (the scalar walk's draw when reached)."""
@@ -966,11 +984,10 @@ def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
             sides, singletons = _pass_sides(seed, bit_generator, monkeypatch, record)
             (*lockstep_side, seated_rows, (proposals, deaths)), (*reference_side, _, (ref, _)) = sides
             assert lockstep_side == reference_side, (bit_generator, seed)
-            for i, (_seated, (inner, log_q, log_q0, log_f)) in proposals.items():
-                ref_inner, ref_q, ref_q0, ref_f = ref[i][1]
+            for i, (_seated, (inner, log_w, log_f)) in proposals.items():
+                ref_inner, ref_w, ref_f = ref[i][1]
                 assert (inner, log_f) == (ref_inner, ref_f), (bit_generator, seed, i)
-                assert float.fromhex(log_q) == pytest.approx(float.fromhex(ref_q), rel=1e-12)
-                assert float.fromhex(log_q0) == pytest.approx(float.fromhex(ref_q0), rel=1e-12)
+                assert float.fromhex(log_w) == pytest.approx(float.fromhex(ref_w), rel=1e-12)
             seen["seated row drew values"] += any(
                 seated and bits[0]["counts"] for seated, bits in proposals.values())
             seen["seated row became a singleton"] += any(i in seated_rows for i in deaths)
@@ -982,21 +999,19 @@ def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
 def _check_lone_births(monkeypatch, lone):
     """Make ``BirthDeathPass.propose`` check each birth no pass seated
     against the scalar walk from an all-SPIKE mean, handed the same uniforms
-    and a copy of the generator, and against the replay of its mean as
-    ``mh_death_move`` calls it; record each such row and whether its
-    proposal left SPIKE in ``lone``."""
+    and a copy of the generator, and against a death's score of its seats;
+    record each such row and whether its proposal left SPIKE in ``lone``."""
     propose = BirthDeathPass.propose
 
     def checking(bd, i, u, rng):
         if i in bd._seated:
             return propose(bd, i, u, rng)
         walk_rng = copy.deepcopy(rng)
-        proposal = mean, log_q, log_q0 = propose(bd, i, u, rng)
+        proposal = mean, log_w = propose(bd, i, u, rng)
         assert (_proposal_bits(bd, i, proposal)
                 == _proposal_bits(bd, i, _walk_from_spike(bd, i, u, walk_rng))), i
         assert rng.bit_generator.state == walk_rng.bit_generator.state, i
-        replay = _scan_components(mean.inner, bd, i)
-        assert [v.hex() for v in replay] == [log_q.hex(), log_q0.hex()], i
+        assert _seated_log_w(bd, i, mean.inner) == pytest.approx(log_w, rel=1e-12), i
         lone.append((i, mean.inner.n_clusters() > 0))
         return proposal
 
@@ -1009,9 +1024,8 @@ def test_lone_birth_is_the_scalar_walk(monkeypatch):
     singleton that has become a non-singleton by its turn or of a
     ``measure_birth_acceptance`` attempt, is the scalar walk's draw from an
     all-SPIKE mean with the same uniforms and generator: the same seats,
-    values, log Q and log Q0, and the generator where that walk leaves it.
-    The replay of its mean, as a death scores the reverse birth, gives back
-    its log Q and log Q0 bit for bit."""
+    values and log W, and the generator where that walk leaves it. A
+    death's score of its seats gives back its log W to rounding."""
     seen = dict.fromkeys(("singleton walked when reached", "attempt walked",
                           "lone proposal off SPIKE"), 0)
     for seed in range(30):
@@ -1075,9 +1089,9 @@ def _dense_state(seed):
 
 
 def test_screen_bound_holds_for_walked_proposals():
-    """The bound B_i (``_screen_bound``) exceeds log W = log F(y_i; m) +
-    log Q0 - log Q of every proposal m walked for row i, seated in lockstep
-    and drawn by the scalar walk from the same uniforms: on the lockstep
+    """The bound B_i (``_screen_bound``) exceeds the log W of every
+    proposal walked for row i, seated in lockstep and drawn by the scalar
+    walk from the same uniforms: on the lockstep
     kinds' passes, among them dense ones (attr_prob 0.9, and 1 - 1e-9 with
     rows that seat every component off SPIKE), and on the passes of prior
     draws with sparse and with dense attr_prob. The states and seeds were
@@ -1097,9 +1111,8 @@ def test_screen_bound_holds_for_walked_proposals():
         for i in range(n):
             bound = _screen_bound(bd, state, hp, i)
             walk_rng = copy.deepcopy(rng)
-            for mean, log_q, log_q0 in (bd.propose(i, u[i], rng),
-                                        _walk_from_spike(bd, i, u[i], walk_rng)):
-                assert bd.loglik(i, mean) + log_q0 - log_q < bound, (seed, i)
+            for mean, log_w in (bd.propose(i, u[i], rng), _walk_from_spike(bd, i, u[i], walk_rng)):
+                assert log_w < bound, (seed, i)
             seen["3+ inner clusters"] += mean.inner_cluster_count() >= 3
             seen["never off SPIKE"] += mean.nonzero_count() == 0
             seen["member total p"] += mean.nonzero_count() == p

@@ -1,12 +1,14 @@
 """The component walks against a scalar reference.
 
 ``_reference_walk`` seats one component at a time, component j by the
-uniform u[j], the algorithm the walks' blocks must reproduce. The scalar
-walk from an all-SPIKE mean and the lockstep of a birth/death pass, handed
-the same uniforms, must draw the same seats and values, leave the generator
-in the same position and agree on log Q and log Q0 to rounding; the scalar
-walk must replay its own draws bitwise. Both are checked on every bit
-generator numpy ships.
+uniform u[j], the algorithm the walks' blocks must reproduce, and sums the
+log densities Q and Q0 of its draws under the proposal and the prior. The
+scalar walk from an all-SPIKE mean and the lockstep of a birth/death pass,
+handed the same uniforms, must draw the same seats and values and leave the
+generator in the same position, on every bit generator numpy ships. The log
+W each returns must equal, to rounding, the sum of the reference's log
+normalisers and log F + log Q0 - log Q of its draw (the identity of
+``sparseclust.clusters``), and so must a death's score of the same seats.
 """
 
 import copy
@@ -24,9 +26,10 @@ from sparseclust.clusters import (
     ClusterMeanVector,
     WalkTerms,
     _scan_components,
+    _seated_log_w,
     gibbs_update_cluster_mean,
 )
-from sparseclust.densities import LOG_2PI, SamplerAbort, log_normal_pdf, pick_with_lse
+from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import slab_coef
 
@@ -46,7 +49,9 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
     its seat, then SPIKE / each live inner cluster / a new cluster is
     weighed and the seat drawn with u[j] (or read); then every inner value is
     drawn from ``rng`` (or read). Drawing, the result is written into
-    ``inner``. Returns (log_q, log_q0)."""
+    ``inner``. Returns (log_q, log_q0, log_z): the log densities of the seats
+    and values under the proposal and under the prior, and the sum of the
+    log normalisers of the seat picks."""
     replay = u is None
     x = [float(v) for v in x]
     v_obs = [float(s) / n_count for s in sigma_sq]
@@ -66,7 +71,7 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
             sprec[a] += precs[j]
             sstat[a] += precs[j] * x[j]
     next_key = k_start
-    log_q = log_q0 = 0.0
+    log_q = log_q0 = log_z = 0.0
     for j in range(len(x)):
         a = seats[j]
         if not replay and a != SPIKE:
@@ -89,10 +94,11 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
         logw.append(log_s + math.log(conc) - log_denom
                     + _ln_norm(x[j], 0.0, slab_var + v_obs[j]))
         k = len(counts)
-        choice, lse = pick_with_lse(logw, None if replay else float(u[j]))
-        if replay:
+        choice, lse = pick_with_lse(logw, 0.0 if replay else float(u[j]))
+        if replay:  # the seat is read, not drawn
             choice = 0 if a == SPIKE else 1 + (keys.index(a) if a in keys else k)
         log_q += logw[choice] - lse
+        log_z += lse
         if choice == 0:
             log_q0 += log_spike
             seats[j] = SPIKE
@@ -120,15 +126,26 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
     if not replay:
         ids = inner.cluster_ids()
         inner.set_slots([ids[c] if c < k_start else None for c in keys], slots, counts, values)
-    return log_q, log_q0
+    return log_q, log_q0, log_z
+
+
+def _reference_log_w(mean, x, n_count, sigma_sq, state, hp):
+    """log F(x; m) + log Q0(m) - log Q(m) for the mean m, the identity's left
+    side: log Q and log Q0 from the reference walk's replay of m, log F the
+    normal likelihood of x, whose components each average n_count
+    observations."""
+    log_q, log_q0, _log_z = _reference_walk(mean.inner, x, n_count, sigma_sq, state, hp)
+    log_f = sum(_ln_norm(float(xj), m, float(v) / n_count)
+                for xj, m, v in zip(x, mean.mu().tolist(), sigma_sq))
+    return log_f + log_q0 - log_q
 
 
 def _walk_from_spike(terms, i, u, rng):
-    """(mean, log Q, log Q0): the scalar walk of row i of ``terms`` from an
+    """(mean, log W): the scalar walk of row i of ``terms`` from an
     all-SPIKE mean, drawing its seats from ``u`` and its values from
     ``rng``."""
     mean = ClusterMeanVector(terms.x.shape[1])
-    return (mean, *_scan_components(mean.inner, terms, i, u, rng))
+    return mean, _scan_components(mean.inner, terms, i, u, rng)
 
 
 def _starts_block(terms, i):
@@ -226,8 +243,10 @@ BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
     for name in BIT_GENERATORS for kind in KINDS
 ])
 def test_proposal_matches_reference_walk(kind, bit_generator):
-    """The scalar walk from an all-SPIKE mean (the form of an inner Gibbs
-    pass that a death replays) draws what the reference walk draws."""
+    """The scalar walk from an all-SPIKE mean draws what the reference walk
+    draws, and its log W is the reference's sum of log normalisers and, by
+    the identity, log F + log Q0 - log Q of the draw; the death scorer of
+    the drawn seats gives the same log W."""
     seen_slab = seen_spike_only = 0
     for seed in SEEDS:
         state, _data, hp, _cid, x = _case(kind, seed)
@@ -236,20 +255,15 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
         rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
                         for _ in range(2))
         terms = WalkTerms(x, n_count, sigma_sq, state, hp)
-        mean, log_q, log_q0 = _walk_from_spike(terms, 0, rng.random(len(x)), rng)
+        mean, log_w = _walk_from_spike(terms, 0, rng.random(len(x)), rng)
         ref = ClusterMeanVector(len(x))
-        ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
-                                        ref_rng.random(len(x)), ref_rng)
+        *_, ref_z = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
+                                    ref_rng.random(len(x)), ref_rng)
 
         assert mean.inner.to_dict() == ref.inner.to_dict()
         # Equal next draws: the two generators stand at the same position.
         assert rng.random(4).tolist() == ref_rng.random(4).tolist()
-        assert log_q == pytest.approx(ref_q, rel=REL)
-        assert log_q0 == pytest.approx(ref_q0, rel=REL)
-        assert _scan_components(mean.inner, terms, 0) == (log_q, log_q0)
-        rep_q, rep_q0 = _reference_walk(mean.inner, x, n_count, sigma_sq, state, hp)
-        assert log_q == pytest.approx(rep_q, rel=REL)
-        assert log_q0 == pytest.approx(rep_q0, rel=REL)
+        _check_log_w(log_w, ref_z, terms, 0, mean, (x, n_count, sigma_sq, state, hp))
 
         seen_spike_only += mean.nonzero_count() == 0
         seen_slab += mean.inner.labels[{"mid": MID}.get(kind, 0)] != SPIKE
@@ -264,6 +278,17 @@ def test_proposal_matches_reference_walk(kind, bit_generator):
         assert seen_slab >= len(SEEDS) // 2
 
 
+def _check_log_w(log_w, ref_z, terms, i, mean, reference):
+    """A walk's log W for ``mean``, drawn for row i of ``terms``, against the
+    reference walk's sum of log normalisers ``ref_z`` and against log F +
+    log Q0 - log Q of the mean (``_reference_log_w`` of ``reference``); and
+    the death scorer's log W of the mean's seats against the same."""
+    want = _reference_log_w(mean, *reference)
+    assert log_w == pytest.approx(ref_z, rel=REL)
+    assert log_w == pytest.approx(want, rel=REL)
+    assert _seated_log_w(terms, i, mean.inner) == pytest.approx(want, rel=REL)
+
+
 def _record_live_blocks(monkeypatch):
     """Record every block the walk scores as (start, end, stop, choice):
     components start..stop-1 go to SPIKE, and the seat of component stop,
@@ -274,8 +299,8 @@ def _record_live_blocks(monkeypatch):
     block = clusters._block
 
     def recorded(terms, rows, j, end, *args, **kwargs):
-        result = _stays, c, choice, seat_q, _spike_q = block(terms, rows, j, end, *args, **kwargs)
-        if choice is None or math.isnan(seat_q[choice[0], 0]):
+        result = _stays, c, choice, lse = block(terms, rows, j, end, *args, **kwargs)
+        if choice is None or math.isnan(lse[0, c]):
             choice = None
         elif choice[0] == 0:  # SPIKE, in a block of one component
             c, choice = end - j, None
@@ -292,7 +317,7 @@ def test_live_blocks_stop_at_a_slab_seat_and_start_again(monkeypatch):
     """In the live kind, once component 0 is seated off SPIKE and 16 more
     on SPIKE, the walk seats the rest of the run as one block; the block
     stops at component 250's seat off SPIKE, and after 16 more SPIKE seats
-    a block starts again. The replay walks the same blocks."""
+    a block starts again."""
     blocks = _record_live_blocks(monkeypatch)
     seen = 0
     for seed in SEEDS:
@@ -303,9 +328,6 @@ def test_live_blocks_stop_at_a_slab_seat_and_start_again(monkeypatch):
         del blocks[:]
         mean = _walk_from_spike(terms, 0, rng.random(len(x)), rng)[0]
         drawn = blocks[:]
-        del blocks[:]
-        _scan_components(mean.inner, terms, 0)
-        assert blocks == drawn
         if np.flatnonzero(mean.inner.labels != SPIKE).tolist() != [LIVE_EARLY, LIVE_LATE]:
             continue
         seen += 1
@@ -333,9 +355,10 @@ def test_live_block_stops_before_a_start_seated_component(monkeypatch):
     (np.inf, "all log weights are -inf"), (np.nan, r"non-finite log weights \[nan")])
 def test_live_block_aborts_as_the_scalar_pick(bad, message, monkeypatch):
     """A component with a non-finite residual inside a live block stops the
-    block, and the scalar pick aborts on it with its own message, drawing
-    and replaying alike. A block with no member seated stops and aborts the
-    same way (``tests/test_walk_terms.py``)."""
+    block, and the scalar pick aborts on it with its own message; a death's
+    score of the same seats aborts with the same message. A block with no
+    member seated stops and aborts the same way
+    (``tests/test_walk_terms.py``)."""
     state, _data, hp, _cid, x = _case("live", 0)
     p = len(x)
     sigma_sq = state.var_part.values_vector()
@@ -344,15 +367,14 @@ def test_live_block_aborts_as_the_scalar_pick(bad, message, monkeypatch):
     blocks = _record_live_blocks(monkeypatch)
     terms = WalkTerms(x, 1, sigma_sq, state, hp)
     _scan_components(copy.deepcopy(vector), terms, 0, u, np.random.default_rng(0))
-    _scan_components(vector, terms, 0)
-    assert sum(j <= 200 < end for j, end, _, _ in blocks) == 2  # both in a live block
+    assert sum(j <= 200 < end for j, end, _, _ in blocks) == 1  # in a live block
 
     x[200] = bad
     bad_terms = WalkTerms(x, 1, sigma_sq, state, hp)
     with pytest.raises(SamplerAbort, match=message):
         _scan_components(copy.deepcopy(vector), bad_terms, 0, u, np.random.default_rng(0))
     with pytest.raises(SamplerAbort, match=message):
-        _scan_components(vector, bad_terms, 0)
+        _seated_log_w(bad_terms, 0, vector)
 
 
 # (live block cells, SPIKE seats before a live block): one-component blocks
@@ -365,8 +387,8 @@ SMALL_BLOCKS = ((24, 1), (120, 4))
 @pytest.mark.parametrize("kind", KINDS)
 def test_small_live_blocks_match_reference_walk(kind, cells, run, monkeypatch):
     """With short live blocks that start early, the walk from an all-SPIKE
-    mean and the inner Gibbs pass still match the reference walk, and the
-    replay is still bitwise the walk."""
+    mean and the inner Gibbs pass still match the reference walk, log W
+    included."""
     monkeypatch.setattr(clusters, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(clusters, "_LIVE_RUN", run)
     blocks = _record_live_blocks(monkeypatch)
@@ -376,25 +398,24 @@ def test_small_live_blocks_match_reference_walk(kind, cells, run, monkeypatch):
         n_count = 1 + seed % 3
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         terms = WalkTerms(x, n_count, sigma_sq, state, hp)
-        mean, log_q, log_q0 = _walk_from_spike(terms, 0, rng.random(len(x)), rng)
+        mean, log_w = _walk_from_spike(terms, 0, rng.random(len(x)), rng)
         ref = ClusterMeanVector(len(x))
-        ref_q, ref_q0 = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
-                                        ref_rng.random(len(x)), ref_rng)
+        *_, ref_z = _reference_walk(ref.inner, x, n_count, sigma_sq, state, hp,
+                                    ref_rng.random(len(x)), ref_rng)
 
         assert mean.inner.to_dict() == ref.inner.to_dict()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert log_q == pytest.approx(ref_q, rel=REL)
-        assert log_q0 == pytest.approx(ref_q0, rel=REL)
-        assert _scan_components(mean.inner, terms, 0) == (log_q, log_q0)
+        _check_log_w(log_w, ref_z, terms, 0, mean, (x, n_count, sigma_sq, state, hp))
         _check_inner_gibbs(state, data, hp, cid, seed)
     assert blocks or kind == "p1"  # one component leaves no room for a block
 
 
-def test_replay_reads_slots_out_of_first_appearance_order():
+def test_death_scorer_reads_slots_out_of_first_appearance_order():
     """A Gibbs pass can leave an inner partition whose slot order is not the
-    order in which its clusters first appear along the components; the
-    replay must score it as the reference does, and as the same clusters
-    held in first-appearance order, bitwise."""
+    order in which its clusters first appear along the components; a
+    death's score must give it the reference's log F + log Q0 - log Q, and
+    the log W of the same clusters held in first-appearance order, to
+    rounding, leaving the partition untouched."""
     p = 8
     for seed in range(10):
         state, _data, hp = make_state(n=3, p=p, seed=seed)
@@ -408,20 +429,22 @@ def test_replay_reads_slots_out_of_first_appearance_order():
         inner = build_partition([[5, 6], [1, 2]], [late, early], p)
         in_order = build_partition([[1, 2], [5, 6]], [early, late], p)
 
-        log_q, log_q0 = _scan_components(inner, terms, 0)
+        log_w = _seated_log_w(terms, 0, inner)
         assert inner.to_dict() == build_partition([[5, 6], [1, 2]], [late, early], p).to_dict()
-        assert _scan_components(in_order, terms, 0) == (log_q, log_q0)
-        ref_q, ref_q0 = _reference_walk(inner, x, n_count, sigma_sq, state, hp)
-        assert log_q == pytest.approx(ref_q, rel=REL)
-        assert log_q0 == pytest.approx(ref_q0, rel=REL)
+        assert _seated_log_w(terms, 0, in_order) == pytest.approx(log_w, rel=REL)
+        want = _reference_log_w(ClusterMeanVector(p, inner), x, n_count, sigma_sq, state, hp)
+        assert log_w == pytest.approx(want, rel=REL)
 
 
 def _check_inner_gibbs(state, data, hp, cid, seed):
     """One inner Gibbs pass over cluster cid against the reference walk on
-    the average residual of the members' current rows."""
+    the average residual of the members' current rows; and the log W of
+    the same walk, which the pass does not read, against the reference's
+    sum of log normalisers."""
     mu_base = state.mean_part.values_vector()
     sigma_sq = state.var_part.values_vector()
     ref_state = copy.deepcopy(state)
+    walk_inner = copy.deepcopy(state.cluster_means[cid].inner)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     mem = state.samples.members()[cid]
     gibbs_update_cluster_mean(state, data, hp, cid, rng, mu_base, sigma_sq, mem)
@@ -429,10 +452,15 @@ def _check_inner_gibbs(state, data, hp, cid, seed):
     inner = ref_state.cluster_means[cid].inner
     rows = [i for i in range(data.n) if ref_state.samples.cluster_of(i) == cid]
     x = data.y[rows].sum(axis=0) / len(rows) - mu_base
-    _reference_walk(inner, x, len(rows), sigma_sq, ref_state, hp, ref_rng.random(data.p), ref_rng)
+    walk_rng = copy.deepcopy(ref_rng)
+    *_, ref_z = _reference_walk(inner, x, len(rows), sigma_sq, ref_state, hp,
+                                ref_rng.random(data.p), ref_rng)
 
     assert state.to_dict() == ref_state.to_dict()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    log_w = _scan_components(walk_inner, WalkTerms(x, len(rows), sigma_sq, ref_state, hp), 0,
+                             walk_rng.random(data.p), walk_rng)
+    assert log_w == pytest.approx(ref_z, rel=REL)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -511,9 +539,9 @@ def _reference_births_and_deaths(state, data, rng, bd):
     left_spike = []
 
     def recording(i, u, rng):
-        mean, log_q, log_q0 = propose(i, u, rng)
+        mean, log_w = propose(i, u, rng)
         left_spike.append(mean.inner.n_clusters() > 0)
-        return mean, log_q, log_q0
+        return mean, log_w
 
     bd.propose = recording
     u = rng.random((data.n, data.p + 1))
@@ -536,11 +564,14 @@ def _reference_births_and_deaths(state, data, rng, bd):
 
 def _propose_by_reference_walk(bd, state, hp):
     """Make the pass ``bd`` draw each birth proposal by ``_reference_walk``
-    on the sample's row: the per-sample reference pass's births."""
+    on the sample's row, scored by log F + log Q0 - log Q of the draw: the
+    per-sample reference pass's births."""
 
     def propose(i, u, rng):
         mean = ClusterMeanVector(bd.x.shape[1])
-        return (mean, *_reference_walk(mean.inner, bd.x[i], 1, bd.sigma_sq, state, hp, u, rng))
+        log_q, log_q0, _log_z = _reference_walk(mean.inner, bd.x[i], 1, bd.sigma_sq, state, hp,
+                                                u, rng)
+        return mean, bd.loglik(i, mean) + log_q0 - log_q
 
     bd.propose = propose
     return bd
@@ -566,9 +597,9 @@ def _record_lockstep_rows(monkeypatch):
 def test_lockstep_matches_reference_walk(kind, bit_generator):
     """Every row of a pass seated in lockstep, then proposed in sample
     order, draws the seats and values the reference walk draws from the same
-    uniforms, leaves the generator where it leaves it, and agrees on log Q
-    and log Q0 to rounding with it and with the scalar walk's replay. The
-    full kind reads the lockstep's by-count tables up to member total p."""
+    uniforms and leaves the generator where it leaves it; its log W, and the
+    death scorer's of its seats, equal the reference's to rounding. The full
+    kind reads the lockstep's by-count tables up to member total p."""
     seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE", "member total p"), 0)
     for seed in range(8):
         state, hp, bd = _lockstep_pass(kind, seed)
@@ -580,16 +611,12 @@ def test_lockstep_matches_reference_walk(kind, bit_generator):
         bd.seat_births(np.arange(n), u)
         assert sorted(bd._seated) == list(range(n))
         for i in range(n):
-            mean, log_q, log_q0 = bd.propose(i, u[i], rng)
+            mean, log_w = bd.propose(i, u[i], rng)
             ref = ClusterMeanVector(p)
-            ref_q, ref_q0 = _reference_walk(ref.inner, bd.x[i], 1, bd.sigma_sq, state, hp,
-                                            u[i], ref_rng)
+            *_, ref_z = _reference_walk(ref.inner, bd.x[i], 1, bd.sigma_sq, state, hp,
+                                        u[i], ref_rng)
             assert mean.inner.to_dict() == ref.inner.to_dict(), (seed, i)
-            assert log_q == pytest.approx(ref_q, rel=REL)
-            assert log_q0 == pytest.approx(ref_q0, rel=REL)
-            rep_q, rep_q0 = _scan_components(mean.inner, bd, i)
-            assert log_q == pytest.approx(rep_q, rel=REL)
-            assert log_q0 == pytest.approx(rep_q0, rel=REL)
+            _check_log_w(log_w, ref_z, bd, i, mean, (bd.x[i], 1, bd.sigma_sq, state, hp))
             seen["3+ inner clusters"] += mean.inner_cluster_count() >= 3
             seen["never off SPIKE"] += mean.nonzero_count() == 0
             seen["member total p"] += mean.nonzero_count() == p
@@ -601,12 +628,30 @@ def test_lockstep_matches_reference_walk(kind, bit_generator):
         assert seen["member total p"], seen
 
 
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS + ("full",))
+def test_precheck_log_w_is_the_identity(kind):
+    """The rejected-birth precheck scores every row's all-SPIKE proposal by
+    the log W of one block of all p components (``spike_log_w``); it equals
+    the reference's log F + log Q0 - log Q of the all-SPIKE mean, and a
+    death's score of that mean, to rounding."""
+    for seed in range(8):
+        state, hp, bd = _lockstep_pass(kind, seed)
+        n, p = bd.x.shape
+        u = np.random.default_rng(seed).random((n, p + 1))
+        bd.rejected_spike_births(state, u, np.zeros(n))
+        spike = ClusterMeanVector(p)
+        for i in range(n):
+            want = _reference_log_w(spike, bd.x[i], 1, bd.sigma_sq, state, hp)
+            assert bd.spike_log_w[i] == pytest.approx(want, rel=REL), (seed, i)
+            assert _seated_log_w(bd, i, spike.inner) == pytest.approx(want, rel=REL), (seed, i)
+
+
 @pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
 def test_lockstep_blocks_match_one_component_steps(kind, monkeypatch):
     """With ``_BLOCK_CELLS`` at 1 every lockstep step weighs one component.
     That pass gives every row the seats, counts and posterior of the default
     pass, whose shared blocks weigh many components at once, bit for bit,
-    and log Q and log Q0 to rounding. Every kind but dense has components
+    and log W to rounding. Every kind but dense has components
     that all rows seat on SPIKE, two in a row, where the default pass weighs
     a shared block; dense has components that several rows leave SPIKE at,
     where it weighs one."""
@@ -620,12 +665,11 @@ def test_lockstep_blocks_match_one_component_steps(kind, monkeypatch):
         stepped = clusters._lockstep_seats(bd, np.arange(n), u)
         monkeypatch.undo()
         for i in range(n):
-            seats, counts, log_q, log_q0, post = blocked[i]
+            seats, counts, log_w, post = blocked[i]
             assert seats.tolist() == stepped[i][0].tolist(), (seed, i)
             assert counts == stepped[i][1], (seed, i)
-            assert [a.tolist() for a in post] == [a.tolist() for a in stepped[i][4]], (seed, i)
-            assert log_q == pytest.approx(stepped[i][2], rel=REL)
-            assert log_q0 == pytest.approx(stepped[i][3], rel=REL)
+            assert [a.tolist() for a in post] == [a.tolist() for a in stepped[i][3]], (seed, i)
+            assert log_w == pytest.approx(stepped[i][2], rel=REL)
         leaving = (np.array([blocked[i][0] for i in range(n)]) >= 0).sum(axis=0)
         runs += (((leaving[:-1] == 0) & (leaving[1:] == 0)).any() if kind != "dense"
                  else (leaving > 1).any())
@@ -670,26 +714,26 @@ def test_lockstep_leaves_a_non_finite_row_to_the_scalar_walk(bad, message, monke
 # Bits of ``_lockstep_seats`` on each lockstep kind's passes of seeds 0-2,
 # row i reading row i of ``default_rng(seed).random((n, p + 1))``: per seed,
 # the first 16 hex digits of the SHA-256 over every row's seats (int64) and
-# the ``float.hex`` of its log Q and log Q0 (``_lockstep_digest``). A shared
-# block sums the log Q and log Q0 of its SPIKE seats by one reduction, so
-# the pins hold where the blocks fall as well as each step's arithmetic;
-# the dense kind's passes weigh no block with SPIKE seats. numpy's exp and
-# log differ in the last bit between SIMD targets, so the pins are keyed by
-# a probe of both (``_exp_log_probe``).
+# the ``float.hex`` of its log W (``_lockstep_digest``). A shared block adds
+# the log normalisers of its SPIKE seats by one reduction, so the pins hold
+# where the blocks fall as well as each step's arithmetic; the dense kind's
+# passes weigh no block with SPIKE seats. numpy's exp and log differ in the
+# last bit between SIMD targets, so the pins are keyed by a probe of both
+# (``_exp_log_probe``).
 LOCKSTEP_PINS = {
     # x86-64 with numpy's AVX-512 (X86_V4) exp and log
     "4117a7b1b2889523": {
-        "dense": ["81cf79b2b064359a", "0555dfbfbfd1bcc0", "bf04012156e5fb6f"],
-        "live": ["30e8de3c34ea2c6b", "517d28bc45554ece", "5061acf071e78a0e"],
-        "mixed": ["aab8f61322385ee2", "a6f65ef1311ac4ba", "c07b3fbf7dd22a66"],
-        "spike": ["16d7774f5c38da48", "c1ec48f4fb364495", "3c7601c7355e4cca"],
+        "dense": ["9317667f316239b4", "48c5b964840e8814", "42ba918204cb1bfd"],
+        "live": ["e2af811879d9887f", "ad80ca9529500659", "096ca0df6ddfbaa1"],
+        "mixed": ["19ce6990d5cdb20b", "4cfa2d58e5d26295", "8d24f7c30a0b4b70"],
+        "spike": ["aa1fdad8a599ee75", "87effadbbe45e4a4", "9168c91b3f0364df"],
     },
     # x86-64 with those kernels disabled (or absent): the C library's exp and log
     "6469758e9361ab7d": {
-        "dense": ["81cf79b2b064359a", "0555dfbfbfd1bcc0", "bf04012156e5fb6f"],
-        "live": ["30e8de3c34ea2c6b", "517d28bc45554ece", "5061acf071e78a0e"],
-        "mixed": ["aab8f61322385ee2", "09373e25ae84a90f", "c07b3fbf7dd22a66"],
-        "spike": ["16d7774f5c38da48", "c1ec48f4fb364495", "3c7601c7355e4cca"],
+        "dense": ["f0319b26ca57c845", "48c5b964840e8814", "42ba918204cb1bfd"],
+        "live": ["e2af811879d9887f", "ad80ca9529500659", "096ca0df6ddfbaa1"],
+        "mixed": ["19ce6990d5cdb20b", "4cfa2d58e5d26295", "8d24f7c30a0b4b70"],
+        "spike": ["aa1fdad8a599ee75", "87effadbbe45e4a4", "9168c91b3f0364df"],
     },
 }
 
@@ -708,18 +752,18 @@ def _lockstep_digest(kind, seed):
     seated = clusters._lockstep_seats(bd, np.arange(n), u)
     h = hashlib.sha256()
     for i in range(n):
-        seats, _counts, log_q, log_q0 = seated[i][:4]
+        seats, _counts, log_w = seated[i][:3]
         h.update(np.asarray(seats, dtype=np.int64).tobytes())
-        h.update(f"{float(log_q).hex()} {float(log_q0).hex()};".encode())
+        h.update(f"{float(log_w).hex()};".encode())
     return h.hexdigest()[:16]
 
 
 @pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
 def test_lockstep_seats_match_pinned_bits(kind):
-    """The lockstep's seats, log Q and log Q0 of every row equal, bit for
-    bit, those pinned for this platform's exp and log. The reference-walk test allows rounding (REL); this pin
-    does not. A platform whose numpy exp and log match neither recorded
-    probe has no pin to compare with."""
+    """The lockstep's seats and log W of every row equal, bit for bit, those
+    pinned for this platform's exp and log. The reference-walk test allows
+    rounding (REL); this pin does not. A platform whose numpy exp and log
+    match neither recorded probe has no pin to compare with."""
     pins = LOCKSTEP_PINS.get(_exp_log_probe())
     if pins is None:
         pytest.skip(f"no lockstep pin for this numpy's exp and log (probe {_exp_log_probe()})")
@@ -727,35 +771,35 @@ def test_lockstep_seats_match_pinned_bits(kind):
 
 
 def _scalar_tail(bd, seated, i, rng):
-    """(mean, log Q, log Q0) of row i seated in lockstep as ``seated``
+    """(mean, log W) of row i seated in lockstep as ``seated``
     (``seat_births``' entry for it), its values drawn by the reference walk's
     scalar tail (``_reference_values``), one ``standard_normal()`` per inner
     cluster."""
-    seats, counts, log_q, log_q0 = seated[:4]
+    seats, counts, log_w = seated[:3]
     mean = ClusterMeanVector(len(seats))
     if counts:
-        values, log_q, log_q0 = _reference_values(
+        values, _log_q, _log_q0 = _reference_values(
             seats.tolist(), len(counts), bd.x[i].tolist(), bd.prec.tolist(), bd.slab_var,
-            log_q, log_q0, rng)
+            0.0, 0.0, rng)
         mean.inner.set_slots([None] * len(counts), seats, counts, values)
-    return mean, log_q, log_q0
+    return mean, log_w
 
 
 def _proposal_bits(bd, i, proposal):
-    """A proposal's partition, values, log Q, log Q0 and log likelihood of
-    row i, floats as ``float.hex``."""
-    mean, log_q, log_q0 = proposal
+    """A proposal's partition, values, log W and log likelihood of row i,
+    floats as ``float.hex``."""
+    mean, log_w = proposal
     inner = mean.inner.to_dict()
     inner["values"] = [v.hex() for v in inner["values"]]
-    return inner, log_q.hex(), log_q0.hex(), bd.loglik(i, mean).hex()
+    return inner, log_w.hex(), bd.loglik(i, mean).hex()
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 def test_lockstep_value_tail_matches_scalar_tail(bit_generator):
     """A row seated in lockstep draws its k values with one
     ``standard_normal(k)`` from the posterior ``seat_births`` computed for
-    the pass: its values, log Q, log Q0 and log likelihood equal, bit for
-    bit, those of the reference walk's scalar tail with
+    the pass: its values, log W and log likelihood equal, bit for bit,
+    those of the reference walk's scalar tail with
     ``BirthDeathPass.loglik``, and the generator stands where k scalar draws
     leave it, after every row."""
     drew = 0
@@ -777,36 +821,14 @@ def test_lockstep_value_tail_matches_scalar_tail(bit_generator):
     assert drew
 
 
-def test_value_tail_takes_math_log_of_the_posterior_variance():
-    """The value tail's log Q equals ``log_normal_pdf``'s, bit for bit, at
-    posterior variances where numpy's log differs from math's in the last
-    bit (as numpy's AVX-512 log does on about 0.05% of values): member
-    precision sums from a fixed grid, each value at its posterior mean so
-    that log(2 pi variance) alone makes log Q. A platform whose numpy log
-    agrees with math's on the whole grid has nothing to check."""
-    slab_var = 1.0
-    prec_sums = np.linspace(1.0, 1000.0, 100001)
-    var = 1.0 / (prec_sums + 1.0 / slab_var)  # ``_posterior``'s arithmetic
-    math_log = np.array([LOG_2PI + math.log(v) for v in var.tolist()])
-    differ = np.flatnonzero(LOG_2PI + np.log(var) != math_log)
-    if not differ.size:
-        pytest.skip("numpy's log equals math's on every grid variance")
-    for prec_sum, v in zip(prec_sums[differ].tolist(), var[differ].tolist()):
-        post = clusters._posterior(np.array([prec_sum]), np.array([0.5 * prec_sum]), slab_var)
-        mean = post[0]
-        _values, log_q, _log_q0 = clusters._values(post, slab_var, 0.0, 0.0, values=mean)
-        expected = 0.0 + log_normal_pdf(mean.item(), mean.item(), v)
-        assert log_q.hex() == expected.hex(), prec_sum
-
-
 # -- the block routine ----------------------------------------------------------
 
 
-def _block_inputs(seed, k, replay):
+def _block_inputs(seed, k):
     """Terms of 6 rows and 30 components, each row's slot terms (k slots;
     slot 0 emptied, at log count -inf, on rows 0 and 3, and a row with fewer
-    slots than k weighing -inf at the rest), CRP log denominators, and
-    uniforms or seats (SPIKE, a slot or a new cluster)."""
+    slots than k weighing -inf at the rest), CRP log denominators and
+    uniforms."""
     rng = np.random.default_rng(seed)
     rows, p = 6, 30
     x = rng.normal(0.0, 1.0, size=(rows, p))
@@ -819,17 +841,14 @@ def _block_inputs(seed, k, replay):
         log_c[k - 1:, 5] = -math.inf
     slots = (log_c, rng.normal(0.0, 1.0, size=(k, rows, 1)), rng.uniform(0.05, 0.5, size=(k, rows, 1)))
     log_denom = np.log(1.0 + rng.integers(0, 5, size=(rows, 1)))
-    if replay:
-        seats = np.where(rng.random((rows, p)) < 0.85, SPIKE, rng.integers(0, k + 1, size=(rows, p)))
-        return terms, slots if k else None, log_denom, None, seats
-    return terms, slots if k else None, log_denom, rng.random((rows, p)) ** 3, None
+    return terms, slots if k else None, log_denom, rng.random((rows, p)) ** 3
 
 
-def _block_oracle(terms, r, j, end, slots, log_denom, u, seats):
+def _block_oracle(terms, r, j, end, slots, log_denom, u):
     """Row r's block by the scalar step's sums in numpy, with numpy's
-    accumulate for the running sums: (stays, stop, at), where at(c) gives
-    the seat at component c, every seat's log probability there, and the
-    log Q of the SPIKE seats before it."""
+    accumulate for the running sums: (stays, stop, seat, lse), where seat(c)
+    gives the seat at component c and lse every component's log
+    normaliser."""
     k = 0 if slots is None else len(slots[0])
     w = np.empty((k + 2, end - j))
     w[0] = terms.spike[r, j:end]
@@ -842,76 +861,62 @@ def _block_oracle(terms, r, j, end, slots, log_denom, u, seats):
     w[-1] = terms.new[r, j:end] - log_denom[r, 0]
     top = np.maximum.reduce(w)
     acc = np.add.accumulate(np.exp(w - top))
-    lse = top + np.log(acc[-1])
-    if seats is None:
-        stays = u[r, j:end] * acc[-1] <= acc[0]
-    else:
-        stays = (seats[r, j:end] == SPIKE) & np.isfinite(acc[-1])
+    stays = u[r, j:end] * acc[-1] <= acc[0]
     stop = int(np.argmin(stays)) if not stays.all() else end - j
 
-    def at(c):
-        log_q = float(np.add.reduce(w[0, :c] - lse[:c]))
-        if c == end - j:
-            return None, None, log_q
-        choice = (int(np.searchsorted(acc[:, c], u[r, j + c] * acc[-1, c])) if seats is None
-                  else 1 + int(seats[r, j + c]))
-        return choice, (w[:, c] - lse[c]).tolist(), log_q
+    def seat(c):
+        return int(np.searchsorted(acc[:, c], u[r, j + c] * acc[-1, c]))
 
-    return stays, stop, at
+    return stays, stop, seat, top + np.log(acc[-1])
 
 
-@pytest.mark.parametrize("replay", [False, True], ids=["draw", "replay"])
-@pytest.mark.parametrize("k", range(4))
-def test_block_of_stacked_rows_matches_each_row_alone(k, replay):
+@pytest.mark.parametrize("k", range(4), ids="{}-draw".format)
+def test_block_of_stacked_rows_matches_each_row_alone(k):
     """``_block`` over a stack of rows gives every row, bit for bit, what it
     gives that row alone, and both what the scalar step's sums with numpy's
     accumulate give: where the row stays on SPIKE, its stop, its seat there
-    with every seat's log probability, and the log Q of its SPIKE seats
-    before it. A stack stops at its first row's stop, where the rows that
-    stop later sit on SPIKE; the stack of those rows reaches the next stop.
-    A one-component block seats every row at its component. Blocks of 1, 7
-    and 30 components, drawing and replaying, 0-3 slots, an emptied slot
-    and rows with fewer slots than the rest."""
+    and the log normaliser at every component. A stack stops at its first
+    row's stop, where the rows that stop later sit on SPIKE; the stack of
+    those rows reaches the next stop. A one-component block seats every row
+    at its component. Blocks of 1, 7 and 30 components, 0-3 slots, an
+    emptied slot and rows with fewer slots than the rest."""
     seen = dict.fromkeys(("row leaves SPIKE", "row stays through", "stack of several"), 0)
     for seed in range(12):
-        terms, slots, log_denom, u, seats = _block_inputs(100 * k + seed, k, replay)
+        terms, slots, log_denom, u = _block_inputs(100 * k + seed, k)
         for j, end in ((4, 5), (11, 18), (0, 30)):
             width, alone = end - j, {}
             for r in range(6):
                 got = clusters._block(
-                    terms, slice(r, r + 1), j, end, log_denom.item(r),
-                    None if slots is None else tuple(a[:, r:r + 1] for a in slots),
-                    None if u is None else u[r:r + 1], None if seats is None else seats[r:r + 1])
-                stays, c, choice, seat_q, spike_q = got
-                want_stays, stop, at = _block_oracle(terms, r, j, end, slots, log_denom, u, seats)
+                    terms, slice(r, r + 1), j, end, log_denom.item(r), u[r:r + 1],
+                    None if slots is None else tuple(a[:, r:r + 1] for a in slots))
+                stays, c, choice, lse = got
+                want_stays, stop, seat, want_lse = _block_oracle(terms, r, j, end, slots,
+                                                                 log_denom, u)
                 assert stays[0].tolist() == want_stays.tolist(), (seed, j, r)
                 assert c == (0 if width == 1 else stop), (seed, j, r)
-                want_choice, want_seat_q, want_log_q = at(c)
-                assert float(np.add.reduce(spike_q[0, :c])) == want_log_q, (seed, j, r)
+                assert lse[0].tolist() == want_lse.tolist(), (seed, j, r)
                 if c < width:
-                    assert (choice.item(), seat_q[:, 0].tolist()) == (want_choice, want_seat_q)
+                    assert choice.item() == seat(c), (seed, j, r)
                 else:
-                    assert choice is seat_q is None
+                    assert choice is None
                 alone[r] = got
                 seen["row leaves SPIKE" if stop < width else "row stays through"] += 1
             remaining = list(range(6))
             while remaining:
                 sub = SimpleNamespace(spike=terms.spike[remaining], new=terms.new[remaining],
                                       x=terms.x[remaining], log_s=terms.log_s, v_obs=terms.v_obs)
-                stays, c, choice, seat_q, spike_q = clusters._block(
-                    sub, slice(None), j, end, log_denom[remaining],
-                    None if slots is None else tuple(a[:, remaining] for a in slots),
-                    None if u is None else u[remaining], None if seats is None else seats[remaining])
+                stays, c, choice, lse = clusters._block(
+                    sub, slice(None), j, end, log_denom[remaining], u[remaining],
+                    None if slots is None else tuple(a[:, remaining] for a in slots))
                 seen["stack of several"] += len(remaining) > 1
                 seated = []
                 for s, r in enumerate(remaining):
-                    one_stays, one_c, one_choice, one_seat_q, one_spike_q = alone[r]
+                    one_stays, one_c, one_choice, one_lse = alone[r]
                     assert stays[s].tolist() == one_stays[0].tolist(), (seed, j, r)
-                    assert spike_q[s].tolist() == one_spike_q[0].tolist(), (seed, j, r)
+                    assert lse[s].tolist() == one_lse[0].tolist(), (seed, j, r)
                     if one_c == c:  # the stack stops at the row's own stop
                         if c < width:
                             assert choice[s] == one_choice[0], (seed, j, r)
-                            assert seat_q[:, s].tolist() == one_seat_q[:, 0].tolist(), (seed, j, r)
                         seated.append(r)
                     else:  # the row sits on SPIKE at the stack's stop
                         assert c < one_c and choice[s] == 0, (seed, j, r)

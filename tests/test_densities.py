@@ -4,13 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from sparseclust.densities import (
-    SamplerAbort,
-    log_beta_pdf,
-    log_inv_gamma_pdf,
-    log_normal_pdf,
-    pick_with_lse,
-)
+from sparseclust.densities import SamplerAbort, pick_with_lse
+
+from log_densities import log_beta_pdf, log_inv_gamma_pdf, log_normal_pdf
 
 mpmath.mp.dps = 50
 
@@ -108,8 +104,6 @@ def test_pick_joins_first_index_whose_running_weight_reaches_u():
         assert pick_with_lse(logw, u) == (want, pytest.approx(math.log(4.0), abs=1e-15))
     # a weight of zero is never picked, not even by the largest uniform
     assert pick_with_lse([math.log(2.0), 0.0, -math.inf], np.nextafter(1.0, 0.0))[0] == 1
-    # without a uniform, only the normalizer, by the same summation
-    assert pick_with_lse(logw) == (None, pick_with_lse(logw, 0.3)[1])
 
 
 def test_pick_with_lse_aborts_on_non_finite_weights():

@@ -155,9 +155,9 @@ def test_birth_acceptance_draws_a_fresh_row_per_attempt(monkeypatch):
     propose = BirthDeathPass.propose
 
     def recording(self, i, u, rng):
-        mean, log_q, log_q0 = propose(self, i, u, rng)
+        mean, log_w = propose(self, i, u, rng)
         seats.append((i, mean.inner.labels.tolist()))
-        return mean, log_q, log_q0
+        return mean, log_w
 
     monkeypatch.setattr(BirthDeathPass, "propose", recording)
     measure_birth_acceptance(state, data, hp, np.random.default_rng(0), 3)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sparseclust.partition import SPIKE, crp_log_prob, drop_empty
+from sparseclust.partition import SPIKE, drop_empty
 
 from conftest import build_partition
+from log_densities import crp_log_prob
 
 
 def test_move_from_singleton_deletes_cluster():

@@ -16,6 +16,7 @@ from sparseclust.clusters import (
     BirthDeathPass,
     ClusterMeanVector,
     WalkTerms,
+    _seated_log_w,
 )
 from sparseclust.densities import SamplerAbort
 
@@ -51,9 +52,9 @@ def _dense_mean(p, rng):
 
 def _seated_alone(terms, row, u):
     """``_lockstep_seats`` of ``row`` alone from the uniforms ``u``: seats,
-    counts, log Q, log Q0 and posterior, arrays as lists."""
-    seats, counts, log_q, log_q0, post = clusters._lockstep_seats(terms, np.array([row]), u[None])[row]
-    return seats.tolist(), counts, log_q, log_q0, [a.tolist() for a in post]
+    counts, log W and posterior, arrays as lists."""
+    seats, counts, log_w, post = clusters._lockstep_seats(terms, np.array([row]), u[None])[row]
+    return seats.tolist(), counts, log_w, [a.tolist() for a in post]
 
 
 @pytest.mark.parametrize("n, p, seed", CASES)
@@ -69,18 +70,19 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
         for name in ROW_ARRAYS:
             np.testing.assert_array_equal(
                 _bits(getattr(bd, name)[i]), _bits(getattr(one, name)[0]), err_msg=name)
-        # The walks read nothing else, so their draws and replays agree too.
+        # The walks read nothing else, so their draws and scores agree too.
         rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         u, one_u = rng.random(p), one_rng.random(p)
-        (mean, *logs), (one_mean, *one_logs) = (_walk_from_spike(bd, i, u, rng),
+        (mean, log_w), (one_mean, one_log_w) = (_walk_from_spike(bd, i, u, rng),
                                                 _walk_from_spike(one, 0, one_u, one_rng))
         assert mean.inner.to_dict() == one_mean.inner.to_dict()
-        assert logs == one_logs
+        assert log_w == one_log_w
         assert rng.bit_generator.state == one_rng.bit_generator.state
         assert _seated_alone(bd, i, u) == _seated_alone(one, 0, u)
+        assert _seated_log_w(bd, i, mean.inner) == _seated_log_w(one, 0, mean.inner)
         if _starts_block(bd, i) and bd.run_finite[i] and not mean.inner.n_clusters():
-            # The pass marks a rejected proposal of this row from its sums.
-            assert logs == [bd.spike_log_q[i], bd.spike_log_q0]
+            # The pass marks a rejected proposal of this row from its sum.
+            assert log_w == bd.spike_log_w[i]
 
 
 @pytest.mark.parametrize("n, p, seed", CASES)
@@ -104,10 +106,9 @@ def test_pass_loglik_equals_loglik_dense(n, p, seed):
 
 def test_all_spike_proposal_at_p_3000_is_one_block():
     """A block with no member seated spans to p, with no cap on its cells:
-    at p = 3000 the scalar walk from an all-SPIKE mean that stays on SPIKE,
-    the walk a death replays, has log Q and log Q0 bitwise the pass's sums,
-    which the skip of rejected births reads. A capped block would split the
-    walk's sum of log Q."""
+    at p = 3000 the scalar walk from an all-SPIKE mean that stays on SPIKE
+    has log W bitwise the pass's sum, which the skip of rejected births
+    reads. A capped block would split the walk's sum."""
     seen = 0
     for seed in range(40):
         state, data, hp = make_state(n=3, p=3000, seed=seed)
@@ -116,10 +117,10 @@ def test_all_spike_proposal_at_p_3000_is_one_block():
         rng = np.random.default_rng(seed)
         bd.rejected_spike_births(state, np.full((3, 3001), 0.5), bd.own_loglik(state))
         for i in range(3):
-            mean, *logs = _walk_from_spike(bd, i, rng.random(3000), rng)
+            mean, log_w = _walk_from_spike(bd, i, rng.random(3000), rng)
             if _starts_block(bd, i) and bd.run_finite[i] and not mean.inner.n_clusters():
                 seen += 1
-                assert logs == [bd.spike_log_q[i], bd.spike_log_q0], (seed, i)
+                assert log_w == bd.spike_log_w[i], (seed, i)
     assert seen >= 5
 
 
@@ -152,10 +153,10 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
 
     u = np.full(p, 1e-3)  # every SPIKE-favouring component stays on SPIKE
     rng, one_rng = np.random.default_rng(1), np.random.default_rng(1)
-    mean, *logs = _walk_from_spike(bd, 0, u, rng)
-    one_mean, *one_logs = _walk_from_spike(WalkTerms(x[0], 1, sigma_sq, state, hp), 0, u, one_rng)
+    mean, log_w = _walk_from_spike(bd, 0, u, rng)
+    one_mean, one_log_w = _walk_from_spike(WalkTerms(x[0], 1, sigma_sq, state, hp), 0, u, one_rng)
     assert mean.inner.to_dict() == one_mean.inner.to_dict()
-    assert logs == one_logs
+    assert log_w == one_log_w
 
     blocks = _record_live_blocks(monkeypatch)
     for i, message, walked in ((1, "all log weights are -inf", [(0, p, 4, None)]),
