@@ -32,8 +32,11 @@ def test_joint_distribution_gate():
     chain that alternates data given state with one full sweep. Per-seed
     z scores are pooled as sum(z) / sqrt(seeds), which is N(0, 1) under a
     correct kernel. The seeds and the bound were fixed before the first run;
-    a failure is a kernel bug."""
-    hp = informative_hp()
+    a failure is a kernel bug. The slab prior is InvGamma(3, 4), of mean 2 as
+    ``informative_hp``'s InvGamma(2, 2) but of finite variance: under the
+    latter slab_var and mean_sq_shift have infinite variance, and their z
+    scores are not N(0, 1) even for a correct kernel."""
+    hp = dataclasses.replace(informative_hp(), eta_shape=3.0, eta_rate=4.0)
     pooled = dict.fromkeys(STATISTIC_NAMES, 0.0)
     for seed in GATE_SEEDS:
         rng = np.random.default_rng(seed)
