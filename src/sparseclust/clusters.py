@@ -1,12 +1,11 @@
 """Sample-cluster moves: MH birth/death with a sequential proposal, Gibbs
 reassignment, and the inner Gibbs update of cluster mean vectors.
 
-Two component walks seat a cluster's mean vector, each component in turn
-(SPIKE, a live inner cluster or a new one) from the collapsed spike/CRP
-conditional, then draw the inner values from their conjugate posteriors.
-The lockstep (``_lockstep_seats``, below) seats the birth proposals of a
-pass's rows. The scalar walk (``_scan_components``) does every one-row
-walk: a birth the pass did not seat and the inner Gibbs pass.
+One component walk (``_scan_components``) seats a cluster's mean vector,
+each component in turn (SPIKE, a live inner cluster or a new one) from the
+collapsed spike/CRP conditional, then draws the inner values from their
+conjugate posteriors: from an all-SPIKE mean for a birth proposal, from a
+cluster's current mean for the inner Gibbs pass.
 ``diagnostics.draw_prior_mean`` draws a mean vector from the prior itself.
 
 A walk returns one number, log W: the sum over components of the log
@@ -29,28 +28,30 @@ slot not yet opened weighs log 0, and one (slots + 2, p) array gives every
 Z_j. Its log MH ratio is log(n - 1) - log conc_samples + log F_target - log
 W. Neither move scores the proposed or the dying mean's likelihood.
 
-The scalar walk keeps its per-slot sums in lists indexed by the partition's
+The walk keeps its per-slot sums in lists indexed by the partition's
 slots; a new inner cluster takes the next slot. A slot whose last member
 leaves stays, at count 0, until write-back: it weighs -inf, which changes
 neither the pick nor its normalizer, and ``partition.drop_empty`` drops it
 at the end. The walk writes the seats into the partition's labels as it
 draws them and the slot arrays back once, at the end; a walk that seats
-every component of an all-SPIKE mean on SPIKE writes nothing more.
+every component of an all-SPIKE mean on SPIKE writes nothing more. The
+values are drawn by one value tail, ``_values``, from the slots' member
+sums (``_member_sums``), added afresh in component order.
 
-Every walk seats runs of SPIKE seats in blocks of one row or a stack of
-rows (``_block``). A SPIKE seat changes no slot and not the walk's member
-total, so while the seats stay SPIKE the next components' weights are fixed:
-one array comparison of their uniforms against their SPIKE weights seats
-them up to the first one off SPIKE, whose seat is read from its running
-sums. A block weighs every slot from the terms the walk keeps per slot (log
-count, posterior mean and variance, updated when the slot changes), summed
-as the scalar step sums them, and returns every pick's normaliser. In the
-scalar walk, while no member is seated, a block starts at a component that
-favours SPIKE and spans to p: no later component starts seated, and with
-every slot empty only SPIKE and a new cluster weigh anything. With members
-seated, a block starts only after 16 SPIKE seats in a row, so dense vectors
-stay on the scalar path; it spans up to a fixed number of cells and stops
-before the next component that starts seated.
+The walk seats runs of SPIKE seats in blocks (``_block``). A SPIKE seat
+changes no slot and not the walk's member total, so while the seats stay
+SPIKE the next components' weights are fixed: one array comparison of their
+uniforms against their SPIKE weights seats them up to the first one off
+SPIKE, whose seat is read from its running sums. A block weighs every slot
+from the terms the walk keeps per slot (log count, posterior mean and
+variance, updated when the slot changes), summed as the scalar step sums
+them, and returns every pick's normaliser. While no member is seated, a
+block starts at a component that favours SPIKE and spans to p: no later
+component starts seated, and with every slot empty only SPIKE and a new
+cluster weigh anything. With members seated, a block starts only after 16
+SPIKE seats in a row, so dense vectors stay on the scalar path; it spans up
+to a fixed number of cells and stops before the next component that starts
+seated.
 
 The walk reads its per-component inputs in place from a ``WalkTerms`` row,
 arrays built before the walk, of which a scalar step reads component j's
@@ -69,70 +70,49 @@ pass then reads each cluster's member rows from the data, in ascending
 sample order.
 
 Every sample move is handed its uniforms, and so is a drawing walk, one per
-component: component j is seated by u[j], on either path. The birth/death
-pass draws one (n, p + 1) uniform matrix when it starts, and the move of
-sample i reads only row i. A birth walk reads column j to seat component j
-and column p for its MH test; a death reads column 0 for its target (a
-uniform pick among the other n - 1 samples) and column p for its test. The
-reassignment pass hands each row one scalar draw (see below). The inner Gibbs
-pass draws one p-vector per cluster. Normal and beta draws come from the
-generator. This is valid: each uniform is read by one draw only, and it is
-drawn before, and independently of, the state it is used in.
+component: component j is seated by u[j]. The birth/death pass draws one
+(n, p + 1) uniform matrix when it starts, and the move of sample i reads
+only row i. A birth walk reads column j to seat component j and column p
+for its MH test; a death reads column 0 for its target (a uniform pick
+among the other n - 1 samples) and column p for its test. The reassignment
+pass hands each row one scalar draw (see below). The inner Gibbs pass draws
+one p-vector per cluster. Normal and beta draws come from the generator.
+This is valid: each uniform is read by one draw only, and it is drawn
+before, and independently of, the state it is used in.
 
 Nearly every birth proposal is rejected, and the pass proves most of these
-rejections before the walk. Whatever the seats, every slot's and a new
-cluster's predictive density at component j is a normal of variance at
-least v_j = sigma_j^2, and the CRP weights of the slots and of a new
-cluster sum to 1, so
+rejections before or early in the walk. Whatever the seats, every slot's
+and a new cluster's predictive density at component j is a normal of
+variance at least v_j = sigma_j^2, and the CRP weights of the slots and of
+a new cluster sum to 1, so
 
-    Z_j <= (1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j),
+    Z_j <= (1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j) = exp(b_ij),
 
-s_j = slab_coef * attr_prob_j. The sum of their logs, B_i >= log W, reads
-only the pass's terms. So one (n, p) ``logaddexp`` at pass start
-(``BirthDeathPass.screened_births``) marks the rows whose MH uniform lies
-above the ratio with log W at B_i, by a margin of 1e-9 relative plus 1e-9
-that keeps a rounding-level tie unmarked: their births reject whatever
-their walks would draw. A row whose bound or likelihood is not finite is
-never marked, so its walk still aborts.
+s_j = slab_coef * attr_prob_j. So, for every J, log W is at most the log
+normalisers summed over the components before J plus rest[i, J], the sum
+of b_ij over j >= J; this prefix bound only falls as J grows. A birth
+rejects whatever its walk draws once log u[p] is at least the log ratio
+with log W at the bound, by a margin of 1e-9 relative plus 1e-9 that keeps
+a rounding-level tie unproven: once the bound is at most the row's floor.
+One (n, p) ``logaddexp`` and suffix sum at pass start
+(``BirthDeathPass.screened_births``) gives every row's rest and floor, and
+the check at J = 0, the screen, marks the rows whose births reject before
+their walk. Every other birth of the pass walks with the check at each
+component it reaches (a block's at its end: the bound only falls) and once
+more at p, before the values. A walk the check stops returns at once: it
+seats nothing more, draws no values, and the move rejects. So a birth
+draws its values only if it is not proven to reject. A row whose bound or
+likelihood is not finite is never stopped, so its walk still aborts at the
+pick. The inner Gibbs pass and ``diagnostics.measure_birth_acceptance``
+walk without the check.
 
-At the default sparsity most of the rest seat every component on SPIKE and
-are rejected. The pass marks these rows up front too, each chunk of rows
-weighed as one block of all p components with no member seated
-(``BirthDeathPass.rejected_spike_births``); the MH test reads the block's
-log W, from which a walked proposal's differs in rounding only.
-
-Either mark depends on the row's uniforms, the pass's terms and the
-sample's log likelihood under its own cluster, and no earlier move of the
-pass changes the last: a move relocates only its own sample and changes no
+The floor depends on the row's uniforms, the pass's terms and the sample's
+log likelihood under its own cluster, and no earlier move of the pass
+changes the last: a move relocates only its own sample and changes no
 mean. So the pass reads these likelihoods once (``own_loglik``) and skips a
-marked row, a non-singleton at the start, that is still not a singleton
+screened row, a non-singleton at the start, that is still not a singleton
 when it is reached: the skip is its rejected birth move, and it walks
 nothing and draws nothing.
-
-The pass then seats the proposals of the rows left to walk side by side
-(``BirthDeathPass.seat_births``): a row's walk reads only its own terms and
-uniforms. A birth the pass did not seat (a singleton that has become a
-non-singleton by its turn, a row that is not ``run_finite``, on which the
-walk aborts, or one outside a pass, as in
-``diagnostics.measure_birth_acceptance``) is the scalar walk from an
-all-SPIKE mean. Every row stands at the same component j, and each step is
-one block of all rows: of component j alone, or, after a component that
-all rows but at most one seated on SPIKE, of the next components too. Every
-row sits on SPIKE up to the first component some row leaves SPIKE at, which
-is seated from the same block. The seats do not depend on where blocks
-fall; a block adds its normalisers by one reduction, which differs from the
-scalar walk's sums in rounding only, and blocks are sized by the number of
-rows and their slots, so a row's last bits of log W depend on the rows
-seated with it. The draws and their order are the scalar walk's from an
-all-SPIKE mean, but numpy's exp and log differ from math's in the last bit:
-a seat or an MH decision can differ only where a uniform falls within
-rounding of a boundary.
-
-Every walk ends with one value tail, ``_values``, which reads its slots'
-member sums (``_member_sums``): a scalar walk sums its slots' members
-afresh, and the lockstep every seated row's by one call over (row, slot)
-pairs, also in component order. A seated row that has become a singleton by
-its turn draws nothing.
 
 The reassignment pass (``_reassignments``) hands each non-singleton, in
 sample order, one scalar uniform, its row of the pass's columns and the
@@ -144,9 +124,7 @@ non-finite row still goes to ``gibbs_reassign`` to abort on.
 """
 
 import bisect
-import functools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -158,11 +136,8 @@ from .sparsity import slab_coef
 # are seated: a block costs several scalar steps and wastes the components
 # after its stop, so it pays only in a run.
 _LIVE_RUN = 16
-# Cells a block spans: components times (slots + 2) in the scalar walk's
-# blocks while members are seated, and rows times components times
-# (slots + 2) in the lockstep's shared blocks. The rejected-birth precheck
-# weighs its rows in even chunks of about as many (row, component) cells:
-# wider arrays take fresh memory on every pass.
+# Cells, components times (slots + 2), that the walk's block spans while
+# members are seated: wider arrays take fresh memory on every block.
 _BLOCK_CELLS = 4096
 
 
@@ -224,7 +199,8 @@ class BirthDeathPass(WalkTerms):
     (n_count 1), ``log(2 pi sigma_sq)`` and every sample's log likelihood
     under a zero mean. Each live cluster's column of log likelihoods is
     computed when first read. See the module docstring for why none of it
-    changes in the pass."""
+    changes in the pass. ``screened_births`` adds every row's ``rest`` and
+    ``floor``, which stop the pass's birth walks."""
 
     def __init__(self, y, mu_base, sigma_sq, state, hp):
         sigma_sq = np.asarray(sigma_sq, dtype=float)
@@ -233,30 +209,20 @@ class BirthDeathPass(WalkTerms):
         self.log_2pi_var = np.log(2.0 * np.pi * sigma_sq)
         self.zero_loglik = _loglik_rows(self.x, self.log_2pi_var, sigma_sq)
         self._columns = {}
-        self._seated = {}
-
-    def seat_births(self, rows, u):
-        """Seat the birth proposals of ``rows`` in lockstep, row i reading
-        u[i], with their values' posterior, for ``propose``. The rows must be
-        ``run_finite``."""
-        self._seated = _lockstep_seats(self, rows, u[rows])
+        self.rest = self.floor = None
 
     def propose(self, i, u, rng):
-        """(mean, log W): a new cluster mean for row i, drawn by the
-        sequential proposal from the uniforms ``u`` (one per component) and
-        ``rng``, with its walk's log W (see the module docstring). A row
-        ``seat_births`` seated draws its values by ``_values``; any other
-        row is the scalar walk from an all-SPIKE mean, which aborts on a row
-        that is not ``run_finite``."""
-        seated = self._seated.pop(i, None)
-        if seated is None:
-            mean = ClusterMeanVector(self.x.shape[1])
-            return mean, _scan_components(mean.inner, self, i, u, rng)
-        seats, counts, log_w, sums = seated
-        if not counts:
-            return ClusterMeanVector(len(seats)), log_w
-        inner = Partition(seats, counts, _values(*sums, self.slab_var, rng), allow_spike=True)
-        return ClusterMeanVector(len(seats), inner), log_w
+        """(mean, log W): a new cluster mean for row i, drawn by the scalar
+        walk from an all-SPIKE mean from the uniforms ``u`` (one per
+        component) and ``rng``, with its walk's log W (see the module
+        docstring). After ``screened_births`` the walk checks row i's prefix
+        bound against its floor, and (None, None) is a walk the check
+        stopped: the birth rejects whatever the rest of the walk would
+        draw."""
+        mean = ClusterMeanVector(self.x.shape[1])
+        stop = None if self.floor is None else (self.rest[i], self.floor.item(i))
+        log_w = _scan_components(mean.inner, self, i, u, rng, stop)
+        return (None, None) if log_w is None else (mean, log_w)
 
     def loglik(self, i, mean):
         """Log F(y_i; mu_base + mean): sample i's normal log likelihood under
@@ -298,66 +264,53 @@ class BirthDeathPass(WalkTerms):
     def screened_births(self, state, u, log_f_old):
         """Per row of the uniforms ``u``, whether the birth move of that
         sample, reading that row, rejects whatever its walk would draw, by
-        the bound B_i >= log W of any proposal of that row (see the module
-        docstring): log u[i, p] is at least the log ratio with log W at B_i,
-        by more than rounding. ``log_f_old`` is every sample's
-        ``own_loglik``. A row whose bound or likelihood is not finite is not
-        marked, so its walk still aborts."""
+        the bound rest[i, 0] >= log W of any proposal of that row (see the
+        module docstring); ``log_f_old`` is every sample's ``own_loglik``.
+
+        Keeps, per row, ``rest``, the suffix sums of the bound's terms, of
+        shape (n, p + 1) with rest[i, p] = 0, and ``floor``: the walk's
+        bound proves that the birth rejects where it is at most the floor,
+        that is where log u[i, p] is at least the log ratio r with log W at
+        the bound plus 1e-9 |r| + 1e-9, which for log u < 0 reads r <= (log
+        u - 1e-9) / (1 - 1e-9). The floor is NaN, so no check stops the
+        walk, where the bound or the likelihood is not finite: the walk
+        still aborts. Rows are marked where rest[i, 0] is at most the
+        floor."""
         p = self.x.shape[1]
         with np.errstate(all="ignore"):
-            # Z_j <= (1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j), per row.
-            bound = np.add.reduce(np.logaddexp(
-                self.spike, self.log_s - 0.5 * (LOG_2PI + np.log(self.v_obs))), axis=-1)
-            limit = self.birth_log_ratio(state, log_f_old, bound)
-            limit += 1e-9 * np.abs(limit) + 1e-9
-            return np.isfinite(limit) & (np.log(u[:, p]) >= limit)
-
-    def rejected_spike_births(self, state, u, log_f_old):
-        """Per row of the uniforms ``u``, whether the birth move of that
-        sample, reading that row, proposes an all-SPIKE mean and rejects it.
-        Only rows whose proposal stays on SPIKE through p are marked, each
-        scored by the log W of one block of all p components; ``log_f_old``
-        is every sample's ``own_loglik``. Records each row's block log W
-        (``spike_log_w``) and whether it is finite (``run_finite``). The
-        pass skips these rows and those ``screened_births`` marks by its
-        bound, if still not singletons when reached: neither mark reads a
-        state that an earlier move of the pass changes, either way the move
-        rejects, and a skipped row draws nothing (see the module
-        docstring)."""
-        n, p = self.x.shape
-        stays = np.empty(n, dtype=bool)
-        self.spike_log_w = np.empty(n)
-        chunk = -(-n // max(1, round(n * p / _BLOCK_CELLS)))  # rows at a time, evenly
-        with np.errstate(all="ignore"):
-            for r in range(0, n, chunk):
-                rows = slice(r, r + chunk)
-                stays_run, _, _, lse = _block(self, rows, 0, p, self.log_conc, u[rows])
-                stays[rows] = stays_run.all(axis=1)
-                self.spike_log_w[rows] = np.add.reduce(lse, axis=-1)
-        self.run_finite = ~np.isnan(self.spike_log_w)
-        rows = np.flatnonzero(stays)
-        log_ratio = self.birth_log_ratio(state, log_f_old[rows], self.spike_log_w[rows])
-        stays[rows] = [not _mh_accepts(r, v)
-                       for r, v in zip(log_ratio.tolist(), u[rows, p].tolist())]
-        return stays
+            # b_ij = log((1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j)) >= log Z_j.
+            terms = np.logaddexp(self.spike, self.log_s - 0.5 * (LOG_2PI + np.log(self.v_obs)))
+            self.rest = np.zeros((len(terms), p + 1))
+            np.cumsum(terms[:, ::-1], axis=1, out=self.rest[:, p - 1::-1])
+            bound = self.rest[:, 0]
+            floor = (np.log(u[:, p]) - 1e-9) / (1.0 - 1e-9) - self.birth_log_ratio(
+                state, log_f_old, 0.0)
+            self.floor = np.where(np.isfinite(bound) & np.isfinite(log_f_old), floor, np.nan)
+            return bound <= self.floor
 
 
 @np.errstate(all="ignore")  # a non-finite weight stops a block; the scalar pick aborts on it
-def _scan_components(inner, terms, i, u, rng):
+def _scan_components(inner, terms, i, u, rng, stop=None):
     """Walk a mean vector's components in order, seating component j by the
     uniform u[j], then draw every inner value from its conjugate posterior
     by ``rng``, and write the seats and values into ``inner``. Returns log
-    W, the sum of the log normalisers of the seat picks.
+    W, the sum of the log normalisers of the seat picks; or None if
+    ``stop``, a row's (rest, floor) of ``BirthDeathPass.screened_births``,
+    stops the walk: at a component j it reaches, and once more at p before
+    the values, log W so far plus rest[j] is at most the floor. A stopped
+    walk seats nothing more and draws nothing (see the module docstring).
 
     Each component j leaves its seat (if it has one), then SPIKE, every live
     inner cluster and a new cluster are weighed with the inner values
     integrated out, and j is seated. The walk's inputs are row ``i`` of
     ``terms`` (a ``WalkTerms``), read in place. From an all-SPIKE mean the
     walk is the sequential proposal, and log W scores it (see the module
-    docstring): a birth the pass did not seat. From a cluster's current mean
-    it is the inner Gibbs pass, whose caller ignores log W. While no member
-    is seated, a block starts at a component that favours SPIKE, ``spike >=
-    new - log_conc`` (the CRP denominator is then conc_inner).
+    docstring). From a cluster's current mean it is the inner Gibbs pass,
+    whose caller ignores log W. While no member is seated, a block starts
+    at a component that favours SPIKE, ``spike >= new - log_conc`` (the CRP
+    denominator is then conc_inner). A block's components are checked at
+    its end: the bound only falls along the walk, so a check inside a block
+    stops no walk that the one at its end does not.
 
     ``x[j]`` averages n_count observations, so member j carries precision
     n_count / sigma_sq[j] in the inner-value posteriors (the per-observation
@@ -370,6 +323,7 @@ def _scan_components(inner, terms, i, u, rng):
     inv_slab_var = 1.0 / terms.slab_var
     x, spike, new = terms.x[i], terms.spike[i], terms.new[i]
     log_s, v_obs, prec = terms.log_s, terms.v_obs, terms.prec
+    rest, floor = stop or (None, None)
     k_start = inner.n_clusters()
 
     # Per slot (see the module docstring), its member count, summed member
@@ -399,6 +353,8 @@ def _scan_components(inner, terms, i, u, rng):
     j = 0
     spikes = 0  # SPIKE seats since the last seat off SPIKE
     while j < p:
+        if rest is not None and log_w + rest.item(j) <= floor:
+            return None
         if k_start:
             t = start[j]
             if t >= 0:
@@ -422,12 +378,11 @@ def _scan_components(inner, terms, i, u, rng):
                 nxt = bisect.bisect_right(seated_at, j)
                 end = min(j + max(1, _BLOCK_CELLS // (k + 2)),
                           seated_at[nxt] if nxt < len(seated_at) else p)
-            _, c, choice, lse = _block(terms, slice(i, i + 1), j, end, log_denom, u[None],
-                                       np.array(slot_terms).T[..., None, None] if k else None)
-            if choice is not None:
-                # A pick with a non-finite weight is left to the scalar pick to abort on.
-                choice = None if math.isnan(lse.item(0, c)) else choice.item()
-            log_w += float(np.add.reduce(lse[0, :c + (choice is not None)]))
+            c, choice, lse = _block(terms, i, j, end, log_denom, u,
+                                    np.array(slot_terms).T[..., None] if k else None)
+            if choice is not None and math.isnan(lse.item(c)):
+                choice = None  # a pick with a non-finite weight: the scalar pick aborts on it
+            log_w += float(np.add.reduce(lse[:c + (choice is not None)]))
             spikes += c
             j += c
             if j == end:
@@ -471,6 +426,8 @@ def _scan_components(inner, terms, i, u, rng):
         labels[j] = t
         j += 1
 
+    if rest is not None and log_w <= floor:  # rest[p] is 0
+        return None
     if not counts:  # every seat stayed SPIKE, and none was off it at the start
         return log_w
     ids, seats, counts = drop_empty(
@@ -526,32 +483,30 @@ def _values(prec_sums, stat_sums, slab_var, rng):
     return stat_sums / prec + np.sqrt(1.0 / prec) * rng.standard_normal(len(prec))
 
 
-def _block(terms, rows, j, end, log_denom, u, slots=None):
-    """Weigh components j..end-1 of ``rows`` (a slice) of ``terms`` (as in
-    ``WalkTerms``) and seat each row on SPIKE up to its first component off
-    SPIKE, summing every weight as the scalar step does. ``log_denom`` is
-    each row's CRP log denominator, ``slots`` the slots' log count (-inf
-    once emptied or not opened), posterior mean and variance, each (slots,
-    rows or 1, 1). A row leaves SPIKE where its uniform in ``u`` times the
-    total weight exceeds the SPIKE weight; a non-finite weight stops it too
-    (a caller that allows one quiets numpy).
+def _block(terms, i, j, end, log_denom, u, slots=None):
+    """Weigh components j..end-1 of row i of ``terms`` (a ``WalkTerms``) and
+    seat the row on SPIKE up to its first component off SPIKE, summing every
+    weight as the scalar step does. ``log_denom`` is the CRP log
+    denominator, ``slots`` the slots' log count (-inf once emptied),
+    posterior mean and variance, each (slots, 1). The row leaves SPIKE where
+    its uniform in ``u`` times the total weight exceeds the SPIKE weight; a
+    non-finite weight stops it too (the caller quiets numpy).
 
-    Returns (stays, c, choice, lse): whether each row stays on SPIKE at each
-    component; ``c``, the first component some row leaves SPIKE at (from j;
-    the width if none, 0 in a block of one component, which seats every row
-    there); at c, each row's seat (0 SPIKE, 1 + t slot t, then new), or None
-    if c is the width; and the log normaliser of each row's pick at each
-    component, NaN where the scalar pick would abort."""
-    spike, new = terms.spike[rows, j:end], terms.new[rows, j:end]
-    n_rows, width = spike.shape
+    Returns (c, choice, lse): ``c``, the first component the row leaves
+    SPIKE at (from j; the width if none, 0 in a block of one component,
+    which seats the row there); its seat at c (0 SPIKE, 1 + t slot t, then
+    new), or None if c is the width; and the log normaliser of the pick at
+    each component, NaN where the scalar pick would abort."""
+    spike, new = terms.spike[i, j:end], terms.new[i, j:end]
+    width = len(spike)
     k = 0 if slots is None else len(slots[0])
     # Row 0 SPIKE, row 1 + t slot t, the last row a new cluster.
-    w = np.empty((k + 2, n_rows, width))
+    w = np.empty((k + 2, width))
     w[0] = spike
     if k:
         log_c, mean, var = slots
         var = var + terms.v_obs[j:end]
-        d = terms.x[rows, j:end] - mean
+        d = terms.x[i, j:end] - mean
         np.subtract(terms.log_s[j:end] + log_c - log_denom,
                     0.5 * (LOG_2PI + np.log(var) + d * d / var), out=w[1:-1])
     np.subtract(new, log_denom, out=w[-1])
@@ -568,121 +523,15 @@ def _block(terms, rows, j, end, log_denom, u, slots=None):
         np.add.accumulate(acc, out=acc)
     total = acc[-1]
     lse = top + np.log(total)
-    scaled = u[..., j:end] * total
-    stays = scaled <= acc[0]
-    c = 0  # a one-component block seats every row at its component
+    scaled = u[j:end] * total
+    c = 0  # a one-component block seats the row at its component
     if width > 1:
-        all_stay = stays.all(axis=0)
-        c = int(all_stay.argmin())
-        if all_stay[c]:
-            return stays, width, None, lse
-    choice = (scaled[:, c] <= acc[:, :, c]).argmax(axis=0)  # the first to reach u * total
-    return stays, c, choice, lse
-
-
-@functools.lru_cache(maxsize=8)
-def _log_counts(p):
-    """math's log c for counts c = 0..p, -inf at 0. Read-only, shared by
-    every lockstep call with this p."""
-    table = np.array([-math.inf] + [math.log(c) for c in range(1, p + 1)])
-    table.flags.writeable = False
-    return table
-
-
-def _lockstep_seats(terms, rows, u):
-    """Per row of ``rows`` of ``terms``, the r-th reading u[r], walked in
-    lockstep from empty (see the module docstring): (seats, counts, log W,
-    member sums) of its birth proposal before the values, the sums
-    ``_member_sums``' in slot order, as ``_values`` reads them. It seats a
-    pass's rows only
-    (``seat_births``); the scalar walk draws any other birth. The rows must
-    be ``run_finite``: every weight is then finite or -inf, and no walk
-    aborts. A step is one ``_block`` of every row, a row with fewer slots
-    than the most weighing -inf at the others, and adds each row's log
-    normalisers at the components it seats; its width is 1 after a
-    component that more than one row left SPIKE at, else ``_BLOCK_CELLS //
-    ((slots + 2) * rows)``, at least 1. So a row's last bits of log W depend
-    on the rows seated with it.
-
-    A call builds no table of all p components: the log counts come from a
-    table cached per p (``_log_counts``), the CRP log denominators cover
-    only the member totals the rows have reached (the table doubles when a
-    row goes past it), and prec is read by ``item`` at the components some
-    row leaves SPIKE at."""
-    n_rows, p = len(rows), terms.x.shape[1]
-    if not n_rows:
-        return {}
-    inv_slab_var = 1.0 / terms.slab_var
-    conc_inner = terms.conc_inner
-    prec = terms.prec
-    # By count, the walk's log count (-inf: a slot not yet opened); by
-    # member total, the CRP log denominator.
-    log_count = _log_counts(p)
-    log_denoms = np.array([math.log(conc_inner)])
-    # The rows' terms, uniforms and prec * x, gathered as one array.
-    own = np.stack((terms.spike[rows], terms.new[rows], terms.x[rows], u[:, :p],
-                    prec * terms.x[rows]))
-    walk = SimpleNamespace(spike=own[0], new=own[1], x=own[2], log_s=terms.log_s,
-                           v_obs=terms.v_obs)
-    u, stat = own[3], own[4]
-    seats = np.full((n_rows, p), SPIKE)
-    # Per row: its slot count (no member leaves, so every slot is live),
-    # member total and log W; per slot and row (and one component, to
-    # broadcast over a step's), the count and the summed precision and
-    # statistic, each also as a flat (slot, row) view, and a last slot, read
-    # by no weight, that SPIKE seats (t = -1) update.
-    idx = np.arange(n_rows)
-    k, m_total = np.zeros((2, n_rows), dtype=np.intp)
-    log_w = np.zeros(n_rows)
-    counts = np.zeros((min(p, 7) + 2, n_rows, 1), dtype=np.intp)
-    sprec, sstat = np.zeros((2,) + counts.shape)
-    count_at, prec_at, stat_at = counts.reshape(-1), sprec.reshape(-1), sstat.reshape(-1)
-    kw = 0  # the most slots of a row
-    j, leaving = 0, 0  # the next component, and the rows that left SPIKE at the last
-    while j < p:
-        width = 1 if leaving > 1 else min(p - j, max(1, _BLOCK_CELLS // ((kw + 2) * n_rows)))
-        slots = None
-        if kw:
-            v_post = inv_slab_var + sprec[:kw]
-            slots = (log_count[counts[:kw]], sstat[:kw] / v_post, 1.0 / v_post)
-        _, c, choice, lse = _block(walk, slice(None), j, j + width,
-                                   log_denoms[m_total][:, None], u, slots)
-        seated = c < width
-        log_w += np.add.reduce(lse[:, :c + seated], axis=1)
-        j += c
-        if not seated:
-            leaving = 0
-            continue
-        # Seat component j as the scalar walk does: t is SPIKE (-1), slot t,
-        # or a new cluster at t = k.
-        t = np.minimum(choice - 1, k)
-        on = t >= 0
-        if kw + 2 > len(counts):
-            counts, sprec, sstat = (np.concatenate((a[:-1], np.zeros_like(a)))
-                                    for a in (counts, sprec, sstat))
-            count_at, prec_at, stat_at = counts.reshape(-1), sprec.reshape(-1), sstat.reshape(-1)
-        at = t * n_rows + idx  # flat (slot, row)
-        count_at[at] += 1
-        prec_at[at] += prec.item(j)
-        stat_at[at] += stat[:, j]
-        k += t == k
-        kw = max(k.tolist())
-        m_total += on
-        reach = max(m_total.tolist())
-        if reach == len(log_denoms):  # a row went past the table: double it
-            log_denoms = np.append(log_denoms, [math.log(conc_inner + m)
-                                                for m in range(reach, min(2 * reach, p) + 1)])
-        seats[:, j] = t
-        leaving = int(np.count_nonzero(on))
-        j += 1
-    # Per row and slot, its member sums, added in component order (so
-    # bitwise the scalar walk's).
-    sums = [a.reshape(n_rows, kw) for a in _member_sums(
-        np.where(seats >= 0, seats + kw * idx[:, None], SPIKE), np.broadcast_to(prec, seats.shape),
-        walk.x, n_rows * kw)]
-    return {i: (seats[r].copy(), size[:kr], log_w.item(r), tuple(a[r, :kr] for a in sums))
-            for r, (i, kr, size) in enumerate(zip(rows.tolist(), k.tolist(),
-                                                  counts[:kw, :, 0].T.tolist()))}
+        stays = scaled <= acc[0]
+        c = int(stays.argmin())
+        if stays[c]:
+            return width, None, lse
+    choice = int((scaled[c] <= acc[:, c]).argmax())  # the first to reach u * total
+    return c, choice, lse
 
 
 def _member_sums(seats, prec, x, k):
@@ -709,7 +558,8 @@ def _mh_accepts(log_ratio, v):
 
 def mh_birth_move(state, i, rng, bd, u):
     """Propose moving a non-singleton sample into a fresh cluster; returns
-    (accepted, log MH ratio).
+    (accepted, log MH ratio), the ratio None where the walk stopped (see
+    ``BirthDeathPass.propose``): the move rejects.
 
     ``bd`` is the step's ``BirthDeathPass`` and ``u`` the sample's row of
     p + 1 uniforms: u[j] seats component j, u[p] is the MH test's. ``rng``
@@ -722,6 +572,8 @@ def mh_birth_move(state, i, rng, bd, u):
         mean_new, log_w = bd.propose(i, u, rng)
     except SamplerAbort as exc:
         raise SamplerAbort(f"birth proposal i={i}: {exc}") from exc
+    if mean_new is None:
+        return False, None
     log_f_old = bd.loglik_column(state, state.samples.cluster_of(i)).item(i)
     log_ratio = bd.birth_log_ratio(state, log_f_old, log_w)
     accepted = _mh_accepts(log_ratio, u.item(-1))
@@ -816,18 +668,13 @@ def _births_and_deaths(state, rng, bd):
     """The MH birth/death pass: a birth move per non-singleton and a death
     move per singleton, in sample order, move i reading row i of one uniform
     matrix. A row that was not a singleton at the start and that
-    ``screened_births`` or ``rejected_spike_births`` marks is skipped if
-    still not a singleton when reached, and ``seat_births`` seats the
-    others first."""
+    ``screened_births`` marks is skipped if still not a singleton when
+    reached; every other birth walks with the screen's stop (see the module
+    docstring)."""
     n, p = bd.x.shape
     u = rng.random((n, p + 1))
-    log_f_old = bd.own_loglik(state)
     births = state.samples.counts[state.samples.labels] > 1
-    skip = births & (bd.screened_births(state, u, log_f_old)
-                     | bd.rejected_spike_births(state, u, log_f_old))
-    walk = np.flatnonzero(births & ~skip)
-    bd.seat_births(walk[bd.run_finite[walk]], u)  # a row not run_finite is left to the scalar walk
-    skip = skip.tolist()
+    skip = (births & bd.screened_births(state, u, bd.own_loglik(state))).tolist()
     for i in range(n):
         if state.samples.cluster_size(i) == 1:
             mh_death_move(state, i, bd, u[i])

@@ -1,7 +1,6 @@
 import csv
 import filecmp
 import math
-import os
 from dataclasses import fields
 
 import numpy as np

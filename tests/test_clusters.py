@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -25,11 +26,10 @@ from sparseclust.sparsity import slab_coef
 from conftest import build_partition, make_state, manual_state
 from log_densities import log_normal_pdf
 from test_component_walk import (
-    _lockstep_pass,
+    _birth_pass,
     _proposal_bits,
-    _propose_by_reference_walk,
-    _record_lockstep_rows,
     _reference_births_and_deaths,
+    _reference_proposal,
     _reference_walk,
     _starts_block,
     _walk_from_spike,
@@ -767,15 +767,20 @@ BIT_GENERATORS = ("PCG64", "MT19937", "Philox", "SFC64")
 
 
 def _record_moves(monkeypatch):
-    """Record each sample the pass runs a birth or a death move for."""
+    """Record each birth or death move the pass runs as (move, sample) when
+    it starts, then (move, sample, accepted, stopped) when it returns,
+    stopped being whether a birth's walk was stopped (its log ratio is
+    None)."""
     moved = []
-    for name in ("mh_birth_move", "mh_death_move"):
+    for kind in ("birth", "death"):
 
-        def recording(state, i, *args, move=getattr(clusters, name)):
-            moved.append(i)
-            return move(state, i, *args)
+        def recording(state, i, *args, move=getattr(clusters, f"mh_{kind}_move"), kind=kind):
+            moved.append((kind, i))
+            accepted, log_ratio = move(state, i, *args)
+            moved[-1] += (accepted, log_ratio is None)
+            return accepted, log_ratio
 
-        monkeypatch.setattr(clusters, name, recording)
+        monkeypatch.setattr(clusters, f"mh_{kind}_move", recording)
     return moved
 
 
@@ -791,26 +796,30 @@ def _skip_state(seed):
     return state, data, hp
 
 
+_screened_births = BirthDeathPass.screened_births
+
+
 def _no_screen(bd, state, u, log_f_old):
-    """``BirthDeathPass.screened_births`` marking no row."""
+    """``BirthDeathPass.screened_births`` arming every walk's stop but
+    marking no row."""
+    _screened_births(bd, state, u, log_f_old)
     return np.zeros(len(u), dtype=bool)
 
 
 def test_skipped_births_match_per_sample_moves(monkeypatch):
-    """The birth/death pass, which skips the rows it marks as rejected
-    all-SPIKE births, leaves the state and the generator where the move of
-    every row leaves them, on each bit generator, through the cases around a
-    skipped row. Both passes skip the rows the screen marks; every other
-    skipped row is an all-SPIKE birth that rejects. The passes run once with
-    the screen and once with it marking no row: on these states the screen
-    marks every skipped row whose component 0 favours a new cluster, which
-    the precheck alone must then skip."""
+    """The birth/death pass, which skips the rows its screen marks and stops
+    the walks its bound proves to reject, leaves the state and the
+    generator where the per-sample reference pass leaves them, which skips
+    the same rows, walks every other birth in full and draws the values of
+    the births it accepts only: on each bit generator, through the cases
+    around a skipped or stopped row. The passes run once with the screen
+    and once with it marking no row; then every birth it would mark stops
+    at component 0 of its walk."""
     for screen in (True, False):
         seen = dict.fromkeys(
-            ("skipped row followed by an accepted birth", "proposal off SPIKE",
-             "singleton after a skipped row", "skip at sample n - 1",
-             "screened row" if screen else
-             "skipped row whose component 0 favours a new cluster"), 0)
+            ("skipped or stopped row followed by an accepted birth", "proposal off SPIKE",
+             "singleton after a skipped or stopped row", "skipped or stopped at sample n - 1",
+             "stopped birth", "screened row" if screen else "birth the screen would mark"), 0)
         for bit_generator in BIT_GENERATORS:
             for seed in range(30):
                 with monkeypatch.context() as patch:
@@ -820,7 +829,7 @@ def test_skipped_births_match_per_sample_moves(monkeypatch):
                     ref = copy.deepcopy(state)
                     rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
                                     for _ in range(2))
-                    moved = _record_moves(monkeypatch)
+                    moves = _record_moves(monkeypatch)
                     bd = _pass(state, data, hp)
                     clusters._births_and_deaths(state, rng, bd)
                     monkeypatch.undo()
@@ -834,25 +843,30 @@ def test_skipped_births_match_per_sample_moves(monkeypatch):
                 assert rng.random(4).tolist() == ref_rng.random(4).tolist(), (bit_generator, seed)
 
                 n = data.n
-                skipped = sorted(set(range(n)) - set(moved))
-                screened = {i for i, event in enumerate(events) if event[0] == "screened"}
-                assert screened <= set(skipped), (bit_generator, seed)
-                for i in skipped:
-                    if i in screened:
-                        seen["screened row"] += 1
-                    else:
-                        # A skipped row the screen left is a birth that stays
-                        # on SPIKE and is rejected.
-                        assert events[i] == ("birth", False, False), (bit_generator, seed, i)
-                        if not screen:
-                            seen["skipped row whose component 0 favours a new cluster"] += (
-                                not _starts_block(bd, i))
+                screened = [i for i, event in enumerate(events) if event[0] == "screened"]
+                assert [i for _kind, i, _acc, _stop in moves] == [
+                    i for i in range(n) if i not in screened], (bit_generator, seed)
+                stopped = set(screened)
+                for kind, i, accepted, stop in moves:
+                    # A stopped birth is one the reference rejects.
+                    assert (kind, accepted) == events[i][::2], (bit_generator, seed, i)
+                    if stop:
+                        stopped.add(i)
+                        seen["stopped birth"] += 1
+                if screen:
+                    seen["screened row"] += len(screened)
+                else:
+                    marked = bd.rest[:, 0] <= bd.floor
+                    for kind, i, _accepted, stop in moves:
+                        assert stop or not (kind == "birth" and marked[i]), (bit_generator, seed, i)
+                        seen["birth the screen would mark"] += kind == "birth" and bool(marked[i])
+                for i in stopped:
                     if i + 1 < n:
                         move, _left_spike, accepted = events[i + 1]
-                        seen["skipped row followed by an accepted birth"] += (
+                        seen["skipped or stopped row followed by an accepted birth"] += (
                             move == "birth" and accepted)
-                        seen["singleton after a skipped row"] += move == "death"
-                seen["skip at sample n - 1"] += n - 1 in skipped
+                        seen["singleton after a skipped or stopped row"] += move == "death"
+                seen["skipped or stopped at sample n - 1"] += n - 1 in stopped
                 for _move, left_spike, _accepted in events:
                     seen["proposal off SPIKE"] += bool(left_spike)  # None where screened
         assert all(seen.values()), (screen, seen)
@@ -868,213 +882,136 @@ def test_abort_names_the_sample_after_skipped_rows(monkeypatch):
     state, data, hp = manual_state(y, sigma_sq=[0.01] * p, attr_prob=1e-3)
     data.y[bad, 3] = np.inf  # past DataMatrix's check
     ref = copy.deepcopy(state)
-    moved = _record_moves(monkeypatch)
+    moves = _record_moves(monkeypatch)
     bd = _pass(state, data, hp)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     with pytest.raises(SamplerAbort) as skip_abort:
         clusters._births_and_deaths(state, rng, bd)
     monkeypatch.undo()
-    assert _starts_block(bd, bad) and not bd.run_finite[bad]  # as the pass's skip found
+    assert _starts_block(bd, bad) and math.isnan(bd.floor[bad])  # never stopped
     with pytest.raises(SamplerAbort) as reference_abort:
         _reference_births_and_deaths(ref, data, ref_rng, _pass(ref, data, hp))
 
     message = str(skip_abort.value)
     assert message == f"birth proposal i={bad}: all log weights are -inf"
     assert message == str(reference_abort.value)
-    assert moved == [bad]  # every row before it was skipped
+    assert moves == [("birth", bad)]  # every row before it was skipped
     assert state.to_dict() == ref.to_dict()
     assert rng.random(4).tolist() == ref_rng.random(4).tolist()
 
 
-def _pass_sides(seed, bit_generator, monkeypatch, record):
-    """The birth/death pass on ``_skip_state(seed)`` from a fresh generator,
-    then the per-sample reference pass with births drawn by
-    ``_reference_walk`` from another. Per side: the state, the generator, the
-    rows seated in lockstep and what ``record(bd)`` returns, called on the
-    side's pass before it runs (it may patch moves); and the samples that
-    were singletons at the start."""
-    sides = []
-    for reference in (False, True):
-        state, data, hp = _skip_state(seed)
-        singletons = set(np.flatnonzero(state.samples.counts[state.samples.labels] == 1).tolist())
-        seated = _record_lockstep_rows(monkeypatch)
-        bd = _pass(state, data, hp)
-        if reference:
-            _propose_by_reference_walk(bd, state, hp)
-        recorded = record(bd)
-        rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
-        if reference:
-            _reference_births_and_deaths(state, data, rng, bd)
-        else:
-            clusters._births_and_deaths(state, rng, bd)
-        monkeypatch.undo()
-        sides.append((state.to_dict(), _generator_state(rng), seated, recorded))
-    return sides, singletons
-
-
-def test_lockstep_pass_matches_scalar_pass(monkeypatch):
-    """The birth/death pass, which seats every birth it walks in lockstep,
-    leaves the state and the generator where the per-sample reference pass
-    (births drawn by ``_reference_walk``, in math's exp and log) leaves
-    them, with the same moves but for the rejected all-SPIKE births it
-    skips, on each bit generator, through a seated row that has become a
-    singleton by its turn (its death move runs, and its seats drew nothing),
-    a singleton that has become a non-singleton (its birth walks when
-    reached) and an accepted seated birth."""
-    seen = dict.fromkeys(("seated row became a singleton", "singleton walked when reached",
-                          "seated birth accepted"), 0)
-
-    def record(_bd):
-        moves = []
-        for name in ("mh_birth_move", "mh_death_move"):
-            def recording(state, i, *args, move=getattr(clusters, name), name=name):
-                accepted, log_ratio = move(state, i, *args)
-                moves.append((name, i, accepted))
-                return accepted, log_ratio
-            monkeypatch.setattr(clusters, name, recording)
-        return moves
-
+def test_birth_death_pass_matches_reference_pass(monkeypatch):
+    """The birth/death pass leaves the state and the generator where the
+    per-sample reference pass leaves them, whose births ``_reference_walk``
+    draws in full, in math's exp and log, scored by log F + log Q0 - log Q,
+    and which draws the values of accepted births only: the same moves but
+    for the screened births both skip, each birth the pass stopped one the
+    reference rejects; on each bit generator, through a start non-singleton
+    that has become a singleton by its turn (its death move runs), a
+    singleton that has become a non-singleton (its birth walks when
+    reached), a stopped birth and an accepted one."""
+    seen = dict.fromkeys(("non-singleton became a singleton", "singleton walked when reached",
+                          "birth stopped", "birth accepted"), 0)
     for bit_generator in BIT_GENERATORS:
         for seed in range(30):
-            sides, singletons = _pass_sides(seed, bit_generator, monkeypatch, record)
-            (*lockstep_side, seated, moves), (*reference_side, ref_seated, ref_moves) = sides
-            assert lockstep_side == reference_side, (bit_generator, seed)
-            assert not ref_seated
-            moved = {i for _name, i, _accepted in moves}
-            assert moves == [m for m in ref_moves if m[1] in moved], (bit_generator, seed)
-            assert all(m == ("mh_birth_move", m[1], False)
-                       for m in ref_moves if m[1] not in moved), (bit_generator, seed)
-            for name, i, accepted in moves:
-                seen["seated row became a singleton"] += name == "mh_death_move" and i in seated
-                seen["singleton walked when reached"] += name == "mh_birth_move" and i in singletons
-                seen["seated birth accepted"] += name == "mh_birth_move" and accepted and i in seated
+            sides = []
+            for reference in (False, True):
+                state, data, hp = _skip_state(seed)
+                singletons = (state.samples.counts[state.samples.labels] == 1).tolist()
+                bd = _pass(state, data, hp)
+                rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+                if reference:
+                    moves = _reference_births_and_deaths(state, data, rng, bd,
+                                                         _reference_proposal(bd, state, hp))
+                else:
+                    moves = _record_moves(monkeypatch)
+                    clusters._births_and_deaths(state, rng, bd)
+                    monkeypatch.undo()
+                sides.append((state.to_dict(), _generator_state(rng), moves))
+            (*got, moves), (*want, events) = sides
+            assert got == want, (bit_generator, seed)
+            walked = [i for i, event in enumerate(events) if event[0] != "screened"]
+            assert [i for _kind, i, _acc, _stop in moves] == walked, (bit_generator, seed)
+            for kind, i, accepted, stopped in moves:
+                assert (kind, accepted) == events[i][::2], (bit_generator, seed, i)
+                seen["non-singleton became a singleton"] += kind == "death" and not singletons[i]
+                seen["singleton walked when reached"] += kind == "birth" and singletons[i]
+                seen["birth stopped"] += stopped
+                seen["birth accepted"] += kind == "birth" and accepted
     assert all(seen.values()), seen
 
 
-def test_lockstep_pass_value_tail_matches_scalar_tail(monkeypatch):
-    """The pass's value tail (one array draw per seated row) leaves every
-    proposal's partition, values and log likelihood bit for bit where the
-    per-sample reference pass, whose births ``_reference_walk`` draws with
-    its scalar tail, leaves them, and its log W to rounding (the reference
-    takes log F + log Q0 - log Q in math's exp and log); and the state and the
-    generator bit for bit, on each bit generator, through a seated row that
-    has become a singleton by its turn (it draws nothing) and a singleton
-    that has become a non-singleton (the scalar walk's draw when reached)."""
-    seen = dict.fromkeys(("seated row drew values", "seated row became a singleton",
-                          "singleton walked when reached"), 0)
-
-    def record(bd):
-        proposals, deaths = {}, []
-        propose = bd.propose
-
-        def recording(i, u, rng):
-            seated = i in bd._seated
-            proposal = propose(i, u, rng)
-            proposals[i] = (seated, _proposal_bits(bd, i, proposal))
-            return proposal
-
-        bd.propose = recording
-        death = clusters.mh_death_move
-        monkeypatch.setattr(clusters, "mh_death_move",
-                            lambda state, i, *args: deaths.append(i) or death(state, i, *args))
-        return proposals, deaths
-
-    for bit_generator in BIT_GENERATORS:
-        for seed in range(30):
-            sides, singletons = _pass_sides(seed, bit_generator, monkeypatch, record)
-            (*lockstep_side, seated_rows, (proposals, deaths)), (*reference_side, _, (ref, _)) = sides
-            assert lockstep_side == reference_side, (bit_generator, seed)
-            for i, (_seated, (inner, log_w, log_f)) in proposals.items():
-                ref_inner, ref_w, ref_f = ref[i][1]
-                assert (inner, log_f) == (ref_inner, ref_f), (bit_generator, seed, i)
-                assert float.fromhex(log_w) == pytest.approx(float.fromhex(ref_w), rel=1e-12)
-            seen["seated row drew values"] += any(
-                seated and bits[0]["counts"] for seated, bits in proposals.values())
-            seen["seated row became a singleton"] += any(i in seated_rows for i in deaths)
-            seen["singleton walked when reached"] += any(
-                i in singletons and not seated for i, (seated, _bits) in proposals.items())
-    assert all(seen.values()), seen
-
-
-def _check_lone_births(monkeypatch, lone):
-    """Make ``BirthDeathPass.propose`` check each birth no pass seated
-    against the scalar walk from an all-SPIKE mean, handed the same uniforms
-    and a copy of the generator, and against a death's score of its seats;
-    record each such row and whether its proposal left SPIKE in ``lone``."""
+def _check_births(monkeypatch, births):
+    """Make ``BirthDeathPass.propose`` check each birth proposal against the
+    scalar walk from an all-SPIKE mean with no stop, handed the same
+    uniforms and a copy of the generator: a proposal the stop left is that
+    walk's draw, the same seats, values and log W, with the generator where
+    that walk leaves it, and a death's score of its seats gives back its log
+    W to rounding; a stopped one leaves the generator untouched. Records
+    each proposal's row, whether it stopped and whether the full walk left
+    SPIKE in ``births``."""
     propose = BirthDeathPass.propose
 
     def checking(bd, i, u, rng):
-        if i in bd._seated:
-            return propose(bd, i, u, rng)
-        walk_rng = copy.deepcopy(rng)
+        walk_rng, before = copy.deepcopy(rng), _generator_state(rng)
         proposal = mean, log_w = propose(bd, i, u, rng)
-        assert (_proposal_bits(bd, i, proposal)
-                == _proposal_bits(bd, i, _walk_from_spike(bd, i, u, walk_rng))), i
-        assert rng.bit_generator.state == walk_rng.bit_generator.state, i
-        assert _seated_log_w(bd, i, mean.inner) == pytest.approx(log_w, rel=1e-12), i
-        lone.append((i, mean.inner.n_clusters() > 0))
+        full = _walk_from_spike(bd, i, u, walk_rng)
+        if mean is None:
+            assert _generator_state(rng) == before, i
+        else:
+            assert _proposal_bits(bd, i, proposal) == _proposal_bits(bd, i, full), i
+            assert rng.bit_generator.state == walk_rng.bit_generator.state, i
+            assert _seated_log_w(bd, i, mean.inner) == pytest.approx(log_w, rel=1e-12), i
+        births.append((i, mean is None, full[0].inner.n_clusters() > 0))
         return proposal
 
     monkeypatch.setattr(BirthDeathPass, "propose", checking)
 
 
 def test_lone_birth_is_the_scalar_walk(monkeypatch):
-    """``_lockstep_seats`` runs once per pass, on the rows the pass walks:
-    the non-singletons its skip leaves. A birth no pass seated, of a
-    singleton that has become a non-singleton by its turn or of a
-    ``measure_birth_acceptance`` attempt, is the scalar walk's draw from an
-    all-SPIKE mean with the same uniforms and generator: the same seats,
-    values and log W, and the generator where that walk leaves it. A
-    death's score of its seats gives back its log W to rounding."""
-    seen = dict.fromkeys(("singleton walked when reached", "attempt walked",
-                          "lone proposal off SPIKE"), 0)
+    """Every birth proposal is walked alone: of the pass, of a start
+    non-singleton the screen left or of a singleton that has become a
+    non-singleton by its turn, it is the scalar walk's draw from an
+    all-SPIKE mean with the same uniforms and generator, or a walk that the
+    stop ended, which drew nothing. A ``measure_birth_acceptance`` attempt
+    is the scalar walk's draw too, and is never stopped."""
+    seen = dict.fromkeys(("singleton walked when reached", "stopped", "walked in full",
+                          "attempt walked", "proposal off SPIKE"), 0)
     for seed in range(30):
         state, data, hp = _skip_state(seed)
         samples = state.samples
         start_singletons = samples.counts[samples.labels] == 1
-        calls, lone, skips = [], [], []
-        lockstep = clusters._lockstep_seats
-
-        def seats(terms, rows, u):
-            calls.append(rows.tolist())
-            return lockstep(terms, rows, u)
-
-        monkeypatch.setattr(clusters, "_lockstep_seats", seats)
-        _check_lone_births(monkeypatch, lone)
+        births = []
+        _check_births(monkeypatch, births)
         bd = _pass(state, data, hp)
-        for name in ("screened_births", "rejected_spike_births"):
-            mark = getattr(bd, name)
-            setattr(bd, name, lambda *args, mark=mark: skips.append(mark(*args)) or skips[-1])
         clusters._births_and_deaths(state, np.random.default_rng(seed), bd)
-        assert bd.run_finite.all()
-        assert calls == [np.flatnonzero(~skips[0] & ~skips[1] & ~start_singletons).tolist()], seed
-        assert all(start_singletons[i] for i, _left in lone), seed
-        seen["singleton walked when reached"] += len(lone)
-        walked = len(lone)
+        screened = bd.rest[:, 0] <= bd.floor
+        for i, stopped, left in births:
+            assert start_singletons[i] or not screened[i], (seed, i)
+            seen["singleton walked when reached"] += bool(start_singletons[i])
+            seen["stopped" if stopped else "walked in full"] += 1
+            seen["proposal off SPIKE"] += left
 
-        # Outside a pass nothing is seated in lockstep.
-        del calls[:]
+        # Outside a pass no walk is stopped.
+        del births[:]
         if (samples.counts[samples.labels] > 1).any():
             measure_birth_acceptance(state, data, hp, np.random.default_rng(seed), 5)
-            assert not calls and len(lone) == walked + 5, seed
+            assert len(births) == 5 and not any(stopped for _i, stopped, _left in births), seed
             seen["attempt walked"] += 5
         monkeypatch.undo()
-        seen["lone proposal off SPIKE"] += any(left for _i, left in lone)
     assert all(seen.values()), seen
 
 
 # -- the screen ----------------------------------------------------------------
 
 
-def _screen_bound(bd, state, hp, i):
-    """The screen's bound B_i on row i's log W, in math: the sum over
-    components of log((1 - s_j) N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j))."""
-    total = 0.0
-    for x, v, a in zip(bd.x[i].tolist(), bd.sigma_sq.tolist(), state.attr_prob.tolist()):
-        s = slab_coef(hp) * a
-        total += math.log((1.0 - s) * math.exp(log_normal_pdf(x, 0.0, v))
-                          + s / math.sqrt(2.0 * math.pi * v))
-    return total
+def _screen_terms(bd, state, hp, i):
+    """The screen's per-component terms of row i, in math: log((1 - s_j)
+    N(x_ij; 0, v_j) + s_j / sqrt(2 pi v_j)), each at least the log
+    normaliser of any pick at component j."""
+    return [math.log((1.0 - slab_coef(hp) * a) * math.exp(log_normal_pdf(x, 0.0, v))
+                     + slab_coef(hp) * a / math.sqrt(2.0 * math.pi * v))
+            for x, v, a in zip(bd.x[i].tolist(), bd.sigma_sq.tolist(), state.attr_prob.tolist())]
 
 
 def _dense_state(seed):
@@ -1089,15 +1026,19 @@ def _dense_state(seed):
 
 
 def test_screen_bound_holds_for_walked_proposals():
-    """The bound B_i (``_screen_bound``) exceeds the log W of every
-    proposal walked for row i, seated in lockstep and drawn by the scalar
-    walk from the same uniforms: on the lockstep
-    kinds' passes, among them dense ones (attr_prob 0.9, and 1 - 1e-9 with
-    rows that seat every component off SPIKE), and on the passes of prior
-    draws with sparse and with dense attr_prob. The states and seeds were
-    fixed before the first run."""
+    """At every component J of every proposal walked for row i, the log
+    normalisers summed over the components before J plus rest[i, J], the
+    screen's terms summed from J on, are at least the walk's log W, and
+    above it at J = 0. The normalisers are the reference walk's from the
+    same uniforms, the walk is the scalar walk with no stop, and rest is
+    both the pass's (``screened_births``, in numpy) and in math, the two
+    equal to rounding. On the ``_birth_pass`` kinds' passes, among them
+    dense ones (attr_prob 0.9, and 1 - 1e-9 with rows that seat every
+    component off SPIKE), and on the passes of prior draws with sparse and
+    with dense attr_prob. The states and seeds were fixed before the first
+    run."""
     seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE", "member total p"), 0)
-    passes = [_lockstep_pass(kind, seed)
+    passes = [_birth_pass(kind, seed)
               for kind in ("dense", "full", "live", "mixed", "spike") for seed in range(6)]
     for make in (_skip_state, _dense_state):
         for seed in range(10):
@@ -1107,12 +1048,20 @@ def test_screen_bound_holds_for_walked_proposals():
         n, p = bd.x.shape
         rng = np.random.default_rng(seed)
         u = rng.random((n, p + 1))
-        bd.seat_births(np.arange(n), u)
+        bd.screened_births(state, u, np.zeros(n))
         for i in range(n):
-            bound = _screen_bound(bd, state, hp, i)
-            walk_rng = copy.deepcopy(rng)
-            for mean, log_w in (bd.propose(i, u[i], rng), _walk_from_spike(bd, i, u[i], walk_rng)):
-                assert log_w < bound, (seed, i)
+            mean, log_w = _walk_from_spike(bd, i, u[i], rng)
+            log_zs = []
+            _reference_walk(ClusterMeanVector(p).inner, bd.x[i], 1, bd.sigma_sq, state, hp,
+                            u[i], np.random.default_rng(seed), log_zs)
+            assert math.fsum(log_zs) == pytest.approx(log_w, rel=1e-12), (seed, i)
+            rest = list(itertools.accumulate(reversed(_screen_terms(bd, state, hp, i))))[::-1]
+            rest.append(0.0)
+            assert log_w < rest[0], (seed, i)
+            assert bd.rest[i].tolist() == pytest.approx(rest, rel=1e-12, abs=1e-12), (seed, i)
+            slack = 1e-12 * (abs(log_w) + 1.0)
+            for j in range(p + 1):
+                assert math.fsum(log_zs[:j]) + rest[j] >= log_w - slack, (seed, i, j)
             seen["3+ inner clusters"] += mean.inner_cluster_count() >= 3
             seen["never off SPIKE"] += mean.nonzero_count() == 0
             seen["member total p"] += mean.nonzero_count() == p
@@ -1120,16 +1069,20 @@ def test_screen_bound_holds_for_walked_proposals():
 
 
 def test_screened_rows_reject_when_walked():
-    """Every row ``screened_births`` marks among the pass's non-singletons
-    rejects when walked: its birth move, run on a copy of the state and of
-    the pass with a copy of the generator, does not accept. On prior draws
-    with sparse and with dense attr_prob, the MH uniforms are the pass's own
-    draw, then placed 1e-6 (relative, plus 1e-6) above and below the
-    threshold exp(log conc - log(n - 1) - log F_old + B_i), with B_i and
-    F_old in math: the screen marks every row placed above, and none placed
-    below. The states and seeds were fixed before the first run."""
+    """Every birth that ``screened_births`` marks among the pass's
+    non-singletons, or whose walk the pass's stop ends, rejects when walked
+    in full: its birth move, run on a copy of the state with a pass that
+    arms no stop and a copy of the generator, does not accept. A marked row's
+    walk stops at component 0, and a stopped birth move rejects and leaves
+    the generator and the state untouched. On prior draws with sparse and
+    with dense attr_prob, the MH uniforms are the pass's own draw, then
+    placed 1e-6 (relative, plus 1e-6) above and below the threshold exp(log
+    conc - log(n - 1) - log F_old + B_i), with B_i and F_old in math: the
+    screen marks every row placed above, and none placed below. The states
+    and seeds were fixed before the first run."""
     seen = dict.fromkeys(("marked from the pass's draw", "marked at the threshold",
-                          "marked proposal off SPIKE"), 0)
+                          "marked proposal off SPIKE", "stopped after component 0",
+                          "stopped proposal off SPIKE"), 0)
     for make in (_skip_state, _dense_state):
         for seed in range(30):
             state, data, hp = make(seed)
@@ -1147,7 +1100,7 @@ def test_screened_rows_reject_when_walked():
                 own = sum(log_normal_pdf(y, m, v) for y, m, v in
                           zip(data.y[i].tolist(), mu.tolist(), sigma_sq.tolist()))
                 threshold.append(math.log(state.conc_samples) - math.log(n - 1) - own
-                                 + _screen_bound(bd, state, hp, i))
+                                 + sum(_screen_terms(bd, state, hp, i)))
             for place in ("drawn", "above", "below"):
                 v = u.copy()
                 placed = np.zeros(n, dtype=bool)
@@ -1162,16 +1115,30 @@ def test_screened_rows_reject_when_walked():
                     assert marked[births & placed].all(), seed
                 elif place == "below":
                     assert not marked[placed].any(), seed
-                for i in np.flatnonzero(marked).tolist():
-                    walk_state, walk_bd = copy.deepcopy(state), copy.deepcopy(bd)
-                    propose, proposals = walk_bd.propose, []
-                    walk_bd.propose = lambda *a: proposals.append(propose(*a)) or proposals[-1]
-                    accepted, _log_ratio = mh_birth_move(walk_state, i, copy.deepcopy(rng),
-                                                         walk_bd, v[i])
+                for i in np.flatnonzero(births).tolist():
+                    walk_state, walk_rng = copy.deepcopy(state), copy.deepcopy(rng)
+                    accepted, log_ratio = mh_birth_move(walk_state, i, walk_rng,
+                                                        copy.deepcopy(bd), v[i])
+                    stopped = log_ratio is None
+                    assert stopped or not marked[i], (seed, place, i)
+                    if not stopped:
+                        continue
                     assert not accepted, (seed, place, i)
-                    seen["marked from the pass's draw" if place == "drawn"
-                         else "marked at the threshold"] += 1
-                    seen["marked proposal off SPIKE"] += proposals[0][0].nonzero_count() > 0
+                    assert walk_state.to_dict() == state.to_dict(), (seed, place, i)
+                    assert walk_rng.bit_generator.state == rng.bit_generator.state, (seed, place, i)
+                    full_state = copy.deepcopy(state)
+                    full_accepted, _log_ratio = mh_birth_move(
+                        full_state, i, copy.deepcopy(rng), _pass(full_state, data, hp), v[i])
+                    assert not full_accepted, (seed, place, i)
+                    full_mean = _walk_from_spike(bd, i, v[i], copy.deepcopy(rng))[0]
+                    off_spike = full_mean.nonzero_count() > 0
+                    if marked[i]:
+                        seen["marked from the pass's draw" if place == "drawn"
+                             else "marked at the threshold"] += 1
+                        seen["marked proposal off SPIKE"] += off_spike
+                    else:
+                        seen["stopped after component 0"] += 1
+                        seen["stopped proposal off SPIKE"] += off_spike
     assert all(seen.values()), seen
 
 

@@ -1,18 +1,17 @@
 """The component walks against a scalar reference.
 
 ``_reference_walk`` seats one component at a time, component j by the
-uniform u[j], the algorithm the walks' blocks must reproduce, and sums the
+uniform u[j], the algorithm the walk's blocks must reproduce, and sums the
 log densities Q and Q0 of its draws under the proposal and the prior. The
-scalar walk from an all-SPIKE mean and the lockstep of a birth/death pass,
-handed the same uniforms, must draw the same seats and values and leave the
-generator in the same position, on every bit generator numpy ships. The log
-W each returns must equal, to rounding, the sum of the reference's log
-normalisers and log F + log Q0 - log Q of its draw (the identity of
-``sparseclust.clusters``), and so must a death's score of the same seats.
+scalar walk from an all-SPIKE mean, handed the same uniforms, must draw the
+same seats and values and leave the generator in the same position, on
+every bit generator numpy ships. The log W it returns must equal, to
+rounding, the sum of the reference's log normalisers and log F + log Q0 -
+log Q of its draw (the identity of ``sparseclust.clusters``), and so must a
+death's score of the same seats.
 """
 
 import copy
-import hashlib
 import math
 from types import SimpleNamespace
 
@@ -33,7 +32,7 @@ from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import slab_coef
 
-from conftest import build_partition, make_state, manual_state
+from conftest import build_partition, make_state
 from geweke import draw_data
 
 REL = 1e-12
@@ -44,14 +43,15 @@ def _ln_norm(x, mean, var):
     return -0.5 * (LOG_2PI + math.log(var) + d * d / var)
 
 
-def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
+def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None, log_zs=None):
     """Component-by-component walk on lists of its own: each component leaves
     its seat, then SPIKE / each live inner cluster / a new cluster is
     weighed and the seat drawn with u[j] (or read); then every inner value is
     drawn from ``rng`` (or read). Drawing, the result is written into
     ``inner``. Returns (log_q, log_q0, log_z): the log densities of the seats
     and values under the proposal and under the prior, and the sum of the
-    log normalisers of the seat picks."""
+    log normalisers of the seat picks, which are also appended, one per
+    component, to the list ``log_zs`` if given."""
     replay = u is None
     x = [float(v) for v in x]
     v_obs = [float(s) / n_count for s in sigma_sq]
@@ -99,6 +99,8 @@ def _reference_walk(inner, x, n_count, sigma_sq, state, hp, u=None, rng=None):
             choice = 0 if a == SPIKE else 1 + (keys.index(a) if a in keys else k)
         log_q += logw[choice] - lse
         log_z += lse
+        if log_zs is not None:
+            log_zs.append(lse)
         if choice == 0:
             log_q0 += log_spike
             seats[j] = SPIKE
@@ -298,14 +300,12 @@ def _record_live_blocks(monkeypatch):
     blocks = []
     block = clusters._block
 
-    def recorded(terms, rows, j, end, *args, **kwargs):
-        result = _stays, c, choice, lse = block(terms, rows, j, end, *args, **kwargs)
-        if choice is None or math.isnan(lse[0, c]):
+    def recorded(terms, i, j, end, *args, **kwargs):
+        result = c, choice, lse = block(terms, i, j, end, *args, **kwargs)
+        if choice is not None and math.isnan(lse[c]):
             choice = None
-        elif choice[0] == 0:  # SPIKE, in a block of one component
+        elif choice == 0:  # SPIKE, in a block of one component
             c, choice = end - j, None
-        else:
-            choice = int(choice[0])
         blocks.append((j, end, j + c, choice))
         return result
 
@@ -481,27 +481,24 @@ def test_inner_gibbs_reads_data_written_in_place():
             _check_inner_gibbs(state, data, hp, cid, seed)
 
 
-# -- birth proposals seated in lockstep ---------------------------------------
+# -- birth/death passes ----------------------------------------------------------
 
-LOCKSTEP_KINDS = ("dense", "live", "mixed", "spike")
 # The mixed kind's components where the even rows' residuals are large.
 MIXED_LEAD = 20
 
 
-def _lockstep_pass(kind, seed):
-    """(state, hp, bd): a ``BirthDeathPass`` of 8 rows whose walks take the
-    lockstep's paths. dense: 40 slab-favouring components, many inner
-    clusters, so several rows leave SPIKE at most components and the steps
-    weigh one component; live: the live kind's 300 components on every row,
-    so rows leave SPIKE at the two live components, with members seated,
-    and sit on SPIKE in long shared blocks around them; mixed: 120
-    SPIKE-favouring components but component 0, where the odd rows'
-    residuals are near 0, while the even rows' large residuals on components
-    0-19 seat several of them, so one-component steps and shared blocks
-    alternate there; spike: 300 SPIKE-favouring components, so most rows
-    never leave SPIKE; full: the dense kind's rows at 64 components with
-    attr_prob near 1, but the even rows' residuals so far from 0 that they
-    leave SPIKE at every component, so their member totals reach p."""
+def _birth_pass(kind, seed):
+    """(state, hp, bd): a ``BirthDeathPass`` of 8 rows whose birth walks
+    cover the walk's paths. dense: 40 slab-favouring components, many inner
+    clusters; live: the live kind's 300 components on every row, so rows
+    leave SPIKE at the two live components and sit on SPIKE in long blocks
+    around them; mixed: 120 SPIKE-favouring components but component 0,
+    where the odd rows' residuals are near 0, while the even rows' large
+    residuals on components 0-19 seat several of them; spike: 300
+    SPIKE-favouring components, so most rows never leave SPIKE; full: the
+    dense kind's rows at 64 components with attr_prob near 1, but the even
+    rows' residuals so far from 0 that they leave SPIKE at every component,
+    so their member totals reach p."""
     n = 8
     p = {"dense": 40, "live": 300, "mixed": 120, "spike": 300, "full": 64}[kind]
     state, _data, hp = make_state(n=3, p=p, seed=seed)
@@ -526,46 +523,52 @@ def _lockstep_pass(kind, seed):
                                      state, hp)
 
 
-def _reference_births_and_deaths(state, data, rng, bd):
+def _reference_births_and_deaths(state, data, rng, bd, walk=None):
     """The per-sample pass: one (n, p + 1) uniform matrix, then a birth move
     per non-singleton and a death move per singleton, in sample order, move
-    i reading row i, with none seated ahead and no row skipped but those
-    the pass's screen marks (``screened_births``, among the samples that
-    start as non-singletons), whose births reject whatever their walks draw
-    (``test_screened_rows_reject_when_walked``). Returns per sample (move,
-    whether its proposal seated a component off SPIKE, accepted); a
-    screened row's is ("screened", None, False)."""
-    propose = bd.propose
-    left_spike = []
-
-    def recording(i, u, rng):
-        mean, log_w = propose(i, u, rng)
-        left_spike.append(mean.inner.n_clusters() > 0)
-        return mean, log_w
-
-    bd.propose = recording
+    i reading row i, with no row skipped but those the pass's screen marks
+    (``screened_births``, among the samples that start as non-singletons),
+    whose births reject whatever their walks draw
+    (``test_screened_rows_reject_when_walked``). A birth walks in full, by
+    ``walk(i, u, rng)`` (default: the scalar walk with no stop), with a
+    copy of the generator, and is scored by its log W; only an accepted
+    birth draws its values from ``rng``. Returns per sample (move, whether
+    its proposal seated a component off SPIKE, accepted); a screened row's
+    is ("screened", None, False)."""
+    if walk is None:
+        def walk(i, u, rng):
+            return _walk_from_spike(bd, i, u, rng)
     u = rng.random((data.n, data.p + 1))
     samples = state.samples
     screened = ((samples.counts[samples.labels] > 1)
                 & bd.screened_births(state, u, bd.own_loglik(state))).tolist()
     events = []
     for i in range(data.n):
-        if state.samples.cluster_size(i) > 1:
-            if screened[i]:
-                events.append(("screened", None, False))
-                continue
-            accepted, _log_ratio = clusters.mh_birth_move(state, i, rng, bd, u[i])
-            events.append(("birth", left_spike[-1], accepted))
-        else:
+        if samples.cluster_size(i) == 1:
             accepted, _log_ratio = clusters.mh_death_move(state, i, bd, u[i])
             events.append(("death", False, accepted))
+        elif screened[i]:
+            events.append(("screened", None, False))
+        else:
+            walk_rng = copy.deepcopy(rng)
+            try:
+                mean, log_w = walk(i, u[i], walk_rng)
+            except SamplerAbort as exc:
+                raise SamplerAbort(f"birth proposal i={i}: {exc}") from exc
+            log_f_old = bd.loglik_column(state, samples.cluster_of(i)).item(i)
+            log_ratio = bd.birth_log_ratio(state, log_f_old, log_w)
+            accepted = log_ratio >= 0.0 or u[i, -1] < math.exp(log_ratio)
+            if accepted:  # the values drawn by the walk
+                rng.bit_generator.state = walk_rng.bit_generator.state
+                state.cluster_means[samples.move(i)] = mean
+            events.append(("birth", mean.inner.n_clusters() > 0, accepted))
     return events
 
 
-def _propose_by_reference_walk(bd, state, hp):
-    """Make the pass ``bd`` draw each birth proposal by ``_reference_walk``
-    on the sample's row, scored by log F + log Q0 - log Q of the draw: the
-    per-sample reference pass's births."""
+def _reference_proposal(bd, state, hp):
+    """A ``walk`` for ``_reference_births_and_deaths``: the birth proposal of
+    row i drawn by ``_reference_walk`` on the pass's row, scored by log F +
+    log Q0 - log Q of the draw."""
 
     def propose(i, u, rng):
         mean = ClusterMeanVector(bd.x.shape[1])
@@ -573,216 +576,7 @@ def _propose_by_reference_walk(bd, state, hp):
                                                 u, rng)
         return mean, bd.loglik(i, mean) + log_q0 - log_q
 
-    bd.propose = propose
-    return bd
-
-
-def _record_lockstep_rows(monkeypatch):
-    """Record the rows every pass seats in lockstep."""
-    seated = []
-    lockstep = clusters._lockstep_seats
-
-    def recorded(terms, rows, u):
-        seated.extend(rows.tolist())
-        return lockstep(terms, rows, u)
-
-    monkeypatch.setattr(clusters, "_lockstep_seats", recorded)
-    return seated
-
-
-@pytest.mark.parametrize("kind, bit_generator", [
-    pytest.param(kind, name, id=kind if name == "PCG64" else f"{kind}-{name}")
-    for name in BIT_GENERATORS for kind in LOCKSTEP_KINDS + ("full",)
-])
-def test_lockstep_matches_reference_walk(kind, bit_generator):
-    """Every row of a pass seated in lockstep, then proposed in sample
-    order, draws the seats and values the reference walk draws from the same
-    uniforms and leaves the generator where it leaves it; its log W, and the
-    death scorer's of its seats, equal the reference's to rounding. The full
-    kind reads the lockstep's by-count tables up to member total p."""
-    seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE", "member total p"), 0)
-    for seed in range(8):
-        state, hp, bd = _lockstep_pass(kind, seed)
-        n, p = bd.x.shape
-        rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
-                        for _ in range(2))
-        u = rng.random((n, p + 1))
-        ref_rng.random((n, p + 1))
-        bd.seat_births(np.arange(n), u)
-        assert sorted(bd._seated) == list(range(n))
-        for i in range(n):
-            mean, log_w = bd.propose(i, u[i], rng)
-            ref = ClusterMeanVector(p)
-            *_, ref_z = _reference_walk(ref.inner, bd.x[i], 1, bd.sigma_sq, state, hp,
-                                        u[i], ref_rng)
-            assert mean.inner.to_dict() == ref.inner.to_dict(), (seed, i)
-            _check_log_w(log_w, ref_z, bd, i, mean, (bd.x[i], 1, bd.sigma_sq, state, hp))
-            seen["3+ inner clusters"] += mean.inner_cluster_count() >= 3
-            seen["never off SPIKE"] += mean.nonzero_count() == 0
-            seen["member total p"] += mean.nonzero_count() == p
-        # Equal next draws: the two generators stand at the same position.
-        assert rng.random(4).tolist() == ref_rng.random(4).tolist(), seed
-    if kind in ("dense", "spike"):
-        assert seen["3+ inner clusters" if kind == "dense" else "never off SPIKE"], seen
-    if kind == "full":
-        assert seen["member total p"], seen
-
-
-@pytest.mark.parametrize("kind", LOCKSTEP_KINDS + ("full",))
-def test_precheck_log_w_is_the_identity(kind):
-    """The rejected-birth precheck scores every row's all-SPIKE proposal by
-    the log W of one block of all p components (``spike_log_w``); it equals
-    the reference's log F + log Q0 - log Q of the all-SPIKE mean, and a
-    death's score of that mean, to rounding."""
-    for seed in range(8):
-        state, hp, bd = _lockstep_pass(kind, seed)
-        n, p = bd.x.shape
-        u = np.random.default_rng(seed).random((n, p + 1))
-        bd.rejected_spike_births(state, u, np.zeros(n))
-        spike = ClusterMeanVector(p)
-        for i in range(n):
-            want = _reference_log_w(spike, bd.x[i], 1, bd.sigma_sq, state, hp)
-            assert bd.spike_log_w[i] == pytest.approx(want, rel=REL), (seed, i)
-            assert _seated_log_w(bd, i, spike.inner) == pytest.approx(want, rel=REL), (seed, i)
-
-
-@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
-def test_lockstep_blocks_match_one_component_steps(kind, monkeypatch):
-    """With ``_BLOCK_CELLS`` at 1 every lockstep step weighs one component.
-    That pass gives every row the seats, counts and posterior of the default
-    pass, whose shared blocks weigh many components at once, bit for bit,
-    and log W to rounding. Every kind but dense has components
-    that all rows seat on SPIKE, two in a row, where the default pass weighs
-    a shared block; dense has components that several rows leave SPIKE at,
-    where it weighs one."""
-    runs = 0
-    for seed in range(8):
-        state, hp, bd = _lockstep_pass(kind, seed)
-        n, p = bd.x.shape
-        u = np.random.default_rng(seed).random((n, p + 1))
-        blocked = clusters._lockstep_seats(bd, np.arange(n), u)
-        monkeypatch.setattr(clusters, "_BLOCK_CELLS", 1)
-        stepped = clusters._lockstep_seats(bd, np.arange(n), u)
-        monkeypatch.undo()
-        for i in range(n):
-            seats, counts, log_w, post = blocked[i]
-            assert seats.tolist() == stepped[i][0].tolist(), (seed, i)
-            assert counts == stepped[i][1], (seed, i)
-            assert [a.tolist() for a in post] == [a.tolist() for a in stepped[i][3]], (seed, i)
-            assert log_w == pytest.approx(stepped[i][2], rel=REL)
-        leaving = (np.array([blocked[i][0] for i in range(n)]) >= 0).sum(axis=0)
-        runs += (((leaving[:-1] == 0) & (leaving[1:] == 0)).any() if kind != "dense"
-                 else (leaving > 1).any())
-    assert runs
-
-
-@pytest.mark.parametrize("bad, message", [
-    (np.inf, "all log weights are -inf"), (np.nan, r"non-finite log weights \[nan")],
-    ids=["inf", "nan"])
-def test_lockstep_leaves_a_non_finite_row_to_the_scalar_walk(bad, message, monkeypatch):
-    """A row holding a non-finite residual is not seated with the others;
-    its birth move leaves it to the scalar walk, which aborts with the
-    message of the per-sample reference pass (births drawn by
-    ``_reference_walk``), naming the sample, after the same moves before it,
-    leaving the state and the generator where the reference pass does."""
-    bad_row, n, p = 5, 8, 6
-    y = np.random.default_rng(2).normal(0.0, 1.5, size=(n, p))
-    sides = []
-    for reference in (False, True):
-        state, data, hp = manual_state(y.copy(), sigma_sq=[0.5] * p, attr_prob=0.5)
-        data.y[bad_row, 3] = bad  # past DataMatrix's check
-        seated = _record_lockstep_rows(monkeypatch)
-        rng = np.random.default_rng(3)
-        bd = BirthDeathPass(data.y, state.mean_part.values_vector(),
-                            state.var_part.values_vector(), state, hp)
-        with pytest.raises(SamplerAbort, match=message) as abort:
-            if reference:
-                _reference_births_and_deaths(state, data, rng, _propose_by_reference_walk(
-                    bd, state, hp))
-            else:
-                clusters._births_and_deaths(state, rng, bd)
-        monkeypatch.undo()
-        sides.append((str(abort.value), state.to_dict(), rng.random(4).tolist(), seated))
-    (message_lock, state_lock, next_lock, seated), (message_ref, *ref, ref_seated) = sides
-    assert message_lock == message_ref
-    assert message_lock.startswith(f"birth proposal i={bad_row}: ")
-    assert [state_lock, next_lock] == ref
-    assert seated == [i for i in range(n) if i != bad_row]
-    assert not ref_seated
-
-
-# Bits of ``_lockstep_seats`` on each lockstep kind's passes of seeds 0-2,
-# row i reading row i of ``default_rng(seed).random((n, p + 1))``: per seed,
-# the first 16 hex digits of the SHA-256 over every row's seats (int64) and
-# the ``float.hex`` of its log W (``_lockstep_digest``). A shared block adds
-# the log normalisers of its SPIKE seats by one reduction, so the pins hold
-# where the blocks fall as well as each step's arithmetic; the dense kind's
-# passes weigh no block with SPIKE seats. numpy's exp and log differ in the
-# last bit between SIMD targets, so the pins are keyed by a probe of both
-# (``_exp_log_probe``).
-LOCKSTEP_PINS = {
-    # x86-64 with numpy's AVX-512 (X86_V4) exp and log
-    "4117a7b1b2889523": {
-        "dense": ["9317667f316239b4", "48c5b964840e8814", "42ba918204cb1bfd"],
-        "live": ["e2af811879d9887f", "ad80ca9529500659", "096ca0df6ddfbaa1"],
-        "mixed": ["19ce6990d5cdb20b", "4cfa2d58e5d26295", "8d24f7c30a0b4b70"],
-        "spike": ["aa1fdad8a599ee75", "87effadbbe45e4a4", "9168c91b3f0364df"],
-    },
-    # x86-64 with those kernels disabled (or absent): the C library's exp and log
-    "6469758e9361ab7d": {
-        "dense": ["f0319b26ca57c845", "48c5b964840e8814", "42ba918204cb1bfd"],
-        "live": ["e2af811879d9887f", "ad80ca9529500659", "096ca0df6ddfbaa1"],
-        "mixed": ["19ce6990d5cdb20b", "4cfa2d58e5d26295", "8d24f7c30a0b4b70"],
-        "spike": ["aa1fdad8a599ee75", "87effadbbe45e4a4", "9168c91b3f0364df"],
-    },
-}
-
-
-def _exp_log_probe():
-    """The first 16 hex digits of the SHA-256 over numpy's exp and log of a
-    fixed grid: which exp and log this platform's numpy computes."""
-    x = np.linspace(-40.0, 40.0, 4001)
-    return hashlib.sha256(np.exp(x).tobytes() + np.log(np.abs(x) + 0.5).tobytes()).hexdigest()[:16]
-
-
-def _lockstep_digest(kind, seed):
-    state, hp, bd = _lockstep_pass(kind, seed)
-    n, p = bd.x.shape
-    u = np.random.default_rng(seed).random((n, p + 1))
-    seated = clusters._lockstep_seats(bd, np.arange(n), u)
-    h = hashlib.sha256()
-    for i in range(n):
-        seats, _counts, log_w = seated[i][:3]
-        h.update(np.asarray(seats, dtype=np.int64).tobytes())
-        h.update(f"{float(log_w).hex()};".encode())
-    return h.hexdigest()[:16]
-
-
-@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
-def test_lockstep_seats_match_pinned_bits(kind):
-    """The lockstep's seats and log W of every row equal, bit for bit, those
-    pinned for this platform's exp and log. The reference-walk test allows
-    rounding (REL); this pin does not. A platform whose numpy exp and log
-    match neither recorded probe has no pin to compare with."""
-    pins = LOCKSTEP_PINS.get(_exp_log_probe())
-    if pins is None:
-        pytest.skip(f"no lockstep pin for this numpy's exp and log (probe {_exp_log_probe()})")
-    assert [_lockstep_digest(kind, seed) for seed in range(3)] == pins[kind]
-
-
-def _scalar_tail(bd, seated, i, rng):
-    """(mean, log W) of row i seated in lockstep as ``seated``
-    (``seat_births``' entry for it), its values drawn by the reference walk's
-    scalar tail (``_reference_values``), one ``standard_normal()`` per inner
-    cluster."""
-    seats, counts, log_w = seated[:3]
-    mean = ClusterMeanVector(len(seats))
-    if counts:
-        values, _log_q, _log_q0 = _reference_values(
-            seats.tolist(), len(counts), bd.x[i].tolist(), bd.prec.tolist(), bd.slab_var,
-            0.0, 0.0, rng)
-        mean.inner.set_slots([None] * len(counts), seats, counts, values)
-    return mean, log_w
+    return propose
 
 
 def _proposal_bits(bd, i, proposal):
@@ -794,41 +588,13 @@ def _proposal_bits(bd, i, proposal):
     return inner, log_w.hex(), bd.loglik(i, mean).hex()
 
 
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-def test_lockstep_value_tail_matches_scalar_tail(bit_generator):
-    """A row seated in lockstep draws its k values with one
-    ``standard_normal(k)`` from the posterior ``seat_births`` computed for
-    the pass: its values, log W and log likelihood equal, bit for bit,
-    those of the reference walk's scalar tail with
-    ``BirthDeathPass.loglik``, and the generator stands where k scalar draws
-    leave it, after every row."""
-    drew = 0
-    for kind in LOCKSTEP_KINDS:
-        for seed in range(4):
-            state, hp, bd = _lockstep_pass(kind, seed)
-            n, p = bd.x.shape
-            u = np.random.default_rng(seed).random((n, p + 1))
-            bd.seat_births(np.arange(n), u)
-            seated = dict(bd._seated)
-            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
-                            for _ in range(2))
-            for i in range(n):
-                got = _proposal_bits(bd, i, bd.propose(i, u[i], rng))
-                assert got == _proposal_bits(bd, i, _scalar_tail(bd, seated[i], i, ref_rng)), \
-                    (kind, seed, i)
-                assert rng.random() == ref_rng.random(), (kind, seed, i)
-                drew += len(seated[i][1]) > 0
-    assert drew
-
-
 # -- the block routine ----------------------------------------------------------
 
 
 def _block_inputs(seed, k):
     """Terms of 6 rows and 30 components, each row's slot terms (k slots;
-    slot 0 emptied, at log count -inf, on rows 0 and 3, and a row with fewer
-    slots than k weighing -inf at the rest), CRP log denominators and
-    uniforms."""
+    slot 0 emptied, at log count -inf, on rows 0 and 3, and on row 5 the
+    last slot too), CRP log denominators and uniforms."""
     rng = np.random.default_rng(seed)
     rows, p = 6, 30
     x = rng.normal(0.0, 1.0, size=(rows, p))
@@ -846,9 +612,8 @@ def _block_inputs(seed, k):
 
 def _block_oracle(terms, r, j, end, slots, log_denom, u):
     """Row r's block by the scalar step's sums in numpy, with numpy's
-    accumulate for the running sums: (stays, stop, seat, lse), where seat(c)
-    gives the seat at component c and lse every component's log
-    normaliser."""
+    accumulate for the running sums: (stop, seat, lse), where seat(c) gives
+    the seat at component c and lse every component's log normaliser."""
     k = 0 if slots is None else len(slots[0])
     w = np.empty((k + 2, end - j))
     w[0] = terms.spike[r, j:end]
@@ -867,58 +632,31 @@ def _block_oracle(terms, r, j, end, slots, log_denom, u):
     def seat(c):
         return int(np.searchsorted(acc[:, c], u[r, j + c] * acc[-1, c]))
 
-    return stays, stop, seat, top + np.log(acc[-1])
+    return stop, seat, top + np.log(acc[-1])
 
 
 @pytest.mark.parametrize("k", range(4), ids="{}-draw".format)
-def test_block_of_stacked_rows_matches_each_row_alone(k):
-    """``_block`` over a stack of rows gives every row, bit for bit, what it
-    gives that row alone, and both what the scalar step's sums with numpy's
-    accumulate give: where the row stays on SPIKE, its stop, its seat there
-    and the log normaliser at every component. A stack stops at its first
-    row's stop, where the rows that stop later sit on SPIKE; the stack of
-    those rows reaches the next stop. A one-component block seats every row
-    at its component. Blocks of 1, 7 and 30 components, 0-3 slots, an
-    emptied slot and rows with fewer slots than the rest."""
-    seen = dict.fromkeys(("row leaves SPIKE", "row stays through", "stack of several"), 0)
+def test_block_matches_scalar_step_sums(k):
+    """``_block`` gives a row, bit for bit, what the scalar step's sums with
+    numpy's accumulate give: its stop, its seat there and the log
+    normaliser at every component. A one-component block seats the row at
+    its component. Blocks of 1, 7 and 30 components, 0-3 slots and emptied
+    slots."""
+    seen = dict.fromkeys(("row leaves SPIKE", "row stays through"), 0)
     for seed in range(12):
         terms, slots, log_denom, u = _block_inputs(100 * k + seed, k)
         for j, end in ((4, 5), (11, 18), (0, 30)):
-            width, alone = end - j, {}
+            width = end - j
             for r in range(6):
-                got = clusters._block(
-                    terms, slice(r, r + 1), j, end, log_denom.item(r), u[r:r + 1],
-                    None if slots is None else tuple(a[:, r:r + 1] for a in slots))
-                stays, c, choice, lse = got
-                want_stays, stop, seat, want_lse = _block_oracle(terms, r, j, end, slots,
-                                                                 log_denom, u)
-                assert stays[0].tolist() == want_stays.tolist(), (seed, j, r)
+                c, choice, lse = clusters._block(
+                    terms, r, j, end, log_denom.item(r), u[r],
+                    None if slots is None else tuple(a[:, r] for a in slots))
+                stop, seat, want_lse = _block_oracle(terms, r, j, end, slots, log_denom, u)
                 assert c == (0 if width == 1 else stop), (seed, j, r)
-                assert lse[0].tolist() == want_lse.tolist(), (seed, j, r)
+                assert lse.tolist() == want_lse.tolist(), (seed, j, r)
                 if c < width:
-                    assert choice.item() == seat(c), (seed, j, r)
+                    assert choice == seat(c), (seed, j, r)
                 else:
                     assert choice is None
-                alone[r] = got
                 seen["row leaves SPIKE" if stop < width else "row stays through"] += 1
-            remaining = list(range(6))
-            while remaining:
-                sub = SimpleNamespace(spike=terms.spike[remaining], new=terms.new[remaining],
-                                      x=terms.x[remaining], log_s=terms.log_s, v_obs=terms.v_obs)
-                stays, c, choice, lse = clusters._block(
-                    sub, slice(None), j, end, log_denom[remaining], u[remaining],
-                    None if slots is None else tuple(a[:, remaining] for a in slots))
-                seen["stack of several"] += len(remaining) > 1
-                seated = []
-                for s, r in enumerate(remaining):
-                    one_stays, one_c, one_choice, one_lse = alone[r]
-                    assert stays[s].tolist() == one_stays[0].tolist(), (seed, j, r)
-                    assert lse[s].tolist() == one_lse[0].tolist(), (seed, j, r)
-                    if one_c == c:  # the stack stops at the row's own stop
-                        if c < width:
-                            assert choice[s] == one_choice[0], (seed, j, r)
-                        seated.append(r)
-                    else:  # the row sits on SPIKE at the stack's stop
-                        assert c < one_c and choice[s] == 0, (seed, j, r)
-                remaining = [r for r in remaining if r not in seated]
     assert all(seen.values()), seen

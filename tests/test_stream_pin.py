@@ -81,24 +81,24 @@ PINS = {'ex1_default_one': {'labels': [0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1,
                                           (2, 17, 2, 0), (2, 19, 2, 0)],
                             'rng_state': 255832593491834758840366567638086885623},
         'ex2_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-                            'per_sweep': [(2, 352, 19, 0), (2, 232, 5, 0), (2, 224, 4, 0),
-                                          (4, 196, 3, 0), (2, 179, 3, 0), (1, 157, 3, 0),
-                                          (1, 144, 3, 0), (1, 145, 3, 0), (2, 135, 3, 0),
-                                          (1, 139, 3, 0), (1, 121, 3, 0), (1, 107, 3, 0),
-                                          (1, 95, 3, 0), (1, 82, 3, 0), (1, 81, 3, 0),
-                                          (1, 89, 3, 0), (1, 90, 3, 0), (1, 83, 3, 0),
-                                          (1, 81, 3, 0), (1, 68, 3, 0)],
-                            'rng_state': 47953348985310159414390715503043774839},
-        'ex3_beta22_singletons': {'labels': [0, 0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3,
-                                             3, 3],
-                                  'per_sweep': [(6, 17, 12, 12), (6, 9, 7, 47), (6, 6, 3, 87),
-                                                (6, 4, 2, 103), (6, 4, 2, 86), (7, 4, 2, 100),
-                                                (7, 3, 2, 127), (6, 3, 2, 117), (4, 3, 2, 73),
-                                                (4, 3, 2, 61), (4, 3, 2, 66), (4, 3, 1, 74),
-                                                (3, 2, 1, 51), (3, 2, 1, 45), (3, 2, 1, 45),
-                                                (3, 2, 1, 45), (4, 2, 1, 51), (4, 2, 1, 65),
-                                                (4, 2, 1, 63), (4, 2, 1, 68)],
-                                  'rng_state': 253618500027851336368281941675921429967},
+                            'per_sweep': [(2, 352, 19, 0), (2, 245, 5, 0), (2, 227, 2, 0),
+                                          (3, 188, 2, 0), (3, 189, 2, 0), (4, 166, 2, 0),
+                                          (4, 162, 2, 0), (3, 149, 2, 0), (3, 132, 2, 0),
+                                          (2, 119, 2, 0), (1, 119, 2, 0), (1, 117, 2, 0),
+                                          (1, 112, 2, 0), (1, 88, 2, 0), (1, 79, 2, 0),
+                                          (1, 76, 2, 0), (1, 81, 2, 0), (1, 83, 2, 0),
+                                          (1, 87, 2, 0), (1, 76, 2, 0)],
+                            'rng_state': 205720357734011461801179963433785811570},
+        'ex3_beta22_singletons': {'labels': [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2,
+                                             2, 2],
+                                  'per_sweep': [(6, 17, 12, 10), (6, 11, 4, 55), (5, 10, 3, 66),
+                                                (4, 8, 2, 65), (4, 6, 2, 79), (4, 5, 2, 69),
+                                                (4, 5, 2, 69), (4, 6, 2, 66), (4, 5, 2, 65),
+                                                (3, 3, 1, 47), (3, 3, 1, 42), (3, 2, 1, 41),
+                                                (3, 2, 1, 39), (3, 2, 1, 39), (3, 2, 1, 47),
+                                                (3, 2, 1, 36), (3, 2, 1, 49), (3, 2, 1, 50),
+                                                (3, 2, 1, 55), (3, 2, 1, 53)],
+                                  'rng_state': 283616447589986463561046632643922237316},
         'ex4_default_one': {'labels': [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
                             'per_sweep': [(2, 19, 18, 0), (1, 20, 12, 0), (1, 18, 10, 0),
                                           (1, 18, 6, 0), (2, 13, 6, 0), (3, 11, 5, 0),

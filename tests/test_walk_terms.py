@@ -11,11 +11,11 @@ form it reads.
 import numpy as np
 import pytest
 
-from sparseclust import clusters
 from sparseclust.clusters import (
     BirthDeathPass,
     ClusterMeanVector,
     WalkTerms,
+    _scan_components,
     _seated_log_w,
 )
 from sparseclust.densities import SamplerAbort
@@ -50,21 +50,14 @@ def _dense_mean(p, rng):
     return ClusterMeanVector(p, build_partition(groups, rng.normal(0.0, 1.0, size=2), p))
 
 
-def _seated_alone(terms, row, u):
-    """``_lockstep_seats`` of ``row`` alone from the uniforms ``u``: seats,
-    counts, log W and posterior, arrays as lists."""
-    seats, counts, log_w, post = clusters._lockstep_seats(terms, np.array([row]), u[None])[row]
-    return seats.tolist(), counts, log_w, [a.tolist() for a in post]
-
-
 @pytest.mark.parametrize("n, p, seed", CASES)
 def test_pass_rows_equal_one_row_terms(n, p, seed):
     state, data, hp = make_state(n=n, p=p, seed=seed)
     if seed % 2:
         state.attr_prob[:] = 1e-3  # rows that start blocks with no member seated
     bd, mu_base, sigma_sq = _pass(state, data, hp)
-    bd.rejected_spike_births(state, np.random.default_rng(seed).random((n, p + 1)),
-                             bd.own_loglik(state))
+    bd.screened_births(state, np.random.default_rng(seed).random((n, p + 1)),
+                       bd.own_loglik(state))
     for i in range(n):
         one = WalkTerms(data.y[i] - mu_base, 1, sigma_sq, state, hp)
         for name in ROW_ARRAYS:
@@ -78,11 +71,9 @@ def test_pass_rows_equal_one_row_terms(n, p, seed):
         assert mean.inner.to_dict() == one_mean.inner.to_dict()
         assert log_w == one_log_w
         assert rng.bit_generator.state == one_rng.bit_generator.state
-        assert _seated_alone(bd, i, u) == _seated_alone(one, 0, u)
         assert _seated_log_w(bd, i, mean.inner) == _seated_log_w(one, 0, mean.inner)
-        if _starts_block(bd, i) and bd.run_finite[i] and not mean.inner.n_clusters():
-            # The pass marks a rejected proposal of this row from its sum.
-            assert log_w == bd.spike_log_w[i]
+        # The screen's bound on this row, from the pass's terms, holds.
+        assert log_w < bd.rest[i, 0]
 
 
 @pytest.mark.parametrize("n, p, seed", CASES)
@@ -104,23 +95,40 @@ def test_pass_loglik_equals_loglik_dense(n, p, seed):
         assert bd.loglik_column(state, cid) is column  # once per pass
 
 
-def test_all_spike_proposal_at_p_3000_is_one_block():
+def test_all_spike_proposal_at_p_3000_is_one_block(monkeypatch):
     """A block with no member seated spans to p, with no cap on its cells:
     at p = 3000 the scalar walk from an all-SPIKE mean that stays on SPIKE
-    has log W bitwise the pass's sum, which the skip of rejected births
-    reads. A capped block would split the walk's sum."""
+    is one block, so the stop is checked at component 0 and at p only. Its
+    log W lies below the screen's bound, and a stop armed with a floor
+    between the two stops the walk at p, at the end of that block, and
+    nowhere before."""
+    blocks = _record_live_blocks(monkeypatch)
     seen = 0
     for seed in range(40):
         state, data, hp = make_state(n=3, p=3000, seed=seed)
         state.attr_prob[:] = 1e-3
         bd = _pass(state, data, hp)[0]
         rng = np.random.default_rng(seed)
-        bd.rejected_spike_births(state, np.full((3, 3001), 0.5), bd.own_loglik(state))
+        bd.screened_births(state, np.full((3, 3001), 0.5), bd.own_loglik(state))
         for i in range(3):
-            mean, log_w = _walk_from_spike(bd, i, rng.random(3000), rng)
-            if _starts_block(bd, i) and bd.run_finite[i] and not mean.inner.n_clusters():
+            u = rng.random(3000)
+            del blocks[:]
+            mean, log_w = _walk_from_spike(bd, i, u, rng)
+            if _starts_block(bd, i) and not mean.inner.n_clusters():
                 seen += 1
-                assert log_w == bd.spike_log_w[i], (seed, i)
+                assert blocks == [(0, 3000, 3000, None)], (seed, i)
+                bound = bd.rest[i, 0]
+                assert log_w < bound, (seed, i)
+                for floor, stops in ((log_w, True), ((log_w + bound) / 2, True),
+                                     (bound, True), (np.nextafter(log_w, -np.inf), False)):
+                    del blocks[:]
+                    walk_rng = np.random.default_rng(seed)
+                    stopped = _scan_components(ClusterMeanVector(3000).inner, bd, i, u, walk_rng,
+                                               (bd.rest[i], float(floor)))
+                    assert (stopped is None) == stops, (seed, i, floor)
+                    # The floor at the bound stops the walk at component 0, before its block.
+                    assert blocks == ([] if floor == bound else [(0, 3000, 3000, None)])
+                    assert walk_rng.random() == np.random.default_rng(seed).random()
     assert seen >= 5
 
 
@@ -130,9 +138,10 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     component 0 off SPIKE, so its walk reaches component 4 in scalar steps.
     Each walk aborts at component 4 through the scalar pick, with the
     message of a walk with its own one-row terms and before it draws
-    anything; the blocks stop there. The pass keeps these rows out of its
-    skip and its screen, and their birth proposals leave them to the scalar walk. Row 0 is
-    finite and walks as its one-row terms do."""
+    anything; the blocks stop there. The pass's screen marks none of these
+    rows and arms no stop of their walks (their floors are NaN), so each
+    aborts from ``propose`` too. Row 0 is finite and walks as its one-row
+    terms do."""
     p = 6
     state, data, hp = make_state(n=4, p=p, seed=4)
     state.attr_prob[:] = 1e-3
@@ -144,11 +153,11 @@ def test_non_finite_row_aborts_only_its_own_block_path(monkeypatch):
     x[2, 4] = np.nan
     x[3, 0] = 5.0
     bd = BirthDeathPass(x + mu_base, mu_base, sigma_sq, state, hp)  # does not raise
-    bd.rejected_spike_births(state, np.full((4, p + 1), 0.5), bd.own_loglik(state))  # nor its skip
-    assert bd.run_finite.tolist() == [True, False, False, False]
-    # Not even an MH uniform just below 1 screens a non-finite row.
+    # Not even an MH uniform just below 1 screens a non-finite row or arms a
+    # stop of its walk.
     u_top = np.full((4, p + 1), np.nextafter(1.0, 0.0))
     assert not bd.screened_births(state, u_top, bd.own_loglik(state))[1:].any()
+    assert np.isnan(bd.floor).tolist() == [False, True, True, True]
     assert [_starts_block(bd, i) for i in range(1, 4)] == [True, True, False]
 
     u = np.full(p, 1e-3)  # every SPIKE-favouring component stays on SPIKE
