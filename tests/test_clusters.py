@@ -941,6 +941,53 @@ def test_birth_death_pass_matches_reference_pass(monkeypatch):
     assert all(seen.values()), seen
 
 
+
+def test_lockstep_pass_value_tail_matches_scalar_tail():
+    """The pass's value tail (one array draw per birth its stop leaves)
+    gives every such proposal the partition, values and log likelihood, bit
+    for bit, of the per-sample reference pass's proposal for that sample,
+    whose births ``_reference_walk`` draws with its scalar tail, and its log
+    W to rounding (the reference takes log F + log Q0 - log Q in math's exp
+    and log); the state and the generator end bit for bit where the
+    reference leaves them, on each bit generator, through a birth that drew
+    values and a singleton that has become a non-singleton (walked when
+    reached). The test's name is the one it had when the pass seated its
+    births in lockstep."""
+    seen = dict.fromkeys(("birth drew values", "singleton walked when reached"), 0)
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(30):
+            sides = []
+            for reference in (False, True):
+                state, data, hp = _skip_state(seed)
+                singletons = (state.samples.counts[state.samples.labels] == 1).tolist()
+                bd = _pass(state, data, hp)
+                walk = _reference_proposal(bd, state, hp) if reference else bd.propose
+                proposals = {}
+
+                def recording(i, u, rng, walk=walk, bd=bd, proposals=proposals):
+                    proposal = walk(i, u, rng)
+                    if proposal[0] is not None:
+                        proposals[i] = _proposal_bits(bd, i, proposal)
+                    return proposal
+
+                rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+                if reference:
+                    _reference_births_and_deaths(state, data, rng, bd, recording)
+                else:
+                    bd.propose = recording
+                    clusters._births_and_deaths(state, rng, bd)
+                sides.append((state.to_dict(), _generator_state(rng), proposals))
+            (*got, proposals), (*want, ref) = sides
+            assert got == want, (bit_generator, seed)
+            for i, (inner, log_w, log_f) in proposals.items():
+                ref_inner, ref_w, ref_f = ref[i]
+                assert (inner, log_f) == (ref_inner, ref_f), (bit_generator, seed, i)
+                assert float.fromhex(log_w) == pytest.approx(float.fromhex(ref_w), rel=1e-12)
+                seen["birth drew values"] += bool(inner["counts"])
+                seen["singleton walked when reached"] += singletons[i]
+    assert all(seen.values()), seen
+
+
 def _check_births(monkeypatch, births):
     """Make ``BirthDeathPass.propose`` check each birth proposal against the
     scalar walk from an all-SPIKE mean with no stop, handed the same

@@ -12,6 +12,7 @@ death's score of the same seats.
 """
 
 import copy
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ from sparseclust.densities import LOG_2PI, SamplerAbort, pick_with_lse
 from sparseclust.partition import SPIKE
 from sparseclust.sparsity import slab_coef
 
-from conftest import build_partition, make_state
+from conftest import build_partition, make_state, manual_state
 from geweke import draw_data
 
 REL = 1e-12
@@ -586,6 +587,273 @@ def _proposal_bits(bd, i, proposal):
     inner = mean.inner.to_dict()
     inner["values"] = [v.hex() for v in inner["values"]]
     return inner, log_w.hex(), bd.loglik(i, mean).hex()
+
+
+
+# -- the pass's birth walks ------------------------------------------------------
+# A pass once seated its births together, in lockstep, before proposing
+# them one by one; the tests below keep the names they had then. Each birth
+# is now the scalar walk of its row, stopped where the screen's bound
+# proves that it rejects.
+
+PASS_KINDS = ("dense", "live", "mixed", "spike")
+
+
+def _next_draws(rng):
+    """The next four draws of a copy of ``rng``, to compare positions."""
+    return copy.deepcopy(rng).random(4).tolist()
+
+
+@pytest.mark.parametrize("kind, bit_generator", [
+    pytest.param(kind, name, id=kind if name == "PCG64" else f"{kind}-{name}")
+    for name in BIT_GENERATORS for kind in PASS_KINDS + ("full",)
+])
+def test_lockstep_matches_reference_walk(kind, bit_generator):
+    """Every row of a pass, proposed in sample order with the screen's stop
+    armed (F_old the all-SPIKE likelihood), draws the seats and values the
+    reference walk draws from the same uniforms and leaves the generator
+    where it leaves it; its log W, and the death scorer's of its seats,
+    equal the reference's to rounding. A row the stop ends draws nothing,
+    and the birth of the reference's full walk rejects. The full kind
+    reaches member total p."""
+    seen = dict.fromkeys(("3+ inner clusters", "never off SPIKE", "member total p",
+                          "walked in full"), 0)
+    for seed in range(8):
+        state, hp, bd = _birth_pass(kind, seed)
+        n, p = bd.x.shape
+        rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                        for _ in range(2))
+        u = rng.random((n, p + 1))
+        ref_rng.random((n, p + 1))
+        log_f_old = bd.zero_loglik
+        bd.screened_births(state, u, log_f_old)
+        for i in range(n):
+            mean, log_w = bd.propose(i, u[i], rng)
+            ref = ClusterMeanVector(p)
+            walk_rng = copy.deepcopy(ref_rng)
+            *_, ref_z = _reference_walk(ref.inner, bd.x[i], 1, bd.sigma_sq, state, hp,
+                                        u[i], walk_rng)
+            if mean is None:
+                # Equal next draws: the stopped walk left its generator untouched.
+                assert _next_draws(rng) == _next_draws(ref_rng), (seed, i)
+                log_ratio = bd.birth_log_ratio(state, log_f_old.item(i), ref_z)
+                assert not clusters._mh_accepts(log_ratio, u[i, p]), (seed, i)
+            else:
+                ref_rng = walk_rng
+                assert mean.inner.to_dict() == ref.inner.to_dict(), (seed, i)
+                _check_log_w(log_w, ref_z, bd, i, mean, (bd.x[i], 1, bd.sigma_sq, state, hp))
+                seen["walked in full"] += 1
+            seen["3+ inner clusters"] += ref.inner_cluster_count() >= 3
+            seen["never off SPIKE"] += ref.nonzero_count() == 0
+            seen["member total p"] += ref.nonzero_count() == p
+        # Equal next draws: the two generators stand at the same position.
+        assert rng.random(4).tolist() == ref_rng.random(4).tolist(), seed
+    assert seen["walked in full"], seen
+    if kind in ("dense", "spike"):
+        assert seen["3+ inner clusters" if kind == "dense" else "never off SPIKE"], seen
+    if kind == "full":
+        assert seen["member total p"], seen
+
+
+@pytest.mark.parametrize("kind", PASS_KINDS + ("full",))
+def test_precheck_log_w_is_the_identity(kind):
+    """Every row's all-SPIKE proposal, which a precheck of rejected births
+    once scored, is the walk at uniforms 0: it never leaves SPIKE and draws
+    nothing. Its log W equals the reference's log F + log Q0 - log Q of the
+    all-SPIKE mean, and a death's score of that mean, to rounding, and the
+    screen's bound rest[i, 0] is above it."""
+    for seed in range(8):
+        state, hp, bd = _birth_pass(kind, seed)
+        n, p = bd.x.shape
+        bd.screened_births(state, np.random.default_rng(seed).random((n, p + 1)),
+                           bd.zero_loglik)
+        spike = ClusterMeanVector(p)
+        for i in range(n):
+            rng = np.random.default_rng(seed)
+            before = rng.bit_generator.state
+            mean, log_w = _walk_from_spike(bd, i, np.zeros(p), rng)
+            assert mean.nonzero_count() == 0 and rng.bit_generator.state == before, (seed, i)
+            want = _reference_log_w(spike, bd.x[i], 1, bd.sigma_sq, state, hp)
+            assert log_w == pytest.approx(want, rel=REL), (seed, i)
+            assert _seated_log_w(bd, i, spike.inner) == pytest.approx(want, rel=REL), (seed, i)
+            assert log_w < bd.rest[i, 0], (seed, i)
+
+
+def _one_component_blocks(monkeypatch):
+    """Make every block of the walk weigh one component."""
+    block = clusters._block
+
+    def one(terms, i, j, end, *args):
+        return block(terms, i, j, j + 1, *args)
+
+    monkeypatch.setattr(clusters, "_block", one)
+
+
+@pytest.mark.parametrize("kind", PASS_KINDS)
+def test_lockstep_blocks_match_one_component_steps(kind, monkeypatch):
+    """With every block cut to one component, the pass's walks give every
+    row the seats, values and generator position of the default walks,
+    whose blocks weigh many components at once, bit for bit, and log W to
+    rounding. Every kind but dense has rows whose default walks seat two
+    components or more on SPIKE in one block; dense has rows that leave
+    SPIKE at most components, where the walk weighs one component at a
+    time."""
+    runs = 0
+    for seed in range(8):
+        state, hp, bd = _birth_pass(kind, seed)
+        n, p = bd.x.shape
+        u = np.random.default_rng(seed).random((n, p + 1))
+        sides = []
+        for cut in (False, True):
+            with monkeypatch.context() as patch:
+                blocks = _record_live_blocks(patch)
+                if cut:
+                    _one_component_blocks(patch)
+                rng = np.random.default_rng(seed)
+                walks = [_walk_from_spike(bd, i, u[i], rng) for i in range(n)]
+                sides.append((walks, rng.bit_generator.state, blocks[:]))
+        (walks, end_state, blocks), (cut_walks, cut_state, _) = sides
+        assert end_state == cut_state, seed
+        for i, ((mean, log_w), (cut_mean, cut_log_w)) in enumerate(zip(walks, cut_walks)):
+            assert mean.inner.to_dict() == cut_mean.inner.to_dict(), (seed, i)
+            assert log_w == pytest.approx(cut_log_w, rel=REL), (seed, i)
+        if kind == "dense":
+            runs += any(2 * mean.nonzero_count() > p for mean, _log_w in walks)
+        else:
+            runs += any(stop - start >= 2 for start, _end, stop, _choice in blocks)
+    assert runs
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.inf, "all log weights are -inf"), (np.nan, r"non-finite log weights \[nan")],
+    ids=["inf", "nan"])
+def test_lockstep_leaves_a_non_finite_row_to_the_scalar_walk(bad, message):
+    """A row holding a non-finite residual is neither screened nor stopped
+    (its floor is NaN); its birth move walks it and aborts with the message
+    of the per-sample reference pass (births drawn by ``_reference_walk``),
+    naming the sample, after the same moves before it, leaving the state and
+    the generator where the reference pass does."""
+    bad_row, n, p = 5, 8, 6
+    y = np.random.default_rng(2).normal(0.0, 1.5, size=(n, p))
+    sides = []
+    for reference in (False, True):
+        state, data, hp = manual_state(y.copy(), sigma_sq=[0.5] * p, attr_prob=0.5)
+        data.y[bad_row, 3] = bad  # past DataMatrix's check
+        rng = np.random.default_rng(3)
+        bd = BirthDeathPass(data.y, state.mean_part.values_vector(),
+                            state.var_part.values_vector(), state, hp)
+        with pytest.raises(SamplerAbort, match=message) as abort:
+            if reference:
+                _reference_births_and_deaths(state, data, rng, bd,
+                                             _reference_proposal(bd, state, hp))
+            else:
+                clusters._births_and_deaths(state, rng, bd)
+        sides.append((str(abort.value), state.to_dict(), rng.random(4).tolist(),
+                      math.isnan(bd.floor[bad_row])))
+    (message_pass, *got, no_stop), (message_ref, *want, _) = sides
+    assert message_pass == message_ref
+    assert message_pass.startswith(f"birth proposal i={bad_row}: ")
+    assert got == want
+    assert no_stop
+
+
+# Bits of the pass's walks on each kind's passes of seeds 0-2, row i
+# reading row i of ``default_rng(seed).random((n, p + 1))`` and drawing its
+# values from one ``default_rng(seed)``, with no stop: per seed, the first
+# 16 hex digits of the SHA-256 over every row's seats (int64) and the
+# ``float.hex`` of its log W (``_lockstep_digest``). A block adds the log
+# normalisers of its SPIKE seats by one reduction, so the pins hold where
+# the blocks fall as well as each step's arithmetic. numpy's exp and log
+# differ in the last bit between SIMD targets, so the pins are keyed by a
+# probe of both (``_exp_log_probe``).
+LOCKSTEP_PINS = {
+    # x86-64 with numpy's AVX-512 (X86_V4) exp and log
+    "4117a7b1b2889523": {
+        "dense": ["f0319b26ca57c845", "48c5b964840e8814", "42ba918204cb1bfd"],
+        "live": ["5fe08bfe85f2849a", "745b95b2d87a4afd", "be6206b6a550ba1f"],
+        "mixed": ["f0ed8c4e8946f8c4", "7b2a77ee2e3be58f", "6b18c6d9077921df"],
+        "spike": ["4bc93c17c6f57f9a", "75d644fad7150ecd", "408e372ee17696ce"],
+    },
+    # x86-64 with those kernels disabled (or absent): the C library's exp and log
+    "6469758e9361ab7d": {
+        "dense": ["f0319b26ca57c845", "48c5b964840e8814", "42ba918204cb1bfd"],
+        "live": ["5fe08bfe85f2849a", "745b95b2d87a4afd", "be6206b6a550ba1f"],
+        "mixed": ["f0ed8c4e8946f8c4", "7b2a77ee2e3be58f", "6b18c6d9077921df"],
+        "spike": ["4bc93c17c6f57f9a", "75d644fad7150ecd", "408e372ee17696ce"],
+    },
+}
+
+
+def _exp_log_probe():
+    """The first 16 hex digits of the SHA-256 over numpy's exp and log of a
+    fixed grid: which exp and log this platform's numpy computes."""
+    x = np.linspace(-40.0, 40.0, 4001)
+    return hashlib.sha256(np.exp(x).tobytes() + np.log(np.abs(x) + 0.5).tobytes()).hexdigest()[:16]
+
+
+def _lockstep_digest(kind, seed):
+    _state, _hp, bd = _birth_pass(kind, seed)
+    n, p = bd.x.shape
+    u = np.random.default_rng(seed).random((n, p + 1))
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for i in range(n):
+        mean, log_w = _walk_from_spike(bd, i, u[i], rng)
+        h.update(np.asarray(mean.inner.labels, dtype=np.int64).tobytes())
+        h.update(f"{float(log_w).hex()};".encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind", PASS_KINDS)
+def test_lockstep_seats_match_pinned_bits(kind):
+    """The walks' seats and log W of every row equal, bit for bit, those
+    pinned for this platform's exp and log. The reference-walk test allows
+    rounding (REL); this pin does not. A platform whose numpy exp and log
+    match neither recorded probe has no pin to compare with."""
+    pins = LOCKSTEP_PINS.get(_exp_log_probe())
+    if pins is None:
+        pytest.skip(f"no walk pin for this numpy's exp and log (probe {_exp_log_probe()})")
+    assert [_lockstep_digest(kind, seed) for seed in range(3)] == pins[kind]
+
+
+def _scalar_tail(bd, i, proposal, rng):
+    """(mean, log W) of row i with the seats of ``proposal``, a walk's (mean,
+    log W), its values drawn by the reference walk's scalar tail
+    (``_reference_values``), one ``standard_normal()`` per inner cluster."""
+    walked, log_w = proposal
+    seats, counts = walked.inner.labels.copy(), walked.inner.sizes()
+    mean = ClusterMeanVector(len(seats))
+    if counts:
+        values, _log_q, _log_q0 = _reference_values(
+            seats.tolist(), len(counts), bd.x[i].tolist(), bd.prec.tolist(), bd.slab_var,
+            0.0, 0.0, rng)
+        mean.inner.set_slots([None] * len(counts), seats, counts, values)
+    return mean, log_w
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_lockstep_value_tail_matches_scalar_tail(bit_generator):
+    """Every row's walk draws its k values with one ``standard_normal(k)``
+    from the posterior of its seats: its values, log W and log likelihood
+    equal, bit for bit, those of the reference walk's scalar tail on the
+    same seats with ``BirthDeathPass.loglik``, and the generator stands
+    where k scalar draws leave it, after every row."""
+    drew = 0
+    for kind in PASS_KINDS:
+        for seed in range(4):
+            _state, _hp, bd = _birth_pass(kind, seed)
+            n, p = bd.x.shape
+            u = np.random.default_rng(seed).random((n, p + 1))
+            rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                            for _ in range(2))
+            for i in range(n):
+                proposal = bd.propose(i, u[i], rng)
+                got = _proposal_bits(bd, i, proposal)
+                assert got == _proposal_bits(bd, i, _scalar_tail(bd, i, proposal, ref_rng)), \
+                    (kind, seed, i)
+                assert rng.random() == ref_rng.random(), (kind, seed, i)
+                drew += proposal[0].inner.n_clusters() > 0
+    assert drew
 
 
 # -- the block routine ----------------------------------------------------------
