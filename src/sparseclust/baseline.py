@@ -39,12 +39,14 @@ order under two rules:
 A row scored alone is weighed against the table itself, its own slot's
 column rewritten without it and written back if it stays. Since a row that
 stays changes nothing, the rows after it see the same slots, and a block
-of consecutive rows is scored as one matrix. Rows are committed up to and
-including the first that moves, and the next block starts after it. Blocks
-span several rows only after a run of rows that stayed, and grow with the
-run; rows times slots stay under a fixed number of cells, so many clusters
-mean short blocks, not large temporaries. All values are then redrawn in
-one vector draw and the partition is written back once.
+of consecutive rows is scored as one matrix, committed up to and including
+the first row that moves; the next block starts after it. The pass opens
+with a block over all of it. After a move, a block spans the longer of the
+mean run of rows between moves so far and the run since the last move,
+and rows are scored alone while both are short. Rows times slots stay
+under a fixed number of cells, so many clusters mean short blocks, not
+large temporaries. All values are then redrawn in one vector draw and the
+partition is written back once.
 """
 
 import functools
@@ -64,9 +66,9 @@ def _log_count_table(p):
 
 # The most cells, rows times (slots + 1), a block's weight matrix holds.
 _BLOCK_CELLS = 4096
-# Rows that must stay in a row before a block spans several: setting up a
-# multi-row block costs about one more one-row block, so it pays only where
-# most rows stay.
+# The shortest run of rows between moves, mean or current, at which blocks
+# span several rows: a block costs about four one-row steps and wastes its
+# rows after the first that moves, so blocks pay only where most rows stay.
 _MIN_RUN = 8
 # The mean step's constants as 0-d arrays, which numpy takes faster than floats.
 _LOG_2PI = np.array(LOG_2PI)
@@ -111,11 +113,12 @@ def _run_step(part, step, rng, where):
     u = uniforms.tolist()
     slot_terms, logits = step.slot_terms, step.logits
     exp, reduce, accumulate, isfinite = np.exp, np.add.reduce, np.add.accumulate, math.isfinite
-    j = stays = 0  # stays: rows that kept their slots since the last move
+    j = moves = last = 0  # moves: rows that left their slots; last: the row after the latest
     # A row with a non-finite weight aborts below; its arithmetic stays quiet.
     with np.errstate(all="ignore"):
         while j < p:
-            n = min(stays, max(1, _BLOCK_CELLS // (k + 1)), p - j) if stays >= _MIN_RUN else 1
+            n = 1 if j < _MIN_RUN * moves and j - last < _MIN_RUN else min(
+                max(j // moves, j - last) if moves else p, max(1, _BLOCK_CELLS // (k + 1)), p - j)
             if n == 1:
                 # One row is scored against the table itself: its own slot's
                 # column is written without it, and back if it stays.
@@ -131,33 +134,30 @@ def _run_step(part, step, rng, where):
                 t = min(int(accumulate(prob).searchsorted(u[j] * total)), k)
                 if t == s:
                     t0[s], t1[s], t2[s] = kept
-                    stays += 1
                     j += 1
                     continue
             else:
-                own = labels[j:j + n]
-                c = np.array([cnt[s] for s in own]) - 1
-                left = np.array([stat[s] for s in own]) - step.items[j:j + n]
+                own = np.array(labels[j:j + n], np.intp)
+                c = np.array(cnt)[own] - 1
+                left = np.array(stat)[own] - step.items[j:j + n]
                 block = table[:, None, :k + 1].repeat(n, 1)
                 block[:, np.arange(n), own] = slot_terms(c, np.where(c > 0, left, 0))
                 logw = logits(slice(j, j + n), block)
                 prob = np.exp(logw - np.maximum.reduce(logw, -1, keepdims=True))
-                total = np.add.reduce(prob, -1, keepdims=True)
+                total = np.add.reduce(prob, -1)
                 # Row r joins the first slot whose running weight reaches
-                # u_r * total_r, or the last slot.
+                # u_r * total_r, or the last slot. The block is committed up
+                # to its first row that moves or weighs a non-finite total.
                 draws = np.add.reduce(
-                    np.add.accumulate(prob, -1) < uniforms[j:j + n, None] * total, -1, np.intp)
-                for r, (t, row_total) in enumerate(zip(draws.tolist(), total.ravel().tolist())):
-                    if not math.isfinite(row_total):
-                        raise SamplerAbort(f"{where} j={j + r}: non-finite log weights {logw[r]}")
-                    t = min(t, k)
-                    if t != own[r]:
-                        break
-                else:  # every row of the block stayed
-                    stays += n
+                    np.add.accumulate(prob, -1) < (uniforms[j:j + n] * total)[:, None], -1, np.intp)
+                stop = (draws != own) | ~np.isfinite(total)
+                r = int(stop.argmax())
+                if not stop[r]:  # every row of the block stayed
                     j += n
                     continue
-                s = own[r]
+                if not isfinite(total[r]):
+                    raise SamplerAbort(f"{where} j={j + r}: non-finite log weights {logw[r]}")
+                s, t = labels[j + r], min(int(draws[r]), k)
                 table[:, s] = block[:, r, s]
             # Row j + r leaves slot s for slot t; the rows before it stayed.
             x = items[j + r]
@@ -174,8 +174,8 @@ def _run_step(part, step, rng, where):
                 stat[t] += x
             t0[t], t1[t], t2[t] = slot_terms(cnt[t], stat[t])
             labels[j + r] = t
-            stays = 0
-            j += r + 1
+            moves += 1
+            j = last = j + r + 1
     ids, labels, counts = drop_empty(ids, labels, cnt)
     part.set_slots(ids, labels, counts, step.values(labels, counts, rng))
 

@@ -500,8 +500,9 @@ def test_pass_matches_enumerated_posterior():
         assert max(map(abs, z)) < ORACLE_BOUND, (attr, want, visits.mean(0), z)
 
 
-# (block cells, rows that stay before a block spans several) per seed: the
-# default, a cap that short blocks reach, and blocks that start early.
+# (block cells, the run between moves, mean or current, at which blocks
+# span several rows) per seed: the default, a cap that short blocks reach,
+# and blocks after short runs.
 BLOCK_SETTINGS = ((baseline._BLOCK_CELLS, baseline._MIN_RUN), (24, 1), (4096, 2))
 
 
@@ -545,6 +546,56 @@ def test_block_pass_matches_reference(which, monkeypatch):
                 seen["singleton inside a multi-row block"] += bool(r) and events[first + r][0]
                 seen["block at the cap"] += n == cells // (k + 1)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("cells", [baseline._BLOCK_CELLS, 24])
+@pytest.mark.parametrize("which", sorted(STEPS))
+def test_blocks_open_the_pass_and_follow_the_runs(which, cells, monkeypatch):
+    """The pass opens with a block as wide as the cell cap allows. After a
+    move, a block spans the longer of the mean run of rows between moves
+    and the run since the last move, and rows are scored alone while both
+    are under ``_MIN_RUN``. So a pass in which no attribute moves scores
+    ceil(p / width) blocks and no row alone; a pass whose first two rows
+    must move scores rows alone until ``_MIN_RUN`` rows have stayed; and a
+    pass of singletons that each open a new cluster, where every row moves,
+    scores at most one block of several rows. Each reproduces the
+    per-attribute pass bitwise."""
+    monkeypatch.setattr(baseline, "_BLOCK_CELLS", cells)
+    cls, attr = STEPS[which]
+    p = 40
+    column = np.random.default_rng(8).normal(0.0, 0.1, size=30)
+    # Even attributes near 0 and odd ones near 5: two clusters no row leaves.
+    y = column[:, None] + np.tile([0.0, 5.0], p // 2)
+    settled = [list(range(0, p, 2)), list(range(1, p, 2))]
+    front = [[0], [1], list(range(2, p, 2)), list(range(3, p, 2))]
+    singletons = [[j] for j in range(p)]
+    for groups, conc in ((settled, 1e-6), (front, 1e-6), (singletons, 1e12)):
+        state, data, hp = manual_state(y, sigma_sq=[0.01] * p, concs=conc)
+        setattr(state, attr, build_partition(groups, [0.01] * len(groups)))
+        part, ref = (copy.deepcopy(getattr(state, attr)) for _ in range(2))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        step = cls(state, data, hp)
+        logits, calls = step.logits, []
+        step.logits = lambda rows, terms: calls.append(rows) or logits(rows, terms)
+        _run_step(part, step, rng, which)
+        events = _reference_run_step(ref, cls(state, data, hp), ref_rng, which,
+                                     NEW_LOGW[which](state, data, hp))
+
+        assert part.to_dict() == ref.to_dict()
+        assert rng.random(4).tolist() == ref_rng.random(4).tolist()
+        moved = [j for j, (_, move, _) in enumerate(events) if move]
+        alone = [rows for rows in calls if type(rows) is int]
+        blocks = [rows.stop - rows.start for rows in calls if type(rows) is slice]
+        if groups is settled:
+            assert moved == []
+            width = min(p, cells // (len(groups) + 1))
+            assert (len(blocks), alone) == (-(-p // width), []), calls
+        elif groups is front:
+            assert moved == [0, 1]
+            assert alone == list(range(1, 2 + baseline._MIN_RUN)), calls
+        else:
+            assert moved == list(range(p))
+            assert sum(n > 1 for n in blocks) <= 1, calls
 
 
 @pytest.mark.parametrize("which", sorted(STEPS))
@@ -636,20 +687,24 @@ def test_abort_names_the_attribute_inside_a_block():
 
 @pytest.mark.parametrize("which, bad", [("mean", 0), ("mean", 10), ("var", 0)])
 def test_abort_names_an_attribute_scored_alone(which, bad):
-    """A non-finite statistic on an attribute scored alone, at row 0 or right
-    after a singleton that must move, aborts the pass at its attribute with
-    the message of the per-attribute pass, after all p uniforms. A variance
-    slot holding an infinite statistic gives every earlier row NaN weights,
-    so the variance step is checked at row 0 only."""
+    """A non-finite statistic on an attribute scored alone aborts the pass at
+    its attribute with the message of the per-attribute pass, after all p
+    uniforms. A pass opens with a block, so attribute 0 is alone in a pass
+    of one attribute. Attribute 10 follows singletons at rows 0 and 9 that
+    must move, which keep the runs between moves under ``_MIN_RUN``. A
+    variance slot holding an infinite statistic gives every earlier row NaN
+    weights, so the variance step is checked at row 0 only."""
     cls, attr = STEPS[which]
     where = f"baseline-{which} assignment"
+    p = 20 if bad else 1
     rng = np.random.default_rng(5)
     column = rng.normal(0.0, 0.1, size=6)
-    y = np.tile(column[:, None], (1, 20))
-    alone = [[bad]] + ([[bad - 1]] if bad else [])
-    others = [j for j in range(20) if [j] not in alone]
-    state, data, hp = manual_state(y, sigma_sq=[0.01] * 20)
-    setattr(state, attr, build_partition([others] + alone, [0.01] * (1 + len(alone))))
+    y = np.tile(column[:, None], (1, p))
+    alone = [[bad]] + ([[bad - 1], [0]] if bad else [])
+    others = [j for j in range(p) if [j] not in alone]
+    groups = ([others] if others else []) + alone
+    state, data, hp = manual_state(y, sigma_sq=[0.01] * p)
+    setattr(state, attr, build_partition(groups, [0.01] * len(groups)))
     data.y[0, bad] = np.inf  # past DataMatrix's check
     step = cls(state, data, hp)
     blocks = _record_blocks(step)
@@ -666,5 +721,5 @@ def test_abort_names_an_attribute_scored_alone(which, bad):
     assert message == str(reference_abort.value)
     assert blocks[-1][:2] == (bad, 1), blocks
     fresh = np.random.default_rng(3)
-    fresh.random(20)
+    fresh.random(p)
     assert gen.random(4).tolist() == fresh.random(4).tolist()

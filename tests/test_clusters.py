@@ -711,8 +711,7 @@ def test_inner_gibbs_keeps_state_valid(tiny_state):
 # -- the sample-partition law of step 5 ----------------------------------------
 
 
-@pytest.mark.parametrize("block_cells", [clusters._BLOCK_CELLS, 1], ids=["default", "1"])
-def test_step5_partition_law_matches_exact_enumeration(block_cells, monkeypatch):
+def test_step5_partition_law_matches_exact_enumeration():
     """Repeated ``step_clusters`` at n = 3, p = 1, with the baselines,
     attr_prob, slab_var and the concentrations held fixed, visits the five
     sample partitions with their exact posterior probabilities: CRP(conc_samples)
@@ -722,8 +721,9 @@ def test_step5_partition_law_matches_exact_enumeration(block_cells, monkeypatch)
     one inner cluster whatever conc_inner is. The chain is autocorrelated, so
     the standard errors come from batch means. y, the seed, the sweep count
     and the 4-SE bound were fixed before the first run; the likeliest
-    partition carries 0.29 of the mass. With ``_BLOCK_CELLS`` at 1 the
-    rejected-birth precheck weighs one row at a time."""
+    partition carries 0.29 of the mass. At p = 1 every walk scores its one
+    component with no member seated, so ``_BLOCK_CELLS`` and ``_LIVE_RUN``
+    never change its path."""
     from scipy.stats import multivariate_normal
 
     from sparseclust.diagnostics import batch_means_se
@@ -748,7 +748,6 @@ def test_step5_partition_law_matches_exact_enumeration(block_cells, monkeypatch)
     total = sum(weights.values())
     assert max(weights.values()) / total < 0.6
 
-    monkeypatch.setattr(clusters, "_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(23)
     seen = []
     for _ in range(10_000):
